@@ -12,6 +12,14 @@ The transport to a sample point never materializes a group element: for
 every family the m0 coordinates of a transported tangent vector reduce to
 the imaginary part(s) of the Hermitian pairing of the base point with the
 vector, which vectorizes over all edges.
+
+Distance queries re-measure the raw graph path through a corridor of
+nearby samples joined by great-circle arcs.  An arc's Finsler length has
+a closed form: the m0 coordinates are the components of Killing fields
+of the round metric, so they stay constant along a unit-speed great
+circle, and so does the invariant norm of its velocity.  The corridor is
+a tube around the raw path whose radius is measured in Euclidean chord
+units, so which samples it holds does not depend on the metric's scale.
 """
 
 from __future__ import annotations
@@ -45,7 +53,9 @@ class SphereGraph:
     weights: np.ndarray         # (N, k) float, >= 0
     matrix: csr_matrix
     k: int
-    median_edge: float
+    median_edge: float          # median edge cost
+    tree: cKDTree               # KD-tree over `points`
+    median_chord: float         # median Euclidean length of the edge chords
 
     @property
     def n_points(self):
@@ -144,7 +154,9 @@ def build_graph(space: ModelSpace, spec: RandersSpec, n_points, k, rng) -> Spher
             "increase the point count or the degree")
     return SphereGraph(spec=spec, family=spec.family, points=pts,
                        neighbors=idx, weights=costs.reshape(n_points, k),
-                       matrix=mat, k=k, median_edge=float(np.median(costs)))
+                       matrix=mat, k=k, median_edge=float(np.median(costs)),
+                       tree=tree,
+                       median_chord=float(np.median(np.linalg.norm(vecs, axis=1))))
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +169,6 @@ class DistanceReport:
     target: int
     distance: float
     hops: int
-    scale_h: float              # discretization scale: median edge weight
 
 
 def one_to_all(graph: SphereGraph, source):
@@ -165,13 +176,16 @@ def one_to_all(graph: SphereGraph, source):
     return dijkstra(graph.matrix, directed=True, indices=int(source))
 
 
-def _arc_costs(spec: RandersSpec, starts, ends, nodes=5):
+def _arc_costs(spec: RandersSpec, starts, ends):
     """Finsler length of the great-circle arc from each start to each end
-    (unit rows), by Simpson quadrature of the invariant norm along the arc.
+    (unit rows).
 
-    The arc is an upper-bound proxy for the local geodesic; since length
-    is stationary at the true geodesic the overestimate is fourth order in
-    the arc angle.
+    Along a unit-speed great circle the m0 coordinates of the velocity
+    are constant (they are Killing-field components of the round metric),
+    so the invariant norm is constant too and the length is the arc angle
+    times the norm of the unit tangent at the start.  The arc is an
+    upper-bound proxy for the local geodesic; since length is stationary
+    at the true geodesic the overestimate is fourth order in the angle.
     """
     starts = np.atleast_2d(starts)
     ends = np.atleast_2d(ends)
@@ -181,15 +195,7 @@ def _arc_costs(spec: RandersSpec, starts, ends, nodes=5):
     pn = np.linalg.norm(perp, axis=1)
     degenerate = pn <= 1e-14
     perp = perp / np.where(degenerate, 1.0, pn)[:, None]
-    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
-    weights /= weights.sum()
-    total = np.zeros(len(theta))
-    for frac, w in zip(np.linspace(0.0, 1.0, nodes), weights):
-        s = frac * theta
-        pts = np.cos(s)[:, None] * starts + np.sin(s)[:, None] * perp
-        vel = -np.sin(s)[:, None] * starts + np.cos(s)[:, None] * perp
-        total += w * _edge_costs(spec, pts, vel)
-    return np.where(degenerate, 0.0, theta * total)
+    return np.where(degenerate, 0.0, theta * _edge_costs(spec, starts, perp))
 
 
 def _walk_predecessors(pred, source, target):
@@ -205,6 +211,37 @@ def _walk_predecessors(pred, source, target):
 
 DEFAULT_CHUNK_ARC = 0.5
 CORRIDOR_TUBE_FACTOR = 2.5
+# The raw Dijkstra stops at this multiple of the great-circle cost to the
+# target plus this many median edges; a miss reruns it unbounded.
+RAW_LIMIT_FACTOR = 1.5
+RAW_LIMIT_EDGES = 4.0
+
+
+def _raw_limit(graph: SphereGraph, source, coords):
+    """Search bound for the raw Dijkstra from `source` towards `coords`."""
+    if graph.points is None or graph.spec is None:
+        return math.inf
+    arc = _arc_costs(graph.spec, graph.points[source], coords)[0]
+    return RAW_LIMIT_FACTOR * arc + RAW_LIMIT_EDGES * graph.median_edge
+
+
+def _raw_search(graph: SphereGraph, source, coords, ends, leg_costs):
+    """Single-source Dijkstra distances and predecessors for a target at
+    `coords` that is reached from the vertices `ends` over legs costing
+    `leg_costs`.
+
+    The search stops at `_raw_limit`, below which its distances are exact.
+    An end beyond the limit totals more than the limit, so it cannot beat a
+    total within it: if the best total found is within the limit the answer
+    is settled, otherwise the search reruns without the bound.
+    """
+    limit = _raw_limit(graph, source, coords)
+    dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
+                          return_predecessors=True, limit=limit)
+    if np.min(dist[ends] + leg_costs) > limit:
+        dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
+                              return_predecessors=True)
+    return dist, pred
 
 
 def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None,
@@ -212,19 +249,18 @@ def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None,
     """Re-measure a raw graph path by shortest polyline through its corridor.
 
     Collects every sample point within a tube around the raw path, connects
-    corridor points less than `chunk_arc` apart by directed arcs costed with
-    quadrature of the invariant norm, and reruns the shortest path.  Longer,
+    corridor points less than `chunk_arc` apart by directed great-circle
+    arcs costed in closed form, and reruns the shortest path.  Longer,
     accurately costed chunks cancel the zig-zag stretch of the raw k-NN
-    walk.  `target_coords`, when given, joins the corridor as a virtual
-    terminal vertex (off-sample targets).
+    walk.  The tube radius is `CORRIDOR_TUBE_FACTOR` median edge chords, a
+    Euclidean length like the KD-tree's, so the corridor does not depend on
+    the metric's scale.  `target_coords`, when given, joins the corridor as
+    a virtual terminal vertex (off-sample targets).
     """
     pts = graph.points
-    tree = cKDTree(pts)
-    radius = CORRIDOR_TUBE_FACTOR * graph.median_edge
-    members = set()
-    for v in raw_path:
-        members.update(tree.query_ball_point(pts[v], radius))
-    corridor = np.fromiter(sorted(members), dtype=int)
+    radius = CORRIDOR_TUBE_FACTOR * graph.median_chord
+    balls = graph.tree.query_ball_point(pts[raw_path], radius)
+    corridor = np.unique(np.concatenate(balls))
     node_pts = pts[corridor]
     if target_coords is not None:
         node_pts = np.vstack([node_pts, target_coords])
@@ -255,8 +291,8 @@ def distance(graph: SphereGraph, source, target, refine=True) -> DistanceReport:
     to the raw path.
     """
     source, target = int(source), int(target)
-    dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                          return_predecessors=True)
+    coords = graph.points[target] if graph.points is not None else None
+    dist, pred = _raw_search(graph, source, coords, [target], 0.0)
     if not np.isfinite(dist[target]):
         raise ResolutionTooCoarse("target unreachable at this resolution")
     raw_path = _walk_predecessors(pred, source, target)
@@ -264,7 +300,7 @@ def distance(graph: SphereGraph, source, target, refine=True) -> DistanceReport:
     if refine and graph.points is not None and graph.spec is not None:
         d = _corridor_refine(graph, source, raw_path)
     return DistanceReport(source=source, target=target, distance=float(d),
-                          hops=len(raw_path) - 1, scale_h=graph.median_edge)
+                          hops=len(raw_path) - 1)
 
 
 def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
@@ -274,14 +310,12 @@ def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
         raise InvalidInput("graph has no point coordinates (edge-only import)")
     source = int(source)
     coords = np.asarray(coords, dtype=float)
-    tree = cKDTree(graph.points)
-    snap_d, cand = tree.query(coords, k=graph.k)
+    snap_d, cand = graph.tree.query(coords, k=graph.k)
     cand = np.atleast_1d(cand)
-    dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                          return_predecessors=True)
     legs = _tangent_chords(graph.points[cand],
                            np.repeat(coords[None, :], len(cand), axis=0))
     leg_costs = _edge_costs(graph.spec, graph.points[cand], legs)
+    dist, pred = _raw_search(graph, source, coords, cand, leg_costs)
     totals = dist[cand] + leg_costs
     if not np.any(np.isfinite(totals)):
         raise ResolutionTooCoarse("target unreachable at this resolution")
@@ -410,4 +444,5 @@ def load_edges(path) -> SphereGraph:
     counts = np.diff(mat.indptr)
     return SphereGraph(spec=None, family=None, points=None, neighbors=None,
                        weights=None, matrix=mat, k=int(counts.max()),
-                       median_edge=float(np.median(mat.data)))
+                       median_edge=float(np.median(mat.data)), tree=None,
+                       median_chord=None)

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from cwspheres.cli import main
-from cwspheres.randers import spec_from_json
+from cwspheres.killing import OrbitParams, solve_metric
+from cwspheres.randers import spec_from_json, spec_to_json
 
 
 def run(capsys, *argv):
@@ -148,3 +151,22 @@ def test_verify_displacement_tiny_graph(capsys):
                        "--seed", "10", "--tolerance", "0.2")
     assert code == 0
     assert "verdict=constant" in out.strip().split("\n")[-1]
+
+
+def test_verify_displacement_scale_invariant(tmp_path, capsys):
+    # value and cost must not depend on the metric's overall scale L
+    means, seconds = {}, {}
+    for L in (0.3, 1.0, 3.0):
+        config = tmp_path / f"spec_{L}.json"
+        config.write_text(spec_to_json(solve_metric(OrbitParams(1, 1, 0.5, 1.0, L))))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "displacement", "--config", str(config),
+                           "--L", str(L), "--t", "1", "--points", "20", "--seed", "7")
+        seconds[L] = time.perf_counter() - start
+        summary = out.strip().split("\n")[-1]
+        assert code == 0
+        assert "verdict=constant" in summary
+        fields = dict(item.split("=") for item in summary.split(",")[1:])
+        means[L] = float(fields["mean"]) / L
+    assert max(means.values()) - min(means.values()) <= 1e-9 * means[1.0]
+    assert seconds[3.0] <= 2.0 * seconds[1.0]

@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from cwspheres import geodesy
 from cwspheres.cosets import ModelSpace
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import su2_flow, u_flow
-from cwspheres.geodesy import (build_graph, displacement_profile, distance,
+from cwspheres.geodesy import (_arc_costs, _edge_costs, build_graph,
+                               displacement_profile, distance,
                                distance_to_coords, export_edges, load_edges,
                                nearest_vertex, one_to_all)
 from cwspheres.killing import OrbitParams, solve_metric
@@ -73,6 +75,64 @@ def test_build_positive_weights_and_out_degree():
     assert g.weights.shape == (700, 12)
     counts = np.diff(g.matrix.indptr)
     assert counts.max() == 12
+
+
+def test_build_median_chord_matches_round_median_edge():
+    g = small_graph(n_points=1000)
+    assert abs(g.median_chord - g.median_edge) <= 1e-12 * g.median_edge
+
+
+# ------------------------------------------------------------------ arc costs
+
+def simpson_arc_costs(spec, starts, ends):
+    """Reference: 5-node Simpson quadrature of the invariant norm along the
+    great-circle arc from each start to each end."""
+    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    theta = np.arccos(dot)
+    perp = ends - dot[:, None] * starts
+    pn = np.linalg.norm(perp, axis=1)
+    degenerate = pn <= 1e-14
+    perp = perp / np.where(degenerate, 1.0, pn)[:, None]
+    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 12.0
+    total = np.zeros(len(theta))
+    for frac, w in zip(np.linspace(0.0, 1.0, 5), weights):
+        s = frac * theta
+        pts = np.cos(s)[:, None] * starts + np.sin(s)[:, None] * perp
+        vel = -np.sin(s)[:, None] * starts + np.cos(s)[:, None] * perp
+        total += w * _edge_costs(spec, pts, vel)
+    return np.where(degenerate, 0.0, theta * total)
+
+
+def random_arcs(dim, count, gen):
+    """Arcs from random unit starts along random unit tangents, with angles
+    spread over (0, pi) and clustered near 0 and near pi."""
+    starts = gen.standard_normal((count, dim))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    tangents = gen.standard_normal((count, dim))
+    tangents -= np.sum(tangents * starts, axis=1)[:, None] * starts
+    tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+    third = count // 3
+    small = 10.0 ** gen.uniform(-7.0, -2.0, third)
+    theta = np.concatenate([small, math.pi - small,
+                            gen.uniform(0.0, math.pi, count - 2 * third)])
+    ends = np.cos(theta)[:, None] * starts + np.sin(theta)[:, None] * tangents
+    return starts, ends
+
+
+@pytest.mark.parametrize("spec,dim", [
+    (CW3, 4),
+    (RandersSpec("u_sphere", n=3, a=2.0, b=1.5, c=-0.8), 8),
+    (RandersSpec("su2", a=1.3, b=1.0, c=0.4), 4),
+    (RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2), 8),
+    (RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3), 12),
+])
+def test_closed_form_arc_cost_matches_simpson(spec, dim):
+    starts, ends = random_arcs(dim, 12000, RngStream(40).gen)
+    closed = _arc_costs(spec, starts, ends)
+    reference = simpson_arc_costs(spec, starts, ends)
+    assert np.all(reference > 0.0)
+    rel = np.abs(closed - reference) / reference
+    assert rel.max() <= 1e-12
 
 
 # ------------------------------------------------------------------ distances
@@ -159,6 +219,75 @@ def test_flow_invariance_of_distances():
         d_after, _ = distance_to_coords(g, vi, np.concatenate([qj.real, qj.imag]))
         # moving the source to its nearest vertex adds at most a hop of error
         assert abs(d_after - d_before) <= 0.05 * max(d_before, 1.0) + 2 * si
+
+
+@pytest.fixture(scope="module")
+def readme_graph():
+    return build_graph(S3, CW3, 20000, 12, RngStream(41))
+
+
+def bounded_queries(g):
+    gen = RngStream(42).gen
+    pairs = gen.integers(0, g.n_points, (50, 2))
+    sources = gen.integers(0, g.n_points, 50)
+    targets = gen.standard_normal((50, 4))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    return pairs, sources, targets
+
+
+def query_answers(g, pairs, sources, targets):
+    """Raw distance, hops and refined distance of every vertex query, then
+    raw and refined distance of every off-sample query."""
+    answers = []
+    for i, j in pairs:
+        raw = distance(g, i, j, refine=False)
+        answers.append((raw.distance, raw.hops, distance(g, i, j).distance))
+    for src, target in zip(sources, targets):
+        answers.append((distance_to_coords(g, src, target, refine=False)[0],
+                        distance_to_coords(g, src, target)[0]))
+    return answers
+
+
+def record_raw_limits(monkeypatch, g):
+    """Spy on the Dijkstra calls over the full graph; returns their limits."""
+    limits = []
+    real = geodesy.dijkstra
+
+    def spy(matrix, *args, **kwargs):
+        if matrix is g.matrix:
+            limits.append(kwargs.get("limit", math.inf))
+        return real(matrix, *args, **kwargs)
+    monkeypatch.setattr(geodesy, "dijkstra", spy)
+    return limits
+
+
+@pytest.fixture(scope="module")
+def unbounded_answers(readme_graph):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geodesy, "_raw_limit", lambda *args: math.inf)
+        return query_answers(readme_graph, *bounded_queries(readme_graph))
+
+
+def test_bounded_dijkstra_matches_unbounded(readme_graph, unbounded_answers,
+                                            monkeypatch):
+    limits = record_raw_limits(monkeypatch, readme_graph)
+    assert query_answers(readme_graph, *bounded_queries(readme_graph)) \
+        == unbounded_answers
+    searches = sum(math.isfinite(x) for x in limits)
+    fallbacks = len(limits) - searches
+    assert searches == 200
+    assert fallbacks <= 10
+
+
+def test_bounded_dijkstra_fallback_on_forced_miss(readme_graph,
+                                                  unbounded_answers,
+                                                  monkeypatch):
+    monkeypatch.setattr(geodesy, "_raw_limit", lambda *args: 0.0)
+    limits = record_raw_limits(monkeypatch, readme_graph)
+    pairs, sources, targets = bounded_queries(readme_graph)
+    answers = query_answers(readme_graph, pairs[:10], sources[:10], targets[:10])
+    assert answers == unbounded_answers[:10] + unbounded_answers[50:60]
+    assert limits.count(0.0) == limits.count(math.inf) == 40
 
 
 # -------------------------------------------------------------- displacement
