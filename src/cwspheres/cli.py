@@ -33,9 +33,13 @@ from .killing import (OrbitParams, constant_length_identity, orbit_generator,
                       sp_central_only_scan, sp_witness_pair)
 from .matrixcore import (QuaternionMatrix, RngStream, expm_skew, haar_unitary,
                          su2_from_vec, su2_matrix_from_quat)
-from .randers import (RandersSpec, spec_from_json, spec_to_json, validate_spec)
+from .randers import (SP_SPHERE, RandersSpec, spec_from_json, spec_to_json,
+                      validate_spec)
 
 log = logging.getLogger("cwspheres")
+
+# `solve` passes when every identity residual is within this bound.
+SOLVE_RESIDUAL_TOL = 1e-10
 
 
 def _setup_logging():
@@ -99,12 +103,29 @@ def cmd_solve(args):
     residuals = constant_length_identity(spec, params)
     print(spec_to_json(spec))
     print("residuals: " + " ".join(f"{r:.17g}" for r in residuals))
-    return 0 if max(abs(r) for r in residuals) <= args.tolerance else 1
+    return 0 if max(abs(r) for r in residuals) <= SOLVE_RESIDUAL_TOL else 1
 
 
 # --------------------------------------------------------------------------
 # verify subchecks
 # --------------------------------------------------------------------------
+
+def _trial_count(args):
+    """--trials for the checks that loop here; no trial is no verdict."""
+    if args.trials < 1:
+        raise InvalidInput("need at least one trial")
+    return args.trials
+
+
+def _threshold_rows(checks):
+    """`check,value,threshold,verdict` rows for (name, value, threshold)
+    triples, and whether every value is within its threshold."""
+    lines = ["check,value,threshold,verdict"]
+    for name, value, threshold in checks:
+        lines.append(f"{name},{value:.17g},{threshold},"
+                     f"{str(value <= threshold).lower()}")
+    return lines, all(value <= threshold for _, value, threshold in checks)
+
 
 def _verify_orbit(args, rng):
     params = _params_from_args(args)
@@ -127,19 +148,19 @@ def _phase_violation(result):
 
 
 def _verify_eigenlemma(args, rng):
-    n = args.n
+    n, trials = args.n, _trial_count(args)
     lines = ["trial_id,inputs_hash,verdict,worst_residual"]
     ok = True
-    for k in range(args.trials):
+    for k in range(trials):
         sub = rng.split(k)
         p = haar_unitary(n, sub.split(0))
         q = haar_unitary(n, sub.split(1))
-        res = phase_bound_check(p, q, eps=args.tolerance)
+        res = phase_bound_check(p, q)
         ok = ok and res.verdict
         worst = _phase_violation(res) if res.verdict else math.nan
         lines.append(f"{k},{_digest(p, q)},{str(res.verdict).lower()},{worst:.17g}")
         if k % 1000 == 0:
-            log.info("eigenlemma trial %d/%d", k, args.trials)
+            log.info("eigenlemma trial %d/%d", k, trials)
     return lines, ok
 
 
@@ -148,7 +169,7 @@ def _verify_commutator(args, rng):
     r = min(l, m)
     lines = ["trial_id,inputs_hash,verdict,worst_residual"]
     ok = True
-    for k in range(args.trials):
+    for k in range(_trial_count(args)):
         sub = rng.split(k)
         invertible = (k % 2 == 1) and l == m
         angles = sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
@@ -181,12 +202,8 @@ def _verify_endpoints(args, rng):
         end = apply_flow(su2_flow(x3, v3, math.pi), g)
         ref = -g @ expm_skew(vmat, -math.pi)
         worst_dev = max(worst_dev, float(np.max(np.abs(end - ref))))
-    lines = ["check,value,threshold,verdict",
-             f"endpoint_spread,{spread:.17g},1e-10,"
-             f"{str(spread <= 1e-10).lower()}",
-             f"endpoint_identity,{worst_dev:.17g},1e-12,"
-             f"{str(worst_dev <= 1e-12).lower()}"]
-    return lines, spread <= 1e-10 and worst_dev <= 1e-12
+    return _threshold_rows([("endpoint_spread", spread, 1e-10),
+                            ("endpoint_identity", worst_dev, 1e-12)])
 
 
 def _verify_nonintersection(args, rng):
@@ -196,10 +213,6 @@ def _verify_nonintersection(args, rng):
              f"nonintersection,{res.min_spectral_distance:.17g},{res.trials},"
              f"{str(res.verdict).lower()}"]
     return lines, res.verdict
-
-
-def _default_sp_spec():
-    return RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)
 
 
 def _sp_candidates(n):
@@ -215,8 +228,19 @@ def _sp_candidates(n):
     return [central, scaled_id, pure_matrix], [True, False, False]
 
 
+def _sp_spec(args):
+    """The --config spec of an sp check, by default one on S^11."""
+    if not args.config:
+        return RandersSpec(SP_SPHERE, n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)
+    spec = _load_spec(args.config)
+    if spec.family != SP_SPHERE:
+        raise InvalidInput(f"{args.check} needs an {SP_SPHERE} config, "
+                           f"not {spec.family}")
+    return spec
+
+
 def _verify_sp_central(args, rng):
-    spec = _load_spec(args.config) if args.config else _default_sp_spec()
+    spec = _sp_spec(args)
     candidates, centrality = _sp_candidates(spec.n)
     rows = sp_central_only_scan(spec, candidates, args.trials, rng)
     lines = scan_to_csv(rows).strip().split("\n")
@@ -226,7 +250,7 @@ def _verify_sp_central(args, rng):
 
 
 def _verify_sp_witness(args, rng):
-    spec = _load_spec(args.config) if args.config else _default_sp_spec()
+    spec = _sp_spec(args)
     lines = ["case,gap,expected,residual,verdict"]
     ok = True
     for n in range(1, 4):
@@ -257,12 +281,14 @@ def _verify_sp_witness(args, rng):
 def _verify_displacement(args, rng):
     params = _params_from_args(args)
     spec = _load_spec(args.config) if args.config else solve_metric(params)
+    flow = u_flow(orbit_generator(params).x, args.t)
+    if spec.family != flow.family:
+        raise InvalidInput(f"displacement needs a {flow.family} config, "
+                           f"not {spec.family}")
     space = ModelSpace(spec.family, n=spec.n)
     log.info("building %d-point graph", args.n_points)
     graph = geodesy.build_graph(space, spec, args.n_points, args.k, rng.split(0))
-    flow = u_flow(orbit_generator(params).x, args.t)
-    prof = geodesy.displacement_profile(graph, flow, args.points, rng.split(1),
-                                        rel_tol=args.tolerance)
+    prof = geodesy.displacement_profile(graph, flow, args.points, rng.split(1))
     lines = ["point,displacement"]
     lines += [f"{i},{d:.17g}" for i, d in enumerate(prof.displacements)]
     lines.append(f"summary,min={prof.min:.17g},max={prof.max:.17g},"
@@ -287,15 +313,10 @@ def _verify_oracle(args, rng):
         sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))
     prof = geodesy.displacement_profile(
         graph, u_flow(1j * np.eye(2), 0.5), 50, rng.split(2))
-    lines = ["check,value,threshold,verdict",
-             f"antipodal_rel_error,{anti_err:.17g},0.05,"
-             f"{str(anti_err <= 0.05).lower()}",
-             f"symmetry_rel_dev,{sym_dev:.17g},0.01,"
-             f"{str(sym_dev <= 0.01).lower()}",
-             f"hopf_rel_spread,{prof.rel_spread:.17g},0.07,"
-             f"{str(prof.rel_spread <= 0.07).lower()}"]
-    ok = anti_err <= 0.05 and sym_dev <= 0.01 and prof.rel_spread <= 0.07
-    return lines, ok
+    return _threshold_rows([
+        ("antipodal_rel_error", anti_err, 0.05),
+        ("symmetry_rel_dev", sym_dev, 0.01),
+        ("hopf_rel_spread", prof.rel_spread, geodesy.DISPLACEMENT_REL_TOL)])
 
 
 _CHECKS = {
@@ -343,7 +364,6 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve the metric for orbit parameters")
     _add_orbit_args(p_solve)
-    p_solve.add_argument("--tolerance", type=float, default=1e-10)
     p_solve.set_defaults(func=cmd_solve)
 
     p_ver = sub.add_parser("verify", help="run a verification pipeline")
@@ -353,7 +373,6 @@ def build_parser():
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=1000)
     p_ver.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p_ver.add_argument("--tolerance", type=float, default=None)
     p_ver.add_argument("--n", type=int, default=4, help="matrix size (eigenlemma)")
     _add_orbit_args(p_ver)
     p_ver.add_argument("--x", type=float, default=0.5,
@@ -369,18 +388,10 @@ def build_parser():
     return parser
 
 
-_TOLERANCE_DEFAULTS = {
-    "eigenlemma": 1e-9,
-    "displacement": 0.07,
-}
-
-
 def main(argv=None):
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tolerance", None) is None and hasattr(args, "check"):
-        args.tolerance = _TOLERANCE_DEFAULTS.get(args.check, 1e-9)
     try:
         return args.func(args)
     except InvalidInput as exc:

@@ -100,11 +100,14 @@ def endpoint_focus_check(v, samples=100, rng=None, base_points=3):
     For |X|_eq = 1 the exponential at time pi is -I, so for a fixed start
     point every flow ends at the same place regardless of X.  Returns the
     maximum pairwise endpoint distance (Frobenius) over a few random start
-    points, each probed with `samples` random unit X.
+    points, each probed with `samples` random unit X; a spread needs at
+    least two samples.
     """
     v = su2_from_vec(v) if np.ndim(v) == 1 else np.asarray(v, dtype=complex)
     if su2_inner(v, v) >= 1.0:
         raise InvalidInput("isotropy vector must satisfy |V|_eq < 1")
+    if int(samples) < 2:
+        raise InvalidInput("need at least two samples")
     if rng is None:
         rng = RngStream(0)
     worst = 0.0
@@ -120,8 +123,7 @@ def endpoint_focus_check(v, samples=100, rng=None, base_points=3):
             x3 /= np.linalg.norm(x3)
             ends.append(apply_flow(su2_flow(x3, v, math.pi), g).ravel())
         flat = np.array(ends).view(float)
-        if len(ends) > 1:
-            worst = max(worst, float(np.max(pdist(flat))))
+        worst = max(worst, float(np.max(pdist(flat))))
     return worst
 
 
@@ -361,6 +363,8 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng,
         raise InvalidInput("the probe covers the balanced case l = m only")
     if not 0.0 < abs(x) < 1.0:
         raise InvalidInput("0 < |x| < 1 is required")
+    if int(trials) < 1:
+        raise InvalidInput("need at least one trial")
     n = l + m
     diag = 1j * (x * np.ones(n) + np.concatenate([-np.ones(l), np.ones(m)]))
     worst = np.inf

@@ -47,10 +47,7 @@ class SphereGraph:
     """Directed weighted graph over sampled sphere points."""
 
     spec: RandersSpec
-    family: str
     points: np.ndarray          # (N, d) real coordinates, unit rows
-    neighbors: np.ndarray       # (N, k) int
-    weights: np.ndarray         # (N, k) float, >= 0
     matrix: csr_matrix
     k: int
     median_edge: float          # median edge cost
@@ -59,7 +56,7 @@ class SphereGraph:
 
     @property
     def n_points(self):
-        return self.points.shape[0] if self.points is not None else self.matrix.shape[0]
+        return self.points.shape[0]
 
 
 def _real_dim(space: ModelSpace):
@@ -152,10 +149,8 @@ def build_graph(space: ModelSpace, spec: RandersSpec, n_points, k, rng) -> Spher
         raise ResolutionTooCoarse(
             f"graph is not strongly connected ({n_comp} components); "
             "increase the point count or the degree")
-    return SphereGraph(spec=spec, family=spec.family, points=pts,
-                       neighbors=idx, weights=costs.reshape(n_points, k),
-                       matrix=mat, k=k, median_edge=float(np.median(costs)),
-                       tree=tree,
+    return SphereGraph(spec=spec, points=pts, matrix=mat, k=k,
+                       median_edge=float(np.median(costs)), tree=tree,
                        median_chord=float(np.median(np.linalg.norm(vecs, axis=1))))
 
 
@@ -169,11 +164,6 @@ class DistanceReport:
     target: int
     distance: float
     hops: int
-
-
-def one_to_all(graph: SphereGraph, source):
-    """Raw graph shortest-path distances from `source` to every vertex."""
-    return dijkstra(graph.matrix, directed=True, indices=int(source))
 
 
 def _arc_costs(spec: RandersSpec, starts, ends):
@@ -209,7 +199,7 @@ def _walk_predecessors(pred, source, target):
     return path[::-1]
 
 
-DEFAULT_CHUNK_ARC = 0.5
+CHUNK_ARC = 0.5
 CORRIDOR_TUBE_FACTOR = 2.5
 # The raw Dijkstra stops at this multiple of the great-circle cost to the
 # target plus this many median edges; a miss reruns it unbounded.
@@ -219,8 +209,6 @@ RAW_LIMIT_EDGES = 4.0
 
 def _raw_limit(graph: SphereGraph, source, coords):
     """Search bound for the raw Dijkstra from `source` towards `coords`."""
-    if graph.points is None or graph.spec is None:
-        return math.inf
     arc = _arc_costs(graph.spec, graph.points[source], coords)[0]
     return RAW_LIMIT_FACTOR * arc + RAW_LIMIT_EDGES * graph.median_edge
 
@@ -244,12 +232,11 @@ def _raw_search(graph: SphereGraph, source, coords, ends, leg_costs):
     return dist, pred
 
 
-def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None,
-                     chunk_arc=DEFAULT_CHUNK_ARC):
+def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None):
     """Re-measure a raw graph path by shortest polyline through its corridor.
 
     Collects every sample point within a tube around the raw path, connects
-    corridor points less than `chunk_arc` apart by directed great-circle
+    corridor points less than `CHUNK_ARC` apart by directed great-circle
     arcs costed in closed form, and reruns the shortest path.  Longer,
     accurately costed chunks cancel the zig-zag stretch of the raw k-NN
     walk.  The tube radius is `CORRIDOR_TUBE_FACTOR` median edge chords, a
@@ -265,7 +252,7 @@ def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None,
     if target_coords is not None:
         node_pts = np.vstack([node_pts, target_coords])
     sub_tree = cKDTree(node_pts)
-    chord = 2.0 * math.sin(min(chunk_arc, math.pi) / 2.0)
+    chord = 2.0 * math.sin(CHUNK_ARC / 2.0)
     pairs = sub_tree.query_pairs(chord, output_type="ndarray")
     if len(pairs) == 0:
         raise ResolutionTooCoarse("corridor too sparse for refinement")
@@ -291,13 +278,12 @@ def distance(graph: SphereGraph, source, target, refine=True) -> DistanceReport:
     to the raw path.
     """
     source, target = int(source), int(target)
-    coords = graph.points[target] if graph.points is not None else None
-    dist, pred = _raw_search(graph, source, coords, [target], 0.0)
+    dist, pred = _raw_search(graph, source, graph.points[target], [target], 0.0)
     if not np.isfinite(dist[target]):
         raise ResolutionTooCoarse("target unreachable at this resolution")
     raw_path = _walk_predecessors(pred, source, target)
     d = dist[target]
-    if refine and graph.points is not None and graph.spec is not None:
+    if refine:
         d = _corridor_refine(graph, source, raw_path)
     return DistanceReport(source=source, target=target, distance=float(d),
                           hops=len(raw_path) - 1)
@@ -306,8 +292,6 @@ def distance(graph: SphereGraph, source, target, refine=True) -> DistanceReport:
 def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
     """Distance estimate from vertex `source` to an arbitrary on-sphere
     point given by real coordinates (connected as a virtual vertex)."""
-    if graph.points is None or graph.spec is None:
-        raise InvalidInput("graph has no point coordinates (edge-only import)")
     source = int(source)
     coords = np.asarray(coords, dtype=float)
     snap_d, cand = graph.tree.query(coords, k=graph.k)
@@ -327,32 +311,27 @@ def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
     return float(np.min(totals)), float(np.atleast_1d(snap_d)[0])
 
 
-def nearest_vertex(graph: SphereGraph, coords):
-    """Index of the sample point closest to the given real coordinates."""
-    if graph.points is None:
-        raise InvalidInput("graph has no point coordinates (edge-only import)")
-    d = np.linalg.norm(graph.points - np.asarray(coords)[None, :], axis=1)
-    return int(np.argmin(d)), float(np.min(d))
-
-
 # --------------------------------------------------------------------------
 # displacement profiles
 # --------------------------------------------------------------------------
 
 def _point_coords(graph: SphereGraph, index):
     row = graph.points[index]
-    if graph.family == U_SPHERE:
+    if graph.spec.family == U_SPHERE:
         half = row.shape[0] // 2
         return row[:half] + 1j * row[half:]
-    if graph.family == SU2:
+    if graph.spec.family == SU2:
         return su2_matrix_from_quat(row)
     raise InvalidInput("flows are not defined for this graph family")
 
 
 def _coords_to_real(graph: SphereGraph, value):
-    if graph.family == U_SPHERE:
+    if graph.spec.family == U_SPHERE:
         return np.concatenate([value.real, value.imag])
     return quat_from_su2_matrix(value)
+
+
+DISPLACEMENT_REL_TOL = 0.07
 
 
 @dataclass(frozen=True)
@@ -368,31 +347,28 @@ class DisplacementProfile:
 
 
 def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
-                         sample_points, rng, rel_tol=0.07,
-                         refine=True) -> DisplacementProfile:
+                         sample_points, rng) -> DisplacementProfile:
     """Graph estimate of d(x, flow(x)) over randomly sampled vertices.
 
     The flowed point joins the graph as a virtual vertex near its nearest
     sampled neighbours, which folds the snap error into an ordinary
     discretization error; the raw snap distance is still reported as
     `snap_max`.  The constancy verdict compares the relative spread
-    (max - min)/mean against `rel_tol`, which is dominated by the
-    discretization scale.
+    (max - min)/mean against `DISPLACEMENT_REL_TOL`, which is dominated by
+    the discretization scale.  A spread needs at least two sample points.
     """
-    if graph.points is None:
-        raise InvalidInput("graph has no point coordinates (edge-only import)")
-    if flow.family != graph.family:
+    if flow.family != graph.spec.family:
         raise InvalidInput("flow family does not match the graph")
     count = int(sample_points)
-    if count < 1:
-        raise InvalidInput("need at least one sample point")
+    if count < 2:
+        raise InvalidInput("need at least two sample points")
     sources = rng.gen.choice(graph.n_points, size=count, replace=False)
     disp = np.empty(count)
     snap_max = 0.0
     for row, src in enumerate(sources):
         moved = apply_flow(flow, _point_coords(graph, int(src)))
         target = _coords_to_real(graph, moved)
-        est, snap_d = distance_to_coords(graph, int(src), target, refine=refine)
+        est, snap_d = distance_to_coords(graph, int(src), target)
         snap_max = max(snap_max, snap_d)
         disp[row] = est
     mean = float(disp.mean())
@@ -401,48 +377,5 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
     return DisplacementProfile(
         min=float(disp.min()), max=float(disp.max()), mean=mean,
         displacements=disp, snap_max=snap_max, rel_spread=rel,
-        verdict="constant" if rel <= rel_tol else "non-constant",
-        tolerance=rel_tol)
-
-
-# --------------------------------------------------------------------------
-# textual export / import
-# --------------------------------------------------------------------------
-
-def export_edges(graph: SphereGraph, path):
-    """Write the edge list as text: one `i j weight` line per edge.
-
-    Lines starting with '#' are comments.  Point coordinates are not part
-    of the format; an imported graph answers distance queries only.
-    """
-    coo = graph.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# directed sphere graph: {graph.matrix.shape[0]} vertices, "
-                 f"{coo.nnz} edges\n")
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {w:.17g}\n")
-
-
-def load_edges(path) -> SphereGraph:
-    """Rebuild a queryable graph from an edge-list file."""
-    rows, cols, data = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidInput(f"malformed edge line: {line!r}")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            data.append(float(parts[2]))
-    if not rows:
-        raise InvalidInput("edge file contains no edges")
-    size = max(max(rows), max(cols)) + 1
-    mat = csr_matrix((data, (rows, cols)), shape=(size, size))
-    counts = np.diff(mat.indptr)
-    return SphereGraph(spec=None, family=None, points=None, neighbors=None,
-                       weights=None, matrix=mat, k=int(counts.max()),
-                       median_edge=float(np.median(mat.data)), tree=None,
-                       median_chord=None)
+        verdict="constant" if rel <= DISPLACEMENT_REL_TOL else "non-constant",
+        tolerance=DISPLACEMENT_REL_TOL)

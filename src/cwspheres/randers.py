@@ -237,12 +237,15 @@ def spec_from_json(text: str) -> RandersSpec:
     family = doc["family"]
     if family not in _FAMILIES:
         raise InvalidInput(f"unknown family {family!r}")
+    n = doc.get("n", 1)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidInput(f"bad spec field: n must be an integer, not {n!r}")
     try:
         if family == SP_SPHERE:
-            return RandersSpec(family, n=int(doc.get("n", 1)),
+            return RandersSpec(family, n=n,
                                a1=float(doc["a1"]), a2=float(doc["a2"]),
                                b=float(doc["b"]), c=float(doc.get("c", 0.0)))
-        return RandersSpec(family, n=int(doc.get("n", 1)),
+        return RandersSpec(family, n=n,
                            a=float(doc["a"]), b=float(doc["b"]),
                            c=float(doc.get("c", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from cwspheres import geodesy
 from cwspheres.cli import main
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.randers import spec_from_json, spec_to_json
@@ -67,6 +68,24 @@ def test_validate_exit_codes(tmp_path, capsys):
 def test_validate_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "--config", "/nonexistent/x.json")
     assert code == 2 and "cannot read config" in err
+
+
+@pytest.mark.parametrize("n", ["true", "1.7"])
+def test_validate_non_integer_n_is_usage_error(tmp_path, capsys, n):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(f'{{"family": "u_sphere", "n": {n}, "a": 1.0, "b": 1.0, "c": 0.0}}')
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "orbit", "--tolerance", "1e3"),
+    ("solve", "--tolerance", "1e-3"),
+])
+def test_tolerance_flag_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------- verify
@@ -148,7 +167,7 @@ def test_verify_sp_central_and_witness(capsys):
 def test_verify_displacement_tiny_graph(capsys):
     code, out, _ = run(capsys, "verify", "displacement", "--n-points", "1500",
                        "--k", "12", "--points", "6", "--t", "0.3",
-                       "--seed", "10", "--tolerance", "0.2")
+                       "--seed", "10")
     assert code == 0
     assert "verdict=constant" in out.strip().split("\n")[-1]
 
@@ -170,3 +189,46 @@ def test_verify_displacement_scale_invariant(tmp_path, capsys):
         means[L] = float(fields["mean"]) / L
     assert max(means.values()) - min(means.values()) <= 1e-9 * means[1.0]
     assert seconds[3.0] <= 2.0 * seconds[1.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("nonintersection", "--trials", "0"),
+    ("eigenlemma", "--trials", "0"),
+    ("commutator", "--trials", "-3"),
+    ("endpoints", "--trials", "1"),
+    ("displacement", "--points", "1", "--n-points", "1500"),
+])
+def test_verify_too_few_trials_is_usage_error(tmp_path, capsys, argv):
+    # a check that evaluates no trial, or a spread of one sample, is no PASS
+    report = tmp_path / "report.csv"
+    code, out, err = run(capsys, "verify", *argv, "--out", str(report))
+    assert code == 2 and err.startswith("error:")
+    assert not report.exists()
+
+
+WRONG_FAMILY_SPECS = {
+    "su2": '{"family": "su2", "a": 1.0, "b": 1.0, "c": 0.0}',
+    "u_sphere": '{"family": "u_sphere", "n": 1, "a": 1.0, "b": 1.0, "c": 0.0}',
+    "sp_sphere": '{"family": "sp_sphere", "n": 1, "a1": 1.0, "a2": 1.3, '
+                 '"b": 1.0, "c": 0.2}',
+}
+
+
+@pytest.mark.parametrize("check,family", [
+    ("sp-central", "su2"),
+    ("sp-central", "u_sphere"),
+    ("sp-witness", "u_sphere"),
+    ("displacement", "sp_sphere"),
+    ("displacement", "su2"),
+])
+def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys,
+                                                   monkeypatch, check, family):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph built before the family check")
+    monkeypatch.setattr(geodesy, "build_graph", no_graph)
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(WRONG_FAMILY_SPECS[family])
+    code, out, err = run(capsys, "verify", check, "--config", str(cfg),
+                         "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "config" in err

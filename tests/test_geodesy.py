@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,8 +9,7 @@ from cwspheres.errors import InvalidInput
 from cwspheres.flows import su2_flow, u_flow
 from cwspheres.geodesy import (_arc_costs, _edge_costs, build_graph,
                                displacement_profile, distance,
-                               distance_to_coords, export_edges, load_edges,
-                               nearest_vertex, one_to_all)
+                               distance_to_coords)
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import RngStream
 from cwspheres.randers import RandersSpec, round_spec
@@ -23,6 +21,12 @@ CW3 = solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0))
 
 def small_graph(spec=ROUND3, n_points=2500, k=12, seed=100):
     return build_graph(S3, spec, n_points, k, RngStream(seed))
+
+
+def out_edges(g, i):
+    """Heads and weights of the directed edges leaving vertex i."""
+    lo, hi = g.matrix.indptr[i], g.matrix.indptr[i + 1]
+    return g.matrix.indices[lo:hi], g.matrix.data[lo:hi]
 
 
 # ------------------------------------------------------------------ building
@@ -40,11 +44,11 @@ def test_build_round_weights_symmetric():
     g = small_graph(n_points=800)
     sym_checked = 0
     for i in range(100):
-        for slot, j in enumerate(g.neighbors[i]):
-            back = np.where(g.neighbors[j] == i)[0]
+        for j, w_ij in zip(*out_edges(g, i)):
+            heads, weights = out_edges(g, j)
+            back = np.where(heads == i)[0]
             if len(back):
-                w_ij = g.weights[i, slot]
-                w_ji = g.weights[j, back[0]]
+                w_ji = weights[back[0]]
                 assert abs(w_ij - w_ji) <= 1e-12
                 sym_checked += 1
     assert sym_checked > 50
@@ -54,10 +58,11 @@ def test_build_nonreversible_weights_asymmetric():
     g = small_graph(spec=CW3, n_points=800)
     gaps = []
     for i in range(200):
-        for slot, j in enumerate(g.neighbors[i]):
-            back = np.where(g.neighbors[j] == i)[0]
+        for j, w_ij in zip(*out_edges(g, i)):
+            heads, weights = out_edges(g, j)
+            back = np.where(heads == i)[0]
             if len(back):
-                gaps.append(abs(g.weights[i, slot] - g.weights[j, back[0]]))
+                gaps.append(abs(w_ij - weights[back[0]]))
     assert max(gaps) > 1e-3
 
 
@@ -71,9 +76,9 @@ def test_build_median_edge_scales_with_density():
 
 def test_build_positive_weights_and_out_degree():
     g = small_graph(spec=CW3, n_points=700)
-    assert np.all(g.weights >= 0.0)
-    assert g.weights.shape == (700, 12)
+    assert np.all(g.matrix.data >= 0.0)
     counts = np.diff(g.matrix.indptr)
+    assert g.matrix.shape == (700, 700) and np.all(counts == 12)
     assert counts.max() == 12
 
 
@@ -146,9 +151,11 @@ def test_distance_self_is_zero():
 
 def test_distance_adjacent_equals_edge_weight():
     g = small_graph(n_points=800)
-    row = one_to_all(g, 5)
-    for slot, j in enumerate(g.neighbors[5][:5]):
-        assert abs(row[j] - g.weights[5, slot]) <= 1e-12
+    _, nearest = g.tree.query(g.points[5], k=6)
+    heads, weights = out_edges(g, 5)
+    for j in nearest[1:]:
+        w = weights[np.where(heads == j)[0][0]]
+        assert abs(distance(g, 5, j, refine=False).distance - w) <= 1e-12
 
 
 def test_distance_round_antipodal_small_n():
@@ -215,7 +222,7 @@ def test_flow_invariance_of_distances():
         pj_c = g.points[j][:2] + 1j * g.points[j][2:]
         qi = apply_flow(flow, pi_c)
         qj = apply_flow(flow, pj_c)
-        vi, si = nearest_vertex(g, np.concatenate([qi.real, qi.imag]))
+        si, vi = g.tree.query(np.concatenate([qi.real, qi.imag]))
         d_after, _ = distance_to_coords(g, vi, np.concatenate([qj.real, qj.imag]))
         # moving the source to its nearest vertex adds at most a hop of error
         assert abs(d_after - d_before) <= 0.05 * max(d_before, 1.0) + 2 * si
@@ -342,34 +349,3 @@ def test_sp_graph_builds_and_connects():
     rep = distance(g, 0, 500, refine=False)
     assert rep.distance > 0.0
 
-
-# ------------------------------------------------------------- export/import
-
-def test_edge_export_import_roundtrip(tmp_path):
-    g = small_graph(n_points=700, seed=28)
-    path = os.path.join(tmp_path, "edges.txt")
-    export_edges(g, path)
-    g2 = load_edges(path)
-    np.testing.assert_allclose(one_to_all(g, 3), one_to_all(g2, 3), atol=1e-12)
-    with pytest.raises(InvalidInput):
-        displacement_profile(g2, u_flow(np.zeros((2, 2)), 0.0), 5, RngStream(29))
-
-
-def test_edge_file_format(tmp_path):
-    g = small_graph(n_points=600, seed=30)
-    path = os.path.join(tmp_path, "edges.txt")
-    export_edges(g, path)
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    assert lines[0].startswith("#")
-    i, j, w = lines[1].split()
-    assert int(i) >= 0 and int(j) >= 0 and float(w) >= 0.0
-    assert len(lines) - 1 == g.matrix.nnz
-
-
-def test_load_edges_rejects_malformed(tmp_path):
-    path = os.path.join(tmp_path, "bad.txt")
-    with open(path, "w") as fh:
-        fh.write("0 1\n")
-    with pytest.raises(InvalidInput):
-        load_edges(path)

@@ -201,3 +201,12 @@ def test_json_malformed_raises():
         spec_from_json("{\"family\": \"torus\"}")
     with pytest.raises(InvalidInput):
         spec_from_json("{\"family\": \"u_sphere\", \"n\": 1}")  # missing a, b
+
+
+@pytest.mark.parametrize("n", ["true", "1.7", "2.0", "\"1\""])
+def test_json_rejects_non_integer_n(n):
+    for family, coeffs in (("u_sphere", "\"a\": 1.0"),
+                           ("sp_sphere", "\"a1\": 1.0, \"a2\": 1.3")):
+        with pytest.raises(InvalidInput):
+            spec_from_json(f"{{\"family\": \"{family}\", \"n\": {n}, "
+                           f"{coeffs}, \"b\": 1.0, \"c\": 0.0}}")
