@@ -7,7 +7,7 @@ emits a CSV report.
 
 Exit codes: 0 = pass, 1 = property failure or infeasible input,
 2 = usage/parse error.  All randomness derives from --seed, so identical
-invocations produce byte-identical reports.  Set RANDERS_LOG=debug for
+invocations produce byte-identical reports.  Set RANDERS_LOG=info for
 progress logging on stderr.
 """
 
@@ -51,9 +51,9 @@ def _setup_logging():
 
 def _load_spec(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read config: {exc}") from exc
     return spec_from_json(text)
 
@@ -282,9 +282,11 @@ def _verify_displacement(args, rng):
     params = _params_from_args(args)
     spec = _load_spec(args.config) if args.config else solve_metric(params)
     flow = u_flow(orbit_generator(params).x, args.t)
-    if spec.family != flow.family:
-        raise InvalidInput(f"displacement needs a {flow.family} config, "
-                           f"not {spec.family}")
+    if (spec.family, spec.n) != (flow.family, params.n):
+        raise InvalidInput(f"displacement needs a {flow.family} config with n = "
+                           f"{params.n}, not {spec.family} with n = {spec.n}")
+    if args.points < 2:
+        raise InvalidInput("displacement needs at least two --points")
     space = ModelSpace(spec.family, n=spec.n)
     log.info("building %d-point graph", args.n_points)
     graph = geodesy.build_graph(space, spec, args.n_points, args.k, rng.split(0))

@@ -81,6 +81,8 @@ def space_for_spec(spec: RandersSpec) -> ModelSpace:
     property.
     """
     if spec.family == SU2:
+        if not (spec.b or 0) > 0:
+            raise InvalidInput("an su2 spec needs b > 0 to place its isotropy vector")
         return ModelSpace(SU2, su2_v=spec.c / spec.b)
     return ModelSpace(spec.family, n=spec.n)
 

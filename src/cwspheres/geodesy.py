@@ -36,7 +36,8 @@ from .cosets import ModelSpace
 from .errors import InvalidInput, ResolutionTooCoarse
 from .flows import FlowIsometry, apply_flow
 from .matrixcore import quat_from_su2_matrix, su2_matrix_from_quat
-from .randers import SP_SPHERE, SU2, U_SPHERE, RandersSpec, require_valid
+from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm_array,
+                      require_valid)
 
 MIN_POINTS = 500
 MIN_DEGREE = 8
@@ -75,19 +76,19 @@ def _sample_points(space: ModelSpace, n_points, rng):
 
 
 def _m0_coordinates(family, pts, vecs):
-    """m0 part(s) of the chord vectors `vecs` transported to the base point,
-    for source points `pts` (both (E, d) real)."""
+    """m0 coordinates (last axis) of the chord vectors `vecs` transported
+    to the base point, for source points `pts` (both (E, d) real)."""
     if family == U_SPHERE:
         half = pts.shape[1] // 2
         pr, pi = pts[:, :half], pts[:, half:]
         vr, vi = vecs[:, :half], vecs[:, half:]
         # Im sum(conj(p) v) = sum(pr*vi - pi*vr)
-        return (np.sum(pr * vi - pi * vr, axis=1),)
+        return np.sum(pr * vi - pi * vr, axis=1)[:, None]
     if family == SU2:
         p0, p1, p2, p3 = pts.T
         v0, v1, v2, v3 = vecs.T
         # i component of conj(p) * v
-        return (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2,)
+        return (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
     # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of H^(n+1)
     # are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters
     quarter = pts.shape[1] // 4
@@ -97,24 +98,17 @@ def _m0_coordinates(family, pts, vecs):
     v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
     first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
     second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
-    return (first.imag, second.real, second.imag)
+    return np.stack([first.imag, second.real, second.imag], axis=1)
 
 
 def _edge_costs(spec: RandersSpec, pts, vecs):
     """Invariant norm at each source point of each tangent vector."""
-    vsq = np.sum(vecs * vecs, axis=1)
     m0 = _m0_coordinates(spec.family, pts, vecs)
-    if spec.family == SP_SPHERE:
-        l1, l2, l3 = m0
-        usq = np.maximum(vsq - l1 ** 2 - l2 ** 2 - l3 ** 2, 0.0)
-        alpha_sq = spec.a1 * l1 ** 2 + spec.a2 * (l2 ** 2 + l3 ** 2) + spec.b * usq
-        beta = spec.c * l1
-    else:
-        (q,) = m0
-        usq = np.maximum(vsq - q ** 2, 0.0)
-        alpha_sq = spec.a * q ** 2 + spec.b * usq
-        beta = spec.c * q
-    return np.sqrt(alpha_sq) + beta
+    usq = np.sum(vecs * vecs, axis=1)
+    # one coordinate at a time: the surveyed graph seeds rely on these exact weights
+    for coord in m0.T:
+        usq = usq - coord ** 2
+    return randers_norm_array(spec, m0, np.maximum(usq, 0.0))
 
 
 def _tangent_chords(pts, targets):

@@ -21,7 +21,7 @@ from .cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
 from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissible
 from .matrixcore import QuaternionMatrix, RngStream, qmul, su2_inner
 from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm,
-                      require_valid)
+                      randers_norm_array, require_valid)
 
 CONSTANT_TOL_FACTOR = 1e-8
 
@@ -49,11 +49,11 @@ class OrbitParams:
     def __post_init__(self):
         if not (isinstance(self.l, int) and isinstance(self.m, int)) \
                 or self.l < 1 or self.m < 1:
-            raise InfeasibleParams("l and m must be positive integers")
+            raise InvalidInput("l and m must be positive integers")
+        if not (self.L > 0 and math.isfinite(self.L)):
+            raise InvalidInput("L must be positive and finite")
         if self.x2 == 0.0:
             raise InfeasibleParams("x2 != 0 is required")
-        if not self.L > 0:
-            raise InfeasibleParams("L > 0 is required")
         if not (self.x1 - self.m * self.x2) * (self.x1 + self.l * self.x2) < 0:
             raise InfeasibleParams(
                 "(x1 - m*x2)*(x1 + l*x2) < 0 is required for opposite-sign phases")
@@ -97,10 +97,11 @@ def solve_metric(p: OrbitParams) -> RandersSpec:
     with sigma the orbit center and R the orbit radius.  The denominator
     is positive exactly when the opposite-sign phase condition holds.
     """
-    denom = p.radius ** 2 - p.center ** 2
+    # products, not `** 2`: an overflow must reach require_valid as inf
+    denom = p.radius * p.radius - p.center * p.center
     if denom <= 0:
         raise InfeasibleParams("orbit sphere does not surround the origin")
-    b = p.L ** 2 / denom
+    b = p.L * p.L / denom
     c = -(b / p.L) * p.center
     a = b + c * c
     spec = RandersSpec(U_SPHERE, n=p.n, a=a, b=b, c=c)
@@ -196,17 +197,17 @@ def orbit_length_report(s: RandersSpec, e: AlgebraElement, L=None,
     their metric values.
 
     Verdict is "constant" iff max - min <= tol_factor * L, with L
-    defaulting to the sample mean when not prescribed.
+    defaulting to the sample mean when not prescribed.  All samples go
+    through one norm evaluation, which also validates `s`.
     """
-    require_valid(s)
     trials = int(trials)
     if trials < 100:
         raise InvalidInput("at least 100 trials are required for a verdict")
     if rng is None:
         rng = RngStream(0)
-    space = space_for_spec(s)
-    values = np.array([randers_norm(s, y)
-                       for y in orbit_projection_sample(space, e, trials, rng)])
+    ys = orbit_projection_sample(space_for_spec(s), e, trials, rng)
+    values = randers_norm_array(s, np.array([y.m0 for y in ys]),
+                                np.array([y.u_norm_sq() for y in ys]))
     mean = float(values.mean())
     scale = float(L) if L is not None else abs(mean)
     tolerance = tol_factor * scale

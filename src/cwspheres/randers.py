@@ -77,10 +77,9 @@ class TangentVector:
             return float(np.sum(np.abs(self.u[0]) ** 2 + np.abs(self.u[1]) ** 2))
         return float(np.sum(np.abs(self.u) ** 2))
 
-    def m0_norm_sq(self):
-        if self.family == SP_SPHERE:
-            return float(np.sum(np.asarray(self.q, dtype=float) ** 2))
-        return float(self.q) ** 2
+    @property
+    def m0(self):
+        return np.atleast_1d(np.asarray(self.q, dtype=float))
 
 
 def u_tangent(q, u):
@@ -107,7 +106,7 @@ def su2_tangent(y):
 
 def eq_norm(y: TangentVector) -> float:
     """Reference norm <y, y>_eq^(1/2) (all metric coefficients set to 1)."""
-    return math.sqrt(y.m0_norm_sq() + y.u_norm_sq())
+    return math.sqrt(float(np.sum(y.m0 ** 2)) + y.u_norm_sq())
 
 
 # --------------------------------------------------------------------------
@@ -185,30 +184,30 @@ def require_valid(s: RandersSpec):
 # norm evaluation
 # --------------------------------------------------------------------------
 
-def randers_norm(s: RandersSpec, y: TangentVector) -> float:
-    """Evaluate F(y) = alpha(y) + beta(y).
+def randers_norm_array(s: RandersSpec, m0, usq):
+    """Evaluate F = alpha + beta on stacked tangent vectors.
 
-    Positively homogeneous of degree one; F(0) = 0 by convention.  The
-    one-form beta pairs y with the distinguished m0 axis, weighted by c.
+    `m0` is an array holding the m0 coordinates on its last axis: (l1, l2,
+    l3) for sp_sphere, the single coordinate q otherwise.  `usq` holds the
+    squared m1 norms; the leading axes of both broadcast.  F is positively
+    homogeneous of degree one and F(0) = 0.  The one-form beta pairs y
+    with the distinguished m0 axis (q, resp. l1), weighted by c.
     """
     require_valid(s)
+    axis = m0[..., 0]
+    if s.family == SP_SPHERE:
+        alpha_sq = (s.a1 * axis ** 2 + s.a2 * (m0[..., 1] ** 2 + m0[..., 2] ** 2)
+                    + s.b * usq)
+    else:
+        alpha_sq = s.a * axis ** 2 + s.b * usq
+    return np.sqrt(alpha_sq) + s.c * axis
+
+
+def randers_norm(s: RandersSpec, y: TangentVector) -> float:
+    """F(y) for a single tangent vector (see `randers_norm_array`)."""
     if y.family != s.family:
         raise InvalidInput(f"tangent family {y.family!r} != spec family {s.family!r}")
-    usq = y.u_norm_sq()
-    if s.family == SP_SPHERE:
-        l1, l2, l3 = np.asarray(y.q, dtype=float)
-        alpha_sq = s.a1 * l1 * l1 + s.a2 * (l2 * l2 + l3 * l3) + s.b * usq
-        beta = s.c * l1
-    else:
-        q = float(y.q)
-        alpha_sq = s.a * q * q + s.b * usq
-        beta = s.c * q
-    return math.sqrt(alpha_sq) + beta
-
-
-def indicatrix_residual(s: RandersSpec, y: TangentVector) -> float:
-    """F(y) - 1; vanishes exactly on the unit indicatrix of the metric."""
-    return randers_norm(s, y) - 1.0
+    return float(randers_norm_array(s, y.m0, y.u_norm_sq()))
 
 
 # --------------------------------------------------------------------------
@@ -248,5 +247,5 @@ def spec_from_json(text: str) -> RandersSpec:
         return RandersSpec(family, n=n,
                            a=float(doc["a"]), b=float(doc["b"]),
                            c=float(doc.get("c", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"bad spec field: {exc}") from exc

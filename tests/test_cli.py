@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwspheres import geodesy
 from cwspheres.cli import main
@@ -214,6 +219,14 @@ WRONG_FAMILY_SPECS = {
 }
 
 
+@pytest.fixture
+def no_graph(monkeypatch):
+    """Fail any run that builds a graph before its usage checks."""
+    def build_graph(*args, **kwargs):
+        raise AssertionError("graph built before the usage check")
+    monkeypatch.setattr(geodesy, "build_graph", build_graph)
+
+
 @pytest.mark.parametrize("check,family", [
     ("sp-central", "su2"),
     ("sp-central", "u_sphere"),
@@ -221,14 +234,98 @@ WRONG_FAMILY_SPECS = {
     ("displacement", "sp_sphere"),
     ("displacement", "su2"),
 ])
-def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys,
-                                                   monkeypatch, check, family):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("graph built before the family check")
-    monkeypatch.setattr(geodesy, "build_graph", no_graph)
+def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys, no_graph,
+                                                   check, family):
     cfg = tmp_path / "spec.json"
     cfg.write_text(WRONG_FAMILY_SPECS[family])
     code, out, err = run(capsys, "verify", check, "--config", str(cfg),
                          "--trials", "100")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "config" in err
+
+
+U_SPHERE_N2 = '{"family": "u_sphere", "n": 2, "a": 1.0, "b": 1.0, "c": 0.0}'
+
+
+@pytest.mark.parametrize("config,argv", [
+    (U_SPHERE_N2, ()),                                  # generator needs n = 1
+    (WRONG_FAMILY_SPECS["u_sphere"], ("--l", "2")),     # generator needs n = 2
+    (None, ("--points", "1")),
+    (None, ("--points", "-4")),
+])
+def test_verify_displacement_usage_error_before_graph(tmp_path, capsys, no_graph,
+                                                      config, argv):
+    if config is not None:
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(config)
+        argv += ("--config", str(cfg))
+    code, out, err = run(capsys, "verify", "displacement", *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "orbit", "--trials", "100", "--L", "0"),
+    ("verify", "orbit", "--trials", "100", "--L=-1"),
+    ("verify", "orbit", "--trials", "100", "--L", "inf"),
+    ("verify", "orbit", "--trials", "100", "--l", "0"),
+    ("verify", "orbit", "--trials", "100", "--m=-2"),
+    ("solve", "--L", "0"),
+    ("solve", "--L", "nan"),
+    ("solve", "--l", "0"),
+])
+def test_malformed_orbit_params_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+# ------------------------------------------------------------ argument space
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=2))
+COEFFICIENTS = st.floats(0.1, 2.0) | st.floats(-2.0, 2.0) | JSON_VALUES
+SPEC_DOCS = st.fixed_dictionaries(
+    {"family": st.sampled_from(["u_sphere", "sp_sphere", "su2"]),
+     **{key: COEFFICIENTS for key in ("a", "a1", "a2", "b", "c")}},
+    optional={"n": st.integers(-1, 3) | JSON_VALUES})
+SPEC_BYTES = SPEC_DOCS.map(lambda doc: json.dumps(doc).encode())
+CONFIGS = st.one_of(SPEC_BYTES, SPEC_BYTES, st.text(max_size=30).map(str.encode),
+                    st.binary(max_size=30))
+REALS = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, 3.0), st.floats(),
+                  st.sampled_from([0.0, 1e-300, 1e300]))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, config bytes or None) for `validate`, `solve` and
+    `verify orbit --trials 100`."""
+    command = draw(st.sampled_from(["validate", "solve", "orbit"]))
+    if command == "validate":
+        return ["validate"], draw(CONFIGS)
+    sizes = st.integers(1, 3) | (st.integers(-1, 4) if command == "orbit"
+                                 else st.integers(-2, 50))
+    argv = [f"--l={draw(sizes)}", f"--m={draw(sizes)}"]
+    argv += [f"--{name}={draw(REALS)!r}" for name in ("x1", "x2", "L")]
+    if command == "solve":
+        return ["solve", *argv], None
+    config = draw(st.none() | CONFIGS)
+    return ["verify", "orbit", "--trials", "100", *argv], config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cli_runs())
+@example((["validate"], b'{"family": "u_sphere", "a": 1%s, "b": 1}' % (b"0" * 400)))
+def test_cli_exit_codes_over_argument_space(tmp_path_factory, run_args):
+    # every run ends in 0, 1 or 2 without a traceback, and 2 always says why
+    argv, config = run_args
+    work = tmp_path_factory.mktemp("run")
+    if config is not None:
+        (work / "spec.json").write_bytes(config)
+        argv = [*argv, "--config", str(work / "spec.json")]
+    if argv[0] == "verify":
+        argv = [*argv, "--out", str(work / "report.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())

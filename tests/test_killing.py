@@ -42,9 +42,9 @@ def test_params_validation():
         OrbitParams(1, 1, 2.0, 1.0, 1.0)     # same-sign phases
     with pytest.raises(InfeasibleParams):
         OrbitParams(1, 1, 0.5, 0.0, 1.0)     # x2 = 0
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InvalidInput):
         OrbitParams(0, 1, 0.5, 1.0, 1.0)
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InvalidInput):
         OrbitParams(1, 1, 0.5, 1.0, -1.0)
 
 
@@ -229,6 +229,16 @@ def test_report_requires_enough_trials():
     with pytest.raises(InvalidInput):
         orbit_length_report(round_spec(), orbit_generator(P_REF), trials=10,
                             rng=RngStream(57))
+
+
+@pytest.mark.parametrize("spec,e", [
+    (RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=1.5), orbit_generator(P_REF)),
+    (RandersSpec("su2", a=1.0, b=0.0, c=0.0),
+     su2_algebra(su2_from_vec([1.0, 0.0, 0.0]), scalar=1.0)),
+])
+def test_report_rejects_invalid_spec(spec, e):
+    with pytest.raises(InvalidInput):
+        orbit_length_report(spec, e, trials=100, rng=RngStream(57))
 
 
 def test_monte_carlo_agrees_with_closed_form():

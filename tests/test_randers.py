@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from cwspheres import killing, randers
+from cwspheres.cosets import (orbit_projection_sample, sp_algebra, space_for_spec,
+                              su2_algebra)
 from cwspheres.errors import InvalidInput
-from cwspheres.matrixcore import RngStream
-from cwspheres.randers import (RandersSpec, eq_norm,
-                               indicatrix_residual, randers_norm, round_spec,
-                               sp_tangent, spec_from_json, spec_to_json,
-                               su2_tangent, u_tangent, validate_spec)
+from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
+                               solve_metric, su2_cw_spec)
+from cwspheres.matrixcore import QuaternionMatrix, RngStream, su2_from_vec
+from cwspheres.randers import (RandersSpec, eq_norm, randers_norm,
+                               randers_norm_array, round_spec, sp_tangent,
+                               spec_from_json, spec_to_json, su2_tangent,
+                               u_tangent, validate_spec)
 
 CW_SPEC = RandersSpec("u_sphere", n=1, a=16.0 / 9.0, b=4.0 / 3.0, c=-2.0 / 3.0)
 
@@ -107,20 +112,6 @@ def test_sp_norm_formula():
     assert abs(randers_norm(spec, y) - expected) <= 1e-14
 
 
-# ------------------------------------------------------- indicatrix_residual
-
-def test_residual_round_unit():
-    assert indicatrix_residual(round_spec(), u_tangent(1.0, [0.0])) == 0.0
-
-
-def test_residual_zero_vector():
-    assert indicatrix_residual(round_spec(), u_tangent(0.0, [0.0])) == -1.0
-
-
-def test_residual_solved_spec_root():
-    assert abs(indicatrix_residual(CW_SPEC, u_tangent(1.5, [0.0]))) <= 1e-14
-
-
 # ------------------------------------------------------------ norm properties
 
 def test_positive_homogeneity():
@@ -160,6 +151,108 @@ def test_round_spec_reduces_to_reference_norm():
     for k in range(50):
         y = random_tangent(sym, rng.split(k))
         assert abs(randers_norm(sym, y) - eq_norm(y)) <= 1e-12
+
+
+# -------------------------------------- batched norm vs per-vector reference
+
+def reference_norm(spec, y):
+    """Reference: F(y) for one tangent vector, written out in plain floats."""
+    usq = y.u_norm_sq()
+    if spec.family == "sp_sphere":
+        l1, l2, l3 = (float(v) for v in y.q)
+        return (math.sqrt(spec.a1 * l1 ** 2 + spec.a2 * (l2 ** 2 + l3 ** 2)
+                          + spec.b * usq) + spec.c * l1)
+    q = float(y.q)
+    return math.sqrt(spec.a * q ** 2 + spec.b * usq) + spec.c * q
+
+
+def random_tangents(spec, count, gen):
+    """Random tangent vectors of the spec's family, cycling through zero,
+    pure-m0, pure-m1 and generic ones."""
+    out = []
+    for k in range(count):
+        keep_q, keep_u = k % 4 in (1, 3), k % 4 in (2, 3)
+        if spec.family == "sp_sphere":
+            u = gen.normal(size=(2, spec.n)) + 1j * gen.normal(size=(2, spec.n))
+            out.append(sp_tangent(gen.normal(size=3) * keep_q,
+                                  u[0] * keep_u, u[1] * keep_u))
+        elif spec.family == "su2":
+            out.append(su2_tangent(gen.normal(size=3) * [keep_q, keep_u, keep_u]))
+        else:
+            u = gen.normal(size=spec.n) + 1j * gen.normal(size=spec.n)
+            out.append(u_tangent(gen.normal() * keep_q, u * keep_u))
+    return out
+
+
+KERNEL_SPECS = [spec for c in (-0.6, 0.0, 0.6) for spec in (
+    RandersSpec("u_sphere", n=1, a=1.2, b=0.9, c=c),
+    RandersSpec("u_sphere", n=3, a=1.2, b=0.9, c=c),
+    RandersSpec("su2", a=1.2, b=0.9, c=c),
+    RandersSpec("sp_sphere", n=1, a1=1.2, a2=1.5, b=0.9, c=c),
+    RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=0.9, c=c))]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS,
+                         ids=lambda s: f"{s.family}-n{s.n}-c{s.c:+.1f}")
+def test_batched_norm_matches_per_vector_reference(spec):
+    ys = random_tangents(spec, 400, RngStream(11).gen)
+    m0 = np.array([y.m0 for y in ys])
+    usq = np.array([y.u_norm_sq() for y in ys])
+    batched = randers_norm_array(spec, m0, usq)
+    reference = np.array([reference_norm(spec, y) for y in ys])
+    np.testing.assert_array_max_ulp(batched, reference, maxulp=1)
+    zero = np.arange(len(ys)) % 4 == 0
+    assert np.all(batched[zero] == 0.0) and np.all(batched[~zero] != 0.0)
+    # extra leading axes broadcast, and the single-vector entry point is the
+    # same kernel
+    grid = randers_norm_array(spec, m0.reshape(4, 100, -1), usq.reshape(4, 100))
+    np.testing.assert_array_equal(grid.ravel(), batched)
+    assert [randers_norm(spec, y) for y in ys] == batched.tolist()
+
+
+def orbit_cases():
+    dim = 3
+    corner = np.zeros((dim, dim), dtype=complex)
+    corner[0, 0] = 1j
+    x3 = np.array([0.6, -0.48, 0.64])
+    wide = OrbitParams(3, 5, 0.5, 1.0, 1.0)
+    return {
+        "u_sphere": (solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0)),
+                     orbit_generator(OrbitParams(1, 1, 0.5, 1.0, 1.0))),
+        "u_sphere-l3m5": (solve_metric(wide), orbit_generator(wide)),
+        "su2": (su2_cw_spec(0.5, 1.0), su2_algebra(su2_from_vec(x3), scalar=1.0)),
+        "sp_sphere": (RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3),
+                      sp_algebra(QuaternionMatrix(corner, 0.5 * corner), scalar=0.4)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(orbit_cases()))
+def test_orbit_report_matches_reference_on_same_draws(case):
+    spec, e = orbit_cases()[case]
+    rep = orbit_length_report(spec, e, L=1.0, trials=300, rng=RngStream(21))
+    ys = orbit_projection_sample(space_for_spec(spec), e, 300, RngStream(21))
+    reference = np.array([reference_norm(spec, y) for y in ys])
+    for got, want in ((rep.min, reference.min()), (rep.max, reference.max()),
+                      (rep.mean, reference.mean())):
+        assert abs(got - want) <= np.spacing(abs(want))
+
+
+def test_orbit_report_validates_and_evaluates_once(monkeypatch):
+    calls = {"require_valid": 0, "randers_norm_array": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    spec, e = orbit_cases()["u_sphere"]
+    for name in calls:
+        wrapped = counting(name, getattr(randers, name))
+        for module in (randers, killing):
+            monkeypatch.setattr(module, name, wrapped)
+    orbit_length_report(spec, e, L=1.0, trials=500, rng=RngStream(22))
+    assert calls == {"require_valid": 1, "randers_norm_array": 1}
 
 
 # ------------------------------------------------------------- tangent algebra
