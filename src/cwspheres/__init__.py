@@ -23,8 +23,10 @@ flows
     commutator checkers, geodesic non-intersection probe.
 geodesy
     Sampled sphere graphs and the shortest-path distance oracle.
+checks
+    The nine `verify` checks, each returning a typed report.
 cli
-    Command-line front end.
+    Command-line front end that formats the reports.
 """
 
 __version__ = "0.1.0"

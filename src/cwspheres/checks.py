@@ -1,0 +1,245 @@
+"""The nine `verify` checks: each draws from the random streams it is
+given, applies its fixed thresholds and returns a `CheckReport`.  The CLI
+derives the streams from --seed and formats the report; the acceptance
+suite calls the same functions with its own streams."""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from . import geodesy
+from .cosets import ModelSpace, sp_algebra
+from .errors import BranchUndefined, InvalidInput
+from .flows import (apply_flow, block_angle_unitary, commutator_eig1_persistence,
+                    endpoint_focus_check, geodesic_nonintersection_probe,
+                    phase_bound_check, su2_flow, u_flow)
+from .killing import orbit_generator, orbit_length_report, sp_witness_pair
+from .matrixcore import (QuaternionMatrix, expm_skew, haar_unitary, su2_from_vec,
+                         su2_matrix_from_quat)
+from .randers import SP_SPHERE, U_SPHERE, require_valid, round_spec
+
+log = logging.getLogger("cwspheres")
+
+ENDPOINT_SPREAD_TOL = 1e-10
+ENDPOINT_IDENTITY_TOL = 1e-12
+WITNESS_GAP_TOL = 1e-12
+ANTIPODE_REL_TOL = 0.05
+SYMMETRY_REL_TOL = 0.01
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Column names, row cells (str, int, float, bool, or a summary row's
+    (name, value) pairs) and the run's verdict."""
+
+    header: tuple
+    rows: tuple
+    ok: bool
+
+
+_TRIAL_HEADER = ("trial_id", "inputs_hash", "verdict", "worst_residual")
+_LENGTH_HEADER = ("candidate_id", "min", "max", "mean", "stddev", "verdict")
+
+
+def _digest(*arrays):
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    return hashlib.sha1(data).hexdigest()[:12]
+
+
+def _threshold_report(checks):
+    """Report of (name, value, threshold) triples, threshold as written."""
+    rows = tuple((name, value, str(bound), bool(value <= bound))
+                 for name, value, bound in checks)
+    return CheckReport(("check", "value", "threshold", "verdict"), rows,
+                       all(row[3] for row in rows))
+
+
+def _length_row(name, rep):
+    return (name, rep.min, rep.max, rep.mean, rep.stddev, rep.verdict)
+
+
+def _require_sp(spec, check):
+    if spec.family != SP_SPHERE:
+        raise InvalidInput(f"{check} needs an {SP_SPHERE} config, not {spec.family}")
+
+
+def orbit(spec, params, trials, rng) -> CheckReport:
+    """Orbit-length spread of the two-eigenvalue generator of `params`."""
+    rep = orbit_length_report(spec, orbit_generator(params), L=params.L,
+                              trials=trials, rng=rng)
+    return CheckReport(_LENGTH_HEADER, (_length_row("orbit", rep),),
+                       rep.verdict == "constant")
+
+
+def eigenlemma(n, trials, rng) -> CheckReport:
+    """Phase-interval bound for Haar pairs in U(n), trial k from `rng.split(k)`.
+    A trial with an eigenvalue on the branch cut is `undefined`; the run
+    passes when one trial was defined and every defined trial passes.  A
+    passing trial's lifts lie in their intervals, so its residual is 0."""
+    if trials < 1:
+        raise InvalidInput("need at least one trial")
+    rows = []
+    for k in range(trials):
+        sub = rng.split(k)
+        p = haar_unitary(n, sub.split(0))
+        q = haar_unitary(n, sub.split(1))
+        try:
+            verdict = phase_bound_check(p, q).verdict
+        except BranchUndefined:
+            verdict = "undefined"
+        rows.append((k, _digest(p, q), verdict, 0.0 if verdict is True else math.nan))
+        if k % 1000 == 0:
+            log.info("eigenlemma trial %d/%d", k, trials)
+    defined = [row[2] for row in rows if row[2] != "undefined"]
+    return CheckReport(_TRIAL_HEADER, tuple(rows), bool(defined) and all(defined))
+
+
+def commutator(l, m, trials, rng) -> CheckReport:
+    """Eigenvalue-1 persistence of twisted commutators in U(l+m), trial k
+    from `rng.split(k)`: invertible off-diagonal blocks on odd k when l = m,
+    singular ones otherwise."""
+    r = min(l, m)
+    if r < 1 or trials < 1:
+        raise InvalidInput("need l, m and trials of at least 1")
+    rows = []
+    for k in range(trials):
+        sub = rng.split(k)
+        invertible = (k % 2 == 1) and l == m
+        angles = sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
+        if not invertible:
+            angles[k % r] = 0.0
+        u = block_angle_unitary(l, m, angles, sub.split(1))
+        res = commutator_eig1_persistence(u, l, m)
+        if invertible:
+            verdict = not res.has_eig1.any()
+            residual = float(res.spectral_dists.min())
+        else:
+            verdict = bool(res.has_eig1.all() and res.shared_eigenvector)
+            residual = res.worst_residual
+        rows.append((k, _digest(u), verdict, residual))
+    return CheckReport(_TRIAL_HEADER, tuple(rows), all(row[2] for row in rows))
+
+
+def endpoints(vnorm, samples, rng) -> CheckReport:
+    """Spread of time-pi su2 flow endpoints (`rng.split(0)`), and their
+    distance from -g exp(-pi V) at ten start points g (`rng.split(1..10)`)."""
+    v3 = np.array([vnorm, 0.0, 0.0])
+    spread = endpoint_focus_check(v3, samples=samples, rng=rng.split(0))
+    vmat = su2_from_vec(v3)
+    worst_dev = 0.0
+    for k in range(10):
+        sub = rng.split(k + 1)
+        x3 = sub.gen.standard_normal(3)
+        x3 /= np.linalg.norm(x3)
+        g4 = sub.gen.standard_normal(4)
+        g = su2_matrix_from_quat(g4 / np.linalg.norm(g4))
+        end = apply_flow(su2_flow(x3, v3, math.pi), g)
+        ref = -g @ expm_skew(vmat, -math.pi)
+        worst_dev = max(worst_dev, float(np.max(np.abs(end - ref))))
+    return _threshold_report([("endpoint_spread", spread, ENDPOINT_SPREAD_TOL),
+                              ("endpoint_identity", worst_dev, ENDPOINT_IDENTITY_TOL)])
+
+
+def nonintersection(x, l, m, trials, rng) -> CheckReport:
+    """Geodesic non-intersection probe for X = i(x I + diag(-I_l, I_m))."""
+    res = geodesic_nonintersection_probe(x, l, m, trials, rng)
+    return CheckReport(
+        ("check", "min_spectral_distance", "trials", "verdict"),
+        (("nonintersection", res.min_spectral_distance, trials, res.verdict),),
+        res.verdict)
+
+
+def _sp_candidates(n):
+    """The central generator, then a scaled identity and a corner matrix."""
+    dim = n + 1
+    central = sp_algebra(QuaternionMatrix.zeros(dim), scalar=0.7)
+    scaled_id = sp_algebra(QuaternionMatrix(0.8j * np.eye(dim, dtype=complex),
+                                            np.zeros((dim, dim), complex)),
+                           scalar=0.5)
+    corner = np.zeros((dim, dim), complex)
+    corner[0, 0] = 1j
+    pure_matrix = sp_algebra(QuaternionMatrix(corner, np.zeros_like(corner)))
+    return [central, scaled_id, pure_matrix]
+
+
+def sp_central(spec, trials, rng) -> CheckReport:
+    """Orbit lengths of the candidates (k from `rng.split(k)`): with a2 != b
+    only the central one sweeps a level set of the metric."""
+    _require_sp(spec, "sp-central")
+    require_valid(spec)     # before its n sizes the candidates
+    rows, ok = [], True
+    for k, e in enumerate(_sp_candidates(spec.n)):
+        rep = orbit_length_report(spec, e, rng.split(k), trials=trials)
+        rows.append(_length_row(f"cand{k}", rep))
+        ok = ok and (rep.verdict == "constant") == (k == 0)
+    return CheckReport(_LENGTH_HEADER, tuple(rows), ok)
+
+
+def sp_witness(spec, rng) -> CheckReport:
+    """Witness gaps of random diagonal generators for n = 1..3 (`rng.split(n)`)."""
+    _require_sp(spec, "sp-witness")
+    rows = []
+    for n in range(1, 4):
+        dim = n + 1
+        entries = rng.split(n).gen.standard_normal((dim, 3))
+        entries[np.abs(entries) < 0.2] = 0.0
+        if not np.any(np.linalg.norm(entries, axis=1) > 0):
+            entries[0, 0] = 1.0
+        x = QuaternionMatrix(np.diag(1j * entries[:, 0]).astype(complex),
+                             np.diag(entries[:, 1] + 1j * entries[:, 2]).astype(complex))
+        _, _, f1, f2, expected = sp_witness_pair(x, replace(spec, n=n))
+        gap = abs(f1 - f2)
+        residual = abs(gap - expected)
+        rows.append((f"n{n}", gap, expected, residual,
+                     bool(residual <= WITNESS_GAP_TOL)))
+    return CheckReport(("case", "gap", "expected", "residual", "verdict"),
+                       tuple(rows), all(row[4] for row in rows))
+
+
+def displacement(spec, params, t, points, n_points, k, graph_rng,
+                 profile_rng) -> CheckReport:
+    """Graph estimate of d(x, flow_t(x)) at `points` vertices; inputs are
+    checked before the graph is built."""
+    flow = u_flow(orbit_generator(params).x, t)
+    if (spec.family, spec.n) != (flow.family, params.n):
+        raise InvalidInput(f"displacement needs a {flow.family} config with n = "
+                           f"{params.n}, not {spec.family} with n = {spec.n}")
+    if points < 2:
+        raise InvalidInput("displacement needs at least two points")
+    log.info("building %d-point graph", n_points)
+    graph = geodesy.build_graph(ModelSpace(spec.family, n=spec.n), spec,
+                                n_points, k, graph_rng)
+    prof = geodesy.displacement_profile(graph, flow, points, profile_rng)
+    rows = list(enumerate(prof.displacements))
+    rows.append(("summary", ("min", prof.min), ("max", prof.max), ("mean", prof.mean),
+                 ("rel_spread", prof.rel_spread), ("snap", prof.snap_max),
+                 ("verdict", prof.verdict)))
+    return CheckReport(("point", "displacement"), tuple(rows),
+                       prof.verdict == "constant")
+
+
+def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
+    """Distance oracle on the round S^3: antipode against pi, symmetry of
+    ten vertex pairs and the spread of a Hopf rotation's displacement."""
+    graph = geodesy.build_graph(ModelSpace(U_SPHERE, n=1), round_spec(U_SPHERE, 1),
+                                n_points, k, graph_rng)
+    anti, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
+    anti_err = abs(anti - math.pi) / math.pi
+    gen = pair_rng.gen
+    sym_dev = 0.0
+    for _ in range(10):
+        i, j = (int(v) for v in gen.integers(0, graph.n_points, 2))
+        dij = geodesy.distance(graph, i, j).distance
+        dji = geodesy.distance(graph, j, i).distance
+        sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))
+    prof = geodesy.displacement_profile(
+        graph, u_flow(1j * np.eye(2), 0.5), 50, profile_rng)
+    return _threshold_report([
+        ("antipodal_rel_error", anti_err, ANTIPODE_REL_TOL),
+        ("symmetry_rel_dev", sym_dev, SYMMETRY_REL_TOL),
+        ("hopf_rel_spread", prof.rel_spread, geodesy.DISPLACEMENT_REL_TOL)])

@@ -14,32 +14,22 @@ progress logging on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
-import math
 import os
 import sys
 
-import numpy as np
-
-from . import geodesy
-from .cosets import ModelSpace, sp_algebra
+from . import checks
 from .errors import CwError, InfeasibleParams, InvalidInput
-from .flows import (block_angle_unitary, commutator_eig1_persistence,
-                    endpoint_focus_check, geodesic_nonintersection_probe,
-                    phase_bound_check, su2_flow, u_flow, apply_flow)
-from .killing import (OrbitParams, constant_length_identity, orbit_generator,
-                      orbit_length_report, scan_to_csv, solve_metric,
-                      sp_central_only_scan, sp_witness_pair)
-from .matrixcore import (QuaternionMatrix, RngStream, expm_skew, haar_unitary,
-                         su2_from_vec, su2_matrix_from_quat)
+# `cli.phase_bound_check` stays importable: perfbench/test_perfbench.py
+# checks that the tracer rebinds this alias of the flows function.
+from .flows import phase_bound_check  # noqa: F401
+from .killing import (IDENTITY_RESIDUAL_TOL, OrbitParams, constant_length_identity,
+                      solve_metric)
+from .matrixcore import RngStream
 from .randers import (SP_SPHERE, RandersSpec, spec_from_json, spec_to_json,
                       validate_spec)
 
-log = logging.getLogger("cwspheres")
-
-# `solve` passes when every identity residual is within this bound.
-SOLVE_RESIDUAL_TOL = 1e-10
+_SP_DEFAULT = RandersSpec(SP_SPHERE, n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)  # on S^11
 
 
 def _setup_logging():
@@ -65,13 +55,6 @@ def _emit(lines, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _digest(*arrays):
-    h = hashlib.sha1()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:12]
 
 
 def _params_from_args(args):
@@ -103,242 +86,59 @@ def cmd_solve(args):
     residuals = constant_length_identity(spec, params)
     print(spec_to_json(spec))
     print("residuals: " + " ".join(f"{r:.17g}" for r in residuals))
-    return 0 if max(abs(r) for r in residuals) <= SOLVE_RESIDUAL_TOL else 1
+    return 0 if max(abs(r) for r in residuals) <= IDENTITY_RESIDUAL_TOL else 1
 
 
 # --------------------------------------------------------------------------
-# verify subchecks
+# verify
 # --------------------------------------------------------------------------
 
-def _trial_count(args):
-    """--trials for the checks that loop here; no trial is no verdict."""
-    if args.trials < 1:
-        raise InvalidInput("need at least one trial")
-    return args.trials
-
-
-def _threshold_rows(checks):
-    """`check,value,threshold,verdict` rows for (name, value, threshold)
-    triples, and whether every value is within its threshold."""
-    lines = ["check,value,threshold,verdict"]
-    for name, value, threshold in checks:
-        lines.append(f"{name},{value:.17g},{threshold},"
-                     f"{str(value <= threshold).lower()}")
-    return lines, all(value <= threshold for _, value, threshold in checks)
-
-
-def _verify_orbit(args, rng):
+def _orbit_inputs(args):
+    """The --config spec, by default the solved metric, and the orbit data."""
     params = _params_from_args(args)
-    spec = _load_spec(args.config) if args.config else solve_metric(params)
-    rep = orbit_length_report(spec, orbit_generator(params), L=params.L,
-                              trials=args.trials, rng=rng)
-    lines = ["candidate_id,min,max,mean,stddev,verdict",
-             f"orbit,{rep.min:.17g},{rep.max:.17g},{rep.mean:.17g},"
-             f"{rep.stddev:.17g},{rep.verdict}"]
-    return lines, rep.verdict == "constant"
-
-
-def _phase_violation(result):
-    worst = 0.0
-    for iv, lift in zip(result.intervals, result.lifted):
-        if np.isnan(lift):
-            return math.nan
-        worst = max(worst, max(iv.lo - lift, lift - iv.hi, 0.0))
-    return worst
-
-
-def _verify_eigenlemma(args, rng):
-    n, trials = args.n, _trial_count(args)
-    lines = ["trial_id,inputs_hash,verdict,worst_residual"]
-    ok = True
-    for k in range(trials):
-        sub = rng.split(k)
-        p = haar_unitary(n, sub.split(0))
-        q = haar_unitary(n, sub.split(1))
-        res = phase_bound_check(p, q)
-        ok = ok and res.verdict
-        worst = _phase_violation(res) if res.verdict else math.nan
-        lines.append(f"{k},{_digest(p, q)},{str(res.verdict).lower()},{worst:.17g}")
-        if k % 1000 == 0:
-            log.info("eigenlemma trial %d/%d", k, trials)
-    return lines, ok
-
-
-def _verify_commutator(args, rng):
-    l, m = args.l, args.m
-    r = min(l, m)
-    lines = ["trial_id,inputs_hash,verdict,worst_residual"]
-    ok = True
-    for k in range(_trial_count(args)):
-        sub = rng.split(k)
-        invertible = (k % 2 == 1) and l == m
-        angles = sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
-        if not invertible:
-            angles[k % r] = 0.0
-        u = block_angle_unitary(l, m, angles, sub.split(1))
-        res = commutator_eig1_persistence(u, l, m)
-        if invertible:
-            verdict = not res.has_eig1.any()
-            residual = float(res.spectral_dists.min())
-        else:
-            verdict = bool(res.has_eig1.all() and res.shared_eigenvector)
-            residual = res.worst_residual
-        ok = ok and verdict
-        lines.append(f"{k},{_digest(u)},{str(verdict).lower()},{residual:.17g}")
-    return lines, ok
-
-
-def _verify_endpoints(args, rng):
-    v3 = np.array([args.vnorm, 0.0, 0.0])
-    spread = endpoint_focus_check(v3, samples=args.trials, rng=rng.split(0))
-    vmat = su2_from_vec(v3)
-    worst_dev = 0.0
-    for k in range(10):
-        sub = rng.split(k + 1)
-        x3 = sub.gen.standard_normal(3)
-        x3 /= np.linalg.norm(x3)
-        g4 = sub.gen.standard_normal(4)
-        g = su2_matrix_from_quat(g4 / np.linalg.norm(g4))
-        end = apply_flow(su2_flow(x3, v3, math.pi), g)
-        ref = -g @ expm_skew(vmat, -math.pi)
-        worst_dev = max(worst_dev, float(np.max(np.abs(end - ref))))
-    return _threshold_rows([("endpoint_spread", spread, 1e-10),
-                            ("endpoint_identity", worst_dev, 1e-12)])
-
-
-def _verify_nonintersection(args, rng):
-    res = geodesic_nonintersection_probe(args.x, args.l, args.m,
-                                         args.trials, rng)
-    lines = ["check,min_spectral_distance,trials,verdict",
-             f"nonintersection,{res.min_spectral_distance:.17g},{res.trials},"
-             f"{str(res.verdict).lower()}"]
-    return lines, res.verdict
-
-
-def _sp_candidates(n):
-    dim = n + 1
-    zero = QuaternionMatrix.zeros(dim)
-    central = sp_algebra(zero, scalar=0.7)
-    scaled_id = sp_algebra(QuaternionMatrix(0.8j * np.eye(dim, dtype=complex),
-                                            np.zeros((dim, dim), complex)),
-                           scalar=0.5)
-    corner = np.zeros((dim, dim), complex)
-    corner[0, 0] = 1j
-    pure_matrix = sp_algebra(QuaternionMatrix(corner, np.zeros_like(corner)))
-    return [central, scaled_id, pure_matrix], [True, False, False]
+    return (_load_spec(args.config) if args.config else solve_metric(params)), params
 
 
 def _sp_spec(args):
-    """The --config spec of an sp check, by default one on S^11."""
-    if not args.config:
-        return RandersSpec(SP_SPHERE, n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)
-    spec = _load_spec(args.config)
-    if spec.family != SP_SPHERE:
-        raise InvalidInput(f"{args.check} needs an {SP_SPHERE} config, "
-                           f"not {spec.family}")
-    return spec
-
-
-def _verify_sp_central(args, rng):
-    spec = _sp_spec(args)
-    candidates, centrality = _sp_candidates(spec.n)
-    rows = sp_central_only_scan(spec, candidates, args.trials, rng)
-    lines = scan_to_csv(rows).strip().split("\n")
-    ok = all((row.report.verdict == "constant") == central
-             for row, central in zip(rows, centrality))
-    return lines, ok
-
-
-def _verify_sp_witness(args, rng):
-    spec = _sp_spec(args)
-    lines = ["case,gap,expected,residual,verdict"]
-    ok = True
-    for n in range(1, 4):
-        dim = n + 1
-        sub = rng.split(n)
-        entries = sub.gen.standard_normal((dim, 3))
-        entries[np.abs(entries) < 0.2] = 0.0
-        if not np.any(np.linalg.norm(entries, axis=1) > 0):
-            entries[0, 0] = 1.0
-        q1 = np.diag(1j * entries[:, 0]).astype(complex)
-        q2 = np.diag(entries[:, 1] + 1j * entries[:, 2]).astype(complex)
-        x = QuaternionMatrix(q1, q2)
-        case_spec = RandersSpec("sp_sphere", n=n, a1=spec.a1, a2=spec.a2,
-                                b=spec.b, c=spec.c)
-        mods = np.linalg.norm(entries, axis=1)
-        first = mods[np.argmax(mods > 1e-14)]
-        _, _, f1, f2 = sp_witness_pair(x, case_spec)
-        gap = abs(f1 - f2)
-        expected = 2.0 * abs(case_spec.c) * first
-        residual = abs(gap - expected)
-        verdict = residual <= 1e-12
-        ok = ok and verdict
-        lines.append(f"n{n},{gap:.17g},{expected:.17g},{residual:.17g},"
-                     f"{str(verdict).lower()}")
-    return lines, ok
-
-
-def _verify_displacement(args, rng):
-    params = _params_from_args(args)
-    spec = _load_spec(args.config) if args.config else solve_metric(params)
-    flow = u_flow(orbit_generator(params).x, args.t)
-    if (spec.family, spec.n) != (flow.family, params.n):
-        raise InvalidInput(f"displacement needs a {flow.family} config with n = "
-                           f"{params.n}, not {spec.family} with n = {spec.n}")
-    if args.points < 2:
-        raise InvalidInput("displacement needs at least two --points")
-    space = ModelSpace(spec.family, n=spec.n)
-    log.info("building %d-point graph", args.n_points)
-    graph = geodesy.build_graph(space, spec, args.n_points, args.k, rng.split(0))
-    prof = geodesy.displacement_profile(graph, flow, args.points, rng.split(1))
-    lines = ["point,displacement"]
-    lines += [f"{i},{d:.17g}" for i, d in enumerate(prof.displacements)]
-    lines.append(f"summary,min={prof.min:.17g},max={prof.max:.17g},"
-                 f"mean={prof.mean:.17g},rel_spread={prof.rel_spread:.17g},"
-                 f"snap={prof.snap_max:.17g},verdict={prof.verdict}")
-    return lines, prof.verdict == "constant"
-
-
-def _verify_oracle(args, rng):
-    from .randers import round_spec
-    spec = round_spec("u_sphere", 1)
-    space = ModelSpace("u_sphere", n=1)
-    graph = geodesy.build_graph(space, spec, args.n_points, args.k, rng.split(0))
-    anti, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
-    anti_err = abs(anti - math.pi) / math.pi
-    gen = rng.split(1).gen
-    sym_dev = 0.0
-    for _ in range(10):
-        i, j = (int(v) for v in gen.integers(0, graph.n_points, 2))
-        dij = geodesy.distance(graph, i, j).distance
-        dji = geodesy.distance(graph, j, i).distance
-        sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))
-    prof = geodesy.displacement_profile(
-        graph, u_flow(1j * np.eye(2), 0.5), 50, rng.split(2))
-    return _threshold_rows([
-        ("antipodal_rel_error", anti_err, 0.05),
-        ("symmetry_rel_dev", sym_dev, 0.01),
-        ("hopf_rel_spread", prof.rel_spread, geodesy.DISPLACEMENT_REL_TOL)])
+    return _load_spec(args.config) if args.config else _SP_DEFAULT
 
 
 _CHECKS = {
-    "orbit": _verify_orbit,
-    "eigenlemma": _verify_eigenlemma,
-    "commutator": _verify_commutator,
-    "endpoints": _verify_endpoints,
-    "nonintersection": _verify_nonintersection,
-    "sp-central": _verify_sp_central,
-    "sp-witness": _verify_sp_witness,
-    "displacement": _verify_displacement,
-    "oracle": _verify_oracle,
+    "orbit": lambda a, rng: checks.orbit(*_orbit_inputs(a), a.trials, rng),
+    "eigenlemma": lambda a, rng: checks.eigenlemma(a.n, a.trials, rng),
+    "commutator": lambda a, rng: checks.commutator(a.l, a.m, a.trials, rng),
+    "endpoints": lambda a, rng: checks.endpoints(a.vnorm, a.trials, rng),
+    "nonintersection": lambda a, rng: checks.nonintersection(a.x, a.l, a.m,
+                                                             a.trials, rng),
+    "sp-central": lambda a, rng: checks.sp_central(_sp_spec(a), a.trials, rng),
+    "sp-witness": lambda a, rng: checks.sp_witness(_sp_spec(a), rng),
+    "displacement": lambda a, rng: checks.displacement(
+        *_orbit_inputs(a), a.t, a.points, a.n_points, a.k, rng.split(0), rng.split(1)),
+    "oracle": lambda a, rng: checks.oracle(a.n_points, a.k, rng.split(0),
+                                           rng.split(1), rng.split(2)),
 }
 
 
+def _cell(value):
+    if isinstance(value, tuple):
+        return f"{value[0]}={_cell(value[1])}"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _csv_lines(report):
+    """CSV lines: 17-digit floats, lower-case booleans, `name=value` pairs."""
+    return [",".join(report.header)] + [",".join(map(_cell, row))
+                                        for row in report.rows]
+
+
 def cmd_verify(args):
-    rng = RngStream(args.seed)
-    lines, ok = _CHECKS[args.check](args, rng)
-    _emit(lines, args.out)
-    return 0 if ok else 1
+    report = _CHECKS[args.check](args, RngStream(args.seed))
+    _emit(_csv_lines(report), args.out)
+    return 0 if report.ok else 1
 
 
 # --------------------------------------------------------------------------

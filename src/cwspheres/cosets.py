@@ -68,10 +68,6 @@ class ModelSpace:
         if self.family != SU2 and self.n < 1:
             raise InvalidInput("coset rank n must be >= 1")
 
-    @property
-    def matrix_dim(self):
-        return 2 if self.family == SU2 else self.n + 1
-
 
 def space_for_spec(spec: RandersSpec) -> ModelSpace:
     """Model space matching a metric spec.

@@ -19,12 +19,18 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist
 
 from .errors import BranchUndefined, InvalidInput, TrackingFailed
-from .matrixcore import (RngStream, as_skew_hermitian, as_unitary, expm_skew,
+from .matrixcore import (as_skew_hermitian, as_unitary, expm_skew,
                          haar_unitary, su2_from_vec, su2_inner,
                          su2_matrix_from_quat, unitary_phases)
 from .randers import SU2, U_SPHERE
 
 TWO_PI = 2.0 * math.pi
+ENDPOINT_BASE_POINTS = 3
+PHASE_EPS = 1e-9                # slack of each phase interval
+EIG1_TOL = 1e-9                 # |lambda - 1| that counts as eigenvalue 1
+SHARED_VECTOR_TOL = 1e-8        # residual of a shared eigenvector
+MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
+NONINTERSECTION_MIN_DIST = 1e-9
 
 
 def default_t_grid(points=32):
@@ -94,7 +100,7 @@ def apply_flow(f: FlowIsometry, point):
     return expm_skew(f.x, f.t) @ g @ expm_skew(f.v, -f.t)
 
 
-def endpoint_focus_check(v, samples=100, rng=None, base_points=3):
+def endpoint_focus_check(v, rng, samples=100):
     """Spread of time-pi flow endpoints over random unit generators.
 
     For |X|_eq = 1 the exponential at time pi is -I, so for a fixed start
@@ -108,10 +114,8 @@ def endpoint_focus_check(v, samples=100, rng=None, base_points=3):
         raise InvalidInput("isotropy vector must satisfy |V|_eq < 1")
     if int(samples) < 2:
         raise InvalidInput("need at least two samples")
-    if rng is None:
-        rng = RngStream(0)
     worst = 0.0
-    for bp in range(base_points):
+    for bp in range(ENDPOINT_BASE_POINTS):
         g_rng = rng.split(bp)
         p = g_rng.gen.standard_normal(4)
         p /= np.linalg.norm(p)
@@ -157,7 +161,7 @@ def _reject_branch_boundary(phases, who):
         raise BranchUndefined(f"{who} has an eigenvalue at the phase branch cut")
 
 
-def phase_bound_check(p, q, eps=1e-9, raw_branch=False) -> PhaseBoundResult:
+def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundResult:
     """Check that each phase of PQ, sorted and lifted to the reals, lies in
     [a_i + min(b), a_i + max(b)] where a, b are the sorted phases of P, Q.
 
@@ -170,7 +174,8 @@ def phase_bound_check(p, q, eps=1e-9, raw_branch=False) -> PhaseBoundResult:
     _reject_branch_boundary(a, "P")
     _reject_branch_boundary(b, "Q")
     lo_off, hi_off = float(np.min(b)), float(np.max(b))
-    intervals = tuple(PhaseInterval(ai + lo_off - eps, ai + hi_off + eps) for ai in a)
+    intervals = tuple(PhaseInterval(ai + lo_off - PHASE_EPS, ai + hi_off + PHASE_EPS)
+                      for ai in a)
     theta = unitary_phases(np.asarray(p, dtype=complex) @ np.asarray(q, dtype=complex))
     n = len(a)
     shifts = (0.0,) if raw_branch else (0.0, TWO_PI, -TWO_PI)
@@ -258,15 +263,13 @@ class CommutatorEig1Result:
     spectral_dists: np.ndarray     # min |lambda - 1| per grid point
     shared_eigenvector: bool
     worst_residual: float
-    eigenvector: np.ndarray        # best common candidate (or None)
 
 
 def _twist_diag(l, m, t):
     return np.concatenate([np.full(l, np.exp(-1j * t)), np.full(m, np.exp(1j * t))])
 
 
-def commutator_eig1_persistence(u, l, m, t_grid=None,
-                                eig_tol=1e-9, vec_tol=1e-8) -> CommutatorEig1Result:
+def commutator_eig1_persistence(u, l, m, t_grid=None) -> CommutatorEig1Result:
     """Presence of eigenvalue 1 for exp(tX) U exp(-tX) U* across a t-grid,
     X = i diag(-I_l, I_m), plus a shared-eigenvector check.
 
@@ -289,24 +292,18 @@ def commutator_eig1_persistence(u, l, m, t_grid=None,
         mat = (d[:, None] * u * np.conj(d)[None, :]) @ u.conj().T
         mats.append(mat)
         dists[k] = np.min(np.abs(np.linalg.eigvals(mat) - 1.0))
-    has = dists <= eig_tol
+    has = dists <= EIG1_TOL
     shared = False
     worst = np.inf
-    best_vec = None
     if np.all(has):
         w, vecs = np.linalg.eig(mats[0])
-        for idx in np.where(np.abs(w - 1.0) <= max(eig_tol, 1e-8))[0]:
-            v = vecs[:, idx]
-            v = v / np.linalg.norm(v)
-            res = max(float(np.linalg.norm(mat @ v - v)) for mat in mats)
-            if res < worst:
-                worst = res
-                best_vec = v
-        shared = worst <= vec_tol
+        for idx in np.where(np.abs(w - 1.0) <= max(EIG1_TOL, 1e-8))[0]:
+            v = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
+            worst = min(worst, max(float(np.linalg.norm(mat @ v - v)) for mat in mats))
+        shared = worst <= SHARED_VECTOR_TOL
     return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
                                 shared_eigenvector=shared,
-                                worst_residual=float(worst),
-                                eigenvector=best_vec)
+                                worst_residual=float(worst))
 
 
 def block_angle_unitary(l, m, angles, rng) -> np.ndarray:
@@ -346,11 +343,9 @@ def block_angle_unitary(l, m, angles, rng) -> np.ndarray:
 class NonIntersectionResult:
     verdict: bool
     min_spectral_distance: float
-    trials: int
 
 
-def geodesic_nonintersection_probe(x, l, m, trials, rng,
-                                   min_t_sep=1e-6, threshold=1e-9):
+def geodesic_nonintersection_probe(x, l, m, trials, rng):
     """For random conjugates X1, X2 of X = i(x I + diag(-I_l, I_m)) and
     random times t1 > t2 in (0, pi), check that exp(t1 X1) exp(-t2 X2)
     never has eigenvalue 1.
@@ -359,8 +354,8 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng,
     interior times if such a product had a fixed vector; the phase windows
     of the product stay inside (-2pi, 0) + (0, 2pi) whenever 0 < |x| < 1.
     """
-    if l != m:
-        raise InvalidInput("the probe covers the balanced case l = m only")
+    if l != m or l < 1:
+        raise InvalidInput("the probe covers the balanced case l = m >= 1 only")
     if not 0.0 < abs(x) < 1.0:
         raise InvalidInput("0 < |x| < 1 is required")
     if int(trials) < 1:
@@ -374,12 +369,11 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng,
         g2 = haar_unitary(n, g_rng.split(1))
         while True:
             t1, t2 = np.sort(g_rng.gen.uniform(0.0, math.pi, size=2))[::-1]
-            if t1 - t2 >= min_t_sep:
+            if t1 - t2 >= MIN_T_SEP:
                 break
         e1 = (g1 * np.exp(t1 * diag)[None, :]) @ g1.conj().T
         e2 = (g2 * np.exp(-t2 * diag)[None, :]) @ g2.conj().T
         dist = np.min(np.abs(np.linalg.eigvals(e1 @ e2) - 1.0))
         worst = min(worst, float(dist))
-    return NonIntersectionResult(verdict=bool(worst >= threshold),
-                                 min_spectral_distance=worst,
-                                 trials=int(trials))
+    return NonIntersectionResult(verdict=bool(worst >= NONINTERSECTION_MIN_DIST),
+                                 min_spectral_distance=worst)

@@ -127,8 +127,8 @@ def build_graph(space: ModelSpace, spec: RandersSpec, n_points, k, rng) -> Spher
     n_points, k = int(n_points), int(k)
     if n_points < MIN_POINTS:
         raise InvalidInput(f"need at least {MIN_POINTS} points")
-    if k < MIN_DEGREE:
-        raise InvalidInput(f"need out-degree at least {MIN_DEGREE}")
+    if not MIN_DEGREE <= k < n_points:
+        raise InvalidInput(f"need {MIN_DEGREE} <= k < n_points")
     pts = _sample_points(space, n_points, rng)
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=k + 1)

@@ -3,13 +3,12 @@
 Centerpiece of the package: the closed-form metric solver for
 two-eigenvalue generators on the unitary-family spheres, the quadratic
 identity certifying constant length, the su2 construction with a round
-off-center indicatrix, and the falsification harnesses showing that on
-the symplectic-family spheres only central vectors work.
+off-center indicatrix, and the witness pair showing that on the
+symplectic-family spheres only central vectors work.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -19,11 +18,13 @@ from .cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
                      orbit_projection_sample, project_to_m, space_for_spec,
                      sp_permutation, sp_unit_diag, u_algebra)
 from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissible
-from .matrixcore import QuaternionMatrix, RngStream, qmul, su2_inner
+from .matrixcore import QuaternionMatrix, qmul, su2_inner
 from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm,
                       randers_norm_array, require_valid)
 
 CONSTANT_TOL_FACTOR = 1e-8
+# `solve` passes when every identity residual is within this bound.
+IDENTITY_RESIDUAL_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -50,8 +51,8 @@ class OrbitParams:
         if not (isinstance(self.l, int) and isinstance(self.m, int)) \
                 or self.l < 1 or self.m < 1:
             raise InvalidInput("l and m must be positive integers")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise InvalidInput("L must be positive and finite")
+        if not (self.L > 0 and all(map(math.isfinite, (self.L, self.x1, self.x2)))):
+            raise InvalidInput("L must be positive, and L, x1 and x2 finite")
         if self.x2 == 0.0:
             raise InfeasibleParams("x2 != 0 is required")
         if not (self.x1 - self.m * self.x2) * (self.x1 + self.l * self.x2) < 0:
@@ -181,7 +182,6 @@ class ConstantLengthReport:
     max: float
     mean: float
     stddev: float
-    trials: int
     verdict: str            # "constant" | "non-constant"
     tolerance: float
 
@@ -190,31 +190,28 @@ class ConstantLengthReport:
         return self.max - self.min
 
 
-def orbit_length_report(s: RandersSpec, e: AlgebraElement, L=None,
-                        trials=1000, rng=None,
-                        tol_factor=CONSTANT_TOL_FACTOR) -> ConstantLengthReport:
+def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
+                        trials=1000) -> ConstantLengthReport:
     """Sample adjoint-orbit projections of `e` and report the spread of
     their metric values.
 
-    Verdict is "constant" iff max - min <= tol_factor * L, with L
+    Verdict is "constant" iff max - min <= CONSTANT_TOL_FACTOR * L, with L
     defaulting to the sample mean when not prescribed.  All samples go
     through one norm evaluation, which also validates `s`.
     """
     trials = int(trials)
     if trials < 100:
         raise InvalidInput("at least 100 trials are required for a verdict")
-    if rng is None:
-        rng = RngStream(0)
     ys = orbit_projection_sample(space_for_spec(s), e, trials, rng)
     values = randers_norm_array(s, np.array([y.m0 for y in ys]),
                                 np.array([y.u_norm_sq() for y in ys]))
     mean = float(values.mean())
     scale = float(L) if L is not None else abs(mean)
-    tolerance = tol_factor * scale
+    tolerance = CONSTANT_TOL_FACTOR * scale
     spread = float(values.max() - values.min())
     return ConstantLengthReport(
         min=float(values.min()), max=float(values.max()), mean=mean,
-        stddev=float(values.std()), trials=trials,
+        stddev=float(values.std()),
         verdict="constant" if spread <= tolerance else "non-constant",
         tolerance=tolerance)
 
@@ -272,9 +269,10 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     """Two conjugation images of a nonzero diagonal skew generator whose
     projections to m are opposite multiples of the metric axis.
 
-    Returns (y1, y2, F(y1), F(y2)).  The metric values differ by exactly
-    2|c| |d| with d the chosen diagonal entry, which rules out nonzero
-    generators in the matrix algebra alone whenever c != 0.
+    The chosen diagonal entry d is the first of modulus above 1e-14.
+    Returns (y1, y2, F(y1), F(y2), 2|c| |d|): the metric values differ by
+    exactly the last entry, which rules out nonzero generators in the
+    matrix algebra alone whenever c != 0.
     """
     if s.family != SP_SPHERE:
         raise InvalidInput("sp_witness_pair expects an sp_sphere spec")
@@ -282,7 +280,8 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     if s.c == 0.0:
         raise NotApplicable("witness pair needs a non-reversible metric (c != 0)")
     d1, d2 = _diagonal_entries(x)
-    mods = np.sqrt(np.abs(d1) ** 2 + np.abs(d2) ** 2)
+    mods = np.linalg.norm(np.stack([d1.real, d1.imag, d2.real, d2.imag], axis=1),
+                          axis=1)
     if np.max(mods) < 1e-14:
         raise InvalidInput("generator must be non-zero")
     idx = int(np.argmax(mods > 1e-14))
@@ -301,38 +300,6 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
         moved = h @ x @ h.conj_t()
         out.append(project_to_m(space, AlgebraElement(SP_SPHERE, moved, 0.0)))
     y1, y2 = out
-    return (y1, y2, randers_norm(s, y1), randers_norm(s, y2))
+    return (y1, y2, randers_norm(s, y1), randers_norm(s, y2),
+            2.0 * abs(s.c) * mods[idx])
 
-
-@dataclass(frozen=True)
-class ScanRow:
-    candidate_id: str
-    is_central: bool
-    report: ConstantLengthReport
-
-
-def sp_central_only_scan(s: RandersSpec, candidates, trials, rng) -> list:
-    """Orbit-length report per candidate (X, x) on an sp_sphere metric with
-    a2 != b.  Only candidates with X = 0 (the center of the algebra) can
-    come back "constant"; anything else sweeps a sphere that is not a
-    level set of the metric."""
-    require_valid(s)
-    rows = []
-    for k, e in enumerate(candidates):
-        if e.family != SP_SPHERE:
-            raise InvalidInput("candidates must belong to the sp_sphere family")
-        rep = orbit_length_report(s, e, L=None, trials=trials, rng=rng.split(k))
-        central = e.x.max_abs() < 1e-14
-        rows.append(ScanRow(candidate_id=f"cand{k}", is_central=central, report=rep))
-    return rows
-
-
-def scan_to_csv(rows) -> str:
-    """Serialize scan rows to CSV (candidate_id, min, max, mean, stddev, verdict)."""
-    buf = io.StringIO()
-    buf.write("candidate_id,min,max,mean,stddev,verdict\n")
-    for row in rows:
-        r = row.report
-        buf.write(f"{row.candidate_id},{r.min:.17g},{r.max:.17g},"
-                  f"{r.mean:.17g},{r.stddev:.17g},{r.verdict}\n")
-    return buf.getvalue()

@@ -33,6 +33,8 @@ class RngStream:
 
     def __init__(self, seed, _key=()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InvalidInput("seed must be non-negative")
         self._key = tuple(_key)
         self.gen = np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=self._key))
@@ -216,12 +218,6 @@ class QuaternionMatrix:
     def conj_t(self):
         """Quaternionic conjugate transpose: (Q1 + Q2 j)* = Q1* - Q2^T j."""
         return QuaternionMatrix(self.q1.conj().T, -self.q2.T)
-
-    def apply(self, v):
-        """Apply to a quaternion column vector given as a pair of (n,) arrays."""
-        v1, v2 = v
-        return (self.q1 @ v1 - self.q2 @ np.conj(v2),
-                self.q1 @ v2 + self.q2 @ np.conj(v1))
 
     def to_complex(self):
         """2n x 2n complex embedding [[Q1, Q2], [-conj(Q2), conj(Q1)]].

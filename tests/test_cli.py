@@ -272,10 +272,26 @@ def test_verify_displacement_usage_error_before_graph(tmp_path, capsys, no_graph
     ("solve", "--L", "0"),
     ("solve", "--L", "nan"),
     ("solve", "--l", "0"),
+    ("solve", "--x1", "nan"),
+    ("solve", "--x1", "inf", "--x2", "1"),
+    ("verify", "orbit", "--trials", "100", "--x2", "nan"),
 ])
 def test_malformed_orbit_params_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutator", "--l", "0", "--trials", "2"),
+    ("sp-witness", "--seed", "-1"),
+    ("eigenlemma", "--trials", "2", "--seed", "-1"),
+    ("displacement", "--k", "100000", "--n-points", "600", "--points", "2"),
+])
+def test_verify_bad_sizes_and_seeds_are_usage_errors(tmp_path, capsys, argv):
+    report = tmp_path / "report.csv"
+    code, out, err = run(capsys, "verify", *argv, "--out", str(report))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not report.exists()
 
 
 # ------------------------------------------------------------ argument space
@@ -283,39 +299,86 @@ def test_malformed_orbit_params_are_usage_errors(capsys, argv):
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                         st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=2))
 COEFFICIENTS = st.floats(0.1, 2.0) | st.floats(-2.0, 2.0) | JSON_VALUES
-SPEC_DOCS = st.fixed_dictionaries(
-    {"family": st.sampled_from(["u_sphere", "sp_sphere", "su2"]),
-     **{key: COEFFICIENTS for key in ("a", "a1", "a2", "b", "c")}},
-    optional={"n": st.integers(-1, 3) | JSON_VALUES})
-SPEC_BYTES = SPEC_DOCS.map(lambda doc: json.dumps(doc).encode())
-CONFIGS = st.one_of(SPEC_BYTES, SPEC_BYTES, st.text(max_size=30).map(str.encode),
-                    st.binary(max_size=30))
+
+
+def spec_configs(n_values):
+    docs = st.fixed_dictionaries(
+        {"family": st.sampled_from(["u_sphere", "sp_sphere", "su2"]),
+         **{key: COEFFICIENTS for key in ("a", "a1", "a2", "b", "c")}},
+        optional={"n": n_values})
+    spec_bytes = docs.map(lambda doc: json.dumps(doc).encode())
+    return st.one_of(spec_bytes, spec_bytes, st.text(max_size=30).map(str.encode),
+                     st.binary(max_size=30))
+
+
+CONFIGS = spec_configs(st.integers(-1, 3) | JSON_VALUES)
+# sp-central builds (n+1) x (n+1) generators from the config's n
+SMALL_N_CONFIGS = spec_configs(st.integers(-1, 3) | st.booleans() | st.floats())
 REALS = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, 3.0), st.floats(),
                   st.sampled_from([0.0, 1e-300, 1e300]))
 
 
+def opt(name, values):
+    return values.map(lambda v: [f"--{name}={v!r}"])
+
+
+def tokens(*parts):
+    """The argv tokens drawn from each part in turn."""
+    return st.tuples(*parts).map(lambda drawn: [t for part in drawn for t in part])
+
+
+@st.composite
+def graph_sizes(draw):
+    n_points = draw(st.integers(499, 700))
+    k = draw(st.integers(7, 14) | st.sampled_from([n_points, n_points + 1, 100000]))
+    return [f"--n-points={n_points}", f"--k={k}"]
+
+
+TRIALS = opt("trials", st.integers(-1, 4))
+ORBIT_TRIALS = opt("trials", st.sampled_from([-1, 99]) | st.just(100))
+VERIFY_SIZES = {
+    "orbit": tokens(ORBIT_TRIALS),
+    "eigenlemma": tokens(opt("n", st.integers(-1, 4)), TRIALS),
+    "commutator": tokens(TRIALS),
+    "endpoints": tokens(opt("vnorm", REALS), TRIALS),
+    "nonintersection": tokens(opt("x", REALS), TRIALS),
+    "sp-central": tokens(ORBIT_TRIALS),
+    "sp-witness": tokens(),
+    "displacement": tokens(opt("t", REALS), opt("points", st.integers(-1, 3)),
+                           graph_sizes()),
+    "oracle": tokens(graph_sizes()),
+}
+ORBIT_VALUES = {"l": st.integers(-1, 4), "m": st.integers(-1, 4),
+                "x1": REALS, "x2": REALS, "L": REALS}
+
+
 @st.composite
 def cli_runs(draw):
-    """(argv, config bytes or None) for `validate`, `solve` and
-    `verify orbit --trials 100`."""
-    command = draw(st.sampled_from(["validate", "solve", "orbit"]))
+    """(argv, config bytes or None) for `validate`, `solve` and the nine
+    `verify` checks at small sizes."""
+    command = draw(st.sampled_from(["validate", "solve", *VERIFY_SIZES]))
     if command == "validate":
         return ["validate"], draw(CONFIGS)
-    sizes = st.integers(1, 3) | (st.integers(-1, 4) if command == "orbit"
-                                 else st.integers(-2, 50))
-    argv = [f"--l={draw(sizes)}", f"--m={draw(sizes)}"]
-    argv += [f"--{name}={draw(REALS)!r}" for name in ("x1", "x2", "L")]
     if command == "solve":
+        sizes = st.integers(1, 3) | st.integers(-2, 50)
+        argv = [f"--l={draw(sizes)}", f"--m={draw(sizes)}"]
+        argv += [f"--{name}={draw(REALS)!r}" for name in ("x1", "x2", "L")]
         return ["solve", *argv], None
-    config = draw(st.none() | CONFIGS)
-    return ["verify", "orbit", "--trials", "100", *argv], config
+    argv = [f"--seed={draw(st.integers(-2, 3))}", *draw(VERIFY_SIZES[command])]
+    for name, values in ORBIT_VALUES.items():
+        value = draw(st.none() | values)        # None keeps the default
+        if value is not None:
+            argv.append(f"--{name}={value!r}")
+    configs = SMALL_N_CONFIGS if command == "sp-central" else CONFIGS
+    return ["verify", command, *argv], draw(st.none() | configs)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(cli_runs())
 @example((["validate"], b'{"family": "u_sphere", "a": 1%s, "b": 1}' % (b"0" * 400)))
 def test_cli_exit_codes_over_argument_space(tmp_path_factory, run_args):
-    # every run ends in 0, 1 or 2 without a traceback, and 2 always says why
+    # every run ends in 0, 1 or 2 without a traceback, 2 always says why,
+    # and a pass rests on at least one evaluated trial or point
     argv, config = run_args
     work = tmp_path_factory.mktemp("run")
     if config is not None:
@@ -329,3 +392,6 @@ def test_cli_exit_codes_over_argument_space(tmp_path_factory, run_args):
     assert code in (0, 1, 2)
     if code == 2:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    if code == 0 and argv[0] == "verify":
+        rows = (work / "report.csv").read_text().splitlines()[1:]
+        assert any(",undefined," not in row for row in rows)

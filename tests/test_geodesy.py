@@ -38,6 +38,9 @@ def test_build_validates_parameters():
         build_graph(S3, ROUND3, 600, 4, RngStream(0))
     with pytest.raises(InvalidInput):
         build_graph(ModelSpace("u_sphere", n=2), ROUND3, 600, 8, RngStream(0))
+    for k in (600, 100000):    # a vertex has at most n_points - 1 neighbours
+        with pytest.raises(InvalidInput):
+            build_graph(S3, ROUND3, 600, k, RngStream(0))
 
 
 def test_build_round_weights_symmetric():

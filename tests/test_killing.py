@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cwspheres.cosets import sp_algebra, su2_algebra
+from cwspheres import checks
+from cwspheres.cosets import su2_algebra
 from cwspheres.errors import (InfeasibleParams, InvalidInput, NotApplicable,
                               NotKvfAdmissible)
 from cwspheres.killing import (OrbitParams,
                                central_kvf_phases, constant_length_identity,
                                eq_root_pair, f_poly, orbit_generator,
-                               orbit_length_report, scan_to_csv, solve_metric,
-                               sp_central_only_scan, sp_witness_pair,
+                               orbit_length_report, solve_metric,
+                               sp_witness_pair,
                                su2_cw_spec)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream, su2_from_vec
 from cwspheres.randers import (RandersSpec, randers_norm, round_spec,
@@ -322,22 +323,25 @@ def sp_diag(entries_i, entries_j=None):
 
 def test_witness_gap_first_entry():
     x = sp_diag([1.0, 0.0, 0.0])
-    y1, y2, f1, f2 = sp_witness_pair(x, SP_SPEC)
-    assert abs((f1 - f2) - 0.6) <= 1e-14
+    y1, y2, f1, f2, expected = sp_witness_pair(x, SP_SPEC)
+    assert expected == 2.0 * 0.3 * 1.0
+    assert abs((f1 - f2) - expected) <= 1e-14
     np.testing.assert_allclose(y1.q, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(y2.q, [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_witness_gap_equal_entries():
     x = sp_diag([0.7, 0.7, 0.7])
-    _, _, f1, f2 = sp_witness_pair(x, SP_SPEC)
-    assert abs(abs(f1 - f2) - 2.0 * 0.3 * 0.7) <= 1e-14
+    _, _, f1, f2, expected = sp_witness_pair(x, SP_SPEC)
+    assert abs(expected - 2.0 * 0.3 * 0.7) <= 1e-15
+    assert abs(abs(f1 - f2) - expected) <= 1e-14
 
 
 def test_witness_gap_quaternionic_entry():
     x = sp_diag([0.0, 0.3, 0.0], [0.0, 0.4 + 0.0j, 0.0])
-    _, _, f1, f2 = sp_witness_pair(x, SP_SPEC)
-    assert abs(abs(f1 - f2) - 2.0 * 0.3 * 0.5) <= 1e-13
+    _, _, f1, f2, expected = sp_witness_pair(x, SP_SPEC)
+    assert abs(expected - 2.0 * 0.3 * 0.5) <= 1e-15
+    assert abs(abs(f1 - f2) - expected) <= 1e-13
 
 
 def test_witness_rejects_zero_and_reversible():
@@ -349,31 +353,9 @@ def test_witness_rejects_zero_and_reversible():
 
 
 def test_scan_central_vs_noncentral():
-    rng = RngStream(61)
-    dim = SP_SPEC.n + 1
-    central = sp_algebra(QuaternionMatrix.zeros(dim), scalar=0.8)
-    scaled_id = sp_algebra(
-        QuaternionMatrix(0.9j * np.eye(dim, dtype=complex),
-                         np.zeros((dim, dim), dtype=complex)), scalar=0.4)
-    corner = np.zeros((dim, dim), dtype=complex)
-    corner[0, 0] = 1j
-    pure = sp_algebra(QuaternionMatrix(corner, np.zeros_like(corner)))
-    rows = sp_central_only_scan(SP_SPEC, [central, scaled_id, pure],
-                                trials=400, rng=rng)
-    assert [r.is_central for r in rows] == [True, False, False]
-    assert rows[0].report.verdict == "constant"
-    assert rows[1].report.verdict == "non-constant"
-    assert rows[1].report.spread > 1e-4 * rows[1].report.mean
-    assert rows[2].report.verdict == "non-constant"
-
-
-def test_scan_csv_shape():
-    rng = RngStream(62)
-    central = sp_algebra(QuaternionMatrix.zeros(2), scalar=1.0)
-    rows = sp_central_only_scan(
-        RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.4, b=1.0, c=0.2),
-        [central], trials=100, rng=rng)
-    text = scan_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "candidate_id,min,max,mean,stddev,verdict"
-    assert lines[1].startswith("cand0,") and lines[1].endswith("constant")
+    report = checks.sp_central(SP_SPEC, 400, RngStream(61))
+    assert [row[-1] for row in report.rows] == ["constant", "non-constant",
+                                                "non-constant"]
+    _, lo, hi, mean, _, _ = report.rows[1]
+    assert hi - lo > 1e-4 * mean
+    assert report.ok

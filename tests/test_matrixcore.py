@@ -130,6 +130,11 @@ def test_haar_unitary_deterministic_replay():
     np.testing.assert_array_equal(a, b)
 
 
+def test_rng_stream_rejects_negative_seed():
+    with pytest.raises(InvalidInput):
+        RngStream(-1)
+
+
 def test_haar_unitary_trace_moment():
     # E |tr U|^2 = 1 over the Haar measure; Monte-Carlo to +-0.05
     us = haar_unitary_batch(4, 10000, RngStream(99))
