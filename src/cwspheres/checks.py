@@ -14,13 +14,14 @@ import numpy as np
 
 from . import geodesy
 from .cosets import ModelSpace, sp_algebra
-from .errors import BranchUndefined, InvalidInput
-from .flows import (apply_flow, block_angle_unitary, commutator_eig1_persistence,
-                    endpoint_focus_check, geodesic_nonintersection_probe,
-                    phase_bound_check, su2_flow, u_flow)
+from .errors import InvalidInput
+from .flows import (T_GRID_POINTS, apply_flow, block_angle_unitary,
+                    commutator_eig1_persistence, endpoint_focus_check,
+                    geodesic_nonintersection_probe, phase_bound_check_stack,
+                    su2_flow, u_flow)
 from .killing import orbit_generator, orbit_length_report, sp_witness_pair
 from .matrixcore import (QuaternionMatrix, expm_skew, haar_unitary, su2_from_vec,
-                         su2_matrix_from_quat)
+                         su2_matrix_from_quat, trial_blocks)
 from .randers import SP_SPHERE, U_SPHERE, require_valid, round_spec
 
 log = logging.getLogger("cwspheres")
@@ -30,6 +31,9 @@ ENDPOINT_IDENTITY_TOL = 1e-12
 WITNESS_GAP_TOL = 1e-12
 ANTIPODE_REL_TOL = 0.05
 SYMMETRY_REL_TOL = 0.01
+# sp-central conjugates (n+1) x (n+1) candidates a block of trials at a
+# time; a larger config n is a usage error, refused before anything is sized
+SP_CENTRAL_MAX_N = 15
 
 
 @dataclass(frozen=True)
@@ -77,51 +81,52 @@ def orbit(spec, params, trials, rng) -> CheckReport:
 
 
 def eigenlemma(n, trials, rng) -> CheckReport:
-    """Phase-interval bound for Haar pairs in U(n), trial k from `rng.split(k)`.
-    A trial with an eigenvalue on the branch cut is `undefined`; the run
-    passes when one trial was defined and every defined trial passes.  A
-    passing trial's lifts lie in their intervals, so its residual is 0."""
+    """Phase-interval bound for Haar pairs in U(n), trial k from `rng.split(k)`,
+    a block of trials per stacked draw.  A trial with an eigenvalue on the
+    branch cut is `undefined`; the run passes when one trial was defined
+    and every defined trial passes.  A passing trial's lifts lie in their
+    intervals, so its residual is 0."""
     if trials < 1:
         raise InvalidInput("need at least one trial")
     rows = []
-    for k in range(trials):
-        sub = rng.split(k)
-        p = haar_unitary(n, sub.split(0))
-        q = haar_unitary(n, sub.split(1))
-        try:
-            verdict = phase_bound_check(p, q).verdict
-        except BranchUndefined:
-            verdict = "undefined"
-        rows.append((k, _digest(p, q), verdict, 0.0 if verdict is True else math.nan))
-        if k % 1000 == 0:
-            log.info("eigenlemma trial %d/%d", k, trials)
+    for ks, subs in trial_blocks(rng, trials, n * n):
+        log.info("eigenlemma trial %d/%d", ks.start, trials)
+        p = haar_unitary(n, [sub.split(0) for sub in subs])
+        q = haar_unitary(n, [sub.split(1) for sub in subs])
+        res = phase_bound_check_stack(p, q)
+        for k, pk, qk, defined, ok in zip(ks, p, q, res.defined, res.verdict):
+            verdict = bool(ok) if defined else "undefined"
+            rows.append((k, _digest(pk, qk), verdict,
+                         0.0 if verdict is True else math.nan))
     defined = [row[2] for row in rows if row[2] != "undefined"]
     return CheckReport(_TRIAL_HEADER, tuple(rows), bool(defined) and all(defined))
 
 
 def commutator(l, m, trials, rng) -> CheckReport:
     """Eigenvalue-1 persistence of twisted commutators in U(l+m), trial k
-    from `rng.split(k)`: invertible off-diagonal blocks on odd k when l = m,
-    singular ones otherwise."""
+    from `rng.split(k)`, a block of trials per stacked draw: invertible
+    off-diagonal blocks on odd k when l = m, singular ones otherwise."""
     r = min(l, m)
     if r < 1 or trials < 1:
         raise InvalidInput("need l, m and trials of at least 1")
     rows = []
-    for k in range(trials):
-        sub = rng.split(k)
-        invertible = (k % 2 == 1) and l == m
-        angles = sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
-        if not invertible:
-            angles[k % r] = 0.0
-        u = block_angle_unitary(l, m, angles, sub.split(1))
+    for ks, subs in trial_blocks(rng, trials, T_GRID_POINTS * (l + m) ** 2):
+        invertible = [(k % 2 == 1) and l == m for k in ks]
+        angles = np.array([sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
+                           for sub in subs])
+        for k, row, inv in zip(ks, angles, invertible):
+            if not inv:
+                row[k % r] = 0.0
+        u = block_angle_unitary(l, m, angles, [sub.split(1) for sub in subs])
         res = commutator_eig1_persistence(u, l, m)
-        if invertible:
-            verdict = not res.has_eig1.any()
-            residual = float(res.spectral_dists.min())
-        else:
-            verdict = bool(res.has_eig1.all() and res.shared_eigenvector)
-            residual = res.worst_residual
-        rows.append((k, _digest(u), verdict, residual))
+        for j, k in enumerate(ks):
+            if invertible[j]:
+                verdict = not res.has_eig1[j].any()
+                residual = float(res.spectral_dists[j].min())
+            else:
+                verdict = bool(res.has_eig1[j].all() and res.shared_eigenvector[j])
+                residual = float(res.worst_residual[j])
+            rows.append((k, _digest(u[j]), verdict, residual))
     return CheckReport(_TRIAL_HEADER, tuple(rows), all(row[2] for row in rows))
 
 
@@ -172,6 +177,9 @@ def sp_central(spec, trials, rng) -> CheckReport:
     only the central one sweeps a level set of the metric."""
     _require_sp(spec, "sp-central")
     require_valid(spec)     # before its n sizes the candidates
+    if spec.n > SP_CENTRAL_MAX_N:
+        raise InvalidInput(f"sp-central needs a config n of at most {SP_CENTRAL_MAX_N}, "
+                           f"not {spec.n}")
     rows, ok = [], True
     for k, e in enumerate(_sp_candidates(spec.n)):
         rep = orbit_length_report(spec, e, rng.split(k), trials=trials)

@@ -25,9 +25,9 @@ from .errors import InvalidInput
 from .matrixcore import (QuaternionMatrix, RngStream, as_quaternion_skew,
                          as_skew_hermitian, as_symplectic, conjugate,
                          haar_su2, haar_symplectic, haar_unitary, qabs,
-                         qconj, qmul, vec_from_su2)
+                         qconj, qmul, trial_blocks, vec_from_su2)
 from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, TangentVector,
-                      sp_tangent, su2_tangent, u_tangent)
+                      m1_norm_sq, sp_tangent, su2_tangent, u_tangent)
 
 UNIT_TOL = 1e-9
 
@@ -116,51 +116,71 @@ def su2_algebra(x, scalar=0.0) -> AlgebraElement:
 # projection to m
 # --------------------------------------------------------------------------
 
+def _m_parts(space: ModelSpace, x, scalar):
+    """m0 coordinates (last axis) and m1 part of the projection of the
+    matrix part `x`, or of each matrix of a stack, with circle summand
+    `scalar`: the column x e_last read off in the family's coordinates."""
+    if space.family == U_SPHERE:
+        col = x[..., :, -1]
+        return col[..., -1:].imag, col[..., :-1]
+    if space.family == SP_SPHERE:
+        col1 = x.q1[..., :, -1]
+        col2 = x.q2[..., :, -1]
+        lam = np.stack([col1[..., -1].imag + scalar, col2[..., -1].real,
+                        col2[..., -1].imag], axis=-1)
+        return lam, (col1[..., :-1], col2[..., :-1])
+    # su2: su(2) coordinates less the isotropy component along (V, 1)
+    y = vec_from_su2(x) - np.array([space.su2_v, 0.0, 0.0]) * scalar
+    return y[..., :1], y[..., 1:]
+
+
 def project_to_m(space: ModelSpace, e: AlgebraElement) -> TangentVector:
     """Project an algebra element to the tangent model space at the base point."""
     if e.family != space.family:
         raise InvalidInput(f"algebra family {e.family!r} != space family {space.family!r}")
-    if space.family == U_SPHERE:
-        x = np.asarray(e.x)
-        if x.shape != (space.n + 1, space.n + 1):
-            raise InvalidInput("matrix size does not match the coset rank")
-        col = x[:, -1]
-        return u_tangent(col[-1].imag, col[:-1])
+    if space.family != SU2 and e.x.shape != (space.n + 1, space.n + 1):
+        raise InvalidInput("matrix size does not match the coset rank")
+    m0, u = _m_parts(space, e.x, e.scalar)
     if space.family == SP_SPHERE:
-        if e.x.shape != (space.n + 1, space.n + 1):
-            raise InvalidInput("matrix size does not match the coset rank")
-        col1 = e.x.q1[:, -1]
-        col2 = e.x.q2[:, -1]
-        lam = np.array([col1[-1].imag + e.scalar,
-                        col2[-1].real,
-                        col2[-1].imag])
-        return sp_tangent(lam, col1[:-1], col2[:-1])
-    # su2: subtract the isotropy component along (V, 1)
-    shift = np.array([space.su2_v, 0.0, 0.0]) * e.scalar
-    return su2_tangent(vec_from_su2(e.x) - shift)
+        return sp_tangent(m0, *u)
+    if space.family == U_SPHERE:
+        return u_tangent(m0[0], u)
+    return su2_tangent(np.concatenate([m0, u]))
 
 
-def _haar_for(space: ModelSpace, rng: RngStream):
+def project_to_m_stack(space: ModelSpace, xs, scalar):
+    """(m0, usq) of the projections of a (T, n+1, n+1) stack of matrix
+    parts with circle summand `scalar`: m0 coordinates of shape (T, k) and
+    squared m1 norms of shape (T,), the inputs of `randers_norm_array`."""
+    m0, u = _m_parts(space, xs, scalar)
+    return m0, m1_norm_sq(space.family, u)
+
+
+def _haar_for(space: ModelSpace, rngs):
+    """Stacked Haar draws of the space's group, one per stream."""
     if space.family == U_SPHERE:
-        return haar_unitary(space.n + 1, rng)
+        return haar_unitary(space.n + 1, rngs)
     if space.family == SP_SPHERE:
-        return haar_symplectic(space.n + 1, rng)
-    return haar_su2(rng)
+        return haar_symplectic(space.n + 1, rngs)
+    return haar_su2(rngs)
 
 
 def orbit_projection_sample(space: ModelSpace, e: AlgebraElement,
                             trials: int, rng: RngStream):
-    """Projections of `trials` random adjoint-orbit points of `e` to m.
+    """(m0, usq) arrays of the projections to m of `trials` random
+    adjoint-orbit points of `e`, draw k from `rng.split(k)`.
 
     The scalar summand is invariant under the adjoint action and passes
-    through unchanged; only the matrix part is conjugated by Haar draws.
+    through unchanged; only the matrix part is conjugated by Haar draws,
+    a block of trials at a time.
     """
-    out = []
-    for k in range(int(trials)):
-        g = _haar_for(space, rng.split(k))
-        moved = AlgebraElement(e.family, conjugate(g, e.x), e.scalar)
-        out.append(project_to_m(space, moved))
-    return out
+    if int(trials) < 1:
+        raise InvalidInput("need at least one orbit draw")
+    dim = e.x.shape[-1]
+    parts = [project_to_m_stack(space, conjugate(_haar_for(space, subs), e.x), e.scalar)
+             for _, subs in trial_blocks(rng, trials, dim * dim)]
+    return (np.concatenate([m0 for m0, _ in parts]),
+            np.concatenate([usq for _, usq in parts]))
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,5 @@ class BranchUndefined(CwError):
     """Eigenvalue phase sits on the branch cut where the check is undefined."""
 
 
-class TrackingFailed(CwError):
-    """Eigenvalue path tracking could not resolve crossings within the step cap."""
-
-
 class ResolutionTooCoarse(CwError):
     """Sampled sphere graph is too coarse (disconnected or target unreachable)."""

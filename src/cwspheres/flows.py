@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist
 
-from .errors import BranchUndefined, InvalidInput, TrackingFailed
-from .matrixcore import (as_skew_hermitian, as_unitary, expm_skew,
+from .errors import BranchUndefined, InvalidInput
+from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
                          haar_unitary, su2_from_vec, su2_inner,
-                         su2_matrix_from_quat, unitary_phases)
+                         su2_matrix_from_quat, trial_blocks, unitary_phases)
 from .randers import SU2, U_SPHERE
 
 TWO_PI = 2.0 * math.pi
@@ -31,9 +30,11 @@ EIG1_TOL = 1e-9                 # |lambda - 1| that counts as eigenvalue 1
 SHARED_VECTOR_TOL = 1e-8        # residual of a shared eigenvector
 MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
 NONINTERSECTION_MIN_DIST = 1e-9
+T_GRID_POINTS = 32              # default t-grid of the commutator check
+BRANCH_CUT_TOL = 1e-12          # a phase this close to +-pi is on the cut
 
 
-def default_t_grid(points=32):
+def default_t_grid(points=T_GRID_POINTS):
     """Uniform grid strictly inside (0, pi)."""
     return np.linspace(0.0, math.pi, points + 2)[1:-1]
 
@@ -109,7 +110,12 @@ def endpoint_focus_check(v, rng, samples=100):
     points, each probed with `samples` random unit X; a spread needs at
     least two samples.
     """
-    v = su2_from_vec(v) if np.ndim(v) == 1 else np.asarray(v, dtype=complex)
+    v = np.asarray(v)
+    # every entry of a V with |V|_eq < 1 is below 1: checked first, so no
+    # product below overflows on a huge or non-finite V
+    if not np.max(np.abs(v)) < 1.0:
+        raise InvalidInput("isotropy vector must satisfy |V|_eq < 1")
+    v = su2_from_vec(v) if v.ndim == 1 else v.astype(complex)
     if su2_inner(v, v) >= 1.0:
         raise InvalidInput("isotropy vector must satisfy |V|_eq < 1")
     if int(samples) < 2:
@@ -144,9 +150,6 @@ class PhaseInterval:
         if self.lo > self.hi:
             raise InvalidInput("interval must satisfy lo <= hi")
 
-    def contains(self, value):
-        return self.lo <= value <= self.hi
-
 
 @dataclass(frozen=True)
 class PhaseBoundResult:
@@ -156,9 +159,62 @@ class PhaseBoundResult:
     verdict: bool
 
 
-def _reject_branch_boundary(phases, who):
-    if np.any(np.abs(phases) >= math.pi - 1e-12):
-        raise BranchUndefined(f"{who} has an eigenvalue at the phase branch cut")
+@dataclass(frozen=True)
+class PhaseBoundStack:
+    """The phase-interval bound for a stack of pairs, one row per pair."""
+
+    p_phases: np.ndarray       # (T, n) sorted phases of P
+    q_phases: np.ndarray       # (T, n) sorted phases of Q
+    pq_phases: np.ndarray      # (T, n) sorted principal phases of PQ
+    lo: np.ndarray             # (T, n) interval i is [lo_i, hi_i]
+    hi: np.ndarray
+    lifted: np.ndarray         # (T, n) lift matched to interval i, NaN on failure
+    defined: np.ndarray        # (T,) no P or Q phase on the branch cut
+    verdict: np.ndarray        # (T,) bool, False where undefined
+
+
+def _on_branch_cut(phases):
+    return np.any(np.abs(phases) >= math.pi - BRANCH_CUT_TOL, axis=-1)
+
+
+def phase_bound_check_stack(p, q, raw_branch=False) -> PhaseBoundStack:
+    """The bound of `phase_bound_check` for (T, n, n) stacks of P and Q.
+
+    Interval i is [a_i + min(b), a_i + max(b)] widened by PHASE_EPS, with
+    a, b the sorted phases of P, Q; a phase of PQ fits it when some lift
+    by 0 or +-2pi (only 0 with raw_branch=True) lies inside.  Every lift
+    that can land in an interval is among these, so fitting is membership
+    in an arc of the circle.  The arcs share one width and start in the
+    order of a, so a perfect matching of arcs to the sorted phases of PQ
+    exists exactly when some cyclic rotation r matches phase (i + r) mod n
+    to arc i for every i; the first such r gives the lifts.  A pair with
+    a P or Q phase on the branch cut is undefined.
+    """
+    p = np.asarray(p, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    if p.ndim != 3 or p.shape != q.shape:
+        raise InvalidInput("P and Q must be (T, n, n) stacks of equal shape")
+    a = unitary_phases(p)
+    b = unitary_phases(q)
+    lo = a + b.min(axis=-1, keepdims=True) - PHASE_EPS
+    hi = a + b.max(axis=-1, keepdims=True) + PHASE_EPS
+    theta = unitary_phases(p @ q)
+    shifts = np.array((0.0,) if raw_branch else (0.0, TWO_PI, -TWO_PI))
+    # lifts[s, t, :, j] = theta[t, j] + shifts[s], against interval i on axis 2
+    lifts = theta[None, :, None, :] + shifts[:, None, None, None]
+    fits = (lo[None, :, :, None] <= lifts) & (lifts <= hi[None, :, :, None])
+    first = np.argmax(fits, axis=0)[None]
+    pick = np.take_along_axis(np.broadcast_to(lifts, fits.shape), first, axis=0)[0]
+    rows = np.arange(a.shape[-1])
+    cyc = (rows[None, :] + rows[:, None]) % len(rows)     # cyc[r, i] = (i + r) mod n
+    rotation_ok = fits.any(axis=0)[:, rows, cyc].all(axis=-1)
+    defined = ~(_on_branch_cut(a) | _on_branch_cut(b))
+    verdict = rotation_ok.any(axis=-1) & defined
+    best = np.argmax(rotation_ok, axis=-1)
+    lifted = pick[np.arange(len(a))[:, None], rows, cyc[best]]
+    lifted[~verdict] = np.nan
+    return PhaseBoundStack(p_phases=a, q_phases=b, pq_phases=theta, lo=lo, hi=hi,
+                           lifted=lifted, defined=defined, verdict=verdict)
 
 
 def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundResult:
@@ -167,90 +223,17 @@ def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundResult:
 
     Lifting allows a +-2pi unwrap, matching the continuity of the phase
     paths of P exp(tB); with raw_branch=True the principal branch is used
-    as-is, which is expected to produce counterexamples.
+    as-is, which is expected to produce counterexamples.  The pair goes
+    through `phase_bound_check_stack` as a stack of one.
     """
-    a = unitary_phases(p)
-    b = unitary_phases(q)
-    _reject_branch_boundary(a, "P")
-    _reject_branch_boundary(b, "Q")
-    lo_off, hi_off = float(np.min(b)), float(np.max(b))
-    intervals = tuple(PhaseInterval(ai + lo_off - PHASE_EPS, ai + hi_off + PHASE_EPS)
-                      for ai in a)
-    theta = unitary_phases(np.asarray(p, dtype=complex) @ np.asarray(q, dtype=complex))
-    n = len(a)
-    shifts = (0.0,) if raw_branch else (0.0, TWO_PI, -TWO_PI)
-    cost = np.ones((n, n))
-    pick = np.full((n, n), np.nan)
-    for i, iv in enumerate(intervals):
-        for j in range(n):
-            for s in shifts:
-                if iv.contains(theta[j] + s):
-                    cost[i, j] = 0.0
-                    pick[i, j] = theta[j] + s
-                    break
-    rows, cols = linear_sum_assignment(cost)
-    ok = cost[rows, cols].sum() == 0.0
-    lifted = np.full(n, np.nan)
-    if ok:
-        for i, j in zip(rows, cols):
-            lifted[i] = pick[i, j]
-    return PhaseBoundResult(intervals=intervals, pq_phases=theta,
-                            lifted=lifted, verdict=bool(ok))
-
-
-# --------------------------------------------------------------------------
-# continuous eigenvalue-phase tracking
-# --------------------------------------------------------------------------
-
-def _wrap_to_pi(x):
-    return (x + math.pi) % TWO_PI - math.pi
-
-
-MAX_TRACKING_STEPS = 2 ** 14
-
-
-def eigenvalue_tracking(p, b, steps=64):
-    """Continuous phase paths c_i(t) of the eigenvalues of P exp(tB) for
-    t in [0, 1].
-
-    Consecutive grid points are matched by minimum total circular distance
-    and unwrapped; if any per-step jump reaches pi/2 the step count is
-    doubled, up to a cap (multiple-eigenvalue encounters are measure zero
-    but can force refinement nearby).  Returns (t_values, paths) with
-    paths of shape (n, len(t_values)); paths start at the sorted phases
-    of P.
-    """
-    p = as_unitary(p)
-    b = as_skew_hermitian(b)
-    steps = int(steps)
-    if steps < 16:
-        raise InvalidInput("at least 16 tracking steps are required")
-    beta, vecs = np.linalg.eigh(-1j * b)
-    while True:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        # batched P exp(tB)
-        expo = np.exp(1j * np.outer(ts, beta))                # (steps+1, n)
-        mats = np.einsum("ab,tb,cb->tac", vecs, expo, np.conj(vecs))
-        mats = p[None, :, :] @ mats
-        raw = np.angle(np.linalg.eigvals(mats))               # (steps+1, n)
-        paths = np.empty_like(raw).T                          # (n, steps+1)
-        paths[:, 0] = np.sort(np.where(raw[0] <= -math.pi, raw[0] + TWO_PI, raw[0]))
-        ok = True
-        for k in range(1, steps + 1):
-            prev = paths[:, k - 1]
-            diff = _wrap_to_pi(raw[k][None, :] - prev[:, None])
-            rows, cols = linear_sum_assignment(np.abs(diff))
-            step_jump = diff[rows, cols]
-            if np.max(np.abs(step_jump)) >= math.pi / 2.0:
-                ok = False
-                break
-            paths[rows, k] = prev[rows] + step_jump
-        if ok:
-            return ts, paths
-        steps *= 2
-        if steps > MAX_TRACKING_STEPS:
-            raise TrackingFailed(
-                "eigenvalue clustering persisted past the step cap")
+    res = phase_bound_check_stack(np.asarray(p, dtype=complex)[None],
+                                  np.asarray(q, dtype=complex)[None], raw_branch)
+    for phases, who in ((res.p_phases, "P"), (res.q_phases, "Q")):
+        if _on_branch_cut(phases)[0]:
+            raise BranchUndefined(f"{who} has an eigenvalue at the phase branch cut")
+    intervals = tuple(PhaseInterval(lo, hi) for lo, hi in zip(res.lo[0], res.hi[0]))
+    return PhaseBoundResult(intervals=intervals, pq_phases=res.pq_phases[0],
+                            lifted=res.lifted[0], verdict=bool(res.verdict[0]))
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +242,9 @@ def eigenvalue_tracking(p, b, steps=64):
 
 @dataclass(frozen=True)
 class CommutatorEig1Result:
+    """Per grid point results; a stack of U gives each field a leading
+    trial axis."""
+
     has_eig1: np.ndarray           # per grid point
     spectral_dists: np.ndarray     # min |lambda - 1| per grid point
     shared_eigenvector: bool
@@ -271,39 +257,43 @@ def _twist_diag(l, m, t):
 
 def commutator_eig1_persistence(u, l, m, t_grid=None) -> CommutatorEig1Result:
     """Presence of eigenvalue 1 for exp(tX) U exp(-tX) U* across a t-grid,
-    X = i diag(-I_l, I_m), plus a shared-eigenvector check.
+    X = i diag(-I_l, I_m), plus a shared-eigenvector check, for one U or
+    each matrix of a (T, n, n) stack.
 
     The expected behaviour is all-or-nothing: eigenvalue 1 occurs for some
     interior t exactly when an off-diagonal block of U is singular, and
     then a single eigenvector works for every t.
     """
     u = as_unitary(u)
-    if u.shape[0] != l + m or l < 1 or m < 1:
+    if u.shape[-1] != l + m or l < 1 or m < 1:
         raise InvalidInput("U must be (l+m) x (l+m) with l, m >= 1")
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0) or np.any(t_grid >= math.pi):
         raise InvalidInput("t grid must lie strictly inside (0, pi)")
-    mats = []
-    dists = np.empty(len(t_grid))
-    for k, t in enumerate(t_grid):
-        d = _twist_diag(l, m, t)
-        mat = (d[:, None] * u * np.conj(d)[None, :]) @ u.conj().T
-        mats.append(mat)
-        dists[k] = np.min(np.abs(np.linalg.eigvals(mat) - 1.0))
+    us = u if u.ndim == 3 else u[None]
+    d = np.array([_twist_diag(l, m, t) for t in t_grid])          # (G, n)
+    mats = (d[:, :, None] * us[:, None] * np.conj(d)[:, None, :]) @ conj_t(us)[:, None]
+    dists = np.min(np.abs(np.linalg.eigvals(mats) - 1.0), axis=-1)
     has = dists <= EIG1_TOL
-    shared = False
-    worst = np.inf
-    if np.all(has):
-        w, vecs = np.linalg.eig(mats[0])
-        for idx in np.where(np.abs(w - 1.0) <= max(EIG1_TOL, 1e-8))[0]:
-            v = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
-            worst = min(worst, max(float(np.linalg.norm(mat @ v - v)) for mat in mats))
-        shared = worst <= SHARED_VECTOR_TOL
-    return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
-                                shared_eigenvector=shared,
-                                worst_residual=float(worst))
+    worst = np.full(len(us), np.inf)
+    persists = np.flatnonzero(has.all(axis=-1))
+    if persists.size:
+        w, vecs = np.linalg.eig(mats[persists, 0])
+        for k, wk, vk in zip(persists, w, vecs):
+            for idx in np.where(np.abs(wk - 1.0) <= max(EIG1_TOL, 1e-8))[0]:
+                v = vk[:, idx] / np.linalg.norm(vk[:, idx])
+                # per-row norms: the residual reaches the report bit for bit
+                worst[k] = min(worst[k], max(float(np.linalg.norm(r))
+                                             for r in mats[k] @ v - v))
+    shared = has.all(axis=-1) & (worst <= SHARED_VECTOR_TOL)
+    if u.ndim == 3:
+        return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
+                                    shared_eigenvector=shared, worst_residual=worst)
+    return CommutatorEig1Result(has_eig1=has[0], spectral_dists=dists[0],
+                                shared_eigenvector=bool(shared[0]),
+                                worst_residual=float(worst[0]))
 
 
 def block_angle_unitary(l, m, angles, rng) -> np.ndarray:
@@ -314,25 +304,33 @@ def block_angle_unitary(l, m, angles, rng) -> np.ndarray:
     around a real block rotation through the given principal angles.
     Setting an angle to zero makes the off-diagonal blocks rank-deficient;
     keeping all angles inside (0, pi/2) with l = m makes them invertible.
+    A (T, r) array of angles with a sequence of T streams gives the
+    (T, l+m, l+m) stack, each Haar factor drawn as one stack.
     """
     r = min(l, m)
     angles = np.asarray(angles, dtype=float)
-    if angles.shape != (r,):
+    stacked = angles.ndim == 2
+    rngs = list(rng) if stacked else [rng]
+    angles = angles if stacked else angles[None]
+    if angles.shape != (len(rngs), r):
         raise InvalidInput(f"need {r} principal angles")
-    rot = np.eye(l + m)
-    for i, th in enumerate(angles):
-        cs, sn = math.cos(th), math.sin(th)
-        rot[i, i] = cs
-        rot[l + i, l + i] = cs
-        rot[i, l + i] = -sn
-        rot[l + i, i] = sn
-    left = np.zeros((l + m, l + m), dtype=complex)
+    n = l + m
+    rot = np.tile(np.eye(n), (len(rngs), 1, 1))
+    for i in range(r):
+        cs = np.array([math.cos(th) for th in angles[:, i]])
+        sn = np.array([math.sin(th) for th in angles[:, i]])
+        rot[:, i, i] = cs
+        rot[:, l + i, l + i] = cs
+        rot[:, i, l + i] = -sn
+        rot[:, l + i, i] = sn
+    left = np.zeros((len(rngs), n, n), dtype=complex)
     right = np.zeros_like(left)
-    left[:l, :l] = haar_unitary(l, rng.split(0))
-    left[l:, l:] = haar_unitary(m, rng.split(1))
-    right[:l, :l] = haar_unitary(l, rng.split(2))
-    right[l:, l:] = haar_unitary(m, rng.split(3))
-    return left @ rot @ right
+    left[:, :l, :l] = haar_unitary(l, [s.split(0) for s in rngs])
+    left[:, l:, l:] = haar_unitary(m, [s.split(1) for s in rngs])
+    right[:, :l, :l] = haar_unitary(l, [s.split(2) for s in rngs])
+    right[:, l:, l:] = haar_unitary(m, [s.split(3) for s in rngs])
+    out = left @ rot @ right
+    return out if stacked else out[0]
 
 
 # --------------------------------------------------------------------------
@@ -345,10 +343,19 @@ class NonIntersectionResult:
     min_spectral_distance: float
 
 
+def _separated_times(rng):
+    """Times t1 > t2 in (0, pi) at least MIN_T_SEP apart, redrawn until so."""
+    while True:
+        t1, t2 = np.sort(rng.gen.uniform(0.0, math.pi, size=2))[::-1]
+        if t1 - t2 >= MIN_T_SEP:
+            return t1, t2
+
+
 def geodesic_nonintersection_probe(x, l, m, trials, rng):
     """For random conjugates X1, X2 of X = i(x I + diag(-I_l, I_m)) and
     random times t1 > t2 in (0, pi), check that exp(t1 X1) exp(-t2 X2)
-    never has eigenvalue 1.
+    never has eigenvalue 1.  Trial k draws from `rng.split(k)`; trials are
+    stacked a block at a time.
 
     Distinct flow curves of the orbit's generators could only intersect at
     interior times if such a product had a fixed vector; the phase windows
@@ -363,17 +370,13 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng):
     n = l + m
     diag = 1j * (x * np.ones(n) + np.concatenate([-np.ones(l), np.ones(m)]))
     worst = np.inf
-    for k in range(int(trials)):
-        g_rng = rng.split(k)
-        g1 = haar_unitary(n, g_rng.split(0))
-        g2 = haar_unitary(n, g_rng.split(1))
-        while True:
-            t1, t2 = np.sort(g_rng.gen.uniform(0.0, math.pi, size=2))[::-1]
-            if t1 - t2 >= MIN_T_SEP:
-                break
-        e1 = (g1 * np.exp(t1 * diag)[None, :]) @ g1.conj().T
-        e2 = (g2 * np.exp(-t2 * diag)[None, :]) @ g2.conj().T
-        dist = np.min(np.abs(np.linalg.eigvals(e1 @ e2) - 1.0))
-        worst = min(worst, float(dist))
+    for _, subs in trial_blocks(rng, trials, n * n):
+        g1 = haar_unitary(n, [s.split(0) for s in subs])
+        g2 = haar_unitary(n, [s.split(1) for s in subs])
+        t1, t2 = np.array([_separated_times(s) for s in subs]).T
+        e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
+        e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
+        dist = np.min(np.abs(np.linalg.eigvals(e1 @ e2) - 1.0), axis=-1)
+        worst = min(worst, float(dist.min()))
     return NonIntersectionResult(verdict=bool(worst >= NONINTERSECTION_MIN_DIST),
                                  min_spectral_distance=worst)

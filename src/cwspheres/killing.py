@@ -202,9 +202,8 @@ def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
     trials = int(trials)
     if trials < 100:
         raise InvalidInput("at least 100 trials are required for a verdict")
-    ys = orbit_projection_sample(space_for_spec(s), e, trials, rng)
-    values = randers_norm_array(s, np.array([y.m0 for y in ys]),
-                                np.array([y.u_norm_sq() for y in ys]))
+    m0, usq = orbit_projection_sample(space_for_spec(s), e, trials, rng)
+    values = randers_norm_array(s, m0, usq)
     mean = float(values.mean())
     scale = float(L) if L is not None else abs(mean)
     tolerance = CONSTANT_TOL_FACTOR * scale

@@ -6,6 +6,12 @@ unitary), eigenvalue phase extraction on the principal branch, Haar
 sampling on U(n) and Sp(n), and adjoint conjugation.  Quaternion matrices
 are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; a 2n x 2n
 complex embedding is provided as an independent cross-check only.
+
+The Monte-Carlo kernels work on stacks: the phases, the Haar samplers
+and the conjugation take a leading trial axis, and `trial_blocks` cuts a
+run into blocks of per-trial streams.  numpy's stacked QR, eigvals and
+matmul give the same bits as one call per matrix, so draw k of a stack
+equals the draw of its stream alone.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from .errors import InvalidInput
 SKEW_TOL = 1e-12
 UNITARY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
+TRIAL_BLOCK = 256           # trials whose matrices are stacked at once
+BLOCK_ENTRIES = 2 ** 18     # most matrix entries one trial block may stack
 
 
 # --------------------------------------------------------------------------
@@ -36,8 +44,15 @@ class RngStream:
         if self.seed < 0:
             raise InvalidInput("seed must be non-negative")
         self._key = tuple(_key)
-        self.gen = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=self._key))
+        self._gen = None
+
+    @property
+    def gen(self):
+        """The stream's numpy Generator, built when first drawn from."""
+        if self._gen is None:
+            self._gen = np.random.default_rng(
+                np.random.SeedSequence(self.seed, spawn_key=self._key))
+        return self._gen
 
     def split(self, k):
         """Return an independent child stream keyed by integer `k`."""
@@ -46,12 +61,34 @@ class RngStream:
     def ginibre(self, rows, cols=None):
         """Complex standard Gaussian matrix (Ginibre ensemble)."""
         cols = rows if cols is None else cols
-        g = self.gen
-        return (g.standard_normal((rows, cols))
-                + 1j * g.standard_normal((rows, cols))) / np.sqrt(2.0)
+        # one call draws the real parts, then the imaginary ones
+        z = self.gen.standard_normal((2, rows, cols))
+        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self._key})"
+
+
+def trial_blocks(rng, trials, entries):
+    """Trials 0..trials-1 in consecutive blocks: yields (range of trial
+    ids, [rng.split(k) for k in it]), so trial k keeps its own stream.
+
+    A block holds TRIAL_BLOCK trials, or fewer when one trial stacks
+    `entries` matrix entries and the block would pass BLOCK_ENTRIES; the
+    stacks a checker builds stay bounded whatever the trial count.
+    """
+    size = max(1, min(TRIAL_BLOCK, BLOCK_ENTRIES // max(int(entries), 1)))
+    for start in range(0, int(trials), size):
+        ks = range(start, min(start + size, int(trials)))
+        yield ks, [rng.split(k) for k in ks]
+
+
+def _streams(rng):
+    """(streams, stacked): one stream as a sequence of one, or the given
+    sequence of per-trial streams."""
+    if isinstance(rng, RngStream):
+        return [rng], False
+    return list(rng), True
 
 
 # --------------------------------------------------------------------------
@@ -64,24 +101,31 @@ def _require_finite(a, what):
 
 
 def as_skew_hermitian(a, tol=SKEW_TOL):
-    """Validate that `a` is square skew-Hermitian (A* = -A) and return it."""
+    """Validate that `a`, a matrix or a (T, n, n) stack, is square
+    skew-Hermitian (A* = -A) and return it."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     _require_finite(a, "matrix")
-    defect = np.max(np.abs(a + a.conj().T)) if a.size else 0.0
+    defect = np.max(np.abs(a + conj_t(a)), initial=0.0)
     if defect > tol:
         raise InvalidInput(f"matrix is not skew-Hermitian (defect {defect:.3e})")
     return a
 
 
+def conj_t(a):
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def as_unitary(u, tol=UNITARY_TOL):
-    """Validate that `u` is unitary (U*U = I) and return it."""
+    """Validate that `u`, a matrix or a (T, n, n) stack, is unitary
+    (U*U = I) and return it."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim not in (2, 3) or u.shape[-2] != u.shape[-1]:
         raise InvalidInput(f"expected a square matrix, got shape {u.shape}")
     _require_finite(u, "matrix")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    defect = np.max(np.abs(conj_t(u) @ u - np.eye(u.shape[-1])))
     if defect > tol:
         raise InvalidInput(f"matrix is not unitary (defect {defect:.3e})")
     return u
@@ -102,36 +146,31 @@ def expm_skew(a, t=1.0):
 
 
 def unitary_phases(u, tol=UNITARY_TOL):
-    """Eigenvalue phases of a unitary matrix, sorted ascending in (-pi, pi].
+    """Eigenvalue phases of a unitary matrix, sorted ascending in (-pi, pi];
+    for a (T, n, n) stack, one sorted row per matrix.
 
     The branch point is resolved toward +pi, so -1 reports phase +pi.
     """
     u = as_unitary(u, tol=tol)
     phases = np.angle(np.linalg.eigvals(u))
     phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
-    return np.sort(phases)
+    return np.sort(phases, axis=-1)
 
 
 def haar_unitary(n, rng):
     """Haar-distributed U(n) draw: QR of a complex Ginibre matrix with the
-    standard phase correction on R's diagonal."""
+    standard phase correction on R's diagonal.
+
+    Given a sequence of streams instead of one, draws one Ginibre matrix
+    from each and returns the (T, n, n) stack from one stacked QR.
+    """
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    q, r = np.linalg.qr(rng.ginibre(n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def haar_unitary_batch(n, count, rng):
-    """Stacked Haar U(n) draws of shape (count, n, n)."""
-    if n < 1 or count < 0:
-        raise InvalidInput("dimension must be >= 1 and count >= 0")
-    g = rng.gen
-    z = (g.standard_normal((count, n, n))
-         + 1j * g.standard_normal((count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    streams, stacked = _streams(rng)
+    q, r = np.linalg.qr(np.stack([s.ginibre(n) for s in streams]))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    u = q * (d / np.abs(d))[:, None, :]
+    return u if stacked else u[0]
 
 
 # --------------------------------------------------------------------------
@@ -160,23 +199,25 @@ def qabs(x):
 
 
 def qdot(x, y):
-    """Hermitian inner product sum_a conj(x_a) * y_a of quaternion vectors."""
+    """Hermitian inner product sum_a conj(x_a) * y_a of quaternion vectors,
+    summed over the last axis."""
     x1, x2 = x
     y1, y2 = y
-    return (np.sum(np.conj(x1) * y1 + x2 * np.conj(y2)),
-            np.sum(np.conj(x1) * y2 - x2 * np.conj(y1)))
+    return (np.sum(np.conj(x1) * y1 + x2 * np.conj(y2), axis=-1),
+            np.sum(np.conj(x1) * y2 - x2 * np.conj(y1), axis=-1))
 
 
 class QuaternionMatrix:
-    """Quaternion matrix Q = Q1 + Q2*j as a pair of complex ndarrays."""
+    """Quaternion matrix Q = Q1 + Q2*j as a pair of complex ndarrays, or a
+    stack of them with a leading trial axis."""
 
     __slots__ = ("q1", "q2")
 
     def __init__(self, q1, q2):
         q1 = np.asarray(q1, dtype=complex)
         q2 = np.asarray(q2, dtype=complex)
-        if q1.shape != q2.shape or q1.ndim != 2:
-            raise InvalidInput("Q1 and Q2 must be 2-d arrays of equal shape")
+        if q1.shape != q2.shape or q1.ndim not in (2, 3):
+            raise InvalidInput("Q1 and Q2 must be 2-d arrays (or stacks) of equal shape")
         _require_finite(q1, "Q1")
         _require_finite(q2, "Q2")
         self.q1 = q1
@@ -217,7 +258,7 @@ class QuaternionMatrix:
 
     def conj_t(self):
         """Quaternionic conjugate transpose: (Q1 + Q2 j)* = Q1* - Q2^T j."""
-        return QuaternionMatrix(self.q1.conj().T, -self.q2.T)
+        return QuaternionMatrix(conj_t(self.q1), -np.swapaxes(self.q2, -1, -2))
 
     def to_complex(self):
         """2n x 2n complex embedding [[Q1, Q2], [-conj(Q2), conj(Q1)]].
@@ -238,15 +279,17 @@ class QuaternionMatrix:
 
 def symplectic_defect(q):
     """Max-entry defect of the two Sp(n) membership conditions
-    Q1*Q2 - Q2^T conj(Q1) = 0  and  Q1*Q1 + Q2^T conj(Q2) = I."""
-    n = q.shape[0]
+    Q1*Q2 - Q2^T conj(Q1) = 0  and  Q1*Q1 + Q2^T conj(Q2) = I, over every
+    matrix of a stack."""
+    n = q.shape[-1]
     gram = q.conj_t() @ q
     return max(np.max(np.abs(gram.q1 - np.eye(n))), np.max(np.abs(gram.q2)))
 
 
 def as_symplectic(q, tol=SYMPLECTIC_TOL):
-    """Validate Sp(n) membership of a QuaternionMatrix and return it."""
-    if q.shape[0] != q.shape[1]:
+    """Validate Sp(n) membership of a QuaternionMatrix (or a stack of them)
+    and return it."""
+    if q.shape[-2] != q.shape[-1]:
         raise InvalidInput(f"expected square quaternion matrix, got {q.shape}")
     defect = symplectic_defect(q)
     if defect > tol:
@@ -273,26 +316,31 @@ def haar_symplectic(n, rng):
     Gram-Schmidt on the columns of a quaternion Ginibre matrix, with
     right-side coefficients so columns span a right module.  The implicit
     R factor has positive real diagonal, which makes the Q factor Haar.
+
+    Given a sequence of streams instead of one, returns the stacked
+    QuaternionMatrix of one draw per stream, orthogonalised together.
     """
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    g1 = rng.ginibre(n)
-    g2 = rng.ginibre(n)
-    cols = [(g1[:, a].copy(), g2[:, a].copy()) for a in range(n)]
+    streams, stacked = _streams(rng)
+    pairs = [(s.ginibre(n), s.ginibre(n)) for s in streams]
+    g1 = np.stack([p[0] for p in pairs])
+    g2 = np.stack([p[1] for p in pairs])
+    cols = [(g1[..., a].copy(), g2[..., a].copy()) for a in range(n)]
     for _ in range(2):  # second pass tightens orthogonality
         for a in range(n):
             v1, v2 = cols[a]
             for b in range(a):
                 u1, u2 = cols[b]
-                c = qdot((u1, u2), (v1, v2))
+                c0, c1 = (c[:, None] for c in qdot((u1, u2), (v1, v2)))
                 # v -= u * c   (scalar on the right)
-                v1 = v1 - (u1 * c[0] - u2 * np.conj(c[1]))
-                v2 = v2 - (u1 * c[1] + u2 * np.conj(c[0]))
-            nrm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2))
+                v1 = v1 - (u1 * c0 - u2 * np.conj(c1))
+                v2 = v2 - (u1 * c1 + u2 * np.conj(c0))
+            nrm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2, axis=-1))[:, None]
             cols[a] = (v1 / nrm, v2 / nrm)
-    q1 = np.column_stack([c[0] for c in cols])
-    q2 = np.column_stack([c[1] for c in cols])
-    return as_symplectic(QuaternionMatrix(q1, q2))
+    q = as_symplectic(QuaternionMatrix(np.stack([c[0] for c in cols], axis=-1),
+                                       np.stack([c[1] for c in cols], axis=-1)))
+    return q if stacked else QuaternionMatrix(q.q1[0], q.q2[0])
 
 
 # --------------------------------------------------------------------------
@@ -301,16 +349,18 @@ def haar_symplectic(n, rng):
 
 def conjugate(g, x):
     """Adjoint action g x g* for unitary g on ndarray x, or symplectic g on
-    QuaternionMatrix x.  Skewness of x is preserved to machine precision."""
+    QuaternionMatrix x; a stack of g gives the stack of conjugates of x.
+    Skewness of x is preserved to machine precision."""
     if isinstance(g, QuaternionMatrix):
-        if not isinstance(x, QuaternionMatrix) or g.shape != x.shape:
+        if not isinstance(x, QuaternionMatrix) or g.shape[-2:] != x.shape \
+                or x.shape[0] != x.shape[1]:
             raise InvalidInput("conjugation operands have incompatible shapes")
         return g @ x @ g.conj_t()
     g = np.asarray(g, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    if g.shape != x.shape or g.ndim != 2:
+    if g.ndim not in (2, 3) or g.shape[-2:] != x.shape or x.shape[0] != x.shape[1]:
         raise InvalidInput("conjugation operands have incompatible shapes")
-    return g @ x @ g.conj().T
+    return g @ x @ conj_t(g)
 
 
 # --------------------------------------------------------------------------
@@ -339,13 +389,12 @@ def su2_from_vec(v):
 
 
 def vec_from_su2(x):
-    """Coordinates of an su(2) matrix in SU2_BASIS (inverse of su2_from_vec)."""
+    """Coordinates of an su(2) matrix in SU2_BASIS (inverse of su2_from_vec);
+    of a (T, 2, 2) stack, one row per matrix."""
     x = as_skew_hermitian(np.asarray(x, dtype=complex))
-    if x.shape != (2, 2) or abs(np.trace(x)) > 1e-10:
+    if x.shape[-2:] != (2, 2) or np.any(np.abs(np.trace(x, axis1=-2, axis2=-1)) > 1e-10):
         raise InvalidInput("expected a traceless skew-Hermitian 2x2 matrix")
-    return np.array([x[0, 0].imag,
-                     x[0, 1].real,
-                     x[0, 1].imag])
+    return np.stack([x[..., 0, 0].imag, x[..., 0, 1].real, x[..., 0, 1].imag], axis=-1)
 
 
 def su2_inner(x, y):
@@ -367,6 +416,9 @@ def su2_matrix_from_quat(p):
 
 
 def haar_su2(rng):
-    """Haar draw from SU(2) (uniform unit quaternion)."""
-    p = rng.gen.standard_normal(4)
-    return su2_matrix_from_quat(p / np.linalg.norm(p))
+    """Haar draw from SU(2) (uniform unit quaternion); given a sequence of
+    streams, the (T, 2, 2) stack of one draw per stream."""
+    streams, stacked = _streams(rng)
+    draws = [s.gen.standard_normal(4) for s in streams]
+    g = np.stack([su2_matrix_from_quat(p / np.linalg.norm(p)) for p in draws])
+    return g if stacked else g[0]

@@ -73,13 +73,19 @@ class TangentVector:
         return self * -1.0
 
     def u_norm_sq(self):
-        if self.family == SP_SPHERE:
-            return float(np.sum(np.abs(self.u[0]) ** 2 + np.abs(self.u[1]) ** 2))
-        return float(np.sum(np.abs(self.u) ** 2))
+        return float(m1_norm_sq(self.family, self.u))
 
     @property
     def m0(self):
         return np.atleast_1d(np.asarray(self.q, dtype=float))
+
+
+def m1_norm_sq(family, u):
+    """Squared norm of m1 parts, summed over the last axis: `u` is a
+    complex pair for sp_sphere, one array otherwise."""
+    if family == SP_SPHERE:
+        return np.sum(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2, axis=-1)
+    return np.sum(np.abs(u) ** 2, axis=-1)
 
 
 def u_tangent(q, u):

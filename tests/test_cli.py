@@ -1,14 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwspheres import geodesy
+from cwspheres import checks, geodesy
 from cwspheres.cli import main
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.randers import spec_from_json, spec_to_json
@@ -263,6 +267,33 @@ def test_verify_displacement_usage_error_before_graph(tmp_path, capsys, no_graph
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_sp_central_large_n_is_refused_before_sizing(tmp_path, capsys, monkeypatch):
+    def candidates(n):
+        raise AssertionError("candidates sized before the n check")
+    monkeypatch.setattr(checks, "_sp_candidates", candidates)
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"family": "sp_sphere", "n": checks.SP_CENTRAL_MAX_N + 1,
+                               "a1": 1.2, "a2": 1.5, "b": 1.0, "c": 0.3}))
+    code, out, err = run(capsys, "verify", "sp-central", "--config", str(cfg),
+                         "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(checks.SP_CENTRAL_MAX_N) in err
+
+
+@pytest.mark.parametrize("vnorm", ["1e300", "inf"])
+def test_verify_endpoints_huge_vnorm_prints_only_the_error(vnorm):
+    # a fresh interpreter, so any numpy warning would reach stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cwspheres.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "verify", "endpoints", f"--vnorm={vnorm}"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: isotropy vector must satisfy |V|_eq < 1"]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "orbit", "--trials", "100", "--L", "0"),
     ("verify", "orbit", "--trials", "100", "--L=-1"),
@@ -312,8 +343,10 @@ def spec_configs(n_values):
 
 
 CONFIGS = spec_configs(st.integers(-1, 3) | JSON_VALUES)
-# sp-central builds (n+1) x (n+1) generators from the config's n
-SMALL_N_CONFIGS = spec_configs(st.integers(-1, 3) | st.booleans() | st.floats())
+# sp-central builds (n+1) x (n+1) generators from the config's n: one n
+# above its limit, refused before anything is sized, and no larger one
+SMALL_N_CONFIGS = spec_configs(st.integers(-1, 3) | st.just(checks.SP_CENTRAL_MAX_N + 1)
+                               | st.booleans() | st.floats())
 REALS = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, 3.0), st.floats(),
                   st.sampled_from([0.0, 1e-300, 1e300]))
 

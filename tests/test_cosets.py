@@ -12,7 +12,7 @@ from cwspheres.cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
 from cwspheres.errors import InvalidInput
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate,
                                   qabs, qmul, su2_from_vec, symplectic_defect)
-from cwspheres.randers import eq_norm, sp_tangent, u_tangent
+from cwspheres.randers import eq_norm, sp_tangent
 
 
 def unit_quaternion_vector(n, rng):
@@ -89,40 +89,37 @@ def test_project_family_mismatch():
 def test_orbit_sample_central_element_is_constant():
     space = ModelSpace("u_sphere", n=2)
     e = u_algebra(0.7j * np.eye(3))
-    pts = orbit_projection_sample(space, e, 50, RngStream(31))
-    qs = np.array([p.q for p in pts])
-    us = np.array([p.u for p in pts])
-    assert np.max(np.abs(qs - 0.7)) <= 1e-12
-    assert np.max(np.abs(us)) <= 1e-12
+    m0, usq = orbit_projection_sample(space, e, 50, RngStream(31))
+    assert m0.shape == (50, 1) and usq.shape == (50,)
+    assert np.max(np.abs(m0 - 0.7)) <= 1e-12
+    assert np.max(usq) <= 1e-24
 
 
 def test_orbit_sample_sphere_geometry():
     # phases (-0.5, 1.5): center q = 0.5, radius 1 in the reference metric
     space = ModelSpace("u_sphere", n=1)
     e = u_algebra(1j * np.diag([-0.5, 1.5]))
-    pts = orbit_projection_sample(space, e, 1000, RngStream(32))
-    center = u_tangent(0.5, [0.0])
-    devs = [abs(eq_norm(p + (-1.0) * center) - 1.0) for p in pts]
-    assert max(devs) <= 1e-9
+    m0, usq = orbit_projection_sample(space, e, 1000, RngStream(32))
+    devs = np.abs(np.sqrt((m0[:, 0] - 0.5) ** 2 + usq) - 1.0)
+    assert devs.max() <= 1e-9
 
 
 def test_orbit_sample_zero_trials():
     space = ModelSpace("u_sphere", n=1)
-    assert orbit_projection_sample(space, u_algebra(1j * np.eye(2)), 0,
-                                   RngStream(33)) == []
+    with pytest.raises(InvalidInput):
+        orbit_projection_sample(space, u_algebra(1j * np.eye(2)), 0, RngStream(33))
 
 
 def test_orbit_sample_scalar_passes_through():
     space = ModelSpace("sp_sphere", n=1)
     e = sp_algebra(random_sp_skew(2, RngStream(34)), scalar=0.6)
-    pts = orbit_projection_sample(space, e, 25, RngStream(35))
+    with_s, usq = orbit_projection_sample(space, e, 25, RngStream(35))
     # the scalar enters every projection through the same +x*i shift:
     # removing it must land all samples back on the orbit sphere of (X, 0)
-    bare = orbit_projection_sample(space, AlgebraElement("sp_sphere", e.x, 0.0),
-                                   25, RngStream(35))
-    for with_s, without in zip(pts, bare):
-        np.testing.assert_allclose(with_s.q - [0.6, 0.0, 0.0], without.q,
-                                   atol=1e-12)
+    bare, bare_usq = orbit_projection_sample(
+        space, AlgebraElement("sp_sphere", e.x, 0.0), 25, RngStream(35))
+    np.testing.assert_allclose(with_s - [0.6, 0.0, 0.0], bare, atol=1e-12)
+    np.testing.assert_array_equal(usq, bare_usq)
 
 
 def test_orbit_geometry_weyl_extremes_and_sampling():
@@ -149,11 +146,10 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
         assert abs(min(qs_weyl) - lo) <= 1e-12
         assert abs(max(qs_weyl) - hi) <= 1e-12
         # sphere containment + interior coverage for Haar samples
-        pts = orbit_projection_sample(space, e, 2000, rng.split(case))
-        qs = np.array([p.q for p in pts])
-        for p in pts[:200]:
-            dev = abs(eq_norm(p + (-1.0) * u_tangent(center, np.zeros(n1 - 1))) - radius)
-            assert dev <= 1e-9
+        m0, usq = orbit_projection_sample(space, e, 2000, rng.split(case))
+        qs = m0[:, 0]
+        devs = np.abs(np.sqrt((qs - center) ** 2 + usq) - radius)
+        assert devs.max() <= 1e-9
         assert qs.min() <= lo + 0.05 * (hi - lo)
         assert qs.max() >= hi - 0.05 * (hi - lo)
 

@@ -6,8 +6,7 @@ import pytest
 from cwspheres.errors import BranchUndefined, InvalidInput
 from cwspheres.flows import (NonIntersectionResult, apply_flow,
                              block_angle_unitary, commutator_eig1_persistence,
-                             default_t_grid, eigenvalue_tracking,
-                             endpoint_focus_check,
+                             default_t_grid, endpoint_focus_check,
                              geodesic_nonintersection_probe,
                              phase_bound_check, su2_flow, u_flow)
 from cwspheres.matrixcore import (RngStream, expm_skew, haar_unitary,
@@ -160,46 +159,6 @@ def test_phase_bound_branch_cut_rejected():
         phase_bound_check(-np.eye(2), np.eye(2))
     with pytest.raises(BranchUndefined):
         phase_bound_check(np.eye(2), -np.eye(2))
-
-
-# ------------------------------------------------------------------- tracking
-
-def test_tracking_constant_paths_for_zero_generator():
-    p = haar_unitary(3, RngStream(81))
-    ts, paths = eigenvalue_tracking(p, np.zeros((3, 3)), steps=16)
-    np.testing.assert_allclose(paths, paths[:, :1].repeat(len(ts), axis=1),
-                               atol=1e-9)
-
-
-def test_tracking_commuting_case_linear_paths():
-    b = np.array([0.9, -0.4, 0.2])
-    ts, paths = eigenvalue_tracking(np.eye(3), 1j * np.diag(b), steps=32)
-    expected = np.sort(b)[:, None] * ts[None, :]
-    got = np.sort(paths, axis=0)
-    np.testing.assert_allclose(got, expected, atol=1e-10)
-
-
-def test_tracking_derivative_bound():
-    rng = RngStream(82)
-    for k in range(5):
-        sub = rng.split(k)
-        p = haar_unitary(4, sub.split(0))
-        b = sub.gen.uniform(-1.0, 1.0, 4)
-        ts, paths = eigenvalue_tracking(p, 1j * np.diag(b), steps=256)
-        derivs = np.diff(paths, axis=1) / np.diff(ts)[None, :]
-        assert derivs.min() >= b.min() - 0.05
-        assert derivs.max() <= b.max() + 0.05
-
-
-def test_tracking_starts_at_sorted_phases():
-    p = haar_unitary(5, RngStream(83))
-    _, paths = eigenvalue_tracking(p, 1j * np.diag([0.1] * 5), steps=16)
-    np.testing.assert_allclose(paths[:, 0], unitary_phases(p), atol=1e-12)
-
-
-def test_tracking_rejects_few_steps():
-    with pytest.raises(InvalidInput):
-        eigenvalue_tracking(np.eye(2), np.zeros((2, 2)), steps=8)
 
 
 # ------------------------------------------------------- commutator eigenvalue

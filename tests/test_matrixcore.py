@@ -6,9 +6,8 @@ from cwspheres.errors import InvalidInput
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_su2, haar_symplectic,
-                                  haar_unitary, haar_unitary_batch, qabs,
-                                  qconj, qmul, quat_from_su2_matrix,
-                                  su2_from_vec, su2_inner,
+                                  haar_unitary, qabs, qconj, qmul,
+                                  quat_from_su2_matrix, su2_from_vec, su2_inner,
                                   su2_matrix_from_quat, symplectic_defect,
                                   unitary_phases, vec_from_su2)
 
@@ -113,7 +112,7 @@ def test_phases_match_eigenvalues():
 def test_haar_unitary_membership_small_dims():
     rng = RngStream(12)
     for n in range(1, 9):
-        us = haar_unitary_batch(n, 125, rng.split(n))
+        us = haar_unitary(n, [rng.split(n).split(k) for k in range(125)])
         grams = np.swapaxes(us.conj(), 1, 2) @ us
         defect = np.max(np.abs(grams - np.eye(n)[None]))
         assert defect <= 1e-10
@@ -137,7 +136,7 @@ def test_rng_stream_rejects_negative_seed():
 
 def test_haar_unitary_trace_moment():
     # E |tr U|^2 = 1 over the Haar measure; Monte-Carlo to +-0.05
-    us = haar_unitary_batch(4, 10000, RngStream(99))
+    us = haar_unitary(4, [RngStream(99).split(k) for k in range(10000)])
     moment = np.mean(np.abs(np.einsum("kii->k", us)) ** 2)
     assert abs(moment - 1.0) <= 0.05
 

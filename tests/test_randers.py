@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cwspheres import killing, randers
-from cwspheres.cosets import (orbit_projection_sample, sp_algebra, space_for_spec,
-                              su2_algebra)
+from cwspheres.cosets import (AlgebraElement, project_to_m, sp_algebra,
+                              space_for_spec, su2_algebra)
 from cwspheres.errors import InvalidInput
 from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
                                solve_metric, su2_cw_spec)
-from cwspheres.matrixcore import QuaternionMatrix, RngStream, su2_from_vec
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate, haar_su2,
+                                  haar_symplectic, haar_unitary, su2_from_vec)
 from cwspheres.randers import (RandersSpec, eq_norm, randers_norm,
                                randers_norm_array, round_spec, sp_tangent,
                                spec_from_json, spec_to_json, su2_tangent,
@@ -226,11 +227,22 @@ def orbit_cases():
     }
 
 
+def per_draw_orbit(space, e, trials, rng):
+    """Reference: one Haar draw from `rng.split(k)`, one conjugation and one
+    projection per orbit point, as tangent vectors."""
+    haar = {"u_sphere": lambda r: haar_unitary(space.n + 1, r),
+            "sp_sphere": lambda r: haar_symplectic(space.n + 1, r),
+            "su2": haar_su2}[space.family]
+    return [project_to_m(space, AlgebraElement(e.family, conjugate(haar(rng.split(k)), e.x),
+                                               e.scalar))
+            for k in range(trials)]
+
+
 @pytest.mark.parametrize("case", sorted(orbit_cases()))
 def test_orbit_report_matches_reference_on_same_draws(case):
     spec, e = orbit_cases()[case]
     rep = orbit_length_report(spec, e, L=1.0, trials=300, rng=RngStream(21))
-    ys = orbit_projection_sample(space_for_spec(spec), e, 300, RngStream(21))
+    ys = per_draw_orbit(space_for_spec(spec), e, 300, RngStream(21))
     reference = np.array([reference_norm(spec, y) for y in ys])
     for got, want in ((rep.min, reference.min()), (rep.max, reference.max()),
                       (rep.mean, reference.mean())):
