@@ -20,8 +20,8 @@ from .flows import (T_GRID_POINTS, apply_flow, block_angle_unitary,
                     geodesic_nonintersection_probe, phase_bound_check_stack,
                     su2_flow, u_flow)
 from .killing import orbit_generator, orbit_length_report, sp_witness_pair
-from .matrixcore import (QuaternionMatrix, expm_skew, haar_unitary, su2_from_vec,
-                         su2_matrix_from_quat, trial_blocks)
+from .matrixcore import (QuaternionMatrix, expm_skew, haar_unitary, seed_block,
+                         su2_from_vec, su2_matrix_from_quat, trial_blocks)
 from .randers import SP_SPHERE, U_SPHERE, require_valid, round_spec
 
 log = logging.getLogger("cwspheres")
@@ -113,7 +113,7 @@ def commutator(l, m, trials, rng) -> CheckReport:
     for ks, subs in trial_blocks(rng, trials, T_GRID_POINTS * (l + m) ** 2):
         invertible = [(k % 2 == 1) and l == m for k in ks]
         angles = np.array([sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
-                           for sub in subs])
+                           for sub in seed_block(subs)])
         for k, row, inv in zip(ks, angles, invertible):
             if not inv:
                 row[k % r] = 0.0
@@ -137,8 +137,7 @@ def endpoints(vnorm, samples, rng) -> CheckReport:
     spread = endpoint_focus_check(v3, samples=samples, rng=rng.split(0))
     vmat = su2_from_vec(v3)
     worst_dev = 0.0
-    for k in range(10):
-        sub = rng.split(k + 1)
+    for sub in seed_block([rng.split(k + 1) for k in range(10)]):
         x3 = sub.gen.standard_normal(3)
         x3 /= np.linalg.norm(x3)
         g4 = sub.gen.standard_normal(4)

@@ -19,7 +19,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import BranchUndefined, InvalidInput
 from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
-                         haar_unitary, su2_from_vec, su2_inner,
+                         haar_unitary, seed_block, su2_from_vec, su2_inner,
                          su2_matrix_from_quat, trial_blocks, unitary_phases)
 from .randers import SU2, U_SPHERE
 
@@ -123,12 +123,13 @@ def endpoint_focus_check(v, rng, samples=100):
     worst = 0.0
     for bp in range(ENDPOINT_BASE_POINTS):
         g_rng = rng.split(bp)
+        x_rngs = [g_rng.split(k + 1) for k in range(int(samples))]
+        seed_block([g_rng, *x_rngs])
         p = g_rng.gen.standard_normal(4)
         p /= np.linalg.norm(p)
         g = su2_matrix_from_quat(p)
         ends = []
-        for k in range(int(samples)):
-            x_rng = g_rng.split(k + 1)
+        for x_rng in x_rngs:
             x3 = x_rng.gen.standard_normal(3)
             x3 /= np.linalg.norm(x3)
             ends.append(apply_flow(su2_flow(x3, v, math.pi), g).ravel())
@@ -373,7 +374,7 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng):
     for _, subs in trial_blocks(rng, trials, n * n):
         g1 = haar_unitary(n, [s.split(0) for s in subs])
         g2 = haar_unitary(n, [s.split(1) for s in subs])
-        t1, t2 = np.array([_separated_times(s) for s in subs]).T
+        t1, t2 = np.array([_separated_times(s) for s in seed_block(subs)]).T
         e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
         e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
         dist = np.min(np.abs(np.linalg.eigvals(e1 @ e2) - 1.0), axis=-1)

@@ -9,12 +9,16 @@ complex embedding is provided as an independent cross-check only.
 
 The Monte-Carlo kernels work on stacks: the phases, the Haar samplers
 and the conjugation take a leading trial axis, and `trial_blocks` cuts a
-run into blocks of per-trial streams.  numpy's stacked QR, eigvals and
-matmul give the same bits as one call per matrix, so draw k of a stack
-equals the draw of its stream alone.
+run into blocks of per-trial streams, which `seed_block` seeds in one
+vectorised SeedSequence pass.  numpy's stacked QR, eigvals and matmul
+give the same bits as one call per matrix, so draw k of a stack equals
+the draw of its stream alone.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -31,42 +35,193 @@ BLOCK_ENTRIES = 2 ** 18     # most matrix entries one trial block may stack
 # deterministic RNG streams
 # --------------------------------------------------------------------------
 
+def _stream_int(value, what):
+    """`value` as a non-negative Python int; a bool, a float or a negative
+    number is refused, since SeedSequence reads a key as uint32 words."""
+    if type(value) is int and value >= 0:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{what} must be a non-negative integer, not a boolean")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be a non-negative integer, got {value!r}") from None
+    if value < 0:
+        raise InvalidInput(f"{what} must be non-negative, got {value}")
+    return value
+
+
 class RngStream:
     """Seeded random stream with deterministic, order-independent substreams.
 
     Substreams are derived from the root seed and a key path, so parallel
     trial loops can split the stream without coordinating call order.
+    Stream (seed, key) draws exactly what
+    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))`
+    draws: a PCG64 generator seeded by numpy's SeedSequence hash.
     Identical seeds replay identical samples.
     """
 
     def __init__(self, seed, _key=()):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise InvalidInput("seed must be non-negative")
+        self.seed = _stream_int(seed, "seed")
         self._key = tuple(_key)
         self._gen = None
 
     @property
     def gen(self):
-        """The stream's numpy Generator, built when first drawn from."""
+        """The stream's numpy Generator, built when first drawn from (a
+        block of one for `seed_block`)."""
         if self._gen is None:
-            self._gen = np.random.default_rng(
-                np.random.SeedSequence(self.seed, spawn_key=self._key))
+            seed_block([self])
         return self._gen
 
     def split(self, k):
         """Return an independent child stream keyed by integer `k`."""
-        return RngStream(self.seed, self._key + (int(k),))
+        return RngStream(self.seed, self._key + (_stream_int(k, "stream key"),))
 
     def ginibre(self, rows, cols=None):
         """Complex standard Gaussian matrix (Ginibre ensemble)."""
-        cols = rows if cols is None else cols
-        # one call draws the real parts, then the imaginary ones
-        z = self.gen.standard_normal((2, rows, cols))
-        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+        return _ginibre([self], rows, rows if cols is None else cols)[0, 0]
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self._key})"
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq): pool size and hash constants.  All arithmetic is on uint32
+# words and wraps mod 2**32.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_STATE_CYCLE = np.arange(8) % _POOL     # generate_state(4, uint64) reads 8 words
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_consts(init, mult, count):
+    """Read-only column of the hash constants init * mult**j mod 2**32,
+    j = 0..count: hash call j xors with constant j, multiplies by j + 1."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(words, xor, mul):
+    words = (words ^ xor) * mul
+    return words ^ (words >> _SHIFT)
+
+
+def _mix(x, y):
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _SHIFT)
+
+
+def _pool_mixing_consts():
+    """Per source word, the (xor, mul) columns of its three hash calls in
+    mix_entropy's all-pairs stage (calls POOL..4*POOL-1), placed at the
+    destination rows; the source's own row gets zeros, its result unused."""
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+    steps = []
+    for src in range(_POOL):
+        xor = np.zeros((_POOL, 1), dtype=np.uint32)
+        mul = np.zeros_like(xor)
+        dst = [d for d in range(_POOL) if d != src]
+        call = _POOL + (_POOL - 1) * src
+        xor[dst], mul[dst] = a[call:call + _POOL - 1], a[call + 1:call + _POOL]
+        steps.append((xor, mul))
+    return tuple(steps)
+
+
+_POOL_MIXING = _pool_mixing_consts()
+
+
+def _seed_states(entropy):
+    """SeedSequence(entropy).generate_state(4, uint64) for each row of a
+    (G, L) uint32 array of assembled entropy words, as a (G, 4) array.
+
+    The hash constants depend only on L, so one run of array operations
+    over the (words, G) transpose hashes all G rows: mix_entropy, then
+    generate_state.
+    """
+    rows, width = entropy.shape
+    words = np.zeros((max(width, _POOL), rows), dtype=np.uint32)
+    words[:width] = entropy.T
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(width, _POOL))
+    # the first POOL words (zero where the entropy is shorter) fill the pool
+    pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
+    # every pool word is hashed and mixed into each other pool word
+    for src, (xor, mul) in enumerate(_POOL_MIXING):
+        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
+        mixed[src] = pool[src]
+        pool = mixed
+    # every further entropy word is hashed and mixed into each pool word
+    for src in range(_POOL, width):
+        call = _POOL * src
+        pool = _mix(pool, _hashmix(words[src], a[call:call + _POOL],
+                                   a[call + 1:call + _POOL + 1]))
+    b = _hash_consts(_INIT_B, _MULT_B, len(_STATE_CYCLE))
+    state = _hashmix(pool[_STATE_CYCLE], b[:-1], b[1:])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _uint32_words(n):
+    """Integer n as SeedSequence reads it: little-endian uint32 words."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _entropy(stream):
+    """SeedSequence's assembled entropy of a stream: the seed's words,
+    zero-filled to the pool size when there is a key, then the key's."""
+    words = _uint32_words(stream.seed)
+    if stream._key:
+        words += [0] * (_POOL - len(words))
+        for k in stream._key:
+            words += _uint32_words(k)
+    return words
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A precomputed SeedSequence output, handed to PCG64 as its seed."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's four uint64 state words are precomputed")
+        return self._state
+
+
+def seed_block(streams):
+    """Build the numpy Generator of every stream in `streams` that has none
+    yet, in one vectorised SeedSequence pass, and return `streams`.
+
+    Streams are grouped by their number of entropy words (seeds and keys of
+    2**32 or more take several); a stream that has already drawn keeps its
+    state.  Each Generator is bit-identical to
+    `default_rng(SeedSequence(seed, spawn_key=key))`.
+    """
+    groups = {}
+    for s in streams:
+        if s._gen is None:
+            words = _entropy(s)
+            groups.setdefault(len(words), []).append((s, words))
+    for group in groups.values():
+        states = _seed_states(np.array([words for _, words in group], dtype=np.uint32))
+        for (s, _), state in zip(group, states):
+            s._gen = np.random.Generator(np.random.PCG64(_SeedState(state)))
+    return streams
 
 
 def trial_blocks(rng, trials, entries):
@@ -83,12 +238,25 @@ def trial_blocks(rng, trials, entries):
         yield ks, [rng.split(k) for k in ks]
 
 
+def _ginibre(streams, rows, cols, count=1):
+    """(T, count, rows, cols) complex Ginibre matrices: each stream draws
+    its `count` matrices in turn, each one's real parts, then its imaginary
+    ones.  One complex assembly, in place, serves the whole stack."""
+    z = np.empty((len(streams), count, 2, rows, cols))
+    for s, out in zip(streams, z):
+        s.gen.standard_normal(out=out)
+    g = 1j * z[:, :, 1]
+    g += z[:, :, 0]
+    g /= np.sqrt(2.0)
+    return g
+
+
 def _streams(rng):
     """(streams, stacked): one stream as a sequence of one, or the given
-    sequence of per-trial streams."""
+    sequence of per-trial streams, seeded in one `seed_block` pass."""
     if isinstance(rng, RngStream):
-        return [rng], False
-    return list(rng), True
+        return seed_block([rng]), False
+    return seed_block(list(rng)), True
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +335,7 @@ def haar_unitary(n, rng):
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
     streams, stacked = _streams(rng)
-    q, r = np.linalg.qr(np.stack([s.ginibre(n) for s in streams]))
+    q, r = np.linalg.qr(_ginibre(streams, n, n)[:, 0])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (d / np.abs(d))[:, None, :]
     return u if stacked else u[0]
@@ -323,9 +491,8 @@ def haar_symplectic(n, rng):
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
     streams, stacked = _streams(rng)
-    pairs = [(s.ginibre(n), s.ginibre(n)) for s in streams]
-    g1 = np.stack([p[0] for p in pairs])
-    g2 = np.stack([p[1] for p in pairs])
+    g = _ginibre(streams, n, n, count=2)
+    g1, g2 = g[:, 0], g[:, 1]
     cols = [(g1[..., a].copy(), g2[..., a].copy()) for a in range(n)]
     for _ in range(2):  # second pass tightens orthogonality
         for a in range(n):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cwspheres import checks
 from cwspheres.errors import InvalidInput
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_su2, haar_symplectic,
                                   haar_unitary, qabs, qconj, qmul,
-                                  quat_from_su2_matrix, su2_from_vec, su2_inner,
-                                  su2_matrix_from_quat, symplectic_defect,
-                                  unitary_phases, vec_from_su2)
+                                  quat_from_su2_matrix, seed_block, su2_from_vec,
+                                  su2_inner, su2_matrix_from_quat,
+                                  symplectic_defect, unitary_phases,
+                                  vec_from_su2)
 
 
 def random_skew(n, rng):
@@ -163,6 +167,91 @@ def test_rng_split_streams_are_order_independent():
     _ = root2.split(1).gen.standard_normal(10)
     b = root2.split(5).gen.standard_normal(3)
     np.testing.assert_array_equal(a, b)
+
+
+# ------------------------------------------------- block seeding vs numpy
+
+def numpy_normals(seed, key, count=6):
+    """What numpy's own SeedSequence with a spawn key draws for (seed, key)."""
+    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return gen.standard_normal(count)
+
+
+def stream(seed, key):
+    s = RngStream(seed)
+    for k in key:
+        s = s.split(k)
+    return s
+
+
+EDGE_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 10 ** 30)
+EDGE_KEYS = ((), (0,), (2 ** 32 - 1,), (2 ** 32,), (2 ** 32 + 1,), (3, 2 ** 32 - 1),
+             (2 ** 32, 7), (1, 2 ** 64 + 5, 0), (5, 6, 7, 8, 9))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_seed_block_matches_numpy_seed_sequence(seed):
+    # one list mixing key lengths (1 to 9 entropy words) and lone draws
+    streams = seed_block([stream(seed, key) for key in EDGE_KEYS])
+    for key, s in zip(EDGE_KEYS, streams):
+        np.testing.assert_array_equal(s.gen.standard_normal(6), numpy_normals(seed, key))
+        np.testing.assert_array_equal(stream(seed, key).gen.standard_normal(6),
+                                      numpy_normals(seed, key))
+
+
+def test_seed_block_keeps_the_state_of_a_drawn_stream():
+    drawn = RngStream(4).split(1)
+    first = drawn.gen.standard_normal(3)
+    fresh = RngStream(4).split(2)
+    seed_block([fresh, drawn, fresh])
+    expected = numpy_normals(4, (1,), 6)
+    np.testing.assert_array_equal(first, expected[:3])
+    np.testing.assert_array_equal(drawn.gen.standard_normal(3), expected[3:])
+    np.testing.assert_array_equal(fresh.gen.standard_normal(6), numpy_normals(4, (2,)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 33) | st.integers(0, 2 ** 130),
+       keys=st.lists(st.lists(st.integers(0, 2 ** 33) | st.integers(0, 2 ** 70), max_size=4),
+                     min_size=1, max_size=6))
+def test_seed_block_matches_numpy_on_random_paths(seed, keys):
+    streams = seed_block([stream(seed, key) for key in keys])
+    for key, s in zip(keys, streams):
+        np.testing.assert_array_equal(s.gen.standard_normal(6),
+                                      numpy_normals(seed, tuple(key)))
+
+
+@pytest.mark.parametrize("key", (-1, True, np.True_, 1.5, 2.0, "3", None))
+def test_rng_split_rejects_a_bad_key_at_split_time(key):
+    with pytest.raises(InvalidInput):
+        RngStream(0).split(key)
+
+
+def test_rng_split_accepts_numpy_integers():
+    np.testing.assert_array_equal(RngStream(3).split(np.int64(2)).gen.standard_normal(4),
+                                  numpy_normals(3, (2,), 4))
+
+
+def test_monte_carlo_check_builds_no_seed_sequence(monkeypatch):
+    # every stream of a Monte-Carlo run is seeded by the vectorised pass;
+    # a fallback to numpy's per-stream SeedSequence fails here
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counting_default_rng(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    report = checks.eigenlemma(4, 600, RngStream(0))
+    assert len(report.rows) == 600 and report.ok
+    assert built == []
 
 
 # ------------------------------------------------------------------ conjugate
