@@ -191,9 +191,9 @@ def sp_witness(spec, rng) -> CheckReport:
     """Witness gaps of random diagonal generators for n = 1..3 (`rng.split(n)`)."""
     _require_sp(spec, "sp-witness")
     rows = []
-    for n in range(1, 4):
+    for n, sub in enumerate(seed_block([rng.split(n) for n in range(1, 4)]), start=1):
         dim = n + 1
-        entries = rng.split(n).gen.standard_normal((dim, 3))
+        entries = sub.gen.standard_normal((dim, 3))
         entries[np.abs(entries) < 0.2] = 0.0
         if not np.any(np.linalg.norm(entries, axis=1) > 0):
             entries[0, 0] = 1.0
@@ -216,8 +216,8 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
     if (spec.family, spec.n) != (flow.family, params.n):
         raise InvalidInput(f"displacement needs a {flow.family} config with n = "
                            f"{params.n}, not {spec.family} with n = {spec.n}")
-    if points < 2:
-        raise InvalidInput("displacement needs at least two points")
+    if not 2 <= points <= n_points:
+        raise InvalidInput(f"displacement needs 2 to {n_points} points, not {points}")
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(ModelSpace(spec.family, n=spec.n), spec,
                                 n_points, k, graph_rng)

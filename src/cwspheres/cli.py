@@ -25,7 +25,7 @@ from .errors import CwError, InfeasibleParams, InvalidInput
 from .flows import phase_bound_check  # noqa: F401
 from .killing import (IDENTITY_RESIDUAL_TOL, OrbitParams, constant_length_identity,
                       solve_metric)
-from .matrixcore import RngStream
+from .matrixcore import RngStream, seed_block
 from .randers import (SP_SPHERE, RandersSpec, spec_from_json, spec_to_json,
                       validate_spec)
 
@@ -113,9 +113,10 @@ _CHECKS = {
     "sp-central": lambda a, rng: checks.sp_central(_sp_spec(a), a.trials, rng),
     "sp-witness": lambda a, rng: checks.sp_witness(_sp_spec(a), rng),
     "displacement": lambda a, rng: checks.displacement(
-        *_orbit_inputs(a), a.t, a.points, a.n_points, a.k, rng.split(0), rng.split(1)),
-    "oracle": lambda a, rng: checks.oracle(a.n_points, a.k, rng.split(0),
-                                           rng.split(1), rng.split(2)),
+        *_orbit_inputs(a), a.t, a.points, a.n_points, a.k,
+        *seed_block([rng.split(0), rng.split(1)])),
+    "oracle": lambda a, rng: checks.oracle(
+        a.n_points, a.k, *seed_block([rng.split(k) for k in range(3)])),
 }
 
 

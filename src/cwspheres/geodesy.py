@@ -17,9 +17,11 @@ Distance queries re-measure the raw graph path through a corridor of
 nearby samples joined by great-circle arcs.  An arc's Finsler length has
 a closed form: the m0 coordinates are the components of Killing fields
 of the round metric, so they stay constant along a unit-speed great
-circle, and so does the invariant norm of its velocity.  The corridor is
-a tube around the raw path whose radius is measured in Euclidean chord
-units, so which samples it holds does not depend on the metric's scale.
+circle, and so does the invariant norm of its velocity.  Each corridor
+pair is costed once for both directions: the pairing's imaginary parts
+change sign when its two points swap.  The corridor is a tube around the
+raw path with a radius in Euclidean chord units, so which samples it
+holds does not depend on the metric's scale.
 """
 
 from __future__ import annotations
@@ -75,40 +77,42 @@ def _sample_points(space: ModelSpace, n_points, rng):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _m0_coordinates(family, pts, vecs):
-    """m0 coordinates (last axis) of the chord vectors `vecs` transported
-    to the base point, for source points `pts` (both (E, d) real)."""
+def _tangent_parts(family, pts, vecs):
+    """m0 coordinates (last axis) and squared m1 norms of the chord vectors
+    `vecs` transported to the base point, for source points `pts` (both
+    (E, d) real)."""
     if family == U_SPHERE:
         half = pts.shape[1] // 2
         pr, pi = pts[:, :half], pts[:, half:]
         vr, vi = vecs[:, :half], vecs[:, half:]
         # Im sum(conj(p) v) = sum(pr*vi - pi*vr)
-        return np.sum(pr * vi - pi * vr, axis=1)[:, None]
-    if family == SU2:
+        m0 = np.sum(pr * vi - pi * vr, axis=1)[:, None]
+    elif family == SU2:
         p0, p1, p2, p3 = pts.T
         v0, v1, v2, v3 = vecs.T
         # i component of conj(p) * v
-        return (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
-    # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of H^(n+1)
-    # are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters
-    quarter = pts.shape[1] // 4
-    p1 = pts[:, :quarter] + 1j * pts[:, quarter:2 * quarter]
-    p2 = pts[:, 2 * quarter:3 * quarter] + 1j * pts[:, 3 * quarter:]
-    v1 = vecs[:, :quarter] + 1j * vecs[:, quarter:2 * quarter]
-    v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
-    first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
-    second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
-    return np.stack([first.imag, second.real, second.imag], axis=1)
-
-
-def _edge_costs(spec: RandersSpec, pts, vecs):
-    """Invariant norm at each source point of each tangent vector."""
-    m0 = _m0_coordinates(spec.family, pts, vecs)
+        m0 = (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
+    else:
+        # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of
+        # H^(n+1) are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters
+        quarter = pts.shape[1] // 4
+        p1 = pts[:, :quarter] + 1j * pts[:, quarter:2 * quarter]
+        p2 = pts[:, 2 * quarter:3 * quarter] + 1j * pts[:, 3 * quarter:]
+        v1 = vecs[:, :quarter] + 1j * vecs[:, quarter:2 * quarter]
+        v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
+        first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
+        second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
+        m0 = np.stack([first.imag, second.real, second.imag], axis=1)
     usq = np.sum(vecs * vecs, axis=1)
     # one coordinate at a time: the surveyed graph seeds rely on these exact weights
     for coord in m0.T:
         usq = usq - coord ** 2
-    return randers_norm_array(spec, m0, np.maximum(usq, 0.0))
+    return m0, np.maximum(usq, 0.0)
+
+
+def _edge_costs(spec: RandersSpec, pts, vecs):
+    """Invariant norm at each source point of each tangent vector."""
+    return randers_norm_array(spec, *_tangent_parts(spec.family, pts, vecs))
 
 
 def _tangent_chords(pts, targets):
@@ -161,25 +165,27 @@ class DistanceReport:
 
 
 def _arc_costs(spec: RandersSpec, starts, ends):
-    """Finsler length of the great-circle arc from each start to each end
-    (unit rows).
+    """Finsler lengths (forward, reverse) of the great-circle arcs from each
+    start to each end and back ((E, d) unit rows).
 
     Along a unit-speed great circle the m0 coordinates of the velocity
     are constant (they are Killing-field components of the round metric),
     so the invariant norm is constant too and the length is the arc angle
-    times the norm of the unit tangent at the start.  The arc is an
-    upper-bound proxy for the local geodesic; since length is stationary
-    at the true geodesic the overestimate is fourth order in the angle.
+    times the norm of the unit tangent at the start.  The pairing's
+    imaginary parts change sign when start and end swap, so the reverse
+    arc's unit tangent has m0 coordinates -m0 and the same m1 norm.  The
+    arc is an upper-bound proxy for the local geodesic; since length is
+    stationary at the true geodesic the overestimate is quartic in angle.
     """
-    starts = np.atleast_2d(starts)
-    ends = np.atleast_2d(ends)
     dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
     theta = np.arccos(dot)
     perp = ends - dot[:, None] * starts
     pn = np.linalg.norm(perp, axis=1)
     degenerate = pn <= 1e-14
     perp = perp / np.where(degenerate, 1.0, pn)[:, None]
-    return np.where(degenerate, 0.0, theta * _edge_costs(spec, starts, perp))
+    m0, usq = _tangent_parts(spec.family, starts, perp)
+    return tuple(np.where(degenerate, 0.0, theta * randers_norm_array(spec, s * m0, usq))
+                 for s in (1.0, -1.0))
 
 
 def _walk_predecessors(pred, source, target):
@@ -203,7 +209,7 @@ RAW_LIMIT_EDGES = 4.0
 
 def _raw_limit(graph: SphereGraph, source, coords):
     """Search bound for the raw Dijkstra from `source` towards `coords`."""
-    arc = _arc_costs(graph.spec, graph.points[source], coords)[0]
+    arc = _arc_costs(graph.spec, graph.points[[source]], coords[None])[0][0]
     return RAW_LIMIT_FACTOR * arc + RAW_LIMIT_EDGES * graph.median_edge
 
 
@@ -230,32 +236,32 @@ def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None):
     """Re-measure a raw graph path by shortest polyline through its corridor.
 
     Collects every sample point within a tube around the raw path, connects
-    corridor points less than `CHUNK_ARC` apart by directed great-circle
-    arcs costed in closed form, and reruns the shortest path.  Longer,
+    corridor points less than `CHUNK_ARC` apart by great-circle arcs both
+    ways, costing each pair once, and reruns the shortest path.  Longer,
     accurately costed chunks cancel the zig-zag stretch of the raw k-NN
     walk.  The tube radius is `CORRIDOR_TUBE_FACTOR` median edge chords, a
     Euclidean length like the KD-tree's, so the corridor does not depend on
     the metric's scale.  `target_coords`, when given, joins the corridor as
     a virtual terminal vertex (off-sample targets).
     """
-    pts = graph.points
-    radius = CORRIDOR_TUBE_FACTOR * graph.median_chord
-    balls = graph.tree.query_ball_point(pts[raw_path], radius)
+    balls = graph.tree.query_ball_point(graph.points[raw_path],
+                                        CORRIDOR_TUBE_FACTOR * graph.median_chord)
     corridor = np.unique(np.concatenate(balls))
-    node_pts = pts[corridor]
+    node_pts = graph.points[corridor]
     if target_coords is not None:
         node_pts = np.vstack([node_pts, target_coords])
-    sub_tree = cKDTree(node_pts)
     chord = 2.0 * math.sin(CHUNK_ARC / 2.0)
-    pairs = sub_tree.query_pairs(chord, output_type="ndarray")
+    pairs = cKDTree(node_pts).query_pairs(chord, output_type="ndarray")
     if len(pairs) == 0:
         raise ResolutionTooCoarse("corridor too sparse for refinement")
-    ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    costs = _arc_costs(graph.spec, node_pts[ii], node_pts[jj])
-    sub = csr_matrix((costs, (ii, jj)), shape=(len(node_pts),) * 2)
+    # pairs in (i, j) order (i < j), reverse arcs first: csr_matrix needs no sort
+    n = len(node_pts)
+    i, j = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
+    forward, reverse = _arc_costs(graph.spec, node_pts[i], node_pts[j])
+    sub = csr_matrix((np.concatenate([reverse, forward]),
+                      (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
     i_src = int(np.searchsorted(corridor, source))
-    i_dst = len(node_pts) - 1 if target_coords is not None \
+    i_dst = n - 1 if target_coords is not None \
         else int(np.searchsorted(corridor, raw_path[-1]))
     refined = dijkstra(sub, directed=True, indices=i_src)[i_dst]
     if not np.isfinite(refined):
@@ -288,10 +294,8 @@ def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
     point given by real coordinates (connected as a virtual vertex)."""
     source = int(source)
     coords = np.asarray(coords, dtype=float)
-    snap_d, cand = graph.tree.query(coords, k=graph.k)
-    cand = np.atleast_1d(cand)
-    legs = _tangent_chords(graph.points[cand],
-                           np.repeat(coords[None, :], len(cand), axis=0))
+    snap_d, cand = graph.tree.query(coords, k=graph.k)      # k >= MIN_DEGREE: arrays
+    legs = _tangent_chords(graph.points[cand], coords[None, :])
     leg_costs = _edge_costs(graph.spec, graph.points[cand], legs)
     dist, pred = _raw_search(graph, source, coords, cand, leg_costs)
     totals = dist[cand] + leg_costs
@@ -299,10 +303,9 @@ def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
         raise ResolutionTooCoarse("target unreachable at this resolution")
     best = int(cand[np.argmin(totals)])
     raw_path = _walk_predecessors(pred, source, best)
-    if refine:
-        return _corridor_refine(graph, source, raw_path, target_coords=coords), \
-            float(np.atleast_1d(snap_d)[0])
-    return float(np.min(totals)), float(np.atleast_1d(snap_d)[0])
+    est = _corridor_refine(graph, source, raw_path, target_coords=coords) if refine \
+        else float(np.min(totals))
+    return est, float(snap_d[0])
 
 
 # --------------------------------------------------------------------------
@@ -349,27 +352,23 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
     discretization error; the raw snap distance is still reported as
     `snap_max`.  The constancy verdict compares the relative spread
     (max - min)/mean against `DISPLACEMENT_REL_TOL`, which is dominated by
-    the discretization scale.  A spread needs at least two sample points.
+    the discretization scale.  A spread needs 2 to `graph.n_points` points.
     """
     if flow.family != graph.spec.family:
         raise InvalidInput("flow family does not match the graph")
     count = int(sample_points)
-    if count < 2:
-        raise InvalidInput("need at least two sample points")
+    if not 2 <= count <= graph.n_points:
+        raise InvalidInput(f"need 2 to {graph.n_points} sample points, not {count}")
     sources = rng.gen.choice(graph.n_points, size=count, replace=False)
-    disp = np.empty(count)
-    snap_max = 0.0
+    disp, snap = np.empty(count), np.empty(count)
     for row, src in enumerate(sources):
         moved = apply_flow(flow, _point_coords(graph, int(src)))
-        target = _coords_to_real(graph, moved)
-        est, snap_d = distance_to_coords(graph, int(src), target)
-        snap_max = max(snap_max, snap_d)
-        disp[row] = est
+        disp[row], snap[row] = distance_to_coords(graph, int(src),
+                                                  _coords_to_real(graph, moved))
     mean = float(disp.mean())
-    spread = float(disp.max() - disp.min())
-    rel = spread / mean if mean > 0 else math.inf
+    rel = float(disp.max() - disp.min()) / mean if mean > 0 else math.inf
     return DisplacementProfile(
         min=float(disp.min()), max=float(disp.max()), mean=mean,
-        displacements=disp, snap_max=snap_max, rel_spread=rel,
+        displacements=disp, snap_max=float(snap.max()), rel_spread=rel,
         verdict="constant" if rel <= DISPLACEMENT_REL_TOL else "non-constant",
         tolerance=DISPLACEMENT_REL_TOL)

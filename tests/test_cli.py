@@ -256,6 +256,7 @@ U_SPHERE_N2 = '{"family": "u_sphere", "n": 2, "a": 1.0, "b": 1.0, "c": 0.0}'
     (WRONG_FAMILY_SPECS["u_sphere"], ("--l", "2")),     # generator needs n = 2
     (None, ("--points", "1")),
     (None, ("--points", "-4")),
+    (None, ("--n-points", "600", "--points", "601")),
 ])
 def test_verify_displacement_usage_error_before_graph(tmp_path, capsys, no_graph,
                                                       config, argv):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from cwspheres import geodesy
 from cwspheres.cosets import ModelSpace
@@ -92,6 +95,18 @@ def test_build_median_chord_matches_round_median_edge():
 
 # ------------------------------------------------------------------ arc costs
 
+def per_direction_arc_costs(spec, starts, ends):
+    """Slow reference: the closed-form length of each arc from its own start,
+    one direction per call."""
+    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    theta = np.arccos(dot)
+    perp = ends - dot[:, None] * starts
+    pn = np.linalg.norm(perp, axis=1)
+    degenerate = pn <= 1e-14
+    perp = perp / np.where(degenerate, 1.0, pn)[:, None]
+    return np.where(degenerate, 0.0, theta * _edge_costs(spec, starts, perp))
+
+
 def simpson_arc_costs(spec, starts, ends):
     """Reference: 5-node Simpson quadrature of the invariant norm along the
     great-circle arc from each start to each end."""
@@ -127,20 +142,98 @@ def random_arcs(dim, count, gen):
     return starts, ends
 
 
-@pytest.mark.parametrize("spec,dim", [
+ARC_SPECS = pytest.mark.parametrize("spec,dim", [
     (CW3, 4),
     (RandersSpec("u_sphere", n=3, a=2.0, b=1.5, c=-0.8), 8),
     (RandersSpec("su2", a=1.3, b=1.0, c=0.4), 4),
     (RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2), 8),
     (RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3), 12),
 ])
+
+
+@ARC_SPECS
 def test_closed_form_arc_cost_matches_simpson(spec, dim):
     starts, ends = random_arcs(dim, 12000, RngStream(40).gen)
-    closed = _arc_costs(spec, starts, ends)
+    closed, _ = _arc_costs(spec, starts, ends)
     reference = simpson_arc_costs(spec, starts, ends)
     assert np.all(reference > 0.0)
     rel = np.abs(closed - reference) / reference
     assert rel.max() <= 1e-12
+
+
+@ARC_SPECS
+def test_reverse_arc_cost_matches_simpson_of_swapped_arc(spec, dim):
+    # the reverse cost comes from the forward pass by the sign change of the
+    # pairing; the reference integrates the swapped arc from its own start.
+    # Near theta = 0 and pi the reference's tangent is ill-conditioned, so
+    # there the bound is on rel * sin(theta)
+    starts, ends = random_arcs(dim, 12000, RngStream(40).gen)
+    _, reverse = _arc_costs(spec, starts, ends)
+    reference = simpson_arc_costs(spec, ends, starts)
+    assert np.all(reference > 0.0)
+    rel = np.abs(reverse - reference) / reference
+    sin_theta = np.sin(np.arccos(np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)))
+    assert rel[sin_theta >= 1e-3].max() <= 1e-12
+    assert (rel * sin_theta).max() <= 1e-14
+    # the clustered angles reach well inside the ill-conditioned zone
+    assert (sin_theta < 1e-3).sum() > 1000
+
+
+def reference_refine(graph, source, raw_path, target_coords=None):
+    """Corridor refinement with every directed arc costed on its own by the
+    per-direction formula."""
+    balls = graph.tree.query_ball_point(graph.points[raw_path],
+                                        geodesy.CORRIDOR_TUBE_FACTOR * graph.median_chord)
+    corridor = np.unique(np.concatenate(balls))
+    node_pts = graph.points[corridor]
+    if target_coords is not None:
+        node_pts = np.vstack([node_pts, target_coords])
+    pairs = cKDTree(node_pts).query_pairs(2.0 * math.sin(geodesy.CHUNK_ARC / 2.0),
+                                          output_type="ndarray")
+    ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    costs = per_direction_arc_costs(graph.spec, node_pts[ii], node_pts[jj])
+    sub = csr_matrix((costs, (ii, jj)), shape=(len(node_pts),) * 2)
+    i_dst = len(node_pts) - 1 if target_coords is not None \
+        else int(np.searchsorted(corridor, raw_path[-1]))
+    return float(dijkstra(sub, indices=int(np.searchsorted(corridor, source)))[i_dst])
+
+
+@pytest.mark.parametrize("spec,seed", [(ROUND3, 43), (CW3, 44)])
+def test_corridor_refinement_matches_per_direction_reference(spec, seed, monkeypatch):
+    g = small_graph(spec=spec, n_points=3000, seed=seed)
+    gen = RngStream(seed).split(1).gen
+    pairs = gen.integers(0, g.n_points, (8, 2))
+    targets = gen.standard_normal((8, 4))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+
+    def answers():
+        return np.array([distance(g, i, j).distance for i, j in pairs]
+                        + [distance_to_coords(g, i, t)[0]
+                           for i, t in zip(pairs[:, 0], targets)])
+    fast = answers()
+    monkeypatch.setattr(geodesy, "_corridor_refine", reference_refine)
+    slow = answers()
+    assert np.all(slow > 0.0)
+    assert np.max(np.abs(fast - slow) / slow) <= 1e-12
+
+
+def test_corridor_arcs_reach_csr_matrix_in_canonical_order(monkeypatch):
+    # bucketed by row as csr_matrix does, the corridor's entries come out
+    # sorted by column in every row, so building the matrix sorts nothing
+    g = small_graph(spec=CW3, n_points=1500, seed=45)
+    canonical = []
+    real = geodesy.csr_matrix
+
+    def spy(arg, shape):
+        _, (rows, cols) = arg
+        order = np.argsort(rows, kind="stable")
+        canonical.append(bool(np.all(np.diff(rows[order] * shape[1] + cols[order]) > 0)))
+        return real(arg, shape=shape)
+    monkeypatch.setattr(geodesy, "csr_matrix", spy)
+    distance(g, 0, 700)
+    distance_to_coords(g, 3, -g.points[3])
+    assert canonical == [True, True]
 
 
 # ------------------------------------------------------------------ distances
@@ -315,6 +408,14 @@ def test_displacement_hopf_rotation_constant():
                                 RngStream(22))
     assert prof.verdict == "constant"
     assert abs(prof.mean - 0.5) <= 0.05
+
+
+def test_displacement_points_beyond_vertex_count_is_usage_error():
+    g = small_graph(n_points=600)
+    flow = u_flow(1j * np.eye(2), 0.5)
+    with pytest.raises(InvalidInput):
+        displacement_profile(g, flow, 601, RngStream(23))
+    assert len(displacement_profile(g, flow, 600, RngStream(23)).displacements) == 600
 
 
 def test_displacement_family_mismatch():
