@@ -11,10 +11,11 @@ matrixcore
     Skew-Hermitian exponentials, eigenvalue phases, Haar U(n)/Sp(n),
     quaternion pairs, su(2) dictionary, seeded RNG streams.
 randers
-    Tangent vectors, metric parameter containers, norm evaluation, JSON.
+    Metric parameter containers, the vectorised norm on (m0, usq) arrays,
+    JSON.
 cosets
-    Coset model spaces, projection to the tangent model, orbit sampling,
-    symplectic completions, closed-form symplectic orbit projection.
+    Coset model spaces, projection of one matrix or a stack to (m0, usq)
+    arrays, orbit sampling, Weyl helpers for the symplectic witness.
 killing
     Closed-form metric solver and constant-length identities, orbit
     length reports, witness constructions.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geodesy
-from .cosets import ModelSpace, sp_algebra
+from .cosets import sp_algebra
 from .errors import InvalidInput
 from .flows import (T_GRID_POINTS, apply_flow, block_angle_unitary,
                     commutator_eig1_persistence, endpoint_focus_check,
@@ -72,8 +72,16 @@ def _require_sp(spec, check):
         raise InvalidInput(f"{check} needs an {SP_SPHERE} config, not {spec.family}")
 
 
+def _require_generator_config(spec, params, check):
+    """Refuse a config other than the u_sphere of the generator's n."""
+    if (spec.family, spec.n) != (U_SPHERE, params.n):
+        raise InvalidInput(f"{check} needs a {U_SPHERE} config with n = {params.n}, "
+                           f"not {spec.family} with n = {spec.n}")
+
+
 def orbit(spec, params, trials, rng) -> CheckReport:
     """Orbit-length spread of the two-eigenvalue generator of `params`."""
+    _require_generator_config(spec, params, "orbit")
     rep = orbit_length_report(spec, orbit_generator(params), L=params.L,
                               trials=trials, rng=rng)
     return CheckReport(_LENGTH_HEADER, (_length_row("orbit", rep),),
@@ -213,14 +221,11 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
     """Graph estimate of d(x, flow_t(x)) at `points` vertices; inputs are
     checked before the graph is built."""
     flow = u_flow(orbit_generator(params).x, t)
-    if (spec.family, spec.n) != (flow.family, params.n):
-        raise InvalidInput(f"displacement needs a {flow.family} config with n = "
-                           f"{params.n}, not {spec.family} with n = {spec.n}")
+    _require_generator_config(spec, params, "displacement")
     if not 2 <= points <= n_points:
         raise InvalidInput(f"displacement needs 2 to {n_points} points, not {points}")
     log.info("building %d-point graph", n_points)
-    graph = geodesy.build_graph(ModelSpace(spec.family, n=spec.n), spec,
-                                n_points, k, graph_rng)
+    graph = geodesy.build_graph(spec, n_points, k, graph_rng)
     prof = geodesy.displacement_profile(graph, flow, points, profile_rng)
     rows = list(enumerate(prof.displacements))
     rows.append(("summary", ("min", prof.min), ("max", prof.max), ("mean", prof.mean),
@@ -233,8 +238,7 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
 def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     """Distance oracle on the round S^3: antipode against pi, symmetry of
     ten vertex pairs and the spread of a Hopf rotation's displacement."""
-    graph = geodesy.build_graph(ModelSpace(U_SPHERE, n=1), round_spec(U_SPHERE, 1),
-                                n_points, k, graph_rng)
+    graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
     anti, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
     anti_err = abs(anti - math.pi) / math.pi
     gen = pair_rng.gen

@@ -34,7 +34,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .cosets import ModelSpace
 from .errors import InvalidInput, ResolutionTooCoarse
 from .flows import FlowIsometry, apply_flow
 from .matrixcore import quat_from_su2_matrix, su2_matrix_from_quat
@@ -62,18 +61,18 @@ class SphereGraph:
         return self.points.shape[0]
 
 
-def _real_dim(space: ModelSpace):
-    if space.family == U_SPHERE:
-        return 2 * (space.n + 1)
-    if space.family == SP_SPHERE:
-        return 4 * (space.n + 1)
+def _real_dim(spec: RandersSpec):
+    if spec.family == U_SPHERE:
+        return 2 * (spec.n + 1)
+    if spec.family == SP_SPHERE:
+        return 4 * (spec.n + 1)
     return 4
 
 
-def _sample_points(space: ModelSpace, n_points, rng):
+def _sample_points(spec: RandersSpec, n_points, rng):
     # Gaussian normalization gives exactly the rotation-invariant measure,
     # which is the one induced by Haar on the transitive ambient group.
-    z = rng.gen.standard_normal((n_points, _real_dim(space)))
+    z = rng.gen.standard_normal((n_points, _real_dim(spec)))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -121,19 +120,17 @@ def _tangent_chords(pts, targets):
     return chords - radial[:, None] * pts
 
 
-def build_graph(space: ModelSpace, spec: RandersSpec, n_points, k, rng) -> SphereGraph:
-    """Sample `n_points` sphere points and connect each to its k nearest
-    (Euclidean) neighbours by directed edges weighted with the invariant
-    norm of the tangent-projected chord."""
+def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
+    """Sample `n_points` points of the spec's sphere and connect each to its
+    k nearest (Euclidean) neighbours by directed edges weighted with the
+    invariant norm of the tangent-projected chord."""
     require_valid(spec)
-    if spec.family != space.family or (space.family != SU2 and spec.n != space.n):
-        raise InvalidInput("spec and model space disagree")
     n_points, k = int(n_points), int(k)
     if n_points < MIN_POINTS:
         raise InvalidInput(f"need at least {MIN_POINTS} points")
     if not MIN_DEGREE <= k < n_points:
         raise InvalidInput(f"need {MIN_DEGREE} <= k < n_points")
-    pts = _sample_points(space, n_points, rng)
+    pts = _sample_points(spec, n_points, rng)
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=k + 1)
     idx = idx[:, 1:]                                    # drop self

@@ -19,8 +19,8 @@ from .cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
                      sp_permutation, sp_unit_diag, u_algebra)
 from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissible
 from .matrixcore import QuaternionMatrix, qmul, su2_inner
-from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm,
-                      randers_norm_array, require_valid)
+from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm_array,
+                      require_valid)
 
 CONSTANT_TOL_FACTOR = 1e-8
 # `solve` passes when every identity residual is within this bound.
@@ -269,9 +269,9 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     projections to m are opposite multiples of the metric axis.
 
     The chosen diagonal entry d is the first of modulus above 1e-14.
-    Returns (y1, y2, F(y1), F(y2), 2|c| |d|): the metric values differ by
-    exactly the last entry, which rules out nonzero generators in the
-    matrix algebra alone whenever c != 0.
+    Returns (m0 of y1, m0 of y2, F(y1), F(y2), 2|c| |d|): the metric values
+    differ by exactly the last entry, which rules out nonzero generators in
+    the matrix algebra alone whenever c != 0.
     """
     if s.family != SP_SPHERE:
         raise InvalidInput("sp_witness_pair expects an sp_sphere spec")
@@ -290,15 +290,13 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     perm[idx], perm[n1 - 1] = perm[n1 - 1], perm[idx]
     pmat = sp_permutation(perm)
     space = ModelSpace(SP_SPHERE, n=n1 - 1)
-    out = []
+    parts = []
     align = align_imaginary_to_i(d)
     for sign_flip in (False, True):
         rot = qmul(align, (np.complex128(0), np.complex128(1))) if sign_flip else align
         t = sp_unit_diag(n1, n1 - 1, rot)
         h = t.conj_t() @ pmat.conj_t()
-        moved = h @ x @ h.conj_t()
-        out.append(project_to_m(space, AlgebraElement(SP_SPHERE, moved, 0.0)))
-    y1, y2 = out
-    return (y1, y2, randers_norm(s, y1), randers_norm(s, y2),
-            2.0 * abs(s.c) * mods[idx])
-
+        parts.append(project_to_m(space, h @ x @ h.conj_t(), 0.0))
+    m0, usq = zip(*parts)
+    f1, f2 = randers_norm_array(s, np.stack(m0), np.array(usq)).tolist()
+    return m0[0], m0[1], f1, f2, 2.0 * abs(s.c) * mods[idx]

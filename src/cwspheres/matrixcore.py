@@ -396,10 +396,6 @@ class QuaternionMatrix:
         return self.q1.shape
 
     @classmethod
-    def eye(cls, n):
-        return cls(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
-
-    @classmethod
     def zeros(cls, rows, cols=None):
         cols = rows if cols is None else cols
         return cls(np.zeros((rows, cols), dtype=complex),
@@ -413,16 +409,6 @@ class QuaternionMatrix:
 
     def __add__(self, other):
         return QuaternionMatrix(self.q1 + other.q1, self.q2 + other.q2)
-
-    def __sub__(self, other):
-        return QuaternionMatrix(self.q1 - other.q1, self.q2 - other.q2)
-
-    def __neg__(self):
-        return QuaternionMatrix(-self.q1, -self.q2)
-
-    def scale(self, s):
-        """Multiply by a real scalar."""
-        return QuaternionMatrix(s * self.q1, s * self.q2)
 
     def conj_t(self):
         """Quaternionic conjugate transpose: (Q1 + Q2 j)* = Q1* - Q2^T j."""

@@ -33,89 +33,6 @@ _FAMILIES = (U_SPHERE, SP_SPHERE, SU2)
 
 
 # --------------------------------------------------------------------------
-# tangent vectors
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Element of m with an m0 part `q` and an m1 part `u`.
-
-    Per family: u_sphere has scalar q and complex u of length n; sp_sphere
-    has q = (l1, l2, l3) along (i, j, k) and quaternionic u as a complex
-    pair; su2 has scalar q (distinguished-axis coordinate) and real u of
-    length 2.
-    """
-
-    family: str
-    q: object
-    u: object
-
-    def __add__(self, other):
-        if self.family != other.family:
-            raise InvalidInput("cannot add tangent vectors of different families")
-        if self.family == SP_SPHERE:
-            u = (self.u[0] + other.u[0], self.u[1] + other.u[1])
-        else:
-            u = self.u + other.u
-        return TangentVector(self.family, self.q + other.q, u)
-
-    def __mul__(self, s):
-        s = float(s)
-        if self.family == SP_SPHERE:
-            u = (s * self.u[0], s * self.u[1])
-        else:
-            u = s * self.u
-        return TangentVector(self.family, s * self.q, u)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def u_norm_sq(self):
-        return float(m1_norm_sq(self.family, self.u))
-
-    @property
-    def m0(self):
-        return np.atleast_1d(np.asarray(self.q, dtype=float))
-
-
-def m1_norm_sq(family, u):
-    """Squared norm of m1 parts, summed over the last axis: `u` is a
-    complex pair for sp_sphere, one array otherwise."""
-    if family == SP_SPHERE:
-        return np.sum(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2, axis=-1)
-    return np.sum(np.abs(u) ** 2, axis=-1)
-
-
-def u_tangent(q, u):
-    """Tangent vector for the u_sphere family."""
-    return TangentVector(U_SPHERE, float(q), np.asarray(u, dtype=complex))
-
-
-def sp_tangent(lam, u1, u2):
-    """Tangent vector for the sp_sphere family; `lam` = (l1, l2, l3)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise InvalidInput("sp_sphere m0 part must be a 3-vector")
-    return TangentVector(SP_SPHERE, lam,
-                         (np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)))
-
-
-def su2_tangent(y):
-    """Tangent vector for the su2 family from su(2) coordinates (3,)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (3,):
-        raise InvalidInput("su2 tangent coordinates must be a 3-vector")
-    return TangentVector(SU2, float(y[0]), y[1:].copy())
-
-
-def eq_norm(y: TangentVector) -> float:
-    """Reference norm <y, y>_eq^(1/2) (all metric coefficients set to 1)."""
-    return math.sqrt(float(np.sum(y.m0 ** 2)) + y.u_norm_sq())
-
-
-# --------------------------------------------------------------------------
 # metric parameter container
 # --------------------------------------------------------------------------
 
@@ -190,6 +107,14 @@ def require_valid(s: RandersSpec):
 # norm evaluation
 # --------------------------------------------------------------------------
 
+def m1_norm_sq(family, u):
+    """Squared norm of m1 parts, summed over the last axis: `u` is a
+    complex pair for sp_sphere, one array otherwise."""
+    if family == SP_SPHERE:
+        return np.sum(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2, axis=-1)
+    return np.sum(np.abs(u) ** 2, axis=-1)
+
+
 def randers_norm_array(s: RandersSpec, m0, usq):
     """Evaluate F = alpha + beta on stacked tangent vectors.
 
@@ -207,13 +132,6 @@ def randers_norm_array(s: RandersSpec, m0, usq):
     else:
         alpha_sq = s.a * axis ** 2 + s.b * usq
     return np.sqrt(alpha_sq) + s.c * axis
-
-
-def randers_norm(s: RandersSpec, y: TangentVector) -> float:
-    """F(y) for a single tangent vector (see `randers_norm_array`)."""
-    if y.family != s.family:
-        raise InvalidInput(f"tangent family {y.family!r} != spec family {s.family!r}")
-    return float(randers_norm_array(s, y.m0, y.u_norm_sq()))
 
 
 # --------------------------------------------------------------------------

@@ -218,6 +218,7 @@ def test_verify_too_few_trials_is_usage_error(tmp_path, capsys, argv):
 WRONG_FAMILY_SPECS = {
     "su2": '{"family": "su2", "a": 1.0, "b": 1.0, "c": 0.0}',
     "u_sphere": '{"family": "u_sphere", "n": 1, "a": 1.0, "b": 1.0, "c": 0.0}',
+    "u_sphere-n2": '{"family": "u_sphere", "n": 2, "a": 1.0, "b": 1.0, "c": 0.0}',
     "sp_sphere": '{"family": "sp_sphere", "n": 1, "a1": 1.0, "a2": 1.3, '
                  '"b": 1.0, "c": 0.2}',
 }
@@ -232,6 +233,9 @@ def no_graph(monkeypatch):
 
 
 @pytest.mark.parametrize("check,family", [
+    ("orbit", "su2"),
+    ("orbit", "sp_sphere"),
+    ("orbit", "u_sphere-n2"),                   # the default generator needs n = 1
     ("sp-central", "su2"),
     ("sp-central", "u_sphere"),
     ("sp-witness", "u_sphere"),
@@ -248,11 +252,8 @@ def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys, no_graph,
     assert err.startswith("error:") and "config" in err
 
 
-U_SPHERE_N2 = '{"family": "u_sphere", "n": 2, "a": 1.0, "b": 1.0, "c": 0.0}'
-
-
 @pytest.mark.parametrize("config,argv", [
-    (U_SPHERE_N2, ()),                                  # generator needs n = 1
+    (WRONG_FAMILY_SPECS["u_sphere-n2"], ()),            # generator needs n = 1
     (WRONG_FAMILY_SPECS["u_sphere"], ("--l", "2")),     # generator needs n = 2
     (None, ("--points", "1")),
     (None, ("--points", "-4")),

@@ -1,31 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 
 from cwspheres.cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
                               orbit_projection_sample, permutation_matrix,
-                              project_to_m, sp_algebra, sp_orbit_conjugator,
-                              sp_orbit_projection, sp_permutation,
+                              project_to_m, sp_algebra, sp_permutation,
                               sp_unit_diag, space_for_spec, su2_algebra,
-                              symplectic_completion, u_algebra)
+                              u_algebra)
 from cwspheres.errors import InvalidInput
+from cwspheres.killing import orbit_length_report
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate,
-                                  qabs, qmul, su2_from_vec, symplectic_defect)
-from cwspheres.randers import eq_norm, sp_tangent
-
-
-def unit_quaternion_vector(n, rng):
-    v1 = rng.ginibre(n, 1)[:, 0]
-    v2 = rng.ginibre(n, 1)[:, 0]
-    nrm = math.sqrt(float(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2)))
-    return (v1 / nrm, v2 / nrm)
-
-
-def random_ball_quaternion(rng):
-    q4 = rng.gen.standard_normal(4)
-    q4 *= rng.gen.uniform(0.0, 1.0) ** 0.25 / np.linalg.norm(q4)
-    return (q4[0] + 1j * q4[1], q4[2] + 1j * q4[3])
+                                  haar_symplectic, qabs, qconj, qmul, su2_from_vec,
+                                  symplectic_defect)
+from cwspheres.randers import round_spec
 
 
 def random_sp_skew(n, rng):
@@ -39,49 +25,61 @@ def random_sp_skew(n, rng):
 def test_project_diagonal_readoff():
     space = ModelSpace("u_sphere", n=3)
     mus = np.array([0.1, 0.2, 0.3, 0.7])
-    t = project_to_m(space, u_algebra(1j * np.diag(mus)))
-    assert t.q == 0.7
-    np.testing.assert_allclose(t.u, np.zeros(3), atol=1e-15)
+    m0, usq = project_to_m(space, u_algebra(1j * np.diag(mus)).x, 0.0)
+    assert m0.tolist() == [0.7]
+    assert usq <= 1e-30
 
 
 def test_project_two_eigenvalue_example():
     space = ModelSpace("u_sphere", n=1)
-    t = project_to_m(space, u_algebra(1j * np.diag([-0.5, 1.5])))
-    assert t.q == 1.5
+    m0, _ = project_to_m(space, u_algebra(1j * np.diag([-0.5, 1.5])).x, 0.0)
+    assert m0.tolist() == [1.5]
 
 
 def test_project_su2_subtracts_isotropy_component():
     space = ModelSpace("su2", su2_v=0.5)
-    x = su2_from_vec([0.2, 0.3, 0.4])
-    t = project_to_m(space, su2_algebra(x, scalar=1.0))
-    np.testing.assert_allclose([t.q, t.u[0], t.u[1]], [-0.3, 0.3, 0.4],
-                               atol=1e-15)
+    e = su2_algebra(su2_from_vec([0.2, 0.3, 0.4]), scalar=1.0)
+    m0, usq = project_to_m(space, e.x, e.scalar)
+    np.testing.assert_allclose(m0, [-0.3], atol=1e-15)
+    assert abs(usq - (0.3 ** 2 + 0.4 ** 2)) <= 1e-15
 
 
 def test_project_sp_includes_circle_term():
     space = ModelSpace("sp_sphere", n=1)
     x = QuaternionMatrix(np.diag([0.2j, 0.5j]), np.diag([0.0, 0.3 + 0.4j]))
-    t = project_to_m(space, sp_algebra(x, scalar=0.25))
-    np.testing.assert_allclose(t.q, [0.75, 0.3, 0.4], atol=1e-15)
+    e = sp_algebra(x, scalar=0.25)
+    m0, usq = project_to_m(space, e.x, e.scalar)
+    np.testing.assert_allclose(m0, [0.75, 0.3, 0.4], atol=1e-15)
+    assert usq == 0.0
 
 
 def test_project_linearity():
+    # m0 is linear in the matrix; the m1 part u is too, so |u|^2 obeys the
+    # parallelogram law
     rng = RngStream(30)
     space = ModelSpace("u_sphere", n=2)
     for k in range(20):
         z1 = rng.split(2 * k).ginibre(3)
         z2 = rng.split(2 * k + 1).ginibre(3)
         x1, x2 = (z1 - z1.conj().T) / 2, (z2 - z2.conj().T) / 2
-        t1 = project_to_m(space, u_algebra(x1))
-        t2 = project_to_m(space, u_algebra(x2))
-        t12 = project_to_m(space, u_algebra(x1 + x2))
-        assert abs(t12.q - (t1.q + t2.q)) <= 1e-12
-        np.testing.assert_allclose(t12.u, t1.u + t2.u, atol=1e-12)
+        m0, usq = project_to_m(space, np.stack([x1, x2, x1 + x2, x1 - x2]), 0.0)
+        q = m0[:, 0]
+        assert abs(q[2] - (q[0] + q[1])) <= 1e-12
+        assert abs(q[3] - (q[0] - q[1])) <= 1e-12
+        assert abs((usq[2] + usq[3]) - 2.0 * (usq[0] + usq[1])) <= 1e-12
 
 
 def test_project_family_mismatch():
-    with pytest.raises(InvalidInput):
-        project_to_m(ModelSpace("u_sphere", n=1), su2_algebra(su2_from_vec([1, 0, 0])))
+    # the orbit sampler refuses an element of another family, or of a size
+    # other than the coset rank's, before any draw
+    su2_elem = su2_algebra(su2_from_vec([1, 0, 0]))
+    with pytest.raises(InvalidInput, match="family"):
+        orbit_projection_sample(ModelSpace("u_sphere", n=1), su2_elem, 10, RngStream(28))
+    with pytest.raises(InvalidInput, match="family"):
+        orbit_length_report(round_spec("u_sphere", 1), su2_elem, RngStream(28), trials=100)
+    with pytest.raises(InvalidInput, match="coset rank"):
+        orbit_length_report(round_spec("u_sphere", 2), u_algebra(1j * np.eye(2)),
+                            RngStream(28), trials=100)
 
 
 # ------------------------------------------------------ orbit_projection_sample
@@ -142,7 +140,7 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
             perm = list(range(n1))
             perm[target], perm[n1 - 1] = perm[n1 - 1], perm[target]
             g = permutation_matrix(perm).astype(complex)
-            qs_weyl.append(project_to_m(space, u_algebra(conjugate(g, e.x))).q)
+            qs_weyl.append(project_to_m(space, conjugate(g, e.x), 0.0)[0][0])
         assert abs(min(qs_weyl) - lo) <= 1e-12
         assert abs(max(qs_weyl) - hi) <= 1e-12
         # sphere containment + interior coverage for Haar samples
@@ -154,106 +152,73 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
         assert qs.max() >= hi - 0.05 * (hi - lo)
 
 
-# ------------------------------------------------------- symplectic completion
-
-def test_completion_identity_case():
-    row = (np.array([0.0, 0.0, 1.0], dtype=complex), np.zeros(3, dtype=complex))
-    q = symplectic_completion(row)
-    assert symplectic_defect(q) <= 1e-10
-    np.testing.assert_allclose(q.q1[-1], row[0], atol=1e-14)
-    np.testing.assert_allclose(q.q2[-1], row[1], atol=1e-14)
-
-
-def test_completion_real_pair_example():
-    row = (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-           np.zeros(2, dtype=complex))
-    q = symplectic_completion(row)
-    assert symplectic_defect(q) <= 1e-10
-    np.testing.assert_allclose(q.q1[-1], row[0], atol=1e-14)
-    # first entry of the last column: imaginary part orthogonal to i
-    corner = (q.q1[0, -1], q.q2[0, -1])
-    assert abs(corner[0].imag) <= 1e-12
-
-
-def test_completion_random_vectors():
-    rng = RngStream(37)
-    for k, n in enumerate([1, 2, 3, 5]):
-        row = unit_quaternion_vector(n, rng.split(k))
-        q = symplectic_completion(row)
-        assert symplectic_defect(q) <= 1e-10
-        np.testing.assert_allclose(q.q1[-1], row[0], atol=1e-13)
-        np.testing.assert_allclose(q.q2[-1], row[1], atol=1e-13)
-        if n > 2:
-            # middle of the last column vanishes by construction
-            assert np.max(np.abs(q.q1[1:-1, -1])) <= 1e-12
-            assert np.max(np.abs(q.q2[1:-1, -1])) <= 1e-12
-        if n > 1:
-            assert abs(q.q1[0, -1].real) <= 1e-12
-            assert abs(q.q1[0, -1].imag) <= 1e-12
-
-
-def test_completion_rejects_bad_input():
-    with pytest.raises(InvalidInput):
-        symplectic_completion((np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)))
-    with pytest.raises(InvalidInput):
-        symplectic_completion((2.0 * np.ones(2, dtype=complex),
-                               np.zeros(2, dtype=complex)))
-
-
 # ------------------------------------------------------- sp orbit projections
 
+def sp_scaled_identity(xp, n1):
+    """The generator x' i I of Sp(n1)."""
+    return QuaternionMatrix(1j * xp * np.eye(n1, dtype=complex),
+                            np.zeros((n1, n1), dtype=complex))
+
+
 def test_sp_projection_fixed_base_corner():
-    t = sp_orbit_projection(0.8, 0.3, (1.0, 0.0), (np.zeros(1), np.zeros(1)))
-    np.testing.assert_allclose(t.q, [1.1, 0.0, 0.0], atol=1e-15)
-    assert np.max(np.abs(t.u[0])) == 0.0
+    # the identity conjugator leaves (x' i I, x) at m0 = (x' + x) i
+    m0, usq = project_to_m(ModelSpace("sp_sphere", n=1), sp_scaled_identity(0.8, 2), 0.3)
+    np.testing.assert_allclose(m0, [1.1, 0.0, 0.0], atol=1e-15)
+    assert usq == 0.0
 
 
 def test_sp_projection_j_corner():
-    t = sp_orbit_projection(0.8, 0.3, (0.0, 1.0), (np.zeros(1), np.zeros(1)))
-    np.testing.assert_allclose(t.q, [0.3 - 0.8, 0.0, 0.0], atol=1e-15)
-
-
-def test_sp_projection_agrees_with_generic_path():
-    rng = RngStream(38)
-    worst = 0.0
-    for k in range(200):
-        sub = rng.split(k)
-        n = int(sub.gen.integers(1, 4))
-        xp = float(sub.gen.uniform(0.2, 2.0))
-        xs = float(sub.gen.uniform(-1.0, 1.0))
-        qpair = random_ball_quaternion(sub.split(0))
-        w = unit_quaternion_vector(n, sub.split(1))
-        closed = sp_orbit_projection(xp, xs, qpair, w)
-        qc = sp_orbit_conjugator(qpair, w)
-        x = QuaternionMatrix(1j * xp * np.eye(n + 1, dtype=complex),
-                             np.zeros((n + 1, n + 1), dtype=complex))
-        moved = conjugate(qc.conj_t(), x)
-        generic = project_to_m(ModelSpace("sp_sphere", n=n),
-                               AlgebraElement("sp_sphere", moved, xs))
-        worst = max(worst,
-                    float(np.max(np.abs(np.asarray(closed.q) - np.asarray(generic.q)))),
-                    float(np.max(np.abs(closed.u[0] - generic.u[0]))),
-                    float(np.max(np.abs(closed.u[1] - generic.u[1]))))
-    assert worst <= 1e-9
+    # conjugating by j in the last slot turns x' i into -x' i
+    j = (np.complex128(0.0), np.complex128(1.0))
+    h = sp_unit_diag(2, 1, j)
+    moved = conjugate(h, sp_scaled_identity(0.8, 2))
+    m0, usq = project_to_m(ModelSpace("sp_sphere", n=1), moved, 0.3)
+    np.testing.assert_allclose(m0, [0.3 - 0.8, 0.0, 0.0], atol=1e-15)
+    assert usq <= 1e-30
 
 
 def test_sp_projection_sweeps_the_orbit_sphere():
-    rng = RngStream(39)
-    for k in range(100):
-        sub = rng.split(k)
-        xp, xs = 0.9, -0.2
-        t = sp_orbit_projection(xp, xs, random_ball_quaternion(sub.split(0)),
-                                unit_quaternion_vector(2, sub.split(1)))
-        shift = sp_tangent([xs, 0.0, 0.0], np.zeros(2), np.zeros(2))
-        assert abs(eq_norm(t + (-1.0) * shift) - xp) <= 1e-12
+    # the orbit of (x' i I, x) projects onto the round sphere of radius |x'|
+    # centred at x i in the reference inner product, and reaches both poles
+    xp, xs = 0.9, -0.2
+    space = ModelSpace("sp_sphere", n=2)
+    e = sp_algebra(sp_scaled_identity(xp, 3), scalar=xs)
+    m0, usq = orbit_projection_sample(space, e, 2000, RngStream(39))
+    radius = np.sqrt(np.sum((m0 - [xs, 0.0, 0.0]) ** 2, axis=1) + usq)
+    assert np.max(np.abs(radius - xp)) <= 1e-12
+    assert m0[:, 0].min() <= xs - 0.9 * xp and m0[:, 0].max() >= xs + 0.9 * xp
+
+
+def test_sp_projection_agrees_with_generic_path():
+    # the stacked projection of Haar conjugates of (x' i I, x) against the
+    # column (g x' i g*) e_last written out entry by entry in quaternion
+    # arithmetic: x' sum_b g_ab i conj(g_last,b)
+    rng = RngStream(38)
+    unit_i = (np.complex128(1j), np.complex128(0.0))
+    xp, xs = 0.8, 0.5
+    for n in (1, 2, 3):
+        g = haar_symplectic(n + 1, [rng.split(n).split(k) for k in range(20)])
+        m0, usq = project_to_m(ModelSpace("sp_sphere", n=n),
+                               conjugate(g, sp_scaled_identity(xp, n + 1)), xs)
+
+        def entry(a):
+            terms = [qmul(qmul((g.q1[:, a, b], g.q2[:, a, b]), unit_i),
+                          qconj((g.q1[:, n, b], g.q2[:, n, b]))) for b in range(n + 1)]
+            return xp * sum(t[0] for t in terms), xp * sum(t[1] for t in terms)
+
+        last1, last2 = entry(n)
+        want_m0 = np.stack([last1.imag + xs, last2.real, last2.imag], axis=1)
+        want_usq = sum(qabs(entry(a)) ** 2 for a in range(n))
+        assert np.max(np.abs(m0 - want_m0)) <= 1e-12
+        assert np.max(np.abs(usq - want_usq)) <= 1e-12
 
 
 def test_sp_projection_rejects_bad_inputs():
+    with pytest.raises(InvalidInput, match="coset rank"):
+        orbit_projection_sample(ModelSpace("sp_sphere", n=1),
+                                sp_algebra(sp_scaled_identity(0.8, 3)), 10, RngStream(41))
     with pytest.raises(InvalidInput):
-        sp_orbit_projection(1.0, 0.0, (2.0, 0.0), (np.zeros(1), np.zeros(1)))
-    with pytest.raises(InvalidInput):
-        sp_orbit_projection(1.0, 0.0, (0.5, 0.0),
-                            (2.0 * np.ones(2, dtype=complex), np.zeros(2)))
+        sp_algebra(QuaternionMatrix(np.eye(2, dtype=complex), np.zeros((2, 2), complex)))
 
 
 # ----------------------------------------------------------------- Weyl helpers
@@ -297,16 +262,3 @@ def test_space_for_spec_su2_shift():
     spec = su2_cw_spec(0.5, 1.0)
     space = space_for_spec(spec)
     assert abs(space.su2_v - 0.5) <= 1e-12
-
-
-def test_presentation_catalog_consistency():
-    from cwspheres.cosets import SPHERE_PRESENTATIONS
-    from cwspheres.randers import SP_SPHERE, U_SPHERE
-    assert len(SPHERE_PRESENTATIONS) == 9
-    tagged = [row for row in SPHERE_PRESENTATIONS if row[3] is not None]
-    # modeled presentations are exactly the unitary tower and the
-    # symplectic-circle coset, and every tag implies admissibility
-    assert {row[3] for row in tagged} == {U_SPHERE, SP_SPHERE}
-    for _, _, admits, family in SPHERE_PRESENTATIONS:
-        if family is not None:
-            assert admits

@@ -7,7 +7,6 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from cwspheres import geodesy
-from cwspheres.cosets import ModelSpace
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import su2_flow, u_flow
 from cwspheres.geodesy import (_arc_costs, _edge_costs, build_graph,
@@ -17,13 +16,12 @@ from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import RngStream
 from cwspheres.randers import RandersSpec, round_spec
 
-S3 = ModelSpace("u_sphere", n=1)
 ROUND3 = round_spec("u_sphere", 1)
 CW3 = solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0))
 
 
 def small_graph(spec=ROUND3, n_points=2500, k=12, seed=100):
-    return build_graph(S3, spec, n_points, k, RngStream(seed))
+    return build_graph(spec, n_points, k, RngStream(seed))
 
 
 def out_edges(g, i):
@@ -36,14 +34,14 @@ def out_edges(g, i):
 
 def test_build_validates_parameters():
     with pytest.raises(InvalidInput):
-        build_graph(S3, ROUND3, 100, 12, RngStream(0))
+        build_graph(ROUND3, 100, 12, RngStream(0))
     with pytest.raises(InvalidInput):
-        build_graph(S3, ROUND3, 600, 4, RngStream(0))
-    with pytest.raises(InvalidInput):
-        build_graph(ModelSpace("u_sphere", n=2), ROUND3, 600, 8, RngStream(0))
+        build_graph(ROUND3, 600, 4, RngStream(0))
+    with pytest.raises(InvalidInput):       # the spec alone sizes the sphere
+        build_graph(RandersSpec("u_sphere", n=0, a=1.0, b=1.0), 600, 8, RngStream(0))
     for k in (600, 100000):    # a vertex has at most n_points - 1 neighbours
         with pytest.raises(InvalidInput):
-            build_graph(S3, ROUND3, 600, k, RngStream(0))
+            build_graph(ROUND3, 600, k, RngStream(0))
 
 
 def test_build_round_weights_symmetric():
@@ -295,7 +293,7 @@ def test_distance_triangle_inequality_with_slack():
 def test_distance_convergence_across_density_levels():
     errs = []
     for n_points in (1000, 2000, 4000):
-        g = build_graph(S3, ROUND3, n_points, 12, RngStream(16).split(n_points))
+        g = build_graph(ROUND3, n_points, 12, RngStream(16).split(n_points))
         est, _ = distance_to_coords(g, 0, -g.points[0])
         errs.append(abs(est - math.pi))
     # monotone decrease within noise: each level at most 1.3x the previous
@@ -326,7 +324,7 @@ def test_flow_invariance_of_distances():
 
 @pytest.fixture(scope="module")
 def readme_graph():
-    return build_graph(S3, CW3, 20000, 12, RngStream(41))
+    return build_graph(CW3, 20000, 12, RngStream(41))
 
 
 def bounded_queries(g):
@@ -428,18 +426,16 @@ def test_displacement_family_mismatch():
 # ------------------------------------------------------------- other families
 
 def test_su2_graph_round_distance():
-    space = ModelSpace("su2")
     spec = RandersSpec("su2", a=1.0, b=1.0, c=0.0)
-    g = build_graph(space, spec, 3000, 12, RngStream(24))
+    g = build_graph(spec, 3000, 12, RngStream(24))
     est, _ = distance_to_coords(g, 0, -g.points[0])
     assert abs(est - math.pi) / math.pi <= 0.05
 
 
 def test_su2_graph_displacement_of_left_translation():
     # left translation by exp(t X) moves every point the same distance
-    space = ModelSpace("su2")
     spec = RandersSpec("su2", a=1.0, b=1.0, c=0.0)
-    g = build_graph(space, spec, 3000, 12, RngStream(25))
+    g = build_graph(spec, 3000, 12, RngStream(25))
     flow = su2_flow([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5)
     prof = displacement_profile(g, flow, 15, RngStream(26))
     assert prof.verdict == "constant"
@@ -447,9 +443,8 @@ def test_su2_graph_displacement_of_left_translation():
 
 
 def test_sp_graph_builds_and_connects():
-    space = ModelSpace("sp_sphere", n=1)
     spec = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
-    g = build_graph(space, spec, 900, 10, RngStream(27))
+    g = build_graph(spec, 900, 10, RngStream(27))
     rep = distance(g, 0, 500, refine=False)
     assert rep.distance > 0.0
 

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from cwspheres import killing, randers
-from cwspheres.cosets import (AlgebraElement, project_to_m, sp_algebra,
-                              space_for_spec, su2_algebra)
+from cwspheres.cosets import project_to_m, sp_algebra, space_for_spec, su2_algebra
 from cwspheres.errors import InvalidInput
 from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
                                solve_metric, su2_cw_spec)
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate, haar_su2,
                                   haar_symplectic, haar_unitary, su2_from_vec)
-from cwspheres.randers import (RandersSpec, eq_norm, randers_norm,
-                               randers_norm_array, round_spec, sp_tangent,
-                               spec_from_json, spec_to_json, su2_tangent,
-                               u_tangent, validate_spec)
+from cwspheres.randers import (RandersSpec, m1_norm_sq, randers_norm_array,
+                               round_spec, spec_from_json, spec_to_json,
+                               validate_spec)
 
 CW_SPEC = RandersSpec("u_sphere", n=1, a=16.0 / 9.0, b=4.0 / 3.0, c=-2.0 / 3.0)
 
@@ -28,8 +26,22 @@ def random_spec(rng):
 
 
 def random_tangent(spec, rng):
+    """m0 coordinates (1,) and complex m1 part (n,) of a random u_sphere
+    tangent vector."""
     g = rng.gen
-    return u_tangent(g.normal(), g.normal(size=spec.n) + 1j * g.normal(size=spec.n))
+    q = g.normal()
+    return np.array([q]), g.normal(size=spec.n) + 1j * g.normal(size=spec.n)
+
+
+def norm(spec, m0, u):
+    """F of the u_sphere tangent vector with m0 coordinates `m0` and m1
+    part `u`."""
+    return float(randers_norm_array(spec, m0, m1_norm_sq(spec.family, u)))
+
+
+def axis_norm(spec, q):
+    """F of q times the unit m0 axis vector."""
+    return randers_norm_array(spec, np.array([q]), 0.0)
 
 
 # ------------------------------------------------------------- validate_spec
@@ -65,52 +77,44 @@ def test_validate_unknown_family():
     assert validate_spec(RandersSpec("torus")) == ["unknown family 'torus'"]
 
 
-# -------------------------------------------------------------- randers_norm
+# -------------------------------------------------------- randers_norm_array
 
 def test_norm_round_unit_axis():
-    assert randers_norm(round_spec(), u_tangent(1.0, [0.0])) == 1.0
+    assert axis_norm(round_spec(), 1.0) == 1.0
 
 
 def test_norm_solved_spec_positive_root():
     # sqrt(a)*1.5 + c*1.5 = (4/3 - 2/3) * 1.5 = 1
-    val = randers_norm(CW_SPEC, u_tangent(1.5, [0.0]))
-    assert abs(val - 1.0) <= 1e-14
+    assert abs(axis_norm(CW_SPEC, 1.5) - 1.0) <= 1e-14
 
 
 def test_norm_solved_spec_negative_root():
-    val = randers_norm(CW_SPEC, u_tangent(-0.5, [0.0]))
-    assert abs(val - 1.0) <= 1e-14
+    assert abs(axis_norm(CW_SPEC, -0.5) - 1.0) <= 1e-14
 
 
 def test_norm_zero_vector_is_zero():
-    assert randers_norm(CW_SPEC, u_tangent(0.0, [0.0])) == 0.0
+    assert axis_norm(CW_SPEC, 0.0) == 0.0
 
 
 def test_norm_positive_off_zero():
     rng = RngStream(1)
     for k in range(50):
         spec = random_spec(rng.split(k))
-        y = random_tangent(spec, rng.split(1000 + k))
-        assert randers_norm(spec, y) > 0.0
+        assert norm(spec, *random_tangent(spec, rng.split(1000 + k))) > 0.0
 
 
 def test_norm_rejects_invalid_spec():
     bad = RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=2.0)
     with pytest.raises(InvalidInput):
-        randers_norm(bad, u_tangent(1.0, [0.0]))
-
-
-def test_norm_rejects_family_mismatch():
-    with pytest.raises(InvalidInput):
-        randers_norm(round_spec(), su2_tangent([1.0, 0.0, 0.0]))
+        axis_norm(bad, 1.0)
 
 
 def test_sp_norm_formula():
     spec = RandersSpec("sp_sphere", n=1, a1=2.0, a2=0.5, b=1.5, c=0.4)
-    y = sp_tangent([1.0, 2.0, -1.0], [1.0 + 1j], [0.5j])
-    usq = (1.0 + 1.0) + (0.25)
-    expected = math.sqrt(2.0 + 0.5 * 5.0 + 1.5 * usq) + 0.4
-    assert abs(randers_norm(spec, y) - expected) <= 1e-14
+    usq = m1_norm_sq("sp_sphere", (np.array([1.0 + 1j]), np.array([0.5j])))
+    expected = math.sqrt(2.0 + 0.5 * 5.0 + 1.5 * ((1.0 + 1.0) + 0.25)) + 0.4
+    got = randers_norm_array(spec, np.array([1.0, 2.0, -1.0]), usq)
+    assert abs(got - expected) <= 1e-14
 
 
 # ------------------------------------------------------------ norm properties
@@ -119,10 +123,10 @@ def test_positive_homogeneity():
     rng = RngStream(2)
     for k in range(200):
         spec = random_spec(rng.split(k))
-        y = random_tangent(spec, rng.split(5000 + k))
+        m0, u = random_tangent(spec, rng.split(5000 + k))
         lam = rng.split(9000 + k).gen.uniform(0.01, 20.0)
-        lhs = randers_norm(spec, lam * y)
-        rhs = lam * randers_norm(spec, y)
+        lhs = norm(spec, lam * m0, lam * u)
+        rhs = lam * norm(spec, m0, u)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + rhs)
 
 
@@ -130,59 +134,64 @@ def test_triangle_inequality():
     rng = RngStream(3)
     for k in range(200):
         spec = random_spec(rng.split(k))
-        y1 = random_tangent(spec, rng.split(6000 + k))
-        y2 = random_tangent(spec, rng.split(7000 + k))
-        lhs = randers_norm(spec, y1 + y2)
-        assert lhs <= randers_norm(spec, y1) + randers_norm(spec, y2) + 1e-10
+        m0_1, u1 = random_tangent(spec, rng.split(6000 + k))
+        m0_2, u2 = random_tangent(spec, rng.split(7000 + k))
+        lhs = norm(spec, m0_1 + m0_2, u1 + u2)
+        assert lhs <= norm(spec, m0_1, u1) + norm(spec, m0_2, u2) + 1e-10
 
 
 def test_non_reversibility_iff_c_nonzero():
-    y = u_tangent(1.0, [0.0])
-    assert abs(randers_norm(CW_SPEC, y) - randers_norm(CW_SPEC, -y)) > 0.1
+    assert abs(axis_norm(CW_SPEC, 1.0) - axis_norm(CW_SPEC, -1.0)) > 0.1
     rng = RngStream(4)
     sym = round_spec()
     for k in range(50):
-        y = random_tangent(sym, rng.split(k))
-        assert abs(randers_norm(sym, y) - randers_norm(sym, -y)) <= 1e-12
+        m0, u = random_tangent(sym, rng.split(k))
+        assert abs(norm(sym, m0, u) - norm(sym, -m0, -u)) <= 1e-12
 
 
 def test_round_spec_reduces_to_reference_norm():
     rng = RngStream(5)
     sym = round_spec("u_sphere", 2)
     for k in range(50):
-        y = random_tangent(sym, rng.split(k))
-        assert abs(randers_norm(sym, y) - eq_norm(y)) <= 1e-12
+        m0, u = random_tangent(sym, rng.split(k))
+        reference = np.linalg.norm(np.concatenate([m0, u.real, u.imag]))
+        assert abs(norm(sym, m0, u) - reference) <= 1e-12
 
 
 # -------------------------------------- batched norm vs per-vector reference
 
-def reference_norm(spec, y):
-    """Reference: F(y) for one tangent vector, written out in plain floats."""
-    usq = y.u_norm_sq()
+def reference_norm(spec, m0, usq):
+    """Reference: F of one tangent vector, given by its m0 coordinates and
+    squared m1 norm, written out in plain floats."""
+    usq = float(usq)
     if spec.family == "sp_sphere":
-        l1, l2, l3 = (float(v) for v in y.q)
+        l1, l2, l3 = (float(v) for v in m0)
         return (math.sqrt(spec.a1 * l1 ** 2 + spec.a2 * (l2 ** 2 + l3 ** 2)
                           + spec.b * usq) + spec.c * l1)
-    q = float(y.q)
+    q = float(m0[0])
     return math.sqrt(spec.a * q ** 2 + spec.b * usq) + spec.c * q
 
 
 def random_tangents(spec, count, gen):
-    """Random tangent vectors of the spec's family, cycling through zero,
-    pure-m0, pure-m1 and generic ones."""
-    out = []
+    """m0 rows (count, k) and squared m1 norms (count,) of random tangent
+    vectors of the spec's family, cycling through zero, pure-m0, pure-m1
+    and generic ones."""
+    m0, usq = [], []
     for k in range(count):
         keep_q, keep_u = k % 4 in (1, 3), k % 4 in (2, 3)
         if spec.family == "sp_sphere":
             u = gen.normal(size=(2, spec.n)) + 1j * gen.normal(size=(2, spec.n))
-            out.append(sp_tangent(gen.normal(size=3) * keep_q,
-                                  u[0] * keep_u, u[1] * keep_u))
+            m0.append(gen.normal(size=3) * keep_q)
+            usq.append(m1_norm_sq(spec.family, (u[0] * keep_u, u[1] * keep_u)))
         elif spec.family == "su2":
-            out.append(su2_tangent(gen.normal(size=3) * [keep_q, keep_u, keep_u]))
+            y = gen.normal(size=3) * [keep_q, keep_u, keep_u]
+            m0.append(y[:1])
+            usq.append(m1_norm_sq(spec.family, y[1:]))
         else:
             u = gen.normal(size=spec.n) + 1j * gen.normal(size=spec.n)
-            out.append(u_tangent(gen.normal() * keep_q, u * keep_u))
-    return out
+            m0.append([gen.normal() * keep_q])
+            usq.append(m1_norm_sq(spec.family, u * keep_u))
+    return np.array(m0, dtype=float), np.array(usq)
 
 
 KERNEL_SPECS = [spec for c in (-0.6, 0.0, 0.6) for spec in (
@@ -196,19 +205,17 @@ KERNEL_SPECS = [spec for c in (-0.6, 0.0, 0.6) for spec in (
 @pytest.mark.parametrize("spec", KERNEL_SPECS,
                          ids=lambda s: f"{s.family}-n{s.n}-c{s.c:+.1f}")
 def test_batched_norm_matches_per_vector_reference(spec):
-    ys = random_tangents(spec, 400, RngStream(11).gen)
-    m0 = np.array([y.m0 for y in ys])
-    usq = np.array([y.u_norm_sq() for y in ys])
+    m0, usq = random_tangents(spec, 400, RngStream(11).gen)
     batched = randers_norm_array(spec, m0, usq)
-    reference = np.array([reference_norm(spec, y) for y in ys])
+    reference = np.array([reference_norm(spec, row, sq) for row, sq in zip(m0, usq)])
     np.testing.assert_array_max_ulp(batched, reference, maxulp=1)
-    zero = np.arange(len(ys)) % 4 == 0
+    zero = np.arange(len(usq)) % 4 == 0
     assert np.all(batched[zero] == 0.0) and np.all(batched[~zero] != 0.0)
-    # extra leading axes broadcast, and the single-vector entry point is the
-    # same kernel
+    # extra leading axes broadcast, and one vector at a time is the same kernel
     grid = randers_norm_array(spec, m0.reshape(4, 100, -1), usq.reshape(4, 100))
     np.testing.assert_array_equal(grid.ravel(), batched)
-    assert [randers_norm(spec, y) for y in ys] == batched.tolist()
+    single = [randers_norm_array(spec, row, sq) for row, sq in zip(m0, usq)]
+    assert single == batched.tolist()
 
 
 def orbit_cases():
@@ -228,13 +235,12 @@ def orbit_cases():
 
 
 def per_draw_orbit(space, e, trials, rng):
-    """Reference: one Haar draw from `rng.split(k)`, one conjugation and one
-    projection per orbit point, as tangent vectors."""
+    """Reference: per orbit point, one Haar draw from `rng.split(k)`, one
+    conjugation and one projection of a stack of one, as (m0, usq) rows."""
     haar = {"u_sphere": lambda r: haar_unitary(space.n + 1, r),
             "sp_sphere": lambda r: haar_symplectic(space.n + 1, r),
             "su2": haar_su2}[space.family]
-    return [project_to_m(space, AlgebraElement(e.family, conjugate(haar(rng.split(k)), e.x),
-                                               e.scalar))
+    return [project_to_m(space, conjugate(haar([rng.split(k)]), e.x), e.scalar)
             for k in range(trials)]
 
 
@@ -242,8 +248,8 @@ def per_draw_orbit(space, e, trials, rng):
 def test_orbit_report_matches_reference_on_same_draws(case):
     spec, e = orbit_cases()[case]
     rep = orbit_length_report(spec, e, L=1.0, trials=300, rng=RngStream(21))
-    ys = per_draw_orbit(space_for_spec(spec), e, 300, RngStream(21))
-    reference = np.array([reference_norm(spec, y) for y in ys])
+    draws = per_draw_orbit(space_for_spec(spec), e, 300, RngStream(21))
+    reference = np.array([reference_norm(spec, m0[0], usq[0]) for m0, usq in draws])
     for got, want in ((rep.min, reference.min()), (rep.max, reference.max()),
                       (rep.mean, reference.mean())):
         assert abs(got - want) <= np.spacing(abs(want))
@@ -265,26 +271,6 @@ def test_orbit_report_validates_and_evaluates_once(monkeypatch):
             monkeypatch.setattr(module, name, wrapped)
     orbit_length_report(spec, e, L=1.0, trials=500, rng=RngStream(22))
     assert calls == {"require_valid": 1, "randers_norm_array": 1}
-
-
-# ------------------------------------------------------------- tangent algebra
-
-def test_tangent_addition_and_scaling():
-    y1 = u_tangent(1.0, [1.0 + 0j])
-    y2 = u_tangent(-0.5, [0.0 + 1j])
-    s = y1 + y2
-    assert s.q == 0.5
-    np.testing.assert_allclose(s.u, [1.0 + 1j])
-    half = 0.5 * y1
-    assert half.q == 0.5
-    sp = sp_tangent([1.0, 0.0, 0.0], [1.0], [1j]) + sp_tangent([0.0, 2.0, 0.0], [1.0], [0.0])
-    np.testing.assert_allclose(sp.q, [1.0, 2.0, 0.0])
-    np.testing.assert_allclose(sp.u[0], [2.0])
-
-
-def test_tangent_family_mismatch_add():
-    with pytest.raises(InvalidInput):
-        u_tangent(1.0, [0.0]) + su2_tangent([1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------- JSON schema
