@@ -109,6 +109,14 @@ def test_norm_rejects_invalid_spec():
         axis_norm(bad, 1.0)
 
 
+def test_norm_rejects_family_mismatch():
+    # evaluating the round u_sphere metric on an su2 algebra element is
+    # refused before any norm is taken
+    with pytest.raises(InvalidInput, match="family"):
+        orbit_length_report(round_spec(), su2_algebra(su2_from_vec([1.0, 0.0, 0.0])),
+                            RngStream(5), trials=100)
+
+
 def test_sp_norm_formula():
     spec = RandersSpec("sp_sphere", n=1, a1=2.0, a2=0.5, b=1.5, c=0.4)
     usq = m1_norm_sq("sp_sphere", (np.array([1.0 + 1j]), np.array([0.5j])))
