@@ -8,8 +8,9 @@ the induced isometry flows with a brute-force geodesic-distance oracle.
 Modules
 -------
 matrixcore
-    Skew-Hermitian exponentials, eigenvalue phases, Haar U(n)/Sp(n),
-    quaternion pairs, su(2) dictionary, seeded RNG streams.
+    Skew-Hermitian exponentials, eigenvalue phases, stacked Haar
+    U(n)/Sp(n)/SU(2) draws from sequences of seeded RNG streams,
+    quaternion pairs, su(2) dictionary.
 randers
     Metric parameter containers, the vectorised norm on (m0, usq) arrays,
     JSON.
@@ -21,9 +22,11 @@ killing
     length reports, witness constructions.
 flows
     Isometry flows, endpoint focusing, spectral phase-interval and
-    commutator checkers, geodesic non-intersection probe.
+    commutator checkers on stacks of matrices, geodesic
+    non-intersection probe.
 geodesy
-    Sampled sphere graphs and the shortest-path distance oracle.
+    Sampled sphere graphs and the shortest-path distance oracle (refined
+    and raw distances).
 checks
     The nine `verify` checks, each returning a typed report.
 cli

@@ -15,9 +15,9 @@ import numpy as np
 from . import geodesy
 from .cosets import sp_algebra
 from .errors import InvalidInput
-from .flows import (T_GRID_POINTS, apply_flow, block_angle_unitary,
+from .flows import (T_GRID, apply_flow, block_angle_unitary,
                     commutator_eig1_persistence, endpoint_focus_check,
-                    geodesic_nonintersection_probe, phase_bound_check_stack,
+                    geodesic_nonintersection_probe, phase_bound_check,
                     su2_flow, u_flow)
 from .killing import orbit_generator, orbit_length_report, sp_witness_pair
 from .matrixcore import (QuaternionMatrix, expm_skew, haar_unitary, seed_block,
@@ -101,7 +101,7 @@ def eigenlemma(n, trials, rng) -> CheckReport:
         log.info("eigenlemma trial %d/%d", ks.start, trials)
         p = haar_unitary(n, [sub.split(0) for sub in subs])
         q = haar_unitary(n, [sub.split(1) for sub in subs])
-        res = phase_bound_check_stack(p, q)
+        res = phase_bound_check(p, q)
         for k, pk, qk, defined, ok in zip(ks, p, q, res.defined, res.verdict):
             verdict = bool(ok) if defined else "undefined"
             rows.append((k, _digest(pk, qk), verdict,
@@ -118,7 +118,7 @@ def commutator(l, m, trials, rng) -> CheckReport:
     if r < 1 or trials < 1:
         raise InvalidInput("need l, m and trials of at least 1")
     rows = []
-    for ks, subs in trial_blocks(rng, trials, T_GRID_POINTS * (l + m) ** 2):
+    for ks, subs in trial_blocks(rng, trials, T_GRID.size * (l + m) ** 2):
         invertible = [(k % 2 == 1) and l == m for k in ks]
         angles = np.array([sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
                            for sub in seed_block(subs)])
@@ -239,7 +239,7 @@ def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     """Distance oracle on the round S^3: antipode against pi, symmetry of
     ten vertex pairs and the spread of a Hopf rotation's displacement."""
     graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
-    anti, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
+    anti, _, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
     anti_err = abs(anti - math.pi) / math.pi
     gen = pair_rng.gen
     sym_dev = 0.0

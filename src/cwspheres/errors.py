@@ -21,9 +21,5 @@ class NotApplicable(CwError):
     """Operation requires a hypothesis (e.g. a non-reversible metric) that fails."""
 
 
-class BranchUndefined(CwError):
-    """Eigenvalue phase sits on the branch cut where the check is undefined."""
-
-
 class ResolutionTooCoarse(CwError):
     """Sampled sphere graph is too coarse (disconnected or target unreachable)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import BranchUndefined, InvalidInput
+from .errors import InvalidInput
 from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
                          haar_unitary, seed_block, su2_from_vec, su2_inner,
                          su2_matrix_from_quat, trial_blocks, unitary_phases)
@@ -30,13 +30,10 @@ EIG1_TOL = 1e-9                 # |lambda - 1| that counts as eigenvalue 1
 SHARED_VECTOR_TOL = 1e-8        # residual of a shared eigenvector
 MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
 NONINTERSECTION_MIN_DIST = 1e-9
-T_GRID_POINTS = 32              # default t-grid of the commutator check
 BRANCH_CUT_TOL = 1e-12          # a phase this close to +-pi is on the cut
-
-
-def default_t_grid(points=T_GRID_POINTS):
-    """Uniform grid strictly inside (0, pi)."""
-    return np.linspace(0.0, math.pi, points + 2)[1:-1]
+# t-grid of the commutator check: 32 uniform points strictly inside (0, pi)
+T_GRID = np.linspace(0.0, math.pi, 34)[1:-1]
+T_GRID.flags.writeable = False
 
 
 # --------------------------------------------------------------------------
@@ -143,29 +140,9 @@ def endpoint_focus_check(v, rng, samples=100):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PhaseInterval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidInput("interval must satisfy lo <= hi")
-
-
-@dataclass(frozen=True)
-class PhaseBoundResult:
-    intervals: tuple
-    pq_phases: np.ndarray      # principal phases of PQ, sorted
-    lifted: np.ndarray         # matched real lifts (NaN where unmatched)
-    verdict: bool
-
-
-@dataclass(frozen=True)
 class PhaseBoundStack:
     """The phase-interval bound for a stack of pairs, one row per pair."""
 
-    p_phases: np.ndarray       # (T, n) sorted phases of P
-    q_phases: np.ndarray       # (T, n) sorted phases of Q
     pq_phases: np.ndarray      # (T, n) sorted principal phases of PQ
     lo: np.ndarray             # (T, n) interval i is [lo_i, hi_i]
     hi: np.ndarray
@@ -178,18 +155,22 @@ def _on_branch_cut(phases):
     return np.any(np.abs(phases) >= math.pi - BRANCH_CUT_TOL, axis=-1)
 
 
-def phase_bound_check_stack(p, q, raw_branch=False) -> PhaseBoundStack:
-    """The bound of `phase_bound_check` for (T, n, n) stacks of P and Q.
+def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundStack:
+    """Check, for each pair of the (T, n, n) stacks P and Q, that each phase
+    of PQ, sorted and lifted to the reals, lies in [a_i + min(b), a_i +
+    max(b)] where a, b are the sorted phases of P, Q.
 
-    Interval i is [a_i + min(b), a_i + max(b)] widened by PHASE_EPS, with
-    a, b the sorted phases of P, Q; a phase of PQ fits it when some lift
-    by 0 or +-2pi (only 0 with raw_branch=True) lies inside.  Every lift
-    that can land in an interval is among these, so fitting is membership
-    in an arc of the circle.  The arcs share one width and start in the
-    order of a, so a perfect matching of arcs to the sorted phases of PQ
-    exists exactly when some cyclic rotation r matches phase (i + r) mod n
-    to arc i for every i; the first such r gives the lifts.  A pair with
-    a P or Q phase on the branch cut is undefined.
+    Interval i is widened by PHASE_EPS.  A phase of PQ fits it when some
+    lift by 0 or +-2pi lies inside, matching the continuity of the phase
+    paths of P exp(tB); with raw_branch=True only the principal branch
+    (lift 0) is used, which is expected to produce counterexamples.
+    Every lift that can land in an interval is among these, so fitting is
+    membership in an arc of the circle.  The arcs share one width and
+    start in the order of a, so a perfect matching of arcs to the sorted
+    phases of PQ exists exactly when some cyclic rotation r matches phase
+    (i + r) mod n to arc i for every i; the first such r gives the lifts.
+    A pair with a P or Q phase on the branch cut is undefined: `defined`
+    and `verdict` are False.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -214,27 +195,8 @@ def phase_bound_check_stack(p, q, raw_branch=False) -> PhaseBoundStack:
     best = np.argmax(rotation_ok, axis=-1)
     lifted = pick[np.arange(len(a))[:, None], rows, cyc[best]]
     lifted[~verdict] = np.nan
-    return PhaseBoundStack(p_phases=a, q_phases=b, pq_phases=theta, lo=lo, hi=hi,
-                           lifted=lifted, defined=defined, verdict=verdict)
-
-
-def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundResult:
-    """Check that each phase of PQ, sorted and lifted to the reals, lies in
-    [a_i + min(b), a_i + max(b)] where a, b are the sorted phases of P, Q.
-
-    Lifting allows a +-2pi unwrap, matching the continuity of the phase
-    paths of P exp(tB); with raw_branch=True the principal branch is used
-    as-is, which is expected to produce counterexamples.  The pair goes
-    through `phase_bound_check_stack` as a stack of one.
-    """
-    res = phase_bound_check_stack(np.asarray(p, dtype=complex)[None],
-                                  np.asarray(q, dtype=complex)[None], raw_branch)
-    for phases, who in ((res.p_phases, "P"), (res.q_phases, "Q")):
-        if _on_branch_cut(phases)[0]:
-            raise BranchUndefined(f"{who} has an eigenvalue at the phase branch cut")
-    intervals = tuple(PhaseInterval(lo, hi) for lo, hi in zip(res.lo[0], res.hi[0]))
-    return PhaseBoundResult(intervals=intervals, pq_phases=res.pq_phases[0],
-                            lifted=res.lifted[0], verdict=bool(res.verdict[0]))
+    return PhaseBoundStack(pq_phases=theta, lo=lo, hi=hi, lifted=lifted,
+                           defined=defined, verdict=verdict)
 
 
 # --------------------------------------------------------------------------
@@ -243,38 +205,31 @@ def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundResult:
 
 @dataclass(frozen=True)
 class CommutatorEig1Result:
-    """Per grid point results; a stack of U gives each field a leading
-    trial axis."""
+    """Results for a stack of U, one row per matrix."""
 
-    has_eig1: np.ndarray           # per grid point
-    spectral_dists: np.ndarray     # min |lambda - 1| per grid point
-    shared_eigenvector: bool
-    worst_residual: float
+    has_eig1: np.ndarray            # (T, G) bool, per grid point
+    spectral_dists: np.ndarray      # (T, G) min |lambda - 1| per grid point
+    shared_eigenvector: np.ndarray  # (T,) bool
+    worst_residual: np.ndarray      # (T,)
 
 
 def _twist_diag(l, m, t):
     return np.concatenate([np.full(l, np.exp(-1j * t)), np.full(m, np.exp(1j * t))])
 
 
-def commutator_eig1_persistence(u, l, m, t_grid=None) -> CommutatorEig1Result:
-    """Presence of eigenvalue 1 for exp(tX) U exp(-tX) U* across a t-grid,
-    X = i diag(-I_l, I_m), plus a shared-eigenvector check, for one U or
-    each matrix of a (T, n, n) stack.
+def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
+    """Presence of eigenvalue 1 for exp(tX) U exp(-tX) U* across T_GRID,
+    X = i diag(-I_l, I_m), plus a shared-eigenvector check, for each
+    matrix of a (T, n, n) stack.
 
     The expected behaviour is all-or-nothing: eigenvalue 1 occurs for some
     interior t exactly when an off-diagonal block of U is singular, and
     then a single eigenvector works for every t.
     """
-    u = as_unitary(u)
-    if u.shape[-1] != l + m or l < 1 or m < 1:
-        raise InvalidInput("U must be (l+m) x (l+m) with l, m >= 1")
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0) or np.any(t_grid >= math.pi):
-        raise InvalidInput("t grid must lie strictly inside (0, pi)")
-    us = u if u.ndim == 3 else u[None]
-    d = np.array([_twist_diag(l, m, t) for t in t_grid])          # (G, n)
+    us = as_unitary(u)
+    if us.ndim != 3 or us.shape[-1] != l + m or l < 1 or m < 1:
+        raise InvalidInput("U must be a stack of (l+m) x (l+m) matrices with l, m >= 1")
+    d = np.array([_twist_diag(l, m, t) for t in T_GRID])          # (G, n)
     mats = (d[:, :, None] * us[:, None] * np.conj(d)[:, None, :]) @ conj_t(us)[:, None]
     dists = np.min(np.abs(np.linalg.eigvals(mats) - 1.0), axis=-1)
     has = dists <= EIG1_TOL
@@ -289,32 +244,27 @@ def commutator_eig1_persistence(u, l, m, t_grid=None) -> CommutatorEig1Result:
                 worst[k] = min(worst[k], max(float(np.linalg.norm(r))
                                              for r in mats[k] @ v - v))
     shared = has.all(axis=-1) & (worst <= SHARED_VECTOR_TOL)
-    if u.ndim == 3:
-        return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
-                                    shared_eigenvector=shared, worst_residual=worst)
-    return CommutatorEig1Result(has_eig1=has[0], spectral_dists=dists[0],
-                                shared_eigenvector=bool(shared[0]),
-                                worst_residual=float(worst[0]))
+    return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
+                                shared_eigenvector=shared, worst_residual=worst)
 
 
-def block_angle_unitary(l, m, angles, rng) -> np.ndarray:
-    """Unitary in U(l+m) whose off-diagonal blocks have singular values
-    |sin(angles)| (padded with zeros if l != m).
+def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
+    """(T, l+m, l+m) stack of unitaries, one per row of the (T, r) array
+    `angles` and stream of the sequence `rngs`, r = min(l, m), whose
+    off-diagonal blocks have singular values |sin(angles)| (padded with
+    zeros if l != m).
 
     Cosine-sine style construction: Haar factors on the diagonal blocks
     around a real block rotation through the given principal angles.
     Setting an angle to zero makes the off-diagonal blocks rank-deficient;
     keeping all angles inside (0, pi/2) with l = m makes them invertible.
-    A (T, r) array of angles with a sequence of T streams gives the
-    (T, l+m, l+m) stack, each Haar factor drawn as one stack.
+    Each Haar factor is drawn as one stack.
     """
     r = min(l, m)
     angles = np.asarray(angles, dtype=float)
-    stacked = angles.ndim == 2
-    rngs = list(rng) if stacked else [rng]
-    angles = angles if stacked else angles[None]
+    rngs = list(rngs)
     if angles.shape != (len(rngs), r):
-        raise InvalidInput(f"need {r} principal angles")
+        raise InvalidInput(f"need a ({len(rngs)}, {r}) array of principal angles")
     n = l + m
     rot = np.tile(np.eye(n), (len(rngs), 1, 1))
     for i in range(r):
@@ -330,8 +280,7 @@ def block_angle_unitary(l, m, angles, rng) -> np.ndarray:
     left[:, l:, l:] = haar_unitary(m, [s.split(1) for s in rngs])
     right[:, :l, :l] = haar_unitary(l, [s.split(2) for s in rngs])
     right[:, l:, l:] = haar_unitary(m, [s.split(3) for s in rngs])
-    out = left @ rot @ right
-    return out if stacked else out[0]
+    return left @ rot @ right
 
 
 # --------------------------------------------------------------------------

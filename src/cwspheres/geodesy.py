@@ -157,8 +157,9 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
 class DistanceReport:
     source: int
     target: int
-    distance: float
-    hops: int
+    distance: float             # corridor-refined
+    raw: float                  # raw graph distance
+    hops: int                   # of the raw path
 
 
 def _arc_costs(spec: RandersSpec, starts, ends):
@@ -266,29 +267,28 @@ def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None):
     return float(refined)
 
 
-def distance(graph: SphereGraph, source, target, refine=True) -> DistanceReport:
+def distance(graph: SphereGraph, source, target) -> DistanceReport:
     """Distance estimate from vertex `source` to vertex `target`.
 
-    With refine=True (default) the raw shortest path is re-measured through
-    its corridor, which removes most of the k-NN discretization stretch;
-    refine=False reports the raw graph distance.  Hop count always refers
-    to the raw path.
+    The raw shortest path is re-measured through its corridor, which
+    removes most of the k-NN discretization stretch; the raw graph
+    distance and the raw path's hop count are reported alongside.
     """
     source, target = int(source), int(target)
     dist, pred = _raw_search(graph, source, graph.points[target], [target], 0.0)
     if not np.isfinite(dist[target]):
         raise ResolutionTooCoarse("target unreachable at this resolution")
     raw_path = _walk_predecessors(pred, source, target)
-    d = dist[target]
-    if refine:
-        d = _corridor_refine(graph, source, raw_path)
-    return DistanceReport(source=source, target=target, distance=float(d),
-                          hops=len(raw_path) - 1)
+    return DistanceReport(source=source, target=target,
+                          distance=_corridor_refine(graph, source, raw_path),
+                          raw=float(dist[target]), hops=len(raw_path) - 1)
 
 
-def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
+def distance_to_coords(graph: SphereGraph, source, coords):
     """Distance estimate from vertex `source` to an arbitrary on-sphere
-    point given by real coordinates (connected as a virtual vertex)."""
+    point given by real coordinates (connected as a virtual vertex):
+    (corridor-refined distance, raw graph distance, chord distance from
+    the point to its nearest vertex)."""
     source = int(source)
     coords = np.asarray(coords, dtype=float)
     snap_d, cand = graph.tree.query(coords, k=graph.k)      # k >= MIN_DEGREE: arrays
@@ -300,9 +300,8 @@ def distance_to_coords(graph: SphereGraph, source, coords, refine=True):
         raise ResolutionTooCoarse("target unreachable at this resolution")
     best = int(cand[np.argmin(totals)])
     raw_path = _walk_predecessors(pred, source, best)
-    est = _corridor_refine(graph, source, raw_path, target_coords=coords) if refine \
-        else float(np.min(totals))
-    return est, float(snap_d[0])
+    return (_corridor_refine(graph, source, raw_path, target_coords=coords),
+            float(np.min(totals)), float(snap_d[0]))
 
 
 # --------------------------------------------------------------------------
@@ -360,8 +359,8 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
     disp, snap = np.empty(count), np.empty(count)
     for row, src in enumerate(sources):
         moved = apply_flow(flow, _point_coords(graph, int(src)))
-        disp[row], snap[row] = distance_to_coords(graph, int(src),
-                                                  _coords_to_real(graph, moved))
+        disp[row], _, snap[row] = distance_to_coords(graph, int(src),
+                                                     _coords_to_real(graph, moved))
     mean = float(disp.mean())
     rel = float(disp.max() - disp.min()) / mean if mean > 0 else math.inf
     return DisplacementProfile(

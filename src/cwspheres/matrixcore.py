@@ -7,8 +7,9 @@ sampling on U(n) and Sp(n), and adjoint conjugation.  Quaternion matrices
 are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; a 2n x 2n
 complex embedding is provided as an independent cross-check only.
 
-The Monte-Carlo kernels work on stacks: the phases, the Haar samplers
-and the conjugation take a leading trial axis, and `trial_blocks` cuts a
+The Monte-Carlo kernels work on stacks: the phases and the conjugation
+take a leading trial axis, the Haar samplers take a sequence of streams
+and return the stack of one draw per stream, and `trial_blocks` cuts a
 run into blocks of per-trial streams, which `seed_block` seeds in one
 vectorised SeedSequence pass.  numpy's stacked QR, eigvals and matmul
 give the same bits as one call per matrix, so draw k of a stack equals
@@ -78,10 +79,6 @@ class RngStream:
     def split(self, k):
         """Return an independent child stream keyed by integer `k`."""
         return RngStream(self.seed, self._key + (_stream_int(k, "stream key"),))
-
-    def ginibre(self, rows, cols=None):
-        """Complex standard Gaussian matrix (Ginibre ensemble)."""
-        return _ginibre([self], rows, rows if cols is None else cols)[0, 0]
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self._key})"
@@ -251,14 +248,6 @@ def _ginibre(streams, rows, cols, count=1):
     return g
 
 
-def _streams(rng):
-    """(streams, stacked): one stream as a sequence of one, or the given
-    sequence of per-trial streams, seeded in one `seed_block` pass."""
-    if isinstance(rng, RngStream):
-        return seed_block([rng]), False
-    return seed_block(list(rng)), True
-
-
 # --------------------------------------------------------------------------
 # complex matrices: validation, exponential, phases, Haar sampling
 # --------------------------------------------------------------------------
@@ -300,8 +289,8 @@ def as_unitary(u, tol=UNITARY_TOL):
 
 
 def expm_skew(a, t=1.0):
-    """exp(t*A) for skew-Hermitian A, via eigendecomposition of the
-    Hermitian matrix -iA.
+    """exp(t*A) for skew-Hermitian A, or for each matrix of a (T, n, n)
+    stack, via eigendecomposition of the Hermitian matrix -iA.
 
     The result is assembled from an exactly unitary eigenvector matrix and
     unit-modulus phase factors, so it is unitary to machine precision.
@@ -310,7 +299,7 @@ def expm_skew(a, t=1.0):
     if not np.isfinite(t):
         raise InvalidInput("flow time must be finite")
     w, v = np.linalg.eigh(-1j * a)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+    return (v * np.exp(1j * t * w)[..., None, :]) @ conj_t(v)
 
 
 def unitary_phases(u, tol=UNITARY_TOL):
@@ -325,20 +314,15 @@ def unitary_phases(u, tol=UNITARY_TOL):
     return np.sort(phases, axis=-1)
 
 
-def haar_unitary(n, rng):
-    """Haar-distributed U(n) draw: QR of a complex Ginibre matrix with the
-    standard phase correction on R's diagonal.
-
-    Given a sequence of streams instead of one, draws one Ginibre matrix
-    from each and returns the (T, n, n) stack from one stacked QR.
-    """
+def haar_unitary(n, rngs):
+    """(T, n, n) stack of Haar-distributed U(n) draws, one per stream of
+    the sequence `rngs`: one stacked QR of complex Ginibre matrices with
+    the standard phase correction on R's diagonal."""
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    streams, stacked = _streams(rng)
-    q, r = np.linalg.qr(_ginibre(streams, n, n)[:, 0])
+    q, r = np.linalg.qr(_ginibre(seed_block(list(rngs)), n, n)[:, 0])
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
-    return u if stacked else u[0]
+    return q * (d / np.abs(d))[:, None, :]
 
 
 # --------------------------------------------------------------------------
@@ -463,21 +447,18 @@ def as_quaternion_skew(x, tol=SKEW_TOL):
     return x
 
 
-def haar_symplectic(n, rng):
-    """Haar-distributed Sp(n) draw.
+def haar_symplectic(n, rngs):
+    """Stacked QuaternionMatrix of Haar-distributed Sp(n) draws, one per
+    stream of the sequence `rngs`, orthogonalised together.
 
     QR over the quaternions in the (Q1, Q2) pair model: modified
     Gram-Schmidt on the columns of a quaternion Ginibre matrix, with
     right-side coefficients so columns span a right module.  The implicit
     R factor has positive real diagonal, which makes the Q factor Haar.
-
-    Given a sequence of streams instead of one, returns the stacked
-    QuaternionMatrix of one draw per stream, orthogonalised together.
     """
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    streams, stacked = _streams(rng)
-    g = _ginibre(streams, n, n, count=2)
+    g = _ginibre(seed_block(list(rngs)), n, n, count=2)
     g1, g2 = g[:, 0], g[:, 1]
     cols = [(g1[..., a].copy(), g2[..., a].copy()) for a in range(n)]
     for _ in range(2):  # second pass tightens orthogonality
@@ -491,9 +472,8 @@ def haar_symplectic(n, rng):
                 v2 = v2 - (u1 * c1 + u2 * np.conj(c0))
             nrm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2, axis=-1))[:, None]
             cols[a] = (v1 / nrm, v2 / nrm)
-    q = as_symplectic(QuaternionMatrix(np.stack([c[0] for c in cols], axis=-1),
-                                       np.stack([c[1] for c in cols], axis=-1)))
-    return q if stacked else QuaternionMatrix(q.q1[0], q.q2[0])
+    return as_symplectic(QuaternionMatrix(np.stack([c[0] for c in cols], axis=-1),
+                                          np.stack([c[1] for c in cols], axis=-1)))
 
 
 # --------------------------------------------------------------------------
@@ -568,10 +548,8 @@ def su2_matrix_from_quat(p):
                      [-y + 1j * z, w - 1j * x]])
 
 
-def haar_su2(rng):
-    """Haar draw from SU(2) (uniform unit quaternion); given a sequence of
-    streams, the (T, 2, 2) stack of one draw per stream."""
-    streams, stacked = _streams(rng)
-    draws = [s.gen.standard_normal(4) for s in streams]
-    g = np.stack([su2_matrix_from_quat(p / np.linalg.norm(p)) for p in draws])
-    return g if stacked else g[0]
+def haar_su2(rngs):
+    """(T, 2, 2) stack of Haar draws from SU(2) (uniform unit quaternions),
+    one per stream of the sequence `rngs`."""
+    draws = [s.gen.standard_normal(4) for s in seed_block(list(rngs))]
+    return np.stack([su2_matrix_from_quat(p / np.linalg.norm(p)) for p in draws])

@@ -125,6 +125,10 @@ def randers_norm_array(s: RandersSpec, m0, usq):
     with the distinguished m0 axis (q, resp. l1), weighted by c.
     """
     require_valid(s)
+    width = 3 if s.family == SP_SPHERE else 1
+    if np.ndim(m0) < 1 or np.shape(m0)[-1] != width:
+        raise InvalidInput(f"{s.family} m0 needs {width} coordinate(s) on its last "
+                           f"axis, got shape {np.shape(m0)}")
     axis = m0[..., 0]
     if s.family == SP_SPHERE:
         alpha_sq = (s.a1 * axis ** 2 + s.a2 * (m0[..., 1] ** 2 + m0[..., 2] ** 2)

@@ -16,8 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from cwspheres import checks, killing, matrixcore
 from cwspheres.cli import _SP_DEFAULT
 from cwspheres.flows import (EIG1_TOL, MIN_T_SEP, PHASE_EPS, SHARED_VECTOR_TOL,
-                             BRANCH_CUT_TOL, default_t_grid, phase_bound_check,
-                             phase_bound_check_stack)
+                             BRANCH_CUT_TOL, T_GRID, phase_bound_check)
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import TRIAL_BLOCK, RngStream
 from cwspheres.randers import SP_SPHERE, U_SPHERE
@@ -147,7 +146,7 @@ def ref_commutator_eig1(u, l, m):
     """(has eigenvalue 1 per grid point, distances, shared, worst residual)."""
     mats = []
     dists = []
-    for t in default_t_grid():
+    for t in T_GRID:
         d = np.concatenate([np.full(l, np.exp(-1j * t)), np.full(m, np.exp(1j * t))])
         mat = (d[:, None] * u * np.conj(d)[None, :]) @ u.conj().T
         mats.append(mat)
@@ -264,7 +263,7 @@ def haar_pairs(n, count, seed):
 
 
 def stack_verdicts(p, q, raw_branch=False):
-    res = phase_bound_check_stack(p, q, raw_branch)
+    res = phase_bound_check(p, q, raw_branch)
     return [bool(v) if ok else "undefined" for ok, v in zip(res.defined, res.verdict)]
 
 
@@ -321,8 +320,6 @@ def test_cyclic_window_agrees_with_matching_near_edges(raw_branch):
         (want,) = ref_phase_bound_verdicts(p[None], q[None], raw_branch)
         (got,) = stack_verdicts(p[None], q[None], raw_branch)
         assert got == want, (p, q)
-        if want != "undefined":
-            assert phase_bound_check(p, q, raw_branch).verdict == want
     verdicts = [ref_phase_bound_verdicts(p[None], q[None], raw_branch)[0]
                 for p, q in near_edge_pairs()]
     assert (False in verdicts) == raw_branch

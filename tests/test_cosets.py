@@ -8,15 +8,14 @@ from cwspheres.cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
                               u_algebra)
 from cwspheres.errors import InvalidInput
 from cwspheres.killing import orbit_length_report
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate,
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre, conjugate,
                                   haar_symplectic, qabs, qconj, qmul, su2_from_vec,
                                   symplectic_defect)
 from cwspheres.randers import round_spec
 
 
 def random_sp_skew(n, rng):
-    z1 = rng.ginibre(n)
-    z2 = rng.ginibre(n)
+    z1, z2 = _ginibre([rng], n, n, count=2)[0]
     return QuaternionMatrix((z1 - z1.conj().T) / 2, (z2 + z2.T) / 2)
 
 
@@ -59,8 +58,7 @@ def test_project_linearity():
     rng = RngStream(30)
     space = ModelSpace("u_sphere", n=2)
     for k in range(20):
-        z1 = rng.split(2 * k).ginibre(3)
-        z2 = rng.split(2 * k + 1).ginibre(3)
+        z1, z2 = _ginibre([rng.split(2 * k), rng.split(2 * k + 1)], 3, 3)[:, 0]
         x1, x2 = (z1 - z1.conj().T) / 2, (z2 - z2.conj().T) / 2
         m0, usq = project_to_m(space, np.stack([x1, x2, x1 + x2, x1 - x2]), 0.0)
         q = m0[:, 0]

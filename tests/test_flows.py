@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cwspheres.errors import BranchUndefined, InvalidInput
+from cwspheres.errors import InvalidInput
 from cwspheres.flows import (NonIntersectionResult, apply_flow,
                              block_angle_unitary, commutator_eig1_persistence,
-                             default_t_grid, endpoint_focus_check,
-                             geodesic_nonintersection_probe,
+                             endpoint_focus_check, geodesic_nonintersection_probe,
                              phase_bound_check, su2_flow, u_flow)
-from cwspheres.matrixcore import (RngStream, expm_skew, haar_unitary,
+from cwspheres.matrixcore import (RngStream, _ginibre, expm_skew, haar_unitary,
                                   su2_from_vec, su2_matrix_from_quat,
                                   unitary_phases)
 
@@ -30,7 +29,7 @@ def test_flow_time_zero_is_identity():
     rng = RngStream(70)
     v = rng.gen.standard_normal(4) + 1j * rng.gen.standard_normal(4)
     v /= np.linalg.norm(v)
-    x = rng.ginibre(4)
+    x = _ginibre([rng], 4, 4)[0, 0]
     x = (x - x.conj().T) / 2
     np.testing.assert_allclose(apply_flow(u_flow(x, 0.0), v), v, atol=1e-14)
     g = random_su2_point(rng.split(1))
@@ -60,7 +59,7 @@ def test_flow_endpoint_at_pi_for_unit_generator():
 
 def test_flow_group_law_both_families():
     rng = RngStream(73)
-    x = rng.ginibre(3)
+    x = _ginibre([rng], 3, 3)[0, 0]
     x = (x - x.conj().T) / 2
     v = rng.gen.standard_normal(6).view(complex)
     v /= np.linalg.norm(v)
@@ -116,22 +115,20 @@ def test_endpoint_focus_rejects_long_vector():
 # ------------------------------------------------------------ phase intervals
 
 def test_phase_bound_identity_factor():
-    p = haar_unitary(4, RngStream(79))
-    res = phase_bound_check(p, np.eye(4))
-    assert res.verdict
+    p = haar_unitary(4, [RngStream(79)])
+    res = phase_bound_check(p, np.eye(4)[None])
+    assert res.verdict.all()
     np.testing.assert_allclose(np.sort(res.lifted), unitary_phases(p), atol=1e-9)
-    for iv in res.intervals:
-        assert iv.hi - iv.lo <= 2 * 1e-9 + 1e-15
+    assert np.all(res.hi - res.lo <= 2 * 1e-9 + 1e-15)
 
 
 def test_phase_bound_diagonal_example():
     p = np.diag(np.exp(1j * np.array([0.4, -0.2])))
     q = np.diag(np.exp(1j * np.array([0.1, 0.3])))
-    res = phase_bound_check(p, q)
-    assert res.verdict
-    np.testing.assert_allclose(res.pq_phases, [0.1, 0.5], atol=1e-12)
-    los = [iv.lo for iv in res.intervals]
-    np.testing.assert_allclose(los, [-0.2 + 0.1 - 1e-9, 0.4 + 0.1 - 1e-9],
+    res = phase_bound_check(p[None], q[None])
+    assert res.verdict.all()
+    np.testing.assert_allclose(res.pq_phases, [[0.1, 0.5]], atol=1e-12)
+    np.testing.assert_allclose(res.lo, [[-0.2 + 0.1 - 1e-9, 0.4 + 0.1 - 1e-9]],
                                atol=1e-12)
 
 
@@ -140,9 +137,9 @@ def test_phase_bound_monte_carlo_small():
     for k in range(500):
         n = 2 + k % 5
         sub = rng.split(k)
-        res = phase_bound_check(haar_unitary(n, sub.split(0)),
-                                haar_unitary(n, sub.split(1)))
-        assert res.verdict
+        res = phase_bound_check(haar_unitary(n, [sub.split(0)]),
+                                haar_unitary(n, [sub.split(1)]))
+        assert res.verdict.all()
 
 
 def test_phase_bound_needs_unwrap_beyond_principal_branch():
@@ -150,34 +147,35 @@ def test_phase_bound_needs_unwrap_beyond_principal_branch():
     # principal phases violate the bound, the +-2pi lift restores it
     p = np.diag(np.exp(1j * np.array([2.5, 2.6])))
     q = np.diag(np.exp(1j * np.array([2.0, 2.1])))
-    assert not phase_bound_check(p, q, raw_branch=True).verdict
-    assert phase_bound_check(p, q).verdict
+    assert not phase_bound_check(p[None], q[None], raw_branch=True).verdict.any()
+    assert phase_bound_check(p[None], q[None]).verdict.all()
 
 
 def test_phase_bound_branch_cut_rejected():
-    with pytest.raises(BranchUndefined):
-        phase_bound_check(-np.eye(2), np.eye(2))
-    with pytest.raises(BranchUndefined):
-        phase_bound_check(np.eye(2), -np.eye(2))
+    # a P or Q eigenvalue -1 sits on the phase branch cut: undefined, no pass
+    for p, q in ((-np.eye(2), np.eye(2)), (np.eye(2), -np.eye(2))):
+        res = phase_bound_check(p[None], q[None])
+        assert not res.defined.any()
+        assert not res.verdict.any()
 
 
 # ------------------------------------------------------- commutator eigenvalue
 
 def test_commutator_block_diagonal_trivial():
     u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = haar_unitary(2, RngStream(84).split(0))
-    u[2:, 2:] = haar_unitary(2, RngStream(84).split(1))
-    res = commutator_eig1_persistence(u, 2, 2)
+    u[:2, :2] = haar_unitary(2, [RngStream(84).split(0)])[0]
+    u[2:, 2:] = haar_unitary(2, [RngStream(84).split(1)])[0]
+    res = commutator_eig1_persistence(u[None], 2, 2)
     assert res.has_eig1.all()
-    assert res.shared_eigenvector
-    assert res.worst_residual <= 1e-12
+    assert res.shared_eigenvector.all()
+    assert res.worst_residual.max() <= 1e-12
 
 
 def test_commutator_invertible_blocks_no_fixed_vector():
     th = math.pi / 4
     u = np.array([[math.cos(th), -math.sin(th)],
                   [math.sin(th), math.cos(th)]], dtype=complex)
-    res = commutator_eig1_persistence(u, 1, 1)
+    res = commutator_eig1_persistence(u[None], 1, 1)
     assert not res.has_eig1.any()
     assert res.spectral_dists.min() >= 1e-9
 
@@ -187,39 +185,32 @@ def test_commutator_rank_deficient_block_persists():
     for k in range(10):
         angles = rng.split(k).gen.uniform(0.2, 1.3, 2)
         angles[k % 2] = 0.0
-        u = block_angle_unitary(2, 2, angles, rng.split(100 + k))
+        u = block_angle_unitary(2, 2, angles[None], [rng.split(100 + k)])
         res = commutator_eig1_persistence(u, 2, 2)
         assert res.has_eig1.all()
-        assert res.shared_eigenvector
-        assert res.worst_residual <= 1e-8
+        assert res.shared_eigenvector.all()
+        assert res.worst_residual.max() <= 1e-8
 
 
 def test_commutator_all_or_nothing_on_grid():
     rng = RngStream(86)
-    grid = default_t_grid(32)
     for k in range(20):
         angles = rng.split(k).gen.uniform(0.2, 1.3, 2)
         singular = k % 2 == 0
         if singular:
             angles[0] = 0.0
-        u = block_angle_unitary(2, 2, angles, rng.split(200 + k))
-        res = commutator_eig1_persistence(u, 2, 2, t_grid=grid)
+        u = block_angle_unitary(2, 2, angles[None], [rng.split(200 + k)])
+        res = commutator_eig1_persistence(u, 2, 2)
         assert res.has_eig1.all() or not res.has_eig1.any()
         assert res.has_eig1.all() == singular
 
 
 def test_commutator_unbalanced_blocks_always_have_kernel():
     # l != m forces a non-trivial kernel in the wide block
-    u = haar_unitary(5, RngStream(87))
+    u = haar_unitary(5, [RngStream(87)])
     res = commutator_eig1_persistence(u, 2, 3)
     assert res.has_eig1.all()
-    assert res.shared_eigenvector
-
-
-def test_commutator_rejects_bad_grid():
-    u = haar_unitary(2, RngStream(88))
-    with pytest.raises(InvalidInput):
-        commutator_eig1_persistence(u, 1, 1, t_grid=[0.0, 1.0])
+    assert res.shared_eigenvector.all()
 
 
 # --------------------------------------------------------- non-intersection
@@ -251,8 +242,8 @@ def test_probe_negative_control_equal_times():
         angles = rng.split(k).gen.uniform(0.3, 1.2, 2)
         if singular:
             angles[0] = 0.0
-        u = block_angle_unitary(2, 2, angles, rng.split(10 + k))
-        g1 = haar_unitary(n, rng.split(20 + k))
+        u = block_angle_unitary(2, 2, angles[None], [rng.split(10 + k)])[0]
+        g1 = haar_unitary(n, [rng.split(20 + k)])[0]
         g2 = g1 @ u
         t = 1.1
         e1 = (g1 * np.exp(t * diag)[None, :]) @ g1.conj().T

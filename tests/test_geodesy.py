@@ -249,12 +249,12 @@ def test_distance_adjacent_equals_edge_weight():
     heads, weights = out_edges(g, 5)
     for j in nearest[1:]:
         w = weights[np.where(heads == j)[0][0]]
-        assert abs(distance(g, 5, j, refine=False).distance - w) <= 1e-12
+        assert abs(distance(g, 5, j).raw - w) <= 1e-12
 
 
 def test_distance_round_antipodal_small_n():
     g = small_graph(n_points=4000, seed=9)
-    est, snap = distance_to_coords(g, 0, -g.points[0])
+    est, _, snap = distance_to_coords(g, 0, -g.points[0])
     assert abs(est - math.pi) / math.pi <= 0.04
     assert snap <= 3.0 * g.median_edge
 
@@ -274,9 +274,8 @@ def test_distance_refinement_never_longer_than_raw():
     gen = RngStream(13).gen
     for _ in range(10):
         i, j = (int(v) for v in gen.integers(0, 1500, 2))
-        refined = distance(g, i, j).distance
-        raw = distance(g, i, j, refine=False).distance
-        assert refined <= raw + 1e-9
+        rep = distance(g, i, j)
+        assert rep.distance <= rep.raw + 1e-9
 
 
 def test_distance_triangle_inequality_with_slack():
@@ -294,7 +293,7 @@ def test_distance_convergence_across_density_levels():
     errs = []
     for n_points in (1000, 2000, 4000):
         g = build_graph(ROUND3, n_points, 12, RngStream(16).split(n_points))
-        est, _ = distance_to_coords(g, 0, -g.points[0])
+        est, _, _ = distance_to_coords(g, 0, -g.points[0])
         errs.append(abs(est - math.pi))
     # monotone decrease within noise: each level at most 1.3x the previous
     assert errs[1] <= errs[0] * 1.3
@@ -317,7 +316,7 @@ def test_flow_invariance_of_distances():
         qi = apply_flow(flow, pi_c)
         qj = apply_flow(flow, pj_c)
         si, vi = g.tree.query(np.concatenate([qi.real, qi.imag]))
-        d_after, _ = distance_to_coords(g, vi, np.concatenate([qj.real, qj.imag]))
+        d_after, _, _ = distance_to_coords(g, vi, np.concatenate([qj.real, qj.imag]))
         # moving the source to its nearest vertex adds at most a hop of error
         assert abs(d_after - d_before) <= 0.05 * max(d_before, 1.0) + 2 * si
 
@@ -341,11 +340,11 @@ def query_answers(g, pairs, sources, targets):
     raw and refined distance of every off-sample query."""
     answers = []
     for i, j in pairs:
-        raw = distance(g, i, j, refine=False)
-        answers.append((raw.distance, raw.hops, distance(g, i, j).distance))
+        rep = distance(g, i, j)
+        answers.append((rep.raw, rep.hops, rep.distance))
     for src, target in zip(sources, targets):
-        answers.append((distance_to_coords(g, src, target, refine=False)[0],
-                        distance_to_coords(g, src, target)[0]))
+        refined, raw, _ = distance_to_coords(g, src, target)
+        answers.append((raw, refined))
     return answers
 
 
@@ -376,8 +375,8 @@ def test_bounded_dijkstra_matches_unbounded(readme_graph, unbounded_answers,
         == unbounded_answers
     searches = sum(math.isfinite(x) for x in limits)
     fallbacks = len(limits) - searches
-    assert searches == 200
-    assert fallbacks <= 10
+    assert searches == 100
+    assert fallbacks <= 5
 
 
 def test_bounded_dijkstra_fallback_on_forced_miss(readme_graph,
@@ -388,7 +387,7 @@ def test_bounded_dijkstra_fallback_on_forced_miss(readme_graph,
     pairs, sources, targets = bounded_queries(readme_graph)
     answers = query_answers(readme_graph, pairs[:10], sources[:10], targets[:10])
     assert answers == unbounded_answers[:10] + unbounded_answers[50:60]
-    assert limits.count(0.0) == limits.count(math.inf) == 40
+    assert limits.count(0.0) == limits.count(math.inf) == 20
 
 
 # -------------------------------------------------------------- displacement
@@ -428,7 +427,7 @@ def test_displacement_family_mismatch():
 def test_su2_graph_round_distance():
     spec = RandersSpec("su2", a=1.0, b=1.0, c=0.0)
     g = build_graph(spec, 3000, 12, RngStream(24))
-    est, _ = distance_to_coords(g, 0, -g.points[0])
+    est, _, _ = distance_to_coords(g, 0, -g.points[0])
     assert abs(est - math.pi) / math.pi <= 0.05
 
 
@@ -445,6 +444,7 @@ def test_su2_graph_displacement_of_left_translation():
 def test_sp_graph_builds_and_connects():
     spec = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
     g = build_graph(spec, 900, 10, RngStream(27))
-    rep = distance(g, 0, 500, refine=False)
-    assert rep.distance > 0.0
+    # the raw graph joins the two vertices (at 900 points on S^7 the
+    # corridor is too sparse for `distance` to refine the path)
+    assert 0.0 < dijkstra(g.matrix, indices=0)[500] < math.inf
 

@@ -1,9 +1,14 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level function or class goes unreferenced.
 
-An `ast` scan, so it needs no linter.  A name is used when it appears as
-an `ast.Name` anywhere in the module; an import statement carrying
-`# noqa: F401` on one of its lines is a deliberate re-export and is
-skipped.
+`ast` scans, so they need no linter.  An imported name is used when it
+appears as an `ast.Name` anywhere in the module; an import statement
+carrying `# noqa: F401` on one of its lines is a deliberate re-export and
+is skipped.  A function or class defined at module level in the package
+is an orphan when no file of `src/`, `tests/` or `perfbench/` refers to
+it: as a name, an attribute, an imported name, or a string that spells it
+(`getattr(checks, name)`, `monkeypatch.setattr(mod, "name", ...)`, the
+tracer's dotted span names).
 """
 
 import ast
@@ -11,7 +16,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cwspheres"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cwspheres"
 
 
 def unused_imports(text):
@@ -46,3 +52,59 @@ def test_scan_flags_unused_names_and_honours_noqa():
             "from .flows import phase_bound_check  # noqa: F401\n"
             "x = np.pi + len(sep)\n")
     assert unused_imports(text) == [(2, "math"), (4, "path")]
+
+
+def defined_names(text):
+    """Names of the functions and classes defined at module level."""
+    return [node.name for node in ast.parse(text).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def referenced_names(text):
+    """Every identifier that `text` refers to (see the module docstring)."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and all(part.isidentifier() for part in node.value.split(".")):
+            names.update(node.value.split("."))
+    return names
+
+
+def orphans(package_texts, other_texts):
+    """Functions and classes defined in `package_texts` that no text refers to."""
+    used = set().union(*map(referenced_names, [*package_texts, *other_texts]))
+    return sorted(name for text in package_texts for name in defined_names(text)
+                  if name not in used)
+
+
+def test_no_orphan_functions_or_classes():
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert orphans(package, others) == []
+
+
+def test_orphan_scan_flags_a_planted_orphan():
+    module = ('import numpy as np\n'
+              'def used(x):\n'
+              '    return helper(x)\n'
+              'def helper(x):\n'
+              '    return np.abs(x)\n'
+              'def by_name():\n'
+              '    pass\n'
+              'def orphan():\n'
+              '    """orphan() is named only in its own docstring"""\n'
+              'class Lonely:\n'
+              '    def orphan(self):\n'
+              '        pass\n')
+    caller = ('from pkg.mod import used\n'
+              'getattr(mod, "by_name")\n'
+              'used(1)\n')
+    assert orphans([module], [caller]) == ["Lonely", "orphan"]
+    assert orphans([module], [caller + "mod.orphan\nx: Lonely\n"]) == []

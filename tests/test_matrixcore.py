@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cwspheres import checks
 from cwspheres.errors import InvalidInput
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream,
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_su2, haar_symplectic,
                                   haar_unitary, qabs, qconj, qmul,
@@ -17,8 +17,14 @@ from cwspheres.matrixcore import (QuaternionMatrix, RngStream,
 
 
 def random_skew(n, rng):
-    z = rng.ginibre(n)
+    z = _ginibre([rng], n, n)[0, 0]
     return (z - z.conj().T) / 2.0
+
+
+def one_symplectic(n, rng):
+    """The Sp(n) draw of one stream, from a stack of one."""
+    q = haar_symplectic(n, [rng])
+    return QuaternionMatrix(q.q1[0], q.q2[0])
 
 
 # ---------------------------------------------------------------- expm_skew
@@ -55,6 +61,19 @@ def test_expm_against_pade_oracle():
         a = random_skew(n, rng.split(n))
         np.testing.assert_allclose(expm_skew(a, 0.9),
                                    scipy.linalg.expm(0.9 * a), atol=1e-12)
+
+
+def test_expm_of_a_stack_matches_each_matrix():
+    # T == n as well as T != n: a transpose over every axis of the stack
+    # goes unnoticed in the shape when T == n
+    rng = RngStream(60)
+    for count, n in ((3, 3), (4, 3), (2, 5)):
+        sub = rng.split(count)
+        a = np.stack([random_skew(n, sub.split(k)) for k in range(count)])
+        out = expm_skew(a, 0.9)
+        assert out.shape == (count, n, n)
+        for ak, uk in zip(a, out):
+            np.testing.assert_allclose(uk, scipy.linalg.expm(0.9 * ak), atol=1e-12)
 
 
 def test_expm_group_law():
@@ -104,7 +123,7 @@ def test_phases_reduce_mod_two_pi():
 
 
 def test_phases_match_eigenvalues():
-    u = haar_unitary(6, RngStream(11))
+    u = haar_unitary(6, [RngStream(11)])[0]
     phases = unitary_phases(u)
     eigs = np.sort_complex(np.linalg.eigvals(u))
     matched = np.sort_complex(np.exp(1j * phases))
@@ -123,13 +142,13 @@ def test_haar_unitary_membership_small_dims():
 
 
 def test_haar_unitary_u1_is_unit_phase():
-    u = haar_unitary(1, RngStream(13))
+    u = haar_unitary(1, [RngStream(13)])[0]
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 def test_haar_unitary_deterministic_replay():
-    a = haar_unitary(3, RngStream(42))
-    b = haar_unitary(3, RngStream(42))
+    a = haar_unitary(3, [RngStream(42)])
+    b = haar_unitary(3, [RngStream(42)])
     np.testing.assert_array_equal(a, b)
 
 
@@ -147,16 +166,16 @@ def test_haar_unitary_trace_moment():
 
 def test_haar_symplectic_membership_and_determinism():
     for n in (1, 2, 4, 8):
-        q = haar_symplectic(n, RngStream(14).split(n))
+        q = haar_symplectic(n, [RngStream(14).split(n)])
         assert symplectic_defect(q) <= 1e-10
-    a = haar_symplectic(3, RngStream(15))
-    b = haar_symplectic(3, RngStream(15))
+    a = haar_symplectic(3, [RngStream(15)])
+    b = haar_symplectic(3, [RngStream(15)])
     np.testing.assert_array_equal(a.q1, b.q1)
     np.testing.assert_array_equal(a.q2, b.q2)
 
 
 def test_haar_symplectic_sp1_is_unit_quaternion():
-    q = haar_symplectic(1, RngStream(16))
+    q = one_symplectic(1, RngStream(16))
     assert abs(float(qabs((q.q1[0, 0], q.q2[0, 0]))) - 1.0) <= 1e-12
 
 
@@ -262,7 +281,7 @@ def test_conjugate_by_identity_fixes_element():
 
 
 def test_conjugate_fixes_center():
-    g = haar_unitary(4, RngStream(18))
+    g = haar_unitary(4, [RngStream(18)])[0]
     np.testing.assert_allclose(conjugate(g, 1j * np.eye(4)), 1j * np.eye(4),
                                atol=1e-14)
 
@@ -270,7 +289,7 @@ def test_conjugate_fixes_center():
 def test_conjugate_preserves_phase_multiset():
     rng = RngStream(19)
     x = random_skew(5, rng.split(0))
-    g = haar_unitary(5, rng.split(1))
+    g = haar_unitary(5, [rng.split(1)])[0]
     u = expm_skew(x, 1.0)
     before = unitary_phases(u)
     after = unitary_phases(conjugate(g, u))
@@ -280,7 +299,7 @@ def test_conjugate_preserves_phase_multiset():
 def test_conjugate_preserves_skewness():
     rng = RngStream(20)
     x = random_skew(4, rng.split(0))
-    g = haar_unitary(4, rng.split(1))
+    g = haar_unitary(4, [rng.split(1)])[0]
     y = conjugate(g, x)
     assert np.max(np.abs(y + y.conj().T)) <= 1e-12
 
@@ -295,8 +314,8 @@ def test_conjugate_shape_mismatch():
 def test_quaternion_pair_against_complex_embedding():
     # the 2n x 2n embedding is the independent oracle for pair products
     rng = RngStream(21)
-    a = haar_symplectic(3, rng.split(0))
-    b = haar_symplectic(3, rng.split(1))
+    a = one_symplectic(3, rng.split(0))
+    b = one_symplectic(3, rng.split(1))
     prod = a @ b
     np.testing.assert_allclose(prod.to_complex(),
                                a.to_complex() @ b.to_complex(), atol=1e-13)
@@ -357,7 +376,7 @@ def test_su2_quaternion_dictionary():
 
 
 def test_haar_su2_lands_in_group():
-    g = haar_su2(RngStream(23))
+    g = haar_su2([RngStream(23)])[0]
     as_unitary(g)
     assert abs(np.linalg.det(g) - 1.0) <= 1e-12
 

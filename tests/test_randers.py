@@ -117,6 +117,17 @@ def test_norm_rejects_family_mismatch():
                             RngStream(5), trials=100)
 
 
+def test_norm_rejects_m0_of_another_family():
+    # one m0 coordinate for u_sphere and su2, three (l1, l2, l3) for sp_sphere
+    sp = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
+    for spec, m0 in ((round_spec(), np.array([1.0, 5.0, 5.0])),
+                     (round_spec("su2"), np.zeros((4, 3))),
+                     (round_spec(), np.float64(1.0)),
+                     (sp, np.array([[1.0]]))):
+        with pytest.raises(InvalidInput, match="m0"):
+            randers_norm_array(spec, m0, 0.0)
+
+
 def test_sp_norm_formula():
     spec = RandersSpec("sp_sphere", n=1, a1=2.0, a2=0.5, b=1.5, c=0.4)
     usq = m1_norm_sq("sp_sphere", (np.array([1.0 + 1j]), np.array([0.5j])))
