@@ -19,8 +19,9 @@ from scipy.spatial.distance import pdist
 
 from .errors import InvalidInput
 from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
-                         haar_unitary, seed_block, su2_from_vec, su2_inner,
-                         su2_matrix_from_quat, trial_blocks, unitary_phases)
+                         haar_unitary, seed_block, stream_list, su2_from_vec,
+                         su2_inner, su2_matrix_from_quat, trial_blocks,
+                         unitary_phases)
 from .randers import SU2, U_SPHERE
 
 TWO_PI = 2.0 * math.pi
@@ -262,7 +263,7 @@ def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
     """
     r = min(l, m)
     angles = np.asarray(angles, dtype=float)
-    rngs = list(rngs)
+    rngs = stream_list(rngs)
     if angles.shape != (len(rngs), r):
         raise InvalidInput(f"need a ({len(rngs)}, {r}) array of principal angles")
     n = l + m

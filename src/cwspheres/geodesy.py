@@ -230,17 +230,20 @@ def _raw_search(graph: SphereGraph, source, coords, ends, leg_costs):
     return dist, pred
 
 
-def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None):
+def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
     """Re-measure a raw graph path by shortest polyline through its corridor.
 
     Collects every sample point within a tube around the raw path, connects
     corridor points less than `CHUNK_ARC` apart by great-circle arcs both
     ways, costing each pair once, and reruns the shortest path.  Longer,
     accurately costed chunks cancel the zig-zag stretch of the raw k-NN
-    walk.  The tube radius is `CORRIDOR_TUBE_FACTOR` median edge chords, a
-    Euclidean length like the KD-tree's, so the corridor does not depend on
-    the metric's scale.  `target_coords`, when given, joins the corridor as
-    a virtual terminal vertex (off-sample targets).
+    walk.  Each hop of the raw path is an arc too, however long, so the
+    corridor always joins its ends, also where the samples lie further
+    apart than `CHUNK_ARC`.  The tube radius is `CORRIDOR_TUBE_FACTOR`
+    median edge chords, a Euclidean length like the KD-tree's, so the
+    corridor does not depend on the metric's scale.  `target_coords`, when
+    given, joins the corridor as a virtual terminal vertex (off-sample
+    targets), reached by an arc from the raw path's last vertex.
     """
     balls = graph.tree.query_ball_point(graph.points[raw_path],
                                         CORRIDOR_TUBE_FACTOR * graph.median_chord)
@@ -248,23 +251,21 @@ def _corridor_refine(graph: SphereGraph, source, raw_path, target_coords=None):
     node_pts = graph.points[corridor]
     if target_coords is not None:
         node_pts = np.vstack([node_pts, target_coords])
+    n = len(node_pts)
+    path = np.searchsorted(corridor, raw_path)
+    if target_coords is not None:
+        path = np.append(path, n - 1)
     chord = 2.0 * math.sin(CHUNK_ARC / 2.0)
     pairs = cKDTree(node_pts).query_pairs(chord, output_type="ndarray")
-    if len(pairs) == 0:
-        raise ResolutionTooCoarse("corridor too sparse for refinement")
-    # pairs in (i, j) order (i < j), reverse arcs first: csr_matrix needs no sort
-    n = len(node_pts)
-    i, j = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
+    hops = np.minimum(path[:-1], path[1:]) * n + np.maximum(path[:-1], path[1:])
+    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], hops]))
+    # pairs in (i, j) order (i < j), once each, reverse arcs first: csr_matrix
+    # needs no sort
+    i, j = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     forward, reverse = _arc_costs(graph.spec, node_pts[i], node_pts[j])
     sub = csr_matrix((np.concatenate([reverse, forward]),
                       (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
-    i_src = int(np.searchsorted(corridor, source))
-    i_dst = n - 1 if target_coords is not None \
-        else int(np.searchsorted(corridor, raw_path[-1]))
-    refined = dijkstra(sub, directed=True, indices=i_src)[i_dst]
-    if not np.isfinite(refined):
-        raise ResolutionTooCoarse("corridor refinement disconnected")
-    return float(refined)
+    return float(dijkstra(sub, directed=True, indices=path[0])[path[-1]])
 
 
 def distance(graph: SphereGraph, source, target) -> DistanceReport:
@@ -280,7 +281,7 @@ def distance(graph: SphereGraph, source, target) -> DistanceReport:
         raise ResolutionTooCoarse("target unreachable at this resolution")
     raw_path = _walk_predecessors(pred, source, target)
     return DistanceReport(source=source, target=target,
-                          distance=_corridor_refine(graph, source, raw_path),
+                          distance=_corridor_refine(graph, raw_path),
                           raw=float(dist[target]), hops=len(raw_path) - 1)
 
 
@@ -300,7 +301,7 @@ def distance_to_coords(graph: SphereGraph, source, coords):
         raise ResolutionTooCoarse("target unreachable at this resolution")
     best = int(cand[np.argmin(totals)])
     raw_path = _walk_predecessors(pred, source, best)
-    return (_corridor_refine(graph, source, raw_path, target_coords=coords),
+    return (_corridor_refine(graph, raw_path, target_coords=coords),
             float(np.min(totals)), float(snap_d[0]))
 
 

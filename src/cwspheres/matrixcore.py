@@ -200,15 +200,25 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
+def stream_list(streams):
+    """The streams of the sequence `streams` as a list; a lone RngStream,
+    which is not a sequence, is refused."""
+    if isinstance(streams, RngStream):
+        raise InvalidInput("need a sequence of streams, not a single stream")
+    return list(streams)
+
+
 def seed_block(streams):
-    """Build the numpy Generator of every stream in `streams` that has none
-    yet, in one vectorised SeedSequence pass, and return `streams`.
+    """Build the numpy Generator of every stream in the sequence `streams`
+    that has none yet, in one vectorised SeedSequence pass, and return the
+    streams as a list.
 
     Streams are grouped by their number of entropy words (seeds and keys of
     2**32 or more take several); a stream that has already drawn keeps its
     state.  Each Generator is bit-identical to
     `default_rng(SeedSequence(seed, spawn_key=key))`.
     """
+    streams = stream_list(streams)
     groups = {}
     for s in streams:
         if s._gen is None:
@@ -320,7 +330,7 @@ def haar_unitary(n, rngs):
     the standard phase correction on R's diagonal."""
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    q, r = np.linalg.qr(_ginibre(seed_block(list(rngs)), n, n)[:, 0])
+    q, r = np.linalg.qr(_ginibre(seed_block(rngs), n, n)[:, 0])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -458,7 +468,7 @@ def haar_symplectic(n, rngs):
     """
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    g = _ginibre(seed_block(list(rngs)), n, n, count=2)
+    g = _ginibre(seed_block(rngs), n, n, count=2)
     g1, g2 = g[:, 0], g[:, 1]
     cols = [(g1[..., a].copy(), g2[..., a].copy()) for a in range(n)]
     for _ in range(2):  # second pass tightens orthogonality
@@ -551,5 +561,5 @@ def su2_matrix_from_quat(p):
 def haar_su2(rngs):
     """(T, 2, 2) stack of Haar draws from SU(2) (uniform unit quaternions),
     one per stream of the sequence `rngs`."""
-    draws = [s.gen.standard_normal(4) for s in seed_block(list(rngs))]
+    draws = [s.gen.standard_normal(4) for s in seed_block(rngs)]
     return np.stack([su2_matrix_from_quat(p / np.linalg.norm(p)) for p in draws])

@@ -18,6 +18,7 @@ from cwspheres.randers import RandersSpec, round_spec
 
 ROUND3 = round_spec("u_sphere", 1)
 CW3 = solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0))
+SP7 = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
 
 
 def small_graph(spec=ROUND3, n_points=2500, k=12, seed=100):
@@ -177,32 +178,32 @@ def test_reverse_arc_cost_matches_simpson_of_swapped_arc(spec, dim):
     assert (sin_theta < 1e-3).sum() > 1000
 
 
-def reference_refine(graph, source, raw_path, target_coords=None):
+def reference_refine(graph, raw_path, target_coords=None):
     """Corridor refinement with every directed arc costed on its own by the
-    per-direction formula."""
+    per-direction formula; the raw path's hops are arcs whatever their
+    length."""
     balls = graph.tree.query_ball_point(graph.points[raw_path],
                                         geodesy.CORRIDOR_TUBE_FACTOR * graph.median_chord)
     corridor = np.unique(np.concatenate(balls))
     node_pts = graph.points[corridor]
+    path = [int(np.searchsorted(corridor, v)) for v in raw_path]
     if target_coords is not None:
         node_pts = np.vstack([node_pts, target_coords])
-    pairs = cKDTree(node_pts).query_pairs(2.0 * math.sin(geodesy.CHUNK_ARC / 2.0),
-                                          output_type="ndarray")
+        path.append(len(node_pts) - 1)
+    pairs = cKDTree(node_pts).query_pairs(2.0 * math.sin(geodesy.CHUNK_ARC / 2.0))
+    hops = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+    pairs = np.array(sorted(pairs | hops)).reshape(-1, 2)
     ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
     jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
     costs = per_direction_arc_costs(graph.spec, node_pts[ii], node_pts[jj])
     sub = csr_matrix((costs, (ii, jj)), shape=(len(node_pts),) * 2)
-    i_dst = len(node_pts) - 1 if target_coords is not None \
-        else int(np.searchsorted(corridor, raw_path[-1]))
-    return float(dijkstra(sub, indices=int(np.searchsorted(corridor, source)))[i_dst])
+    return float(dijkstra(sub, indices=path[0])[path[-1]])
 
 
-@pytest.mark.parametrize("spec,seed", [(ROUND3, 43), (CW3, 44)])
-def test_corridor_refinement_matches_per_direction_reference(spec, seed, monkeypatch):
-    g = small_graph(spec=spec, n_points=3000, seed=seed)
+def assert_refinement_matches_reference(g, seed, monkeypatch):
     gen = RngStream(seed).split(1).gen
     pairs = gen.integers(0, g.n_points, (8, 2))
-    targets = gen.standard_normal((8, 4))
+    targets = gen.standard_normal((8, g.points.shape[1]))
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
 
     def answers():
@@ -214,6 +215,18 @@ def test_corridor_refinement_matches_per_direction_reference(spec, seed, monkeyp
     slow = answers()
     assert np.all(slow > 0.0)
     assert np.max(np.abs(fast - slow) / slow) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,seed", [(ROUND3, 43), (CW3, 44)])
+def test_corridor_refinement_matches_per_direction_reference(spec, seed, monkeypatch):
+    assert_refinement_matches_reference(small_graph(spec=spec, n_points=3000, seed=seed),
+                                        seed, monkeypatch)
+
+
+def test_sparse_corridor_refinement_matches_per_direction_reference(monkeypatch):
+    # samples further apart than CHUNK_ARC: the raw path's hops join the corridor
+    assert_refinement_matches_reference(small_graph(spec=SP7, n_points=900, k=10, seed=27),
+                                        27, monkeypatch)
 
 
 def test_corridor_arcs_reach_csr_matrix_in_canonical_order(monkeypatch):
@@ -442,9 +455,10 @@ def test_su2_graph_displacement_of_left_translation():
 
 
 def test_sp_graph_builds_and_connects():
-    spec = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
-    g = build_graph(spec, 900, 10, RngStream(27))
-    # the raw graph joins the two vertices (at 900 points on S^7 the
-    # corridor is too sparse for `distance` to refine the path)
-    assert 0.0 < dijkstra(g.matrix, indices=0)[500] < math.inf
+    g = build_graph(SP7, 900, 10, RngStream(27))
+    rep = distance(g, 0, 500)
+    assert 0.0 < rep.raw < math.inf
+    # the samples lie further apart than CHUNK_ARC here (median edge chord
+    # 0.61 on S^7), so the corridor is joined by the raw path's own hops
+    assert 0.0 < rep.distance < math.inf
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cwspheres import checks
 from cwspheres.errors import InvalidInput
+from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_su2, haar_symplectic,
@@ -388,3 +389,8 @@ def test_validators_reject_bad_input():
         as_skew_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(InvalidInput):
         QuaternionMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
+    # the samplers take a sequence of streams, never a lone stream
+    for draw in (lambda r: haar_unitary(2, r), lambda r: haar_symplectic(1, r),
+                 haar_su2, lambda r: block_angle_unitary(1, 1, [[0.5]], r)):
+        with pytest.raises(InvalidInput):
+            draw(RngStream(1))
