@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,10 @@ ENDPOINT_IDENTITY_TOL = 1e-12
 WITNESS_GAP_TOL = 1e-12
 ANTIPODE_REL_TOL = 0.05
 SYMMETRY_REL_TOL = 0.01
+# the oracle checks symmetry on this many vertex pairs, both ways, and the
+# Hopf rotation's displacement at this many vertices
+ORACLE_PAIRS = 10
+ORACLE_HOPF_POINTS = 50
 # sp-central conjugates (n+1) x (n+1) candidates a block of trials at a
 # time; a larger config n is a usage error, refused before anything is sized
 SP_CENTRAL_MAX_N = 15
@@ -216,6 +221,11 @@ def sp_witness(spec, rng) -> CheckReport:
                        tuple(rows), all(row[4] for row in rows))
 
 
+def _log_queries(check, count, start):
+    log.info("%s: %d distance queries in %.2f s", check, count,
+             time.perf_counter() - start)
+
+
 def displacement(spec, params, t, points, n_points, k, graph_rng,
                  profile_rng) -> CheckReport:
     """Graph estimate of d(x, flow_t(x)) at `points` vertices; inputs are
@@ -226,7 +236,9 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
         raise InvalidInput(f"displacement needs 2 to {n_points} points, not {points}")
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(spec, n_points, k, graph_rng)
+    start = time.perf_counter()
     prof = geodesy.displacement_profile(graph, flow, points, profile_rng)
+    _log_queries("displacement", points, start)
     rows = list(enumerate(prof.displacements))
     rows.append(("summary", ("min", prof.min), ("max", prof.max), ("mean", prof.mean),
                  ("rel_spread", prof.rel_spread), ("snap", prof.snap_max),
@@ -238,18 +250,21 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
 def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     """Distance oracle on the round S^3: antipode against pi, symmetry of
     ten vertex pairs and the spread of a Hopf rotation's displacement."""
+    log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
+    start = time.perf_counter()
     anti, _, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
     anti_err = abs(anti - math.pi) / math.pi
     gen = pair_rng.gen
     sym_dev = 0.0
-    for _ in range(10):
+    for _ in range(ORACLE_PAIRS):
         i, j = (int(v) for v in gen.integers(0, graph.n_points, 2))
         dij = geodesy.distance(graph, i, j).distance
         dji = geodesy.distance(graph, j, i).distance
         sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))
     prof = geodesy.displacement_profile(
-        graph, u_flow(1j * np.eye(2), 0.5), 50, profile_rng)
+        graph, u_flow(1j * np.eye(2), 0.5), ORACLE_HOPF_POINTS, profile_rng)
+    _log_queries("oracle", 1 + 2 * ORACLE_PAIRS + ORACLE_HOPF_POINTS, start)
     return _threshold_report([
         ("antipodal_rel_error", anti_err, ANTIPODE_REL_TOL),
         ("symmetry_rel_dev", sym_dev, SYMMETRY_REL_TOL),

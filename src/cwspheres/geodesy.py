@@ -22,6 +22,13 @@ pair is costed once for both directions: the pairing's imaginary parts
 change sign when its two points swap.  The corridor is a tube around the
 raw path with a radius in Euclidean chord units, so which samples it
 holds does not depend on the metric's scale.
+
+Every sum over coordinates runs on whole coordinate columns through
+`_row_sum`, which adds them in exactly the order numpy's row reduction
+(`np.sum(rows, axis=1)`) does.  The graph weights, and with them the
+surveyed graph seeds of the benchmark and the golden reports, depend on
+those bits; `np.einsum` or a different association order would move
+them by an ulp here and there, and a shortest path with them.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ class SphereGraph:
     k: int
     median_edge: float          # median edge cost
     tree: cKDTree               # KD-tree over `points`
-    median_chord: float         # median Euclidean length of the edge chords
+    median_chord: float         # median Euclidean length of the tangent-projected
+                                # chords (equals median_edge on the round metric)
 
     @property
     def n_points(self):
@@ -76,33 +84,71 @@ def _sample_points(spec: RandersSpec, n_points, rng):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _row_sum(cols):
+    """Sum of the coordinate columns `cols` (a sequence of equal-length 1-D
+    arrays, e.g. the rows of a (d, E) array), added in the order numpy's
+    `add.reduce` uses along a contiguous row of d terms: from +0.0, fewer
+    than 8 terms left to right, 8 to 128 terms in eight strided
+    accumulators combined as ((0+1)+(2+3))+((4+5)+(6+7)) followed by the
+    leftover terms, longer rows split in two at a multiple of 8.  So it is
+    bit-identical to `np.sum(rows, axis=1)` on C-ordered rows, at the cost
+    of a few whole-column operations instead of one short reduction per
+    row."""
+    total = _pairwise_sum(cols)
+    total += 0.0                # numpy starts from +0.0: -0.0 terms sum to +0.0
+    return total
+
+
+def _pairwise_sum(cols):
+    n = len(cols)
+    if n < 8:
+        total = cols[0] + cols[1] if n > 1 else np.copy(cols[0])
+        for col in cols[2:]:
+            total += col
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
+    stop = n - n % 8
+    acc = list(cols[:8])
+    for start in range(8, stop, 8):
+        acc = [a + col for a, col in zip(acc, cols[start:start + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for col in cols[stop:]:
+        total += col
+    return total
+
+
 def _tangent_parts(family, pts, vecs):
     """m0 coordinates (last axis) and squared m1 norms of the chord vectors
-    `vecs` transported to the base point, for source points `pts` (both
-    (E, d) real)."""
+    transported to the base point.  `pts` and `vecs` hold the source points
+    and the chord vectors as (d, E) stacks of coordinate columns."""
     if family == U_SPHERE:
-        half = pts.shape[1] // 2
-        pr, pi = pts[:, :half], pts[:, half:]
-        vr, vi = vecs[:, :half], vecs[:, half:]
+        half = len(pts) // 2
+        pr, pi = pts[:half], pts[half:]
+        vr, vi = vecs[:half], vecs[half:]
         # Im sum(conj(p) v) = sum(pr*vi - pi*vr)
-        m0 = np.sum(pr * vi - pi * vr, axis=1)[:, None]
+        m0 = _row_sum(pr * vi - pi * vr)[:, None]
     elif family == SU2:
-        p0, p1, p2, p3 = pts.T
-        v0, v1, v2, v3 = vecs.T
+        p0, p1, p2, p3 = pts
+        v0, v1, v2, v3 = vecs
         # i component of conj(p) * v
         m0 = (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
     else:
         # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of
-        # H^(n+1) are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters
-        quarter = pts.shape[1] // 4
-        p1 = pts[:, :quarter] + 1j * pts[:, quarter:2 * quarter]
-        p2 = pts[:, 2 * quarter:3 * quarter] + 1j * pts[:, 3 * quarter:]
-        v1 = vecs[:, :quarter] + 1j * vecs[:, quarter:2 * quarter]
-        v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
+        # H^(n+1) are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters.
+        # The complex sums run over C-ordered (E, n+1) rows, as they always have
+        quarter = len(pts) // 4
+        rows_p = np.ascontiguousarray(np.transpose(pts))
+        rows_v = np.ascontiguousarray(np.transpose(vecs))
+        p1 = rows_p[:, :quarter] + 1j * rows_p[:, quarter:2 * quarter]
+        p2 = rows_p[:, 2 * quarter:3 * quarter] + 1j * rows_p[:, 3 * quarter:]
+        v1 = rows_v[:, :quarter] + 1j * rows_v[:, quarter:2 * quarter]
+        v2 = rows_v[:, 2 * quarter:3 * quarter] + 1j * rows_v[:, 3 * quarter:]
         first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
         second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
         m0 = np.stack([first.imag, second.real, second.imag], axis=1)
-    usq = np.sum(vecs * vecs, axis=1)
+    usq = _row_sum(vecs * vecs)
     # one coordinate at a time: the surveyed graph seeds rely on these exact weights
     for coord in m0.T:
         usq = usq - coord ** 2
@@ -110,14 +156,19 @@ def _tangent_parts(family, pts, vecs):
 
 
 def _edge_costs(spec: RandersSpec, pts, vecs):
-    """Invariant norm at each source point of each tangent vector."""
-    return randers_norm_array(spec, *_tangent_parts(spec.family, pts, vecs))
+    """Invariant norm at each source point of each tangent vector ((E, d)
+    rows in any memory order)."""
+    return randers_norm_array(spec, *_tangent_parts(spec.family, pts.T, vecs.T))
 
 
 def _tangent_chords(pts, targets):
-    chords = targets - pts
-    radial = np.sum(chords * pts, axis=1)
-    return chords - radial[:, None] * pts
+    """Chords from `pts` to `targets` ((E, d) rows, or one target row)
+    projected onto the tangent spaces at `pts`; (E, d) rows whose memory
+    is column-major."""
+    pts = pts.T
+    chords = targets.T - pts
+    chords -= _row_sum(chords * pts) * pts
+    return chords.T
 
 
 def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
@@ -136,8 +187,11 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
     idx = idx[:, 1:]                                    # drop self
     src = np.repeat(np.arange(n_points), k)
     dst = idx.ravel()
-    vecs = _tangent_chords(pts[src], pts[dst])
-    costs = _edge_costs(spec, pts[src], vecs)
+    # coordinate columns of the edges' ends, gathered once in place of rows
+    cols = np.ascontiguousarray(pts.T)
+    src_pts = np.take(cols, src, axis=1).T
+    vecs = _tangent_chords(src_pts, np.take(cols, dst, axis=1).T)
+    costs = _edge_costs(spec, src_pts, vecs)
     mat = csr_matrix((costs, (src, dst)), shape=(n_points, n_points))
     n_comp, _ = connected_components(mat, directed=True, connection="strong")
     if n_comp != 1:
@@ -146,7 +200,7 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
             "increase the point count or the degree")
     return SphereGraph(spec=spec, points=pts, matrix=mat, k=k,
                        median_edge=float(np.median(costs)), tree=tree,
-                       median_chord=float(np.median(np.linalg.norm(vecs, axis=1))))
+                       median_chord=float(np.median(np.sqrt(_row_sum(vecs.T * vecs.T)))))
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +218,8 @@ class DistanceReport:
 
 def _arc_costs(spec: RandersSpec, starts, ends):
     """Finsler lengths (forward, reverse) of the great-circle arcs from each
-    start to each end and back ((E, d) unit rows).
+    start to each end and back ((E, d) unit rows in any memory order;
+    column-major rows keep every column operation contiguous).
 
     Along a unit-speed great circle the m0 coordinates of the velocity
     are constant (they are Killing-field components of the round metric),
@@ -175,12 +230,13 @@ def _arc_costs(spec: RandersSpec, starts, ends):
     arc is an upper-bound proxy for the local geodesic; since length is
     stationary at the true geodesic the overestimate is quartic in angle.
     """
-    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    starts, ends = starts.T, ends.T
+    dot = np.clip(_row_sum(starts * ends), -1.0, 1.0)
     theta = np.arccos(dot)
-    perp = ends - dot[:, None] * starts
-    pn = np.linalg.norm(perp, axis=1)
+    perp = ends - dot * starts
+    pn = np.sqrt(_row_sum(perp * perp))
     degenerate = pn <= 1e-14
-    perp = perp / np.where(degenerate, 1.0, pn)[:, None]
+    perp /= np.where(degenerate, 1.0, pn)
     m0, usq = _tangent_parts(spec.family, starts, perp)
     return tuple(np.where(degenerate, 0.0, theta * randers_norm_array(spec, s * m0, usq))
                  for s in (1.0, -1.0))
@@ -240,10 +296,11 @@ def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
     walk.  Each hop of the raw path is an arc too, however long, so the
     corridor always joins its ends, also where the samples lie further
     apart than `CHUNK_ARC`.  The tube radius is `CORRIDOR_TUBE_FACTOR`
-    median edge chords, a Euclidean length like the KD-tree's, so the
-    corridor does not depend on the metric's scale.  `target_coords`, when
-    given, joins the corridor as a virtual terminal vertex (off-sample
-    targets), reached by an arc from the raw path's last vertex.
+    times the median length of the tangent-projected edge chords, a
+    Euclidean length like the KD-tree's, so the corridor does not depend
+    on the metric's scale.  `target_coords`, when given, joins the
+    corridor as a virtual terminal vertex (off-sample targets), reached by
+    an arc from the raw path's last vertex.
     """
     balls = graph.tree.query_ball_point(graph.points[raw_path],
                                         CORRIDOR_TUBE_FACTOR * graph.median_chord)
@@ -262,10 +319,46 @@ def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
     # pairs in (i, j) order (i < j), once each, reverse arcs first: csr_matrix
     # needs no sort
     i, j = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    forward, reverse = _arc_costs(graph.spec, node_pts[i], node_pts[j])
+    node_cols = np.ascontiguousarray(node_pts.T)
+    forward, reverse = _arc_costs(graph.spec, np.take(node_cols, i, axis=1).T,
+                                  np.take(node_cols, j, axis=1).T)
     sub = csr_matrix((np.concatenate([reverse, forward]),
                       (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
     return float(dijkstra(sub, directed=True, indices=path[0])[path[-1]])
+
+
+def _vertex(graph: SphereGraph, index):
+    """`index` as a vertex number; InvalidInput unless an integer in [0, N)."""
+    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+            or not 0 <= index < graph.n_points):
+        raise InvalidInput(f"vertex index must be an integer in [0, {graph.n_points}), "
+                           f"got {index!r}")
+    return int(index)
+
+
+UNIT_NORM_TOL = 1e-9
+
+
+def _sphere_point(graph: SphereGraph, coords):
+    """`coords` as a float point of the graph's sphere; InvalidInput unless
+    it has the sphere's real dimension, finite entries and a norm within
+    `UNIT_NORM_TOL` of 1."""
+    try:
+        point = np.asarray(coords)
+    except ValueError as exc:           # ragged nesting
+        raise InvalidInput(f"coordinates must be a flat array: {exc}") from exc
+    if point.dtype.kind not in "iuf":
+        raise InvalidInput(f"coordinates must be real numbers, got dtype {point.dtype}")
+    point = point.astype(float, copy=False)
+    dim = graph.points.shape[1]
+    if point.shape != (dim,):
+        raise InvalidInput(f"coordinates must have shape ({dim},), got {point.shape}")
+    if not np.all(np.isfinite(point)):
+        raise InvalidInput("coordinates must be finite")
+    norm = float(np.linalg.norm(point))
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise InvalidInput(f"coordinates must lie on the unit sphere, norm is {norm!r}")
+    return point
 
 
 def distance(graph: SphereGraph, source, target) -> DistanceReport:
@@ -275,7 +368,7 @@ def distance(graph: SphereGraph, source, target) -> DistanceReport:
     removes most of the k-NN discretization stretch; the raw graph
     distance and the raw path's hop count are reported alongside.
     """
-    source, target = int(source), int(target)
+    source, target = _vertex(graph, source), _vertex(graph, target)
     dist, pred = _raw_search(graph, source, graph.points[target], [target], 0.0)
     if not np.isfinite(dist[target]):
         raise ResolutionTooCoarse("target unreachable at this resolution")
@@ -290,8 +383,8 @@ def distance_to_coords(graph: SphereGraph, source, coords):
     point given by real coordinates (connected as a virtual vertex):
     (corridor-refined distance, raw graph distance, chord distance from
     the point to its nearest vertex)."""
-    source = int(source)
-    coords = np.asarray(coords, dtype=float)
+    source = _vertex(graph, source)
+    coords = _sphere_point(graph, coords)
     snap_d, cand = graph.tree.query(coords, k=graph.k)      # k >= MIN_DEGREE: arrays
     legs = _tangent_chords(graph.points[cand], coords[None, :])
     leg_costs = _edge_costs(graph.spec, graph.points[cand], legs)

@@ -1,9 +1,12 @@
+import logging
 import math
+import re
 
 import numpy as np
 
 from cwspheres import checks
 from cwspheres.cli import main
+from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import RngStream, haar_unitary
 
 
@@ -42,3 +45,16 @@ def test_eigenlemma_with_no_defined_trial_fails(monkeypatch):
     report = checks.eigenlemma(2, 2, RngStream(5))
     assert [row[2] for row in report.rows] == ["undefined", "undefined"]
     assert not report.ok
+
+
+def test_graph_checks_log_build_and_query_time(caplog):
+    caplog.set_level(logging.INFO, logger="cwspheres")
+    report = checks.oracle(600, 12, RngStream(1), RngStream(2), RngStream(3))
+    params = OrbitParams(1, 1, 0.5, 1.0, 1.0)
+    checks.displacement(solve_metric(params), params, 0.3, 4, 600, 12,
+                        RngStream(4), RngStream(5))
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert messages[0] == messages[2] == "building 600-point graph"
+    assert re.fullmatch(r"oracle: 71 distance queries in \d+\.\d\d s", messages[1])
+    assert re.fullmatch(r"displacement: 4 distance queries in \d+\.\d\d s", messages[3])
+    assert len(messages) == 4 and len(report.rows) == 3

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ from scipy.spatial import cKDTree
 from cwspheres import geodesy
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import su2_flow, u_flow
-from cwspheres.geodesy import (_arc_costs, _edge_costs, build_graph,
+from cwspheres.geodesy import (_arc_costs, _edge_costs, _row_sum, build_graph,
                                displacement_profile, distance,
                                distance_to_coords)
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import RngStream
-from cwspheres.randers import RandersSpec, round_spec
+from cwspheres.randers import RandersSpec, randers_norm_array, round_spec
 
 ROUND3 = round_spec("u_sphere", 1)
 CW3 = solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0))
@@ -97,13 +98,7 @@ def test_build_median_chord_matches_round_median_edge():
 def per_direction_arc_costs(spec, starts, ends):
     """Slow reference: the closed-form length of each arc from its own start,
     one direction per call."""
-    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
-    theta = np.arccos(dot)
-    perp = ends - dot[:, None] * starts
-    pn = np.linalg.norm(perp, axis=1)
-    degenerate = pn <= 1e-14
-    perp = perp / np.where(degenerate, 1.0, pn)[:, None]
-    return np.where(degenerate, 0.0, theta * _edge_costs(spec, starts, perp))
+    return rowsum_arc_costs(spec, starts, ends)[0]
 
 
 def simpson_arc_costs(spec, starts, ends):
@@ -176,6 +171,129 @@ def test_reverse_arc_cost_matches_simpson_of_swapped_arc(spec, dim):
     assert (rel * sin_theta).max() <= 1e-14
     # the clustered angles reach well inside the ill-conditioned zone
     assert (sin_theta < 1e-3).sum() > 1000
+
+
+# ------------------------------------------------- summation-order contract
+# The kernels sum over coordinates column by column; these references are
+# the row-sum formulas they replaced, and every result must match them bit
+# for bit (the surveyed graph seeds and the golden reports depend on it).
+
+def rowsum_tangent_parts(family, pts, vecs):
+    if family == "u_sphere":
+        half = pts.shape[1] // 2
+        pr, pi = pts[:, :half], pts[:, half:]
+        vr, vi = vecs[:, :half], vecs[:, half:]
+        m0 = np.sum(pr * vi - pi * vr, axis=1)[:, None]
+    elif family == "su2":
+        p0, p1, p2, p3 = pts.T
+        v0, v1, v2, v3 = vecs.T
+        m0 = (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
+    else:
+        quarter = pts.shape[1] // 4
+        p1 = pts[:, :quarter] + 1j * pts[:, quarter:2 * quarter]
+        p2 = pts[:, 2 * quarter:3 * quarter] + 1j * pts[:, 3 * quarter:]
+        v1 = vecs[:, :quarter] + 1j * vecs[:, quarter:2 * quarter]
+        v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
+        first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
+        second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
+        m0 = np.stack([first.imag, second.real, second.imag], axis=1)
+    usq = np.sum(vecs * vecs, axis=1)
+    for coord in m0.T:
+        usq = usq - coord ** 2
+    return m0, np.maximum(usq, 0.0)
+
+
+def rowsum_edge_costs(spec, pts, vecs):
+    return randers_norm_array(spec, *rowsum_tangent_parts(spec.family, pts, vecs))
+
+
+def rowsum_arc_costs(spec, starts, ends):
+    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    theta = np.arccos(dot)
+    perp = ends - dot[:, None] * starts
+    pn = np.linalg.norm(perp, axis=1)
+    degenerate = pn <= 1e-14
+    perp = perp / np.where(degenerate, 1.0, pn)[:, None]
+    m0, usq = rowsum_tangent_parts(spec.family, starts, perp)
+    return tuple(np.where(degenerate, 0.0, theta * randers_norm_array(spec, s * m0, usq))
+                 for s in (1.0, -1.0))
+
+
+def rowsum_graph(g):
+    """Weights (CSR), median edge cost and median chord of `g`'s edges
+    recomputed from its points by the row-sum formulas."""
+    _, idx = cKDTree(g.points).query(g.points, k=g.k + 1)
+    src = np.repeat(np.arange(g.n_points), g.k)
+    dst = idx[:, 1:].ravel()
+    chords = g.points[dst] - g.points[src]
+    radial = np.sum(chords * g.points[src], axis=1)
+    vecs = chords - radial[:, None] * g.points[src]
+    costs = rowsum_edge_costs(g.spec, g.points[src], vecs)
+    return (csr_matrix((costs, (src, dst)), shape=g.matrix.shape),
+            float(np.median(costs)), float(np.median(np.linalg.norm(vecs, axis=1))))
+
+
+def mixed_scale_rows(count, width, gen):
+    """Rows whose terms span 16 orders of magnitude, so that any change of
+    summation order shows in the last bits; some rows are all -0.0."""
+    rows = gen.standard_normal((count, width)) * 10.0 ** gen.integers(-8, 9, (count, width))
+    rows[:3] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("width", list(range(1, 17)) + [130, 300])
+def test_row_sum_matches_numpy_row_order(width):
+    rows = mixed_scale_rows(400, width, RngStream(50).gen)
+    expected = np.sum(rows, axis=1)
+    for layout in (rows, np.asfortranarray(rows)):
+        got = _row_sum(layout.T)
+        assert got.tobytes() == expected.tobytes()
+    # (a column-major array's own np.sum adds left to right from 8 terms
+    # on; the contract is the row order, whatever the memory order)
+    assert _row_sum(list(rows.T)).tobytes() == expected.tobytes()
+    if width >= 8:          # the data tells the orders apart
+        left_to_right = functools.reduce(np.add, rows.T[1:], rows.T[0] + 0.0)
+        assert left_to_right.tobytes() != expected.tobytes()
+
+
+def special_arcs(starts):
+    """Degenerate and axis-aligned arcs: zero length, antipodal, and
+    between signed unit vectors (whose products are signed zeros)."""
+    dim = starts.shape[1]
+    axes = np.eye(dim)
+    return (np.concatenate([starts[:5], starts[5:10], axes, axes]),
+            np.concatenate([starts[:5], -starts[5:10], -np.roll(axes, 1, axis=0), -axes]))
+
+
+@ARC_SPECS
+def test_arc_and_edge_costs_are_bit_identical_to_row_sums(spec, dim):
+    starts, ends = random_arcs(dim, 3000, RngStream(51).gen)
+    extra_starts, extra_ends = special_arcs(starts)
+    starts = np.concatenate([starts, extra_starts])
+    ends = np.concatenate([ends, extra_ends])
+    expected = rowsum_arc_costs(spec, starts, ends)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        got = _arc_costs(spec, layout(starts), layout(ends))
+        for direction in range(2):
+            assert got[direction].tobytes() == expected[direction].tobytes()
+        vecs = geodesy._tangent_chords(layout(starts), layout(ends))
+        assert _edge_costs(spec, layout(starts), vecs).tobytes() \
+            == rowsum_edge_costs(spec, starts, np.ascontiguousarray(vecs)).tobytes()
+
+
+@pytest.mark.parametrize("spec,n_points,k,seed", [
+    (CW3, 3000, 12, 52),
+    (RandersSpec("u_sphere", n=3, a=2.0, b=1.5, c=-0.8), 2000, 12, 53),     # d = 8
+    (SP7, 900, 10, 27),
+])
+def test_build_graph_is_bit_identical_to_row_sums(spec, n_points, k, seed):
+    g = build_graph(spec, n_points, k, RngStream(seed))
+    matrix, median_edge, median_chord = rowsum_graph(g)
+    assert np.array_equal(g.matrix.indptr, matrix.indptr)
+    assert np.array_equal(g.matrix.indices, matrix.indices)
+    assert g.matrix.data.tobytes() == matrix.data.tobytes()
+    assert g.median_edge == median_edge
+    assert g.median_chord == median_chord
 
 
 def reference_refine(graph, raw_path, target_coords=None):
@@ -263,6 +381,36 @@ def test_distance_adjacent_equals_edge_weight():
     for j in nearest[1:]:
         w = weights[np.where(heads == j)[0][0]]
         assert abs(distance(g, 5, j).raw - w) <= 1e-12
+
+
+def test_distance_rejects_bad_vertex_indices():
+    g = small_graph(n_points=600)
+    for source, target in [(0, -1), (-1, 5), (0, 600), (600, 0), (0, 2.0),
+                           (0, "3"), (True, 5), (0, None)]:
+        with pytest.raises(InvalidInput, match="vertex index"):
+            distance(g, source, target)
+    point = g.points[5]
+    for source in (700, -1, 1.5):
+        with pytest.raises(InvalidInput, match="vertex index"):
+            distance_to_coords(g, source, point)
+    # numpy integers are vertex indices too
+    assert distance(g, np.int64(0), np.int32(5)).distance > 0.0
+
+
+def test_distance_to_coords_rejects_off_sphere_points():
+    g = small_graph(n_points=600)
+    p = g.points[5]
+    bad = {"scaled": 5.0 * p, "zero": np.zeros(4), "short": p[:3],
+           "long": np.append(p, 0.0), "matrix": p[None, :], "nan": np.where(p == p[0], np.nan, p),
+           "inf": np.where(p == p[0], np.inf, p), "complex": p + 0j,
+           "text": ["a", "b", "c", "d"], "ragged": [[1.0], [0.0, 0.0]],
+           "off by 1e-8": p * (1.0 + 1e-8)}
+    for name, coords in bad.items():
+        with pytest.raises(InvalidInput, match="coordinates"):
+            distance_to_coords(g, 0, coords)
+    # rounding-level deviations of the norm, as a flow's image has, pass
+    assert distance_to_coords(g, 0, p * (1.0 + 1e-12))[0] > 0.0
+    assert distance_to_coords(g, 0, list(p))[0] > 0.0
 
 
 def test_distance_round_antipodal_small_n():
