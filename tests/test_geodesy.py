@@ -405,7 +405,7 @@ def test_distance_to_coords_rejects_off_sphere_points():
            "inf": np.where(p == p[0], np.inf, p), "complex": p + 0j,
            "text": ["a", "b", "c", "d"], "ragged": [[1.0], [0.0, 0.0]],
            "off by 1e-8": p * (1.0 + 1e-8)}
-    for name, coords in bad.items():
+    for coords in bad.values():
         with pytest.raises(InvalidInput, match="coordinates"):
             distance_to_coords(g, 0, coords)
     # rounding-level deviations of the norm, as a flow's image has, pass
