@@ -173,6 +173,58 @@ def test_reverse_arc_cost_matches_simpson_of_swapped_arc(spec, dim):
     assert (sin_theta < 1e-3).sum() > 1000
 
 
+# ------------------------------------------------------- S^3 = SU(2) = u_sphere
+# SU(2)-left times circle-right is U(2) acting on C^2 = H, so the left-
+# invariant Randers metrics on SU(2) with their axis along i are the
+# u_sphere n = 1 metrics.  A point (x0, x1, x2, x3) = (Re z0, Re z1, Im z0,
+# Im z1) of the u_sphere graph has quaternion coordinates (w, x, y, z) =
+# (x0, x2, x3, x1), and on SU(2) the m0 coordinate of a tangent vector v
+# at p is the i-component of conj(p) v.
+
+TO_QUATERNION = [0, 2, 3, 1]
+
+
+def su2_tangent_parts(p, v):
+    """m0 (the i-component of conj(p) v) and the squared m1 norm, for
+    (E, 4) rows of quaternion coordinates."""
+    p0, p1, p2, p3 = p.T
+    v0, v1, v2, v3 = v.T
+    m0 = p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2
+    return m0[:, None], np.maximum(np.sum(v * v, axis=1) - m0 ** 2, 0.0)
+
+
+def su2_edge_costs(spec, p, v):
+    return randers_norm_array(spec, *su2_tangent_parts(p, v))
+
+
+def su2_arc_costs(spec, starts, ends):
+    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    perp = ends - dot[:, None] * starts
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    m0, usq = su2_tangent_parts(starts, perp)
+    return tuple(np.arccos(dot) * randers_norm_array(spec, s * m0, usq)
+                 for s in (1.0, -1.0))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.4, -0.7])
+def test_u_sphere_n1_costs_are_su2_costs_in_quaternion_coordinates(c):
+    spec = RandersSpec("u_sphere", n=1, a=1.3, b=1.0, c=c)
+    # random pairs: their angles stay clear of 0 and pi, where arccos
+    # would amplify the rounding of the two coordinate orders' dot products
+    starts, ends = RngStream(60).gen.standard_normal((2, 5000, 4))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    vecs = geodesy._tangent_chords(starts, ends)
+    q = TO_QUATERNION
+    reference = su2_edge_costs(spec, starts[:, q], vecs[:, q])
+    assert np.max(np.abs(_edge_costs(spec, starts, vecs) - reference)) <= 1e-14
+    assert np.max(np.abs(_edge_costs(RandersSpec("su2", a=1.3, b=1.0, c=c),
+                                     starts[:, q], vecs[:, q]) - reference)) <= 1e-14
+    for got, want in zip(_arc_costs(spec, starts, ends),
+                         su2_arc_costs(spec, starts[:, q], ends[:, q])):
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
 # ------------------------------------------------- summation-order contract
 # The kernels sum over coordinates column by column; these references are
 # the row-sum formulas they replaced, and every result must match them bit
