@@ -9,19 +9,21 @@ Modules
 -------
 matrixcore
     Skew-Hermitian exponentials, eigenvalue phases, stacked Haar
-    U(n)/Sp(n)/SU(2) draws from sequences of seeded RNG streams,
-    quaternion pairs, su(2) dictionary.
+    U(n)/Sp(n) draws from sequences of seeded RNG streams, quaternion
+    pairs, su(2) dictionary.
 randers
-    Metric parameter containers, the vectorised norm on (m0, usq) arrays,
-    JSON.
+    Metric parameter containers for the u_sphere and sp_sphere families
+    (S^3 = SU(2) is u_sphere n = 1), the vectorised norm on (m0, usq)
+    arrays, JSON.
 cosets
-    Coset model spaces, projection of one matrix or a stack to (m0, usq)
+    Coset presentations: projection of one matrix or a stack to (m0, usq)
     arrays, orbit sampling, Weyl helpers for the symplectic witness.
 killing
     Closed-form metric solver and constant-length identities, orbit
     length reports, witness constructions.
 flows
-    Isometry flows, endpoint focusing, spectral phase-interval and
+    Isometry flows (unitary ones on S^(2n+1), group-times-circle ones on
+    SU(2)), endpoint focusing, spectral phase-interval and
     commutator checkers on stacks of matrices, geodesic
     non-intersection probe.
 geodesy

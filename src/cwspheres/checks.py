@@ -32,8 +32,8 @@ ENDPOINT_IDENTITY_TOL = 1e-12
 WITNESS_GAP_TOL = 1e-12
 ANTIPODE_REL_TOL = 0.05
 SYMMETRY_REL_TOL = 0.01
-# the oracle checks symmetry on this many vertex pairs, both ways, and the
-# Hopf rotation's displacement at this many vertices
+# the oracle checks symmetry on this many pairs of distinct vertices, both
+# ways, and the Hopf rotation's displacement at this many vertices
 ORACLE_PAIRS = 10
 ORACLE_HOPF_POINTS = 50
 # sp-central conjugates (n+1) x (n+1) candidates a block of trials at a
@@ -249,7 +249,7 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
 
 def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     """Distance oracle on the round S^3: antipode against pi, symmetry of
-    ten vertex pairs and the spread of a Hopf rotation's displacement."""
+    ten pairs of distinct vertices and the spread of a Hopf rotation's displacement."""
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
     start = time.perf_counter()
@@ -258,7 +258,9 @@ def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     gen = pair_rng.gen
     sym_dev = 0.0
     for _ in range(ORACLE_PAIRS):
-        i, j = (int(v) for v in gen.integers(0, graph.n_points, 2))
+        i = j = 0
+        while i == j:       # a self-pair has no symmetry to check: redraw
+            i, j = (int(v) for v in gen.integers(0, graph.n_points, 2))
         dij = geodesy.distance(graph, i, j).distance
         dji = geodesy.distance(graph, j, i).distance
         sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))

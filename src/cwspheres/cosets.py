@@ -9,9 +9,9 @@ reads off the m0/m1 coordinates:
 * sp_sphere: S^(4n+3) = Sp(n+1)U(1)/Sp(n)U(1); algebra elements are pairs
   (X, x); the circle factor acts by right scalar multiplication, so the
   last coordinate picks up an extra x*i.
-* su2:       S^3 = SU(2) presented as (SU(2) x S^1) / <(V, 1)> with V a
-  multiple of the first su(2) basis axis; projecting (X, x) subtracts the
-  isotropy component, giving X - x*V.
+
+S^3 = SU(2) needs no presentation of its own: SU(2)-left times
+circle-right is U(2) acting on C^2, the u_sphere presentation with n = 1.
 """
 
 from __future__ import annotations
@@ -22,45 +22,11 @@ import numpy as np
 
 from .errors import InvalidInput
 from .matrixcore import (QuaternionMatrix, RngStream, as_quaternion_skew,
-                         as_skew_hermitian, conjugate, haar_su2, haar_symplectic,
-                         haar_unitary, qabs, trial_blocks, vec_from_su2)
-from .randers import SP_SPHERE, SU2, U_SPHERE, RandersSpec, m1_norm_sq
+                         as_skew_hermitian, conjugate, haar_symplectic,
+                         haar_unitary, qabs, trial_blocks)
+from .randers import SP_SPHERE, U_SPHERE, RandersSpec, m1_norm_sq, require_valid
 
 UNIT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ModelSpace:
-    """A sphere with a fixed coset presentation.
-
-    `n` is the coset rank (ambient matrices are (n+1) x (n+1)); ignored
-    for su2.  `su2_v` is the length of the distinguished isotropy vector V
-    along the first su(2) axis, used only by the su2 family.
-    """
-
-    family: str
-    n: int = 1
-    su2_v: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in (U_SPHERE, SP_SPHERE, SU2):
-            raise InvalidInput(f"unknown family {self.family!r}")
-        if self.family != SU2 and self.n < 1:
-            raise InvalidInput("coset rank n must be >= 1")
-
-
-def space_for_spec(spec: RandersSpec) -> ModelSpace:
-    """Model space matching a metric spec.
-
-    For su2 the isotropy vector length is recovered as c/b, the unique
-    choice for which the constructed metrics have their defining orbit
-    property.
-    """
-    if spec.family == SU2:
-        if not (spec.b or 0) > 0:
-            raise InvalidInput("an su2 spec needs b > 0 to place its isotropy vector")
-        return ModelSpace(SU2, su2_v=spec.c / spec.b)
-    return ModelSpace(spec.family, n=spec.n)
 
 
 @dataclass(frozen=True)
@@ -68,8 +34,8 @@ class AlgebraElement:
     """Killing-field candidate: matrix part plus the u(1)/R scalar summand.
 
     The matrix part is a complex skew-Hermitian ndarray for u_sphere and
-    su2, and a skew QuaternionMatrix for sp_sphere.  The scalar part is
-    zero whenever the presentation has no circle summand.
+    a skew QuaternionMatrix for sp_sphere.  The scalar part is zero
+    whenever the presentation has no circle summand.
     """
 
     family: str
@@ -85,66 +51,49 @@ def sp_algebra(x: QuaternionMatrix, scalar=0.0) -> AlgebraElement:
     return AlgebraElement(SP_SPHERE, as_quaternion_skew(x), float(scalar))
 
 
-def su2_algebra(x, scalar=0.0) -> AlgebraElement:
-    x = as_skew_hermitian(np.asarray(x, dtype=complex))
-    if x.shape != (2, 2) or abs(np.trace(x)) > 1e-10:
-        raise InvalidInput("su2 matrix part must be traceless 2x2 skew-Hermitian")
-    return AlgebraElement(SU2, x, float(scalar))
-
-
 # --------------------------------------------------------------------------
 # projection to m
 # --------------------------------------------------------------------------
 
-def project_to_m(space: ModelSpace, x, scalar):
+def project_to_m(family, x, scalar):
     """(m0, usq) of the projection to m of the matrix part `x`, or of each
     matrix of a (T, n+1, n+1) stack, with circle summand `scalar`: the
-    column x e_last read off in the family's coordinates, as m0
+    column x e_last read off in the coordinates of `family`, as m0
     coordinates on the last axis and squared m1 norms, the inputs of
     `randers_norm_array`."""
-    if space.family == U_SPHERE:
+    if family == U_SPHERE:
         col = x[..., :, -1]
         m0, u = col[..., -1:].imag, col[..., :-1]
-    elif space.family == SP_SPHERE:
+    else:
         col1 = x.q1[..., :, -1]
         col2 = x.q2[..., :, -1]
         m0 = np.stack([col1[..., -1].imag + scalar, col2[..., -1].real,
                        col2[..., -1].imag], axis=-1)
         u = (col1[..., :-1], col2[..., :-1])
-    else:
-        # su2: su(2) coordinates less the isotropy component along (V, 1)
-        y = vec_from_su2(x) - np.array([space.su2_v, 0.0, 0.0]) * scalar
-        m0, u = y[..., :1], y[..., 1:]
-    return m0, m1_norm_sq(space.family, u)
+    return m0, m1_norm_sq(family, u)
 
 
-def _haar_for(space: ModelSpace, rngs):
-    """Stacked Haar draws of the space's group, one per stream."""
-    if space.family == U_SPHERE:
-        return haar_unitary(space.n + 1, rngs)
-    if space.family == SP_SPHERE:
-        return haar_symplectic(space.n + 1, rngs)
-    return haar_su2(rngs)
-
-
-def orbit_projection_sample(space: ModelSpace, e: AlgebraElement,
+def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
                             trials: int, rng: RngStream):
     """(m0, usq) arrays of the projections to m of `trials` random
-    adjoint-orbit points of `e`, draw k from `rng.split(k)`.
+    adjoint-orbit points of `e`, draw k from `rng.split(k)`, on the sphere
+    of the valid metric spec `spec`.
 
     The scalar summand is invariant under the adjoint action and passes
-    through unchanged; only the matrix part is conjugated by Haar draws,
-    a block of trials at a time.  `e` must belong to the space's family
-    and, outside su2, be (n+1) x (n+1).
+    through unchanged; only the matrix part is conjugated by Haar draws of
+    U(n+1) or Sp(n+1), a block of trials at a time.  `e` must belong to
+    the spec's family and be (n+1) x (n+1).
     """
-    if e.family != space.family:
-        raise InvalidInput(f"algebra family {e.family!r} != space family {space.family!r}")
-    if space.family != SU2 and e.x.shape != (space.n + 1, space.n + 1):
+    require_valid(spec)
+    if e.family != spec.family:
+        raise InvalidInput(f"algebra family {e.family!r} != spec family {spec.family!r}")
+    dim = spec.n + 1
+    if e.x.shape != (dim, dim):
         raise InvalidInput("matrix size does not match the coset rank")
     if int(trials) < 1:
         raise InvalidInput("need at least one orbit draw")
-    dim = e.x.shape[-1]
-    parts = [project_to_m(space, conjugate(_haar_for(space, subs), e.x), e.scalar)
+    haar = haar_unitary if spec.family == U_SPHERE else haar_symplectic
+    parts = [project_to_m(spec.family, conjugate(haar(dim, subs), e.x), e.scalar)
              for _, subs in trial_blocks(rng, trials, dim * dim)]
     return (np.concatenate([m0 for m0, _ in parts]),
             np.concatenate([usq for _, usq in parts]))

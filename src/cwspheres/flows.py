@@ -1,8 +1,8 @@
 """Isometry flows and executable eigenvalue-phase checkers.
 
 Covers the one-parameter flows generated by constant-length Killing
-fields (group-times-circle form on S^3, linear unitary form on S^(2n+1)),
-the focusing of all unit-generator flows at a single endpoint at time pi,
+fields (group-times-circle form on the group SU(2), linear unitary form on
+S^(2n+1)), the focusing of all unit-generator flows at a single endpoint at time pi,
 and two spectral facts the geodesic non-intersection argument rests on:
 a phase-interval bound for products of unitary matrices, and persistence
 of eigenvalue 1 for twisted commutators with singular off-diagonal
@@ -22,7 +22,12 @@ from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
                          haar_unitary, seed_block, stream_list, su2_from_vec,
                          su2_inner, su2_matrix_from_quat, trial_blocks,
                          unitary_phases)
-from .randers import SU2, U_SPHERE
+from .randers import U_SPHERE
+
+# Flows on the group SU(2) itself, whose points are 2x2 matrices.  As a
+# metric sphere S^3 = SU(2) is u_sphere n = 1, and left translation by
+# exp(tX) is u_flow(X, t) on the first column g e_1.
+SU2_GROUP = "su2"
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_BASE_POINTS = 3
@@ -46,8 +51,8 @@ class FlowIsometry:
     """One-parameter isometry at a fixed time t.
 
     u_sphere: v -> exp(t X) v on the unit sphere of C^(n+1).
-    su2:      g -> exp(t X) g exp(-t V) on SU(2), the flow of the algebra
-              element (X, 1) in the group-times-circle presentation.
+    su2:      g -> exp(t X) g exp(-t V) on the group SU(2), the flow of the
+              algebra element (X, 1) in the group-times-circle presentation.
     """
 
     family: str
@@ -57,7 +62,7 @@ class FlowIsometry:
 
     def __post_init__(self):
         as_skew_hermitian(self.x)
-        if self.family == SU2:
+        if self.family == SU2_GROUP:
             if self.v is None:
                 raise InvalidInput("su2 flow needs the isotropy vector V")
             as_skew_hermitian(self.v)
@@ -72,7 +77,7 @@ def u_flow(x, t) -> FlowIsometry:
 def su2_flow(x, v, t) -> FlowIsometry:
     x = su2_from_vec(x) if np.ndim(x) == 1 else np.asarray(x, dtype=complex)
     v = su2_from_vec(v) if np.ndim(v) == 1 else np.asarray(v, dtype=complex)
-    return FlowIsometry(SU2, x, float(t), v)
+    return FlowIsometry(SU2_GROUP, x, float(t), v)
 
 
 def apply_flow(f: FlowIsometry, point):

@@ -43,9 +43,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInput, ResolutionTooCoarse
 from .flows import FlowIsometry, apply_flow
-from .matrixcore import quat_from_su2_matrix, su2_matrix_from_quat
-from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm_array,
-                      require_valid)
+from .randers import U_SPHERE, RandersSpec, randers_norm_array, require_valid
 
 MIN_POINTS = 500
 MIN_DEGREE = 8
@@ -70,11 +68,7 @@ class SphereGraph:
 
 
 def _real_dim(spec: RandersSpec):
-    if spec.family == U_SPHERE:
-        return 2 * (spec.n + 1)
-    if spec.family == SP_SPHERE:
-        return 4 * (spec.n + 1)
-    return 4
+    return (2 if spec.family == U_SPHERE else 4) * (spec.n + 1)
 
 
 def _sample_points(spec: RandersSpec, n_points, rng):
@@ -129,11 +123,6 @@ def _tangent_parts(family, pts, vecs):
         vr, vi = vecs[:half], vecs[half:]
         # Im sum(conj(p) v) = sum(pr*vi - pi*vr)
         m0 = _row_sum(pr * vi - pi * vr)[:, None]
-    elif family == SU2:
-        p0, p1, p2, p3 = pts
-        v0, v1, v2, v3 = vecs
-        # i component of conj(p) * v
-        m0 = (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
     else:
         # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of
         # H^(n+1) are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters.
@@ -402,22 +391,6 @@ def distance_to_coords(graph: SphereGraph, source, coords):
 # displacement profiles
 # --------------------------------------------------------------------------
 
-def _point_coords(graph: SphereGraph, index):
-    row = graph.points[index]
-    if graph.spec.family == U_SPHERE:
-        half = row.shape[0] // 2
-        return row[:half] + 1j * row[half:]
-    if graph.spec.family == SU2:
-        return su2_matrix_from_quat(row)
-    raise InvalidInput("flows are not defined for this graph family")
-
-
-def _coords_to_real(graph: SphereGraph, value):
-    if graph.spec.family == U_SPHERE:
-        return np.concatenate([value.real, value.imag])
-    return quat_from_su2_matrix(value)
-
-
 DISPLACEMENT_REL_TOL = 0.07
 
 
@@ -444,17 +417,19 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
     (max - min)/mean against `DISPLACEMENT_REL_TOL`, which is dominated by
     the discretization scale.  A spread needs 2 to `graph.n_points` points.
     """
-    if flow.family != graph.spec.family:
-        raise InvalidInput("flow family does not match the graph")
+    if flow.family != U_SPHERE or graph.spec.family != U_SPHERE:
+        raise InvalidInput("displacement profiles take a u_sphere flow on a u_sphere graph")
     count = int(sample_points)
     if not 2 <= count <= graph.n_points:
         raise InvalidInput(f"need 2 to {graph.n_points} sample points, not {count}")
     sources = rng.gen.choice(graph.n_points, size=count, replace=False)
     disp, snap = np.empty(count), np.empty(count)
+    half = graph.points.shape[1] // 2       # (Re z | Im z) halves of a point
     for row, src in enumerate(sources):
-        moved = apply_flow(flow, _point_coords(graph, int(src)))
+        point = graph.points[src]
+        moved = apply_flow(flow, point[:half] + 1j * point[half:])
         disp[row], _, snap[row] = distance_to_coords(graph, int(src),
-                                                     _coords_to_real(graph, moved))
+                                                     np.concatenate([moved.real, moved.imag]))
     mean = float(disp.mean())
     rel = float(disp.max() - disp.min()) / mean if mean > 0 else math.inf
     return DisplacementProfile(

@@ -2,9 +2,8 @@
 
 Centerpiece of the package: the closed-form metric solver for
 two-eigenvalue generators on the unitary-family spheres, the quadratic
-identity certifying constant length, the su2 construction with a round
-off-center indicatrix, and the witness pair showing that on the
-symplectic-family spheres only central vectors work.
+identity certifying constant length, and the witness pair showing that on
+the symplectic-family spheres only central vectors work.
 """
 
 from __future__ import annotations
@@ -14,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
-                     orbit_projection_sample, project_to_m, space_for_spec,
-                     sp_permutation, sp_unit_diag, u_algebra)
+from .cosets import (AlgebraElement, align_imaginary_to_i, orbit_projection_sample,
+                     project_to_m, sp_permutation, sp_unit_diag, u_algebra)
 from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissible
-from .matrixcore import QuaternionMatrix, qmul, su2_inner
-from .randers import (SP_SPHERE, SU2, U_SPHERE, RandersSpec, randers_norm_array,
-                      require_valid)
+from .matrixcore import QuaternionMatrix, qmul
+from .randers import SP_SPHERE, U_SPHERE, RandersSpec, randers_norm_array, require_valid
 
 CONSTANT_TOL_FACTOR = 1e-8
 # `solve` passes when every identity residual is within this bound.
@@ -145,7 +142,7 @@ def eq_root_pair(s: RandersSpec, L):
     Since |c| < sqrt(a) both branch denominators are positive.
     """
     if s.family == SP_SPHERE:
-        raise InvalidInput("eq_root_pair expects a u_sphere or su2 spec")
+        raise InvalidInput("eq_root_pair expects a u_sphere spec")
     require_valid(s)
     L = float(L)
     sq = math.sqrt(s.a)
@@ -196,13 +193,14 @@ def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
     their metric values.
 
     Verdict is "constant" iff max - min <= CONSTANT_TOL_FACTOR * L, with L
-    defaulting to the sample mean when not prescribed.  All samples go
-    through one norm evaluation, which also validates `s`.
+    defaulting to the sample mean when not prescribed.  The sampler
+    refuses an invalid `s` before any draw; all samples go through one
+    norm evaluation.
     """
     trials = int(trials)
     if trials < 100:
         raise InvalidInput("at least 100 trials are required for a verdict")
-    m0, usq = orbit_projection_sample(space_for_spec(s), e, trials, rng)
+    m0, usq = orbit_projection_sample(s, e, trials, rng)
     values = randers_norm_array(s, m0, usq)
     mean = float(values.mean())
     scale = float(L) if L is not None else abs(mean)
@@ -213,43 +211,6 @@ def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
         stddev=float(values.std()),
         verdict="constant" if spread <= tolerance else "non-constant",
         tolerance=tolerance)
-
-
-# --------------------------------------------------------------------------
-# su2: metric with a prescribed round off-center indicatrix
-# --------------------------------------------------------------------------
-
-def su2_cw_spec(v, radius=1.0) -> RandersSpec:
-    """Randers metric on S^3 = SU(2) whose unit indicatrix is the round
-    <.,.>_eq sphere of the given radius centered at -V.
-
-    `v` is the isotropy vector V: a 3-vector of su(2) coordinates, a 2x2
-    su(2) matrix, or the scalar |V|.  Only |V| enters the coefficients;
-    the metric axis is the first su(2) basis direction.  Solving the
-    offset-sphere equation for the norm gives, with k = radius^2 - |V|^2:
-
-        a = radius^2 / k^2,  b = 1/k,  c = |V| / k,
-
-    which satisfies a = b + c^2 automatically.
-    """
-    if np.isscalar(v):
-        vlen = abs(float(v))
-    else:
-        v = np.asarray(v)
-        if v.shape == (2, 2):
-            vlen = math.sqrt(max(su2_inner(v, v), 0.0))
-        elif v.shape == (3,):
-            vlen = float(np.linalg.norm(v))
-        else:
-            raise InvalidInput("V must be a scalar, 3-vector, or 2x2 su(2) matrix")
-    radius = float(radius)
-    if not radius > 0:
-        raise InfeasibleParams("radius must be positive")
-    if vlen >= radius:
-        raise InfeasibleParams(
-            "|V| < radius is required, else the indicatrix does not surround 0")
-    k = radius ** 2 - vlen ** 2
-    return RandersSpec(SU2, a=radius ** 2 / k ** 2, b=1.0 / k, c=vlen / k)
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +237,8 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     if s.family != SP_SPHERE:
         raise InvalidInput("sp_witness_pair expects an sp_sphere spec")
     require_valid(s)
+    if x.shape != (s.n + 1, s.n + 1):
+        raise InvalidInput("matrix size does not match the coset rank")
     if s.c == 0.0:
         raise NotApplicable("witness pair needs a non-reversible metric (c != 0)")
     d1, d2 = _diagonal_entries(x)
@@ -289,14 +252,13 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     perm = list(range(n1))
     perm[idx], perm[n1 - 1] = perm[n1 - 1], perm[idx]
     pmat = sp_permutation(perm)
-    space = ModelSpace(SP_SPHERE, n=n1 - 1)
     parts = []
     align = align_imaginary_to_i(d)
     for sign_flip in (False, True):
         rot = qmul(align, (np.complex128(0), np.complex128(1))) if sign_flip else align
         t = sp_unit_diag(n1, n1 - 1, rot)
         h = t.conj_t() @ pmat.conj_t()
-        parts.append(project_to_m(space, h @ x @ h.conj_t(), 0.0))
+        parts.append(project_to_m(SP_SPHERE, h @ x @ h.conj_t(), 0.0))
     m0, usq = zip(*parts)
     f1, f2 = randers_norm_array(s, np.stack(m0), np.array(usq)).tolist()
     return m0[0], m0[1], f1, f2, 2.0 * abs(s.c) * mods[idx]

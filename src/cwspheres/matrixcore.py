@@ -350,11 +350,6 @@ def qmul(x, y):
     return (x1 * y1 - x2 * np.conj(y2), x1 * y2 + x2 * np.conj(y1))
 
 
-def qconj(x):
-    """Quaternion conjugate of a pair, elementwise."""
-    return (np.conj(x[0]), -x[1])
-
-
 def qabs(x):
     """Quaternion modulus, elementwise."""
     return np.sqrt(np.abs(x[0]) ** 2 + np.abs(x[1]) ** 2)
@@ -514,7 +509,9 @@ def conjugate(g, x):
 # [[w + x i, y + z i], [-y + z i, w - x i]], so the imaginary units i, j, k
 # correspond to the orthonormal basis below.  The bi-invariant inner
 # product <A, B> = -tr(AB)/2 makes this basis orthonormal and gives unit
-# vectors eigenvalues +-i, hence exp(pi X) = -I for |X| = 1.
+# vectors eigenvalues +-i, hence exp(pi X) = -I for |X| = 1.  The su2
+# flows of the endpoint check work in this dictionary; as a metric sphere,
+# SU(2) is u_sphere n = 1, the point g being its first column g e_1 in C^2.
 
 SU2_BASIS = (
     np.array([[1j, 0], [0, -1j]]),
@@ -531,24 +528,9 @@ def su2_from_vec(v):
     return v[0] * SU2_BASIS[0] + v[1] * SU2_BASIS[1] + v[2] * SU2_BASIS[2]
 
 
-def vec_from_su2(x):
-    """Coordinates of an su(2) matrix in SU2_BASIS (inverse of su2_from_vec);
-    of a (T, 2, 2) stack, one row per matrix."""
-    x = as_skew_hermitian(np.asarray(x, dtype=complex))
-    if x.shape[-2:] != (2, 2) or np.any(np.abs(np.trace(x, axis1=-2, axis2=-1)) > 1e-10):
-        raise InvalidInput("expected a traceless skew-Hermitian 2x2 matrix")
-    return np.stack([x[..., 0, 0].imag, x[..., 0, 1].real, x[..., 0, 1].imag], axis=-1)
-
-
 def su2_inner(x, y):
     """Bi-invariant inner product -tr(xy)/2 on su(2)."""
     return -np.trace(x @ y).real / 2.0
-
-
-def quat_from_su2_matrix(g):
-    """Unit quaternion (w, x, y, z) from an SU(2) matrix."""
-    g = np.asarray(g, dtype=complex)
-    return np.array([g[0, 0].real, g[0, 0].imag, g[0, 1].real, g[0, 1].imag])
 
 
 def su2_matrix_from_quat(p):
@@ -556,10 +538,3 @@ def su2_matrix_from_quat(p):
     w, x, y, z = np.asarray(p, dtype=float)
     return np.array([[w + 1j * x, y + 1j * z],
                      [-y + 1j * z, w - 1j * x]])
-
-
-def haar_su2(rngs):
-    """(T, 2, 2) stack of Haar draws from SU(2) (uniform unit quaternions),
-    one per stream of the sequence `rngs`."""
-    draws = [s.gen.standard_normal(4) for s in seed_block(rngs)]
-    return np.stack([su2_matrix_from_quat(p / np.linalg.norm(p)) for p in draws])

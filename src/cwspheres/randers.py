@@ -1,14 +1,16 @@
 """Minkowski/Randers norms on the tangent model space m = m0 + m1.
 
-Three coset families share one parameter container:
+Two coset families share one parameter container:
 
 * ``u_sphere``  -- S^(2n+1) with unitary symmetry; m0 = R, m1 = C^n,
   F(q, u) = sqrt(a q^2 + b |u|^2) + c q.
 * ``sp_sphere`` -- S^(4n+3) with symplectic-circle symmetry; m0 = Im H
   (coordinates along i, j, k), m1 = H^n,
   F = sqrt(a1 l1^2 + a2 (l2^2 + l3^2) + b |u|^2) + c l1.
-* ``su2``       -- S^3 as the group SU(2); m = su(2) with a distinguished
-  axis (first basis coordinate), same (a, b, c) form as u_sphere.
+
+S^3 as the group SU(2), with SU(2) acting on the left and a circle on the
+right, is U(2) acting on C^2 = H: its left-invariant Randers metrics are
+the u_sphere metrics with n = 1.
 
 The reference inner product <.,.>_eq is the a = b = 1 (resp.
 a1 = a2 = b = 1) case; orbit centers and radii elsewhere in the package
@@ -27,9 +29,8 @@ from .errors import InvalidInput
 
 U_SPHERE = "u_sphere"
 SP_SPHERE = "sp_sphere"
-SU2 = "su2"
 
-_FAMILIES = (U_SPHERE, SP_SPHERE, SU2)
+_FAMILIES = (U_SPHERE, SP_SPHERE)
 
 
 # --------------------------------------------------------------------------
@@ -40,9 +41,9 @@ _FAMILIES = (U_SPHERE, SP_SPHERE, SU2)
 class RandersSpec:
     """Parameters of a homogeneous Randers metric on a model sphere.
 
-    u_sphere / su2 use (a, b, c); sp_sphere uses (a1, a2, b, c).  Unused
+    u_sphere uses (a, b, c); sp_sphere uses (a1, a2, b, c).  Unused
     coefficients stay None.  `n` is the coset rank: S^(2n+1) for u_sphere,
-    S^(4n+3) for sp_sphere, ignored for su2.
+    S^(4n+3) for sp_sphere.
     """
 
     family: str
@@ -71,7 +72,7 @@ def validate_spec(s: RandersSpec):
     violations = []
     if s.family not in _FAMILIES:
         return [f"unknown family {s.family!r}"]
-    if s.family != SU2 and (not isinstance(s.n, int) or s.n < 1):
+    if not isinstance(s.n, int) or s.n < 1:
         violations.append("n >= 1")
     if s.family == SP_SPHERE:
         named = [("a1", s.a1), ("a2", s.a2), ("b", s.b)]
@@ -109,7 +110,7 @@ def require_valid(s: RandersSpec):
 
 def m1_norm_sq(family, u):
     """Squared norm of m1 parts, summed over the last axis: `u` is a
-    complex pair for sp_sphere, one array otherwise."""
+    complex pair for sp_sphere, one complex array for u_sphere."""
     if family == SP_SPHERE:
         return np.sum(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2, axis=-1)
     return np.sum(np.abs(u) ** 2, axis=-1)
@@ -119,7 +120,7 @@ def randers_norm_array(s: RandersSpec, m0, usq):
     """Evaluate F = alpha + beta on stacked tangent vectors.
 
     `m0` is an array holding the m0 coordinates on its last axis: (l1, l2,
-    l3) for sp_sphere, the single coordinate q otherwise.  `usq` holds the
+    l3) for sp_sphere, the single coordinate q for u_sphere.  `usq` holds the
     squared m1 norms; the leading axes of both broadcast.  F is positively
     homogeneous of degree one and F(0) = 0.  The one-form beta pairs y
     with the distinguished m0 axis (q, resp. l1), weighted by c.
@@ -162,6 +163,10 @@ def spec_from_json(text: str) -> RandersSpec:
     if not isinstance(doc, dict) or "family" not in doc:
         raise InvalidInput("spec JSON must be an object with a 'family' key")
     family = doc["family"]
+    if family == "su2":
+        raise InvalidInput("S^3 = SU(2) is the u_sphere family with n = 1: write the "
+                           "su2 config with \"family\": \"u_sphere\", \"n\": 1 and the "
+                           "same a, b and c")
     if family not in _FAMILIES:
         raise InvalidInput(f"unknown family {family!r}")
     n = doc.get("n", 1)

@@ -181,6 +181,17 @@ def test_verify_displacement_tiny_graph(capsys):
     assert "verdict=constant" in out.strip().split("\n")[-1]
 
 
+def test_verify_oracle_never_pairs_a_vertex_with_itself(capsys):
+    # seed 18 on 600 points draws a self-pair among the symmetry pairs,
+    # which is redrawn rather than divided 0 by 0
+    code, out, err = run(capsys, "verify", "oracle", "--n-points", "600", "--seed", "18")
+    assert code in (0, 1) and "Traceback" not in err
+    lines = out.strip().split("\n")
+    assert lines[0] == "check,value,threshold,verdict"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "antipodal_rel_error", "symmetry_rel_dev", "hopf_rel_spread"]
+
+
 def test_verify_displacement_scale_invariant(tmp_path, capsys):
     # value and cost must not depend on the metric's overall scale L
     means, seconds = {}, {}
@@ -250,6 +261,21 @@ def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys, no_graph,
                          "--trials", "100")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "config" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("verify", "orbit"), ("verify", "sp-central"),
+    ("verify", "sp-witness"), ("verify", "displacement"),
+])
+def test_su2_config_names_u_sphere_n1(tmp_path, capsys, no_graph, argv):
+    # S^3 = SU(2) has no family of its own: the one error line says how to
+    # write it
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(WRONG_FAMILY_SPECS["su2"])
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and "u_sphere" in line and "n = 1" in line
 
 
 @pytest.mark.parametrize("config,argv", [

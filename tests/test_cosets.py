@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
 
-from cwspheres.cosets import (AlgebraElement, ModelSpace, align_imaginary_to_i,
+from cwspheres.cosets import (AlgebraElement, align_imaginary_to_i,
                               orbit_projection_sample, permutation_matrix,
                               project_to_m, sp_algebra, sp_permutation,
-                              sp_unit_diag, space_for_spec, su2_algebra,
-                              u_algebra)
+                              sp_unit_diag, u_algebra)
 from cwspheres.errors import InvalidInput
 from cwspheres.killing import orbit_length_report
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre, conjugate,
-                                  haar_symplectic, qabs, qconj, qmul, su2_from_vec,
-                                  symplectic_defect)
-from cwspheres.randers import round_spec
+                                  haar_symplectic, qabs, qmul, symplectic_defect)
+from cwspheres.randers import RandersSpec, round_spec
+
+
+def sp_spec(n):
+    """A valid sp_sphere metric on S^(4n+3); the orbit sampler ignores its
+    coefficients."""
+    return RandersSpec("sp_sphere", n=n, a1=1.0, a2=1.3, b=1.0, c=0.2)
+
+
+def qconj(x):
+    """Quaternion conjugate of a pair, elementwise."""
+    return (np.conj(x[0]), -x[1])
 
 
 def random_sp_skew(n, rng):
@@ -22,32 +31,21 @@ def random_sp_skew(n, rng):
 # ---------------------------------------------------------------- project_to_m
 
 def test_project_diagonal_readoff():
-    space = ModelSpace("u_sphere", n=3)
     mus = np.array([0.1, 0.2, 0.3, 0.7])
-    m0, usq = project_to_m(space, u_algebra(1j * np.diag(mus)).x, 0.0)
+    m0, usq = project_to_m("u_sphere", u_algebra(1j * np.diag(mus)).x, 0.0)
     assert m0.tolist() == [0.7]
     assert usq <= 1e-30
 
 
 def test_project_two_eigenvalue_example():
-    space = ModelSpace("u_sphere", n=1)
-    m0, _ = project_to_m(space, u_algebra(1j * np.diag([-0.5, 1.5])).x, 0.0)
+    m0, _ = project_to_m("u_sphere", u_algebra(1j * np.diag([-0.5, 1.5])).x, 0.0)
     assert m0.tolist() == [1.5]
 
 
-def test_project_su2_subtracts_isotropy_component():
-    space = ModelSpace("su2", su2_v=0.5)
-    e = su2_algebra(su2_from_vec([0.2, 0.3, 0.4]), scalar=1.0)
-    m0, usq = project_to_m(space, e.x, e.scalar)
-    np.testing.assert_allclose(m0, [-0.3], atol=1e-15)
-    assert abs(usq - (0.3 ** 2 + 0.4 ** 2)) <= 1e-15
-
-
 def test_project_sp_includes_circle_term():
-    space = ModelSpace("sp_sphere", n=1)
     x = QuaternionMatrix(np.diag([0.2j, 0.5j]), np.diag([0.0, 0.3 + 0.4j]))
     e = sp_algebra(x, scalar=0.25)
-    m0, usq = project_to_m(space, e.x, e.scalar)
+    m0, usq = project_to_m("sp_sphere", e.x, e.scalar)
     np.testing.assert_allclose(m0, [0.75, 0.3, 0.4], atol=1e-15)
     assert usq == 0.0
 
@@ -56,11 +54,10 @@ def test_project_linearity():
     # m0 is linear in the matrix; the m1 part u is too, so |u|^2 obeys the
     # parallelogram law
     rng = RngStream(30)
-    space = ModelSpace("u_sphere", n=2)
     for k in range(20):
         z1, z2 = _ginibre([rng.split(2 * k), rng.split(2 * k + 1)], 3, 3)[:, 0]
         x1, x2 = (z1 - z1.conj().T) / 2, (z2 - z2.conj().T) / 2
-        m0, usq = project_to_m(space, np.stack([x1, x2, x1 + x2, x1 - x2]), 0.0)
+        m0, usq = project_to_m("u_sphere", np.stack([x1, x2, x1 + x2, x1 - x2]), 0.0)
         q = m0[:, 0]
         assert abs(q[2] - (q[0] + q[1])) <= 1e-12
         assert abs(q[3] - (q[0] - q[1])) <= 1e-12
@@ -68,13 +65,18 @@ def test_project_linearity():
 
 
 def test_project_family_mismatch():
-    # the orbit sampler refuses an element of another family, or of a size
-    # other than the coset rank's, before any draw
-    su2_elem = su2_algebra(su2_from_vec([1, 0, 0]))
+    # the orbit sampler refuses an invalid spec, an element of another
+    # family, or one of a size other than the coset rank's, before any draw
+    sp_elem = sp_algebra(sp_scaled_identity(0.8, 2))
+    for spec in (round_spec("sp_sphere", 1),                # a2 = b
+                 RandersSpec("u_sphere", n=0, a=1.0, b=1.0),
+                 RandersSpec("su2", a=1.0, b=1.0)):
+        with pytest.raises(InvalidInput, match="invalid Randers spec"):
+            orbit_projection_sample(spec, sp_elem, 10, RngStream(28))
     with pytest.raises(InvalidInput, match="family"):
-        orbit_projection_sample(ModelSpace("u_sphere", n=1), su2_elem, 10, RngStream(28))
+        orbit_projection_sample(round_spec("u_sphere", 1), sp_elem, 10, RngStream(28))
     with pytest.raises(InvalidInput, match="family"):
-        orbit_length_report(round_spec("u_sphere", 1), su2_elem, RngStream(28), trials=100)
+        orbit_length_report(round_spec("u_sphere", 1), sp_elem, RngStream(28), trials=100)
     with pytest.raises(InvalidInput, match="coset rank"):
         orbit_length_report(round_spec("u_sphere", 2), u_algebra(1j * np.eye(2)),
                             RngStream(28), trials=100)
@@ -83,9 +85,9 @@ def test_project_family_mismatch():
 # ------------------------------------------------------ orbit_projection_sample
 
 def test_orbit_sample_central_element_is_constant():
-    space = ModelSpace("u_sphere", n=2)
+    spec = round_spec("u_sphere", 2)
     e = u_algebra(0.7j * np.eye(3))
-    m0, usq = orbit_projection_sample(space, e, 50, RngStream(31))
+    m0, usq = orbit_projection_sample(spec, e, 50, RngStream(31))
     assert m0.shape == (50, 1) and usq.shape == (50,)
     assert np.max(np.abs(m0 - 0.7)) <= 1e-12
     assert np.max(usq) <= 1e-24
@@ -93,27 +95,27 @@ def test_orbit_sample_central_element_is_constant():
 
 def test_orbit_sample_sphere_geometry():
     # phases (-0.5, 1.5): center q = 0.5, radius 1 in the reference metric
-    space = ModelSpace("u_sphere", n=1)
+    spec = round_spec("u_sphere", 1)
     e = u_algebra(1j * np.diag([-0.5, 1.5]))
-    m0, usq = orbit_projection_sample(space, e, 1000, RngStream(32))
+    m0, usq = orbit_projection_sample(spec, e, 1000, RngStream(32))
     devs = np.abs(np.sqrt((m0[:, 0] - 0.5) ** 2 + usq) - 1.0)
     assert devs.max() <= 1e-9
 
 
 def test_orbit_sample_zero_trials():
-    space = ModelSpace("u_sphere", n=1)
+    spec = round_spec("u_sphere", 1)
     with pytest.raises(InvalidInput):
-        orbit_projection_sample(space, u_algebra(1j * np.eye(2)), 0, RngStream(33))
+        orbit_projection_sample(spec, u_algebra(1j * np.eye(2)), 0, RngStream(33))
 
 
 def test_orbit_sample_scalar_passes_through():
-    space = ModelSpace("sp_sphere", n=1)
+    spec = sp_spec(1)
     e = sp_algebra(random_sp_skew(2, RngStream(34)), scalar=0.6)
-    with_s, usq = orbit_projection_sample(space, e, 25, RngStream(35))
+    with_s, usq = orbit_projection_sample(spec, e, 25, RngStream(35))
     # the scalar enters every projection through the same +x*i shift:
     # removing it must land all samples back on the orbit sphere of (X, 0)
     bare, bare_usq = orbit_projection_sample(
-        space, AlgebraElement("sp_sphere", e.x, 0.0), 25, RngStream(35))
+        spec, AlgebraElement("sp_sphere", e.x, 0.0), 25, RngStream(35))
     np.testing.assert_allclose(with_s - [0.6, 0.0, 0.0], bare, atol=1e-12)
     np.testing.assert_array_equal(usq, bare_usq)
 
@@ -126,7 +128,7 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
     for case, (l, m, x1, x2) in enumerate([(1, 1, 0.5, 1.0), (2, 1, 0.0, 1.0),
                                            (1, 2, 0.3, -0.8)]):
         n1 = l + m
-        space = ModelSpace("u_sphere", n=n1 - 1)
+        spec = round_spec("u_sphere", n1 - 1)
         diag = 1j * (x1 + x2 * np.concatenate([np.full(l, -m), np.full(m, l)]))
         e = u_algebra(np.diag(diag))
         lo, hi = sorted((x1 - m * x2, x1 + l * x2))
@@ -138,11 +140,11 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
             perm = list(range(n1))
             perm[target], perm[n1 - 1] = perm[n1 - 1], perm[target]
             g = permutation_matrix(perm).astype(complex)
-            qs_weyl.append(project_to_m(space, conjugate(g, e.x), 0.0)[0][0])
+            qs_weyl.append(project_to_m("u_sphere", conjugate(g, e.x), 0.0)[0][0])
         assert abs(min(qs_weyl) - lo) <= 1e-12
         assert abs(max(qs_weyl) - hi) <= 1e-12
         # sphere containment + interior coverage for Haar samples
-        m0, usq = orbit_projection_sample(space, e, 2000, rng.split(case))
+        m0, usq = orbit_projection_sample(spec, e, 2000, rng.split(case))
         qs = m0[:, 0]
         devs = np.abs(np.sqrt((qs - center) ** 2 + usq) - radius)
         assert devs.max() <= 1e-9
@@ -160,7 +162,7 @@ def sp_scaled_identity(xp, n1):
 
 def test_sp_projection_fixed_base_corner():
     # the identity conjugator leaves (x' i I, x) at m0 = (x' + x) i
-    m0, usq = project_to_m(ModelSpace("sp_sphere", n=1), sp_scaled_identity(0.8, 2), 0.3)
+    m0, usq = project_to_m("sp_sphere", sp_scaled_identity(0.8, 2), 0.3)
     np.testing.assert_allclose(m0, [1.1, 0.0, 0.0], atol=1e-15)
     assert usq == 0.0
 
@@ -170,7 +172,7 @@ def test_sp_projection_j_corner():
     j = (np.complex128(0.0), np.complex128(1.0))
     h = sp_unit_diag(2, 1, j)
     moved = conjugate(h, sp_scaled_identity(0.8, 2))
-    m0, usq = project_to_m(ModelSpace("sp_sphere", n=1), moved, 0.3)
+    m0, usq = project_to_m("sp_sphere", moved, 0.3)
     np.testing.assert_allclose(m0, [0.3 - 0.8, 0.0, 0.0], atol=1e-15)
     assert usq <= 1e-30
 
@@ -179,9 +181,9 @@ def test_sp_projection_sweeps_the_orbit_sphere():
     # the orbit of (x' i I, x) projects onto the round sphere of radius |x'|
     # centred at x i in the reference inner product, and reaches both poles
     xp, xs = 0.9, -0.2
-    space = ModelSpace("sp_sphere", n=2)
+    spec = sp_spec(2)
     e = sp_algebra(sp_scaled_identity(xp, 3), scalar=xs)
-    m0, usq = orbit_projection_sample(space, e, 2000, RngStream(39))
+    m0, usq = orbit_projection_sample(spec, e, 2000, RngStream(39))
     radius = np.sqrt(np.sum((m0 - [xs, 0.0, 0.0]) ** 2, axis=1) + usq)
     assert np.max(np.abs(radius - xp)) <= 1e-12
     assert m0[:, 0].min() <= xs - 0.9 * xp and m0[:, 0].max() >= xs + 0.9 * xp
@@ -196,7 +198,7 @@ def test_sp_projection_agrees_with_generic_path():
     xp, xs = 0.8, 0.5
     for n in (1, 2, 3):
         g = haar_symplectic(n + 1, [rng.split(n).split(k) for k in range(20)])
-        m0, usq = project_to_m(ModelSpace("sp_sphere", n=n),
+        m0, usq = project_to_m("sp_sphere",
                                conjugate(g, sp_scaled_identity(xp, n + 1)), xs)
 
         def entry(a):
@@ -213,7 +215,7 @@ def test_sp_projection_agrees_with_generic_path():
 
 def test_sp_projection_rejects_bad_inputs():
     with pytest.raises(InvalidInput, match="coset rank"):
-        orbit_projection_sample(ModelSpace("sp_sphere", n=1),
+        orbit_projection_sample(sp_spec(1),
                                 sp_algebra(sp_scaled_identity(0.8, 3)), 10, RngStream(41))
     with pytest.raises(InvalidInput):
         sp_algebra(QuaternionMatrix(np.eye(2, dtype=complex), np.zeros((2, 2), complex)))
@@ -254,9 +256,3 @@ def test_align_imaginary_to_i():
     rotated = qmul(qmul((np.conj(s[0]), -s[1]), (-1j, 0.0)), s)
     assert abs(rotated[0] - 1j) <= 1e-14
 
-
-def test_space_for_spec_su2_shift():
-    from cwspheres.killing import su2_cw_spec
-    spec = su2_cw_spec(0.5, 1.0)
-    space = space_for_spec(spec)
-    assert abs(space.su2_v - 0.5) <= 1e-12

@@ -37,6 +37,21 @@ def test_flow_time_zero_is_identity():
     np.testing.assert_allclose(out, g, atol=1e-14)
 
 
+def test_su2_left_translation_is_u_flow_on_first_column():
+    # S^3 = SU(2) is u_sphere n = 1 through g -> g e_1: left translation by
+    # exp(tX) on SU(2) is the unitary flow of X on the first column
+    rng = RngStream(79)
+    for k in range(10):
+        sub = rng.split(k)
+        x3 = random_unit_vec3(sub.split(0)) * sub.gen.uniform(0.1, 2.0)
+        g = random_su2_point(sub.split(1))
+        t = sub.gen.uniform(-4.0, 4.0)
+        moved = apply_flow(su2_flow(x3, [0.0, 0.0, 0.0], t), g)
+        np.testing.assert_allclose(moved[:, 0],
+                                   apply_flow(u_flow(su2_from_vec(x3), t), g[:, 0]),
+                                   rtol=0, atol=1e-14)
+
+
 def test_flow_central_generator_is_scalar_rotation():
     rng = RngStream(71)
     v = rng.gen.standard_normal(6) + 1j * rng.gen.standard_normal(6)

@@ -139,7 +139,7 @@ def random_arcs(dim, count, gen):
 ARC_SPECS = pytest.mark.parametrize("spec,dim", [
     (CW3, 4),
     (RandersSpec("u_sphere", n=3, a=2.0, b=1.5, c=-0.8), 8),
-    (RandersSpec("su2", a=1.3, b=1.0, c=0.4), 4),
+    (RandersSpec("u_sphere", n=1, a=1.3, b=1.0, c=0.4), 4),
     (RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2), 8),
     (RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3), 12),
 ])
@@ -178,8 +178,10 @@ def test_reverse_arc_cost_matches_simpson_of_swapped_arc(spec, dim):
 # invariant Randers metrics on SU(2) with their axis along i are the
 # u_sphere n = 1 metrics.  A point (x0, x1, x2, x3) = (Re z0, Re z1, Im z0,
 # Im z1) of the u_sphere graph has quaternion coordinates (w, x, y, z) =
-# (x0, x2, x3, x1), and on SU(2) the m0 coordinate of a tangent vector v
-# at p is the i-component of conj(p) v.
+# (x0, x2, x3, x1): (z0, z1) is diag(1, -i) g e_1 for the SU(2) matrix g of
+# the quaternion, and diag(1, -i) in U(2) is an isometry of every u_sphere
+# metric.  On SU(2) the m0 coordinate of a tangent vector v at p is the
+# i-component of conj(p) v.
 
 TO_QUATERNION = [0, 2, 3, 1]
 
@@ -218,8 +220,6 @@ def test_u_sphere_n1_costs_are_su2_costs_in_quaternion_coordinates(c):
     q = TO_QUATERNION
     reference = su2_edge_costs(spec, starts[:, q], vecs[:, q])
     assert np.max(np.abs(_edge_costs(spec, starts, vecs) - reference)) <= 1e-14
-    assert np.max(np.abs(_edge_costs(RandersSpec("su2", a=1.3, b=1.0, c=c),
-                                     starts[:, q], vecs[:, q]) - reference)) <= 1e-14
     for got, want in zip(_arc_costs(spec, starts, ends),
                          su2_arc_costs(spec, starts[:, q], ends[:, q])):
         assert np.max(np.abs(got - want)) <= 1e-14
@@ -236,10 +236,6 @@ def rowsum_tangent_parts(family, pts, vecs):
         pr, pi = pts[:, :half], pts[:, half:]
         vr, vi = vecs[:, :half], vecs[:, half:]
         m0 = np.sum(pr * vi - pi * vr, axis=1)[:, None]
-    elif family == "su2":
-        p0, p1, p2, p3 = pts.T
-        v0, v1, v2, v3 = vecs.T
-        m0 = (p0 * v1 - p1 * v0 - p2 * v3 + p3 * v2)[:, None]
     else:
         quarter = pts.shape[1] // 4
         p1 = pts[:, :quarter] + 1j * pts[:, quarter:2 * quarter]
@@ -629,29 +625,14 @@ def test_displacement_points_beyond_vertex_count_is_usage_error():
 
 
 def test_displacement_family_mismatch():
+    # an su2 flow acts on SU(2) matrices, not on the u_sphere graph's points
     g = small_graph(n_points=600)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="u_sphere"):
         displacement_profile(g, su2_flow([1, 0, 0], [0, 0, 0], 0.1), 5,
                              RngStream(23))
 
 
 # ------------------------------------------------------------- other families
-
-def test_su2_graph_round_distance():
-    spec = RandersSpec("su2", a=1.0, b=1.0, c=0.0)
-    g = build_graph(spec, 3000, 12, RngStream(24))
-    est, _, _ = distance_to_coords(g, 0, -g.points[0])
-    assert abs(est - math.pi) / math.pi <= 0.05
-
-
-def test_su2_graph_displacement_of_left_translation():
-    # left translation by exp(t X) moves every point the same distance
-    spec = RandersSpec("su2", a=1.0, b=1.0, c=0.0)
-    g = build_graph(spec, 3000, 12, RngStream(25))
-    flow = su2_flow([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5)
-    prof = displacement_profile(g, flow, 15, RngStream(26))
-    assert prof.verdict == "constant"
-    assert abs(prof.mean - 0.5) <= 0.05
 
 
 def test_sp_graph_builds_and_connects():

@@ -5,10 +5,13 @@ and no module-level function or class goes unreferenced.
 appears as an `ast.Name` anywhere in the module; an import statement
 carrying `# noqa: F401` on one of its lines is a deliberate re-export and
 is skipped.  A function or class defined at module level in the package
-is an orphan when no file of `src/`, `tests/` or `perfbench/` refers to
-it: as a name, an attribute, an imported name, or a string that spells it
-(`getattr(checks, name)`, `monkeypatch.setattr(mod, "name", ...)`, the
-tracer's dotted span names).
+is an orphan when no file of `src/`, `perfbench/` or the acceptance suite
+`tests/test_acceptance.py` refers to it: as a name, an attribute, an
+imported name, or a string that spells it (`getattr(checks, name)`,
+`monkeypatch.setattr(mod, "name", ...)`, the tracer's dotted span names).
+References from the unit tests do not count: library surface that only
+they exercise is dead weight, and a unit test that needs such a helper
+keeps its own copy.
 """
 
 import ast
@@ -83,11 +86,18 @@ def orphans(package_texts, other_texts):
                   if name not in used)
 
 
+def package_orphans(root):
+    """Orphans of the package under `root`, counting references from the
+    package, the benchmark harness and the acceptance suite only."""
+    package = sorted((root / "src" / "cwspheres").glob("*.py"))
+    callers = [root / "tests" / "test_acceptance.py",
+               *sorted((root / "perfbench").rglob("*.py"))]
+    return orphans([path.read_text() for path in package],
+                   [path.read_text() for path in callers])
+
+
 def test_no_orphan_functions_or_classes():
-    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    others = [path.read_text() for folder in ("tests", "perfbench")
-              for path in sorted((ROOT / folder).rglob("*.py"))]
-    assert orphans(package, others) == []
+    assert package_orphans(ROOT) == []
 
 
 def test_orphan_scan_flags_a_planted_orphan():
@@ -108,3 +118,16 @@ def test_orphan_scan_flags_a_planted_orphan():
               'used(1)\n')
     assert orphans([module], [caller]) == ["Lonely", "orphan"]
     assert orphans([module], [caller + "mod.orphan\nx: Lonely\n"]) == []
+
+
+def test_orphan_scan_ignores_unit_test_references(tmp_path):
+    files = {"src/cwspheres/mod.py": ("def for_acceptance():\n    pass\n"
+                                      "def for_bench():\n    pass\n"
+                                      "def for_unit_test():\n    pass\n"),
+             "tests/test_acceptance.py": "from cwspheres.mod import for_acceptance\n",
+             "tests/test_mod.py": "from cwspheres.mod import for_unit_test\n",
+             "perfbench/run.py": "import cwspheres.mod\ncwspheres.mod.for_bench()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert package_orphans(tmp_path) == ["for_unit_test"]

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from cwspheres import checks
-from cwspheres.cosets import su2_algebra
 from cwspheres.errors import (InfeasibleParams, InvalidInput, NotApplicable,
                               NotKvfAdmissible)
 from cwspheres.killing import (OrbitParams,
                                central_kvf_phases, constant_length_identity,
                                eq_root_pair, f_poly, orbit_generator,
                                orbit_length_report, solve_metric,
-                               sp_witness_pair,
-                               su2_cw_spec)
-from cwspheres.matrixcore import QuaternionMatrix, RngStream, su2_from_vec
-from cwspheres.randers import (RandersSpec, m1_norm_sq, randers_norm_array,
-                               round_spec, validate_spec)
+                               sp_witness_pair)
+from cwspheres.matrixcore import QuaternionMatrix, RngStream
+from cwspheres.randers import RandersSpec, round_spec, validate_spec
 
 P_REF = OrbitParams(1, 1, 0.5, 1.0, 1.0)
 
@@ -234,8 +231,7 @@ def test_report_requires_enough_trials():
 
 @pytest.mark.parametrize("spec,e", [
     (RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=1.5), orbit_generator(P_REF)),
-    (RandersSpec("su2", a=1.0, b=0.0, c=0.0),
-     su2_algebra(su2_from_vec([1.0, 0.0, 0.0]), scalar=1.0)),
+    (RandersSpec("u_sphere", n=1, a=1.0, b=0.0, c=0.0), orbit_generator(P_REF)),
 ])
 def test_report_rejects_invalid_spec(spec, e):
     with pytest.raises(InvalidInput):
@@ -257,55 +253,6 @@ def test_monte_carlo_agrees_with_closed_form():
         rep = orbit_length_report(spec, orbit_generator(p), L=p.L, trials=200,
                                   rng=rng.split(9000 + k))
         assert (rep.verdict == "constant") == closed_constant
-
-
-# ----------------------------------------------------------------- su2 metric
-
-def test_su2_spec_zero_vector_is_round():
-    spec = su2_cw_spec(0.0, 1.0)
-    assert spec.c == 0.0
-    np.testing.assert_allclose(spec.a, spec.b, rtol=1e-14)
-
-
-def test_su2_spec_indicatrix_property():
-    radius = 1.0
-    spec = su2_cw_spec(0.5, radius)
-    rng = RngStream(59)
-    center = np.array([-0.5, 0.0, 0.0])
-    w = np.array([rng.split(k).gen.standard_normal(3) for k in range(100)])
-    y = center + radius * w / np.linalg.norm(w, axis=1, keepdims=True)
-    values = randers_norm_array(spec, y[:, :1], m1_norm_sq("su2", y[:, 1:]))
-    assert np.max(np.abs(values - 1.0)) <= 1e-12
-
-
-def test_su2_spec_orbit_report_constant():
-    spec = su2_cw_spec(0.5, 1.0)
-    rng = RngStream(60)
-    x3 = rng.gen.standard_normal(3)
-    x3 /= np.linalg.norm(x3)
-    e = su2_algebra(su2_from_vec(x3), scalar=1.0)
-    rep = orbit_length_report(spec, e, L=1.0, trials=500, rng=rng.split(1))
-    assert rep.verdict == "constant"
-    assert abs(rep.mean - 1.0) <= 1e-10
-
-
-def test_su2_spec_admissibility_relation():
-    for v, r in [(0.3, 1.0), (0.6, 2.0), (0.0, 0.7)]:
-        spec = su2_cw_spec(v, r)
-        assert abs(spec.a - spec.b - spec.c ** 2) <= 1e-13
-
-
-def test_su2_spec_accepts_matrix_and_vector_input():
-    m = su2_cw_spec(su2_from_vec([0.3, 0.4, 0.0]), 1.0)
-    v = su2_cw_spec(0.5, 1.0)
-    np.testing.assert_allclose([m.a, m.b, m.c], [v.a, v.b, v.c], rtol=1e-14)
-
-
-def test_su2_spec_infeasible_when_vector_too_long():
-    with pytest.raises(InfeasibleParams):
-        su2_cw_spec(1.1, 1.0)
-    with pytest.raises(InfeasibleParams):
-        su2_cw_spec(1.0, 1.0)
 
 
 # --------------------------------------------------------- sp witness & scan
@@ -349,6 +296,9 @@ def test_witness_rejects_zero_and_reversible():
     reversible = RandersSpec("sp_sphere", n=2, a1=1.0, a2=1.3, b=1.0, c=0.0)
     with pytest.raises(NotApplicable):
         sp_witness_pair(sp_diag([1.0, 0.0, 0.0]), reversible)
+    for size in (1, 2, 4):          # SP_SPEC has n = 2: 3 x 3 generators
+        with pytest.raises(InvalidInput, match="coset rank"):
+            sp_witness_pair(sp_diag([1.0] * size), SP_SPEC)
 
 
 def test_scan_central_vs_noncentral():

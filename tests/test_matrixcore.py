@@ -9,12 +9,10 @@ from cwspheres.errors import InvalidInput
 from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
-                                  expm_skew, haar_su2, haar_symplectic,
-                                  haar_unitary, qabs, qconj, qmul,
-                                  quat_from_su2_matrix, seed_block, su2_from_vec,
-                                  su2_inner, su2_matrix_from_quat,
-                                  symplectic_defect, unitary_phases,
-                                  vec_from_su2)
+                                  expm_skew, haar_symplectic, haar_unitary, qabs,
+                                  qmul, seed_block, su2_from_vec, su2_inner,
+                                  su2_matrix_from_quat, symplectic_defect,
+                                  unitary_phases)
 
 
 def random_skew(n, rng):
@@ -337,6 +335,11 @@ def test_qmul_matches_hamilton_table():
     assert ji[0] == -k[0] and ji[1] == -k[1]
 
 
+def qconj(x):
+    """Quaternion conjugate of a pair, elementwise."""
+    return (np.conj(x[0]), -x[1])
+
+
 def test_qconj_and_modulus():
     x = (0.3 + 0.4j, -0.1 + 0.2j)
     prod = qmul(x, qconj(x))
@@ -345,6 +348,16 @@ def test_qconj_and_modulus():
 
 
 # ------------------------------------------------------------- su(2) helpers
+
+def vec_from_su2(x):
+    """Coordinates of an su(2) matrix in SU2_BASIS."""
+    return np.array([x[0, 0].imag, x[0, 1].real, x[0, 1].imag])
+
+
+def quat_from_su2_matrix(g):
+    """Unit quaternion (w, x, y, z) of an SU(2) matrix, read off its first row."""
+    return np.array([g[0, 0].real, g[0, 0].imag, g[0, 1].real, g[0, 1].imag])
+
 
 def test_su2_vec_roundtrip_and_inner():
     v = np.array([0.3, -0.2, 0.9])
@@ -376,12 +389,6 @@ def test_su2_quaternion_dictionary():
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
 
-def test_haar_su2_lands_in_group():
-    g = haar_su2([RngStream(23)])[0]
-    as_unitary(g)
-    assert abs(np.linalg.det(g) - 1.0) <= 1e-12
-
-
 def test_validators_reject_bad_input():
     with pytest.raises(InvalidInput):
         as_unitary(np.ones((2, 2)))
@@ -391,6 +398,6 @@ def test_validators_reject_bad_input():
         QuaternionMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
     # the samplers take a sequence of streams, never a lone stream
     for draw in (lambda r: haar_unitary(2, r), lambda r: haar_symplectic(1, r),
-                 haar_su2, lambda r: block_angle_unitary(1, 1, [[0.5]], r)):
+                 lambda r: block_angle_unitary(1, 1, [[0.5]], r)):
         with pytest.raises(InvalidInput):
             draw(RngStream(1))

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cwspheres import killing, randers
-from cwspheres.cosets import project_to_m, sp_algebra, space_for_spec, su2_algebra
+from cwspheres import cosets, killing, randers
+from cwspheres.cosets import project_to_m, sp_algebra
 from cwspheres.errors import InvalidInput
 from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
-                               solve_metric, su2_cw_spec)
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate, haar_su2,
-                                  haar_symplectic, haar_unitary, su2_from_vec)
+                               solve_metric)
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate,
+                                  haar_symplectic, haar_unitary)
 from cwspheres.randers import (RandersSpec, m1_norm_sq, randers_norm_array,
                                round_spec, spec_from_json, spec_to_json,
                                validate_spec)
@@ -110,18 +110,18 @@ def test_norm_rejects_invalid_spec():
 
 
 def test_norm_rejects_family_mismatch():
-    # evaluating the round u_sphere metric on an su2 algebra element is
+    # evaluating the round u_sphere metric on an sp algebra element is
     # refused before any norm is taken
+    sp_elem = sp_algebra(QuaternionMatrix(1j * np.eye(2), np.zeros((2, 2))), scalar=0.5)
     with pytest.raises(InvalidInput, match="family"):
-        orbit_length_report(round_spec(), su2_algebra(su2_from_vec([1.0, 0.0, 0.0])),
-                            RngStream(5), trials=100)
+        orbit_length_report(round_spec(), sp_elem, RngStream(5), trials=100)
 
 
 def test_norm_rejects_m0_of_another_family():
-    # one m0 coordinate for u_sphere and su2, three (l1, l2, l3) for sp_sphere
+    # one m0 coordinate for u_sphere, three (l1, l2, l3) for sp_sphere
     sp = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
     for spec, m0 in ((round_spec(), np.array([1.0, 5.0, 5.0])),
-                     (round_spec("su2"), np.zeros((4, 3))),
+                     (round_spec(), np.zeros((4, 3))),
                      (round_spec(), np.float64(1.0)),
                      (sp, np.array([[1.0]]))):
         with pytest.raises(InvalidInput, match="m0"):
@@ -202,10 +202,6 @@ def random_tangents(spec, count, gen):
             u = gen.normal(size=(2, spec.n)) + 1j * gen.normal(size=(2, spec.n))
             m0.append(gen.normal(size=3) * keep_q)
             usq.append(m1_norm_sq(spec.family, (u[0] * keep_u, u[1] * keep_u)))
-        elif spec.family == "su2":
-            y = gen.normal(size=3) * [keep_q, keep_u, keep_u]
-            m0.append(y[:1])
-            usq.append(m1_norm_sq(spec.family, y[1:]))
         else:
             u = gen.normal(size=spec.n) + 1j * gen.normal(size=spec.n)
             m0.append([gen.normal() * keep_q])
@@ -216,7 +212,6 @@ def random_tangents(spec, count, gen):
 KERNEL_SPECS = [spec for c in (-0.6, 0.0, 0.6) for spec in (
     RandersSpec("u_sphere", n=1, a=1.2, b=0.9, c=c),
     RandersSpec("u_sphere", n=3, a=1.2, b=0.9, c=c),
-    RandersSpec("su2", a=1.2, b=0.9, c=c),
     RandersSpec("sp_sphere", n=1, a1=1.2, a2=1.5, b=0.9, c=c),
     RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=0.9, c=c))]
 
@@ -241,25 +236,22 @@ def orbit_cases():
     dim = 3
     corner = np.zeros((dim, dim), dtype=complex)
     corner[0, 0] = 1j
-    x3 = np.array([0.6, -0.48, 0.64])
     wide = OrbitParams(3, 5, 0.5, 1.0, 1.0)
     return {
         "u_sphere": (solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0)),
                      orbit_generator(OrbitParams(1, 1, 0.5, 1.0, 1.0))),
         "u_sphere-l3m5": (solve_metric(wide), orbit_generator(wide)),
-        "su2": (su2_cw_spec(0.5, 1.0), su2_algebra(su2_from_vec(x3), scalar=1.0)),
         "sp_sphere": (RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3),
                       sp_algebra(QuaternionMatrix(corner, 0.5 * corner), scalar=0.4)),
     }
 
 
-def per_draw_orbit(space, e, trials, rng):
+def per_draw_orbit(spec, e, trials, rng):
     """Reference: per orbit point, one Haar draw from `rng.split(k)`, one
     conjugation and one projection of a stack of one, as (m0, usq) rows."""
-    haar = {"u_sphere": lambda r: haar_unitary(space.n + 1, r),
-            "sp_sphere": lambda r: haar_symplectic(space.n + 1, r),
-            "su2": haar_su2}[space.family]
-    return [project_to_m(space, conjugate(haar([rng.split(k)]), e.x), e.scalar)
+    haar = {"u_sphere": haar_unitary, "sp_sphere": haar_symplectic}[spec.family]
+    return [project_to_m(spec.family, conjugate(haar(spec.n + 1, [rng.split(k)]), e.x),
+                         e.scalar)
             for k in range(trials)]
 
 
@@ -267,7 +259,7 @@ def per_draw_orbit(space, e, trials, rng):
 def test_orbit_report_matches_reference_on_same_draws(case):
     spec, e = orbit_cases()[case]
     rep = orbit_length_report(spec, e, L=1.0, trials=300, rng=RngStream(21))
-    draws = per_draw_orbit(space_for_spec(spec), e, 300, RngStream(21))
+    draws = per_draw_orbit(spec, e, 300, RngStream(21))
     reference = np.array([reference_norm(spec, m0[0], usq[0]) for m0, usq in draws])
     for got, want in ((rep.min, reference.min()), (rep.max, reference.max()),
                       (rep.mean, reference.mean())):
@@ -286,10 +278,13 @@ def test_orbit_report_validates_and_evaluates_once(monkeypatch):
     spec, e = orbit_cases()["u_sphere"]
     for name in calls:
         wrapped = counting(name, getattr(randers, name))
-        for module in (randers, killing):
-            monkeypatch.setattr(module, name, wrapped)
+        for module in (randers, cosets, killing):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
     orbit_length_report(spec, e, L=1.0, trials=500, rng=RngStream(22))
-    assert calls == {"require_valid": 1, "randers_norm_array": 1}
+    # the sampler refuses an invalid spec before its first draw and the one
+    # norm evaluation checks it again: twice per report, never per trial
+    assert calls == {"require_valid": 2, "randers_norm_array": 1}
 
 
 # ---------------------------------------------------------------- JSON schema
@@ -309,6 +304,9 @@ def test_json_malformed_raises():
         spec_from_json("{\"family\":")
     with pytest.raises(InvalidInput):
         spec_from_json("{\"family\": \"torus\"}")
+    # S^3 = SU(2) is written as u_sphere with n = 1
+    with pytest.raises(InvalidInput, match="u_sphere.*n = 1"):
+        spec_from_json("{\"family\": \"su2\", \"a\": 1.0, \"b\": 1.0, \"c\": 0.0}")
     with pytest.raises(InvalidInput):
         spec_from_json("{\"family\": \"u_sphere\", \"n\": 1}")  # missing a, b
 
