@@ -249,7 +249,8 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
 
 def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     """Distance oracle on the round S^3: antipode against pi, symmetry of
-    ten pairs of distinct vertices and the spread of a Hopf rotation's displacement."""
+    ten pairs of distinct vertices and the spread of a Hopf rotation's
+    displacement."""
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
     start = time.perf_counter()

@@ -1,12 +1,12 @@
 """Isometry flows and executable eigenvalue-phase checkers.
 
 Covers the one-parameter flows generated by constant-length Killing
-fields (group-times-circle form on the group SU(2), linear unitary form on
-S^(2n+1)), the focusing of all unit-generator flows at a single endpoint at time pi,
-and two spectral facts the geodesic non-intersection argument rests on:
-a phase-interval bound for products of unitary matrices, and persistence
-of eigenvalue 1 for twisted commutators with singular off-diagonal
-blocks.
+fields (group-times-circle form on the group SU(2), linear unitary form
+on S^(2n+1)), the focusing of all unit-generator flows at a single
+endpoint at time pi, and two spectral facts the geodesic
+non-intersection argument rests on: a phase-interval bound for products
+of unitary matrices, and persistence of eigenvalue 1 for twisted
+commutators with singular off-diagonal blocks.
 """
 
 from __future__ import annotations

@@ -428,8 +428,8 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
     for row, src in enumerate(sources):
         point = graph.points[src]
         moved = apply_flow(flow, point[:half] + 1j * point[half:])
-        disp[row], _, snap[row] = distance_to_coords(graph, int(src),
-                                                     np.concatenate([moved.real, moved.imag]))
+        target = np.concatenate([moved.real, moved.imag])
+        disp[row], _, snap[row] = distance_to_coords(graph, int(src), target)
     mean = float(disp.mean())
     rel = float(disp.max() - disp.min()) / mean if mean > 0 else math.inf
     return DisplacementProfile(
