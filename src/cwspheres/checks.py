@@ -39,6 +39,10 @@ ORACLE_HOPF_POINTS = 50
 # sp-central conjugates (n+1) x (n+1) candidates a block of trials at a
 # time; a larger config n is a usage error, refused before anything is sized
 SP_CENTRAL_MAX_N = 15
+# eigenlemma, commutator, nonintersection, orbit and displacement build
+# complex square matrices of eigenlemma's n or of l + m rows; a larger size
+# is a usage error, refused before anything is sized
+MATRIX_MAX_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,15 @@ def _require_generator_config(spec, params, check):
                            f"not {spec.family} with n = {spec.n}")
 
 
+def _require_matrix_size(size, check):
+    if size > MATRIX_MAX_SIZE:
+        raise InvalidInput(f"{check} needs matrices of at most {MATRIX_MAX_SIZE} rows, "
+                           f"not {size}")
+
+
 def orbit(spec, params, trials, rng) -> CheckReport:
     """Orbit-length spread of the two-eigenvalue generator of `params`."""
+    _require_matrix_size(params.l + params.m, "orbit")
     _require_generator_config(spec, params, "orbit")
     rep = orbit_length_report(spec, orbit_generator(params), L=params.L,
                               trials=trials, rng=rng)
@@ -101,6 +112,7 @@ def eigenlemma(n, trials, rng) -> CheckReport:
     intervals, so its residual is 0."""
     if trials < 1:
         raise InvalidInput("need at least one trial")
+    _require_matrix_size(n, "eigenlemma")
     rows = []
     for ks, subs in trial_blocks(rng, trials, n * n):
         log.info("eigenlemma trial %d/%d", ks.start, trials)
@@ -122,6 +134,7 @@ def commutator(l, m, trials, rng) -> CheckReport:
     r = min(l, m)
     if r < 1 or trials < 1:
         raise InvalidInput("need l, m and trials of at least 1")
+    _require_matrix_size(l + m, "commutator")
     rows = []
     for ks, subs in trial_blocks(rng, trials, T_GRID.size * (l + m) ** 2):
         invertible = [(k % 2 == 1) and l == m for k in ks]
@@ -164,6 +177,7 @@ def endpoints(vnorm, samples, rng) -> CheckReport:
 
 def nonintersection(x, l, m, trials, rng) -> CheckReport:
     """Geodesic non-intersection probe for X = i(x I + diag(-I_l, I_m))."""
+    _require_matrix_size(l + m, "nonintersection")
     res = geodesic_nonintersection_probe(x, l, m, trials, rng)
     return CheckReport(
         ("check", "min_spectral_distance", "trials", "verdict"),
@@ -229,7 +243,11 @@ def _log_queries(check, count, start):
 def displacement(spec, params, t, points, n_points, k, graph_rng,
                  profile_rng) -> CheckReport:
     """Graph estimate of d(x, flow_t(x)) at `points` vertices; inputs are
-    checked before the graph is built."""
+    checked before the graph is built.  The identity flow (t = 0) moves no
+    point and has nothing to check."""
+    _require_matrix_size(params.l + params.m, "displacement")
+    if t == 0:
+        raise InvalidInput("displacement needs a non-zero flow time, not t = 0")
     flow = u_flow(orbit_generator(params).x, t)
     _require_generator_config(spec, params, "displacement")
     if not 2 <= points <= n_points:

@@ -23,12 +23,24 @@ change sign when its two points swap.  The corridor is a tube around the
 raw path with a radius in Euclidean chord units, so which samples it
 holds does not depend on the metric's scale.
 
-Every sum over coordinates runs on whole coordinate columns through
-`_row_sum`, which adds them in exactly the order numpy's row reduction
-(`np.sum(rows, axis=1)`) does.  The graph weights, and with them the
-surveyed graph seeds of the benchmark and the golden reports, depend on
-those bits; `np.einsum` or a different association order would move
-them by an ulp here and there, and a shortest path with them.
+The tube is pruned to the samples that can lie on a path shorter than
+the raw path, with no change to any answer's bits.  Let lambda be the
+least invariant norm of a round-unit tangent vector (`_min_unit_norm`,
+in closed form).  An arc of round angle theta costs at least
+lambda * theta, so a corridor path from s through u to t costs at least
+lambda * (theta(s, u) + theta(u, t)), while the raw path's own hops, a
+corridor path too, cost D.  A sample whose bound exceeds D * (1 + 1e-6)
++ lambda * 1e-6 is dropped; the margin is far above the rounding of the
+costs and of arccos near 0 (about 1.5e-8 rad), so the optimal path and
+its float sum survive (proof in `_corridor_refine`).
+
+Every sum over coordinates that feeds a weight or a cost runs on whole
+coordinate columns through `_row_sum`, which adds them in exactly the
+order numpy's row reduction (`np.sum(rows, axis=1)`) does.  The graph
+weights, and with them the surveyed graph seeds of the benchmark and the
+golden reports, depend on those bits; `np.einsum` or a different
+association order would move them by an ulp here and there, and a
+shortest path with them.
 """
 
 from __future__ import annotations
@@ -275,6 +287,35 @@ def _raw_search(graph: SphereGraph, source, coords, ends, leg_costs):
     return dist, pred
 
 
+def _min_unit_norm(spec: RandersSpec):
+    """lambda(spec): the least invariant norm of a round-unit tangent vector.
+
+    On u_sphere a unit tangent has m0 coordinate q in [-1, 1] and |u|^2 =
+    1 - q^2, so F = h(q) = sqrt(b + (a - b) q^2) + c q.  h is convex for
+    a > b and concave otherwise, so its minimum is at q = -1, q = 1 or at
+    the one stationary point in (-1, 1), where (a - b) q / sqrt(...) = -c
+    gives q^2 = b c^2 / ((a - b)(a - b - c^2)) and h = sqrt(b (1 - c^2 /
+    (a - b))).  On sp_sphere F is at least the u_sphere norm with a1 in
+    place of a and min(a2, b) in place of b (set l2 = l3 = 0 and |u| = 0
+    in turn), with equality there, so the same formula applies.
+    """
+    if spec.family == U_SPHERE:
+        a, b = spec.a, spec.b
+    else:
+        a, b = spec.a1, min(spec.a2, spec.b)
+    c, d = spec.c, a - b
+    least = math.sqrt(a) - abs(c)                   # h(-sign(c))
+    if d > c * c and b * c * c <= d * (d - c * c):  # stationary point in [-1, 1]
+        least = min(least, math.sqrt(b * (1.0 - c * c / d)))
+    return least
+
+
+# A corridor sample u is pruned when lambda * (theta(s, u) + theta(u, t))
+# exceeds D * (1 + PRUNE_MARGIN) + lambda * PRUNE_MARGIN, D the raw path's
+# arc length: a relative margin and one in radians (see `_corridor_refine`)
+PRUNE_MARGIN = 1e-6
+
+
 def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
     """Re-measure a raw graph path by shortest polyline through its corridor.
 
@@ -290,10 +331,43 @@ def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
     on the metric's scale.  `target_coords`, when given, joins the
     corridor as a virtual terminal vertex (off-sample targets), reached by
     an arc from the raw path's last vertex.
+
+    Before any arc is built, the tube drops every sample that lies on no
+    corridor path shorter than the raw path itself; the answer keeps its
+    bits.  Proof: an arc of round angle theta costs theta * F(unit
+    tangent) >= lambda * theta (`_min_unit_norm`), so by the triangle
+    inequality of the round angle every corridor path from s through u
+    to t costs at least lambda * (theta(s, u) + theta(u, t)).  The raw
+    path's hops form a corridor path of length D, so the optimum is at
+    most D.  Dijkstra's answer is the least left-to-right float sum over
+    paths (float addition is monotone), and a sample u with
+        lambda * (theta(s, u) + theta(u, t)) > D * (1 + 1e-6) + lambda * 1e-6
+    lies on no path of float length up to D: the rounding of the arc
+    costs, of lambda and of sums over fewer than 10^3 arcs is below 1e-12
+    relative, and arccos near 0 is off by at most about 1.5e-8 rad per
+    angle, 1/60 of the angle margin even with both end angles and a
+    near-coincident pair or two on the path.  (The degenerate arcs that
+    cost 0 join points less than 1e-14 apart: a corridor arc is shorter
+    than `CHUNK_ARC` or a hop of the raw path between k-NN neighbours,
+    never near antipodal.)  The optimal path therefore survives whole,
+    and so do its float sum and the answer's bits.  The raw path's own
+    vertices are always kept.
     """
     balls = graph.tree.query_ball_point(graph.points[raw_path],
                                         CORRIDOR_TUBE_FACTOR * graph.median_chord)
     corridor = np.unique(np.concatenate(balls))
+    ends = graph.points[raw_path]
+    if target_coords is not None:
+        ends = np.vstack([ends, target_coords])
+    hop_costs = _arc_costs(graph.spec, ends[:-1], ends[1:])[0]
+    bound = sum(hop_costs.tolist())                 # in path order
+    lam = _min_unit_norm(graph.spec)
+    # the pruning test needs no fixed bits: its margins absorb any rounding
+    angles = np.arccos(np.clip(graph.points[corridor] @ ends[[0, -1]].T, -1.0, 1.0))
+    keep = (lam * (angles[:, 0] + angles[:, 1])
+            <= bound * (1.0 + PRUNE_MARGIN) + lam * PRUNE_MARGIN)
+    keep[np.searchsorted(corridor, raw_path)] = True
+    corridor = corridor[keep]
     node_pts = graph.points[corridor]
     if target_coords is not None:
         node_pts = np.vstack([node_pts, target_coords])

@@ -308,6 +308,28 @@ def test_sp_central_large_n_is_refused_before_sizing(tmp_path, capsys, monkeypat
     assert err.startswith("error:") and str(checks.SP_CENTRAL_MAX_N) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eigenlemma", "--n", "100000", "--trials", "1"),
+    ("commutator", "--l", "50000", "--m", "50000"),
+    ("nonintersection", "--l", "50000", "--m", "50000"),
+    ("orbit", "--l", "50000", "--m", "50000"),
+    ("displacement", "--l", "50000", "--m", "50000"),
+])
+def test_huge_matrix_sizes_are_refused_before_sizing(capsys, no_graph, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and str(checks.MATRIX_MAX_SIZE) in line
+
+
+def test_verify_displacement_zero_time_is_usage_error(capsys, no_graph):
+    # the identity flow moves no point: there is no displacement to check
+    code, out, err = run(capsys, "verify", "displacement", "--t", "0")
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and "t = 0" in line
+
+
 @pytest.mark.parametrize("vnorm", ["1e300", "inf"])
 def test_verify_endpoints_huge_vnorm_prints_only_the_error(vnorm):
     # a fresh interpreter, so any numpy warning would reach stderr

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
@@ -136,13 +137,14 @@ def random_arcs(dim, count, gen):
     return starts, ends
 
 
-ARC_SPECS = pytest.mark.parametrize("spec,dim", [
+ARC_SPEC_LIST = [
     (CW3, 4),
     (RandersSpec("u_sphere", n=3, a=2.0, b=1.5, c=-0.8), 8),
     (RandersSpec("u_sphere", n=1, a=1.3, b=1.0, c=0.4), 4),
     (RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2), 8),
     (RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3), 12),
-])
+]
+ARC_SPECS = pytest.mark.parametrize("spec,dim", ARC_SPEC_LIST)
 
 
 @ARC_SPECS
@@ -411,6 +413,186 @@ def test_corridor_arcs_reach_csr_matrix_in_canonical_order(monkeypatch):
     distance(g, 0, 700)
     distance_to_coords(g, 3, -g.points[3])
     assert canonical == [True, True]
+
+
+# ------------------------------------------------------------ corridor pruning
+
+INTERIOR_SPECS = [      # lambda at a stationary point inside (-1, 1)
+    (RandersSpec("u_sphere", n=1, a=4.0, b=1.0, c=0.5), 4),
+    (RandersSpec("u_sphere", n=2, a=3.0, b=1.2, c=-0.9), 6),
+    (RandersSpec("sp_sphere", n=1, a1=4.0, a2=0.8, b=1.2, c=-0.3), 8),
+]
+
+
+def reduced_norm(spec, q):
+    """The invariant norm of the round-unit tangent whose distinguished m0
+    coordinate is q and whose other part lies along the cheapest axis."""
+    q = np.asarray(q, dtype=float)
+    rest = 1.0 - q * q
+    if spec.family == "u_sphere":
+        return randers_norm_array(spec, q[..., None], rest)
+    if spec.a2 <= spec.b:
+        m0 = np.stack([q, np.sqrt(rest), np.zeros_like(q)], axis=-1)
+        return randers_norm_array(spec, m0, np.zeros_like(q))
+    m0 = np.stack([q, np.zeros_like(q), np.zeros_like(q)], axis=-1)
+    return randers_norm_array(spec, m0, rest)
+
+
+def unit_tangent_norms(spec, dim, count, gen):
+    """Invariant norms of random round-unit tangent vectors at random points,
+    transported to the base point as the graph kernels do."""
+    pts = gen.standard_normal((count, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    vecs = gen.standard_normal((count, dim))
+    vecs -= np.sum(vecs * pts, axis=1)[:, None] * pts
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return randers_norm_array(spec, *geodesy._tangent_parts(spec.family, pts.T, vecs.T))
+
+
+@pytest.mark.parametrize("spec,dim", ARC_SPEC_LIST + INTERIOR_SPECS)
+def test_min_unit_norm_is_a_lower_bound_and_attained(spec, dim):
+    lam = geodesy._min_unit_norm(spec)
+    gen = RngStream(70).gen
+    assert lam > 0.0
+    assert unit_tangent_norms(spec, dim, 20000, gen).min() >= lam
+    # every split of a unit tangent between the m0 and m1 parts
+    sweep = gen.uniform(-1.0, 1.0, 20000)
+    assert reduced_norm(spec, sweep).min() >= lam
+    # attained: at an end of [-1, 1] or at the stationary point inside
+    inner = minimize_scalar(lambda q: float(reduced_norm(spec, q)), bounds=(-1.0, 1.0),
+                            method="bounded", options={"xatol": 1e-10}).x
+    least = reduced_norm(spec, np.array([-1.0, 1.0, inner])).min()
+    assert abs(least - lam) <= 1e-12
+
+
+def test_min_unit_norm_covers_both_branches():
+    # the solved metrics (a = b + c^2) and the round one take an end of
+    # [-1, 1]; INTERIOR_SPECS take the stationary point
+    for spec, _ in ARC_SPEC_LIST:
+        assert geodesy._min_unit_norm(spec) == pytest.approx(
+            math.sqrt(spec.a if spec.family == "u_sphere" else spec.a1) - abs(spec.c))
+    for spec, _ in INTERIOR_SPECS:
+        assert geodesy._min_unit_norm(spec) < math.sqrt(
+            spec.a if spec.family == "u_sphere" else spec.a1) - abs(spec.c) - 1e-3
+
+
+def round_angle(x, y):
+    return math.acos(min(1.0, max(-1.0, float(np.dot(x, y)))))
+
+
+@pytest.mark.parametrize("spec,n_points,k,seed", [(ROUND3, 3000, 12, 71),
+                                                  (CW3, 3000, 12, 72),
+                                                  (SP7, 900, 10, 27)])
+def test_distances_never_below_min_unit_norm_times_angle(spec, n_points, k, seed):
+    g = small_graph(spec=spec, n_points=n_points, k=k, seed=seed)
+    lam = geodesy._min_unit_norm(spec)
+    gen = RngStream(seed).split(2).gen
+    pairs = gen.integers(0, g.n_points, (12, 2))
+    targets = gen.standard_normal((12, g.points.shape[1]))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    for (i, j), target in zip(pairs, targets):
+        d = distance(g, i, j).distance
+        assert d >= lam * round_angle(g.points[i], g.points[j]) * (1.0 - 1e-12)
+        d = distance_to_coords(g, i, target)[0]
+        assert d >= lam * round_angle(g.points[i], target) * (1.0 - 1e-12)
+
+
+def unpruned_refine(graph, raw_path, target_coords=None):
+    """Corridor refinement over the whole tube, with no lower-bound pruning:
+    the same tube, arcs, costs and matrix layout as `_corridor_refine`."""
+    balls = graph.tree.query_ball_point(graph.points[raw_path],
+                                        geodesy.CORRIDOR_TUBE_FACTOR * graph.median_chord)
+    corridor = np.unique(np.concatenate(balls))
+    node_pts = graph.points[corridor]
+    if target_coords is not None:
+        node_pts = np.vstack([node_pts, target_coords])
+    n = len(node_pts)
+    path = np.searchsorted(corridor, raw_path)
+    if target_coords is not None:
+        path = np.append(path, n - 1)
+    chord = 2.0 * math.sin(geodesy.CHUNK_ARC / 2.0)
+    pairs = geodesy.cKDTree(node_pts).query_pairs(chord, output_type="ndarray")
+    hops = np.minimum(path[:-1], path[1:]) * n + np.maximum(path[:-1], path[1:])
+    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], hops]))
+    i, j = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    node_cols = np.ascontiguousarray(node_pts.T)
+    forward, reverse = _arc_costs(graph.spec, np.take(node_cols, i, axis=1).T,
+                                  np.take(node_cols, j, axis=1).T)
+    sub = csr_matrix((np.concatenate([reverse, forward]),
+                      (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
+    return float(dijkstra(sub, directed=True, indices=path[0])[path[-1]])
+
+
+PRUNE_GRAPHS = [(ROUND3, 3000, 12, 60),
+                (CW3, 3000, 12, 61),
+                (solve_metric(OrbitParams(1, 1, 0.5, 1.0, 2.0)), 3000, 12, 62),
+                (solve_metric(OrbitParams(2, 1, 0.3, 0.8, 1.0)), 3000, 12, 63),
+                (SP7, 900, 10, 27)]
+
+
+@pytest.fixture(scope="module")
+def prune_graphs():
+    return [small_graph(spec=spec, n_points=n_points, k=k, seed=seed)
+            for spec, n_points, k, seed in PRUNE_GRAPHS]
+
+
+BEYOND_TARGETS = 96
+
+
+def prune_queries(g, seed):
+    """Per graph: 24 vertex pairs (one a self-pair), 24 random off-sample
+    targets (one an antipode, one a sample point itself), and
+    `BEYOND_TARGETS` targets on the great circle from a source through its
+    nearest neighbour u, just beyond u.  On the round metric the corridor
+    path through u then ties the direct arc up to rounding, and a bound
+    without margin drops u in a few of them."""
+    gen = RngStream(seed).split(3).gen
+    pairs = gen.integers(0, g.n_points, (24, 2))
+    pairs[0, 1] = pairs[0, 0]
+    sources = gen.integers(0, g.n_points, 24 + BEYOND_TARGETS)
+    targets = gen.standard_normal((24, g.points.shape[1]))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    targets[0] = -g.points[sources[0]]
+    targets[1] = g.points[sources[2]]
+    src_pts = g.points[sources[24:]]
+    nearest = g.points[g.matrix.indices[g.matrix.indptr[sources[24:]]]]
+    dots = np.sum(src_pts * nearest, axis=1)[:, None]
+    toward = nearest - dots * src_pts
+    toward /= np.linalg.norm(toward, axis=1, keepdims=True)
+    beyond = gen.uniform(1.02, 1.1, (BEYOND_TARGETS, 1)) * np.arccos(dots)
+    beyond = np.cos(beyond) * src_pts + np.sin(beyond) * toward
+    return pairs, sources, np.vstack([targets, beyond])
+
+
+def refined_answers(graphs):
+    answers = []
+    for g, (_, _, _, seed) in zip(graphs, PRUNE_GRAPHS):
+        pairs, sources, targets = prune_queries(g, seed)
+        answers += [distance(g, i, j).distance for i, j in pairs]
+        answers += [distance_to_coords(g, src, target)[0]
+                    for src, target in zip(sources, targets)]
+    return answers
+
+
+def test_pruned_corridor_answers_equal_unpruned(prune_graphs, monkeypatch):
+    sizes = {"pruned": [], "unpruned": []}
+    real = geodesy.cKDTree
+
+    def counting_tree(label):
+        def tree(data, *args, **kwargs):
+            sizes[label].append(len(data))
+            return real(data, *args, **kwargs)
+        return tree
+    monkeypatch.setattr(geodesy, "cKDTree", counting_tree("pruned"))
+    pruned = refined_answers(prune_graphs)
+    monkeypatch.setattr(geodesy, "cKDTree", counting_tree("unpruned"))
+    monkeypatch.setattr(geodesy, "_corridor_refine", unpruned_refine)
+    unpruned = refined_answers(prune_graphs)
+    assert len(pruned) == len(PRUNE_GRAPHS) * (48 + BEYOND_TARGETS)
+    assert pruned == unpruned           # to the last bit
+    # the pruning is not vacuous: the corridors shrank
+    assert len(sizes["pruned"]) == len(pruned)
+    assert sum(sizes["pruned"]) < sum(sizes["unpruned"])
 
 
 # ------------------------------------------------------------------ distances
