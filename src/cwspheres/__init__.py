@@ -10,7 +10,7 @@ Modules
 matrixcore
     Skew-Hermitian exponentials, eigenvalue phases, stacked Haar
     U(n)/Sp(n) draws from sequences of seeded RNG streams, quaternion
-    pairs, su(2) dictionary.
+    pairs.
 randers
     Metric parameter containers for the u_sphere and sp_sphere families
     (S^3 = SU(2) is u_sphere n = 1), the vectorised norm on (m0, usq)
@@ -22,10 +22,9 @@ killing
     Closed-form metric solver and constant-length identities, orbit
     length reports, witness constructions.
 flows
-    Isometry flows (unitary ones on S^(2n+1), group-times-circle ones on
-    SU(2)), endpoint focusing, spectral phase-interval and
-    commutator checkers on stacks of matrices, geodesic
-    non-intersection probe.
+    Isometry flows (unitary ones on S^(2n+1)), endpoint focusing on S^3
+    in C^2, spectral phase-interval and commutator checkers on stacks
+    of matrices, geodesic non-intersection probe.
 geodesy
     Sampled sphere graphs and the shortest-path distance oracle (refined
     and raw distances).

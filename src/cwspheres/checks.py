@@ -16,13 +16,11 @@ import numpy as np
 from . import geodesy
 from .cosets import sp_algebra
 from .errors import InvalidInput
-from .flows import (T_GRID, apply_flow, block_angle_unitary,
-                    commutator_eig1_persistence, endpoint_focus_check,
-                    geodesic_nonintersection_probe, phase_bound_check,
-                    su2_flow, u_flow)
+from .flows import (T_GRID, block_angle_unitary, commutator_eig1_persistence,
+                    endpoint_focus_check, geodesic_nonintersection_probe,
+                    phase_bound_check, u_flow)
 from .killing import orbit_generator, orbit_length_report, sp_witness_pair
-from .matrixcore import (QuaternionMatrix, expm_skew, haar_unitary, seed_block,
-                         su2_from_vec, su2_matrix_from_quat, trial_blocks)
+from .matrixcore import QuaternionMatrix, haar_unitary, seed_block, trial_blocks
 from .randers import SP_SPHERE, U_SPHERE, require_valid, round_spec
 
 log = logging.getLogger("cwspheres")
@@ -157,22 +155,11 @@ def commutator(l, m, trials, rng) -> CheckReport:
 
 
 def endpoints(vnorm, samples, rng) -> CheckReport:
-    """Spread of time-pi su2 flow endpoints (`rng.split(0)`), and their
-    distance from -g exp(-pi V) at ten start points g (`rng.split(1..10)`)."""
-    v3 = np.array([vnorm, 0.0, 0.0])
-    spread = endpoint_focus_check(v3, samples=samples, rng=rng.split(0))
-    vmat = su2_from_vec(v3)
-    worst_dev = 0.0
-    for sub in seed_block([rng.split(k + 1) for k in range(10)]):
-        x3 = sub.gen.standard_normal(3)
-        x3 /= np.linalg.norm(x3)
-        g4 = sub.gen.standard_normal(4)
-        g = su2_matrix_from_quat(g4 / np.linalg.norm(g4))
-        end = apply_flow(su2_flow(x3, v3, math.pi), g)
-        ref = -g @ expm_skew(vmat, -math.pi)
-        worst_dev = max(worst_dev, float(np.max(np.abs(end - ref))))
+    """Spread of the time-pi flow endpoints on S^3 in C^2 (`rng.split(0)`),
+    and their distance from -exp(-i pi vnorm) z at their start points z."""
+    spread, identity = endpoint_focus_check(vnorm, samples=samples, rng=rng.split(0))
     return _threshold_report([("endpoint_spread", spread, ENDPOINT_SPREAD_TOL),
-                              ("endpoint_identity", worst_dev, ENDPOINT_IDENTITY_TOL)])
+                              ("endpoint_identity", identity, ENDPOINT_IDENTITY_TOL)])
 
 
 def nonintersection(x, l, m, trials, rng) -> CheckReport:

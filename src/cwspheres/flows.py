@@ -1,12 +1,11 @@
 """Isometry flows and executable eigenvalue-phase checkers.
 
 Covers the one-parameter flows generated by constant-length Killing
-fields (group-times-circle form on the group SU(2), linear unitary form
-on S^(2n+1)), the focusing of all unit-generator flows at a single
-endpoint at time pi, and two spectral facts the geodesic
-non-intersection argument rests on: a phase-interval bound for products
-of unitary matrices, and persistence of eigenvalue 1 for twisted
-commutators with singular off-diagonal blocks.
+fields (linear unitary flows on S^(2n+1)), the focusing of all
+unit-generator flows at a single endpoint at time pi (on S^3 in C^2), and
+two spectral facts the geodesic non-intersection argument rests on: a
+phase-interval bound for products of unitary matrices, and persistence of
+eigenvalue 1 for twisted commutators with singular off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -19,15 +18,8 @@ from scipy.spatial.distance import pdist
 
 from .errors import InvalidInput
 from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
-                         haar_unitary, seed_block, stream_list, su2_from_vec,
-                         su2_inner, su2_matrix_from_quat, trial_blocks,
+                         haar_unitary, seed_block, stream_list, trial_blocks,
                          unitary_phases)
-from .randers import U_SPHERE
-
-# Flows on the group SU(2) itself, whose points are 2x2 matrices.  As a
-# metric sphere S^3 = SU(2) is u_sphere n = 1, and left translation by
-# exp(tX) is u_flow(X, t) on the first column g e_1.
-SU2_GROUP = "su2"
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_BASE_POINTS = 3
@@ -48,97 +40,76 @@ T_GRID.flags.writeable = False
 
 @dataclass(frozen=True)
 class FlowIsometry:
-    """One-parameter isometry at a fixed time t.
+    """One-parameter isometry v -> exp(t X) v of the unit sphere of
+    C^(n+1) at a fixed finite time t."""
 
-    u_sphere: v -> exp(t X) v on the unit sphere of C^(n+1).
-    su2:      g -> exp(t X) g exp(-t V) on the group SU(2), the flow of the
-              algebra element (X, 1) in the group-times-circle presentation.
-    """
-
-    family: str
     x: np.ndarray
     t: float
-    v: np.ndarray = None       # su2 only
 
     def __post_init__(self):
         as_skew_hermitian(self.x)
-        if self.family == SU2_GROUP:
-            if self.v is None:
-                raise InvalidInput("su2 flow needs the isotropy vector V")
-            as_skew_hermitian(self.v)
-        elif self.family != U_SPHERE:
-            raise InvalidInput(f"unsupported flow family {self.family!r}")
+        if not math.isfinite(self.t):
+            raise InvalidInput("flow time must be finite")
 
 
 def u_flow(x, t) -> FlowIsometry:
-    return FlowIsometry(U_SPHERE, np.asarray(x, dtype=complex), float(t))
-
-
-def su2_flow(x, v, t) -> FlowIsometry:
-    x = su2_from_vec(x) if np.ndim(x) == 1 else np.asarray(x, dtype=complex)
-    v = su2_from_vec(v) if np.ndim(v) == 1 else np.asarray(v, dtype=complex)
-    return FlowIsometry(SU2_GROUP, x, float(t), v)
+    return FlowIsometry(np.asarray(x, dtype=complex), float(t))
 
 
 def apply_flow(f: FlowIsometry, point):
-    """Apply the flow to a point of the model sphere.
+    """Apply the flow to a unit vector of C^(n+1).
 
-    Points are unit vectors in C^(n+1) for u_sphere and SU(2) matrices for
-    su2.  Output is renormalized onto the sphere; the drift removed this
-    way is at machine-precision scale because the exponentials are exactly
-    unitary.
+    Output is renormalized onto the sphere; the drift removed this way is
+    at machine-precision scale because the exponential is exactly unitary.
     """
-    if f.family == U_SPHERE:
-        v = np.asarray(point, dtype=complex)
-        if v.ndim != 1 or v.shape[0] != f.x.shape[0]:
-            raise InvalidInput("point shape does not match the flow generator")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
-            raise InvalidInput("point is off the unit sphere")
-        out = expm_skew(f.x, f.t) @ v
-        return out / np.linalg.norm(out)
-    g = np.asarray(point, dtype=complex)
-    as_unitary(g)
-    if abs(np.linalg.det(g) - 1.0) > 1e-10:
-        raise InvalidInput("su2 point must have unit determinant")
-    return expm_skew(f.x, f.t) @ g @ expm_skew(f.v, -f.t)
+    v = np.asarray(point, dtype=complex)
+    if v.ndim != 1 or v.shape[0] != f.x.shape[0]:
+        raise InvalidInput("point shape does not match the flow generator")
+    nrm = np.linalg.norm(v)
+    if abs(nrm - 1.0) > 1e-10:
+        raise InvalidInput("point is off the unit sphere")
+    out = expm_skew(f.x, f.t) @ v
+    return out / np.linalg.norm(out)
 
 
-def endpoint_focus_check(v, rng, samples=100):
-    """Spread of time-pi flow endpoints over random unit generators.
+def endpoint_focus_check(vnorm, rng, samples=100):
+    """Spread of time-pi flow endpoints on S^3 in C^2 over random unit
+    generators, and their distance from the predicted endpoint.
 
-    For |X|_eq = 1 the exponential at time pi is -I, so for a fixed start
-    point every flow ends at the same place regardless of X.  Returns the
-    maximum pairwise endpoint distance (Frobenius) over a few random start
-    points, each probed with `samples` random unit X; a spread needs at
-    least two samples.
+    A traceless X with |X|_eq = 1 has exp(pi X) = -I, so the flow of
+    X - i vnorm I takes a start point z to -exp(-i pi vnorm) z whatever X
+    is.  (Read on the first column z = g e_1, this is the flow
+    g -> exp(tX) g exp(-tV) on SU(2) with V = vnorm diag(i, -i).)  Returns
+    the largest pairwise C^2 distance between the endpoints of one start
+    point, over a few random start points each probed with `samples`
+    random unit X, and the largest |end + exp(-i pi vnorm) z| over the same
+    endpoints; a spread needs at least two samples.
     """
-    v = np.asarray(v)
-    # every entry of a V with |V|_eq < 1 is below 1: checked first, so no
-    # product below overflows on a huge or non-finite V
-    if not np.max(np.abs(v)) < 1.0:
-        raise InvalidInput("isotropy vector must satisfy |V|_eq < 1")
-    v = su2_from_vec(v) if v.ndim == 1 else v.astype(complex)
-    if su2_inner(v, v) >= 1.0:
+    # refuses nan and inf too, before vnorm enters any product
+    if not abs(vnorm) < 1.0:
         raise InvalidInput("isotropy vector must satisfy |V|_eq < 1")
     if int(samples) < 2:
         raise InvalidInput("need at least two samples")
-    worst = 0.0
+    shift = -1j * vnorm * np.eye(2)
+    phase = np.exp(-1j * math.pi * vnorm)
+    spread = identity = 0.0
     for bp in range(ENDPOINT_BASE_POINTS):
         g_rng = rng.split(bp)
         x_rngs = [g_rng.split(k + 1) for k in range(int(samples))]
         seed_block([g_rng, *x_rngs])
         p = g_rng.gen.standard_normal(4)
         p /= np.linalg.norm(p)
-        g = su2_matrix_from_quat(p)
+        z = np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])      # g e_1
         ends = []
         for x_rng in x_rngs:
             x3 = x_rng.gen.standard_normal(3)
-            x3 /= np.linalg.norm(x3)
-            ends.append(apply_flow(su2_flow(x3, v, math.pi), g).ravel())
-        flat = np.array(ends).view(float)
-        worst = max(worst, float(np.max(pdist(flat))))
-    return worst
+            a, b, c = x3 / np.linalg.norm(x3)
+            x = np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])
+            ends.append(apply_flow(u_flow(x + shift, math.pi), z))
+        ends = np.array(ends)
+        spread = max(spread, float(np.max(pdist(ends.view(float)))))
+        identity = max(identity, float(np.linalg.norm(ends + phase * z, axis=1).max()))
+    return spread, identity
 
 
 # --------------------------------------------------------------------------

@@ -499,42 +499,3 @@ def conjugate(g, x):
     if g.ndim not in (2, 3) or g.shape[-2:] != x.shape or x.shape[0] != x.shape[1]:
         raise InvalidInput("conjugation operands have incompatible shapes")
     return g @ x @ conj_t(g)
-
-
-# --------------------------------------------------------------------------
-# su(2) <-> quaternion dictionary
-# --------------------------------------------------------------------------
-#
-# Unit quaternions (w, x, y, z) are identified with SU(2) matrices
-# [[w + x i, y + z i], [-y + z i, w - x i]], so the imaginary units i, j, k
-# correspond to the orthonormal basis below.  The bi-invariant inner
-# product <A, B> = -tr(AB)/2 makes this basis orthonormal and gives unit
-# vectors eigenvalues +-i, hence exp(pi X) = -I for |X| = 1.  The su2
-# flows of the endpoint check work in this dictionary; as a metric sphere,
-# SU(2) is u_sphere n = 1, the point g being its first column g e_1 in C^2.
-
-SU2_BASIS = (
-    np.array([[1j, 0], [0, -1j]]),
-    np.array([[0.0 + 0j, 1.0], [-1.0, 0.0]]),
-    np.array([[0, 1j], [1j, 0]]),
-)
-
-
-def su2_from_vec(v):
-    """Traceless skew-Hermitian 2x2 matrix from coordinates in SU2_BASIS."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise InvalidInput("su(2) coordinate vector must have shape (3,)")
-    return v[0] * SU2_BASIS[0] + v[1] * SU2_BASIS[1] + v[2] * SU2_BASIS[2]
-
-
-def su2_inner(x, y):
-    """Bi-invariant inner product -tr(xy)/2 on su(2)."""
-    return -np.trace(x @ y).real / 2.0
-
-
-def su2_matrix_from_quat(p):
-    """SU(2) matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(p, dtype=float)
-    return np.array([[w + 1j * x, y + 1j * z],
-                     [-y + 1j * z, w - 1j * x]])

@@ -10,18 +10,18 @@ import math
 import time
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from cwspheres import checks
 from cwspheres.errors import NotKvfAdmissible
 from cwspheres.flows import (apply_flow, block_angle_unitary,
                              commutator_eig1_persistence,
-                             geodesic_nonintersection_probe, su2_flow)
+                             geodesic_nonintersection_probe, u_flow)
 from cwspheres.killing import (OrbitParams, central_kvf_phases,
                                constant_length_identity, eq_root_pair,
                                orbit_generator, orbit_length_report,
                                solve_metric, sp_witness_pair)
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, expm_skew,
-                                  su2_from_vec, su2_matrix_from_quat)
+from cwspheres.matrixcore import QuaternionMatrix, RngStream
 from cwspheres.randers import RandersSpec
 
 
@@ -108,19 +108,23 @@ def test_criterion_03_central_phase_consistency():
 
 
 def test_criterion_04_endpoint_focusing():
+    # S^3 in C^2: a unit traceless X has exp(pi X) = -I, so the flow of
+    # X - i v I takes every start point z to -exp(-i pi v) z
     rng = RngStream(104)
-    v3 = np.array([0.5, 0.0, 0.0])
-    vmat = su2_from_vec(v3)
+    vnorm = 0.5
     g4 = rng.gen.standard_normal(4)
-    g = su2_matrix_from_quat(g4 / np.linalg.norm(g4))
-    ref = -g @ expm_skew(vmat, -math.pi)
+    p = g4 / np.linalg.norm(g4)
+    z = np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])
+    ref = -np.exp(-1j * math.pi * vnorm) * z
     ends = []
     for k in range(100):
         x3 = rng.split(k).gen.standard_normal(3)
-        x3 /= np.linalg.norm(x3)
-        ends.append(apply_flow(su2_flow(x3, v3, math.pi), g))
-    spread = max(np.max(np.abs(e1 - e2)) for e1 in ends for e2 in ends[:5])
-    identity_dev = max(np.max(np.abs(e - ref)) for e in ends)
+        a, b, c = x3 / np.linalg.norm(x3)
+        x = np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])
+        ends.append(apply_flow(u_flow(x - 1j * vnorm * np.eye(2), math.pi), z))
+    ends = np.array(ends)
+    spread = float(np.max(pdist(ends.view(float))))
+    identity_dev = float(np.max(np.linalg.norm(ends - ref, axis=1)))
     ok = spread <= 1e-10 and identity_dev <= 1e-12
     assert _report(4, ok, f"100 unit generators focus at one endpoint "
                           f"(spread {spread:.2e}, identity dev {identity_dev:.2e})")

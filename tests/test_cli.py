@@ -330,6 +330,13 @@ def test_verify_displacement_zero_time_is_usage_error(capsys, no_graph):
     assert line.startswith("error:") and "t = 0" in line
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_verify_displacement_non_finite_time_is_refused_before_graph(capsys, no_graph, t):
+    code, out, err = run(capsys, "verify", "displacement", f"--t={t}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: flow time must be finite"]
+
+
 @pytest.mark.parametrize("vnorm", ["1e300", "inf"])
 def test_verify_endpoints_huge_vnorm_prints_only_the_error(vnorm):
     # a fresh interpreter, so any numpy warning would reach stderr

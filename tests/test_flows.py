@@ -2,25 +2,64 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from cwspheres.errors import InvalidInput
-from cwspheres.flows import (NonIntersectionResult, apply_flow,
-                             block_angle_unitary, commutator_eig1_persistence,
-                             endpoint_focus_check, geodesic_nonintersection_probe,
-                             phase_bound_check, su2_flow, u_flow)
+from cwspheres.flows import (ENDPOINT_BASE_POINTS, NonIntersectionResult,
+                             apply_flow, block_angle_unitary,
+                             commutator_eig1_persistence, endpoint_focus_check,
+                             geodesic_nonintersection_probe, phase_bound_check,
+                             u_flow)
 from cwspheres.matrixcore import (RngStream, _ginibre, expm_skew, haar_unitary,
-                                  su2_from_vec, su2_matrix_from_quat,
-                                  unitary_phases)
-
-
-def random_su2_point(rng):
-    p = rng.gen.standard_normal(4)
-    return su2_matrix_from_quat(p / np.linalg.norm(p))
+                                  seed_block, unitary_phases)
 
 
 def random_unit_vec3(rng):
     v = rng.gen.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def random_c2_point(rng):
+    """z = g e_1 for the SU(2) matrix g of a random unit quaternion."""
+    p = rng.gen.standard_normal(4)
+    p /= np.linalg.norm(p)
+    return np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])
+
+
+def su2_matrix(x3):
+    """The traceless skew-Hermitian 2x2 matrix of coordinates x3."""
+    a, b, c = x3
+    return np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])
+
+
+# Reference SU(2) matrix flows that the C^2 endpoints are checked
+# against: unit quaternions (w, x, y, z) are the matrices
+# [[w + xi, y + zi], [-y + zi, w - xi]], su(2) has the orthonormal basis
+# below, and the pair (X, V) flows g -> exp(tX) g exp(-tV).
+
+REF_SU2_BASIS = (
+    np.array([[1j, 0], [0, -1j]]),
+    np.array([[0.0 + 0j, 1.0], [-1.0, 0.0]]),
+    np.array([[0, 1j], [1j, 0]]),
+)
+
+
+def ref_su2_from_vec(v):
+    return v[0] * REF_SU2_BASIS[0] + v[1] * REF_SU2_BASIS[1] + v[2] * REF_SU2_BASIS[2]
+
+
+def ref_su2_matrix_from_quat(p):
+    w, x, y, z = p
+    return np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
+
+
+def ref_su2_group_flow(x3, v3, t, g):
+    return expm_skew(ref_su2_from_vec(x3), t) @ g @ expm_skew(ref_su2_from_vec(v3), -t)
+
+
+def random_su2_point(rng):
+    p = rng.gen.standard_normal(4)
+    return ref_su2_matrix_from_quat(p / np.linalg.norm(p))
 
 
 # -------------------------------------------------------------------- flows
@@ -32,24 +71,22 @@ def test_flow_time_zero_is_identity():
     x = _ginibre([rng], 4, 4)[0, 0]
     x = (x - x.conj().T) / 2
     np.testing.assert_allclose(apply_flow(u_flow(x, 0.0), v), v, atol=1e-14)
-    g = random_su2_point(rng.split(1))
-    out = apply_flow(su2_flow([1.0, 0, 0], [0.3, 0, 0], 0.0), g)
-    np.testing.assert_allclose(out, g, atol=1e-14)
 
 
 def test_su2_left_translation_is_u_flow_on_first_column():
-    # S^3 = SU(2) is u_sphere n = 1 through g -> g e_1: left translation by
-    # exp(tX) on SU(2) is the unitary flow of X on the first column
+    # S^3 = SU(2) is u_sphere n = 1 through g -> g e_1.  Left translation by
+    # exp(tX) is the unitary flow of X on the first column; with
+    # V = v diag(i, -i) the right factor exp(-tV) scales g e_1 by exp(-itv),
+    # so g -> exp(tX) g exp(-tV) is u_flow(X - i v I, t) on g e_1
     rng = RngStream(79)
-    for k in range(10):
+    for k in range(200):
         sub = rng.split(k)
         x3 = random_unit_vec3(sub.split(0)) * sub.gen.uniform(0.1, 2.0)
         g = random_su2_point(sub.split(1))
-        t = sub.gen.uniform(-4.0, 4.0)
-        moved = apply_flow(su2_flow(x3, [0.0, 0.0, 0.0], t), g)
-        np.testing.assert_allclose(moved[:, 0],
-                                   apply_flow(u_flow(su2_from_vec(x3), t), g[:, 0]),
-                                   rtol=0, atol=1e-14)
+        v, t = sub.gen.uniform(-1.0, 1.0), sub.gen.uniform(-7.0, 7.0)
+        old = ref_su2_group_flow(x3, np.array([v, 0.0, 0.0]), t, g)
+        new = apply_flow(u_flow(su2_matrix(x3) - 1j * v * np.eye(2), t), g[:, 0])
+        np.testing.assert_allclose(new, old[:, 0], rtol=0, atol=1e-13)
 
 
 def test_flow_central_generator_is_scalar_rotation():
@@ -61,18 +98,17 @@ def test_flow_central_generator_is_scalar_rotation():
 
 
 def test_flow_endpoint_at_pi_for_unit_generator():
-    # with |X|_eq = 1 the endpoint is -g exp(-pi V), independent of X
+    # with |X|_eq = 1 the endpoint is -exp(-i pi v) z, independent of X
     rng = RngStream(72)
-    v3 = np.array([0.5, 0.0, 0.0])
-    g = random_su2_point(rng)
-    ref = -g @ expm_skew(su2_from_vec(v3), -math.pi)
+    vnorm = 0.5
+    z = random_c2_point(rng)
+    ref = -np.exp(-1j * math.pi * vnorm) * z
     for k in range(10):
-        x3 = random_unit_vec3(rng.split(k))
-        end = apply_flow(su2_flow(x3, v3, math.pi), g)
-        np.testing.assert_allclose(end, ref, atol=1e-12)
+        x = su2_matrix(random_unit_vec3(rng.split(k))) - 1j * vnorm * np.eye(2)
+        np.testing.assert_allclose(apply_flow(u_flow(x, math.pi), z), ref, atol=1e-12)
 
 
-def test_flow_group_law_both_families():
+def test_flow_group_law():
     rng = RngStream(73)
     x = _ginibre([rng], 3, 3)[0, 0]
     x = (x - x.conj().T) / 2
@@ -82,49 +118,75 @@ def test_flow_group_law_both_families():
     once = apply_flow(u_flow(x, s + t), v)
     twice = apply_flow(u_flow(x, t), apply_flow(u_flow(x, s), v))
     np.testing.assert_allclose(once, twice, atol=1e-10)
-    x3, v3 = random_unit_vec3(rng.split(1)), 0.4 * random_unit_vec3(rng.split(2))
-    g = random_su2_point(rng.split(3))
-    once = apply_flow(su2_flow(x3, v3, s + t), g)
-    twice = apply_flow(su2_flow(x3, v3, t), apply_flow(su2_flow(x3, v3, s), g))
-    np.testing.assert_allclose(once, twice, atol=1e-10)
 
 
 def test_flow_rejects_off_sphere_points():
     with pytest.raises(InvalidInput):
         apply_flow(u_flow(1j * np.eye(2), 1.0), np.array([2.0, 0.0]))
-    with pytest.raises(InvalidInput):
-        apply_flow(su2_flow([1, 0, 0], [0, 0, 0], 1.0), 1.1 * np.eye(2))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_rejects_non_finite_time(t):
+    with pytest.raises(InvalidInput, match="finite"):
+        u_flow(1j * np.eye(2), t)
 
 
 # ---------------------------------------------------------- endpoint focusing
 
 def test_endpoint_focus_zero_vector():
-    # V = 0: all endpoints equal -g exactly
-    spread = endpoint_focus_check(np.zeros(3), samples=30, rng=RngStream(74))
-    assert spread <= 1e-10
+    # V = 0: all endpoints equal -z
+    spread, identity = endpoint_focus_check(0.0, samples=30, rng=RngStream(74))
+    assert spread <= 1e-10 and identity <= 1e-12
 
 
 def test_endpoint_focus_half_vector():
-    spread = endpoint_focus_check(np.array([0.5, 0.0, 0.0]), samples=100,
-                                  rng=RngStream(75))
-    assert spread <= 1e-10
+    spread, identity = endpoint_focus_check(0.5, samples=100, rng=RngStream(75))
+    assert spread <= 1e-10 and identity <= 1e-12
+
+
+def test_endpoint_focus_check_matches_su2_reference_on_its_streams():
+    # replays the check's draws: each C^2 endpoint is the first column of
+    # the SU(2) flow's endpoint, and the replay gives the check's values
+    vnorm, samples, rng = -0.3, 20, RngStream(80)
+    spread, identity = endpoint_focus_check(vnorm, samples=samples, rng=rng)
+    v3 = np.array([vnorm, 0.0, 0.0])
+    ref_spread = ref_identity = 0.0
+    for bp in range(ENDPOINT_BASE_POINTS):
+        g_rng = rng.split(bp)
+        x_rngs = seed_block([g_rng, *(g_rng.split(k + 1) for k in range(samples))])[1:]
+        p = g_rng.gen.standard_normal(4)
+        g = ref_su2_matrix_from_quat(p / np.linalg.norm(p))
+        ends = []
+        for x_rng in x_rngs:
+            x3 = random_unit_vec3(x_rng)
+            old = ref_su2_group_flow(x3, v3, math.pi, g)
+            new = apply_flow(u_flow(su2_matrix(x3) - 1j * vnorm * np.eye(2), math.pi),
+                             g[:, 0])
+            np.testing.assert_allclose(new, old[:, 0], rtol=0, atol=1e-13)
+            ends.append(new)
+        ends = np.array(ends)
+        ref_spread = max(ref_spread, np.max(pdist(ends.view(float))))
+        ref_identity = max(ref_identity, np.max(np.linalg.norm(
+            ends + np.exp(-1j * math.pi * vnorm) * g[:, 0], axis=1)))
+    np.testing.assert_allclose([spread, identity], [ref_spread, ref_identity],
+                               rtol=1e-12, atol=1e-17)
 
 
 def test_endpoint_focus_negative_control_non_unit_generator():
     # off the unit sphere exp(pi X) != -I and endpoints scatter
-    v3 = np.array([0.5, 0.0, 0.0])
-    g = random_su2_point(RngStream(76))
+    vnorm = 0.5
+    z = random_c2_point(RngStream(76))
     ends = []
     for k, scale in enumerate((0.7, 1.0, 1.3)):
-        x3 = scale * random_unit_vec3(RngStream(77).split(k))
-        ends.append(apply_flow(su2_flow(x3, v3, math.pi), g))
+        x = su2_matrix(scale * random_unit_vec3(RngStream(77).split(k)))
+        ends.append(apply_flow(u_flow(x - 1j * vnorm * np.eye(2), math.pi), z))
     assert np.max(np.abs(ends[0] - ends[2])) > 1e-3
 
 
 def test_endpoint_focus_rejects_long_vector():
-    with pytest.raises(InvalidInput):
-        endpoint_focus_check(np.array([1.0, 0.0, 0.0]), samples=10,
-                             rng=RngStream(78))
+    for vnorm in (1.0, -1.0, 1e300, math.inf, math.nan):
+        with pytest.raises(InvalidInput, match=r"\|V\|_eq < 1"):
+            endpoint_focus_check(vnorm, samples=10, rng=RngStream(78))
 
 
 # ------------------------------------------------------------ phase intervals

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from cwspheres import geodesy
 from cwspheres.errors import InvalidInput
-from cwspheres.flows import su2_flow, u_flow
+from cwspheres.flows import u_flow
 from cwspheres.geodesy import (_arc_costs, _edge_costs, _row_sum, build_graph,
                                displacement_profile, distance,
                                distance_to_coords)
@@ -807,11 +807,10 @@ def test_displacement_points_beyond_vertex_count_is_usage_error():
 
 
 def test_displacement_family_mismatch():
-    # an su2 flow acts on SU(2) matrices, not on the u_sphere graph's points
-    g = small_graph(n_points=600)
+    # a unitary flow acts on points of C^(n+1), not on an sp_sphere graph's
+    g = build_graph(SP7, 500, 10, RngStream(27))
     with pytest.raises(InvalidInput, match="u_sphere"):
-        displacement_profile(g, su2_flow([1, 0, 0], [0, 0, 0], 0.1), 5,
-                             RngStream(23))
+        displacement_profile(g, u_flow(1j * np.eye(4), 0.1), 5, RngStream(23))
 
 
 # ------------------------------------------------------------- other families

@@ -14,6 +14,7 @@ import pathlib
 
 import pytest
 
+from cwspheres import cli
 from cwspheres.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -36,6 +37,10 @@ def _run(check, seed, out):
             contextlib.redirect_stderr(io.StringIO()):
         return main(["verify", check, *RUNS[check], "--seed", str(seed),
                      "--out", str(out)])
+
+
+def test_every_verify_check_has_a_golden_run():
+    assert set(RUNS) == set(cli._CHECKS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

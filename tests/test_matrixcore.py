@@ -10,8 +10,7 @@ from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_symplectic, haar_unitary, qabs,
-                                  qmul, seed_block, su2_from_vec, su2_inner,
-                                  su2_matrix_from_quat, symplectic_defect,
+                                  qmul, seed_block, symplectic_defect,
                                   unitary_phases)
 
 
@@ -347,46 +346,17 @@ def test_qconj_and_modulus():
     np.testing.assert_allclose(prod[0], float(qabs(x)) ** 2, atol=1e-15)
 
 
-# ------------------------------------------------------------- su(2) helpers
-
-def vec_from_su2(x):
-    """Coordinates of an su(2) matrix in SU2_BASIS."""
-    return np.array([x[0, 0].imag, x[0, 1].real, x[0, 1].imag])
-
-
-def quat_from_su2_matrix(g):
-    """Unit quaternion (w, x, y, z) of an SU(2) matrix, read off its first row."""
-    return np.array([g[0, 0].real, g[0, 0].imag, g[0, 1].real, g[0, 1].imag])
-
-
-def test_su2_vec_roundtrip_and_inner():
-    v = np.array([0.3, -0.2, 0.9])
-    x = su2_from_vec(v)
-    np.testing.assert_allclose(vec_from_su2(x), v, atol=1e-15)
-    np.testing.assert_allclose(su2_inner(x, x), np.dot(v, v), atol=1e-14)
-
+# -------------------------------------------------------------------- su(2)
 
 def test_su2_unit_vector_exponential_focus():
-    # unit vectors have eigenvalues +-i, hence exp(pi X) = -I
+    # a traceless skew-Hermitian X = [[ia, b + ic], [-b + ic, -ia]] with
+    # a^2 + b^2 + c^2 = 1 has eigenvalues +-i, hence exp(pi X) = -I
     rng = RngStream(22)
     for k in range(5):
         v = rng.split(k).gen.standard_normal(3)
-        v /= np.linalg.norm(v)
-        np.testing.assert_allclose(expm_skew(su2_from_vec(v), np.pi),
-                                   -np.eye(2), atol=1e-13)
-
-
-def test_su2_quaternion_dictionary():
-    p = np.array([0.5, 0.5, 0.5, 0.5])
-    g = su2_matrix_from_quat(p)
-    assert abs(np.linalg.det(g) - 1.0) <= 1e-14
-    np.testing.assert_allclose(quat_from_su2_matrix(g), p, atol=1e-15)
-    # quaternion product corresponds to matrix product
-    q = np.array([0.0, 1.0, 0.0, 0.0])
-    gq = su2_matrix_from_quat(q)
-    prod = g @ gq
-    w = quat_from_su2_matrix(prod)
-    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        a, b, c = v / np.linalg.norm(v)
+        x = np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])
+        np.testing.assert_allclose(expm_skew(x, np.pi), -np.eye(2), atol=1e-13)
 
 
 def test_validators_reject_bad_input():
