@@ -259,16 +259,20 @@ def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
     start = time.perf_counter()
-    anti, _, _ = geodesy.distance_to_coords(graph, 0, -graph.points[0])
+    anti = float(geodesy.distances_to_coords(graph, [0], -graph.points[[0]]).distance[0])
     anti_err = abs(anti - math.pi) / math.pi
     gen = pair_rng.gen
-    sym_dev = 0.0
+    pairs = []
     for _ in range(ORACLE_PAIRS):
         i = j = 0
         while i == j:       # a self-pair has no symmetry to check: redraw
             i, j = (int(v) for v in gen.integers(0, graph.n_points, 2))
-        dij = geodesy.distance(graph, i, j).distance
-        dji = geodesy.distance(graph, j, i).distance
+        pairs.append((i, j))
+    # every pair one way, then every pair the other way, in one batch
+    firsts, seconds = [i for i, _ in pairs], [j for _, j in pairs]
+    both = geodesy.distances(graph, firsts + seconds, seconds + firsts).distance.tolist()
+    sym_dev = 0.0
+    for dij, dji in zip(both[:ORACLE_PAIRS], both[ORACLE_PAIRS:]):
         sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))
     prof = geodesy.displacement_profile(
         graph, u_flow(1j * np.eye(2), 0.5), ORACLE_HOPF_POINTS, profile_rng)

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput
-from .matrixcore import (as_skew_hermitian, as_unitary, conj_t, expm_skew,
-                         haar_unitary, seed_block, stream_list, trial_blocks,
-                         unitary_phases)
+from .matrixcore import (BLOCK_ENTRIES, as_skew_hermitian, as_unitary, conj_t,
+                         expm_skew, haar_unitary, seed_block, stream_list,
+                         trial_blocks, unitary_phases)
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_BASE_POINTS = 3
@@ -56,20 +56,26 @@ def u_flow(x, t) -> FlowIsometry:
     return FlowIsometry(np.asarray(x, dtype=complex), float(t))
 
 
-def apply_flow(f: FlowIsometry, point):
-    """Apply the flow to a unit vector of C^(n+1).
+def apply_flow(f: FlowIsometry, points):
+    """Apply the flow to a unit vector of C^(n+1), or to each row of a
+    (P, n+1) stack of them.
 
     Output is renormalized onto the sphere; the drift removed this way is
     at machine-precision scale because the exponential is exactly unitary.
+    exp(tX) is computed once; each point is multiplied and renormalized on
+    its own, since a stacked product rounds differently.
     """
-    v = np.asarray(point, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != f.x.shape[0]:
+    v = np.asarray(points, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[-1] != f.x.shape[0]:
         raise InvalidInput("point shape does not match the flow generator")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
         raise InvalidInput("point is off the unit sphere")
-    out = expm_skew(f.x, f.t) @ v
-    return out / np.linalg.norm(out)
+    e = expm_skew(f.x, f.t)
+    moved = []
+    for row in np.atleast_2d(v):
+        out = e @ row
+        moved.append(out / np.linalg.norm(out))
+    return np.array(moved).reshape(v.shape)
 
 
 def endpoint_focus_check(vnorm, rng, samples=100):
@@ -107,7 +113,12 @@ def endpoint_focus_check(vnorm, rng, samples=100):
             x = np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])
             ends.append(apply_flow(u_flow(x + shift, math.pi), z))
         ends = np.array(ends)
-        spread = max(spread, float(np.max(pdist(ends.view(float)))))
+        pts = ends.view(float)
+        # row blocks of the distance matrix, each row against itself and the
+        # rows after it: the pairwise maximum in bounded memory
+        rows = max(1, BLOCK_ENTRIES // len(pts))
+        for top in range(0, len(pts), rows):
+            spread = max(spread, float(np.max(cdist(pts[top:top + rows], pts[top:]))))
         identity = max(identity, float(np.linalg.norm(ends + phase * z, axis=1).max()))
     return spread, identity
 

@@ -32,7 +32,21 @@ lambda * (theta(s, u) + theta(u, t)), while the raw path's own hops, a
 corridor path too, cost D.  A sample whose bound exceeds D * (1 + 1e-6)
 + lambda * 1e-6 is dropped; the margin is far above the rounding of the
 costs and of arccos near 0 (about 1.5e-8 rad), so the optimal path and
-its float sum survive (proof in `_corridor_refine`).
+its float sum survive (proof in `_corridor`).
+
+Queries come in batches: `distances` and `distances_to_coords` take all
+queries of a check at once.  One arc-cost call prices every query's
+search bound, and one KD-tree query with one edge-cost call snaps and
+prices every off-sample target.  Each query keeps its own bounded raw
+Dijkstra, since each has its own bound.  The corridors are then refined a
+group at a time: a group holds corridors of at most `GROUP_PAIRS` = 2^15
+point pairs n(n - 1)/2 in all, and becomes one block-diagonal matrix
+priced by one arc-cost call and answered by one multi-source Dijkstra.
+No answer moves by a bit.  Every cost kernel works element by element,
+so a cost does not depend on which batch it is computed in.  The blocks
+are disconnected, so the distance of each corridor's end from the
+nearest start is its distance from its own start, and that is the
+least float sum over the same paths as in a matrix of its own.
 
 Every sum over coordinates that feeds a weight or a cost runs on whole
 coordinate columns through `_row_sum`, which adds them in exactly the
@@ -210,11 +224,13 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    source: int
-    target: int
-    distance: float             # corridor-refined
-    raw: float                  # raw graph distance
-    hops: int                   # of the raw path
+    """Answers of a batch of distance queries, one entry per query."""
+
+    distance: np.ndarray        # corridor-refined
+    raw: np.ndarray             # raw graph distance
+    hops: np.ndarray            # graph edges of the raw path
+    snap: np.ndarray            # chord distance from the target to its nearest
+                                # vertex (0 for a vertex target)
 
 
 def _arc_costs(spec: RandersSpec, starts, ends):
@@ -260,31 +276,48 @@ CORRIDOR_TUBE_FACTOR = 2.5
 # target plus this many median edges; a miss reruns it unbounded.
 RAW_LIMIT_FACTOR = 1.5
 RAW_LIMIT_EDGES = 4.0
+# Corridors are refined in groups whose corridors hold at most this many
+# point pairs n(n - 1)/2 in all; a larger corridor makes a group of its own.
+GROUP_PAIRS = 2 ** 15
 
 
-def _raw_limit(graph: SphereGraph, source, coords):
-    """Search bound for the raw Dijkstra from `source` towards `coords`."""
-    arc = _arc_costs(graph.spec, graph.points[[source]], coords[None])[0][0]
-    return RAW_LIMIT_FACTOR * arc + RAW_LIMIT_EDGES * graph.median_edge
+def _raw_limits(graph: SphereGraph, sources, coords):
+    """Search bound of the raw Dijkstra from each source towards its target
+    point `coords` row.  An antipodal pair has no unique great circle and
+    `_arc_costs` prices it 0, so its search runs unbounded."""
+    starts = graph.points[sources]
+    arcs = _arc_costs(graph.spec, starts, coords)[0]
+    limits = RAW_LIMIT_FACTOR * arcs + RAW_LIMIT_EDGES * graph.median_edge
+    limits[(arcs == 0.0) & (np.sum(starts * coords, axis=1) < 0.0)] = math.inf
+    return limits
 
 
-def _raw_search(graph: SphereGraph, source, coords, ends, leg_costs):
-    """Single-source Dijkstra distances and predecessors for a target at
-    `coords` that is reached from the vertices `ends` over legs costing
-    `leg_costs`.
+def _raw_paths(graph: SphereGraph, sources, coords, cand, leg_costs):
+    """Raw graph distance of each query and its raw path, one Dijkstra per
+    query.  Target q lies at `coords[q]` and is reached from the vertices
+    `cand[q]` over legs costing `leg_costs[q]`; the path ends at the vertex
+    the best total comes from.
 
-    The search stops at `_raw_limit`, below which its distances are exact.
-    An end beyond the limit totals more than the limit, so it cannot beat a
-    total within it: if the best total found is within the limit the answer
-    is settled, otherwise the search reruns without the bound.
+    A search stops at its `_raw_limits` bound, below which its distances
+    are exact.  A vertex beyond the bound totals more than the bound, so it
+    cannot beat a total within it: if the best total found is within the
+    bound the answer is settled, otherwise the search reruns unbounded.
     """
-    limit = _raw_limit(graph, source, coords)
-    dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                          return_predecessors=True, limit=limit)
-    if np.min(dist[ends] + leg_costs) > limit:
+    raw, paths = np.empty(len(sources)), []
+    for q, (source, limit) in enumerate(zip(sources, _raw_limits(graph, sources, coords))):
         dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                              return_predecessors=True)
-    return dist, pred
+                              return_predecessors=True, limit=limit)
+        totals = dist[cand[q]] + leg_costs[q]
+        if np.min(totals) > limit:
+            dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
+                                  return_predecessors=True)
+            totals = dist[cand[q]] + leg_costs[q]
+        if not np.any(np.isfinite(totals)):
+            raise ResolutionTooCoarse("target unreachable at this resolution")
+        best = np.argmin(totals)
+        raw[q] = totals[best]
+        paths.append(_walk_predecessors(pred, source, cand[q][best]))
+    return raw, paths
 
 
 def _min_unit_norm(spec: RandersSpec):
@@ -312,55 +345,57 @@ def _min_unit_norm(spec: RandersSpec):
 
 # A corridor sample u is pruned when lambda * (theta(s, u) + theta(u, t))
 # exceeds D * (1 + PRUNE_MARGIN) + lambda * PRUNE_MARGIN, D the raw path's
-# arc length: a relative margin and one in radians (see `_corridor_refine`)
+# arc length: a relative margin and one in radians (see `_corridor`)
 PRUNE_MARGIN = 1e-6
 
 
-def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
-    """Re-measure a raw graph path by shortest polyline through its corridor.
+@dataclass(frozen=True)
+class _Corridor:
+    points: np.ndarray          # (n, d) corridor points, an off-sample target last
+    i: np.ndarray               # arcs between points i < j, once per pair,
+    j: np.ndarray               # sorted by (i, j)
+    start: int                  # the points where the shortest path starts
+    stop: int                   # and ends
 
-    Collects every sample point within a tube around the raw path, connects
-    corridor points less than `CHUNK_ARC` apart by great-circle arcs both
-    ways, costing each pair once, and reruns the shortest path.  Longer,
-    accurately costed chunks cancel the zig-zag stretch of the raw k-NN
-    walk.  Each hop of the raw path is an arc too, however long, so the
-    corridor always joins its ends, also where the samples lie further
-    apart than `CHUNK_ARC`.  The tube radius is `CORRIDOR_TUBE_FACTOR`
-    times the median length of the tangent-projected edge chords, a
-    Euclidean length like the KD-tree's, so the corridor does not depend
-    on the metric's scale.  `target_coords`, when given, joins the
-    corridor as a virtual terminal vertex (off-sample targets), reached by
-    an arc from the raw path's last vertex.
 
-    Before any arc is built, the tube drops every sample that lies on no
-    corridor path shorter than the raw path itself; the answer keeps its
-    bits.  Proof: an arc of round angle theta costs theta * F(unit
-    tangent) >= lambda * theta (`_min_unit_norm`), so by the triangle
-    inequality of the round angle every corridor path from s through u
-    to t costs at least lambda * (theta(s, u) + theta(u, t)).  The raw
-    path's hops form a corridor path of length D, so the optimum is at
-    most D.  Dijkstra's answer is the least left-to-right float sum over
-    paths (float addition is monotone), and a sample u with
+def _corridor(graph: SphereGraph, raw_path, ends, bound, off_sample):
+    """The corridor of one raw path: sample points near it, joined by
+    great-circle arcs less than `CHUNK_ARC` long.
+
+    `ends` holds the raw path's points, then an off-sample target when
+    `off_sample` is set; that target joins the corridor as a terminal point
+    reached by an arc from the path's last vertex.  Longer, accurately
+    costed chunks cancel the zig-zag stretch of the raw k-NN walk.  Each
+    hop of the raw path is an arc too, however long, so the corridor always
+    joins its ends, also where the samples lie further apart than
+    `CHUNK_ARC`.  The tube radius is `CORRIDOR_TUBE_FACTOR` times the median
+    length of the tangent-projected edge chords, a Euclidean length like the
+    KD-tree's, so the corridor does not depend on the metric's scale.
+
+    The tube drops every sample that lies on no corridor path shorter than
+    the raw path, whose hops cost `bound` in all; the answer keeps its bits.
+    Proof: an arc of round angle theta costs theta * F(unit tangent) >=
+    lambda * theta (`_min_unit_norm`), so by the triangle inequality of the
+    round angle every corridor path from s through u to t costs at least
+    lambda * (theta(s, u) + theta(u, t)).  The raw path's hops form a
+    corridor path of length D, so the optimum is at most D.  Dijkstra's
+    answer is the least left-to-right float sum over paths (float addition
+    is monotone), and a sample u with
         lambda * (theta(s, u) + theta(u, t)) > D * (1 + 1e-6) + lambda * 1e-6
-    lies on no path of float length up to D: the rounding of the arc
-    costs, of lambda and of sums over fewer than 10^3 arcs is below 1e-12
+    lies on no path of float length up to D: the rounding of the arc costs,
+    of lambda and of sums over fewer than 10^3 arcs is below 1e-12
     relative, and arccos near 0 is off by at most about 1.5e-8 rad per
     angle, 1/60 of the angle margin even with both end angles and a
     near-coincident pair or two on the path.  (The degenerate arcs that
     cost 0 join points less than 1e-14 apart: a corridor arc is shorter
     than `CHUNK_ARC` or a hop of the raw path between k-NN neighbours,
-    never near antipodal.)  The optimal path therefore survives whole,
-    and so do its float sum and the answer's bits.  The raw path's own
-    vertices are always kept.
+    never near antipodal.)  The optimal path therefore survives whole, and
+    so do its float sum and the answer's bits.  The raw path's own vertices
+    are always kept.
     """
     balls = graph.tree.query_ball_point(graph.points[raw_path],
                                         CORRIDOR_TUBE_FACTOR * graph.median_chord)
     corridor = np.unique(np.concatenate(balls))
-    ends = graph.points[raw_path]
-    if target_coords is not None:
-        ends = np.vstack([ends, target_coords])
-    hop_costs = _arc_costs(graph.spec, ends[:-1], ends[1:])[0]
-    bound = sum(hop_costs.tolist())                 # in path order
     lam = _min_unit_norm(graph.spec)
     # the pruning test needs no fixed bits: its margins absorb any rounding
     angles = np.arccos(np.clip(graph.points[corridor] @ ends[[0, -1]].T, -1.0, 1.0))
@@ -369,96 +404,144 @@ def _corridor_refine(graph: SphereGraph, raw_path, target_coords=None):
     keep[np.searchsorted(corridor, raw_path)] = True
     corridor = corridor[keep]
     node_pts = graph.points[corridor]
-    if target_coords is not None:
-        node_pts = np.vstack([node_pts, target_coords])
-    n = len(node_pts)
     path = np.searchsorted(corridor, raw_path)
-    if target_coords is not None:
-        path = np.append(path, n - 1)
+    if off_sample:
+        node_pts = np.vstack([node_pts, ends[-1]])
+        path = np.append(path, len(corridor))
+    n = len(node_pts)
     chord = 2.0 * math.sin(CHUNK_ARC / 2.0)
     pairs = cKDTree(node_pts).query_pairs(chord, output_type="ndarray")
     hops = np.minimum(path[:-1], path[1:]) * n + np.maximum(path[:-1], path[1:])
     keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], hops]))
-    # pairs in (i, j) order (i < j), once each, reverse arcs first: csr_matrix
-    # needs no sort
     i, j = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    node_cols = np.ascontiguousarray(node_pts.T)
-    forward, reverse = _arc_costs(graph.spec, np.take(node_cols, i, axis=1).T,
-                                  np.take(node_cols, j, axis=1).T)
+    return _Corridor(node_pts, i, j, int(path[0]), int(path[-1]))
+
+
+def _refine_group(spec: RandersSpec, corridors):
+    """Shortest corridor path of each of `corridors`, all in one Dijkstra.
+
+    The corridors are the disconnected blocks of one matrix, so each end's
+    distance from the nearest start is its own start's distance, to the
+    bit.  Each pair is costed once for both directions; the entries reach
+    `csr_matrix` in canonical order, reverse arcs first, so it sorts
+    nothing.
+    """
+    offsets = np.cumsum([0] + [len(c.points) for c in corridors])
+    blocks = list(zip(corridors, offsets.tolist()))
+    cols = np.ascontiguousarray(np.vstack([c.points for c in corridors]).T)
+    i = np.concatenate([c.i + off for c, off in blocks])
+    j = np.concatenate([c.j + off for c, off in blocks])
+    forward, reverse = _arc_costs(spec, np.take(cols, i, axis=1).T,
+                                  np.take(cols, j, axis=1).T)
+    size = int(offsets[-1])
     sub = csr_matrix((np.concatenate([reverse, forward]),
-                      (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
-    return float(dijkstra(sub, directed=True, indices=path[0])[path[-1]])
+                      (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(size, size))
+    dist = dijkstra(sub, directed=True, min_only=True,
+                    indices=[c.start + off for c, off in blocks])
+    return dist[[c.stop + off for c, off in blocks]]
 
 
-def _vertex(graph: SphereGraph, index):
-    """`index` as a vertex number; InvalidInput unless an integer in [0, N)."""
-    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
-            or not 0 <= index < graph.n_points):
-        raise InvalidInput(f"vertex index must be an integer in [0, {graph.n_points}), "
-                           f"got {index!r}")
-    return int(index)
+def _answer_batch(graph: SphereGraph, sources, coords, cand, leg_costs, off_sample):
+    """Raw search and corridor refinement of a batch of queries (see
+    `_raw_paths`); the corridors are refined a group at a time."""
+    raw, paths = _raw_paths(graph, sources, coords, cand, leg_costs)
+    ends = [graph.points[path] for path in paths]
+    if off_sample:
+        ends = [np.vstack([e, target]) for e, target in zip(ends, coords)]
+    # the raw paths' hops as arcs, in path order
+    hop_costs = _arc_costs(graph.spec, np.vstack([e[:-1] for e in ends]),
+                           np.vstack([e[1:] for e in ends]))[0].tolist()
+    refined = np.empty(len(paths))
+    group, members, group_pairs, at = [], [], 0, 0
+    for q, (path, e) in enumerate(zip(paths, ends)):
+        corridor = _corridor(graph, path, e, sum(hop_costs[at:at + len(e) - 1]),
+                             off_sample)
+        at += len(e) - 1
+        n = len(corridor.points)
+        if group and group_pairs + n * (n - 1) // 2 > GROUP_PAIRS:
+            refined[members] = _refine_group(graph.spec, group)
+            group, members, group_pairs = [], [], 0
+        group.append(corridor)
+        members.append(q)
+        group_pairs += n * (n - 1) // 2
+    refined[members] = _refine_group(graph.spec, group)
+    return refined, raw, np.array([len(path) - 1 for path in paths])
+
+
+def _vertices(graph: SphereGraph, indices):
+    """`indices` as an array of vertex numbers; InvalidInput unless each is
+    an integer in [0, N)."""
+    out = []
+    for index in indices:
+        if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+                or not 0 <= index < graph.n_points):
+            raise InvalidInput(f"vertex index must be an integer in [0, {graph.n_points}), "
+                               f"got {index!r}")
+        out.append(int(index))
+    return np.array(out, dtype=np.intp)
 
 
 UNIT_NORM_TOL = 1e-9
 
 
-def _sphere_point(graph: SphereGraph, coords):
-    """`coords` as a float point of the graph's sphere; InvalidInput unless
-    it has the sphere's real dimension, finite entries and a norm within
-    `UNIT_NORM_TOL` of 1."""
+def _sphere_points(graph: SphereGraph, coords):
+    """`coords` as a (Q, d) float array of points of the graph's sphere;
+    InvalidInput unless each row has the sphere's real dimension d, finite
+    entries and a norm within `UNIT_NORM_TOL` of 1."""
     try:
-        point = np.asarray(coords)
+        points = np.asarray(coords)
     except ValueError as exc:           # ragged nesting
-        raise InvalidInput(f"coordinates must be a flat array: {exc}") from exc
-    if point.dtype.kind not in "iuf":
-        raise InvalidInput(f"coordinates must be real numbers, got dtype {point.dtype}")
-    point = point.astype(float, copy=False)
+        raise InvalidInput(f"coordinates must be a (Q, d) array: {exc}") from exc
+    if points.dtype.kind not in "iuf":
+        raise InvalidInput(f"coordinates must be real numbers, got dtype {points.dtype}")
+    points = points.astype(float, copy=False)
     dim = graph.points.shape[1]
-    if point.shape != (dim,):
-        raise InvalidInput(f"coordinates must have shape ({dim},), got {point.shape}")
-    if not np.all(np.isfinite(point)):
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise InvalidInput(f"coordinates must have shape (Q, {dim}), got {points.shape}")
+    if not np.all(np.isfinite(points)):
         raise InvalidInput("coordinates must be finite")
-    norm = float(np.linalg.norm(point))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise InvalidInput(f"coordinates must lie on the unit sphere, norm is {norm!r}")
-    return point
+    norms = np.linalg.norm(points, axis=1)
+    off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    if np.any(off):
+        raise InvalidInput("coordinates must lie on the unit sphere, norm is "
+                           f"{float(norms[off][0])!r}")
+    return points
 
 
-def distance(graph: SphereGraph, source, target) -> DistanceReport:
-    """Distance estimate from vertex `source` to vertex `target`.
+def _require_batch(sources, targets):
+    if len(sources) != len(targets) or len(sources) == 0:
+        raise InvalidInput(f"need one target per source and at least one query, got "
+                           f"{len(sources)} sources and {len(targets)} targets")
 
-    The raw shortest path is re-measured through its corridor, which
-    removes most of the k-NN discretization stretch; the raw graph
-    distance and the raw path's hop count are reported alongside.
+
+def distances(graph: SphereGraph, sources, targets) -> DistanceReport:
+    """Distance estimates from each vertex of `sources` to the vertex of
+    `targets` at the same position.
+
+    Each raw shortest path is re-measured through its corridor, which
+    removes most of the k-NN discretization stretch; the raw graph distance
+    and the raw path's hop count are reported alongside.
     """
-    source, target = _vertex(graph, source), _vertex(graph, target)
-    dist, pred = _raw_search(graph, source, graph.points[target], [target], 0.0)
-    if not np.isfinite(dist[target]):
-        raise ResolutionTooCoarse("target unreachable at this resolution")
-    raw_path = _walk_predecessors(pred, source, target)
-    return DistanceReport(source=source, target=target,
-                          distance=_corridor_refine(graph, raw_path),
-                          raw=float(dist[target]), hops=len(raw_path) - 1)
+    sources, targets = _vertices(graph, sources), _vertices(graph, targets)
+    _require_batch(sources, targets)
+    refined, raw, hops = _answer_batch(graph, sources, graph.points[targets], targets[:, None],
+                                 np.zeros((len(targets), 1)), off_sample=False)
+    return DistanceReport(distance=refined, raw=raw, hops=hops, snap=np.zeros(len(targets)))
 
 
-def distance_to_coords(graph: SphereGraph, source, coords):
-    """Distance estimate from vertex `source` to an arbitrary on-sphere
-    point given by real coordinates (connected as a virtual vertex):
-    (corridor-refined distance, raw graph distance, chord distance from
-    the point to its nearest vertex)."""
-    source = _vertex(graph, source)
-    coords = _sphere_point(graph, coords)
-    snap_d, cand = graph.tree.query(coords, k=graph.k)      # k >= MIN_DEGREE: arrays
-    legs = _tangent_chords(graph.points[cand], coords[None, :])
-    leg_costs = _edge_costs(graph.spec, graph.points[cand], legs)
-    dist, pred = _raw_search(graph, source, coords, cand, leg_costs)
-    totals = dist[cand] + leg_costs
-    if not np.any(np.isfinite(totals)):
-        raise ResolutionTooCoarse("target unreachable at this resolution")
-    best = int(cand[np.argmin(totals)])
-    raw_path = _walk_predecessors(pred, source, best)
-    return (_corridor_refine(graph, raw_path, target_coords=coords),
-            float(np.min(totals)), float(snap_d[0]))
+def distances_to_coords(graph: SphereGraph, sources, coords) -> DistanceReport:
+    """Distance estimates from each vertex of `sources` to the on-sphere
+    point in the same row of `coords` (real coordinates, (Q, d)), which
+    joins the graph as a virtual vertex reached from its k nearest
+    vertices; `snap` is its chord distance to the nearest one."""
+    sources, coords = _vertices(graph, sources), _sphere_points(graph, coords)
+    _require_batch(sources, coords)
+    snap, cand = graph.tree.query(coords, k=graph.k)        # k >= MIN_DEGREE: (Q, k)
+    near = graph.points[cand.ravel()]
+    legs = _tangent_chords(near, np.repeat(coords, graph.k, axis=0))
+    leg_costs = _edge_costs(graph.spec, near, legs).reshape(cand.shape)
+    refined, raw, hops = _answer_batch(graph, sources, coords, cand, leg_costs, off_sample=True)
+    return DistanceReport(distance=refined, raw=raw, hops=hops, snap=snap[:, 0])
 
 
 # --------------------------------------------------------------------------
@@ -497,13 +580,11 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
     if not 2 <= count <= graph.n_points:
         raise InvalidInput(f"need 2 to {graph.n_points} sample points, not {count}")
     sources = rng.gen.choice(graph.n_points, size=count, replace=False)
-    disp, snap = np.empty(count), np.empty(count)
-    half = graph.points.shape[1] // 2       # (Re z | Im z) halves of a point
-    for row, src in enumerate(sources):
-        point = graph.points[src]
-        moved = apply_flow(flow, point[:half] + 1j * point[half:])
-        target = np.concatenate([moved.real, moved.imag])
-        disp[row], _, snap[row] = distance_to_coords(graph, int(src), target)
+    points = graph.points[sources]
+    half = points.shape[1] // 2             # (Re z | Im z) halves of a point
+    moved = apply_flow(flow, points[:, :half] + 1j * points[:, half:])
+    rep = distances_to_coords(graph, sources, np.concatenate([moved.real, moved.imag], axis=1))
+    disp, snap = rep.distance, rep.snap
     mean = float(disp.mean())
     rel = float(disp.max() - disp.min()) / mean if mean > 0 else math.inf
     return DisplacementProfile(

@@ -284,7 +284,7 @@ def test_su2_config_names_u_sphere_n1(tmp_path, capsys, no_graph, argv):
     (None, ("--points", "1")),
     (None, ("--points", "-4")),
     (None, ("--n-points", "600", "--points", "601")),
-])
+], ids={spec: name for name, spec in WRONG_FAMILY_SPECS.items()}.get)  # no JSON in the ids
 def test_verify_displacement_usage_error_before_graph(tmp_path, capsys, no_graph,
                                                       config, argv):
     if config is not None:
@@ -349,6 +349,33 @@ def test_verify_endpoints_huge_vnorm_prints_only_the_error(vnorm):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: isotropy vector must satisfy |V|_eq < 1"]
+
+
+# In a fresh interpreter, caps the address space at its size after the
+# imports plus argv[1] bytes, then runs the CLI on the rest of argv.
+CAPPED_CLI = """
+import resource, sys
+from cwspheres.cli import main
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_verify_endpoints_many_trials_fit_in_bounded_memory():
+    # a pdist over the 5000 endpoints of a start point would take 100 MB;
+    # the row blocks of the spread take a few
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, str(64 * 2 ** 20),
+         "verify", "endpoints", "--trials", "5000"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].startswith("endpoint_spread,")
 
 
 @pytest.mark.parametrize("argv", [

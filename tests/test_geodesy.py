@@ -10,10 +10,10 @@ from scipy.spatial import cKDTree
 
 from cwspheres import geodesy
 from cwspheres.errors import InvalidInput
-from cwspheres.flows import u_flow
+from cwspheres.flows import apply_flow, u_flow
 from cwspheres.geodesy import (_arc_costs, _edge_costs, _row_sum, build_graph,
-                               displacement_profile, distance,
-                               distance_to_coords)
+                               displacement_profile, distances,
+                               distances_to_coords)
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import RngStream
 from cwspheres.randers import RandersSpec, randers_norm_array, round_spec
@@ -368,38 +368,127 @@ def reference_refine(graph, raw_path, target_coords=None):
     return float(dijkstra(sub, indices=path[0])[path[-1]])
 
 
-def assert_refinement_matches_reference(g, seed, monkeypatch):
+# ------------------------------------------------- per-query reference copies
+
+def per_query_raw_search(graph, source, coords, ends, leg_costs):
+    """The raw search of one query as it ran before queries were batched:
+    a bound of its own (an antipodal target gets the bound of a coincident
+    one), a bounded Dijkstra and an unbounded rerun on a miss."""
+    arc = _arc_costs(graph.spec, graph.points[[source]], coords[None])[0][0]
+    limit = geodesy.RAW_LIMIT_FACTOR * arc + geodesy.RAW_LIMIT_EDGES * graph.median_edge
+    dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
+                          return_predecessors=True, limit=limit)
+    if np.min(dist[ends] + leg_costs) > limit:
+        dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
+                              return_predecessors=True)
+    return dist, pred
+
+
+def per_query_refine(graph, raw_path, target_coords=None):
+    """The pruned corridor refinement of one query in a matrix of its own,
+    as it ran before queries were batched."""
+    balls = graph.tree.query_ball_point(graph.points[raw_path],
+                                        geodesy.CORRIDOR_TUBE_FACTOR * graph.median_chord)
+    corridor = np.unique(np.concatenate(balls))
+    ends = graph.points[raw_path]
+    if target_coords is not None:
+        ends = np.vstack([ends, target_coords])
+    bound = sum(_arc_costs(graph.spec, ends[:-1], ends[1:])[0].tolist())
+    lam = geodesy._min_unit_norm(graph.spec)
+    angles = np.arccos(np.clip(graph.points[corridor] @ ends[[0, -1]].T, -1.0, 1.0))
+    keep = (lam * (angles[:, 0] + angles[:, 1])
+            <= bound * (1.0 + geodesy.PRUNE_MARGIN) + lam * geodesy.PRUNE_MARGIN)
+    keep[np.searchsorted(corridor, raw_path)] = True
+    return corridor_distance(graph, corridor[keep], raw_path, target_coords)
+
+
+def corridor_distance(graph, corridor, raw_path, target_coords):
+    """Shortest path through the sorted sample indices `corridor` (plus an
+    off-sample target), each pair costed once for both directions."""
+    node_pts = graph.points[corridor]
+    if target_coords is not None:
+        node_pts = np.vstack([node_pts, target_coords])
+    n = len(node_pts)
+    path = np.searchsorted(corridor, raw_path)
+    if target_coords is not None:
+        path = np.append(path, n - 1)
+    chord = 2.0 * math.sin(geodesy.CHUNK_ARC / 2.0)
+    pairs = geodesy.cKDTree(node_pts).query_pairs(chord, output_type="ndarray")
+    hops = np.minimum(path[:-1], path[1:]) * n + np.maximum(path[:-1], path[1:])
+    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], hops]))
+    i, j = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    node_cols = np.ascontiguousarray(node_pts.T)
+    forward, reverse = _arc_costs(graph.spec, np.take(node_cols, i, axis=1).T,
+                                  np.take(node_cols, j, axis=1).T)
+    sub = csr_matrix((np.concatenate([reverse, forward]),
+                      (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
+    return float(dijkstra(sub, directed=True, indices=path[0])[path[-1]])
+
+
+def reference_distance(g, source, target, refine=per_query_refine):
+    """(refined, raw, hops, snap) of one vertex query, one query at a time."""
+    dist, pred = per_query_raw_search(g, source, g.points[target], [target], 0.0)
+    path = geodesy._walk_predecessors(pred, source, target)
+    return refine(g, path), float(dist[target]), len(path) - 1, 0.0
+
+
+def reference_distance_to_coords(g, source, coords, refine=per_query_refine):
+    """(refined, raw, hops, snap) of one off-sample query, one query at a time."""
+    snap, cand = g.tree.query(coords, k=g.k)
+    legs = geodesy._tangent_chords(g.points[cand], coords[None, :])
+    leg_costs = _edge_costs(g.spec, g.points[cand], legs)
+    dist, pred = per_query_raw_search(g, source, coords, cand, leg_costs)
+    totals = dist[cand] + leg_costs
+    path = geodesy._walk_predecessors(pred, source, int(cand[np.argmin(totals)]))
+    return (refine(g, path, target_coords=coords), float(np.min(totals)), len(path) - 1,
+            float(snap[0]))
+
+
+def reference_answers(g, pairs, sources, targets, refine=per_query_refine):
+    """Refined distance, raw distance, hops and snap of every vertex query,
+    then of every off-sample query, one query at a time."""
+    rows = ([reference_distance(g, i, j, refine) for i, j in pairs]
+            + [reference_distance_to_coords(g, src, t, refine)
+               for src, t in zip(sources, targets)])
+    return [np.array(column) for column in zip(*rows)]
+
+
+def batch_answers(g, pairs, sources, targets):
+    """The same four columns from one batch of vertex queries and one of
+    off-sample queries."""
+    vertex = distances(g, pairs[:, 0], pairs[:, 1])
+    coords = distances_to_coords(g, sources, targets)
+    return [np.concatenate([getattr(vertex, name), getattr(coords, name)])
+            for name in ("distance", "raw", "hops", "snap")]
+
+
+def assert_refinement_matches_reference(g, seed):
     gen = RngStream(seed).split(1).gen
     pairs = gen.integers(0, g.n_points, (8, 2))
     targets = gen.standard_normal((8, g.points.shape[1]))
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-
-    def answers():
-        return np.array([distance(g, i, j).distance for i, j in pairs]
-                        + [distance_to_coords(g, i, t)[0]
-                           for i, t in zip(pairs[:, 0], targets)])
-    fast = answers()
-    monkeypatch.setattr(geodesy, "_corridor_refine", reference_refine)
-    slow = answers()
+    fast = batch_answers(g, pairs, pairs[:, 0], targets)[0]
+    slow = reference_answers(g, pairs, pairs[:, 0], targets, refine=reference_refine)[0]
     assert np.all(slow > 0.0)
     assert np.max(np.abs(fast - slow) / slow) <= 1e-12
 
 
 @pytest.mark.parametrize("spec,seed", [(ROUND3, 43), (CW3, 44)])
-def test_corridor_refinement_matches_per_direction_reference(spec, seed, monkeypatch):
+def test_corridor_refinement_matches_per_direction_reference(spec, seed):
     assert_refinement_matches_reference(small_graph(spec=spec, n_points=3000, seed=seed),
-                                        seed, monkeypatch)
+                                        seed)
 
 
-def test_sparse_corridor_refinement_matches_per_direction_reference(monkeypatch):
+def test_sparse_corridor_refinement_matches_per_direction_reference():
     # samples further apart than CHUNK_ARC: the raw path's hops join the corridor
     assert_refinement_matches_reference(small_graph(spec=SP7, n_points=900, k=10, seed=27),
-                                        27, monkeypatch)
+                                        27)
 
 
 def test_corridor_arcs_reach_csr_matrix_in_canonical_order(monkeypatch):
-    # bucketed by row as csr_matrix does, the corridor's entries come out
-    # sorted by column in every row, so building the matrix sorts nothing
+    # bucketed by row as csr_matrix does, the entries of a group of
+    # corridors come out sorted by column in every row, so building the
+    # matrix sorts nothing
     g = small_graph(spec=CW3, n_points=1500, seed=45)
     canonical = []
     real = geodesy.csr_matrix
@@ -410,12 +499,11 @@ def test_corridor_arcs_reach_csr_matrix_in_canonical_order(monkeypatch):
         canonical.append(bool(np.all(np.diff(rows[order] * shape[1] + cols[order]) > 0)))
         return real(arg, shape=shape)
     monkeypatch.setattr(geodesy, "csr_matrix", spy)
-    distance(g, 0, 700)
-    distance_to_coords(g, 3, -g.points[3])
+    monkeypatch.setattr(geodesy, "GROUP_PAIRS", 2 ** 40)
+    distances(g, [0, 700, 5, 17], [700, 0, 900, 17])
+    distances_to_coords(g, [3, 8], -g.points[[3, 8]])
     assert canonical == [True, True]
 
-
-# ------------------------------------------------------------ corridor pruning
 
 INTERIOR_SPECS = [      # lambda at a stationary point inside (-1, 1)
     (RandersSpec("u_sphere", n=1, a=4.0, b=1.0, c=0.5), 4),
@@ -490,37 +578,20 @@ def test_distances_never_below_min_unit_norm_times_angle(spec, n_points, k, seed
     pairs = gen.integers(0, g.n_points, (12, 2))
     targets = gen.standard_normal((12, g.points.shape[1]))
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-    for (i, j), target in zip(pairs, targets):
-        d = distance(g, i, j).distance
-        assert d >= lam * round_angle(g.points[i], g.points[j]) * (1.0 - 1e-12)
-        d = distance_to_coords(g, i, target)[0]
-        assert d >= lam * round_angle(g.points[i], target) * (1.0 - 1e-12)
+    to_vertex = distances(g, pairs[:, 0], pairs[:, 1]).distance
+    to_coords = distances_to_coords(g, pairs[:, 0], targets).distance
+    for (i, j), target, dv, dc in zip(pairs, targets, to_vertex, to_coords):
+        assert dv >= lam * round_angle(g.points[i], g.points[j]) * (1.0 - 1e-12)
+        assert dc >= lam * round_angle(g.points[i], target) * (1.0 - 1e-12)
 
 
 def unpruned_refine(graph, raw_path, target_coords=None):
     """Corridor refinement over the whole tube, with no lower-bound pruning:
-    the same tube, arcs, costs and matrix layout as `_corridor_refine`."""
+    the same tube, arcs, costs and matrix layout as `per_query_refine`."""
     balls = graph.tree.query_ball_point(graph.points[raw_path],
                                         geodesy.CORRIDOR_TUBE_FACTOR * graph.median_chord)
-    corridor = np.unique(np.concatenate(balls))
-    node_pts = graph.points[corridor]
-    if target_coords is not None:
-        node_pts = np.vstack([node_pts, target_coords])
-    n = len(node_pts)
-    path = np.searchsorted(corridor, raw_path)
-    if target_coords is not None:
-        path = np.append(path, n - 1)
-    chord = 2.0 * math.sin(geodesy.CHUNK_ARC / 2.0)
-    pairs = geodesy.cKDTree(node_pts).query_pairs(chord, output_type="ndarray")
-    hops = np.minimum(path[:-1], path[1:]) * n + np.maximum(path[:-1], path[1:])
-    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], hops]))
-    i, j = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    node_cols = np.ascontiguousarray(node_pts.T)
-    forward, reverse = _arc_costs(graph.spec, np.take(node_cols, i, axis=1).T,
-                                  np.take(node_cols, j, axis=1).T)
-    sub = csr_matrix((np.concatenate([reverse, forward]),
-                      (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n))
-    return float(dijkstra(sub, directed=True, indices=path[0])[path[-1]])
+    return corridor_distance(graph, np.unique(np.concatenate(balls)), raw_path,
+                             target_coords)
 
 
 PRUNE_GRAPHS = [(ROUND3, 3000, 12, 60),
@@ -564,14 +635,35 @@ def prune_queries(g, seed):
     return pairs, sources, np.vstack([targets, beyond])
 
 
-def refined_answers(graphs):
-    answers = []
-    for g, (_, _, _, seed) in zip(graphs, PRUNE_GRAPHS):
-        pairs, sources, targets = prune_queries(g, seed)
-        answers += [distance(g, i, j).distance for i, j in pairs]
-        answers += [distance_to_coords(g, src, target)[0]
-                    for src, target in zip(sources, targets)]
-    return answers
+@pytest.fixture(scope="module")
+def prune_references(prune_graphs):
+    """Per graph: its queries and their per-query answers."""
+    out = []
+    for g, (_, _, _, seed) in zip(prune_graphs, PRUNE_GRAPHS):
+        queries = prune_queries(g, seed)
+        out.append((queries, reference_answers(g, *queries)))
+    return out
+
+
+@pytest.mark.parametrize("budget", [0, 2 ** 40], ids=["group-per-corridor", "one-group"])
+def test_batched_answers_equal_per_query_reference(prune_graphs, prune_references,
+                                                   monkeypatch, budget):
+    # queries include a self-pair, an antipode, a sample point as target and
+    # the targets just beyond a neighbour
+    matrices = []
+    real = geodesy.csr_matrix
+
+    def spy(*args, **kwargs):
+        matrices.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(geodesy, "csr_matrix", spy)
+    monkeypatch.setattr(geodesy, "GROUP_PAIRS", budget)
+    for g, (queries, reference) in zip(prune_graphs, prune_references):
+        batch = batch_answers(g, *queries)
+        for got, want in zip(batch, reference):
+            assert got.tolist() == want.tolist()        # to the last bit
+    queries = len(PRUNE_GRAPHS) * (48 + BEYOND_TARGETS)
+    assert len(matrices) == (queries if budget == 0 else 2 * len(PRUNE_GRAPHS))
 
 
 def test_pruned_corridor_answers_equal_unpruned(prune_graphs, monkeypatch):
@@ -583,11 +675,13 @@ def test_pruned_corridor_answers_equal_unpruned(prune_graphs, monkeypatch):
             sizes[label].append(len(data))
             return real(data, *args, **kwargs)
         return tree
-    monkeypatch.setattr(geodesy, "cKDTree", counting_tree("pruned"))
-    pruned = refined_answers(prune_graphs)
-    monkeypatch.setattr(geodesy, "cKDTree", counting_tree("unpruned"))
-    monkeypatch.setattr(geodesy, "_corridor_refine", unpruned_refine)
-    unpruned = refined_answers(prune_graphs)
+    pruned, unpruned = [], []
+    for g, (_, _, _, seed) in zip(prune_graphs, PRUNE_GRAPHS):
+        queries = prune_queries(g, seed)
+        monkeypatch.setattr(geodesy, "cKDTree", counting_tree("pruned"))
+        pruned += batch_answers(g, *queries)[0].tolist()
+        monkeypatch.setattr(geodesy, "cKDTree", counting_tree("unpruned"))
+        unpruned += reference_answers(g, *queries, refine=unpruned_refine)[0].tolist()
     assert len(pruned) == len(PRUNE_GRAPHS) * (48 + BEYOND_TARGETS)
     assert pruned == unpruned           # to the last bit
     # the pruning is not vacuous: the corridors shrank
@@ -599,18 +693,19 @@ def test_pruned_corridor_answers_equal_unpruned(prune_graphs, monkeypatch):
 
 def test_distance_self_is_zero():
     g = small_graph(n_points=600)
-    rep = distance(g, 17, 17)
-    assert rep.distance == 0.0
-    assert rep.hops == 0
+    rep = distances(g, [17], [17])
+    assert rep.distance.tolist() == [0.0]
+    assert rep.hops.tolist() == [0]
 
 
 def test_distance_adjacent_equals_edge_weight():
     g = small_graph(n_points=800)
     _, nearest = g.tree.query(g.points[5], k=6)
     heads, weights = out_edges(g, 5)
-    for j in nearest[1:]:
+    raw = distances(g, [5] * 5, nearest[1:]).raw
+    for j, d in zip(nearest[1:], raw):
         w = weights[np.where(heads == j)[0][0]]
-        assert abs(distance(g, 5, j).raw - w) <= 1e-12
+        assert abs(d - w) <= 1e-12
 
 
 def test_distance_rejects_bad_vertex_indices():
@@ -618,13 +713,22 @@ def test_distance_rejects_bad_vertex_indices():
     for source, target in [(0, -1), (-1, 5), (0, 600), (600, 0), (0, 2.0),
                            (0, "3"), (True, 5), (0, None)]:
         with pytest.raises(InvalidInput, match="vertex index"):
-            distance(g, source, target)
+            distances(g, [source], [target])
     point = g.points[5]
     for source in (700, -1, 1.5):
         with pytest.raises(InvalidInput, match="vertex index"):
-            distance_to_coords(g, source, point)
+            distances_to_coords(g, [source], [point])
     # numpy integers are vertex indices too
-    assert distance(g, np.int64(0), np.int32(5)).distance > 0.0
+    assert distances(g, [np.int64(0)], np.array([5], np.int32)).distance[0] > 0.0
+
+
+def test_distance_batches_need_one_target_per_source():
+    g = small_graph(n_points=600)
+    for sources, targets in [([0, 1], [5]), ([0], [5, 6]), ([], [])]:
+        with pytest.raises(InvalidInput, match="one target per source"):
+            distances(g, sources, targets)
+        with pytest.raises(InvalidInput, match="one target per source"):
+            distances_to_coords(g, sources, g.points[targets])
 
 
 def test_distance_to_coords_rejects_off_sphere_points():
@@ -637,54 +741,65 @@ def test_distance_to_coords_rejects_off_sphere_points():
            "off by 1e-8": p * (1.0 + 1e-8)}
     for coords in bad.values():
         with pytest.raises(InvalidInput, match="coordinates"):
-            distance_to_coords(g, 0, coords)
+            distances_to_coords(g, [0], [coords])
+    # one bad row refuses the batch
+    with pytest.raises(InvalidInput, match="unit sphere"):
+        distances_to_coords(g, [0, 1], [p, 5.0 * p])
+    # a flat point is not a batch of points
+    with pytest.raises(InvalidInput, match="shape"):
+        distances_to_coords(g, [0], p)
     # rounding-level deviations of the norm, as a flow's image has, pass
-    assert distance_to_coords(g, 0, p * (1.0 + 1e-12))[0] > 0.0
-    assert distance_to_coords(g, 0, list(p))[0] > 0.0
+    assert distances_to_coords(g, [0], [p * (1.0 + 1e-12)]).distance[0] > 0.0
+    assert distances_to_coords(g, [0], [list(p)]).distance[0] > 0.0
 
 
 def test_distance_round_antipodal_small_n():
     g = small_graph(n_points=4000, seed=9)
-    est, _, snap = distance_to_coords(g, 0, -g.points[0])
-    assert abs(est - math.pi) / math.pi <= 0.04
-    assert snap <= 3.0 * g.median_edge
+    rep = distances_to_coords(g, [0], -g.points[[0]])
+    assert abs(rep.distance[0] - math.pi) / math.pi <= 0.04
+    assert rep.snap[0] <= 3.0 * g.median_edge
+
+
+def test_antipode_search_runs_once_unbounded(monkeypatch):
+    # _arc_costs prices an antipodal pair 0, which bounded the search at 4
+    # median edges, so it always missed and ran twice
+    g = small_graph(n_points=4000, seed=9)
+    want = reference_distance_to_coords(g, 0, -g.points[0])
+    limits = record_raw_limits(monkeypatch, g)
+    rep = distances_to_coords(g, [0], -g.points[[0]])
+    assert limits == [math.inf]
+    assert (rep.distance[0], rep.raw[0], rep.hops[0], rep.snap[0]) == want
 
 
 def test_distance_round_symmetry():
     g = small_graph(n_points=4000, seed=10)
-    gen = RngStream(11).gen
-    for _ in range(5):
-        i, j = (int(v) for v in gen.integers(0, 4000, 2))
-        dij = distance(g, i, j).distance
-        dji = distance(g, j, i).distance
-        assert abs(dij - dji) / max(dij, dji) <= 0.02
+    pairs = RngStream(11).gen.integers(0, 4000, (5, 2))
+    dij = distances(g, pairs[:, 0], pairs[:, 1]).distance
+    dji = distances(g, pairs[:, 1], pairs[:, 0]).distance
+    assert np.all(np.abs(dij - dji) / np.maximum(dij, dji) <= 0.02)
 
 
 def test_distance_refinement_never_longer_than_raw():
     g = small_graph(n_points=1500, seed=12)
-    gen = RngStream(13).gen
-    for _ in range(10):
-        i, j = (int(v) for v in gen.integers(0, 1500, 2))
-        rep = distance(g, i, j)
-        assert rep.distance <= rep.raw + 1e-9
+    pairs = RngStream(13).gen.integers(0, 1500, (10, 2))
+    rep = distances(g, pairs[:, 0], pairs[:, 1])
+    assert np.all(rep.distance <= rep.raw + 1e-9)
 
 
 def test_distance_triangle_inequality_with_slack():
     g = small_graph(n_points=1500, seed=14)
-    gen = RngStream(15).gen
-    for _ in range(10):
-        x, y, z = (int(v) for v in gen.integers(0, 1500, 3))
-        dxz = distance(g, x, z).distance
-        dxy = distance(g, x, y).distance
-        dyz = distance(g, y, z).distance
-        assert dxz <= dxy + dyz + 2.0 * g.median_edge
+    x, y, z = RngStream(15).gen.integers(0, 1500, (10, 3)).T
+    dxz = distances(g, x, z).distance
+    dxy = distances(g, x, y).distance
+    dyz = distances(g, y, z).distance
+    assert np.all(dxz <= dxy + dyz + 2.0 * g.median_edge)
 
 
 def test_distance_convergence_across_density_levels():
     errs = []
     for n_points in (1000, 2000, 4000):
         g = build_graph(ROUND3, n_points, 12, RngStream(16).split(n_points))
-        est, _, _ = distance_to_coords(g, 0, -g.points[0])
+        est = distances_to_coords(g, [0], -g.points[[0]]).distance[0]
         errs.append(abs(est - math.pi))
     # monotone decrease within noise: each level at most 1.3x the previous
     assert errs[1] <= errs[0] * 1.3
@@ -697,19 +812,15 @@ def test_flow_invariance_of_distances():
     # discretization noise
     g = small_graph(spec=CW3, n_points=4000, seed=17)
     flow = u_flow(1j * np.diag([-0.5, 1.5]), 0.4)
-    gen = RngStream(18).gen
-    from cwspheres.flows import apply_flow
-    for _ in range(5):
-        i, j = (int(v) for v in gen.integers(0, 4000, 2))
-        d_before = distance(g, i, j).distance
-        pi_c = g.points[i][:2] + 1j * g.points[i][2:]
-        pj_c = g.points[j][:2] + 1j * g.points[j][2:]
-        qi = apply_flow(flow, pi_c)
-        qj = apply_flow(flow, pj_c)
-        si, vi = g.tree.query(np.concatenate([qi.real, qi.imag]))
-        d_after, _, _ = distance_to_coords(g, vi, np.concatenate([qj.real, qj.imag]))
-        # moving the source to its nearest vertex adds at most a hop of error
-        assert abs(d_after - d_before) <= 0.05 * max(d_before, 1.0) + 2 * si
+    pairs = RngStream(18).gen.integers(0, 4000, (5, 2))
+    d_before = distances(g, pairs[:, 0], pairs[:, 1]).distance
+    ends = g.points[pairs.ravel()]
+    moved = apply_flow(flow, ends[:, :2] + 1j * ends[:, 2:])
+    moved = np.concatenate([moved.real, moved.imag], axis=1).reshape(5, 2, 4)
+    si, vi = g.tree.query(moved[:, 0])
+    d_after = distances_to_coords(g, vi, moved[:, 1]).distance
+    # moving the source to its nearest vertex adds at most a hop of error
+    assert np.all(np.abs(d_after - d_before) <= 0.05 * np.maximum(d_before, 1.0) + 2 * si)
 
 
 @pytest.fixture(scope="module")
@@ -729,14 +840,10 @@ def bounded_queries(g):
 def query_answers(g, pairs, sources, targets):
     """Raw distance, hops and refined distance of every vertex query, then
     raw and refined distance of every off-sample query."""
-    answers = []
-    for i, j in pairs:
-        rep = distance(g, i, j)
-        answers.append((rep.raw, rep.hops, rep.distance))
-    for src, target in zip(sources, targets):
-        refined, raw, _ = distance_to_coords(g, src, target)
-        answers.append((raw, refined))
-    return answers
+    vertex = distances(g, pairs[:, 0], pairs[:, 1])
+    coords = distances_to_coords(g, sources, targets)
+    return (list(zip(vertex.raw, vertex.hops, vertex.distance))
+            + list(zip(coords.raw, coords.distance)))
 
 
 def record_raw_limits(monkeypatch, g):
@@ -755,7 +862,7 @@ def record_raw_limits(monkeypatch, g):
 @pytest.fixture(scope="module")
 def unbounded_answers(readme_graph):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geodesy, "_raw_limit", lambda *args: math.inf)
+        mp.setattr(geodesy, "_raw_limits", lambda g, sources, coords: np.full(len(sources), math.inf))
         return query_answers(readme_graph, *bounded_queries(readme_graph))
 
 
@@ -773,7 +880,7 @@ def test_bounded_dijkstra_matches_unbounded(readme_graph, unbounded_answers,
 def test_bounded_dijkstra_fallback_on_forced_miss(readme_graph,
                                                   unbounded_answers,
                                                   monkeypatch):
-    monkeypatch.setattr(geodesy, "_raw_limit", lambda *args: 0.0)
+    monkeypatch.setattr(geodesy, "_raw_limits", lambda g, sources, coords: np.zeros(len(sources)))
     limits = record_raw_limits(monkeypatch, readme_graph)
     pairs, sources, targets = bounded_queries(readme_graph)
     answers = query_answers(readme_graph, pairs[:10], sources[:10], targets[:10])
@@ -818,9 +925,9 @@ def test_displacement_family_mismatch():
 
 def test_sp_graph_builds_and_connects():
     g = build_graph(SP7, 900, 10, RngStream(27))
-    rep = distance(g, 0, 500)
-    assert 0.0 < rep.raw < math.inf
+    rep = distances(g, [0], [500])
+    assert 0.0 < rep.raw[0] < math.inf
     # the samples lie further apart than CHUNK_ARC here (median edge chord
     # 0.61 on S^7), so the corridor is joined by the raw path's own hops
-    assert 0.0 < rep.distance < math.inf
+    assert 0.0 < rep.distance[0] < math.inf
 
