@@ -394,8 +394,9 @@ def _corridor(graph: SphereGraph, raw_path, ends, bound, off_sample):
     are always kept.
     """
     balls = graph.tree.query_ball_point(graph.points[raw_path],
-                                        CORRIDOR_TUBE_FACTOR * graph.median_chord)
-    corridor = np.unique(np.concatenate(balls))
+                                        CORRIDOR_TUBE_FACTOR * graph.median_chord,
+                                        return_sorted=False)
+    corridor = np.sort(np.fromiter(set().union(*balls), dtype=np.intp))
     lam = _min_unit_norm(graph.spec)
     # the pruning test needs no fixed bits: its margins absorb any rounding
     angles = np.arccos(np.clip(graph.points[corridor] @ ends[[0, -1]].T, -1.0, 1.0))
