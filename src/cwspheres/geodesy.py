@@ -42,7 +42,8 @@ Dijkstra, since each has its own bound.  The corridors are then refined a
 group at a time: a group holds corridors of at most `GROUP_PAIRS` = 2^15
 point pairs n(n - 1)/2 in all, and becomes one block-diagonal matrix
 priced by one arc-cost call and answered by one multi-source Dijkstra.
-No answer moves by a bit.  Every cost kernel works element by element,
+The budget bounds the memory of a group, whatever the batch size.  No
+answer moves by a bit.  Every cost kernel works element by element,
 so a cost does not depend on which batch it is computed in.  The blocks
 are disconnected, so the distance of each corridor's end from the
 nearest start is its distance from its own start, and that is the
