@@ -905,6 +905,18 @@ def test_displacement_hopf_rotation_constant():
     assert abs(prof.mean - 0.5) <= 0.05
 
 
+def test_displacement_batch_size_keeps_the_bits():
+    # 7 points in batches of 1, 3 (a short last batch) and all at once
+    g = small_graph(n_points=900, seed=19)
+    flow = u_flow(1j * np.eye(2), 0.5)
+    profs = [displacement_profile(g, flow, 7, RngStream(24), batch=b) for b in (1, 3, None)]
+    for prof in profs[:2]:
+        assert prof.displacements.tobytes() == profs[2].displacements.tobytes()
+        assert (prof.snap_max, prof.rel_spread) == (profs[2].snap_max, profs[2].rel_spread)
+    with pytest.raises(InvalidInput, match="batch"):
+        displacement_profile(g, flow, 7, RngStream(24), batch=0)
+
+
 def test_displacement_points_beyond_vertex_count_is_usage_error():
     g = small_graph(n_points=600)
     flow = u_flow(1j * np.eye(2), 0.5)
