@@ -27,9 +27,11 @@ flows
     of matrices, geodesic non-intersection probe.
 geodesy
     Sampled sphere graphs and the shortest-path distance oracle (refined
-    and raw distances).
+    and raw distances); the one module that imports scipy.
 checks
-    The nine `verify` checks, each returning a typed report.
+    The nine `verify` checks, each returning a typed report; only
+    `displacement` and `oracle` import geodesy, when they are called, so
+    the other seven never load scipy.
 cli
     Command-line front end that formats the reports.
 """

@@ -1,7 +1,10 @@
 """The nine `verify` checks: each draws from the random streams it is
 given, applies its fixed thresholds and returns a `CheckReport`.  The CLI
 derives the streams from --seed and formats the report; the acceptance
-suite calls the same functions with its own streams."""
+suite calls the same functions with its own streams.
+
+Only `displacement` and `oracle` build a graph; they import `geodesy`, and
+with it scipy, when called, so the other seven checks never load scipy."""
 
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geodesy
 from .cosets import sp_algebra
 from .errors import InvalidInput
 from .flows import (T_GRID, block_angle_unitary, commutator_eig1_persistence,
@@ -239,6 +241,8 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
     _require_generator_config(spec, params, "displacement")
     if not 2 <= points <= n_points:
         raise InvalidInput(f"displacement needs 2 to {n_points} points, not {points}")
+    from . import geodesy
+
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(spec, n_points, k, graph_rng)
     start = time.perf_counter()
@@ -260,6 +264,8 @@ def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     """Distance oracle on the round S^3: antipode against pi, symmetry of
     ten pairs of distinct vertices and the spread of a Hopf rotation's
     displacement."""
+    from . import geodesy
+
     log.info("building %d-point graph", n_points)
     graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
     start = time.perf_counter()

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput
 from .matrixcore import (BLOCK_ENTRIES, as_skew_hermitian, as_unitary, conj_t,
@@ -78,6 +77,37 @@ def apply_flow(f: FlowIsometry, points):
     return np.array(moved).reshape(v.shape)
 
 
+def _row_norms(v):
+    """Euclidean norm of each row of a real or complex (P, d) array, to the
+    bit what np.linalg.norm gives for that row alone: a row's norm squares
+    with a dot product, and a stacked matmul of rows takes the same dot."""
+    sq = (v.real[:, None, :] @ v.real[:, :, None])[:, 0, 0]
+    if np.iscomplexobj(v):
+        sq = sq + (v.imag[:, None, :] @ v.imag[:, :, None])[:, 0, 0]
+    return np.sqrt(sq)
+
+
+def _max_pairwise_distance(pts):
+    """Largest Euclidean distance between two rows of the (P, d) array
+    `pts`, over row blocks of the distance matrix, each row against itself
+    and the rows after it: bounded memory, and scipy's pdist maximum to the
+    bit, since both add the squared coordinate differences in order."""
+    cols = np.ascontiguousarray(pts.T)
+    rows = max(1, BLOCK_ENTRIES // len(pts))
+    worst = 0.0
+    for top in range(0, len(pts), rows):
+        sq = None
+        for col in cols:
+            diff = np.subtract.outer(col[top:top + rows], col[top:])
+            diff *= diff
+            if sq is None:
+                sq = diff
+            else:
+                sq += diff
+        worst = max(worst, float(sq.max()))
+    return math.sqrt(worst)
+
+
 def endpoint_focus_check(vnorm, rng, samples=100):
     """Spread of time-pi flow endpoints on S^3 in C^2 over random unit
     generators, and their distance from the predicted endpoint.
@@ -89,7 +119,9 @@ def endpoint_focus_check(vnorm, rng, samples=100):
     the largest pairwise C^2 distance between the endpoints of one start
     point, over a few random start points each probed with `samples`
     random unit X, and the largest |end + exp(-i pi vnorm) z| over the same
-    endpoints; a spread needs at least two samples.
+    endpoints; a spread needs at least two samples.  A start point's
+    generators are exponentiated as one stack and its endpoints
+    renormalized row by row: the same bits as `apply_flow` on each flow.
     """
     # refuses nan and inf too, before vnorm enters any product
     if not abs(vnorm) < 1.0:
@@ -106,19 +138,12 @@ def endpoint_focus_check(vnorm, rng, samples=100):
         p = g_rng.gen.standard_normal(4)
         p /= np.linalg.norm(p)
         z = np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])      # g e_1
-        ends = []
-        for x_rng in x_rngs:
-            x3 = x_rng.gen.standard_normal(3)
-            a, b, c = x3 / np.linalg.norm(x3)
-            x = np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])
-            ends.append(apply_flow(u_flow(x + shift, math.pi), z))
-        ends = np.array(ends)
-        pts = ends.view(float)
-        # row blocks of the distance matrix, each row against itself and the
-        # rows after it: the pairwise maximum in bounded memory
-        rows = max(1, BLOCK_ENTRIES // len(pts))
-        for top in range(0, len(pts), rows):
-            spread = max(spread, float(np.max(cdist(pts[top:top + rows], pts[top:]))))
+        x3 = np.array([x_rng.gen.standard_normal(3) for x_rng in x_rngs])
+        a, b, c = (x3 / _row_norms(x3)[:, None]).T
+        x = np.moveaxis(np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]]), -1, 0)
+        ends = expm_skew(x + shift, math.pi) @ z
+        ends /= _row_norms(ends)[:, None]
+        spread = max(spread, _max_pairwise_distance(ends.view(float)))
         identity = max(identity, float(np.linalg.norm(ends + phase * z, axis=1).max()))
     return spread, identity
 

@@ -378,6 +378,51 @@ def test_verify_endpoints_many_trials_fit_in_bounded_memory():
     assert proc.stdout.splitlines()[1].startswith("endpoint_spread,")
 
 
+# In a fresh interpreter, imports the CLI, then makes the CLI calls of the
+# JSON list argv[1], writing each report to the null device.  Prints, as
+# JSON, the exit code of each call and the scipy and geodesy modules loaded
+# after the import and after each call.
+LOADED_MODULES = """
+import json, os, sys
+from cwspheres.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "cwspheres.geodesy")
+
+steps = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([main([*argv, "--out", os.devnull]), loaded()])
+print(json.dumps(steps))
+"""
+
+GRAPHLESS_RUNS = (
+    ("verify", "eigenlemma", "--n", "2", "--trials", "2"),
+    ("verify", "orbit", "--trials", "100"),
+    ("verify", "sp-central", "--trials", "100"),
+    ("verify", "commutator", "--trials", "2"),
+    ("verify", "nonintersection", "--trials", "2"),
+    ("verify", "endpoints", "--trials", "2"),
+    ("verify", "sp-witness"),
+)
+
+
+def test_only_the_graph_checks_load_scipy():
+    # scipy takes about half a second to import; the seven checks that build
+    # no graph never load it, and displacement loads it with geodesy
+    src = Path(__file__).resolve().parents[1] / "src"
+    graph_run = ("verify", "displacement", "--n-points", "600", "--points", "2")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, json.dumps([*GRAPHLESS_RUNS, graph_run])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps[:-1] == [[None, []]] + [[0, []]] * len(GRAPHLESS_RUNS)
+    code, modules = steps[-1]
+    assert code == 0 and "cwspheres.geodesy" in modules and "scipy" in modules
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "orbit", "--trials", "100", "--L", "0"),
     ("verify", "orbit", "--trials", "100", "--L=-1"),

@@ -167,16 +167,15 @@ def test_endpoint_spread_equals_pdist_maximum(monkeypatch, entries):
     # the spread is the maximum over row blocks of the distance matrix, each
     # row against itself and the rows after it; it must be the pdist
     # maximum to the bit, with 2 row blocks of the 520 endpoints or 58
-    samples, ends, real = 520, [], flows.cdist
+    samples, ends, real = 520, [], flows._max_pairwise_distance
 
-    def spy(block, rows):
-        if len(rows) == samples:        # the first block sees every endpoint
-            ends.append(rows)
-        return real(block, rows)
+    def spy(pts):
+        ends.append(pts.copy())
+        return real(pts)
     monkeypatch.setattr(flows, "BLOCK_ENTRIES", entries)
-    monkeypatch.setattr(flows, "cdist", spy)
+    monkeypatch.setattr(flows, "_max_pairwise_distance", spy)
     spread, _ = endpoint_focus_check(0.5, samples=samples, rng=RngStream(81))
-    assert len(ends) == ENDPOINT_BASE_POINTS
+    assert [e.shape for e in ends] == [(samples, 4)] * ENDPOINT_BASE_POINTS
     assert spread == max(float(np.max(pdist(e))) for e in ends)
 
 
@@ -206,6 +205,34 @@ def test_endpoint_focus_check_matches_su2_reference_on_its_streams():
             ends + np.exp(-1j * math.pi * vnorm) * g[:, 0], axis=1)))
     np.testing.assert_allclose([spread, identity], [ref_spread, ref_identity],
                                rtol=1e-12, atol=1e-17)
+
+
+@pytest.mark.parametrize("vnorm, samples, seed", [(0.5, 20, 0), (-0.3, 257, 82),
+                                                   (0.9, 2, 83)])
+def test_endpoint_focus_check_keeps_the_bits_of_one_flow_per_sample(
+        monkeypatch, vnorm, samples, seed):
+    # a start point's generators are exponentiated as one stack; its
+    # endpoints equal those of apply_flow on one flow at a time, to the bit
+    seen, real = [], flows._max_pairwise_distance
+
+    def spy(pts):
+        seen.append(pts.copy())
+        return real(pts)
+    monkeypatch.setattr(flows, "_max_pairwise_distance", spy)
+    rng, shift = RngStream(seed), -1j * vnorm * np.eye(2)
+    spread, identity = endpoint_focus_check(vnorm, samples=samples, rng=rng)
+    ref_identity = 0.0
+    for bp, pts in zip(range(ENDPOINT_BASE_POINTS), seen, strict=True):
+        g_rng = rng.split(bp)
+        x_rngs = seed_block([g_rng, *(g_rng.split(k + 1) for k in range(samples))])[1:]
+        z = random_c2_point(g_rng)
+        ends = np.array([apply_flow(u_flow(su2_matrix(random_unit_vec3(x_rng)) + shift,
+                                           math.pi), z) for x_rng in x_rngs])
+        assert np.array_equal(pts, ends.view(float))
+        ref_identity = max(ref_identity, float(np.linalg.norm(
+            ends + np.exp(-1j * math.pi * vnorm) * z, axis=1).max()))
+    assert (spread, identity) == (max(float(np.max(pdist(pts))) for pts in seen),
+                                  ref_identity)
 
 
 def test_endpoint_focus_negative_control_non_unit_generator():

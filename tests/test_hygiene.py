@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level function or class goes unreferenced.
+no module-level function or class goes unreferenced, and scipy stays off
+the import path of the checks that build no graph.
 
 `ast` scans, so they need no linter.  An imported name is used when it
 appears as an `ast.Name` anywhere in the module; an import statement
@@ -11,7 +12,9 @@ imported name, or a string that spells it (`getattr(checks, name)`,
 `monkeypatch.setattr(mod, "name", ...)`, the tracer's dotted span names).
 References from the unit tests do not count: library surface that only
 they exercise is dead weight, and a unit test that needs such a helper
-keeps its own copy.
+keeps its own copy.  Only `geodesy` builds graphs, so only it may import
+scipy, and `checks` imports it inside the two graph checks alone: an
+import statement inside a function body runs when the function is called.
 """
 
 import ast
@@ -131,3 +134,66 @@ def test_orphan_scan_ignores_unit_test_references(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert package_orphans(tmp_path) == ["for_unit_test"]
+
+
+def imported_names(text, at_import_time=False):
+    """(line, dotted name) of each module or name that `text` imports, a
+    relative import with its leading dots (`from . import geodesy` gives
+    `.geodesy`).  With `at_import_time`, only the import statements outside
+    function bodies: those run when the module itself is imported."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if at_import_time and isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = "." * child.level + (child.module or "")
+                sep = "" if base.endswith(".") else "."
+                found.extend((child.lineno, base + sep + alias.name)
+                             for alias in child.names)
+            visit(child)
+    visit(ast.parse(text))
+    return found
+
+
+def scipy_path_violations(texts):
+    """(file, line, name) of each import of scipy outside geodesy.py, and of
+    each import of geodesy that runs when checks.py is imported; `texts`
+    maps a module's file name to its source."""
+    out = []
+    for name, text in texts.items():
+        if name != "geodesy.py":
+            out += [(name, line, mod) for line, mod in imported_names(text)
+                    if mod.split(".")[0] == "scipy"]
+        if name == "checks.py":
+            out += [(name, line, mod)
+                    for line, mod in imported_names(text, at_import_time=True)
+                    if "geodesy" in mod.split(".")]
+    return sorted(out)
+
+
+def test_scipy_is_imported_by_geodesy_alone():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert scipy_path_violations(texts) == []
+
+
+def test_scipy_scan_flags_crafted_imports():
+    texts = {"flows.py": ("import numpy as np\n"
+                          "from scipy.spatial.distance import cdist\n"),
+             "cosets.py": ("def project(x):\n"
+                           "    import scipy.linalg as sl\n"
+                           "    return sl.qr(x)\n"),
+             "geodesy.py": "from scipy.sparse import csr_matrix\n",
+             "checks.py": ("from . import geodesy\n"
+                           "class Report:\n"
+                           "    from .geodesy import build_graph\n"
+                           "def oracle():\n"
+                           "    from . import geodesy\n"
+                           "    return geodesy\n")}
+    assert scipy_path_violations(texts) == [
+        ("checks.py", 1, ".geodesy"), ("checks.py", 3, ".geodesy.build_graph"),
+        ("cosets.py", 2, "scipy.linalg"), ("flows.py", 2, "scipy.spatial.distance.cdist")]
