@@ -23,7 +23,7 @@ from .flows import (T_GRID, block_angle_unitary, commutator_eig1_persistence,
                     phase_bound_check, u_flow)
 from .killing import orbit_generator, orbit_length_report, sp_witness_pair
 from .matrixcore import QuaternionMatrix, haar_unitary, seed_block, trial_blocks
-from .randers import SP_SPHERE, U_SPHERE, require_valid, round_spec
+from .randers import SP_SPHERE, U_SPHERE, round_spec
 
 log = logging.getLogger("cwspheres")
 
@@ -191,7 +191,6 @@ def sp_central(spec, trials, rng) -> CheckReport:
     """Orbit lengths of the candidates (k from `rng.split(k)`): with a2 != b
     only the central one sweeps a level set of the metric."""
     _require_sp(spec, "sp-central")
-    require_valid(spec)     # before its n sizes the candidates
     if spec.n > SP_CENTRAL_MAX_N:
         raise InvalidInput(f"sp-central needs a config n of at most {SP_CENTRAL_MAX_N}, "
                            f"not {spec.n}")
@@ -267,7 +266,7 @@ def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
     from . import geodesy
 
     log.info("building %d-point graph", n_points)
-    graph = geodesy.build_graph(round_spec(U_SPHERE, 1), n_points, k, graph_rng)
+    graph = geodesy.build_graph(round_spec(), n_points, k, graph_rng)
     start = time.perf_counter()
     anti = float(geodesy.distances_to_coords(graph, [0], -graph.points[[0]]).distance[0])
     anti_err = abs(anti - math.pi) / math.pi

@@ -19,23 +19,23 @@ import os
 import sys
 
 from . import checks
-from .errors import CwError, InfeasibleParams, InvalidInput
+from .errors import CwError, InfeasibleParams, InvalidInput, InvalidSpec
 # `cli.phase_bound_check` stays importable: perfbench/test_perfbench.py
 # checks that the tracer rebinds this alias of the flows function.
 from .flows import phase_bound_check  # noqa: F401
 from .killing import (IDENTITY_RESIDUAL_TOL, OrbitParams, constant_length_identity,
                       solve_metric)
 from .matrixcore import RngStream, seed_block
-from .randers import (SP_SPHERE, RandersSpec, spec_from_json, spec_to_json,
-                      validate_spec)
+from .randers import SP_SPHERE, RandersSpec, spec_from_json, spec_to_json
 
 _SP_DEFAULT = RandersSpec(SP_SPHERE, n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)  # on S^11
 
 
 def _setup_logging():
-    level = os.environ.get("RANDERS_LOG", "warning").upper()
+    """Log level from RANDERS_LOG; a value that names no level is WARNING."""
+    level = logging.getLevelName(os.environ.get("RANDERS_LOG", "warning").upper())
     logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING),
+                        level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(message)s")
 
 
@@ -51,8 +51,11 @@ def _load_spec(path):
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -66,11 +69,10 @@ def _params_from_args(args):
 # --------------------------------------------------------------------------
 
 def cmd_validate(args):
-    spec = _load_spec(args.config)
-    violations = validate_spec(spec)
-    if violations:
-        for v in violations:
-            print(v)
+    try:
+        _load_spec(args.config)
+    except InvalidSpec as exc:
+        print("\n".join(exc.violations))
         return 1
     print("ok")
     return 0

@@ -24,7 +24,7 @@ from .errors import InvalidInput
 from .matrixcore import (QuaternionMatrix, RngStream, as_quaternion_skew,
                          as_skew_hermitian, conjugate, haar_symplectic,
                          haar_unitary, qabs, trial_blocks)
-from .randers import SP_SPHERE, U_SPHERE, RandersSpec, m1_norm_sq, require_valid
+from .randers import SP_SPHERE, U_SPHERE, RandersSpec, m1_norm_sq
 
 UNIT_TOL = 1e-9
 
@@ -84,7 +84,6 @@ def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
     U(n+1) or Sp(n+1), a block of trials at a time.  `e` must belong to
     the spec's family and be (n+1) x (n+1).
     """
-    require_valid(spec)
     if e.family != spec.family:
         raise InvalidInput(f"algebra family {e.family!r} != spec family {spec.family!r}")
     dim = spec.n + 1

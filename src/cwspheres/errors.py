@@ -9,6 +9,14 @@ class InvalidInput(CwError):
     """Malformed or out-of-domain input (shape mismatch, non-finite data, ...)."""
 
 
+class InvalidSpec(InvalidInput):
+    """Randers metric parameters that break an invariant, each named in `.violations`."""
+
+    def __init__(self, violations):
+        super().__init__("invalid Randers spec: " + "; ".join(violations))
+        self.violations = violations
+
+
 class InfeasibleParams(CwError):
     """Parameter set violates a feasibility inequality."""
 

@@ -61,8 +61,9 @@ def apply_flow(f: FlowIsometry, points):
 
     Output is renormalized onto the sphere; the drift removed this way is
     at machine-precision scale because the exponential is exactly unitary.
-    exp(tX) is computed once; each point is multiplied and renormalized on
-    its own, since a stacked product rounds differently.
+    exp(tX) is computed once and multiplies every point as a stack of
+    matrix-vector products, one per point, so each row gets the bits of
+    `exp(tX) @ row` and of its own norm.
     """
     v = np.asarray(points, dtype=complex)
     if v.ndim not in (1, 2) or v.shape[-1] != f.x.shape[0]:
@@ -70,11 +71,9 @@ def apply_flow(f: FlowIsometry, points):
     if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
         raise InvalidInput("point is off the unit sphere")
     e = expm_skew(f.x, f.t)
-    moved = []
-    for row in np.atleast_2d(v):
-        out = e @ row
-        moved.append(out / np.linalg.norm(out))
-    return np.array(moved).reshape(v.shape)
+    rows = np.atleast_2d(v)
+    moved = (np.broadcast_to(e, (len(rows), *e.shape)) @ rows[:, :, None])[:, :, 0]
+    return (moved / _row_norms(moved)[:, None]).reshape(v.shape)
 
 
 def _row_norms(v):

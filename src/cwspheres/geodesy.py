@@ -71,7 +71,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInput, ResolutionTooCoarse
 from .flows import FlowIsometry, apply_flow
-from .randers import U_SPHERE, RandersSpec, randers_norm_array, require_valid
+from .randers import U_SPHERE, RandersSpec, randers_norm_array
 
 MIN_POINTS = 500
 MIN_DEGREE = 8
@@ -192,7 +192,6 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
     """Sample `n_points` points of the spec's sphere and connect each to its
     k nearest (Euclidean) neighbours by directed edges weighted with the
     invariant norm of the tangent-projected chord."""
-    require_valid(spec)
     n_points, k = int(n_points), int(k)
     if n_points < MIN_POINTS:
         raise InvalidInput(f"need at least {MIN_POINTS} points")

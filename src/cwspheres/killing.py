@@ -17,7 +17,7 @@ from .cosets import (AlgebraElement, align_imaginary_to_i, orbit_projection_samp
                      project_to_m, sp_permutation, sp_unit_diag, u_algebra)
 from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissible
 from .matrixcore import QuaternionMatrix, qmul
-from .randers import SP_SPHERE, U_SPHERE, RandersSpec, randers_norm_array, require_valid
+from .randers import SP_SPHERE, U_SPHERE, RandersSpec, randers_norm_array
 
 CONSTANT_TOL_FACTOR = 1e-8
 # `solve` passes when every identity residual is within this bound.
@@ -95,16 +95,14 @@ def solve_metric(p: OrbitParams) -> RandersSpec:
     with sigma the orbit center and R the orbit radius.  The denominator
     is positive exactly when the opposite-sign phase condition holds.
     """
-    # products, not `** 2`: an overflow must reach require_valid as inf
+    # products, not `** 2`: an overflow must reach the spec's check as inf
     denom = p.radius * p.radius - p.center * p.center
     if denom <= 0:
         raise InfeasibleParams("orbit sphere does not surround the origin")
     b = p.L * p.L / denom
     c = -(b / p.L) * p.center
     a = b + c * c
-    spec = RandersSpec(U_SPHERE, n=p.n, a=a, b=b, c=c)
-    require_valid(spec)
-    return spec
+    return RandersSpec(U_SPHERE, n=p.n, a=a, b=b, c=c)
 
 
 def f_poly(s: RandersSpec, p: OrbitParams):
@@ -116,7 +114,6 @@ def f_poly(s: RandersSpec, p: OrbitParams):
     """
     if s.family != U_SPHERE:
         raise InvalidInput("f_poly expects a u_sphere spec")
-    require_valid(s)
     k2 = (s.a - s.b) * p.x2 ** 2
     k1 = (p.l - p.m) * p.x2 ** 2 * s.b + 2.0 * s.a * p.x1 * p.x2
     k0 = p.x2 ** 2 * s.b * p.m * p.l + s.a * p.x1 ** 2
@@ -143,7 +140,6 @@ def eq_root_pair(s: RandersSpec, L):
     """
     if s.family == SP_SPHERE:
         raise InvalidInput("eq_root_pair expects a u_sphere spec")
-    require_valid(s)
     L = float(L)
     sq = math.sqrt(s.a)
     return (L / (sq + s.c), -L / (sq - s.c))
@@ -158,7 +154,6 @@ def central_kvf_phases(s: RandersSpec, L):
     """
     if s.family != U_SPHERE:
         raise InvalidInput("central_kvf_phases expects a u_sphere spec")
-    require_valid(s)
     if abs(s.a - (s.b + s.c ** 2)) > 1e-10:
         raise NotKvfAdmissible(
             f"a = b + c^2 fails: a={s.a!r}, b + c^2={s.b + s.c ** 2!r}")
@@ -193,9 +188,8 @@ def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
     their metric values.
 
     Verdict is "constant" iff max - min <= CONSTANT_TOL_FACTOR * L, with L
-    defaulting to the sample mean when not prescribed.  The sampler
-    refuses an invalid `s` before any draw; all samples go through one
-    norm evaluation.
+    defaulting to the sample mean when not prescribed.  All samples go
+    through one norm evaluation.
     """
     trials = int(trials)
     if trials < 100:
@@ -236,7 +230,6 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     """
     if s.family != SP_SPHERE:
         raise InvalidInput("sp_witness_pair expects an sp_sphere spec")
-    require_valid(s)
     if x.shape != (s.n + 1, s.n + 1):
         raise InvalidInput("matrix size does not match the coset rank")
     if s.c == 0.0:

@@ -15,6 +15,10 @@ the u_sphere metrics with n = 1.
 The reference inner product <.,.>_eq is the a = b = 1 (resp.
 a1 = a2 = b = 1) case; orbit centers and radii elsewhere in the package
 are always measured in it.
+
+A `RandersSpec` checks positive coefficients, the Randers condition |c| <
+sqrt(a) (resp. sqrt(a1)) and a2 != b when it is built, and raises
+`InvalidSpec` if any fails; no function that takes a spec checks it again.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, InvalidSpec
 
 U_SPHERE = "u_sphere"
 SP_SPHERE = "sp_sphere"
@@ -43,7 +47,7 @@ class RandersSpec:
 
     u_sphere uses (a, b, c); sp_sphere uses (a1, a2, b, c).  Unused
     coefficients stay None.  `n` is the coset rank: S^(2n+1) for u_sphere,
-    S^(4n+3) for sp_sphere.
+    S^(4n+3) for sp_sphere.  Building an invalid spec raises `InvalidSpec`.
     """
 
     family: str
@@ -54,15 +58,18 @@ class RandersSpec:
     a1: float = None
     a2: float = None
 
-
-def round_spec(family=U_SPHERE, n=1):
-    """The symmetric (round) metric of the given family."""
-    if family == SP_SPHERE:
-        return RandersSpec(SP_SPHERE, n=n, a1=1.0, a2=1.0, b=1.0, c=0.0)
-    return RandersSpec(family, n=n, a=1.0, b=1.0, c=0.0)
+    def __post_init__(self):
+        violations = _validate_spec(self)
+        if violations:
+            raise InvalidSpec(violations)
 
 
-def validate_spec(s: RandersSpec):
+def round_spec(n=1):
+    """The symmetric (round) u_sphere metric on S^(2n+1)."""
+    return RandersSpec(U_SPHERE, n=n, a=1.0, b=1.0, c=0.0)
+
+
+def _validate_spec(s: RandersSpec):
     """Return the list of violated invariants (empty list means valid).
 
     Each entry names the failed inequality.  For sp_sphere the full
@@ -97,13 +104,6 @@ def validate_spec(s: RandersSpec):
     return violations
 
 
-def require_valid(s: RandersSpec):
-    violations = validate_spec(s)
-    if violations:
-        raise InvalidInput("invalid Randers spec: " + "; ".join(violations))
-    return s
-
-
 # --------------------------------------------------------------------------
 # norm evaluation
 # --------------------------------------------------------------------------
@@ -125,7 +125,6 @@ def randers_norm_array(s: RandersSpec, m0, usq):
     homogeneous of degree one and F(0) = 0.  The one-form beta pairs y
     with the distinguished m0 axis (q, resp. l1), weighted by c.
     """
-    require_valid(s)
     width = 3 if s.family == SP_SPHERE else 1
     if np.ndim(m0) < 1 or np.shape(m0)[-1] != width:
         raise InvalidInput(f"{s.family} m0 needs {width} coordinate(s) on its last "

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwspheres import checks, geodesy
+from cwspheres import checks, cli, geodesy
 from cwspheres.cli import main
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.randers import spec_from_json, spec_to_json
@@ -79,12 +80,35 @@ def test_validate_missing_file_is_usage_error(capsys):
     assert code == 2 and "cannot read config" in err
 
 
+@pytest.mark.parametrize("value,level", [
+    ("basic_format", logging.WARNING), ("_styles", logging.WARNING),
+    ("bogus", logging.WARNING), ("info", logging.INFO),
+])
+def test_randers_log_accepts_level_names_only(monkeypatch, value, level):
+    # upper-cased, `basic_format` and `_styles` are attributes of `logging`
+    # that name no level; like any other such value they mean WARNING
+    seen = {}
+    monkeypatch.setenv("RANDERS_LOG", value)
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
+    cli._setup_logging()
+    assert seen["level"] == level
+
+
 @pytest.mark.parametrize("n", ["true", "1.7"])
 def test_validate_non_integer_n_is_usage_error(tmp_path, capsys, n):
     cfg = tmp_path / "spec.json"
     cfg.write_text(f'{{"family": "u_sphere", "n": {n}, "a": 1.0, "b": 1.0, "c": 0.0}}')
     code, out, err = run(capsys, "validate", "--config", str(cfg))
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/d/r.csv"])
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys, target):
+    out = tmp_path if target == "directory" else tmp_path / target
+    code, stdout, err = run(capsys, "verify", "sp-witness", "--out", str(out))
+    assert code == 2 and stdout == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot write report:")
 
 
 @pytest.mark.parametrize("argv", [

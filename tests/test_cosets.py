@@ -5,7 +5,7 @@ from cwspheres.cosets import (AlgebraElement, align_imaginary_to_i,
                               orbit_projection_sample, permutation_matrix,
                               project_to_m, sp_algebra, sp_permutation,
                               sp_unit_diag, u_algebra)
-from cwspheres.errors import InvalidInput
+from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import orbit_length_report
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre, conjugate,
                                   haar_symplectic, qabs, qmul, symplectic_defect)
@@ -65,27 +65,28 @@ def test_project_linearity():
 
 
 def test_project_family_mismatch():
-    # the orbit sampler refuses an invalid spec, an element of another
-    # family, or one of a size other than the coset rank's, before any draw
+    # no invalid spec reaches the orbit sampler: it is refused as it is
+    # built; the sampler refuses an element of another family, or one of a
+    # size other than the coset rank's, before any draw
     sp_elem = sp_algebra(sp_scaled_identity(0.8, 2))
-    for spec in (round_spec("sp_sphere", 1),                # a2 = b
-                 RandersSpec("u_sphere", n=0, a=1.0, b=1.0),
-                 RandersSpec("su2", a=1.0, b=1.0)):
-        with pytest.raises(InvalidInput, match="invalid Randers spec"):
-            orbit_projection_sample(spec, sp_elem, 10, RngStream(28))
+    for fields in (dict(family="sp_sphere", a1=1.0, a2=1.0, b=1.0),   # a2 = b
+                   dict(family="u_sphere", n=0, a=1.0, b=1.0),
+                   dict(family="su2", a=1.0, b=1.0)):
+        with pytest.raises(InvalidSpec, match="invalid Randers spec"):
+            orbit_projection_sample(RandersSpec(**fields), sp_elem, 10, RngStream(28))
     with pytest.raises(InvalidInput, match="family"):
-        orbit_projection_sample(round_spec("u_sphere", 1), sp_elem, 10, RngStream(28))
+        orbit_projection_sample(round_spec(1), sp_elem, 10, RngStream(28))
     with pytest.raises(InvalidInput, match="family"):
-        orbit_length_report(round_spec("u_sphere", 1), sp_elem, RngStream(28), trials=100)
+        orbit_length_report(round_spec(1), sp_elem, RngStream(28), trials=100)
     with pytest.raises(InvalidInput, match="coset rank"):
-        orbit_length_report(round_spec("u_sphere", 2), u_algebra(1j * np.eye(2)),
+        orbit_length_report(round_spec(2), u_algebra(1j * np.eye(2)),
                             RngStream(28), trials=100)
 
 
 # ------------------------------------------------------ orbit_projection_sample
 
 def test_orbit_sample_central_element_is_constant():
-    spec = round_spec("u_sphere", 2)
+    spec = round_spec(2)
     e = u_algebra(0.7j * np.eye(3))
     m0, usq = orbit_projection_sample(spec, e, 50, RngStream(31))
     assert m0.shape == (50, 1) and usq.shape == (50,)
@@ -95,7 +96,7 @@ def test_orbit_sample_central_element_is_constant():
 
 def test_orbit_sample_sphere_geometry():
     # phases (-0.5, 1.5): center q = 0.5, radius 1 in the reference metric
-    spec = round_spec("u_sphere", 1)
+    spec = round_spec(1)
     e = u_algebra(1j * np.diag([-0.5, 1.5]))
     m0, usq = orbit_projection_sample(spec, e, 1000, RngStream(32))
     devs = np.abs(np.sqrt((m0[:, 0] - 0.5) ** 2 + usq) - 1.0)
@@ -103,7 +104,7 @@ def test_orbit_sample_sphere_geometry():
 
 
 def test_orbit_sample_zero_trials():
-    spec = round_spec("u_sphere", 1)
+    spec = round_spec(1)
     with pytest.raises(InvalidInput):
         orbit_projection_sample(spec, u_algebra(1j * np.eye(2)), 0, RngStream(33))
 
@@ -128,7 +129,7 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
     for case, (l, m, x1, x2) in enumerate([(1, 1, 0.5, 1.0), (2, 1, 0.0, 1.0),
                                            (1, 2, 0.3, -0.8)]):
         n1 = l + m
-        spec = round_spec("u_sphere", n1 - 1)
+        spec = round_spec(n1 - 1)
         diag = 1j * (x1 + x2 * np.concatenate([np.full(l, -m), np.full(m, l)]))
         e = u_algebra(np.diag(diag))
         lo, hi = sorted((x1 - m * x2, x1 + l * x2))

@@ -143,6 +143,26 @@ def test_flow_on_a_stack_moves_each_point_as_alone():
     assert stacked.tobytes() == np.array([apply_flow(flow, row) for row in v]).tobytes()
 
 
+def per_row_flow(flow, points):
+    """Reference: exp(tX) times each point on its own, renormalized by that
+    point's own norm."""
+    e = expm_skew(flow.x, flow.t)
+    return np.array([e @ row / np.linalg.norm(e @ row)
+                     for row in np.atleast_2d(points)]).reshape(points.shape)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+def test_flow_matches_the_per_row_reference_to_the_bit(dim):
+    rng = RngStream(75).split(dim)
+    x = _ginibre([rng], dim, dim)[0, 0]
+    flow = u_flow((x - x.conj().T) / 2, 1.3)
+    for count in (1, 2, 17, 300):
+        v = rng.gen.standard_normal((count, 2 * dim)).view(complex)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        np.testing.assert_array_equal(apply_flow(flow, v), per_row_flow(flow, v))
+    np.testing.assert_array_equal(apply_flow(flow, v[0]), per_row_flow(flow, v[0]))
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_flow_rejects_non_finite_time(t):
     with pytest.raises(InvalidInput, match="finite"):

@@ -18,7 +18,7 @@ from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import RngStream
 from cwspheres.randers import RandersSpec, randers_norm_array, round_spec
 
-ROUND3 = round_spec("u_sphere", 1)
+ROUND3 = round_spec(1)
 CW3 = solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0))
 SP7 = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.3, b=1.0, c=0.2)
 

@@ -12,7 +12,9 @@ imported name, or a string that spells it (`getattr(checks, name)`,
 `monkeypatch.setattr(mod, "name", ...)`, the tracer's dotted span names).
 References from the unit tests do not count: library surface that only
 they exercise is dead weight, and a unit test that needs such a helper
-keeps its own copy.  Only `geodesy` builds graphs, so only it may import
+keeps its own copy.  A `RandersSpec` checks itself when it is built, so
+only `randers` names the validity check, and only `__post_init__` calls
+it.  Only `geodesy` builds graphs, so only it may import
 scipy, and `checks` imports it inside the two graph checks alone: an
 import statement inside a function body runs when the function is called.
 """
@@ -134,6 +136,45 @@ def test_orphan_scan_ignores_unit_test_references(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert package_orphans(tmp_path) == ["for_unit_test"]
+
+
+VALIDITY_NAMES = {"_validate_spec", "validate_spec", "require_valid"}
+
+
+def files_naming(names, texts):
+    """Keys of `texts` (file name -> source) whose source refers to one of
+    `names`."""
+    return sorted(key for key, text in texts.items() if referenced_names(text) & names)
+
+
+def callers(text, name):
+    """Names of the functions of `text` whose bodies call `name`, bare or as
+    an attribute."""
+    return sorted({fn.name for fn in ast.walk(ast.parse(text))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))})
+
+
+def test_spec_validity_is_checked_at_construction_alone():
+    texts = {str(path.relative_to(ROOT)): path.read_text()
+             for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]}
+    assert files_naming(VALIDITY_NAMES, texts) == ["src/cwspheres/randers.py"]
+    assert callers(texts["src/cwspheres/randers.py"], "_validate_spec") == ["__post_init__"]
+
+
+def test_validity_scan_flags_crafted_references():
+    texts = {"checks.py": "from .randers import require_valid\n",
+             "flows.py": "x = 1\n",
+             "geodesy.py": 'getattr(randers, "_validate_spec")\n',
+             "randers.py": ("class RandersSpec:\n"
+                            "    def __post_init__(self):\n"
+                            "        _validate_spec(self)\n"
+                            "def norm(s):\n"
+                            "    return randers._validate_spec(s) or _validate_spec(s)\n")}
+    assert files_naming(VALIDITY_NAMES, texts) == ["checks.py", "geodesy.py", "randers.py"]
+    assert callers(texts["randers.py"], "_validate_spec") == ["__post_init__", "norm"]
 
 
 def imported_names(text, at_import_time=False):

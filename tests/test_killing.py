@@ -1,18 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from cwspheres import checks
-from cwspheres.errors import (InfeasibleParams, InvalidInput, NotApplicable,
-                              NotKvfAdmissible)
+from cwspheres.errors import (InfeasibleParams, InvalidInput, InvalidSpec,
+                              NotApplicable, NotKvfAdmissible)
 from cwspheres.killing import (OrbitParams,
                                central_kvf_phases, constant_length_identity,
                                eq_root_pair, f_poly, orbit_generator,
                                orbit_length_report, solve_metric,
                                sp_witness_pair)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream
-from cwspheres.randers import RandersSpec, round_spec, validate_spec
+from cwspheres.randers import RandersSpec, round_spec
 
 P_REF = OrbitParams(1, 1, 0.5, 1.0, 1.0)
 
@@ -64,7 +65,6 @@ def test_solve_reference_instance():
     spec = solve_metric(P_REF)
     np.testing.assert_allclose([spec.a, spec.b, spec.c],
                                [16.0 / 9.0, 4.0 / 3.0, -2.0 / 3.0], rtol=1e-15)
-    assert validate_spec(spec) == []
 
 
 def test_solve_second_instance():
@@ -230,12 +230,15 @@ def test_report_requires_enough_trials():
 
 
 @pytest.mark.parametrize("spec,e", [
-    (RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=1.5), orbit_generator(P_REF)),
-    (RandersSpec("u_sphere", n=1, a=1.0, b=0.0, c=0.0), orbit_generator(P_REF)),
+    (functools.partial(RandersSpec, "u_sphere", n=1, a=1.0, b=1.0, c=1.5),
+     orbit_generator(P_REF)),
+    (functools.partial(RandersSpec, "u_sphere", n=1, a=1.0, b=0.0, c=0.0),
+     orbit_generator(P_REF)),
 ])
 def test_report_rejects_invalid_spec(spec, e):
-    with pytest.raises(InvalidInput):
-        orbit_length_report(spec, e, trials=100, rng=RngStream(57))
+    # `spec` builds the spec: an invalid one is refused as it is built
+    with pytest.raises(InvalidSpec):
+        orbit_length_report(spec(), e, trials=100, rng=RngStream(57))
 
 
 def test_monte_carlo_agrees_with_closed_form():

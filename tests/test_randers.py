@@ -1,18 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cwspheres import cosets, killing, randers
+from cwspheres import killing, randers
+from cwspheres.cli import main
 from cwspheres.cosets import project_to_m, sp_algebra
-from cwspheres.errors import InvalidInput
+from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
                                solve_metric)
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate,
                                   haar_symplectic, haar_unitary)
 from cwspheres.randers import (RandersSpec, m1_norm_sq, randers_norm_array,
-                               round_spec, spec_from_json, spec_to_json,
-                               validate_spec)
+                               round_spec, spec_from_json, spec_to_json)
 
 CW_SPEC = RandersSpec("u_sphere", n=1, a=16.0 / 9.0, b=4.0 / 3.0, c=-2.0 / 3.0)
 
@@ -44,37 +45,60 @@ def axis_norm(spec, q):
     return randers_norm_array(spec, np.array([q]), 0.0)
 
 
-# ------------------------------------------------------------- validate_spec
+# ------------------------------------------------- validation at construction
+
+def violations(*args, **fields):
+    """The violations named when building RandersSpec(*args, **fields)."""
+    with pytest.raises(InvalidSpec) as exc:
+        RandersSpec(*args, **fields)
+    assert str(exc.value) == "invalid Randers spec: " + "; ".join(exc.value.violations)
+    return exc.value.violations
+
 
 def test_validate_round_ok():
-    assert validate_spec(round_spec()) == []
+    assert round_spec() == RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=0.0)
+    assert round_spec(3).n == 3
 
 
 def test_validate_boundary_c_violation():
-    bad = RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=1.0)
-    assert "|c| < sqrt(a)" in validate_spec(bad)
+    assert violations("u_sphere", n=1, a=1.0, b=1.0, c=1.0) == ["|c| < sqrt(a)"]
 
 
 def test_validate_solved_triple_ok():
-    assert validate_spec(CW_SPEC) == []
+    assert RandersSpec("u_sphere", n=1, a=16.0 / 9.0, b=4.0 / 3.0,
+                       c=-2.0 / 3.0) == CW_SPEC
 
 
 def test_validate_negative_coefficients():
-    assert "a > 0" in validate_spec(RandersSpec("u_sphere", n=1, a=-1.0, b=1.0, c=0.0))
-    assert "b > 0" in validate_spec(RandersSpec("u_sphere", n=1, a=1.0, b=0.0, c=0.0))
+    assert violations("u_sphere", n=1, a=-1.0, b=1.0, c=0.0) == ["a > 0"]
+    assert violations("u_sphere", n=1, a=1.0, b=0.0, c=0.0) == ["b > 0"]
 
 
 def test_validate_sp_family():
-    ok = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.5, b=1.0, c=0.3)
-    assert validate_spec(ok) == []
-    tied = RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.0, b=1.0, c=0.3)
-    assert "a2 != b" in validate_spec(tied)
-    steep = RandersSpec("sp_sphere", n=1, a1=0.25, a2=1.5, b=1.0, c=0.6)
-    assert "|c| < sqrt(a1)" in validate_spec(steep)
+    RandersSpec("sp_sphere", n=1, a1=1.0, a2=1.5, b=1.0, c=0.3)
+    assert violations("sp_sphere", n=1, a1=1.0, a2=1.0, b=1.0, c=0.3) == ["a2 != b"]
+    assert violations("sp_sphere", n=1, a1=0.25, a2=1.5, b=1.0,
+                      c=0.6) == ["|c| < sqrt(a1)"]
 
 
 def test_validate_unknown_family():
-    assert validate_spec(RandersSpec("torus")) == ["unknown family 'torus'"]
+    assert violations("torus") == ["unknown family 'torus'"]
+
+
+def test_construction_names_every_violation():
+    assert violations("u_sphere", n=0, a=-1.0, c=math.nan) == [
+        "n >= 1", "a > 0", "b missing or non-finite", "c missing or non-finite"]
+    assert violations("sp_sphere", n=1.5, a1=math.inf, a2=2.0, b=2.0, c=0.1) == [
+        "n >= 1", "a1 missing or non-finite", "a2 != b"]
+    assert issubclass(InvalidSpec, InvalidInput)
+
+
+def test_replace_revalidates():
+    assert replace(CW_SPEC, c=0.5).c == 0.5
+    with pytest.raises(InvalidSpec, match=r"\|c\| < sqrt\(a\)"):
+        replace(CW_SPEC, c=-4.0 / 3.0)
+    with pytest.raises(InvalidSpec, match="n >= 1"):
+        replace(CW_SPEC, n=0)
 
 
 # -------------------------------------------------------- randers_norm_array
@@ -104,9 +128,9 @@ def test_norm_positive_off_zero():
 
 
 def test_norm_rejects_invalid_spec():
-    bad = RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=2.0)
-    with pytest.raises(InvalidInput):
-        axis_norm(bad, 1.0)
+    # an invalid spec never exists, so no norm of one can be taken
+    with pytest.raises(InvalidSpec):
+        axis_norm(RandersSpec("u_sphere", n=1, a=1.0, b=1.0, c=2.0), 1.0)
 
 
 def test_norm_rejects_family_mismatch():
@@ -170,7 +194,7 @@ def test_non_reversibility_iff_c_nonzero():
 
 def test_round_spec_reduces_to_reference_norm():
     rng = RngStream(5)
-    sym = round_spec("u_sphere", 2)
+    sym = round_spec(2)
     for k in range(50):
         m0, u = random_tangent(sym, rng.split(k))
         reference = np.linalg.norm(np.concatenate([m0, u.real, u.imag]))
@@ -266,25 +290,42 @@ def test_orbit_report_matches_reference_on_same_draws(case):
         assert abs(got - want) <= np.spacing(abs(want))
 
 
+def validation_spy(monkeypatch):
+    """Count the calls of the spec validity check from now on."""
+    calls = []
+    check = randers._validate_spec
+
+    def spy(spec):
+        calls.append(spec)
+        return check(spec)
+    monkeypatch.setattr(randers, "_validate_spec", spy)
+    return calls
+
+
 def test_orbit_report_validates_and_evaluates_once(monkeypatch):
-    calls = {"require_valid": 0, "randers_norm_array": 0}
+    validations = validation_spy(monkeypatch)
+    evaluations = []
+    norm = killing.randers_norm_array
+    monkeypatch.setattr(killing, "randers_norm_array",
+                        lambda *args: evaluations.append(args) or norm(*args))
+    params = OrbitParams(1, 1, 0.5, 1.0, 1.0)
+    spec = solve_metric(params)
+    orbit_length_report(spec, orbit_generator(params), L=1.0, trials=500,
+                        rng=RngStream(22))
+    # the spec is checked when it is built, and all 500 draws go through
+    # one norm evaluation
+    assert (validations, len(evaluations)) == ([spec], 1)
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
 
-    spec, e = orbit_cases()["u_sphere"]
-    for name in calls:
-        wrapped = counting(name, getattr(randers, name))
-        for module in (randers, cosets, killing):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
-    orbit_length_report(spec, e, L=1.0, trials=500, rng=RngStream(22))
-    # the sampler refuses an invalid spec before its first draw and the one
-    # norm evaluation checks it again: twice per report, never per trial
-    assert calls == {"require_valid": 2, "randers_norm_array": 1}
+def test_displacement_run_validates_its_spec_once(monkeypatch, capsys):
+    # the solved metric is checked when built; the graph's edge costs and
+    # every one of the 50 distance queries evaluate norms without checking
+    # it again
+    solved = solve_metric(OrbitParams(1, 1, 0.5, 1.0, 1.0))
+    validations = validation_spy(monkeypatch)
+    assert main(["verify", "displacement", "--n-points", "600"]) in (0, 1)
+    assert "summary" in capsys.readouterr().out
+    assert validations == [solved]
 
 
 # ---------------------------------------------------------------- JSON schema
