@@ -48,6 +48,20 @@ def _load_spec(path):
     return spec_from_json(text)
 
 
+def _require_writable(out_path):
+    """Refuse a report path that cannot be written before any work runs,
+    without creating or truncating it: a directory, a missing or read-only
+    parent directory, or a read-only file.  `_emit` still reports a write
+    that fails later."""
+    if os.path.isdir(out_path):
+        raise InvalidInput(f"cannot write report: {out_path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(parent):
+        raise InvalidInput(f"cannot write report: no directory {parent!r}")
+    if not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        raise InvalidInput(f"cannot write report: {out_path!r} is not writable")
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -139,6 +153,8 @@ def _csv_lines(report):
 
 
 def cmd_verify(args):
+    if args.out:
+        _require_writable(args.out)
     report = _CHECKS[args.check](args, RngStream(args.seed))
     _emit(_csv_lines(report), args.out)
     return 0 if report.ok else 1

@@ -50,6 +50,22 @@ are disconnected, so the distance of each corridor's end from the
 nearest start is its distance from its own start, and that is the
 least float sum over the same paths as in a matrix of its own.
 
+The graph is built `BLOCK` = 2^13 edges at a time.  Each block of whole
+rows makes one KD-tree query and writes its column indices, sorted within
+each row, its costs and its chord lengths into preallocated O(E) arrays,
+which are the CSR matrix as they stand; beyond them and a copy of the
+points, nothing in the build grows with the point count.  `_arc_costs`
+fills its two outputs a block of arcs at a time as well.  That half is
+needed for speed: glibc's malloc raises its mmap and trim thresholds to
+the size of the largest mapped block it frees, and the unblocked build's
+multi-megabyte frees had kept them high enough that the corridor groups'
+arc-cost temporaries reused heap pages.  With the build blocked alone,
+every group mapped and faulted them afresh: about 33k instead of 0.6k
+minor faults in the queries of one `verify oracle` plus `verify
+displacement` pass (glibc 2.36, numpy 2.4, scipy 1.17); with
+`_arc_costs` blocked too, about 12k.  No cost moves by a bit, since every
+kernel works element by element.
+
 Every sum over coordinates that feeds a weight or a cost runs on whole
 coordinate columns through `_row_sum`, which adds them in exactly the
 order numpy's row reduction (`np.sum(rows, axis=1)`) does.  The graph
@@ -75,6 +91,9 @@ from .randers import U_SPHERE, RandersSpec, randers_norm_array
 
 MIN_POINTS = 500
 MIN_DEGREE = 8
+# The graph build and `_arc_costs` work on at most this many edges (arcs)
+# at a time, so their temporaries do not grow with the input
+BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,11 @@ def _tangent_parts(family, pts, vecs):
     else:
         # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of
         # H^(n+1) are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters.
-        # The complex sums run over C-ordered (E, n+1) rows, as they always have
+        # The complex sums run over C-ordered (E, n+1) rows, as they always have.
+        # A complex product rounds differently with its operands swapped, and
+        # numpy computes `x * y` in y's memory as `y * x` when y is a
+        # temporary of 256 KiB or more; a conjugated temporary written first
+        # keeps its place at every size, so a cost does not depend on E.
         quarter = len(pts) // 4
         rows_p = np.ascontiguousarray(np.transpose(pts))
         rows_v = np.ascontiguousarray(np.transpose(vecs))
@@ -162,8 +185,8 @@ def _tangent_parts(family, pts, vecs):
         p2 = rows_p[:, 2 * quarter:3 * quarter] + 1j * rows_p[:, 3 * quarter:]
         v1 = rows_v[:, :quarter] + 1j * rows_v[:, quarter:2 * quarter]
         v2 = rows_v[:, 2 * quarter:3 * quarter] + 1j * rows_v[:, 3 * quarter:]
-        first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
-        second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
+        first = np.sum(np.conj(p1) * v1 + np.conj(v2) * p2, axis=1)
+        second = np.sum(np.conj(p1) * v2 - np.conj(v1) * p2, axis=1)
         m0 = np.stack([first.imag, second.real, second.imag], axis=1)
     usq = _row_sum(vecs * vecs)
     # one coordinate at a time: the surveyed graph seeds rely on these exact weights
@@ -191,7 +214,11 @@ def _tangent_chords(pts, targets):
 def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
     """Sample `n_points` points of the spec's sphere and connect each to its
     k nearest (Euclidean) neighbours by directed edges weighted with the
-    invariant norm of the tangent-projected chord."""
+    invariant norm of the tangent-projected chord.
+
+    The edges are found and priced `BLOCK` at a time, a block of whole rows
+    (at least one) per KD-tree query, straight into the CSR arrays: each
+    row's neighbours sorted by column, the canonical order."""
     n_points, k = int(n_points), int(k)
     if n_points < MIN_POINTS:
         raise InvalidInput(f"need at least {MIN_POINTS} points")
@@ -199,16 +226,26 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
         raise InvalidInput(f"need {MIN_DEGREE} <= k < n_points")
     pts = _sample_points(spec, n_points, rng)
     tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k + 1)
-    idx = idx[:, 1:]                                    # drop self
-    src = np.repeat(np.arange(n_points), k)
-    dst = idx.ravel()
-    # coordinate columns of the edges' ends, gathered once in place of rows
+    n_edges = n_points * k
+    indices = np.empty(n_edges, dtype=np.int32)
+    costs, chords = np.empty(n_edges), np.empty(n_edges)
+    # coordinate columns of the edges' ends, gathered in place of rows
     cols = np.ascontiguousarray(pts.T)
-    src_pts = np.take(cols, src, axis=1).T
-    vecs = _tangent_chords(src_pts, np.take(cols, dst, axis=1).T)
-    costs = _edge_costs(spec, src_pts, vecs)
-    mat = csr_matrix((costs, (src, dst)), shape=(n_points, n_points))
+    rows = max(1, BLOCK // k)
+    for lo in range(0, n_points, rows):
+        hi = min(lo + rows, n_points)
+        _, idx = tree.query(pts[lo:hi], k=k + 1)
+        dst = np.sort(idx[:, 1:], axis=1).ravel()          # drop self
+        src_pts = np.repeat(cols[:, lo:hi], k, axis=1).T
+        vecs = _tangent_chords(src_pts, np.take(cols, dst, axis=1).T)
+        edges = slice(lo * k, hi * k)
+        indices[edges] = dst
+        costs[edges] = _edge_costs(spec, src_pts, vecs)
+        chords[edges] = np.sqrt(_row_sum(vecs.T * vecs.T))
+    median_chord = float(np.median(chords, overwrite_input=True))
+    del chords                  # np.median(costs) copies: one O(E) temporary at a time
+    mat = csr_matrix((costs, indices, np.arange(0, n_edges + 1, k, dtype=np.int32)),
+                     shape=(n_points, n_points))
     n_comp, _ = connected_components(mat, directed=True, connection="strong")
     if n_comp != 1:
         raise ResolutionTooCoarse(
@@ -216,7 +253,7 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
             "increase the point count or the degree")
     return SphereGraph(spec=spec, points=pts, matrix=mat, k=k,
                        median_edge=float(np.median(costs)), tree=tree,
-                       median_chord=float(np.median(np.sqrt(_row_sum(vecs.T * vecs.T)))))
+                       median_chord=median_chord)
 
 
 # --------------------------------------------------------------------------
@@ -247,17 +284,22 @@ def _arc_costs(spec: RandersSpec, starts, ends):
     arc's unit tangent has m0 coordinates -m0 and the same m1 norm.  The
     arc is an upper-bound proxy for the local geodesic; since length is
     stationary at the true geodesic the overestimate is quartic in angle.
+    The arcs are priced `BLOCK` at a time.
     """
-    starts, ends = starts.T, ends.T
-    dot = np.clip(_row_sum(starts * ends), -1.0, 1.0)
-    theta = np.arccos(dot)
-    perp = ends - dot * starts
-    pn = np.sqrt(_row_sum(perp * perp))
-    degenerate = pn <= 1e-14
-    perp /= np.where(degenerate, 1.0, pn)
-    m0, usq = _tangent_parts(spec.family, starts, perp)
-    return tuple(np.where(degenerate, 0.0, theta * randers_norm_array(spec, s * m0, usq))
-                 for s in (1.0, -1.0))
+    forward, reverse = np.empty(len(starts)), np.empty(len(starts))
+    for lo in range(0, len(starts), BLOCK):
+        block_starts, block_ends = starts[lo:lo + BLOCK].T, ends[lo:lo + BLOCK].T
+        dot = np.clip(_row_sum(block_starts * block_ends), -1.0, 1.0)
+        theta = np.arccos(dot)
+        perp = block_ends - dot * block_starts
+        pn = np.sqrt(_row_sum(perp * perp))
+        degenerate = pn <= 1e-14
+        perp /= np.where(degenerate, 1.0, pn)
+        m0, usq = _tangent_parts(spec.family, block_starts, perp)
+        for out, s in ((forward, 1.0), (reverse, -1.0)):
+            out[lo:lo + BLOCK] = np.where(degenerate, 0.0,
+                                          theta * randers_norm_array(spec, s * m0, usq))
+    return forward, reverse
 
 
 def _walk_predecessors(pred, source, target):

@@ -16,9 +16,10 @@ The reference inner product <.,.>_eq is the a = b = 1 (resp.
 a1 = a2 = b = 1) case; orbit centers and radii elsewhere in the package
 are always measured in it.
 
-A `RandersSpec` checks positive coefficients, the Randers condition |c| <
-sqrt(a) (resp. sqrt(a1)) and a2 != b when it is built, and raises
-`InvalidSpec` if any fails; no function that takes a spec checks it again.
+A `RandersSpec` checks an int n >= 1 (not a bool), finite real positive
+coefficients, the Randers condition |c| < sqrt(a) (resp. sqrt(a1)) and
+a2 != b when it is built, and raises `InvalidSpec` if any fails; no
+function that takes a spec checks it again.
 """
 
 from __future__ import annotations
@@ -79,29 +80,53 @@ def _validate_spec(s: RandersSpec):
     violations = []
     if s.family not in _FAMILIES:
         return [f"unknown family {s.family!r}"]
-    if not isinstance(s.n, int) or s.n < 1:
+    if isinstance(s.n, bool) or not isinstance(s.n, int) or s.n < 1:
         violations.append("n >= 1")
     if s.family == SP_SPHERE:
         named = [("a1", s.a1), ("a2", s.a2), ("b", s.b)]
     else:
         named = [("a", s.a), ("b", s.b)]
     for name, value in named:
-        if value is None or not np.isfinite(value):
-            violations.append(f"{name} missing or non-finite")
+        fault = _coefficient_fault(name, value)
+        if fault:
+            violations.append(fault)
         elif value <= 0:
             violations.append(f"{name} > 0")
-    if s.c is None or not np.isfinite(s.c):
-        violations.append("c missing or non-finite")
+    fault = _coefficient_fault("c", s.c)
+    if fault:
+        violations.append(fault)
         return violations
     lead = s.a1 if s.family == SP_SPHERE else s.a
-    if lead is not None and np.isfinite(lead) and lead > 0:
+    if _is_finite_real(lead) and lead > 0:
         bound = "sqrt(a1)" if s.family == SP_SPHERE else "sqrt(a)"
         if not abs(s.c) < math.sqrt(lead):
             violations.append(f"|c| < {bound}")
-    if s.family == SP_SPHERE and s.a2 is not None and s.b is not None \
-            and s.a2 == s.b:
+    if s.family == SP_SPHERE and _is_real(s.a2) and _is_real(s.b) and s.a2 == s.b:
         violations.append("a2 != b")
     return violations
+
+
+def _is_real(value):
+    """An int or a float, numpy's included, but not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _is_finite_real(value):
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
+def _coefficient_fault(name, value):
+    """Why `value` cannot be coefficient `name`, or None if it is a finite
+    real number."""
+    if _is_finite_real(value):
+        return None
+    if value is None or _is_real(value):
+        return f"{name} missing or non-finite"
+    return f"{name} not a real number"
 
 
 # --------------------------------------------------------------------------

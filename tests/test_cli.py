@@ -111,6 +111,38 @@ def test_unwritable_report_path_is_usage_error(tmp_path, capsys, target):
     assert line.startswith("error: cannot write report:")
 
 
+@pytest.mark.parametrize("target", ["directory", "missing/r.csv", "file/r.csv"])
+def test_unwritable_report_path_is_refused_before_the_check(tmp_path, capsys, monkeypatch,
+                                                            target):
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path if target == "directory" else tmp_path / target
+    built = []
+    monkeypatch.setattr(geodesy, "build_graph", lambda *args: built.append(args))
+    code, stdout, err = run(capsys, "verify", "displacement", "--out", str(out))
+    assert (code, stdout, built) == (2, "", [])
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot write report:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_write_failure_after_the_check_is_still_a_usage_error(tmp_path, capsys,
+                                                              monkeypatch):
+    # the path passes the early check, then goes away before the write
+    out = tmp_path / "gone" / "r.csv"
+    out.parent.mkdir()
+    real = checks.sp_witness
+
+    def remove_dir_then_run(*args):
+        out.parent.rmdir()
+        return real(*args)
+    monkeypatch.setattr(checks, "sp_witness", remove_dir_then_run)
+    code, stdout, err = run(capsys, "verify", "sp-witness", "--out", str(out))
+    assert code == 2 and stdout == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot write report:")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "orbit", "--tolerance", "1e3"),
     ("solve", "--tolerance", "1e-3"),

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,41 @@ def test_build_positive_weights_and_out_degree():
 def test_build_median_chord_matches_round_median_edge():
     g = small_graph(n_points=1000)
     assert abs(g.median_chord - g.median_edge) <= 1e-12 * g.median_edge
+
+
+def peak_above_retained(fn, *args):
+    """`fn(*args)` and the most memory its call held at once beyond what
+    it still holds on return, in bytes as tracemalloc counts them (numpy's
+    buffers included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - retained
+
+
+def test_build_graph_transient_memory_is_bounded():
+    # edges are found and priced a block at a time into the CSR arrays:
+    # the build's temporaries grow only by its O(E) outputs (int32 column
+    # indices, float64 costs and chord lengths)
+    transient = {n: peak_above_retained(build_graph, ROUND3, n, 12, RngStream(0))[1]
+                 for n in (20000, 40000)}
+    assert transient[20000] <= 12 * 2 ** 20
+    assert transient[40000] - transient[20000] <= (40000 - 20000) * 12 * (4 + 8 + 8)
+
+
+def test_arc_costs_transient_memory_does_not_grow_with_the_arcs():
+    # arcs are priced a block at a time into the two outputs (about 10 MiB
+    # of temporaries per 100k arcs when priced in one piece)
+    for count in (100000, 200000):
+        starts, ends = (np.asfortranarray(a) for a in random_arcs(4, count, RngStream(55).gen))
+        assert peak_above_retained(_arc_costs, CW3, starts, ends)[1] <= 2 * 2 ** 20
 
 
 # ------------------------------------------------------------------ arc costs
@@ -244,8 +280,11 @@ def rowsum_tangent_parts(family, pts, vecs):
         p2 = pts[:, 2 * quarter:3 * quarter] + 1j * pts[:, 3 * quarter:]
         v1 = vecs[:, :quarter] + 1j * vecs[:, quarter:2 * quarter]
         v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
-        first = np.sum(np.conj(p1) * v1 + p2 * np.conj(v2), axis=1)
-        second = np.sum(np.conj(p1) * v2 - p2 * np.conj(v1), axis=1)
+        # conjugated temporaries first, as in the kernel: numpy computes
+        # `x * np.conj(y)` as `np.conj(y) * x` from 256 KiB on, and complex
+        # products round differently with their operands swapped
+        first = np.sum(np.conj(p1) * v1 + np.conj(v2) * p2, axis=1)
+        second = np.sum(np.conj(p1) * v2 - np.conj(v1) * p2, axis=1)
         m0 = np.stack([first.imag, second.real, second.imag], axis=1)
     usq = np.sum(vecs * vecs, axis=1)
     for coord in m0.T:
@@ -316,19 +355,38 @@ def special_arcs(starts):
 
 
 @ARC_SPECS
-def test_arc_and_edge_costs_are_bit_identical_to_row_sums(spec, dim):
+def test_arc_and_edge_costs_are_bit_identical_to_row_sums(monkeypatch, spec, dim):
     starts, ends = random_arcs(dim, 3000, RngStream(51).gen)
     extra_starts, extra_ends = special_arcs(starts)
-    starts = np.concatenate([starts, extra_starts])
-    ends = np.concatenate([ends, extra_ends])
+    # the special arcs straddle the boundary of the first two 1000-arc blocks
+    at = 1000 - len(extra_starts) // 2
+    starts = np.concatenate([starts[:at], extra_starts, starts[at:]])
+    ends = np.concatenate([ends[:at], extra_ends, ends[at:]])
     expected = rowsum_arc_costs(spec, starts, ends)
+    for block in (geodesy.BLOCK, 1000, 7):      # one block; four, the last ragged; 7 arcs
+        monkeypatch.setattr(geodesy, "BLOCK", block)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            got = _arc_costs(spec, layout(starts), layout(ends))
+            for direction in range(2):
+                assert got[direction].tobytes() == expected[direction].tobytes()
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        got = _arc_costs(spec, layout(starts), layout(ends))
-        for direction in range(2):
-            assert got[direction].tobytes() == expected[direction].tobytes()
         vecs = geodesy._tangent_chords(layout(starts), layout(ends))
         assert _edge_costs(spec, layout(starts), vecs).tobytes() \
             == rowsum_edge_costs(spec, starts, np.ascontiguousarray(vecs)).tobytes()
+
+
+@pytest.mark.parametrize("spec,dim", [case for case in ARC_SPEC_LIST
+                                      if case[0].family == "sp_sphere"])
+def test_sp_edge_costs_do_not_depend_on_the_call_size(spec, dim):
+    # numpy computes `x * y` in the memory of a temporary y of 256 KiB or
+    # more, as `y * x`; the sp pairing must round alike on either side
+    starts, ends = random_arcs(dim, 20000, RngStream(54).gen)
+    vecs = geodesy._tangent_chords(starts, ends)
+    whole = _edge_costs(spec, starts, vecs)
+    for size in (7, 4000):
+        parts = [_edge_costs(spec, starts[lo:lo + size], vecs[lo:lo + size])
+                 for lo in range(0, len(starts), size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("spec,n_points,k,seed", [
@@ -336,14 +394,24 @@ def test_arc_and_edge_costs_are_bit_identical_to_row_sums(spec, dim):
     (RandersSpec("u_sphere", n=3, a=2.0, b=1.5, c=-0.8), 2000, 12, 53),     # d = 8
     (SP7, 900, 10, 27),
 ])
-def test_build_graph_is_bit_identical_to_row_sums(spec, n_points, k, seed):
+def test_build_graph_is_bit_identical_to_row_sums(monkeypatch, spec, n_points, k, seed):
     g = build_graph(spec, n_points, k, RngStream(seed))
     matrix, median_edge, median_chord = rowsum_graph(g)
-    assert np.array_equal(g.matrix.indptr, matrix.indptr)
-    assert np.array_equal(g.matrix.indices, matrix.indices)
-    assert g.matrix.data.tobytes() == matrix.data.tobytes()
-    assert g.median_edge == median_edge
-    assert g.median_chord == median_chord
+    graphs = [g]
+    # 7 rows a block, the last one short; one row a block; a block below k
+    # (one row a block too)
+    for block in (7 * k + 5, k, 3):
+        monkeypatch.setattr(geodesy, "BLOCK", block)
+        graphs.append(build_graph(spec, n_points, k, RngStream(seed)))
+    for got in graphs:
+        assert got.matrix.has_canonical_format
+        assert np.array_equal(got.matrix.indptr, matrix.indptr)
+        assert np.array_equal(got.matrix.indices, matrix.indices)
+        assert got.matrix.indptr.dtype == matrix.indptr.dtype
+        assert got.matrix.indices.dtype == matrix.indices.dtype
+        assert got.matrix.data.tobytes() == matrix.data.tobytes()
+        assert got.median_edge == median_edge
+        assert got.median_chord == median_chord
 
 
 def reference_refine(graph, raw_path, target_coords=None):

@@ -93,6 +93,31 @@ def test_construction_names_every_violation():
     assert issubclass(InvalidSpec, InvalidInput)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1", None, 1 + 0j],
+                         ids=["bool", "numpy-bool", "str", "None", "complex"])
+def test_construction_names_non_integer_n(bad):
+    assert violations("u_sphere", n=bad, a=1.0, b=1.0) == ["n >= 1"]
+    assert violations("sp_sphere", n=bad, a1=1.0, a2=1.3, b=1.0) == ["n >= 1"]
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1", 1 + 0j, np.complex128(1.0)],
+                         ids=["bool", "numpy-bool", "str", "complex", "numpy-complex"])
+def test_construction_names_non_real_coefficients(bad):
+    assert violations("u_sphere", a=bad, b=1.0) == ["a not a real number"]
+    assert violations("u_sphere", a=1.0, b=1.0, c=bad) == ["c not a real number"]
+    assert violations("sp_sphere", a1=1.0, a2=bad, b=bad, c=0.1) == [
+        "a2 not a real number", "b not a real number"]
+    # None reads as missing
+    assert violations("u_sphere", a=None, b=1.0) == ["a missing or non-finite"]
+    assert violations("u_sphere", a=1.0, b=1.0, c=None) == ["c missing or non-finite"]
+
+
+def test_construction_takes_numpy_and_integer_coefficients():
+    spec = RandersSpec("u_sphere", n=2, a=np.float32(2.0), b=3, c=np.int64(0))
+    assert (spec.a, spec.b, spec.c) == (2.0, 3, 0)
+    assert violations("u_sphere", a=10 ** 400, b=1.0) == ["a missing or non-finite"]
+
+
 def test_replace_revalidates():
     assert replace(CW_SPEC, c=0.5).c == 0.5
     with pytest.raises(InvalidSpec, match=r"\|c\| < sqrt\(a\)"):
