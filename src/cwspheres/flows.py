@@ -24,6 +24,7 @@ TWO_PI = 2.0 * math.pi
 ENDPOINT_BASE_POINTS = 3
 PHASE_EPS = 1e-9                # slack of each phase interval
 EIG1_TOL = 1e-9                 # |lambda - 1| that counts as eigenvalue 1
+EIG1_RECOMPUTE_SLACK = 1e-12    # distances this near a minimum are eigensolved
 SHARED_VECTOR_TOL = 1e-8        # residual of a shared eigenvector
 MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
 NONINTERSECTION_MIN_DIST = 1e-9
@@ -229,6 +230,42 @@ def _twist_diag(l, m, t):
     return np.concatenate([np.full(l, np.exp(-1j * t)), np.full(m, np.exp(1j * t))])
 
 
+def _twisted(d, u):
+    """D U D*, D = diag(d), broadcast over the leading axes of the twist
+    diagonals `d` and the unitaries `u`: exp(tX) U exp(-tX) for d the
+    diagonal of exp(tX)."""
+    return d[..., :, None] * u * np.conj(d)[..., None, :]
+
+
+def _commutator(d, u):
+    """The twisted commutator exp(tX) U exp(-tX) U*, broadcast as `_twisted`."""
+    return _twisted(d, u) @ conj_t(u)
+
+
+def _eig1_distances(a, b):
+    """min |lambda - 1| over the eigenvalues of a b*, for each pair of the
+    unitary stacks `a` and `b`, as the smallest singular value of a - b:
+    a b* - I = (a - b) b* with b unitary, and a b* is normal, so the
+    singular values of a b* - I are its |lambda - 1|.  This agrees with
+    an eigensolve of a b* to about 1e-15, not to the bit.  `a` is
+    overwritten with a - b."""
+    a -= b
+    return np.linalg.svd(a, compute_uv=False)[..., -1]
+
+
+def _eigvals_distances(mats):
+    """min |lambda - 1| over the eigenvalues of each matrix, by eigensolve."""
+    return np.min(np.abs(np.linalg.eigvals(mats) - 1.0), axis=-1)
+
+
+def _near_minimum(dists, axis=None):
+    """Mask of the distances within EIG1_RECOMPUTE_SLACK of their minimum
+    along `axis`.  Singular-value and eigensolve distances differ by far
+    less than half the slack, so the entry of least eigensolve distance is
+    always in the mask."""
+    return dists <= dists.min(axis=axis, keepdims=True) + EIG1_RECOMPUTE_SLACK
+
+
 def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     """Presence of eigenvalue 1 for exp(tX) U exp(-tX) U* across T_GRID,
     X = i diag(-I_l, I_m), plus a shared-eigenvector check, for each
@@ -237,24 +274,38 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     The expected behaviour is all-or-nothing: eigenvalue 1 occurs for some
     interior t exactly when an off-diagonal block of U is singular, and
     then a single eigenvector works for every t.
+
+    `spectral_dists` holds the singular-value distance of `_eig1_distances`
+    at every (trial, t), with a = exp(tX) U exp(-tX) and b = U.  In a row
+    where eigenvalue 1 does not persist at every t, the entries within
+    EIG1_RECOMPUTE_SLACK of the row's least distance hold the eigvals
+    distance of the commutator instead, so the row's minimum is the
+    eigvals minimum to the bit.  Where eigenvalue 1 persists, the shared
+    eigenvectors are taken from an eigensolve at the first t, and their
+    residuals at every t are computed as one stack.
     """
     us = as_unitary(u)
     if us.ndim != 3 or us.shape[-1] != l + m or l < 1 or m < 1:
         raise InvalidInput("U must be a stack of (l+m) x (l+m) matrices with l, m >= 1")
     d = np.array([_twist_diag(l, m, t) for t in T_GRID])          # (G, n)
-    mats = (d[:, :, None] * us[:, None] * np.conj(d)[:, None, :]) @ conj_t(us)[:, None]
-    dists = np.min(np.abs(np.linalg.eigvals(mats) - 1.0), axis=-1)
+    dists = _eig1_distances(_twisted(d, us[:, None]), us[:, None])
+    open_rows = ~(dists <= EIG1_TOL).all(axis=-1)
+    ti, gi = np.nonzero(open_rows[:, None] & _near_minimum(dists, axis=-1))
+    if ti.size:
+        dists[ti, gi] = _eigvals_distances(_commutator(d[gi], us[ti]))
     has = dists <= EIG1_TOL
     worst = np.full(len(us), np.inf)
     persists = np.flatnonzero(has.all(axis=-1))
     if persists.size:
-        w, vecs = np.linalg.eig(mats[persists, 0])
-        for k, wk, vk in zip(persists, w, vecs):
-            for idx in np.where(np.abs(wk - 1.0) <= max(EIG1_TOL, 1e-8))[0]:
-                v = vk[:, idx] / np.linalg.norm(vk[:, idx])
-                # per-row norms: the residual reaches the report bit for bit
-                worst[k] = min(worst[k], max(float(np.linalg.norm(r))
-                                             for r in mats[k] @ v - v))
+        w, vecs = np.linalg.eig(_commutator(d[0], us[persists]))
+        pk, idx = np.nonzero(np.abs(w - 1.0) <= max(EIG1_TOL, 1e-8))
+        v = vecs[pk, :, idx]
+        v = v / _row_norms(v)[:, None]
+        # every candidate's residual at every t: (C, G, n)
+        r = (_commutator(d, us[persists[pk], None]) @ v[:, None, :, None])[..., 0]
+        r -= v[:, None, :]
+        res = _row_norms(r.reshape(-1, l + m)).reshape(r.shape[:2]).max(axis=-1)
+        np.minimum.at(worst, persists[pk], res)
     shared = has.all(axis=-1) & (worst <= SHARED_VECTOR_TOL)
     return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
                                 shared_eigenvector=shared, worst_residual=worst)
@@ -338,7 +389,9 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng):
         t1, t2 = np.array([_separated_times(s) for s in seed_block(subs)]).T
         e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
         e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
-        dist = np.min(np.abs(np.linalg.eigvals(e1 @ e2) - 1.0), axis=-1)
-        worst = min(worst, float(dist.min()))
+        # a = e1, b = e2*: a b* = e1 e2; only the block's least singular-value
+        # distances are eigensolved, which keeps the least eigvals distance
+        near = np.flatnonzero(_near_minimum(_eig1_distances(e1.copy(), conj_t(e2))))
+        worst = min(worst, float(_eigvals_distances(e1[near] @ e2[near]).min()))
     return NonIntersectionResult(verdict=bool(worst >= NONINTERSECTION_MIN_DIST),
                                  min_spectral_distance=worst)

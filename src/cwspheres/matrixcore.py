@@ -342,12 +342,20 @@ def haar_unitary(n, rngs):
 # Elementwise quaternion arrays are pairs (z1, z2) of equal-shape complex
 # ndarrays encoding z1 + z2*j.  The identification i = sqrt(-1) is fixed
 # throughout, so i*z = z*i for complex z while j*z = conj(z)*j.
+#
+# A conjugate on the right of a product is bound to a name first: for
+# `x * np.conj(y)` numpy reuses the conjugate's temporary once it reaches
+# 256 KiB and computes conj(y) * x there, which rounds differently, so a
+# stacked result would depend on the stack's size.  A named array is never
+# reused that way, and on scalars `*` keeps numpy's scalar product, whose
+# bits `np.multiply` (the array loop) does not always give.
 
 def qmul(x, y):
     """Hamilton product of quaternion pairs, elementwise."""
     x1, x2 = x
     y1, y2 = y
-    return (x1 * y1 - x2 * np.conj(y2), x1 * y2 + x2 * np.conj(y1))
+    cy1, cy2 = np.conj(y1), np.conj(y2)
+    return (x1 * y1 - x2 * cy2, x1 * y2 + x2 * cy1)
 
 
 def qabs(x):
@@ -360,8 +368,9 @@ def qdot(x, y):
     summed over the last axis."""
     x1, x2 = x
     y1, y2 = y
-    return (np.sum(np.conj(x1) * y1 + x2 * np.conj(y2), axis=-1),
-            np.sum(np.conj(x1) * y2 - x2 * np.conj(y1), axis=-1))
+    cy1, cy2 = np.conj(y1), np.conj(y2)
+    return (np.sum(np.conj(x1) * y1 + x2 * cy2, axis=-1),
+            np.sum(np.conj(x1) * y2 - x2 * cy1, axis=-1))
 
 
 class QuaternionMatrix:
@@ -472,9 +481,10 @@ def haar_symplectic(n, rngs):
             for b in range(a):
                 u1, u2 = cols[b]
                 c0, c1 = (c[:, None] for c in qdot((u1, u2), (v1, v2)))
+                cc0, cc1 = np.conj(c0), np.conj(c1)
                 # v -= u * c   (scalar on the right)
-                v1 = v1 - (u1 * c0 - u2 * np.conj(c1))
-                v2 = v2 - (u1 * c1 + u2 * np.conj(c0))
+                v1 = v1 - (u1 * c0 - u2 * cc1)
+                v2 = v2 - (u1 * c1 + u2 * cc0)
             nrm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2, axis=-1))[:, None]
             cols[a] = (v1 / nrm, v2 / nrm)
     return as_symplectic(QuaternionMatrix(np.stack([c[0] for c in cols], axis=-1),

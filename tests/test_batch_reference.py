@@ -241,12 +241,16 @@ def test_batched_check_matches_per_trial_reference(monkeypatch, case):
 
 
 def test_block_size_does_not_change_reports(monkeypatch):
-    full = [checks.eigenlemma(3, 40, RngStream(4)), checks.commutator(2, 2, 9, RngStream(4)),
-            checks.orbit(solve_metric(S3), S3, 100, RngStream(4))]
+    # the eigensolved entries of commutator and nonintersection are chosen
+    # per row and per block: the reports must not see where blocks end
+    def reports():
+        return [checks.eigenlemma(3, 40, RngStream(4)), checks.commutator(2, 2, 9, RngStream(4)),
+                checks.commutator(4, 4, 17, RngStream(4)),
+                checks.nonintersection(0.5, 1, 1, 40, RngStream(4)),
+                checks.orbit(solve_metric(S3), S3, 100, RngStream(4))]
+    full = reports()
     monkeypatch.setattr(matrixcore, "TRIAL_BLOCK", 7)
-    small = [checks.eigenlemma(3, 40, RngStream(4)), checks.commutator(2, 2, 9, RngStream(4)),
-             checks.orbit(solve_metric(S3), S3, 100, RngStream(4))]
-    assert repr(small) == repr(full)
+    assert repr(reports()) == repr(full)
 
 
 # ------------------------------ cyclic-window verdict vs perfect matching

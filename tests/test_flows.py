@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from cwspheres import flows
+from cwspheres import checks, flows
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import (ENDPOINT_BASE_POINTS, NonIntersectionResult,
                              apply_flow, block_angle_unitary,
                              commutator_eig1_persistence, endpoint_focus_check,
                              geodesic_nonintersection_probe, phase_bound_check,
                              u_flow)
-from cwspheres.matrixcore import (RngStream, _ginibre, expm_skew, haar_unitary,
-                                  seed_block, unitary_phases)
+from cwspheres.matrixcore import (RngStream, _ginibre, conj_t, expm_skew,
+                                  haar_unitary, seed_block, unitary_phases)
 
 
 def random_unit_vec3(rng):
@@ -371,6 +371,79 @@ def test_commutator_unbalanced_blocks_always_have_kernel():
     res = commutator_eig1_persistence(u, 2, 3)
     assert res.has_eig1.all()
     assert res.shared_eigenvector.all()
+
+
+# ------------------------------- eigenvalue-1 distances from singular values
+
+def eig1_kernel_pairs(case, seed, trials=12):
+    """(a, b) unitary stacks for the eigenvalue-1 kernel, drawn as the
+    checks draw them.  Commutator cases: a = exp(tX) U exp(-tX) and b = U
+    at every t of the grid, singular off-diagonal blocks on even trials.
+    Non-intersection: a = e1 and b = e2*; on even trials t1 = t2 and
+    g2 = g1 V with V of singular off-diagonal blocks, so e1 e2 has
+    eigenvalue 1."""
+    rng = RngStream(seed)
+    subs = seed_block([rng.split(k) for k in range(trials)])
+    if case == "nonintersection":
+        n = 4
+        diag = 1j * (0.5 * np.ones(n) + np.concatenate([-np.ones(2), np.ones(2)]))
+        angles = np.array([s.gen.uniform(0.3, 1.2, 2) for s in subs])
+        angles[::2, 0] = 0.0
+        v = block_angle_unitary(2, 2, angles, [s.split(2) for s in subs])
+        g1 = haar_unitary(n, [s.split(0) for s in subs])
+        g2 = haar_unitary(n, [s.split(1) for s in subs])
+        g2[::2] = g1[::2] @ v[::2]
+        t1, t2 = np.array([np.sort(s.gen.uniform(0.0, math.pi, 2))[::-1] for s in subs]).T
+        t2[::2] = t1[::2]
+        e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
+        e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
+        return e1, conj_t(e2)
+    l, m = {"l=m": (3, 3), "l!=m": (2, 3)}[case]
+    angles = np.array([s.gen.uniform(0.15, 1.4, min(l, m)) for s in subs])
+    angles[::2, 0] = 0.0
+    u = block_angle_unitary(l, m, angles, [s.split(1) for s in subs])
+    d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
+    return flows._twisted(d, u[:, None]), np.broadcast_to(u[:, None], (trials, *d.shape, l + m))
+
+
+@pytest.mark.parametrize("case", ["l=m", "l!=m", "nonintersection"])
+def test_eig1_kernel_matches_eigvals_on_the_same_draws(case):
+    found = set()
+    for seed in range(10):
+        a, b = eig1_kernel_pairs(case, seed)
+        want = np.min(np.abs(np.linalg.eigvals(a @ conj_t(b)) - 1.0), axis=-1)
+        got = flows._eig1_distances(a.copy(), b)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        has = want <= flows.EIG1_TOL
+        assert np.array_equal(got <= flows.EIG1_TOL, has)
+        found.update(has.ravel().tolist())
+    # the draws hold entries with eigenvalue 1 and, unless l != m forces
+    # a kernel, entries without
+    assert found == ({True} if case == "l!=m" else {True, False})
+
+
+def eigvals_spy(monkeypatch):
+    """Count the matrices passed to np.linalg.eigvals from now on."""
+    seen, real = [], np.linalg.eigvals
+
+    def spy(a):
+        seen.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a)
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return seen
+
+
+def test_commutator_eigensolves_only_the_entries_a_report_prints(monkeypatch):
+    seen = eigvals_spy(monkeypatch)
+    report = checks.commutator(4, 4, 50, RngStream(0))
+    assert report.ok
+    # each invertible (odd) trial prints its least distance, which is
+    # eigensolved at one or two t: the grid's mirror pair t, pi - t gives
+    # conjugate spectra; singular trials and the shared eigenvector need none
+    assert 25 <= sum(seen) <= 2 * 25
+    seen.clear()
+    assert checks.commutator(1, 3, 20, RngStream(0)).ok
+    assert seen == []
 
 
 # --------------------------------------------------------- non-intersection

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level function or class goes unreferenced, and scipy stays off
-the import path of the checks that build no graph.
+no module-level function or class goes unreferenced, scipy stays off
+the import path of the checks that build no graph, and no product is
+written with a conjugate call on its right.
 
 `ast` scans, so they need no linter.  An imported name is used when it
 appears as an `ast.Name` anywhere in the module; an import statement
@@ -17,6 +18,10 @@ only `randers` names the validity check, and only `__post_init__` calls
 it.  Only `geodesy` builds graphs, so only it may import
 scipy, and `checks` imports it inside the two graph checks alone: an
 import statement inside a function body runs when the function is called.
+For `x * np.conj(y)` numpy reuses the conjugate's temporary once it
+reaches 256 KiB and computes `conj(y) * x` in it, which rounds
+differently, so a stacked result would depend on the stack's size; the
+package binds such a conjugate to a name first, which numpy never reuses.
 """
 
 import ast
@@ -238,3 +243,41 @@ def test_scipy_scan_flags_crafted_imports():
     assert scipy_path_violations(texts) == [
         ("checks.py", 1, ".geodesy"), ("checks.py", 3, ".geodesy.build_graph"),
         ("cosets.py", 2, "scipy.linalg"), ("flows.py", 2, "scipy.spatial.distance.cdist")]
+
+
+CONJ_CALLS = {"conj", "conjugate"}
+
+
+def conj_product_violations(text):
+    """(line, source) of each `*` in `text` whose right operand is a call
+    of `np.conj` or `np.conjugate` (numpy imported as `np` or `numpy`)."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                and isinstance(node.right, ast.Call) \
+                and isinstance(node.right.func, ast.Attribute) \
+                and node.right.func.attr in CONJ_CALLS \
+                and getattr(node.right.func.value, "id", None) in ("np", "numpy"):
+            out.append((node.lineno, ast.get_source_segment(text, node)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_product_with_a_conjugate_call_on_the_right(path):
+    assert conj_product_violations(path.read_text()) == []
+
+
+def test_conj_product_scan_flags_crafted_products():
+    text = ("import numpy as np\n"
+            "a = x * np.conj(y)\n"
+            "b = np.conj(x) * y\n"
+            "c = np.multiply(x, np.conj(y))\n"
+            "d = x * np.conj(y)[:, None]\n"
+            "e = (x1 * y1\n"
+            "     - x2 * numpy.conjugate(y2))\n"
+            "f = x @ np.conj(y)\n"
+            "g = x * (np.conj(y))\n"
+            "cy = np.conj(y)\n"
+            "h = x * cy\n")
+    assert conj_product_violations(text) == [
+        (2, "x * np.conj(y)"), (7, "x2 * numpy.conjugate(y2)"), (9, "x * (np.conj(y))")]

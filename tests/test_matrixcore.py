@@ -10,7 +10,7 @@ from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_symplectic, haar_unitary, qabs,
-                                  qmul, seed_block, symplectic_defect,
+                                  qdot, qmul, seed_block, symplectic_defect,
                                   unitary_phases)
 
 
@@ -344,6 +344,24 @@ def test_qconj_and_modulus():
     prod = qmul(x, qconj(x))
     assert prod[1] == 0
     np.testing.assert_allclose(prod[0], float(qabs(x)) ** 2, atol=1e-15)
+
+
+def test_quaternion_products_do_not_depend_on_batch_size():
+    # 20000 rows of two quaternions put each conjugate temporary past the
+    # 256 KiB at which numpy would reuse it for a product; the batch must
+    # give the bits of the same rows in 1000-row calls
+    g = np.random.default_rng(30)
+
+    def pairs():
+        return tuple(g.standard_normal((20000, 2)) + 1j * g.standard_normal((20000, 2))
+                     for _ in range(2))
+    x, y = pairs(), pairs()
+    for f in (qmul, qdot):
+        whole = f(x, y)
+        parts = [f(tuple(c[top:top + 1000] for c in x), tuple(c[top:top + 1000] for c in y))
+                 for top in range(0, 20000, 1000)]
+        for k in range(2):
+            assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
 
 
 # -------------------------------------------------------------------- su(2)
