@@ -43,6 +43,9 @@ SP_CENTRAL_MAX_N = 15
 # complex square matrices of eigenlemma's n or of l + m rows; a larger size
 # is a usage error, refused before anything is sized
 MATRIX_MAX_SIZE = 256
+# endpoints' spread is quadratic in its sample count (20000 samples take
+# seconds); a larger count is a usage error, refused before anything is sized
+ENDPOINT_MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,10 @@ _TRIAL_HEADER = ("trial_id", "inputs_hash", "verdict", "worst_residual")
 _LENGTH_HEADER = ("candidate_id", "min", "max", "mean", "stddev", "verdict")
 
 
-def _digest(*arrays):
-    data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
-    return hashlib.sha1(data).hexdigest()[:12]
+def _digest(row):
+    """Hash of a trial's inputs: sha1 over the bytes of `row`, a C-contiguous
+    row of a stack, read in place."""
+    return hashlib.sha1(row).hexdigest()[:12]
 
 
 def _threshold_report(checks):
@@ -105,23 +109,25 @@ def orbit(spec, params, trials, rng) -> CheckReport:
 
 
 def eigenlemma(n, trials, rng) -> CheckReport:
-    """Phase-interval bound for Haar pairs in U(n), trial k from `rng.split(k)`,
-    a block of trials per stacked draw.  A trial with an eigenvalue on the
-    branch cut is `undefined`; the run passes when one trial was defined
-    and every defined trial passes.  A passing trial's lifts lie in their
+    """Phase-interval bound for Haar pairs in U(n), trial k's P and Q from
+    `rng.split(k).split(0)` and `.split(1)`, a block of trials per stacked
+    draw; a trial's hash is over P's bytes, then Q's.  A trial with an
+    eigenvalue on the branch cut is `undefined`; the run passes when one
+    trial was defined and every defined trial passes.  A passing trial's lifts lie in their
     intervals, so its residual is 0."""
     if trials < 1:
         raise InvalidInput("need at least one trial")
     _require_matrix_size(n, "eigenlemma")
     rows = []
-    for ks, subs in trial_blocks(rng, trials, n * n):
+    for ks, block in trial_blocks(rng, trials, n * n):
         log.info("eigenlemma trial %d/%d", ks.start, trials)
-        p = haar_unitary(n, [sub.split(0) for sub in subs])
-        q = haar_unitary(n, [sub.split(1) for sub in subs])
+        p = haar_unitary(n, block.split(0))
+        q = haar_unitary(n, block.split(1))
         res = phase_bound_check(p, q)
-        for k, pk, qk, defined, ok in zip(ks, p, q, res.defined, res.verdict):
+        pq = np.stack([p, q], axis=1)
+        for k, pqk, defined, ok in zip(ks, pq, res.defined, res.verdict):
             verdict = bool(ok) if defined else "undefined"
-            rows.append((k, _digest(pk, qk), verdict,
+            rows.append((k, _digest(pqk), verdict,
                          0.0 if verdict is True else math.nan))
     defined = [row[2] for row in rows if row[2] != "undefined"]
     return CheckReport(_TRIAL_HEADER, tuple(rows), bool(defined) and all(defined))
@@ -129,21 +135,22 @@ def eigenlemma(n, trials, rng) -> CheckReport:
 
 def commutator(l, m, trials, rng) -> CheckReport:
     """Eigenvalue-1 persistence of twisted commutators in U(l+m), trial k
-    from `rng.split(k)`, a block of trials per stacked draw: invertible
-    off-diagonal blocks on odd k when l = m, singular ones otherwise."""
+    from `rng.split(k)` (its angles) and `rng.split(k).split(1)` (its
+    unitary), a block of trials per stacked draw: invertible off-diagonal
+    blocks on odd k when l = m, singular ones otherwise."""
     r = min(l, m)
     if r < 1 or trials < 1:
         raise InvalidInput("need l, m and trials of at least 1")
     _require_matrix_size(l + m, "commutator")
     rows = []
-    for ks, subs in trial_blocks(rng, trials, T_GRID.size * (l + m) ** 2):
+    for ks, block in trial_blocks(rng, trials, T_GRID.size * (l + m) ** 2):
         invertible = [(k % 2 == 1) and l == m for k in ks]
-        angles = np.array([sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
-                           for sub in seed_block(subs)])
+        angles = np.array([gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
+                           for gen in block.generators()])
         for k, row, inv in zip(ks, angles, invertible):
             if not inv:
                 row[k % r] = 0.0
-        u = block_angle_unitary(l, m, angles, [sub.split(1) for sub in subs])
+        u = block_angle_unitary(l, m, angles, block.split(1))
         res = commutator_eig1_persistence(u, l, m)
         for j, k in enumerate(ks):
             if invertible[j]:
@@ -158,7 +165,12 @@ def commutator(l, m, trials, rng) -> CheckReport:
 
 def endpoints(vnorm, samples, rng) -> CheckReport:
     """Spread of the time-pi flow endpoints on S^3 in C^2 (`rng.split(0)`),
-    and their distance from -exp(-i pi vnorm) z at their start points z."""
+    and their distance from -exp(-i pi vnorm) z at their start points z.
+    More than ENDPOINT_MAX_SAMPLES samples is refused before anything is
+    sized."""
+    if int(samples) > ENDPOINT_MAX_SAMPLES:
+        raise InvalidInput(f"endpoints needs at most {ENDPOINT_MAX_SAMPLES} samples, "
+                           f"not {int(samples)}")
     spread, identity = endpoint_focus_check(vnorm, samples=samples, rng=rng.split(0))
     return _threshold_report([("endpoint_spread", spread, ENDPOINT_SPREAD_TOL),
                               ("endpoint_identity", identity, ENDPOINT_IDENTITY_TOL)])

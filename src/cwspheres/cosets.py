@@ -81,8 +81,9 @@ def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
 
     The scalar summand is invariant under the adjoint action and passes
     through unchanged; only the matrix part is conjugated by Haar draws of
-    U(n+1) or Sp(n+1), a block of trials at a time.  `e` must belong to
-    the spec's family and be (n+1) x (n+1).
+    U(n+1) or Sp(n+1), a block of trials at a time, each block's streams
+    seeded together.  `e` must belong to the spec's family and be
+    (n+1) x (n+1).
     """
     if e.family != spec.family:
         raise InvalidInput(f"algebra family {e.family!r} != spec family {spec.family!r}")
@@ -92,8 +93,8 @@ def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
     if int(trials) < 1:
         raise InvalidInput("need at least one orbit draw")
     haar = haar_unitary if spec.family == U_SPHERE else haar_symplectic
-    parts = [project_to_m(spec.family, conjugate(haar(dim, subs), e.x), e.scalar)
-             for _, subs in trial_blocks(rng, trials, dim * dim)]
+    parts = [project_to_m(spec.family, conjugate(haar(dim, block), e.x), e.scalar)
+             for _, block in trial_blocks(rng, trials, dim * dim)]
     return (np.concatenate([m0 for m0, _ in parts]),
             np.concatenate([usq for _, usq in parts]))
 

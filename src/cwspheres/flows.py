@@ -6,6 +6,11 @@ unit-generator flows at a single endpoint at time pi (on S^3 in C^2), and
 two spectral facts the geodesic non-intersection argument rests on: a
 phase-interval bound for products of unitary matrices, and persistence of
 eigenvalue 1 for twisted commutators with singular off-diagonal blocks.
+
+The Monte-Carlo probes draw from a `StreamBlock` a block of trials at a
+time.  The commutator check screens eigenvalue 1 with singular values on
+half its t-grid: the twists at t and pi - t give the same singular
+values, so the second half is the first mirrored.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .matrixcore import (BLOCK_ENTRIES, as_skew_hermitian, as_unitary, conj_t,
-                         expm_skew, haar_unitary, seed_block, stream_list,
+from .matrixcore import (BLOCK_ENTRIES, StreamBlock, as_skew_hermitian, as_unitary,
+                         conj_t, expm_skew, haar_unitary, split_each,
                          trial_blocks, unitary_phases)
 
 TWO_PI = 2.0 * math.pi
@@ -29,9 +34,12 @@ SHARED_VECTOR_TOL = 1e-8        # residual of a shared eigenvector
 MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
 NONINTERSECTION_MIN_DIST = 1e-9
 BRANCH_CUT_TOL = 1e-12          # a phase this close to +-pi is on the cut
-# t-grid of the commutator check: 32 uniform points strictly inside (0, pi)
+# t-grid of the commutator check: 32 uniform points strictly inside (0, pi),
+# symmetric about pi/2 (point G-1-k is pi - point k), so its first half
+# mirrors onto its second
 T_GRID = np.linspace(0.0, math.pi, 34)[1:-1]
 T_GRID.flags.writeable = False
+_HALF_GRID = T_GRID.size // 2
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +126,10 @@ def endpoint_focus_check(vnorm, rng, samples=100):
     g -> exp(tX) g exp(-tV) on SU(2) with V = vnorm diag(i, -i).)  Returns
     the largest pairwise C^2 distance between the endpoints of one start
     point, over a few random start points each probed with `samples`
-    random unit X, and the largest |end + exp(-i pi vnorm) z| over the same
-    endpoints; a spread needs at least two samples.  A start point's
+    random unit X (start point b from `rng.split(b)`, its X number k from
+    `rng.split(b).split(k)`, k = 1..samples), and the largest
+    |end + exp(-i pi vnorm) z| over the same endpoints; a spread needs at
+    least two samples.  A start point's
     generators are exponentiated as one stack and its endpoints
     renormalized row by row: the same bits as `apply_flow` on each flow.
     """
@@ -133,12 +143,11 @@ def endpoint_focus_check(vnorm, rng, samples=100):
     spread = identity = 0.0
     for bp in range(ENDPOINT_BASE_POINTS):
         g_rng = rng.split(bp)
-        x_rngs = [g_rng.split(k + 1) for k in range(int(samples))]
-        seed_block([g_rng, *x_rngs])
         p = g_rng.gen.standard_normal(4)
         p /= np.linalg.norm(p)
         z = np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])      # g e_1
-        x3 = np.array([x_rng.gen.standard_normal(3) for x_rng in x_rngs])
+        x_gens = StreamBlock(g_rng, range(1, int(samples) + 1)).generators()
+        x3 = np.array([gen.standard_normal(3) for gen in x_gens])
         a, b, c = (x3 / _row_norms(x3)[:, None]).T
         x = np.moveaxis(np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]]), -1, 0)
         ends = expm_skew(x + shift, math.pi) @ z
@@ -276,7 +285,11 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     then a single eigenvector works for every t.
 
     `spectral_dists` holds the singular-value distance of `_eig1_distances`
-    at every (trial, t), with a = exp(tX) U exp(-tX) and b = U.  In a row
+    at every (trial, t), with a = exp(tX) U exp(-tX) and b = U, computed on
+    the first half of T_GRID and mirrored onto the second: with D = exp(tX),
+    the twist at pi - t is -D* (X's eigenvalues are +-i), so
+    a_(pi-t) - U = D*UD - U = D*(UD - DU) while a_t - U = (DU - UD)D*, and
+    both have the singular values of UD - DU.  In a row
     where eigenvalue 1 does not persist at every t, the entries within
     EIG1_RECOMPUTE_SLACK of the row's least distance hold the eigvals
     distance of the commutator instead, so the row's minimum is the
@@ -288,7 +301,8 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     if us.ndim != 3 or us.shape[-1] != l + m or l < 1 or m < 1:
         raise InvalidInput("U must be a stack of (l+m) x (l+m) matrices with l, m >= 1")
     d = np.array([_twist_diag(l, m, t) for t in T_GRID])          # (G, n)
-    dists = _eig1_distances(_twisted(d, us[:, None]), us[:, None])
+    half = _eig1_distances(_twisted(d[:_HALF_GRID], us[:, None]), us[:, None])
+    dists = np.concatenate([half, half[:, ::-1]], axis=1)
     open_rows = ~(dists <= EIG1_TOL).all(axis=-1)
     ti, gi = np.nonzero(open_rows[:, None] & _near_minimum(dists, axis=-1))
     if ti.size:
@@ -321,15 +335,17 @@ def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
     around a real block rotation through the given principal angles.
     Setting an angle to zero makes the off-diagonal blocks rank-deficient;
     keeping all angles inside (0, pi/2) with l = m makes them invertible.
-    Each Haar factor is drawn as one stack.
+    Each Haar factor is drawn as one stack, factor j from the children j of
+    `rngs`, a StreamBlock or a sequence of RngStreams.
     """
     r = min(l, m)
     angles = np.asarray(angles, dtype=float)
-    rngs = stream_list(rngs)
-    if angles.shape != (len(rngs), r):
-        raise InvalidInput(f"need a ({len(rngs)}, {r}) array of principal angles")
+    kids = [split_each(rngs, j) for j in range(4)]
+    count = len(kids[0])
+    if angles.shape != (count, r):
+        raise InvalidInput(f"need a ({count}, {r}) array of principal angles")
     n = l + m
-    rot = np.tile(np.eye(n), (len(rngs), 1, 1))
+    rot = np.tile(np.eye(n), (count, 1, 1))
     for i in range(r):
         cs = np.array([math.cos(th) for th in angles[:, i]])
         sn = np.array([math.sin(th) for th in angles[:, i]])
@@ -337,12 +353,12 @@ def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
         rot[:, l + i, l + i] = cs
         rot[:, i, l + i] = -sn
         rot[:, l + i, i] = sn
-    left = np.zeros((len(rngs), n, n), dtype=complex)
+    left = np.zeros((count, n, n), dtype=complex)
     right = np.zeros_like(left)
-    left[:, :l, :l] = haar_unitary(l, [s.split(0) for s in rngs])
-    left[:, l:, l:] = haar_unitary(m, [s.split(1) for s in rngs])
-    right[:, :l, :l] = haar_unitary(l, [s.split(2) for s in rngs])
-    right[:, l:, l:] = haar_unitary(m, [s.split(3) for s in rngs])
+    left[:, :l, :l] = haar_unitary(l, kids[0])
+    left[:, l:, l:] = haar_unitary(m, kids[1])
+    right[:, :l, :l] = haar_unitary(l, kids[2])
+    right[:, l:, l:] = haar_unitary(m, kids[3])
     return left @ rot @ right
 
 
@@ -356,10 +372,11 @@ class NonIntersectionResult:
     min_spectral_distance: float
 
 
-def _separated_times(rng):
-    """Times t1 > t2 in (0, pi) at least MIN_T_SEP apart, redrawn until so."""
+def _separated_times(gen):
+    """Times t1 > t2 in (0, pi) at least MIN_T_SEP apart, drawn from the
+    Generator `gen` until so."""
     while True:
-        t1, t2 = np.sort(rng.gen.uniform(0.0, math.pi, size=2))[::-1]
+        t1, t2 = np.sort(gen.uniform(0.0, math.pi, size=2))[::-1]
         if t1 - t2 >= MIN_T_SEP:
             return t1, t2
 
@@ -367,8 +384,9 @@ def _separated_times(rng):
 def geodesic_nonintersection_probe(x, l, m, trials, rng):
     """For random conjugates X1, X2 of X = i(x I + diag(-I_l, I_m)) and
     random times t1 > t2 in (0, pi), check that exp(t1 X1) exp(-t2 X2)
-    never has eigenvalue 1.  Trial k draws from `rng.split(k)`; trials are
-    stacked a block at a time.
+    never has eigenvalue 1.  Trial k draws X1's and X2's conjugators from
+    `rng.split(k).split(0)` and `.split(1)`, its times from `rng.split(k)`;
+    trials are stacked a block at a time.
 
     Distinct flow curves of the orbit's generators could only intersect at
     interior times if such a product had a fixed vector; the phase windows
@@ -383,10 +401,10 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng):
     n = l + m
     diag = 1j * (x * np.ones(n) + np.concatenate([-np.ones(l), np.ones(m)]))
     worst = np.inf
-    for _, subs in trial_blocks(rng, trials, n * n):
-        g1 = haar_unitary(n, [s.split(0) for s in subs])
-        g2 = haar_unitary(n, [s.split(1) for s in subs])
-        t1, t2 = np.array([_separated_times(s) for s in seed_block(subs)]).T
+    for _, block in trial_blocks(rng, trials, n * n):
+        g1 = haar_unitary(n, block.split(0))
+        g2 = haar_unitary(n, block.split(1))
+        t1, t2 = np.array([_separated_times(gen) for gen in block.generators()]).T
         e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
         e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
         # a = e1, b = e2*: a b* = e1 e2; only the block's least singular-value

@@ -8,12 +8,17 @@ are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; a 2n x 2n
 complex embedding is provided as an independent cross-check only.
 
 The Monte-Carlo kernels work on stacks: the phases and the conjugation
-take a leading trial axis, the Haar samplers take a sequence of streams
-and return the stack of one draw per stream, and `trial_blocks` cuts a
-run into blocks of per-trial streams, which `seed_block` seeds in one
-vectorised SeedSequence pass.  numpy's stacked QR, eigvals and matmul
-give the same bits as one call per matrix, so draw k of a stack equals
-the draw of its stream alone.
+take a leading trial axis, and the Haar samplers take a block of streams
+and return the stack of one draw per stream.  `trial_blocks` cuts a run
+into blocks of trial ids; a block's streams are a `StreamBlock`, the
+streams `rng.split(k)` of its ids k and their children along one key
+suffix, with no RngStream per trial.  All seeding goes through
+`_generators`: the SeedSequence entropy words of every stream of a block
+are one uint32 array, hashed in one vectorised pass, and each PCG64
+generator is built from its row, the bits numpy's own SeedSequence gives.
+`seed_block` seeds an arbitrary list of RngStreams the same way.  numpy's
+stacked QR, eigvals and matmul give the same bits as one call per matrix,
+so draw k of a stack equals the draw of its stream alone.
 """
 
 from __future__ import annotations
@@ -143,14 +148,20 @@ def _seed_states(entropy):
 
     The hash constants depend only on L, so one run of array operations
     over the (words, G) transpose hashes all G rows: mix_entropy, then
-    generate_state.
+    generate_state.  Leading words that every row shares (a block's seed
+    and parent key) leave every row the same pool, so they are hashed on
+    the first row alone, and the pool broadcasts over the rows from the
+    first word that differs.
     """
     rows, width = entropy.shape
     words = np.zeros((max(width, _POOL), rows), dtype=np.uint32)
     words[:width] = entropy.T
+    alike = np.logical_and.accumulate((words == words[:, :1]).all(axis=1))
+    first = words[:, :1]
     a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(width, _POOL))
     # the first POOL words (zero where the entropy is shorter) fill the pool
-    pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
+    pool = _hashmix((first if alike[_POOL - 1] else words)[:_POOL], a[:_POOL],
+                    a[1:_POOL + 1])
     # every pool word is hashed and mixed into each other pool word
     for src, (xor, mul) in enumerate(_POOL_MIXING):
         mixed = _mix(pool, _hashmix(pool[src], xor, mul))
@@ -159,8 +170,9 @@ def _seed_states(entropy):
     # every further entropy word is hashed and mixed into each pool word
     for src in range(_POOL, width):
         call = _POOL * src
-        pool = _mix(pool, _hashmix(words[src], a[call:call + _POOL],
-                                   a[call + 1:call + _POOL + 1]))
+        pool = _mix(pool, _hashmix((first if alike[src] else words)[src],
+                                   a[call:call + _POOL], a[call + 1:call + _POOL + 1]))
+    pool = np.broadcast_to(pool, (_POOL, rows))
     b = _hash_consts(_INIT_B, _MULT_B, len(_STATE_CYCLE))
     state = _hashmix(pool[_STATE_CYCLE], b[:-1], b[1:])
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
@@ -175,29 +187,107 @@ def _uint32_words(n):
     return words
 
 
-def _entropy(stream):
-    """SeedSequence's assembled entropy of a stream: the seed's words,
-    zero-filled to the pool size when there is a key, then the key's."""
-    words = _uint32_words(stream.seed)
-    if stream._key:
-        words += [0] * (_POOL - len(words))
-        for k in stream._key:
-            words += _uint32_words(k)
-    return words
+def _column_words(column):
+    """Entropy words of a key column of one int per stream: a (T, w) uint32
+    array, row k the words of the k-th int zero-filled to the widest, and
+    each row's word count.  A range below 2**32 is one arange."""
+    if isinstance(column, range) and max(column[0], column[-1]) <= _MASK32:
+        words = np.arange(column.start, column.stop, column.step, dtype=np.int64)
+        return words.astype(np.uint32)[:, None], np.ones(len(column), dtype=np.int64)
+    rest = np.array(column, dtype=object)
+    words, width = [], np.ones(len(rest), dtype=np.int64)
+    while True:
+        words.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+        more = rest > 0
+        if not more.any():
+            return np.stack(words, axis=1), width
+        width += more
 
 
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A precomputed SeedSequence output, handed to PCG64 as its seed."""
+class _SeedStates(np.random.bit_generator.ISeedSequence):
+    """Precomputed SeedSequence outputs, rows of a (G, 4) uint64 array,
+    handed in turn to G PCG64 generators as their seed: PCG64 reads its
+    four state words once, when it is built.  One object per group, not
+    one per stream, keeps the per-generator cost to numpy's own."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_rows",)
 
-    def __init__(self, state):
-        self._state = state
+    def __init__(self, states):
+        self._rows = iter(states)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64:
             raise ValueError("only PCG64's four uint64 state words are precomputed")
-        return self._state
+        return next(self._rows)
+
+
+def _generators(seed, columns, count):
+    """numpy Generators of `count` streams of root `seed` whose key element
+    j is columns[j]: one int shared by every stream, or a sequence of one
+    int per stream.  The one place a Generator is built.
+
+    A stream's SeedSequence entropy is the seed's words, zero-filled to the
+    pool size (SeedSequence reads a shorter entropy zero-filled anyway),
+    then each key element's words.  Streams are grouped by word count (ints
+    of 2**32 or more take several); each group's entropy is assembled as
+    one uint32 array and hashed in one `_seed_states` pass.  Each Generator
+    is bit-identical to `default_rng(SeedSequence(seed, spawn_key=key))`.
+    """
+    if not count:
+        return []
+
+    def shared(words):
+        words = np.array(words, dtype=np.uint32)
+        return np.broadcast_to(words, (count, words.size)), np.full(count, words.size)
+
+    seed_words = _uint32_words(seed)
+    parts = [shared(seed_words + [0] * (_POOL - len(seed_words)))]
+    parts += [shared(_uint32_words(column)) if isinstance(column, int)
+              else _column_words(column) for column in columns]
+    blocks, widths = zip(*parts)
+    widths = np.stack(widths, axis=1)
+    if (widths == widths[0]).all():
+        groups = [(slice(None), widths[0])]
+    else:
+        kinds, which = np.unique(widths, axis=0, return_inverse=True)
+        groups = [(np.flatnonzero(which.ravel() == g), kind) for g, kind in enumerate(kinds)]
+    gens = [None] * count
+    for rows, kind in groups:
+        entropy = np.concatenate([b[rows, :w] for b, w in zip(blocks, kind)], axis=1)
+        seeds = _SeedStates(_seed_states(entropy))
+        for row in np.arange(count)[rows].tolist():
+            gens[row] = np.random.Generator(np.random.PCG64(seeds))
+    return gens
+
+
+class StreamBlock:
+    """The streams `rng.split(k)` for the keys k of `ids` (a range or a
+    sequence of ints), or their descendants along one key suffix, as one
+    sequence whose Generators are built together: `generators()` seeds
+    every stream in one `_generators` pass, and `split(j)` is the block of
+    their children j.  No RngStream is made per stream."""
+
+    __slots__ = ("rng", "ids", "suffix")
+
+    def __init__(self, rng, ids, _suffix=()):
+        self.rng = rng
+        if not (isinstance(ids, range) and (not ids or min(ids[0], ids[-1]) >= 0)):
+            ids = tuple(_stream_int(k, "stream key") for k in ids)
+        self.ids = ids
+        self.suffix = tuple(_suffix)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def split(self, k):
+        """The block of every stream's child keyed by integer `k`."""
+        return StreamBlock(self.rng, self.ids, self.suffix + (_stream_int(k, "stream key"),))
+
+    def generators(self):
+        """The numpy Generator of each stream, fresh on every call."""
+        return _generators(self.rng.seed, (*self.rng._key, self.ids, *self.suffix),
+                           len(self.ids))
 
 
 def stream_list(streams):
@@ -209,31 +299,38 @@ def stream_list(streams):
 
 
 def seed_block(streams):
-    """Build the numpy Generator of every stream in the sequence `streams`
-    that has none yet, in one vectorised SeedSequence pass, and return the
-    streams as a list.
+    """Build the numpy Generator of every stream in the sequence of
+    RngStreams `streams` that has none yet, and return the streams as a
+    list.
 
-    Streams are grouped by their number of entropy words (seeds and keys of
-    2**32 or more take several); a stream that has already drawn keeps its
-    state.  Each Generator is bit-identical to
-    `default_rng(SeedSequence(seed, spawn_key=key))`.
+    Streams of one seed and key depth are seeded by one `_generators` call,
+    their keys read as per-stream columns; a stream that has already drawn
+    keeps its state.
     """
     streams = stream_list(streams)
     groups = {}
     for s in streams:
         if s._gen is None:
-            words = _entropy(s)
-            groups.setdefault(len(words), []).append((s, words))
-    for group in groups.values():
-        states = _seed_states(np.array([words for _, words in group], dtype=np.uint32))
-        for (s, _), state in zip(group, states):
-            s._gen = np.random.Generator(np.random.PCG64(_SeedState(state)))
+            groups.setdefault((s.seed, len(s._key)), []).append(s)
+    for (seed, depth), group in groups.items():
+        columns = [tuple(s._key[j] for s in group) for j in range(depth)]
+        for s, gen in zip(group, _generators(seed, columns, len(group))):
+            s._gen = gen
     return streams
+
+
+def split_each(rngs, k):
+    """The child `k` of each stream of `rngs`, a StreamBlock or a sequence
+    of RngStreams, in the same form."""
+    if isinstance(rngs, StreamBlock):
+        return rngs.split(k)
+    return [s.split(k) for s in stream_list(rngs)]
 
 
 def trial_blocks(rng, trials, entries):
     """Trials 0..trials-1 in consecutive blocks: yields (range of trial
-    ids, [rng.split(k) for k in it]), so trial k keeps its own stream.
+    ids, StreamBlock of their streams `rng.split(k)`), so trial k keeps its
+    own stream.
 
     A block holds TRIAL_BLOCK trials, or fewer when one trial stacks
     `entries` matrix entries and the block would pass BLOCK_ENTRIES; the
@@ -242,16 +339,20 @@ def trial_blocks(rng, trials, entries):
     size = max(1, min(TRIAL_BLOCK, BLOCK_ENTRIES // max(int(entries), 1)))
     for start in range(0, int(trials), size):
         ks = range(start, min(start + size, int(trials)))
-        yield ks, [rng.split(k) for k in ks]
+        yield ks, StreamBlock(rng, ks)
 
 
-def _ginibre(streams, rows, cols, count=1):
-    """(T, count, rows, cols) complex Ginibre matrices: each stream draws
-    its `count` matrices in turn, each one's real parts, then its imaginary
-    ones.  One complex assembly, in place, serves the whole stack."""
-    z = np.empty((len(streams), count, 2, rows, cols))
-    for s, out in zip(streams, z):
-        s.gen.standard_normal(out=out)
+def _ginibre(rngs, rows, cols, count=1):
+    """(T, count, rows, cols) complex Ginibre matrices, one row per stream
+    of `rngs` (a StreamBlock or a sequence of RngStreams): each stream
+    draws its `count` matrices in turn, each one's real parts, then its
+    imaginary ones.  One complex assembly, in place, serves the whole
+    stack."""
+    gens = rngs.generators() if isinstance(rngs, StreamBlock) else \
+        [s.gen for s in seed_block(rngs)]
+    z = np.empty((len(gens), count, 2, rows, cols))
+    for gen, out in zip(gens, z):
+        gen.standard_normal(out=out)
     g = 1j * z[:, :, 1]
     g += z[:, :, 0]
     g /= np.sqrt(2.0)
@@ -326,11 +427,12 @@ def unitary_phases(u, tol=UNITARY_TOL):
 
 def haar_unitary(n, rngs):
     """(T, n, n) stack of Haar-distributed U(n) draws, one per stream of
-    the sequence `rngs`: one stacked QR of complex Ginibre matrices with
-    the standard phase correction on R's diagonal."""
+    `rngs` (a StreamBlock or a sequence of RngStreams): one stacked QR of
+    complex Ginibre matrices with the standard phase correction on R's
+    diagonal."""
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    q, r = np.linalg.qr(_ginibre(seed_block(rngs), n, n)[:, 0])
+    q, r = np.linalg.qr(_ginibre(rngs, n, n)[:, 0])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -463,7 +565,8 @@ def as_quaternion_skew(x, tol=SKEW_TOL):
 
 def haar_symplectic(n, rngs):
     """Stacked QuaternionMatrix of Haar-distributed Sp(n) draws, one per
-    stream of the sequence `rngs`, orthogonalised together.
+    stream of `rngs` (a StreamBlock or a sequence of RngStreams),
+    orthogonalised together.
 
     QR over the quaternions in the (Q1, Q2) pair model: modified
     Gram-Schmidt on the columns of a quaternion Ginibre matrix, with
@@ -472,7 +575,7 @@ def haar_symplectic(n, rngs):
     """
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
-    g = _ginibre(seed_block(rngs), n, n, count=2)
+    g = _ginibre(rngs, n, n, count=2)
     g1, g2 = g[:, 0], g[:, 1]
     cols = [(g1[..., a].copy(), g2[..., a].copy()) for a in range(n)]
     for _ in range(2):  # second pass tightens orthogonality

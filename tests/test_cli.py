@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from cwspheres import checks, cli, geodesy
 from cwspheres.cli import main
+from cwspheres.errors import InvalidInput
 from cwspheres.killing import OrbitParams, solve_metric
+from cwspheres.matrixcore import RngStream
 from cwspheres.randers import spec_from_json, spec_to_json
 
 
@@ -432,6 +434,29 @@ def test_verify_endpoints_many_trials_fit_in_bounded_memory():
         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[1].startswith("endpoint_spread,")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_verify_endpoints_huge_trials_is_refused_before_anything_is_sized():
+    # 10^8 samples would need gigabytes of streams and endpoints; the cap
+    # is checked first, so 64 MB above the imports is plenty
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, str(64 * 2 ** 20),
+         "verify", "endpoints", "--trials", "100000000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: endpoints needs at most {checks.ENDPOINT_MAX_SAMPLES} samples, "
+        "not 100000000"]
+
+
+def test_endpoints_sample_cap_admits_the_cap_itself(monkeypatch):
+    monkeypatch.setattr(checks, "ENDPOINT_MAX_SAMPLES", 3)
+    assert checks.endpoints(0.5, 3, RngStream(0)).ok
+    with pytest.raises(InvalidInput):
+        checks.endpoints(0.5, 4, RngStream(0))
 
 
 # In a fresh interpreter, imports the CLI, then makes the CLI calls of the

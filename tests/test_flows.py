@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from cwspheres import checks, flows
+from cwspheres import checks, flows, matrixcore
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import (ENDPOINT_BASE_POINTS, NonIntersectionResult,
                              apply_flow, block_angle_unitary,
@@ -444,6 +444,77 @@ def test_commutator_eigensolves_only_the_entries_a_report_prints(monkeypatch):
     seen.clear()
     assert checks.commutator(1, 3, 20, RngStream(0)).ok
     assert seen == []
+
+
+def test_t_grid_is_symmetric_about_half_pi():
+    # the commutator screen computes the first half of the grid and
+    # mirrors it; that needs point G-1-k to be pi - point k
+    size = flows.T_GRID.size
+    assert size % 2 == 0
+    np.testing.assert_allclose(flows.T_GRID + flows.T_GRID[::-1], math.pi,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 2), (1, 3), (4, 4), (3, 5)])
+def test_twists_at_t_and_pi_minus_t_give_the_same_singular_values(l, m):
+    # the twist at pi - t is -D* for D the twist at t, so
+    # a_(pi-t) - U = D*(UD - DU) and a_t - U = (DU - UD)D*
+    u = haar_unitary(l + m, [RngStream(95).split(l).split(k) for k in range(20)])
+    d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
+    sv = np.linalg.svd(flows._twisted(d, u[:, None]) - u[:, None], compute_uv=False)
+    np.testing.assert_allclose(sv, sv[:, ::-1], rtol=0, atol=1e-14)
+
+
+def full_grid_persistence(u, l, m):
+    """The commutator result with the singular-value screen run on every
+    point of T_GRID: the same recompute and shared-eigenvector steps."""
+    d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
+    dists = flows._eig1_distances(flows._twisted(d, u[:, None]), u[:, None])
+    open_rows = ~(dists <= flows.EIG1_TOL).all(axis=-1)
+    ti, gi = np.nonzero(open_rows[:, None] & flows._near_minimum(dists, axis=-1))
+    if ti.size:
+        dists[ti, gi] = flows._eigvals_distances(flows._commutator(d[gi], u[ti]))
+    has = dists <= flows.EIG1_TOL
+    worst = np.full(len(u), np.inf)
+    for j in np.flatnonzero(has.all(axis=-1)):
+        w, vecs = np.linalg.eig(flows._commutator(d[0], u[j]))
+        for idx in np.flatnonzero(np.abs(w - 1.0) <= 1e-8):
+            v = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
+            res = max(np.linalg.norm(flows._commutator(dt, u[j]) @ v - v) for dt in d)
+            worst[j] = min(worst[j], res)
+    shared = has.all(axis=-1) & (worst <= flows.SHARED_VECTOR_TOL)
+    return has, dists.min(axis=-1), shared, worst
+
+
+@pytest.mark.parametrize("l, m, trials", [(2, 2, 30), (4, 4, 16), (1, 3, 10), (3, 3, 16)])
+def test_half_grid_screen_matches_the_full_grid_on_the_checks_draws(monkeypatch, l, m,
+                                                                     trials):
+    # the stacks the commutator check builds, singular and invertible
+    # trials, in blocks of 7
+    monkeypatch.setattr(matrixcore, "TRIAL_BLOCK", 7)
+    calls, real = [], flows.commutator_eig1_persistence
+
+    def recording(u, l, m):
+        res = real(u, l, m)
+        calls.append((u, res))
+        return res
+    monkeypatch.setattr(checks, "commutator_eig1_persistence", recording)
+    assert checks.commutator(l, m, trials, RngStream(6)).ok
+    assert sum(len(u) for u, _ in calls) == trials and len(calls) > 1
+    for u, res in calls:
+        has, row_min, shared, worst = full_grid_persistence(u, l, m)
+        assert np.array_equal(res.has_eig1, has)
+        # a row where eigenvalue 1 does not persist prints its minimum, an
+        # eigensolve's; where it persists, the minimum is singular-value
+        # rounding at about 1e-17, which the mirror need not keep
+        open_rows = ~has.all(axis=-1)
+        got_min = res.spectral_dists.min(axis=-1)
+        assert np.array_equal(got_min[open_rows], row_min[open_rows])
+        np.testing.assert_allclose(got_min, row_min, rtol=0, atol=1e-15)
+        assert np.array_equal(res.shared_eigenvector, shared)
+        assert np.array_equal(res.worst_residual, worst)
+    persists = {bool(row.all()) for _, res in calls for row in res.has_eig1}
+    assert persists == ({True, False} if l == m else {True})
 
 
 # --------------------------------------------------------- non-intersection

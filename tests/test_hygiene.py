@@ -22,6 +22,10 @@ For `x * np.conj(y)` numpy reuses the conjugate's temporary once it
 reaches 256 KiB and computes `conj(y) * x` in it, which rounds
 differently, so a stacked result would depend on the stack's size; the
 package binds such a conjugate to a name first, which numpy never reuses.
+Every random stream is seeded through one function, `matrixcore._generators`,
+which the cross-checks against numpy's SeedSequence cover: it alone may
+build a `np.random.Generator` or `np.random.PCG64`, and no module builds a
+`default_rng`, `SeedSequence` or `RandomState`.
 """
 
 import ast
@@ -281,3 +285,63 @@ def test_conj_product_scan_flags_crafted_products():
             "h = x * cy\n")
     assert conj_product_violations(text) == [
         (2, "x * np.conj(y)"), (7, "x2 * numpy.conjugate(y2)"), (9, "x * (np.conj(y))")]
+
+
+RNG_BUILDERS = {"Generator", "PCG64", "default_rng", "SeedSequence", "RandomState"}
+
+
+def rng_builder_calls(texts):
+    """(file, function, name) of each call of a numpy.random builder in
+    RNG_BUILDERS, `function` being the innermost enclosing function or
+    `<module>`: as `np.random.X(...)`, `numpy.random.X(...)`, or a bare
+    `X(...)` imported from numpy.random; `texts` maps file names to
+    sources."""
+    out = set()
+    for name, text in texts.items():
+        tree = ast.parse(text)
+        bare = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+                for alias in node.names if alias.name in RNG_BUILDERS}
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                         ast.AsyncFunctionDef)) else where
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    if isinstance(f, ast.Attribute) and f.attr in RNG_BUILDERS \
+                            and isinstance(f.value, ast.Attribute) and f.value.attr == "random" \
+                            and getattr(f.value.value, "id", None) in ("np", "numpy"):
+                        out.add((name, where, f.attr))
+                    elif isinstance(f, ast.Name) and f.id in bare:
+                        out.add((name, where, f.id))
+                visit(child, inner)
+        visit(tree, "<module>")
+    return sorted(out)
+
+
+def test_every_generator_is_built_by_one_function():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert rng_builder_calls(texts) == [("matrixcore.py", "_generators", "Generator"),
+                                        ("matrixcore.py", "_generators", "PCG64")]
+
+
+def test_rng_builder_scan_flags_crafted_calls():
+    texts = {"matrixcore.py": ("import numpy as np\n"
+                               "def _generators(states):\n"
+                               "    return [np.random.Generator(np.random.PCG64(s))\n"
+                               "            for s in states]\n"
+                               "class Stream:\n"
+                               "    def gen(self):\n"
+                               "        return np.random.default_rng(self.seed)\n"),
+             "flows.py": ("import numpy\n"
+                          "from numpy.random import SeedSequence as SS, PCG64\n"
+                          "GEN = numpy.random.Generator(PCG64(SS(0)))\n"
+                          "def probe(x):\n"
+                          "    return x.random.Generator(x)\n"),
+             "checks.py": "import numpy as np\nrng = np.random.RandomState\n"}
+    assert rng_builder_calls(texts) == [
+        ("flows.py", "<module>", "Generator"), ("flows.py", "<module>", "PCG64"),
+        ("flows.py", "<module>", "SS"),
+        ("matrixcore.py", "_generators", "Generator"), ("matrixcore.py", "_generators", "PCG64"),
+        ("matrixcore.py", "gen", "default_rng")]

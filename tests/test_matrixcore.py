@@ -4,14 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwspheres import checks
+from cwspheres import checks, matrixcore
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import block_angle_unitary
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre,
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_symplectic, haar_unitary, qabs,
                                   qdot, qmul, seed_block, symplectic_defect,
-                                  unitary_phases)
+                                  trial_blocks, unitary_phases)
 
 
 def random_skew(n, rng):
@@ -236,6 +236,74 @@ def test_seed_block_matches_numpy_on_random_paths(seed, keys):
     for key, s in zip(keys, streams):
         np.testing.assert_array_equal(s.gen.standard_normal(6),
                                       numpy_normals(seed, tuple(key)))
+
+
+PARENT_KEYS = ((), (3,), (2 ** 32, 7), (1, 2 ** 64 + 5, 0))
+BLOCK_IDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1)
+SUFFIXES = ((), (1,), (1, 3))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("parent", PARENT_KEYS, ids=len)
+def test_stream_block_matches_numpy_seed_sequence(seed, parent):
+    # trial ids of one and two words in one block, key depths 0-3 above
+    # them and suffixes of 0-2 keys below: every Generator draws what
+    # numpy's own SeedSequence of its full key draws
+    for suffix in SUFFIXES:
+        block = StreamBlock(stream(seed, parent), BLOCK_IDS)
+        for k in suffix:
+            block = block.split(k)
+        gens = block.generators()
+        assert len(gens) == len(block) == len(BLOCK_IDS)
+        for k, gen in zip(BLOCK_IDS, gens):
+            np.testing.assert_array_equal(gen.standard_normal(6),
+                                          numpy_normals(seed, (*parent, k, *suffix)))
+
+
+def test_trial_blocks_cover_every_trial_with_its_own_stream(monkeypatch):
+    monkeypatch.setattr(matrixcore, "TRIAL_BLOCK", 7)
+    rng = RngStream(5).split(2)
+    blocks = list(trial_blocks(rng, 17, 4))
+    assert [list(ks) for ks, _ in blocks] == [list(range(0, 7)), list(range(7, 14)),
+                                             list(range(14, 17))]
+    for ks, block in blocks:
+        for k, gen in zip(ks, block.split(4).generators()):
+            np.testing.assert_array_equal(gen.standard_normal(6), numpy_normals(5, (2, k, 4)))
+
+
+def test_stream_block_refuses_a_bad_key():
+    for bad in (-1, True, 1.5):
+        with pytest.raises(InvalidInput):
+            StreamBlock(RngStream(0), [0, bad])
+        with pytest.raises(InvalidInput):
+            StreamBlock(RngStream(0), range(3)).split(bad)
+    with pytest.raises(InvalidInput):
+        StreamBlock(RngStream(0), range(-1, 2))
+
+
+def test_monte_carlo_checks_seed_a_block_per_suffix(monkeypatch):
+    # the trial blocks are seeded without a per-trial RngStream split, and
+    # with one hash pass per block and key suffix
+    splits, hashes = [], []
+    split, seed_states = RngStream.split, matrixcore._seed_states
+
+    def counting_split(self, k):
+        splits.append(k)
+        return split(self, k)
+
+    def counting_seed_states(entropy):
+        hashes.append(len(entropy))
+        return seed_states(entropy)
+
+    monkeypatch.setattr(RngStream, "split", counting_split)
+    monkeypatch.setattr(matrixcore, "_seed_states", counting_seed_states)
+    assert checks.eigenlemma(4, 600, RngStream(0)).ok
+    # three blocks (256, 256, 88 trials), P and Q streams of each
+    assert (splits, hashes) == ([], [256, 256, 256, 256, 88, 88])
+    hashes.clear()
+    assert checks.commutator(2, 2, 50, RngStream(0)).ok
+    # one block: its angle streams, then the four Haar factors' streams
+    assert (splits, hashes) == ([], [50] * 5)
 
 
 @pytest.mark.parametrize("key", (-1, True, np.True_, 1.5, 2.0, "3", None))
