@@ -9,8 +9,8 @@ Modules
 -------
 matrixcore
     Skew-Hermitian exponentials, eigenvalue phases, stacked Haar
-    U(n)/Sp(n) draws from blocks of seeded RNG streams (one seeding
-    function for all of them), quaternion pairs.
+    U(n)/Sp(n) draws from a `StreamBlock` of seeded RNG streams (one
+    seeding function for blocks and lone streams), quaternion pairs.
 randers
     Metric parameter containers for the u_sphere and sp_sphere families
     (S^3 = SU(2) is u_sphere n = 1), the vectorised norm on (m0, usq)

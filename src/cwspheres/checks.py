@@ -22,7 +22,7 @@ from .flows import (T_GRID, block_angle_unitary, commutator_eig1_persistence,
                     endpoint_focus_check, geodesic_nonintersection_probe,
                     phase_bound_check, u_flow)
 from .killing import orbit_generator, orbit_length_report, sp_witness_pair
-from .matrixcore import QuaternionMatrix, haar_unitary, seed_block, trial_blocks
+from .matrixcore import QuaternionMatrix, StreamBlock, haar_unitary, trial_blocks
 from .randers import SP_SPHERE, U_SPHERE, round_spec
 
 log = logging.getLogger("cwspheres")
@@ -218,9 +218,9 @@ def sp_witness(spec, rng) -> CheckReport:
     """Witness gaps of random diagonal generators for n = 1..3 (`rng.split(n)`)."""
     _require_sp(spec, "sp-witness")
     rows = []
-    for n, sub in enumerate(seed_block([rng.split(n) for n in range(1, 4)]), start=1):
+    for n, gen in enumerate(StreamBlock(rng, range(1, 4)).generators(), start=1):
         dim = n + 1
-        entries = sub.gen.standard_normal((dim, 3))
+        entries = gen.standard_normal((dim, 3))
         entries[np.abs(entries) < 0.2] = 0.0
         if not np.any(np.linalg.norm(entries, axis=1) > 0):
             entries[0, 0] = 1.0

@@ -25,7 +25,7 @@ from .errors import CwError, InfeasibleParams, InvalidInput, InvalidSpec
 from .flows import phase_bound_check  # noqa: F401
 from .killing import (IDENTITY_RESIDUAL_TOL, OrbitParams, constant_length_identity,
                       solve_metric)
-from .matrixcore import RngStream, seed_block
+from .matrixcore import RngStream
 from .randers import SP_SPHERE, RandersSpec, spec_from_json, spec_to_json
 
 _SP_DEFAULT = RandersSpec(SP_SPHERE, n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)  # on S^11
@@ -130,9 +130,9 @@ _CHECKS = {
     "sp-witness": lambda a, rng: checks.sp_witness(_sp_spec(a), rng),
     "displacement": lambda a, rng: checks.displacement(
         *_orbit_inputs(a), a.t, a.points, a.n_points, a.k,
-        *seed_block([rng.split(0), rng.split(1)])),
+        rng.split(0), rng.split(1)),
     "oracle": lambda a, rng: checks.oracle(
-        a.n_points, a.k, *seed_block([rng.split(k) for k in range(3)])),
+        a.n_points, a.k, *(rng.split(k) for k in range(3))),
 }
 
 

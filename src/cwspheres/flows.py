@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .matrixcore import (BLOCK_ENTRIES, StreamBlock, as_skew_hermitian, as_unitary,
-                         conj_t, expm_skew, haar_unitary, split_each,
-                         trial_blocks, unitary_phases)
+                         conj_t, expm_skew, haar_unitary, trial_blocks,
+                         unitary_phases)
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_BASE_POINTS = 3
@@ -127,7 +127,8 @@ def endpoint_focus_check(vnorm, rng, samples=100):
     the largest pairwise C^2 distance between the endpoints of one start
     point, over a few random start points each probed with `samples`
     random unit X (start point b from `rng.split(b)`, its X number k from
-    `rng.split(b).split(k)`, k = 1..samples), and the largest
+    `rng.split(b).split(k)`, k = 1..samples; the start points are seeded as
+    one block, each one's samples as another), and the largest
     |end + exp(-i pi vnorm) z| over the same endpoints; a spread needs at
     least two samples.  A start point's
     generators are exponentiated as one stack and its endpoints
@@ -141,12 +142,12 @@ def endpoint_focus_check(vnorm, rng, samples=100):
     shift = -1j * vnorm * np.eye(2)
     phase = np.exp(-1j * math.pi * vnorm)
     spread = identity = 0.0
-    for bp in range(ENDPOINT_BASE_POINTS):
-        g_rng = rng.split(bp)
-        p = g_rng.gen.standard_normal(4)
+    starts = StreamBlock(rng, range(ENDPOINT_BASE_POINTS)).generators()
+    for bp, start in enumerate(starts):
+        p = start.standard_normal(4)
         p /= np.linalg.norm(p)
         z = np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])      # g e_1
-        x_gens = StreamBlock(g_rng, range(1, int(samples) + 1)).generators()
+        x_gens = StreamBlock(rng.split(bp), range(1, int(samples) + 1)).generators()
         x3 = np.array([gen.standard_normal(3) for gen in x_gens])
         a, b, c = (x3 / _row_norms(x3)[:, None]).T
         x = np.moveaxis(np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]]), -1, 0)
@@ -327,7 +328,7 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
 
 def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
     """(T, l+m, l+m) stack of unitaries, one per row of the (T, r) array
-    `angles` and stream of the sequence `rngs`, r = min(l, m), whose
+    `angles` and stream of the StreamBlock `rngs`, r = min(l, m), whose
     off-diagonal blocks have singular values |sin(angles)| (padded with
     zeros if l != m).
 
@@ -335,12 +336,14 @@ def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
     around a real block rotation through the given principal angles.
     Setting an angle to zero makes the off-diagonal blocks rank-deficient;
     keeping all angles inside (0, pi/2) with l = m makes them invertible.
-    Each Haar factor is drawn as one stack, factor j from the children j of
-    `rngs`, a StreamBlock or a sequence of RngStreams.
+    Each Haar factor is drawn as one stack, factor j from the block
+    `rngs.split(j)`; anything but a StreamBlock is refused.
     """
+    if not isinstance(rngs, StreamBlock):
+        raise InvalidInput(f"need a StreamBlock of streams, not a {type(rngs).__name__}")
     r = min(l, m)
     angles = np.asarray(angles, dtype=float)
-    kids = [split_each(rngs, j) for j in range(4)]
+    kids = [rngs.split(j) for j in range(4)]
     count = len(kids[0])
     if angles.shape != (count, r):
         raise InvalidInput(f"need a ({count}, {r}) array of principal angles")
@@ -372,13 +375,18 @@ class NonIntersectionResult:
     min_spectral_distance: float
 
 
-def _separated_times(gen):
-    """Times t1 > t2 in (0, pi) at least MIN_T_SEP apart, drawn from the
-    Generator `gen` until so."""
-    while True:
-        t1, t2 = np.sort(gen.uniform(0.0, math.pi, size=2))[::-1]
-        if t1 - t2 >= MIN_T_SEP:
-            return t1, t2
+def _separated_times(gens):
+    """(T,) arrays of times t1 > t2 in (0, pi) at least MIN_T_SEP apart, a
+    pair from each Generator of `gens`: the pairs are sorted as one stack,
+    and a pair closer than MIN_T_SEP is redrawn from its own Generator until
+    it is not."""
+    times = np.array([gen.uniform(0.0, math.pi, size=2) for gen in gens])
+    times.sort(axis=1)
+    times = times[:, ::-1]
+    for k in np.flatnonzero(times[:, 0] - times[:, 1] < MIN_T_SEP):
+        while times[k, 0] - times[k, 1] < MIN_T_SEP:
+            times[k] = np.sort(gens[k].uniform(0.0, math.pi, size=2))[::-1]
+    return times[:, 0], times[:, 1]
 
 
 def geodesic_nonintersection_probe(x, l, m, trials, rng):
@@ -404,7 +412,7 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng):
     for _, block in trial_blocks(rng, trials, n * n):
         g1 = haar_unitary(n, block.split(0))
         g2 = haar_unitary(n, block.split(1))
-        t1, t2 = np.array([_separated_times(gen) for gen in block.generators()]).T
+        t1, t2 = _separated_times(block.generators())
         e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
         e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
         # a = e1, b = e2*: a b* = e1 e2; only the block's least singular-value

@@ -8,17 +8,17 @@ are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; a 2n x 2n
 complex embedding is provided as an independent cross-check only.
 
 The Monte-Carlo kernels work on stacks: the phases and the conjugation
-take a leading trial axis, and the Haar samplers take a block of streams
-and return the stack of one draw per stream.  `trial_blocks` cuts a run
-into blocks of trial ids; a block's streams are a `StreamBlock`, the
-streams `rng.split(k)` of its ids k and their children along one key
-suffix, with no RngStream per trial.  All seeding goes through
-`_generators`: the SeedSequence entropy words of every stream of a block
-are one uint32 array, hashed in one vectorised pass, and each PCG64
-generator is built from its row, the bits numpy's own SeedSequence gives.
-`seed_block` seeds an arbitrary list of RngStreams the same way.  numpy's
-stacked QR, eigvals and matmul give the same bits as one call per matrix,
-so draw k of a stack equals the draw of its stream alone.
+take a leading trial axis, and the Haar samplers take a `StreamBlock` and
+return the stack of one draw per stream.  `trial_blocks` cuts a run into
+blocks of trial ids; a block's streams are a `StreamBlock`, the streams
+`rng.split(k)` of its ids k and their children along one key suffix, with
+no RngStream per trial.  All seeding goes through `_generators`: the
+SeedSequence entropy words of every stream of a block are one uint32
+array, hashed in one vectorised pass, and each PCG64 generator is built
+from its row, the bits numpy's own SeedSequence gives; a lone RngStream is
+seeded the same way, as a block of one.  numpy's stacked QR, eigvals and
+matmul give the same bits as one call per matrix, so draw k of a stack
+equals the draw of its stream alone.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ class RngStream:
 
     @property
     def gen(self):
-        """The stream's numpy Generator, built when first drawn from (a
-        block of one for `seed_block`)."""
+        """The stream's numpy Generator, built when first drawn from."""
         if self._gen is None:
-            seed_block([self])
+            self._gen = _generators(self.seed, self._key, 1)[0]
         return self._gen
 
     def split(self, k):
@@ -224,39 +223,34 @@ class _SeedStates(np.random.bit_generator.ISeedSequence):
 
 def _generators(seed, columns, count):
     """numpy Generators of `count` streams of root `seed` whose key element
-    j is columns[j]: one int shared by every stream, or a sequence of one
-    int per stream.  The one place a Generator is built.
+    j is columns[j]: an int shared by every stream or, for at most one j (a
+    block's ids), a sequence of one int per stream.  The one place a
+    Generator is built.
 
     A stream's SeedSequence entropy is the seed's words, zero-filled to the
     pool size (SeedSequence reads a shorter entropy zero-filled anyway),
-    then each key element's words.  Streams are grouped by word count (ints
-    of 2**32 or more take several); each group's entropy is assembled as
-    one uint32 array and hashed in one `_seed_states` pass.  Each Generator
-    is bit-identical to `default_rng(SeedSequence(seed, spawn_key=key))`.
+    then each key element's words.  Streams are grouped by the word count
+    of their id (ids of 2**32 or more take several); each group's entropy
+    is assembled as one uint32 array and hashed in one `_seed_states` pass.
+    Each Generator is bit-identical to
+    `default_rng(SeedSequence(seed, spawn_key=key))`.
     """
     if not count:
         return []
-
-    def shared(words):
-        words = np.array(words, dtype=np.uint32)
-        return np.broadcast_to(words, (count, words.size)), np.full(count, words.size)
-
-    seed_words = _uint32_words(seed)
-    parts = [shared(seed_words + [0] * (_POOL - len(seed_words)))]
-    parts += [shared(_uint32_words(column)) if isinstance(column, int)
-              else _column_words(column) for column in columns]
-    blocks, widths = zip(*parts)
-    widths = np.stack(widths, axis=1)
-    if (widths == widths[0]).all():
-        groups = [(slice(None), widths[0])]
-    else:
-        kinds, which = np.unique(widths, axis=0, return_inverse=True)
-        groups = [(np.flatnonzero(which.ravel() == g), kind) for g, kind in enumerate(kinds)]
+    at = next((j for j, c in enumerate(columns) if not isinstance(c, int)), len(columns))
+    head = _uint32_words(seed)
+    head += [0] * (_POOL - len(head)) + [w for k in columns[:at] for w in _uint32_words(k)]
+    head = np.array(head, dtype=np.uint32)
+    tail = np.array([w for k in columns[at + 1:] for w in _uint32_words(k)], dtype=np.uint32)
+    ids, width = _column_words(columns[at]) if at < len(columns) else \
+        (np.empty((count, 0), dtype=np.uint32), np.zeros(count, dtype=np.int64))
     gens = [None] * count
-    for rows, kind in groups:
-        entropy = np.concatenate([b[rows, :w] for b, w in zip(blocks, kind)], axis=1)
+    for w in sorted(set(width.tolist())):
+        rows = np.flatnonzero(width == w)
+        entropy = np.concatenate([np.broadcast_to(head, (rows.size, head.size)), ids[rows, :w],
+                                  np.broadcast_to(tail, (rows.size, tail.size))], axis=1)
         seeds = _SeedStates(_seed_states(entropy))
-        for row in np.arange(count)[rows].tolist():
+        for row in rows.tolist():
             gens[row] = np.random.Generator(np.random.PCG64(seeds))
     return gens
 
@@ -290,43 +284,6 @@ class StreamBlock:
                            len(self.ids))
 
 
-def stream_list(streams):
-    """The streams of the sequence `streams` as a list; a lone RngStream,
-    which is not a sequence, is refused."""
-    if isinstance(streams, RngStream):
-        raise InvalidInput("need a sequence of streams, not a single stream")
-    return list(streams)
-
-
-def seed_block(streams):
-    """Build the numpy Generator of every stream in the sequence of
-    RngStreams `streams` that has none yet, and return the streams as a
-    list.
-
-    Streams of one seed and key depth are seeded by one `_generators` call,
-    their keys read as per-stream columns; a stream that has already drawn
-    keeps its state.
-    """
-    streams = stream_list(streams)
-    groups = {}
-    for s in streams:
-        if s._gen is None:
-            groups.setdefault((s.seed, len(s._key)), []).append(s)
-    for (seed, depth), group in groups.items():
-        columns = [tuple(s._key[j] for s in group) for j in range(depth)]
-        for s, gen in zip(group, _generators(seed, columns, len(group))):
-            s._gen = gen
-    return streams
-
-
-def split_each(rngs, k):
-    """The child `k` of each stream of `rngs`, a StreamBlock or a sequence
-    of RngStreams, in the same form."""
-    if isinstance(rngs, StreamBlock):
-        return rngs.split(k)
-    return [s.split(k) for s in stream_list(rngs)]
-
-
 def trial_blocks(rng, trials, entries):
     """Trials 0..trials-1 in consecutive blocks: yields (range of trial
     ids, StreamBlock of their streams `rng.split(k)`), so trial k keeps its
@@ -344,12 +301,12 @@ def trial_blocks(rng, trials, entries):
 
 def _ginibre(rngs, rows, cols, count=1):
     """(T, count, rows, cols) complex Ginibre matrices, one row per stream
-    of `rngs` (a StreamBlock or a sequence of RngStreams): each stream
-    draws its `count` matrices in turn, each one's real parts, then its
-    imaginary ones.  One complex assembly, in place, serves the whole
-    stack."""
-    gens = rngs.generators() if isinstance(rngs, StreamBlock) else \
-        [s.gen for s in seed_block(rngs)]
+    of the StreamBlock `rngs` (anything else is refused): each stream draws
+    its `count` matrices in turn, each one's real parts, then its imaginary
+    ones.  One complex assembly, in place, serves the whole stack."""
+    if not isinstance(rngs, StreamBlock):
+        raise InvalidInput(f"need a StreamBlock of streams, not a {type(rngs).__name__}")
+    gens = rngs.generators()
     z = np.empty((len(gens), count, 2, rows, cols))
     for gen, out in zip(gens, z):
         gen.standard_normal(out=out)
@@ -427,9 +384,8 @@ def unitary_phases(u, tol=UNITARY_TOL):
 
 def haar_unitary(n, rngs):
     """(T, n, n) stack of Haar-distributed U(n) draws, one per stream of
-    `rngs` (a StreamBlock or a sequence of RngStreams): one stacked QR of
-    complex Ginibre matrices with the standard phase correction on R's
-    diagonal."""
+    the StreamBlock `rngs`: one stacked QR of complex Ginibre matrices with
+    the standard phase correction on R's diagonal."""
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
     q, r = np.linalg.qr(_ginibre(rngs, n, n)[:, 0])
@@ -565,8 +521,7 @@ def as_quaternion_skew(x, tol=SKEW_TOL):
 
 def haar_symplectic(n, rngs):
     """Stacked QuaternionMatrix of Haar-distributed Sp(n) draws, one per
-    stream of `rngs` (a StreamBlock or a sequence of RngStreams),
-    orthogonalised together.
+    stream of the StreamBlock `rngs`, orthogonalised together.
 
     QR over the quaternions in the (Q1, Q2) pair model: modified
     Gram-Schmidt on the columns of a quaternion Ginibre matrix, with

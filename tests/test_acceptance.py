@@ -21,7 +21,7 @@ from cwspheres.killing import (OrbitParams, central_kvf_phases,
                                constant_length_identity, eq_root_pair,
                                orbit_generator, orbit_length_report,
                                solve_metric, sp_witness_pair)
-from cwspheres.matrixcore import QuaternionMatrix, RngStream
+from cwspheres.matrixcore import QuaternionMatrix, RngStream, StreamBlock
 from cwspheres.randers import RandersSpec
 
 
@@ -152,7 +152,7 @@ def test_criterion_06_commutator_eigenvalue_persistence():
         r = min(l, m)
         angles = sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
         angles[k % r] = 0.0
-        u = block_angle_unitary(l, m, angles[None], [sub.split(1)])
+        u = block_angle_unitary(l, m, angles[None], StreamBlock(sub, [1]))
         res = commutator_eig1_persistence(u, l, m)
         if res.has_eig1.all() and res.shared_eigenvector.all() \
                 and res.worst_residual.max() <= 1e-8:
@@ -162,7 +162,7 @@ def test_criterion_06_commutator_eigenvalue_persistence():
         sub = rng.split(10000 + k)
         l = int(sub.gen.integers(1, 4))
         angles = sub.gen.uniform(0.15, math.pi / 2 - 0.15, size=l)
-        u = block_angle_unitary(l, l, angles[None], [sub.split(1)])
+        u = block_angle_unitary(l, l, angles[None], StreamBlock(sub, [1]))
         res = commutator_eig1_persistence(u, l, l)
         if not res.has_eig1.any() and res.spectral_dists.min() >= 1e-9:
             invertible_ok += 1

@@ -7,8 +7,9 @@ from cwspheres.cosets import (AlgebraElement, align_imaginary_to_i,
                               sp_unit_diag, u_algebra)
 from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import orbit_length_report
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, _ginibre, conjugate,
-                                  haar_symplectic, qabs, qmul, symplectic_defect)
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
+                                  conjugate, haar_symplectic, qabs, qmul,
+                                  symplectic_defect)
 from cwspheres.randers import RandersSpec, round_spec
 
 
@@ -24,7 +25,7 @@ def qconj(x):
 
 
 def random_sp_skew(n, rng):
-    z1, z2 = _ginibre([rng], n, n, count=2)[0]
+    z1, z2 = _ginibre(StreamBlock(rng, [0]), n, n, count=2)[0]
     return QuaternionMatrix((z1 - z1.conj().T) / 2, (z2 + z2.T) / 2)
 
 
@@ -55,7 +56,7 @@ def test_project_linearity():
     # parallelogram law
     rng = RngStream(30)
     for k in range(20):
-        z1, z2 = _ginibre([rng.split(2 * k), rng.split(2 * k + 1)], 3, 3)[:, 0]
+        z1, z2 = _ginibre(StreamBlock(rng, [2 * k, 2 * k + 1]), 3, 3)[:, 0]
         x1, x2 = (z1 - z1.conj().T) / 2, (z2 - z2.conj().T) / 2
         m0, usq = project_to_m("u_sphere", np.stack([x1, x2, x1 + x2, x1 - x2]), 0.0)
         q = m0[:, 0]
@@ -198,7 +199,7 @@ def test_sp_projection_agrees_with_generic_path():
     unit_i = (np.complex128(1j), np.complex128(0.0))
     xp, xs = 0.8, 0.5
     for n in (1, 2, 3):
-        g = haar_symplectic(n + 1, [rng.split(n).split(k) for k in range(20)])
+        g = haar_symplectic(n + 1, StreamBlock(rng.split(n), range(20)))
         m0, usq = project_to_m("sp_sphere",
                                conjugate(g, sp_scaled_identity(xp, n + 1)), xs)
 

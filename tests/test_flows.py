@@ -11,8 +11,8 @@ from cwspheres.flows import (ENDPOINT_BASE_POINTS, NonIntersectionResult,
                              commutator_eig1_persistence, endpoint_focus_check,
                              geodesic_nonintersection_probe, phase_bound_check,
                              u_flow)
-from cwspheres.matrixcore import (RngStream, _ginibre, conj_t, expm_skew,
-                                  haar_unitary, seed_block, unitary_phases)
+from cwspheres.matrixcore import (RngStream, StreamBlock, _ginibre, conj_t, expm_skew,
+                                  haar_unitary, unitary_phases)
 
 
 def random_unit_vec3(rng):
@@ -69,7 +69,7 @@ def test_flow_time_zero_is_identity():
     rng = RngStream(70)
     v = rng.gen.standard_normal(4) + 1j * rng.gen.standard_normal(4)
     v /= np.linalg.norm(v)
-    x = _ginibre([rng], 4, 4)[0, 0]
+    x = _ginibre(StreamBlock(rng, [0]), 4, 4)[0, 0]
     x = (x - x.conj().T) / 2
     np.testing.assert_allclose(apply_flow(u_flow(x, 0.0), v), v, atol=1e-14)
 
@@ -111,7 +111,7 @@ def test_flow_endpoint_at_pi_for_unit_generator():
 
 def test_flow_group_law():
     rng = RngStream(73)
-    x = _ginibre([rng], 3, 3)[0, 0]
+    x = _ginibre(StreamBlock(rng, [0]), 3, 3)[0, 0]
     x = (x - x.conj().T) / 2
     v = rng.gen.standard_normal(6).view(complex)
     v /= np.linalg.norm(v)
@@ -133,7 +133,7 @@ def test_flow_rejects_off_sphere_points():
 
 def test_flow_on_a_stack_moves_each_point_as_alone():
     rng = RngStream(74)
-    x = _ginibre([rng], 3, 3)[0, 0]
+    x = _ginibre(StreamBlock(rng, [0]), 3, 3)[0, 0]
     flow = u_flow((x - x.conj().T) / 2, 0.9)
     v = rng.gen.standard_normal((40, 6)).view(complex)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -154,7 +154,7 @@ def per_row_flow(flow, points):
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
 def test_flow_matches_the_per_row_reference_to_the_bit(dim):
     rng = RngStream(75).split(dim)
-    x = _ginibre([rng], dim, dim)[0, 0]
+    x = _ginibre(StreamBlock(rng, [0]), dim, dim)[0, 0]
     flow = u_flow((x - x.conj().T) / 2, 1.3)
     for count in (1, 2, 17, 300):
         v = rng.gen.standard_normal((count, 2 * dim)).view(complex)
@@ -208,7 +208,7 @@ def test_endpoint_focus_check_matches_su2_reference_on_its_streams():
     ref_spread = ref_identity = 0.0
     for bp in range(ENDPOINT_BASE_POINTS):
         g_rng = rng.split(bp)
-        x_rngs = seed_block([g_rng, *(g_rng.split(k + 1) for k in range(samples))])[1:]
+        x_rngs = [g_rng.split(k + 1) for k in range(samples)]
         p = g_rng.gen.standard_normal(4)
         g = ref_su2_matrix_from_quat(p / np.linalg.norm(p))
         ends = []
@@ -244,7 +244,7 @@ def test_endpoint_focus_check_keeps_the_bits_of_one_flow_per_sample(
     ref_identity = 0.0
     for bp, pts in zip(range(ENDPOINT_BASE_POINTS), seen, strict=True):
         g_rng = rng.split(bp)
-        x_rngs = seed_block([g_rng, *(g_rng.split(k + 1) for k in range(samples))])[1:]
+        x_rngs = [g_rng.split(k + 1) for k in range(samples)]
         z = random_c2_point(g_rng)
         ends = np.array([apply_flow(u_flow(su2_matrix(random_unit_vec3(x_rng)) + shift,
                                            math.pi), z) for x_rng in x_rngs])
@@ -275,7 +275,7 @@ def test_endpoint_focus_rejects_long_vector():
 # ------------------------------------------------------------ phase intervals
 
 def test_phase_bound_identity_factor():
-    p = haar_unitary(4, [RngStream(79)])
+    p = haar_unitary(4, StreamBlock(RngStream(79), [0]))
     res = phase_bound_check(p, np.eye(4)[None])
     assert res.verdict.all()
     np.testing.assert_allclose(np.sort(res.lifted), unitary_phases(p), atol=1e-9)
@@ -297,8 +297,8 @@ def test_phase_bound_monte_carlo_small():
     for k in range(500):
         n = 2 + k % 5
         sub = rng.split(k)
-        res = phase_bound_check(haar_unitary(n, [sub.split(0)]),
-                                haar_unitary(n, [sub.split(1)]))
+        res = phase_bound_check(haar_unitary(n, StreamBlock(sub, [0])),
+                                haar_unitary(n, StreamBlock(sub, [1])))
         assert res.verdict.all()
 
 
@@ -323,8 +323,8 @@ def test_phase_bound_branch_cut_rejected():
 
 def test_commutator_block_diagonal_trivial():
     u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = haar_unitary(2, [RngStream(84).split(0)])[0]
-    u[2:, 2:] = haar_unitary(2, [RngStream(84).split(1)])[0]
+    u[:2, :2] = haar_unitary(2, StreamBlock(RngStream(84), [0]))[0]
+    u[2:, 2:] = haar_unitary(2, StreamBlock(RngStream(84), [1]))[0]
     res = commutator_eig1_persistence(u[None], 2, 2)
     assert res.has_eig1.all()
     assert res.shared_eigenvector.all()
@@ -345,7 +345,7 @@ def test_commutator_rank_deficient_block_persists():
     for k in range(10):
         angles = rng.split(k).gen.uniform(0.2, 1.3, 2)
         angles[k % 2] = 0.0
-        u = block_angle_unitary(2, 2, angles[None], [rng.split(100 + k)])
+        u = block_angle_unitary(2, 2, angles[None], StreamBlock(rng, [100 + k]))
         res = commutator_eig1_persistence(u, 2, 2)
         assert res.has_eig1.all()
         assert res.shared_eigenvector.all()
@@ -359,7 +359,7 @@ def test_commutator_all_or_nothing_on_grid():
         singular = k % 2 == 0
         if singular:
             angles[0] = 0.0
-        u = block_angle_unitary(2, 2, angles[None], [rng.split(200 + k)])
+        u = block_angle_unitary(2, 2, angles[None], StreamBlock(rng, [200 + k]))
         res = commutator_eig1_persistence(u, 2, 2)
         assert res.has_eig1.all() or not res.has_eig1.any()
         assert res.has_eig1.all() == singular
@@ -367,7 +367,7 @@ def test_commutator_all_or_nothing_on_grid():
 
 def test_commutator_unbalanced_blocks_always_have_kernel():
     # l != m forces a non-trivial kernel in the wide block
-    u = haar_unitary(5, [RngStream(87)])
+    u = haar_unitary(5, StreamBlock(RngStream(87), [0]))
     res = commutator_eig1_persistence(u, 2, 3)
     assert res.has_eig1.all()
     assert res.shared_eigenvector.all()
@@ -382,26 +382,26 @@ def eig1_kernel_pairs(case, seed, trials=12):
     Non-intersection: a = e1 and b = e2*; on even trials t1 = t2 and
     g2 = g1 V with V of singular off-diagonal blocks, so e1 e2 has
     eigenvalue 1."""
-    rng = RngStream(seed)
-    subs = seed_block([rng.split(k) for k in range(trials)])
+    block = StreamBlock(RngStream(seed), range(trials))
+    gens = block.generators()
     if case == "nonintersection":
         n = 4
         diag = 1j * (0.5 * np.ones(n) + np.concatenate([-np.ones(2), np.ones(2)]))
-        angles = np.array([s.gen.uniform(0.3, 1.2, 2) for s in subs])
+        angles = np.array([gen.uniform(0.3, 1.2, 2) for gen in gens])
         angles[::2, 0] = 0.0
-        v = block_angle_unitary(2, 2, angles, [s.split(2) for s in subs])
-        g1 = haar_unitary(n, [s.split(0) for s in subs])
-        g2 = haar_unitary(n, [s.split(1) for s in subs])
+        v = block_angle_unitary(2, 2, angles, block.split(2))
+        g1 = haar_unitary(n, block.split(0))
+        g2 = haar_unitary(n, block.split(1))
         g2[::2] = g1[::2] @ v[::2]
-        t1, t2 = np.array([np.sort(s.gen.uniform(0.0, math.pi, 2))[::-1] for s in subs]).T
+        t1, t2 = np.array([np.sort(gen.uniform(0.0, math.pi, 2))[::-1] for gen in gens]).T
         t2[::2] = t1[::2]
         e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
         e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
         return e1, conj_t(e2)
     l, m = {"l=m": (3, 3), "l!=m": (2, 3)}[case]
-    angles = np.array([s.gen.uniform(0.15, 1.4, min(l, m)) for s in subs])
+    angles = np.array([gen.uniform(0.15, 1.4, min(l, m)) for gen in gens])
     angles[::2, 0] = 0.0
-    u = block_angle_unitary(l, m, angles, [s.split(1) for s in subs])
+    u = block_angle_unitary(l, m, angles, block.split(1))
     d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
     return flows._twisted(d, u[:, None]), np.broadcast_to(u[:, None], (trials, *d.shape, l + m))
 
@@ -459,7 +459,7 @@ def test_t_grid_is_symmetric_about_half_pi():
 def test_twists_at_t_and_pi_minus_t_give_the_same_singular_values(l, m):
     # the twist at pi - t is -D* for D the twist at t, so
     # a_(pi-t) - U = D*(UD - DU) and a_t - U = (DU - UD)D*
-    u = haar_unitary(l + m, [RngStream(95).split(l).split(k) for k in range(20)])
+    u = haar_unitary(l + m, StreamBlock(RngStream(95).split(l), range(20)))
     d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
     sv = np.linalg.svd(flows._twisted(d, u[:, None]) - u[:, None], compute_uv=False)
     np.testing.assert_allclose(sv, sv[:, ::-1], rtol=0, atol=1e-14)
@@ -526,6 +526,29 @@ def test_probe_balanced_case_clean():
     assert res.min_spectral_distance >= 1e-9
 
 
+def per_trial_separated_times(gen):
+    """Reference: one trial's times, drawn and sorted on their own and
+    redrawn from `gen` until at least MIN_T_SEP apart."""
+    while True:
+        t1, t2 = np.sort(gen.uniform(0.0, math.pi, size=2))[::-1]
+        if t1 - t2 >= flows.MIN_T_SEP:
+            return t1, t2
+
+
+@pytest.mark.parametrize("sep", [flows.MIN_T_SEP, 2.0])
+def test_separated_times_match_a_per_trial_loop(monkeypatch, sep):
+    # at a separation of 2 most first pairs are too close, and some need
+    # several redraws: the stacked draw keeps every trial's bits
+    monkeypatch.setattr(flows, "MIN_T_SEP", sep)
+    block = StreamBlock(RngStream(96), range(300))
+    t1, t2 = flows._separated_times(block.generators())
+    ref = np.array([per_trial_separated_times(gen) for gen in block.generators()])
+    assert t1.tobytes() == ref[:, 0].tobytes() and t2.tobytes() == ref[:, 1].tobytes()
+    assert (t1 - t2 >= sep).all()
+    first = np.array([gen.uniform(0.0, math.pi, size=2) for gen in block.generators()])
+    assert (np.abs(first[:, 0] - first[:, 1]) < sep).any() == (sep > 1.0)
+
+
 def test_probe_rejects_unbalanced_or_bad_offset():
     with pytest.raises(InvalidInput):
         geodesic_nonintersection_probe(0.5, 2, 1, 10, RngStream(90))
@@ -546,8 +569,8 @@ def test_probe_negative_control_equal_times():
         angles = rng.split(k).gen.uniform(0.3, 1.2, 2)
         if singular:
             angles[0] = 0.0
-        u = block_angle_unitary(2, 2, angles[None], [rng.split(10 + k)])[0]
-        g1 = haar_unitary(n, [rng.split(20 + k)])[0]
+        u = block_angle_unitary(2, 2, angles[None], StreamBlock(rng, [10 + k]))[0]
+        g1 = haar_unitary(n, StreamBlock(rng, [20 + k]))[0]
         g2 = g1 @ u
         t = 1.1
         e1 = (g1 * np.exp(t * diag)[None, :]) @ g1.conj().T

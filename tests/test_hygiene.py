@@ -25,7 +25,9 @@ package binds such a conjugate to a name first, which numpy never reuses.
 Every random stream is seeded through one function, `matrixcore._generators`,
 which the cross-checks against numpy's SeedSequence cover: it alone may
 build a `np.random.Generator` or `np.random.PCG64`, and no module builds a
-`default_rng`, `SeedSequence` or `RandomState`.
+`default_rng`, `SeedSequence` or `RandomState`.  Those cross-checks cover
+the two ways a stream is seeded, a lone `RngStream.gen` and a
+`StreamBlock.generators()`, so only those two call `_generators`.
 """
 
 import ast
@@ -345,3 +347,53 @@ def test_rng_builder_scan_flags_crafted_calls():
         ("flows.py", "<module>", "SS"),
         ("matrixcore.py", "_generators", "Generator"), ("matrixcore.py", "_generators", "PCG64"),
         ("matrixcore.py", "gen", "default_rng")]
+
+
+def generators_callers(texts):
+    """(file, function) of each call of `matrixcore._generators`, the
+    function dotted with its class (`RngStream.gen`) or `<module>`: as
+    `_generators(...)` or `x._generators(...)`, or under a name it was
+    imported as; `texts` maps file names to sources."""
+    out = set()
+    for name, text in texts.items():
+        tree = ast.parse(text)
+        bare = {"_generators"} | {alias.asname or alias.name for node in ast.walk(tree)
+                                  if isinstance(node, ast.ImportFrom)
+                                  for alias in node.names if alias.name == "_generators"}
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = child.name if where == "<module>" else f"{where}.{child.name}"
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    if isinstance(f, ast.Name) and f.id in bare or \
+                            isinstance(f, ast.Attribute) and f.attr == "_generators":
+                        out.add((name, where))
+                visit(child, inner)
+        visit(tree, "<module>")
+    return sorted(out)
+
+
+def test_only_the_two_seeding_paths_call_generators():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert generators_callers(texts) == [("matrixcore.py", "RngStream.gen"),
+                                         ("matrixcore.py", "StreamBlock.generators")]
+
+
+def test_generators_caller_scan_flags_a_third_caller():
+    texts = {"matrixcore.py": ("class RngStream:\n"
+                               "    @property\n"
+                               "    def gen(self):\n"
+                               "        return _generators(self.seed, self._key, 1)[0]\n"
+                               "def seed_all(streams):\n"
+                               "    return [_generators(s.seed, s._key, 1) for s in streams]\n"),
+             "checks.py": ("from . import matrixcore\n"
+                           "from .matrixcore import _generators as build\n"
+                           "GENS = build(0, (), 3)\n"
+                           "def witness(rng):\n"
+                           "    return matrixcore._generators(rng.seed, (1,), 1)\n")}
+    assert generators_callers(texts) == [
+        ("checks.py", "<module>"), ("checks.py", "witness"),
+        ("matrixcore.py", "RngStream.gen"), ("matrixcore.py", "seed_all")]

@@ -10,18 +10,20 @@ from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_symplectic, haar_unitary, qabs,
-                                  qdot, qmul, seed_block, symplectic_defect,
+                                  qdot, qmul, symplectic_defect,
                                   trial_blocks, unitary_phases)
+from cwspheres.randers import RandersSpec
 
 
-def random_skew(n, rng):
-    z = _ginibre([rng], n, n)[0, 0]
+def random_skew(n, rng, k):
+    """A random skew-Hermitian matrix from the stream `rng.split(k)`."""
+    z = _ginibre(StreamBlock(rng, [k]), n, n)[0, 0]
     return (z - z.conj().T) / 2.0
 
 
-def one_symplectic(n, rng):
-    """The Sp(n) draw of one stream, from a stack of one."""
-    q = haar_symplectic(n, [rng])
+def one_symplectic(n, rng, k):
+    """The Sp(n) draw of the stream `rng.split(k)`, from a stack of one."""
+    q = haar_symplectic(n, StreamBlock(rng, [k]))
     return QuaternionMatrix(q.q1[0], q.q2[0])
 
 
@@ -46,7 +48,7 @@ def test_expm_diagonal_readoff():
 def test_expm_output_exactly_unitary():
     rng = RngStream(7)
     for n in (2, 5, 8):
-        a = random_skew(n, rng.split(n))
+        a = random_skew(n, rng, n)
         u = expm_skew(a, 1.7)
         defect = np.max(np.abs(u.conj().T @ u - np.eye(n)))
         assert defect <= 1e-12
@@ -56,7 +58,7 @@ def test_expm_against_pade_oracle():
     # independent route: scipy's Pade expm
     rng = RngStream(8)
     for n in (2, 4, 6):
-        a = random_skew(n, rng.split(n))
+        a = random_skew(n, rng, n)
         np.testing.assert_allclose(expm_skew(a, 0.9),
                                    scipy.linalg.expm(0.9 * a), atol=1e-12)
 
@@ -67,7 +69,7 @@ def test_expm_of_a_stack_matches_each_matrix():
     rng = RngStream(60)
     for count, n in ((3, 3), (4, 3), (2, 5)):
         sub = rng.split(count)
-        a = np.stack([random_skew(n, sub.split(k)) for k in range(count)])
+        a = np.stack([random_skew(n, sub, k) for k in range(count)])
         out = expm_skew(a, 0.9)
         assert out.shape == (count, n, n)
         for ak, uk in zip(a, out):
@@ -77,9 +79,8 @@ def test_expm_of_a_stack_matches_each_matrix():
 def test_expm_group_law():
     rng = RngStream(9)
     for k in range(10):
-        sub = rng.split(k)
-        a = random_skew(4, sub)
-        s, t = sub.gen.uniform(-3, 3, 2)
+        a = random_skew(4, rng, k)
+        s, t = rng.split(k).split(1).gen.uniform(-3, 3, 2)
         lhs = expm_skew(a, s) @ expm_skew(a, t)
         np.testing.assert_allclose(lhs, expm_skew(a, s + t), atol=1e-10)
 
@@ -121,7 +122,7 @@ def test_phases_reduce_mod_two_pi():
 
 
 def test_phases_match_eigenvalues():
-    u = haar_unitary(6, [RngStream(11)])[0]
+    u = haar_unitary(6, StreamBlock(RngStream(11), [0]))[0]
     phases = unitary_phases(u)
     eigs = np.sort_complex(np.linalg.eigvals(u))
     matched = np.sort_complex(np.exp(1j * phases))
@@ -133,20 +134,20 @@ def test_phases_match_eigenvalues():
 def test_haar_unitary_membership_small_dims():
     rng = RngStream(12)
     for n in range(1, 9):
-        us = haar_unitary(n, [rng.split(n).split(k) for k in range(125)])
+        us = haar_unitary(n, StreamBlock(rng.split(n), range(125)))
         grams = np.swapaxes(us.conj(), 1, 2) @ us
         defect = np.max(np.abs(grams - np.eye(n)[None]))
         assert defect <= 1e-10
 
 
 def test_haar_unitary_u1_is_unit_phase():
-    u = haar_unitary(1, [RngStream(13)])[0]
+    u = haar_unitary(1, StreamBlock(RngStream(13), [0]))[0]
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 def test_haar_unitary_deterministic_replay():
-    a = haar_unitary(3, [RngStream(42)])
-    b = haar_unitary(3, [RngStream(42)])
+    a = haar_unitary(3, StreamBlock(RngStream(42), [0]))
+    b = haar_unitary(3, StreamBlock(RngStream(42), [0]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -157,23 +158,23 @@ def test_rng_stream_rejects_negative_seed():
 
 def test_haar_unitary_trace_moment():
     # E |tr U|^2 = 1 over the Haar measure; Monte-Carlo to +-0.05
-    us = haar_unitary(4, [RngStream(99).split(k) for k in range(10000)])
+    us = haar_unitary(4, StreamBlock(RngStream(99), range(10000)))
     moment = np.mean(np.abs(np.einsum("kii->k", us)) ** 2)
     assert abs(moment - 1.0) <= 0.05
 
 
 def test_haar_symplectic_membership_and_determinism():
     for n in (1, 2, 4, 8):
-        q = haar_symplectic(n, [RngStream(14).split(n)])
+        q = haar_symplectic(n, StreamBlock(RngStream(14), [n]))
         assert symplectic_defect(q) <= 1e-10
-    a = haar_symplectic(3, [RngStream(15)])
-    b = haar_symplectic(3, [RngStream(15)])
+    a = haar_symplectic(3, StreamBlock(RngStream(15), [0]))
+    b = haar_symplectic(3, StreamBlock(RngStream(15), [0]))
     np.testing.assert_array_equal(a.q1, b.q1)
     np.testing.assert_array_equal(a.q2, b.q2)
 
 
 def test_haar_symplectic_sp1_is_unit_quaternion():
-    q = one_symplectic(1, RngStream(16))
+    q = one_symplectic(1, RngStream(16), 0)
     assert abs(float(qabs((q.q1[0, 0], q.q2[0, 0]))) - 1.0) <= 1e-12
 
 
@@ -207,35 +208,47 @@ EDGE_KEYS = ((), (0,), (2 ** 32 - 1,), (2 ** 32,), (2 ** 32 + 1,), (3, 2 ** 32 -
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
-def test_seed_block_matches_numpy_seed_sequence(seed):
-    # one list mixing key lengths (1 to 9 entropy words) and lone draws
-    streams = seed_block([stream(seed, key) for key in EDGE_KEYS])
-    for key, s in zip(EDGE_KEYS, streams):
-        np.testing.assert_array_equal(s.gen.standard_normal(6), numpy_normals(seed, key))
+def test_lone_stream_matches_numpy_seed_sequence(seed):
+    # key lengths of 1 to 9 entropy words, each stream seeding itself
+    for key in EDGE_KEYS:
         np.testing.assert_array_equal(stream(seed, key).gen.standard_normal(6),
                                       numpy_normals(seed, key))
 
 
-def test_seed_block_keeps_the_state_of_a_drawn_stream():
+def test_a_stream_keeps_its_generator_between_draws():
     drawn = RngStream(4).split(1)
     first = drawn.gen.standard_normal(3)
-    fresh = RngStream(4).split(2)
-    seed_block([fresh, drawn, fresh])
     expected = numpy_normals(4, (1,), 6)
     np.testing.assert_array_equal(first, expected[:3])
     np.testing.assert_array_equal(drawn.gen.standard_normal(3), expected[3:])
-    np.testing.assert_array_equal(fresh.gen.standard_normal(6), numpy_normals(4, (2,)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(seed=st.integers(0, 2 ** 33) | st.integers(0, 2 ** 130),
        keys=st.lists(st.lists(st.integers(0, 2 ** 33) | st.integers(0, 2 ** 70), max_size=4),
                      min_size=1, max_size=6))
-def test_seed_block_matches_numpy_on_random_paths(seed, keys):
-    streams = seed_block([stream(seed, key) for key in keys])
-    for key, s in zip(keys, streams):
-        np.testing.assert_array_equal(s.gen.standard_normal(6),
+def test_lone_stream_matches_numpy_on_random_paths(seed, keys):
+    for key in keys:
+        np.testing.assert_array_equal(stream(seed, key).gen.standard_normal(6),
                                       numpy_normals(seed, tuple(key)))
+
+
+ONE_OR_TWO_WORDS = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 64 - 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 33) | st.integers(0, 2 ** 130),
+       parent=st.lists(st.integers(0, 2 ** 33) | st.integers(0, 2 ** 70), max_size=3),
+       ids=st.lists(ONE_OR_TWO_WORDS, min_size=1, max_size=8),
+       suffix=st.lists(st.integers(0, 2 ** 33), max_size=2))
+def test_stream_block_matches_numpy_on_random_blocks(seed, parent, ids, suffix):
+    # ids of one and two words in one block are seeded in one group each
+    block = StreamBlock(stream(seed, parent), ids)
+    for k in suffix:
+        block = block.split(k)
+    for k, gen in zip(ids, block.generators(), strict=True):
+        np.testing.assert_array_equal(gen.standard_normal(6),
+                                      numpy_normals(seed, (*parent, k, *suffix)))
 
 
 PARENT_KEYS = ((), (3,), (2 ** 32, 7), (1, 2 ** 64 + 5, 0))
@@ -304,6 +317,17 @@ def test_monte_carlo_checks_seed_a_block_per_suffix(monkeypatch):
     assert checks.commutator(2, 2, 50, RngStream(0)).ok
     # one block: its angle streams, then the four Haar factors' streams
     assert (splits, hashes) == ([], [50] * 5)
+    hashes.clear()
+    assert checks.sp_witness(RandersSpec("sp_sphere", n=2, a1=1.2, a2=1.5, b=1.0, c=0.3),
+                             RngStream(0)).ok
+    # the three cases n = 1..3 are one block
+    assert (splits, hashes) == ([], [3])
+    hashes.clear()
+    assert checks.endpoints(0.5, 40, RngStream(0)).ok
+    # the start points are one block, then each one's samples another; the
+    # only splits are the check's own stream and one parent per start
+    # point, none per sample
+    assert (splits, hashes) == ([0, 0, 1, 2], [3, 40, 40, 40])
 
 
 @pytest.mark.parametrize("key", (-1, True, np.True_, 1.5, 2.0, "3", None))
@@ -342,20 +366,20 @@ def test_monte_carlo_check_builds_no_seed_sequence(monkeypatch):
 # ------------------------------------------------------------------ conjugate
 
 def test_conjugate_by_identity_fixes_element():
-    x = random_skew(3, RngStream(17))
+    x = random_skew(3, RngStream(17), 0)
     np.testing.assert_array_equal(conjugate(np.eye(3), x), x)
 
 
 def test_conjugate_fixes_center():
-    g = haar_unitary(4, [RngStream(18)])[0]
+    g = haar_unitary(4, StreamBlock(RngStream(18), [0]))[0]
     np.testing.assert_allclose(conjugate(g, 1j * np.eye(4)), 1j * np.eye(4),
                                atol=1e-14)
 
 
 def test_conjugate_preserves_phase_multiset():
     rng = RngStream(19)
-    x = random_skew(5, rng.split(0))
-    g = haar_unitary(5, [rng.split(1)])[0]
+    x = random_skew(5, rng, 0)
+    g = haar_unitary(5, StreamBlock(rng, [1]))[0]
     u = expm_skew(x, 1.0)
     before = unitary_phases(u)
     after = unitary_phases(conjugate(g, u))
@@ -364,8 +388,8 @@ def test_conjugate_preserves_phase_multiset():
 
 def test_conjugate_preserves_skewness():
     rng = RngStream(20)
-    x = random_skew(4, rng.split(0))
-    g = haar_unitary(4, [rng.split(1)])[0]
+    x = random_skew(4, rng, 0)
+    g = haar_unitary(4, StreamBlock(rng, [1]))[0]
     y = conjugate(g, x)
     assert np.max(np.abs(y + y.conj().T)) <= 1e-12
 
@@ -380,8 +404,8 @@ def test_conjugate_shape_mismatch():
 def test_quaternion_pair_against_complex_embedding():
     # the 2n x 2n embedding is the independent oracle for pair products
     rng = RngStream(21)
-    a = one_symplectic(3, rng.split(0))
-    b = one_symplectic(3, rng.split(1))
+    a = one_symplectic(3, rng, 0)
+    b = one_symplectic(3, rng, 1)
     prod = a @ b
     np.testing.assert_allclose(prod.to_complex(),
                                a.to_complex() @ b.to_complex(), atol=1e-13)
@@ -452,8 +476,10 @@ def test_validators_reject_bad_input():
         as_skew_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(InvalidInput):
         QuaternionMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
-    # the samplers take a sequence of streams, never a lone stream
+    # the samplers take a StreamBlock, never a lone stream or a list of them
     for draw in (lambda r: haar_unitary(2, r), lambda r: haar_symplectic(1, r),
+                 lambda r: _ginibre(r, 2, 2),
                  lambda r: block_angle_unitary(1, 1, [[0.5]], r)):
-        with pytest.raises(InvalidInput):
-            draw(RngStream(1))
+        for rngs in (RngStream(1), [RngStream(1).split(0)]):
+            with pytest.raises(InvalidInput, match="StreamBlock"):
+                draw(rngs)

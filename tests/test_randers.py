@@ -10,7 +10,7 @@ from cwspheres.cosets import project_to_m, sp_algebra
 from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
                                solve_metric)
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, conjugate,
+from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, conjugate,
                                   haar_symplectic, haar_unitary)
 from cwspheres.randers import (RandersSpec, m1_norm_sq, randers_norm_array,
                                round_spec, spec_from_json, spec_to_json)
@@ -299,8 +299,8 @@ def per_draw_orbit(spec, e, trials, rng):
     """Reference: per orbit point, one Haar draw from `rng.split(k)`, one
     conjugation and one projection of a stack of one, as (m0, usq) rows."""
     haar = {"u_sphere": haar_unitary, "sp_sphere": haar_symplectic}[spec.family]
-    return [project_to_m(spec.family, conjugate(haar(spec.n + 1, [rng.split(k)]), e.x),
-                         e.scalar)
+    return [project_to_m(spec.family,
+                         conjugate(haar(spec.n + 1, StreamBlock(rng, [k])), e.x), e.scalar)
             for k in range(trials)]
 
 
