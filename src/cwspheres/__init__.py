@@ -8,9 +8,9 @@ the induced isometry flows with a brute-force geodesic-distance oracle.
 Modules
 -------
 matrixcore
-    Skew-Hermitian exponentials, eigenvalue phases, stacked Haar
-    U(n)/Sp(n) draws from a `StreamBlock` of seeded RNG streams (one
-    seeding function for blocks and lone streams), quaternion pairs.
+    Skew-Hermitian exponentials, eigenvalue phases, stacked Haar U(n)/Sp(n)
+    draws through one QR kernel from a `StreamBlock` of seeded RNG streams
+    (one seeding function for blocks and lone streams), quaternion pairs.
 randers
     Metric parameter containers for the u_sphere and sp_sphere families
     (S^3 = SU(2) is u_sphere n = 1), the vectorised norm on (m0, usq)

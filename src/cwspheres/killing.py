@@ -211,10 +211,10 @@ def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
 # symplectic family: impossibility harnesses
 # --------------------------------------------------------------------------
 
-def _diagonal_entries(x: QuaternionMatrix, tol=1e-12):
+def _diagonal_entries(x: QuaternionMatrix):
     off1 = x.q1 - np.diag(np.diagonal(x.q1))
     off2 = x.q2 - np.diag(np.diagonal(x.q2))
-    if max(np.max(np.abs(off1)), np.max(np.abs(off2))) > tol:
+    if max(np.max(np.abs(off1)), np.max(np.abs(off2))) > 1e-12:
         raise InvalidInput("expected a diagonal quaternion matrix")
     return np.diagonal(x.q1), np.diagonal(x.q2)
 

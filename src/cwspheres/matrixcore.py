@@ -4,8 +4,8 @@ Covers the group-theoretic kernels used everywhere else: skew-Hermitian
 matrix exponentials through eigendecomposition (so results are exactly
 unitary), eigenvalue phase extraction on the principal branch, Haar
 sampling on U(n) and Sp(n), and adjoint conjugation.  Quaternion matrices
-are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; a 2n x 2n
-complex embedding is provided as an independent cross-check only.
+are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; `to_complex`,
+their 2n x 2n complex embedding, is an independent oracle for products.
 
 The Monte-Carlo kernels work on stacks: the phases and the conjugation
 take a leading trial axis, and the Haar samplers take a `StreamBlock` and
@@ -325,7 +325,7 @@ def _require_finite(a, what):
         raise InvalidInput(f"{what} has non-finite entries")
 
 
-def as_skew_hermitian(a, tol=SKEW_TOL):
+def as_skew_hermitian(a):
     """Validate that `a`, a matrix or a (T, n, n) stack, is square
     skew-Hermitian (A* = -A) and return it."""
     a = np.asarray(a, dtype=complex)
@@ -333,7 +333,7 @@ def as_skew_hermitian(a, tol=SKEW_TOL):
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     _require_finite(a, "matrix")
     defect = np.max(np.abs(a + conj_t(a)), initial=0.0)
-    if defect > tol:
+    if defect > SKEW_TOL:
         raise InvalidInput(f"matrix is not skew-Hermitian (defect {defect:.3e})")
     return a
 
@@ -343,7 +343,7 @@ def conj_t(a):
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def as_unitary(u, tol=UNITARY_TOL):
+def as_unitary(u):
     """Validate that `u`, a matrix or a (T, n, n) stack, is unitary
     (U*U = I) and return it."""
     u = np.asarray(u, dtype=complex)
@@ -351,7 +351,7 @@ def as_unitary(u, tol=UNITARY_TOL):
         raise InvalidInput(f"expected a square matrix, got shape {u.shape}")
     _require_finite(u, "matrix")
     defect = np.max(np.abs(conj_t(u) @ u - np.eye(u.shape[-1])))
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise InvalidInput(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -370,27 +370,32 @@ def expm_skew(a, t=1.0):
     return (v * np.exp(1j * t * w)[..., None, :]) @ conj_t(v)
 
 
-def unitary_phases(u, tol=UNITARY_TOL):
+def unitary_phases(u):
     """Eigenvalue phases of a unitary matrix, sorted ascending in (-pi, pi];
     for a (T, n, n) stack, one sorted row per matrix.
 
     The branch point is resolved toward +pi, so -1 reports phase +pi.
     """
-    u = as_unitary(u, tol=tol)
+    u = as_unitary(u)
     phases = np.angle(np.linalg.eigvals(u))
     phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
     return np.sort(phases, axis=-1)
 
 
-def haar_unitary(n, rngs):
-    """(T, n, n) stack of Haar-distributed U(n) draws, one per stream of
-    the StreamBlock `rngs`: one stacked QR of complex Ginibre matrices with
-    the standard phase correction on R's diagonal."""
-    if n < 1:
-        raise InvalidInput("dimension must be >= 1")
-    q, r = np.linalg.qr(_ginibre(rngs, n, n)[:, 0])
+def _haar_qr(m):
+    """Haar Q factors of a (T, k, k) Ginibre stack: one stacked QR, phases
+    fixed so R's diagonal is positive (Mezzadri, Notices AMS 2007)."""
+    q, r = np.linalg.qr(m)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(n, rngs):
+    """(T, n, n) stack of Haar-distributed U(n) draws, one per stream of
+    the StreamBlock `rngs`: the QR of complex Ginibre matrices."""
+    if n < 1:
+        raise InvalidInput("dimension must be >= 1")
+    return _haar_qr(_ginibre(rngs, n, n)[:, 0])
 
 
 # --------------------------------------------------------------------------
@@ -419,16 +424,6 @@ def qmul(x, y):
 def qabs(x):
     """Quaternion modulus, elementwise."""
     return np.sqrt(np.abs(x[0]) ** 2 + np.abs(x[1]) ** 2)
-
-
-def qdot(x, y):
-    """Hermitian inner product sum_a conj(x_a) * y_a of quaternion vectors,
-    summed over the last axis."""
-    x1, x2 = x
-    y1, y2 = y
-    cy1, cy2 = np.conj(y1), np.conj(y2)
-    return (np.sum(np.conj(x1) * y1 + x2 * cy2, axis=-1),
-            np.sum(np.conj(x1) * y2 - x2 * cy1, axis=-1))
 
 
 class QuaternionMatrix:
@@ -496,13 +491,13 @@ def symplectic_defect(q):
     return max(np.max(np.abs(gram.q1 - np.eye(n))), np.max(np.abs(gram.q2)))
 
 
-def as_symplectic(q, tol=SYMPLECTIC_TOL):
+def as_symplectic(q):
     """Validate Sp(n) membership of a QuaternionMatrix (or a stack of them)
     and return it."""
     if q.shape[-2] != q.shape[-1]:
         raise InvalidInput(f"expected square quaternion matrix, got {q.shape}")
     defect = symplectic_defect(q)
-    if defect > tol:
+    if defect > SYMPLECTIC_TOL:
         raise InvalidInput(f"matrix is not symplectic (defect {defect:.3e})")
     return q
 
@@ -512,41 +507,30 @@ def quaternion_skew_defect(x):
     return (x + x.conj_t()).max_abs()
 
 
-def as_quaternion_skew(x, tol=SKEW_TOL):
+def as_quaternion_skew(x):
     """Validate quaternionic skew-Hermitian (X* = -X) and return it."""
-    if quaternion_skew_defect(x) > tol:
+    if quaternion_skew_defect(x) > SKEW_TOL:
         raise InvalidInput("quaternion matrix is not skew-Hermitian")
     return x
 
 
 def haar_symplectic(n, rngs):
     """Stacked QuaternionMatrix of Haar-distributed Sp(n) draws, one per
-    stream of the StreamBlock `rngs`, orthogonalised together.
-
-    QR over the quaternions in the (Q1, Q2) pair model: modified
-    Gram-Schmidt on the columns of a quaternion Ginibre matrix, with
-    right-side coefficients so columns span a right module.  The implicit
-    R factor has positive real diagonal, which makes the Q factor Haar.
+    stream of the StreamBlock `rngs`: the QR of the complex embedding of a
+    quaternion Ginibre matrix G1 + G2*j with each column's j-partner next
+    to it, [G1; -conj G2] in column 2a and [G2; conj G1] in column 2a + 1.
+    Orthonormalised in that order, each column pair spans a right-H line,
+    so Q embeds an Sp(n) matrix: Q1, Q2 are its top half's even, odd columns.
     """
     if n < 1:
         raise InvalidInput("dimension must be >= 1")
     g = _ginibre(rngs, n, n, count=2)
     g1, g2 = g[:, 0], g[:, 1]
-    cols = [(g1[..., a].copy(), g2[..., a].copy()) for a in range(n)]
-    for _ in range(2):  # second pass tightens orthogonality
-        for a in range(n):
-            v1, v2 = cols[a]
-            for b in range(a):
-                u1, u2 = cols[b]
-                c0, c1 = (c[:, None] for c in qdot((u1, u2), (v1, v2)))
-                cc0, cc1 = np.conj(c0), np.conj(c1)
-                # v -= u * c   (scalar on the right)
-                v1 = v1 - (u1 * c0 - u2 * cc1)
-                v2 = v2 - (u1 * c1 + u2 * cc0)
-            nrm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2, axis=-1))[:, None]
-            cols[a] = (v1 / nrm, v2 / nrm)
-    return as_symplectic(QuaternionMatrix(np.stack([c[0] for c in cols], axis=-1),
-                                          np.stack([c[1] for c in cols], axis=-1)))
+    m = np.empty((len(g), 2 * n, 2 * n), dtype=complex)
+    m[:, :n, 0::2], m[:, n:, 0::2] = g1, -np.conj(g2)
+    m[:, :n, 1::2], m[:, n:, 1::2] = g2, np.conj(g1)
+    q = _haar_qr(m)
+    return as_symplectic(QuaternionMatrix(q[:, :n, 0::2], q[:, :n, 1::2]))
 
 
 # --------------------------------------------------------------------------

@@ -179,7 +179,9 @@ def spec_to_json(s: RandersSpec) -> str:
 
 
 def spec_from_json(text: str) -> RandersSpec:
-    """Parse the shared JSON schema; raises InvalidInput on malformed input."""
+    """Parse the shared JSON schema; raises InvalidInput on malformed input,
+    and `InvalidSpec` through `RandersSpec` on a coefficient that is not a
+    finite number."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -196,13 +198,12 @@ def spec_from_json(text: str) -> RandersSpec:
     n = doc.get("n", 1)
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidInput(f"bad spec field: n must be an integer, not {n!r}")
-    try:
-        if family == SP_SPHERE:
-            return RandersSpec(family, n=n,
-                               a1=float(doc["a1"]), a2=float(doc["a2"]),
-                               b=float(doc["b"]), c=float(doc.get("c", 0.0)))
-        return RandersSpec(family, n=n,
-                           a=float(doc["a"]), b=float(doc["b"]),
-                           c=float(doc.get("c", 0.0)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"bad spec field: {exc}") from exc
+    names = ("a1", "a2", "b") if family == SP_SPHERE else ("a", "b")
+    for name in names:
+        if name not in doc:
+            raise InvalidInput(f"bad spec field: {name!r} missing")
+    coeffs = {name: doc[name] for name in (*names, "c") if name in doc}
+    # a finite number becomes a float; anything else (a bool, a string,
+    # null, an int beyond the float range) is left for RandersSpec to refuse
+    return RandersSpec(family, n=n, **{name: float(value) if _is_finite_real(value) else value
+                                       for name, value in coeffs.items()})

@@ -4,7 +4,9 @@ The references below are the per-trial code the batched checkers
 replaced: one Ginibre QR, one eigvals call, one conjugation and one
 projection per draw, and a phase-interval verdict from a zero-cost
 perfect matching found by `linear_sum_assignment`.  Run on the same
-streams, the batched checks must give the same report bit for bit.
+streams, the batched checks must give the same report bit for bit.  The
+quaternion Gram-Schmidt that the Sp(n) QR sampler replaced stays as an
+independent reference, which the sampler must match up to rounding.
 """
 
 import hashlib
@@ -39,7 +41,23 @@ def ref_haar_unitary(n, rng):
 
 
 def ref_haar_symplectic(n, rng):
-    """Modified Gram-Schmidt over the quaternions, one column pair at a time."""
+    """One QR of the column-interleaved complex embedding of a quaternion
+    Ginibre matrix: column 2a is [G1[:, a]; -conj G2[:, a]], column 2a + 1
+    its j-partner [G2[:, a]; conj G1[:, a]]."""
+    g1 = ref_ginibre(rng, n)
+    g2 = ref_ginibre(rng, n)
+    m = np.empty((2 * n, 2 * n), dtype=complex)
+    m[:n, 0::2], m[n:, 0::2] = g1, -np.conj(g2)
+    m[:n, 1::2], m[n:, 1::2] = g2, np.conj(g1)
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return q[:n, 0::2], q[:n, 1::2]
+
+
+def gram_schmidt_symplectic(n, rng):
+    """Modified Gram-Schmidt over the quaternions, one column pair at a
+    time: the slow, independent reference for the QR sampler."""
     g1 = ref_ginibre(rng, n)
     g2 = ref_ginibre(rng, n)
     cols = [(g1[:, a].copy(), g2[:, a].copy()) for a in range(n)]
@@ -210,6 +228,27 @@ def ref_nonintersection(x, l, m, trials, rng):
 
 
 # ------------------------------------------------- same draws, same bytes
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symplectic_sampler_agrees_with_quaternion_gram_schmidt(n):
+    # the QR of the interleaved embedding is the quaternionic QR factor, so
+    # on the same streams it equals the Gram-Schmidt draw up to rounding
+    rng = RngStream(31)
+    q = matrixcore.haar_symplectic(n, matrixcore.StreamBlock(rng, range(40)))
+    for k in range(40):
+        q1, q2 = gram_schmidt_symplectic(n, rng.split(k))
+        assert np.max(np.abs(q.q1[k] - q1)) <= 1e-13
+        assert np.max(np.abs(q.q2[k] - q2)) <= 1e-13
+
+
+def test_symplectic_sampler_matches_its_per_draw_qr():
+    rng = RngStream(32)
+    for n in (1, 2, 5):
+        q = matrixcore.haar_symplectic(n, matrixcore.StreamBlock(rng, range(300)))
+        for k in range(300):
+            q1, q2 = ref_haar_symplectic(n, rng.split(k))
+            assert np.array_equal(q.q1[k], q1) and np.array_equal(q.q2[k], q2)
+
 
 S3 = OrbitParams(1, 1, 0.5, 1.0, 1.0)
 S15 = OrbitParams(3, 5, 0.5, 1.0, 1.0)

@@ -104,6 +104,17 @@ def test_validate_non_integer_n_is_usage_error(tmp_path, capsys, n):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["true", "\"0.5\""], ids=["bool", "string"])
+def test_non_numeric_coefficient_is_a_spec_violation(tmp_path, capsys, value):
+    # validate names the violation and exits 1; verify refuses the config
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(f'{{"family": "u_sphere", "n": 1, "a": 1.0, "b": 1, "c": {value}}}')
+    code, out, _ = run(capsys, "validate", "--config", str(cfg))
+    assert (code, out) == (1, "c not a real number\n")
+    code, out, err = run(capsys, "verify", "orbit", "--config", str(cfg), "--trials", "5")
+    assert code == 2 and out == "" and err.startswith("error:") and "c not a real" in err
+
+
 @pytest.mark.parametrize("target", ["directory", "missing/d/r.csv"])
 def test_unwritable_report_path_is_usage_error(tmp_path, capsys, target):
     out = tmp_path if target == "directory" else tmp_path / target

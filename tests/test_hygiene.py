@@ -27,7 +27,9 @@ which the cross-checks against numpy's SeedSequence cover: it alone may
 build a `np.random.Generator` or `np.random.PCG64`, and no module builds a
 `default_rng`, `SeedSequence` or `RandomState`.  Those cross-checks cover
 the two ways a stream is seeded, a lone `RngStream.gen` and a
-`StreamBlock.generators()`, so only those two call `_generators`.
+`StreamBlock.generators()`, so only those two call `_generators`.  Every
+Haar draw, U(n) and Sp(n) alike, is the Q factor of one stacked QR with
+the phase fix on R's diagonal, so only `matrixcore._haar_qr` calls a `qr`.
 """
 
 import ast
@@ -349,17 +351,17 @@ def test_rng_builder_scan_flags_crafted_calls():
         ("matrixcore.py", "gen", "default_rng")]
 
 
-def generators_callers(texts):
-    """(file, function) of each call of `matrixcore._generators`, the
+def call_sites(texts, target):
+    """(file, function) of each call of the function named `target`, the
     function dotted with its class (`RngStream.gen`) or `<module>`: as
-    `_generators(...)` or `x._generators(...)`, or under a name it was
-    imported as; `texts` maps file names to sources."""
+    `target(...)` or `x.target(...)`, or under a name it was imported as;
+    `texts` maps file names to sources."""
     out = set()
     for name, text in texts.items():
         tree = ast.parse(text)
-        bare = {"_generators"} | {alias.asname or alias.name for node in ast.walk(tree)
-                                  if isinstance(node, ast.ImportFrom)
-                                  for alias in node.names if alias.name == "_generators"}
+        bare = {target} | {alias.asname or alias.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom)
+                           for alias in node.names if alias.name == target}
 
         def visit(node, where):
             for child in ast.iter_child_nodes(node):
@@ -369,7 +371,7 @@ def generators_callers(texts):
                 if isinstance(child, ast.Call):
                     f = child.func
                     if isinstance(f, ast.Name) and f.id in bare or \
-                            isinstance(f, ast.Attribute) and f.attr == "_generators":
+                            isinstance(f, ast.Attribute) and f.attr == target:
                         out.add((name, where))
                 visit(child, inner)
         visit(tree, "<module>")
@@ -378,7 +380,7 @@ def generators_callers(texts):
 
 def test_only_the_two_seeding_paths_call_generators():
     texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    assert generators_callers(texts) == [("matrixcore.py", "RngStream.gen"),
+    assert call_sites(texts, "_generators") == [("matrixcore.py", "RngStream.gen"),
                                          ("matrixcore.py", "StreamBlock.generators")]
 
 
@@ -394,6 +396,26 @@ def test_generators_caller_scan_flags_a_third_caller():
                            "GENS = build(0, (), 3)\n"
                            "def witness(rng):\n"
                            "    return matrixcore._generators(rng.seed, (1,), 1)\n")}
-    assert generators_callers(texts) == [
+    assert call_sites(texts, "_generators") == [
         ("checks.py", "<module>"), ("checks.py", "witness"),
         ("matrixcore.py", "RngStream.gen"), ("matrixcore.py", "seed_all")]
+
+
+def test_only_the_haar_kernel_calls_qr():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert call_sites(texts, "qr") == [("matrixcore.py", "_haar_qr")]
+
+
+def test_qr_caller_scan_flags_a_second_caller():
+    texts = {"matrixcore.py": ("import numpy as np\n"
+                               "def _haar_qr(m):\n"
+                               "    return np.linalg.qr(m)\n"
+                               "def haar_symplectic(n, rngs):\n"
+                               "    return numpy.linalg.qr(_ginibre(rngs, n, n))\n"),
+             "flows.py": ("from numpy.linalg import qr as factor\n"
+                          "class Probe:\n"
+                          "    def draw(self, m):\n"
+                          "        return factor(m)\n")}
+    assert call_sites(texts, "qr") == [("flows.py", "Probe.draw"),
+                                       ("matrixcore.py", "_haar_qr"),
+                                       ("matrixcore.py", "haar_symplectic")]

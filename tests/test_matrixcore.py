@@ -10,7 +10,7 @@ from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
                                   as_skew_hermitian, as_unitary, conjugate,
                                   expm_skew, haar_symplectic, haar_unitary, qabs,
-                                  qdot, qmul, symplectic_defect,
+                                  qmul, symplectic_defect,
                                   trial_blocks, unitary_phases)
 from cwspheres.randers import RandersSpec
 
@@ -160,6 +160,15 @@ def test_haar_unitary_trace_moment():
     # E |tr U|^2 = 1 over the Haar measure; Monte-Carlo to +-0.05
     us = haar_unitary(4, StreamBlock(RngStream(99), range(10000)))
     moment = np.mean(np.abs(np.einsum("kii->k", us)) ** 2)
+    assert abs(moment - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_haar_symplectic_trace_moment(n):
+    # Sp(n) acts irreducibly on C^(2n), so E |tr M|^2 = 1 for its complex
+    # embedding M, whose trace is 2 Re tr Q1; Monte-Carlo to +-0.05
+    qs = haar_symplectic(n, StreamBlock(RngStream(98), range(10000)))
+    moment = np.mean((2.0 * np.einsum("kii->k", qs.q1).real) ** 2)
     assert abs(moment - 1.0) <= 0.05
 
 
@@ -448,12 +457,11 @@ def test_quaternion_products_do_not_depend_on_batch_size():
         return tuple(g.standard_normal((20000, 2)) + 1j * g.standard_normal((20000, 2))
                      for _ in range(2))
     x, y = pairs(), pairs()
-    for f in (qmul, qdot):
-        whole = f(x, y)
-        parts = [f(tuple(c[top:top + 1000] for c in x), tuple(c[top:top + 1000] for c in y))
-                 for top in range(0, 20000, 1000)]
-        for k in range(2):
-            assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
+    whole = qmul(x, y)
+    parts = [qmul(tuple(c[top:top + 1000] for c in x), tuple(c[top:top + 1000] for c in y))
+             for top in range(0, 20000, 1000)]
+    for k in range(2):
+        assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts]))
 
 
 # -------------------------------------------------------------------- su(2)

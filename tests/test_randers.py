@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -384,3 +385,29 @@ def test_json_rejects_non_integer_n(n):
         with pytest.raises(InvalidInput):
             spec_from_json(f"{{\"family\": \"{family}\", \"n\": {n}, "
                            f"{coeffs}, \"b\": 1.0, \"c\": 0.0}}")
+
+
+@pytest.mark.parametrize("value", ["true", "\"2\"", "null", "[1]"],
+                         ids=["bool", "string", "null", "list"])
+@pytest.mark.parametrize("family,name", [("u_sphere", "a"), ("u_sphere", "b"),
+                                         ("u_sphere", "c"), ("sp_sphere", "a1"),
+                                         ("sp_sphere", "a2"), ("sp_sphere", "b"),
+                                         ("sp_sphere", "c")])
+def test_json_coefficient_must_be_a_number(family, name, value):
+    # a JSON bool, string, null or list reaches RandersSpec unconverted and
+    # is refused with the violation a library caller would get
+    fault = "missing or non-finite" if value == "null" else "not a real number"
+    doc = {"u_sphere": {"a": 1.0, "b": 1.0, "c": 0.5},
+           "sp_sphere": {"a1": 1.0, "a2": 1.3, "b": 1.0, "c": 0.5}}[family]
+    doc = {"family": family, "n": 1, **doc, name: "VALUE"}
+    text = json.dumps(doc).replace("\"VALUE\"", value)
+    with pytest.raises(InvalidSpec) as exc:
+        spec_from_json(text)
+    assert exc.value.violations == [f"{name} {fault}"]
+
+
+def test_json_integer_coefficients_become_floats():
+    spec = spec_from_json('{"family": "u_sphere", "n": 1, "a": 2, "b": 1}')
+    assert (type(spec.a), type(spec.b), spec.a, spec.c) == (float, float, 2.0, 0.0)
+    with pytest.raises(InvalidSpec, match="a missing or non-finite"):
+        spec_from_json('{"family": "u_sphere", "a": 1%s, "b": 1}' % ("0" * 400))
