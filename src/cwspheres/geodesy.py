@@ -23,26 +23,33 @@ change sign when its two points swap.  The corridor is a tube around the
 raw path with a radius in Euclidean chord units, so which samples it
 holds does not depend on the metric's scale.
 
-The tube is pruned to the samples that can lie on a path shorter than
-the raw path, with no change to any answer's bits.  Let lambda be the
-least invariant norm of a round-unit tangent vector (`_min_unit_norm`,
-in closed form).  An arc of round angle theta costs at least
-lambda * theta, so a corridor path from s through u to t costs at least
-lambda * (theta(s, u) + theta(u, t)), while the raw path's own hops, a
-corridor path too, cost D.  A sample whose bound exceeds D * (1 + 1e-6)
-+ lambda * 1e-6 is dropped; the margin is far above the rounding of the
-costs and of arccos near 0 (about 1.5e-8 rad), so the optimal path and
-its float sum survive (proof in `_corridor`).
+The tube is pruned to the samples that can lie on a path cheaper than a
+corridor path already in hand, with no change to any answer's bits.  Let
+lambda be the least invariant norm of a round-unit tangent vector
+(`_min_unit_norm`, in closed form).  An arc of round angle theta costs
+at least lambda * theta, so a corridor path from s through u to t costs
+at least lambda * (theta(s, u) + theta(u, t)).  The path in hand costs
+D: the cheapest path through the raw path's own points in path order,
+over its hops and every pair of them close enough that the corridor
+surely joins it (`_shortcuts`); all its arcs are corridor arcs.  A
+sample whose bound exceeds D * (1 + 1e-6) + lambda * 1e-6 is dropped;
+the margin is far above the rounding of the costs and of arccos near 0
+(about 1.5e-8 rad), so the optimal path and its float sum survive
+(proof in `_corridor`).
 
 Queries come in batches: `distances` and `distances_to_coords` take many
 queries at once (`verify oracle` sends three batches, `verify
 displacement` one per point).  One arc-cost call prices every query's
-search bound, and one KD-tree query with one edge-cost call snaps and
-prices every off-sample target.  Each query keeps its own bounded raw
-Dijkstra, since each has its own bound.  The corridors are then refined a
-group at a time: a group holds corridors of at most `GROUP_PAIRS` = 2^15
-point pairs n(n - 1)/2 in all, and becomes one block-diagonal matrix
-priced by one arc-cost call and answered by one multi-source Dijkstra.
+search bound, one prices every query's D, and one KD-tree query with one
+edge-cost call snaps and prices every off-sample target.  Each query
+keeps its own bounded raw Dijkstra, since each has its own bound: the
+cheaper of a multiple of the great-circle cost and the total of a greedy
+walk through the graph to the target (`_walk_limits`), a real path the
+search must beat.  No bound calls a scipy kernel.  The corridors are then
+refined a group at a time: a group holds corridors of at most
+`GROUP_PAIRS` = 2^15 point pairs n(n - 1)/2 in all, and becomes one
+block-diagonal matrix priced by one arc-cost call and answered by one
+multi-source Dijkstra.
 The budget bounds the memory of a group, whatever the batch size.  No
 answer moves by a bit.  Every cost kernel works element by element,
 so a cost does not depend on which batch it is computed in.  The blocks
@@ -91,6 +98,9 @@ from .randers import U_SPHERE, RandersSpec, randers_norm_array
 
 MIN_POINTS = 500
 MIN_DEGREE = 8
+# The most edges n_points * k a graph may have; the build sizes its CSR
+# arrays from the product, so a larger one is refused before anything is sized
+MAX_EDGES = 2 ** 24
 # The graph build and `_arc_costs` work on at most this many edges (arcs)
 # at a time, so their temporaries do not grow with the input
 BLOCK = 2 ** 13
@@ -224,6 +234,8 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
         raise InvalidInput(f"need at least {MIN_POINTS} points")
     if not MIN_DEGREE <= k < n_points:
         raise InvalidInput(f"need {MIN_DEGREE} <= k < n_points")
+    if n_points * k > MAX_EDGES:
+        raise InvalidInput(f"need n_points * k <= {MAX_EDGES} edges, got {n_points * k}")
     pts = _sample_points(spec, n_points, rng)
     tree = cKDTree(pts)
     n_edges = n_points * k
@@ -327,13 +339,50 @@ GROUP_PAIRS = 2 ** 15
 
 
 def _raw_limits(graph: SphereGraph, sources, coords):
-    """Search bound of the raw Dijkstra from each source towards its target
-    point `coords` row.  An antipodal pair has no unique great circle and
-    `_arc_costs` prices it 0, so its search runs unbounded."""
+    """First search bound of the raw Dijkstra from each source towards its
+    target point `coords` row: a multiple of the great-circle cost plus a
+    few median edges, which `_raw_paths` lowers to a greedy walk's total
+    where one reaches the target.  An antipodal pair has no unique great
+    circle and `_arc_costs` prices it 0, so its search runs unbounded."""
     starts = graph.points[sources]
     arcs = _arc_costs(graph.spec, starts, coords)[0]
     limits = RAW_LIMIT_FACTOR * arcs + RAW_LIMIT_EDGES * graph.median_edge
     limits[(arcs == 0.0) & (np.sum(starts * coords, axis=1) < 0.0)] = math.inf
+    return limits
+
+
+def _walk_limits(graph: SphereGraph, sources, coords, cand, leg_costs):
+    """Total of a greedy graph walk from each source to one of its
+    candidates `cand[q]` plus that candidate's leg, or inf where the walk
+    stalls first.
+
+    Each step goes to the out-neighbour with the largest dot product with
+    the target `coords[q]`, and the walk stalls where none is closer than
+    the vertex it stands on.  The weights are added left to right from 0.0,
+    as Dijkstra adds them along a path; float addition is monotone, so
+    Dijkstra's distance to the candidate is at most the walk's sum, and the
+    candidate's total at most the returned limit."""
+    heads = graph.matrix.indices.reshape(-1, graph.k)       # k out-edges per row
+    weights = graph.matrix.data.reshape(-1, graph.k)
+    at = np.array(sources, dtype=np.intp)
+    walked, limits = np.zeros(len(at)), np.full(len(at), math.inf)
+    closeness = np.sum(graph.points[at] * coords, axis=1)
+    live = np.arange(len(at))
+    while len(live):
+        hit = cand[live] == at[live, None]
+        reached = np.any(hit, axis=1)
+        done = live[reached]
+        limits[done] = walked[done] + leg_costs[done, np.argmax(hit[reached], axis=1)]
+        live = live[~reached]
+        nbrs = heads[at[live]]
+        dots = np.sum(graph.points[nbrs] * coords[live, None], axis=2)
+        best = np.argmax(dots, axis=1)
+        rows = np.arange(len(live))
+        closer = dots[rows, best] > closeness[live]
+        live, best, rows = live[closer], best[closer], rows[closer]
+        walked[live] += weights[at[live], best]
+        at[live] = nbrs[rows, best]
+        closeness[live] = dots[rows, best]
     return limits
 
 
@@ -343,13 +392,20 @@ def _raw_paths(graph: SphereGraph, sources, coords, cand, leg_costs):
     `cand[q]` over legs costing `leg_costs[q]`; the path ends at the vertex
     the best total comes from.
 
-    A search stops at its `_raw_limits` bound, below which its distances
-    are exact.  A vertex beyond the bound totals more than the bound, so it
-    cannot beat a total within it: if the best total found is within the
-    bound the answer is settled, otherwise the search reruns unbounded.
+    A search stops at its `_raw_limits` bound, lowered where it is finite to
+    the total of a real path, the greedy walk of `_walk_limits`; below the
+    bound the search's distances are exact.  A vertex beyond the bound
+    totals more than the bound, so it cannot beat a total within it: if
+    the best total found is within the bound the answer is settled,
+    otherwise the search reruns unbounded.  A walk that reaches a candidate
+    bounds that candidate's total from above, so its query never reruns.
     """
+    limits = _raw_limits(graph, sources, coords)
+    finite = np.isfinite(limits)
+    limits[finite] = np.minimum(limits[finite], _walk_limits(
+        graph, sources[finite], coords[finite], cand[finite], leg_costs[finite]))
     raw, paths = np.empty(len(sources)), []
-    for q, (source, limit) in enumerate(zip(sources, _raw_limits(graph, sources, coords))):
+    for q, (source, limit) in enumerate(zip(sources, limits)):
         dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
                               return_predecessors=True, limit=limit)
         totals = dist[cand[q]] + leg_costs[q]
@@ -389,8 +445,9 @@ def _min_unit_norm(spec: RandersSpec):
 
 
 # A corridor sample u is pruned when lambda * (theta(s, u) + theta(u, t))
-# exceeds D * (1 + PRUNE_MARGIN) + lambda * PRUNE_MARGIN, D the raw path's
-# arc length: a relative margin and one in radians (see `_corridor`)
+# exceeds D * (1 + PRUNE_MARGIN) + lambda * PRUNE_MARGIN, D the cost of a
+# corridor path through the raw path's points: a relative margin and one in
+# radians (see `_corridor`)
 PRUNE_MARGIN = 1e-6
 
 
@@ -418,14 +475,20 @@ def _corridor(graph: SphereGraph, raw_path, ends, bound, off_sample):
     KD-tree's, so the corridor does not depend on the metric's scale.
 
     The tube drops every sample that lies on no corridor path shorter than
-    the raw path, whose hops cost `bound` in all; the answer keeps its bits.
-    Proof: an arc of round angle theta costs theta * F(unit tangent) >=
-    lambda * theta (`_min_unit_norm`), so by the triangle inequality of the
-    round angle every corridor path from s through u to t costs at least
-    lambda * (theta(s, u) + theta(u, t)).  The raw path's hops form a
-    corridor path of length D, so the optimum is at most D.  Dijkstra's
-    answer is the least left-to-right float sum over paths (float addition
-    is monotone), and a sample u with
+    `bound` = D, the float sum of a path through the raw path's own points
+    (`_answer_batch`); the answer keeps its bits.  That path's arcs are
+    hops of the raw path or pairs whose chord is inside the chunk chord by
+    a relative 1e-9, which the KD-tree's pair query joins whatever its
+    rounding, and the raw path's points are never dropped: so it is a
+    corridor path.  The corridor may price one of its arcs as the reverse
+    of the swapped pair, a few ulps off the forward price, far below the
+    margin below.  Proof: an arc of round angle theta costs
+    theta * F(unit tangent) >= lambda * theta (`_min_unit_norm`), so by the
+    triangle inequality of the round angle every corridor path from s
+    through u to t costs at least lambda * (theta(s, u) + theta(u, t)).
+    The optimum is at most D, up to those ulps.  Dijkstra's answer is the
+    least left-to-right float sum over paths (float addition is monotone),
+    and a sample u with
         lambda * (theta(s, u) + theta(u, t)) > D * (1 + 1e-6) + lambda * 1e-6
     lies on no path of float length up to D: the rounding of the arc costs,
     of lambda and of sums over fewer than 10^3 arcs is below 1e-12
@@ -487,22 +550,47 @@ def _refine_group(spec: RandersSpec, corridors):
     return dist[[c.stop + off for c, off in blocks]]
 
 
+def _shortcuts(ends):
+    """Positions i < j, sorted, of the pairs of a raw path's points `ends`
+    that its corridor joins whatever else it holds: the hops, and every pair
+    whose chord is below the corridor's chunk chord by a relative 1e-9, a
+    margin far above the rounding of the KD-tree's distances."""
+    i, j = np.triu_indices(len(ends), 1)
+    chords = np.sqrt(np.sum((ends[i] - ends[j]) ** 2, axis=1))
+    near = (j == i + 1) | (chords < 2.0 * math.sin(CHUNK_ARC / 2.0) * (1.0 - 1e-9))
+    return i[near], j[near]
+
+
+def _cheapest_in_order(n, i, j, costs):
+    """Least left-to-right float sum of the arc costs `costs[p]` from point
+    `i[p]` to point `j[p]` over the paths from point 0 to point n - 1 that
+    visit points in increasing order; the pairs come sorted by i, so each
+    point's best sum is final before its arcs are relaxed."""
+    best = [0.0] + [math.inf] * (n - 1)
+    for a, b, cost in zip(i, j, costs):
+        best[b] = min(best[b], best[a] + cost)
+    return best[-1]
+
+
 def _answer_batch(graph: SphereGraph, sources, coords, cand, leg_costs, off_sample):
     """Raw search and corridor refinement of a batch of queries (see
-    `_raw_paths`); the corridors are refined a group at a time."""
+    `_raw_paths`).  Each corridor is pruned against D, the cheapest path
+    through its raw path's points in path order over their `_shortcuts`,
+    all priced in one arc-cost call; the corridors are refined a group at a
+    time."""
     raw, paths = _raw_paths(graph, sources, coords, cand, leg_costs)
     ends = [graph.points[path] for path in paths]
     if off_sample:
         ends = [np.vstack([e, target]) for e, target in zip(ends, coords)]
-    # the raw paths' hops as arcs, in path order
-    hop_costs = _arc_costs(graph.spec, np.vstack([e[:-1] for e in ends]),
-                           np.vstack([e[1:] for e in ends]))[0].tolist()
+    shortcuts = [_shortcuts(e) for e in ends]
+    costs = _arc_costs(graph.spec, np.vstack([e[i] for e, (i, _) in zip(ends, shortcuts)]),
+                       np.vstack([e[j] for e, (_, j) in zip(ends, shortcuts)]))[0].tolist()
     refined = np.empty(len(paths))
     group, members, group_pairs, at = [], [], 0, 0
-    for q, (path, e) in enumerate(zip(paths, ends)):
-        corridor = _corridor(graph, path, e, sum(hop_costs[at:at + len(e) - 1]),
-                             off_sample)
-        at += len(e) - 1
+    for q, (path, e, (i, j)) in enumerate(zip(paths, ends, shortcuts)):
+        bound = _cheapest_in_order(len(e), i.tolist(), j.tolist(), costs[at:at + len(i)])
+        corridor = _corridor(graph, path, e, bound, off_sample)
+        at += len(i)
         n = len(corridor.points)
         if group and group_pairs + n * (n - 1) // 2 > GROUP_PAIRS:
             refined[members] = _refine_group(graph.spec, group)

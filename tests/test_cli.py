@@ -538,6 +538,10 @@ def test_malformed_orbit_params_are_usage_errors(capsys, argv):
     ("sp-witness", "--seed", "-1"),
     ("eigenlemma", "--trials", "2", "--seed", "-1"),
     ("displacement", "--k", "100000", "--n-points", "600", "--points", "2"),
+    # graphs past the edge budget are refused before their arrays are sized
+    ("oracle", "--n-points", "4000000000"),
+    ("displacement", "--n-points", "4000000000", "--points", "2"),
+    ("oracle", "--n-points", "200000", "--k", "199999"),
 ])
 def test_verify_bad_sizes_and_seeds_are_usage_errors(tmp_path, capsys, argv):
     report = tmp_path / "report.csv"

@@ -46,6 +46,9 @@ def test_build_validates_parameters():
     for k in (600, 100000):    # a vertex has at most n_points - 1 neighbours
         with pytest.raises(InvalidInput):
             build_graph(ROUND3, 600, k, RngStream(0))
+    # one row of MIN_DEGREE edges past the budget, refused before anything is sized
+    with pytest.raises(InvalidInput, match="edges"):
+        build_graph(ROUND3, geodesy.MAX_EDGES // 8 + 1, 8, RngStream(0))
 
 
 def test_build_round_weights_symmetric():
@@ -757,6 +760,30 @@ def test_pruned_corridor_answers_equal_unpruned(prune_graphs, monkeypatch):
     assert sum(sizes["pruned"]) < sum(sizes["unpruned"])
 
 
+def test_shortcut_bound_lies_between_answer_and_hops(prune_graphs, monkeypatch):
+    # D, the cheapest in-order path over the raw path's own points, is a
+    # real corridor path: no shorter than the answer and no longer than the
+    # hops, and its corridors are smaller than the hops' sum keeps
+    bounds, sizes = [], {"shortcut": 0, "hops": 0}
+    real = geodesy._corridor
+
+    def corridor(graph, raw_path, ends, bound, off_sample):
+        hop_sum = sum(_arc_costs(graph.spec, ends[:-1], ends[1:])[0].tolist())
+        bounds.append((bound, hop_sum))
+        sizes["hops"] += len(real(graph, raw_path, ends, hop_sum, off_sample).points)
+        out = real(graph, raw_path, ends, bound, off_sample)
+        sizes["shortcut"] += len(out.points)
+        return out
+    monkeypatch.setattr(geodesy, "_corridor", corridor)
+    refined = []
+    for g, (_, _, _, seed) in zip(prune_graphs, PRUNE_GRAPHS):
+        refined += batch_answers(g, *prune_queries(g, seed))[0].tolist()
+    assert len(bounds) == len(refined) == len(PRUNE_GRAPHS) * (48 + BEYOND_TARGETS)
+    for answer, (bound, hop_sum) in zip(refined, bounds):
+        assert answer * (1.0 - 1e-12) <= bound <= hop_sum
+    assert sizes["shortcut"] < sizes["hops"]
+
+
 # ------------------------------------------------------------------ distances
 
 def test_distance_self_is_zero():
@@ -954,6 +981,36 @@ def test_bounded_dijkstra_fallback_on_forced_miss(readme_graph,
     answers = query_answers(readme_graph, pairs[:10], sources[:10], targets[:10])
     assert answers == unbounded_answers[:10] + unbounded_answers[50:60]
     assert limits.count(0.0) == limits.count(math.inf) == 20
+
+
+def test_walk_limits_bound_the_raw_searches(readme_graph, monkeypatch):
+    # a greedy walk that reaches a candidate is a real path, so its total is
+    # never below the raw distance and its search never reruns
+    walks = []
+    real = geodesy._walk_limits
+
+    def spy(*args):
+        out = real(*args)
+        walks.extend(out.tolist())
+        return out
+    monkeypatch.setattr(geodesy, "_walk_limits", spy)
+    limits = record_raw_limits(monkeypatch, readme_graph)
+    pairs, sources, targets = bounded_queries(readme_graph)
+    raw = np.concatenate([distances(readme_graph, pairs[:, 0], pairs[:, 1]).raw,
+                          distances_to_coords(readme_graph, sources, targets).raw])
+    firsts, reruns = [], []         # per query: its bounded search, and whether it reran
+    for limit in limits:
+        if math.isfinite(limit):
+            firsts.append(limit)
+            reruns.append(False)
+        else:
+            reruns[-1] = True
+    assert len(firsts) == len(walks) == len(raw) == 100
+    for limit, walk, distance, rerun in zip(firsts, walks, raw, reruns):
+        assert distance <= limit <= walk
+        assert not (rerun and math.isfinite(walk))
+    # 98 of the 100 walks reach a candidate
+    assert np.mean(np.isfinite(walks)) >= 0.9
 
 
 # -------------------------------------------------------------- displacement

@@ -30,6 +30,10 @@ the two ways a stream is seeded, a lone `RngStream.gen` and a
 `StreamBlock.generators()`, so only those two call `_generators`.  Every
 Haar draw, U(n) and Sp(n) alike, is the Q factor of one stacked QR with
 the phase fix on R's diagonal, so only `matrixcore._haar_qr` calls a `qr`.
+The oracle's scipy kernels stay where they are: `dijkstra` in the raw
+searches and the corridor groups, `csr_matrix` in the build and the
+groups, `cKDTree` in the build and the corridors, so that no search bound
+adds a call that the tests and the traced benchmark count as work.
 """
 
 import ast
@@ -419,3 +423,47 @@ def test_qr_caller_scan_flags_a_second_caller():
     assert call_sites(texts, "qr") == [("flows.py", "Probe.draw"),
                                        ("matrixcore.py", "_haar_qr"),
                                        ("matrixcore.py", "haar_symplectic")]
+
+
+# Where geodesy calls the scipy graph kernels: the traced benchmark reads
+# `dijkstra`, `csr_matrix` and `cKDTree` spans inside queries as raw
+# searches, corridor arcs and corridor KD-trees, and the oracle tests count
+# those calls, so a search bound must be priced without them.
+GEODESY_SCIPY_SITES = {"dijkstra": ["_raw_paths", "_refine_group"],     # sorted callers
+                       "csr_matrix": ["_refine_group", "build_graph"],
+                       "cKDTree": ["_corridor", "build_graph"]}
+
+
+def scipy_site_changes(text):
+    """Per scipy kernel of `GEODESY_SCIPY_SITES` whose callers in the
+    geodesy source `text` differ from the listed ones: its callers."""
+    texts = {"geodesy.py": text}
+    out = {}
+    for target, where in GEODESY_SCIPY_SITES.items():
+        sites = [function for _, function in call_sites(texts, target)]
+        if sites != where:
+            out[target] = sites
+    return out
+
+
+def test_geodesy_scipy_calls_stay_where_they_are():
+    assert scipy_site_changes((SRC / "geodesy.py").read_text()) == {}
+
+
+def test_scipy_site_scan_flags_a_new_caller():
+    text = ("from scipy.sparse import csr_matrix\n"
+            "from scipy.sparse.csgraph import dijkstra as search\n"
+            "from scipy.spatial import cKDTree\n"
+            "def build_graph(pts, data):\n"
+            "    return cKDTree(pts), csr_matrix(data)\n"
+            "def _raw_paths(m):\n"
+            "    return search(m)\n"
+            "def _walk_limits(m, pts):\n"
+            "    return search(m, limit=1.0), cKDTree(pts)\n"
+            "def _corridor(pts):\n"
+            "    return cKDTree(pts)\n"
+            "def _refine_group(m, data):\n"
+            "    return search(csr_matrix(data))\n")
+    assert scipy_site_changes(text) == {
+        "dijkstra": ["_raw_paths", "_refine_group", "_walk_limits"],
+        "cKDTree": ["_corridor", "_walk_limits", "build_graph"]}
