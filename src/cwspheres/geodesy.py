@@ -61,17 +61,26 @@ The graph is built `BLOCK` = 2^13 edges at a time.  Each block of whole
 rows makes one KD-tree query and writes its column indices, sorted within
 each row, its costs and its chord lengths into preallocated O(E) arrays,
 which are the CSR matrix as they stand; beyond them and a copy of the
-points, nothing in the build grows with the point count.  `_arc_costs`
-fills its two outputs a block of arcs at a time as well.  That half is
-needed for speed: glibc's malloc raises its mmap and trim thresholds to
-the size of the largest mapped block it frees, and the unblocked build's
-multi-megabyte frees had kept them high enough that the corridor groups'
-arc-cost temporaries reused heap pages.  With the build blocked alone,
-every group mapped and faulted them afresh: about 33k instead of 0.6k
-minor faults in the queries of one `verify oracle` plus `verify
-displacement` pass (glibc 2.36, numpy 2.4, scipy 1.17); with
-`_arc_costs` blocked too, about 12k.  No cost moves by a bit, since every
-kernel works element by element.
+points, nothing in the build grows with the point count.  The KD-tree
+queries, and nothing else, run on a thread pool that lives for one build:
+one thread per CPU the process may use (`os.sched_getaffinity`), never
+more than there are blocks.  scipy's query releases the GIL and writes
+only its own outputs.  The calling thread submits at most 2 * threads
+blocks ahead of the one it prices, takes each block's neighbours in block
+order and does the rest: sorting, chords, costs and every write.  So each
+array is written by one thread in the same order at any thread count, no
+bit depends on it, and the look-ahead holds the transient to O(BLOCK):
+4.4 MiB at N = 20000, k = 12 on two CPUs (tracemalloc; 3.9 MiB built
+serially).  `_arc_costs` fills its two outputs a block of arcs at a time
+as well.  That half is needed for speed: glibc's malloc raises its mmap
+and trim thresholds to the size of the largest mapped block it frees,
+and the unblocked build's multi-megabyte frees had kept them high enough
+that the corridor groups' arc-cost temporaries reused heap pages.  With
+the build blocked alone, every group mapped and faulted them afresh:
+about 33k instead of 0.6k minor faults in the queries of one `verify
+oracle` plus `verify displacement` pass (glibc 2.36, numpy 2.4, scipy
+1.17); with `_arc_costs` blocked too, about 12k.  No cost moves by a bit,
+since every kernel works element by element.
 
 Every sum over coordinates that feeds a weight or a cost runs on whole
 coordinate columns through `_row_sum`, which adds them in exactly the
@@ -85,7 +94,11 @@ shortest path with them.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -221,6 +234,14 @@ def _tangent_chords(pts, targets):
     return chords.T
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
     """Sample `n_points` points of the spec's sphere and connect each to its
     k nearest (Euclidean) neighbours by directed edges weighted with the
@@ -228,7 +249,10 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
 
     The edges are found and priced `BLOCK` at a time, a block of whole rows
     (at least one) per KD-tree query, straight into the CSR arrays: each
-    row's neighbours sorted by column, the canonical order."""
+    row's neighbours sorted by column, the canonical order.  The KD-tree
+    queries run on a pool of one thread per usable CPU (no more than there
+    are blocks), at most two per thread ahead of the block being priced;
+    this thread takes their neighbours in block order and does all else."""
     n_points, k = int(n_points), int(k)
     if n_points < MIN_POINTS:
         raise InvalidInput(f"need at least {MIN_POINTS} points")
@@ -244,16 +268,27 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
     # coordinate columns of the edges' ends, gathered in place of rows
     cols = np.ascontiguousarray(pts.T)
     rows = max(1, BLOCK // k)
-    for lo in range(0, n_points, rows):
-        hi = min(lo + rows, n_points)
-        _, idx = tree.query(pts[lo:hi], k=k + 1)
-        dst = np.sort(idx[:, 1:], axis=1).ravel()          # drop self
-        src_pts = np.repeat(cols[:, lo:hi], k, axis=1).T
-        vecs = _tangent_chords(src_pts, np.take(cols, dst, axis=1).T)
-        edges = slice(lo * k, hi * k)
-        indices[edges] = dst
-        costs[edges] = _edge_costs(spec, src_pts, vecs)
-        chords[edges] = np.sqrt(_row_sum(vecs.T * vecs.T))
+    starts = range(0, n_points, rows)
+    workers = min(_usable_cpus(), len(starts))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        # scipy's tree query releases the GIL and writes only its own outputs;
+        # submitted lazily, so at most 2 * workers neighbour blocks are held
+        queries = (pool.submit(tree.query, pts[lo:lo + rows], k=k + 1) for lo in starts)
+        ahead = deque(islice(queries, 2 * workers))
+        for lo in starts:
+            _, idx = ahead.popleft().result()
+            ahead.extend(islice(queries, 1))
+            hi = min(lo + rows, n_points)
+            dst = np.sort(idx[:, 1:], axis=1).ravel()          # drop self
+            src_pts = np.repeat(cols[:, lo:hi], k, axis=1).T
+            vecs = _tangent_chords(src_pts, np.take(cols, dst, axis=1).T)
+            edges = slice(lo * k, hi * k)
+            indices[edges] = dst
+            costs[edges] = _edge_costs(spec, src_pts, vecs)
+            chords[edges] = np.sqrt(_row_sum(vecs.T * vecs.T))
+    finally:
+        pool.shutdown(cancel_futures=True)
     median_chord = float(np.median(chords, overwrite_input=True))
     del chords                  # np.median(costs) copies: one O(E) temporary at a time
     mat = csr_matrix((costs, indices, np.arange(0, n_edges + 1, k, dtype=np.int32)),

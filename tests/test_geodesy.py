@@ -1,6 +1,8 @@
 import functools
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,7 +38,12 @@ def out_edges(g, i):
 
 # ------------------------------------------------------------------ building
 
-def test_build_validates_parameters():
+def test_build_validates_parameters(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused build started its KD-tree threads")
+
+    monkeypatch.setattr(geodesy, "ThreadPoolExecutor", no_pool)
+    threads = threading.active_count()
     with pytest.raises(InvalidInput):
         build_graph(ROUND3, 100, 12, RngStream(0))
     with pytest.raises(InvalidInput):
@@ -49,6 +56,7 @@ def test_build_validates_parameters():
     # one row of MIN_DEGREE edges past the budget, refused before anything is sized
     with pytest.raises(InvalidInput, match="edges"):
         build_graph(ROUND3, geodesy.MAX_EDGES // 8 + 1, 8, RngStream(0))
+    assert threading.active_count() == threads
 
 
 def test_build_round_weights_symmetric():
@@ -415,6 +423,75 @@ def test_build_graph_is_bit_identical_to_row_sums(monkeypatch, spec, n_points, k
         assert got.matrix.data.tobytes() == matrix.data.tobytes()
         assert got.median_edge == median_edge
         assert got.median_chord == median_chord
+
+
+def graph_bytes(g):
+    return (g.matrix.data.tobytes(), g.matrix.indices.tobytes(), g.matrix.indptr.tobytes(),
+            g.median_edge, g.median_chord)
+
+
+@pytest.mark.parametrize("spec,n_points,k,seed,blocks", [
+    (CW3, 2000, 12, 54, 3),             # rows of 682, 682 and 636
+    (CW3, 500, 12, 55, 1),
+    (SP7, 900, 10, 27, 2),              # rows of 819 and 81
+])
+def test_build_bits_do_not_depend_on_the_worker_count(monkeypatch, spec, n_points, k,
+                                                      seed, blocks):
+    sizes, got = [], []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(geodesy, "ThreadPoolExecutor", pool)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(geodesy, "_usable_cpus", lambda: workers)
+        got.append(graph_bytes(build_graph(spec, n_points, k, RngStream(seed))))
+    assert got[1] == got[0] and got[2] == got[0]
+    assert sizes == [min(workers, blocks) for workers in (1, 2, 3)]
+
+
+def test_build_queries_at_most_two_blocks_per_thread_ahead(monkeypatch):
+    lead, priced = [], []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            lead.append(len(lead) - len(priced))    # block number - blocks priced
+            return super().submit(*args, **kwargs)
+
+    def pricing(*args):
+        priced.append(None)
+        return _edge_costs(*args)
+
+    monkeypatch.setattr(geodesy, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(geodesy, "_edge_costs", pricing)
+    monkeypatch.setattr(geodesy, "BLOCK", 100 * 12)            # 20 blocks
+    for workers in (1, 3):
+        lead.clear()
+        priced.clear()
+        monkeypatch.setattr(geodesy, "_usable_cpus", lambda: workers)
+        small_graph(n_points=2000)
+        assert len(lead) == 20 and max(lead) == 2 * workers
+
+
+def test_build_failure_leaves_as_raised_and_joins_its_threads(monkeypatch):
+    threads = threading.active_count()
+    monkeypatch.setattr(geodesy, "_usable_cpus", lambda: 3)
+    small_graph(spec=CW3, n_points=2000)
+    assert threading.active_count() == threads
+    failure, calls = RuntimeError("pricing failed"), []
+
+    def second_block_fails(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise failure
+        return _edge_costs(*args)
+
+    monkeypatch.setattr(geodesy, "_edge_costs", second_block_fails)
+    with pytest.raises(RuntimeError) as raised:
+        small_graph(spec=CW3, n_points=2000)
+    assert raised.value is failure and len(calls) == 2
+    assert threading.active_count() == threads
 
 
 def reference_refine(graph, raw_path, target_coords=None):

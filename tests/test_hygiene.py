@@ -34,6 +34,13 @@ The oracle's scipy kernels stay where they are: `dijkstra` in the raw
 searches and the corridor groups, `csr_matrix` in the build and the
 groups, `cKDTree` in the build and the corridors, so that no search bound
 adds a call that the tests and the traced benchmark count as work.
+Package code runs on the calling thread alone: perfbench's `Tracer` keeps
+one span stack for all threads and appends spans without a lock, so a
+traced call made on another thread would mis-nest or duplicate spans.  So
+`ThreadPoolExecutor` has one call site, `geodesy.build_graph`, no module
+imports `threading` or `multiprocessing`, and the one callable handed to a
+pool is a KD-tree's `query`: a scipy method the tracer does not wrap, which
+releases the GIL and writes only its own outputs.
 """
 
 import ast
@@ -467,3 +474,70 @@ def test_scipy_site_scan_flags_a_new_caller():
     assert scipy_site_changes(text) == {
         "dijkstra": ["_raw_paths", "_refine_group", "_walk_limits"],
         "cKDTree": ["_corridor", "_walk_limits", "build_graph"]}
+
+
+POOL_SITES = [("geodesy.py", "build_graph")]
+THREAD_MODULES = {"threading", "_thread", "multiprocessing"}
+
+
+def thread_violations(texts):
+    """What in `texts` (file name -> source) could run package code off the
+    calling thread: the call sites of `ThreadPoolExecutor` unless they are
+    `POOL_SITES`; each import of a module in `THREAD_MODULES` or of a
+    `ProcessPoolExecutor`; and each callable handed to a `submit` or `map`
+    other than the `query` method of a name bound to a `cKDTree(...)`."""
+    out = {}
+    sites = call_sites(texts, "ThreadPoolExecutor")
+    if sites != POOL_SITES:
+        out["pool_sites"] = sites
+    for name, text in sorted(texts.items()):
+        imports = [(name, line, mod) for line, mod in imported_names(text)
+                   if mod.lstrip(".").split(".")[0] in THREAD_MODULES
+                   or mod.endswith("ProcessPoolExecutor")]
+        tree = ast.parse(text)
+        trees = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call)
+                 and "cKDTree" in (getattr(node.value.func, "id", None),
+                                   getattr(node.value.func, "attr", None))
+                 for target in node.targets if isinstance(target, ast.Name)}
+        handed = [(name, node.lineno, ast.get_source_segment(text, node.args[0]))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("submit", "map") and node.args
+                  and not (isinstance(node.args[0], ast.Attribute)
+                           and node.args[0].attr == "query"
+                           and getattr(node.args[0].value, "id", None) in trees)]
+        for key, found in (("imports", imports), ("handed", handed)):
+            if found:
+                out.setdefault(key, []).extend(sorted(found))
+    return out
+
+
+def test_package_code_runs_on_the_calling_thread():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert thread_violations(texts) == {}
+
+
+def test_thread_scan_flags_a_second_pool_and_what_it_runs():
+    texts = {"geodesy.py": ("from concurrent.futures import ThreadPoolExecutor\n"
+                            "from scipy.spatial import cKDTree\n"
+                            "def build_graph(pts):\n"
+                            "    tree = cKDTree(pts)\n"
+                            "    with ThreadPoolExecutor(2) as pool:\n"
+                            "        near = pool.submit(tree.query, pts, k=3)\n"
+                            "        pool.submit(_edge_costs, pts)\n"
+                            "        return list(pool.map(graph.query, [pts]))\n"),
+             "flows.py": ("import threading\n"
+                          "from concurrent import futures\n"
+                          "from concurrent.futures import ProcessPoolExecutor\n"
+                          "def apply_all(xs):\n"
+                          "    with futures.ThreadPoolExecutor() as pool:\n"
+                          "        return list(pool.map(lambda x: x, xs))\n"),
+             "checks.py": "from multiprocessing.pool import ThreadPool\n"}
+    assert thread_violations(texts) == {
+        "pool_sites": [("flows.py", "apply_all"), ("geodesy.py", "build_graph")],
+        "imports": [("checks.py", 1, "multiprocessing.pool.ThreadPool"),
+                    ("flows.py", 1, "threading"),
+                    ("flows.py", 3, "concurrent.futures.ProcessPoolExecutor")],
+        "handed": [("flows.py", 6, "lambda x: x"), ("geodesy.py", 7, "_edge_costs"),
+                   ("geodesy.py", 8, "graph.query")]}
