@@ -83,12 +83,13 @@ oracle` plus `verify displacement` pass (glibc 2.36, numpy 2.4, scipy
 since every kernel works element by element.
 
 Every sum over coordinates that feeds a weight or a cost runs on whole
-coordinate columns through `_row_sum`, which adds them in exactly the
-order numpy's row reduction (`np.sum(rows, axis=1)`) does.  The graph
-weights, and with them the surveyed graph seeds of the benchmark and the
-golden reports, depend on those bits; `np.einsum` or a different
-association order would move them by an ulp here and there, and a
-shortest path with them.
+coordinate columns through `_row_sum`, which adds them left to right, on
+every sphere and family alike.  Below 8 terms that is the order of
+numpy's row reduction, so S^3 and S^5 weights are `np.sum(rows, axis=1)`
+bit for bit.  The graph weights, and with them the surveyed graph seeds
+of the benchmark and the golden reports, depend on those bits;
+`np.einsum` or a different association order would move them by an ulp
+here and there, and a shortest path with them.
 """
 
 from __future__ import annotations
@@ -149,37 +150,15 @@ def _sample_points(spec: RandersSpec, n_points, rng):
 
 
 def _row_sum(cols):
-    """Sum of the coordinate columns `cols` (a sequence of equal-length 1-D
-    arrays, e.g. the rows of a (d, E) array), added in the order numpy's
-    `add.reduce` uses along a contiguous row of d terms: from +0.0, fewer
-    than 8 terms left to right, 8 to 128 terms in eight strided
-    accumulators combined as ((0+1)+(2+3))+((4+5)+(6+7)) followed by the
-    leftover terms, longer rows split in two at a multiple of 8.  So it is
-    bit-identical to `np.sum(rows, axis=1)` on C-ordered rows, at the cost
-    of a few whole-column operations instead of one short reduction per
-    row."""
-    total = _pairwise_sum(cols)
-    total += 0.0                # numpy starts from +0.0: -0.0 terms sum to +0.0
-    return total
-
-
-def _pairwise_sum(cols):
-    n = len(cols)
-    if n < 8:
-        total = cols[0] + cols[1] if n > 1 else np.copy(cols[0])
-        for col in cols[2:]:
-            total += col
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
-    stop = n - n % 8
-    acc = list(cols[:8])
-    for start in range(8, stop, 8):
-        acc = [a + col for a, col in zip(acc, cols[start:start + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for col in cols[stop:]:
+    """Sum of the coordinate columns `cols` (two or more equal-length 1-D
+    arrays, e.g. the rows of a (d, E) array), added left to right.  Below 8
+    terms numpy's row reduction adds in the same order, so there the sum is
+    `np.sum(rows, axis=1)` bit for bit, at the cost of a few whole-column
+    operations instead of one short reduction per row."""
+    total = cols[0] + cols[1]
+    for col in cols[2:]:
         total += col
+    total += 0.0                # numpy starts from +0.0: -0.0 terms sum to +0.0
     return total
 
 
@@ -194,23 +173,15 @@ def _tangent_parts(family, pts, vecs):
         # Im sum(conj(p) v) = sum(pr*vi - pi*vr)
         m0 = _row_sum(pr * vi - pi * vr)[:, None]
     else:
-        # sp_sphere: quaternionic pairing sum(conj(p_a) v_a); entries of
-        # H^(n+1) are stored as [Re z1 | Im z1 | Re z2 | Im z2] quarters.
-        # The complex sums run over C-ordered (E, n+1) rows, as they always have.
-        # A complex product rounds differently with its operands swapped, and
-        # numpy computes `x * y` in y's memory as `y * x` when y is a
-        # temporary of 256 KiB or more; a conjugated temporary written first
-        # keeps its place at every size, so a cost does not depend on E.
-        quarter = len(pts) // 4
-        rows_p = np.ascontiguousarray(np.transpose(pts))
-        rows_v = np.ascontiguousarray(np.transpose(vecs))
-        p1 = rows_p[:, :quarter] + 1j * rows_p[:, quarter:2 * quarter]
-        p2 = rows_p[:, 2 * quarter:3 * quarter] + 1j * rows_p[:, 3 * quarter:]
-        v1 = rows_v[:, :quarter] + 1j * rows_v[:, quarter:2 * quarter]
-        v2 = rows_v[:, 2 * quarter:3 * quarter] + 1j * rows_v[:, 3 * quarter:]
-        first = np.sum(np.conj(p1) * v1 + np.conj(v2) * p2, axis=1)
-        second = np.sum(np.conj(p1) * v2 - np.conj(v1) * p2, axis=1)
-        m0 = np.stack([first.imag, second.real, second.imag], axis=1)
+        # sp_sphere: the i, j and k parts of the quaternionic pairing
+        # sum(conj(p_a) v_a); entries of H^(n+1) are stored as
+        # [Re z1 | Im z1 | Re z2 | Im z2] quarters, (a, b, e, f) of the
+        # points and (c, d, g, h) of the vectors
+        a, b, e, f = np.split(pts, 4)
+        c, d, g, h = np.split(vecs, 4)
+        m0 = np.stack([_row_sum(a * d - b * c + g * f - h * e),
+                       _row_sum(a * g + b * h - c * e - d * f),
+                       _row_sum(a * h - b * g - c * f + d * e)], axis=1)
     usq = _row_sum(vecs * vecs)
     # one coordinate at a time: the surveyed graph seeds rely on these exact weights
     for coord in m0.T:

@@ -1,4 +1,3 @@
-import functools
 import math
 import threading
 import tracemalloc
@@ -152,7 +151,9 @@ def per_direction_arc_costs(spec, starts, ends):
 def simpson_arc_costs(spec, starts, ends):
     """Reference: 5-node Simpson quadrature of the invariant norm along the
     great-circle arc from each start to each end."""
-    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    # the dot product is summed as the kernels sum it: near theta = 1e-7 one
+    # ulp of it moves theta by up to 2%
+    dot = np.clip(ltr_sum(starts * ends), -1.0, 1.0)
     theta = np.arccos(dot)
     perp = ends - dot[:, None] * starts
     pn = np.linalg.norm(perp, axis=1)
@@ -275,29 +276,29 @@ def test_u_sphere_n1_costs_are_su2_costs_in_quaternion_coordinates(c):
 
 
 # ------------------------------------------------- summation-order contract
-# The kernels sum over coordinates column by column; these references are
-# the row-sum formulas they replaced, and every result must match them bit
-# for bit (the surveyed graph seeds and the golden reports depend on it).
+# The kernels sum over coordinates column by column; these references sum
+# each row left to right, and every result must match them bit for bit (the
+# surveyed graph seeds and the golden reports depend on it).
+
+def ltr_sum(rows):
+    """Sums of the (E, d) `rows`, each added left to right from +0.0 by a
+    running sum."""
+    return np.cumsum(rows, axis=1)[:, -1] + 0.0
+
 
 def rowsum_tangent_parts(family, pts, vecs):
     if family == "u_sphere":
         half = pts.shape[1] // 2
         pr, pi = pts[:, :half], pts[:, half:]
         vr, vi = vecs[:, :half], vecs[:, half:]
-        m0 = np.sum(pr * vi - pi * vr, axis=1)[:, None]
+        m0 = ltr_sum(pr * vi - pi * vr)[:, None]
     else:
-        quarter = pts.shape[1] // 4
-        p1 = pts[:, :quarter] + 1j * pts[:, quarter:2 * quarter]
-        p2 = pts[:, 2 * quarter:3 * quarter] + 1j * pts[:, 3 * quarter:]
-        v1 = vecs[:, :quarter] + 1j * vecs[:, quarter:2 * quarter]
-        v2 = vecs[:, 2 * quarter:3 * quarter] + 1j * vecs[:, 3 * quarter:]
-        # conjugated temporaries first, as in the kernel: numpy computes
-        # `x * np.conj(y)` as `np.conj(y) * x` from 256 KiB on, and complex
-        # products round differently with their operands swapped
-        first = np.sum(np.conj(p1) * v1 + np.conj(v2) * p2, axis=1)
-        second = np.sum(np.conj(p1) * v2 - np.conj(v1) * p2, axis=1)
-        m0 = np.stack([first.imag, second.real, second.imag], axis=1)
-    usq = np.sum(vecs * vecs, axis=1)
+        a, b, e, f = np.split(pts, 4, axis=1)
+        c, d, g, h = np.split(vecs, 4, axis=1)
+        m0 = np.stack([ltr_sum(a * d - b * c + g * f - h * e),
+                       ltr_sum(a * g + b * h - c * e - d * f),
+                       ltr_sum(a * h - b * g - c * f + d * e)], axis=1)
+    usq = ltr_sum(vecs * vecs)
     for coord in m0.T:
         usq = usq - coord ** 2
     return m0, np.maximum(usq, 0.0)
@@ -308,10 +309,10 @@ def rowsum_edge_costs(spec, pts, vecs):
 
 
 def rowsum_arc_costs(spec, starts, ends):
-    dot = np.clip(np.sum(starts * ends, axis=1), -1.0, 1.0)
+    dot = np.clip(ltr_sum(starts * ends), -1.0, 1.0)
     theta = np.arccos(dot)
     perp = ends - dot[:, None] * starts
-    pn = np.linalg.norm(perp, axis=1)
+    pn = np.sqrt(ltr_sum(perp * perp))
     degenerate = pn <= 1e-14
     perp = perp / np.where(degenerate, 1.0, pn)[:, None]
     m0, usq = rowsum_tangent_parts(spec.family, starts, perp)
@@ -326,11 +327,11 @@ def rowsum_graph(g):
     src = np.repeat(np.arange(g.n_points), g.k)
     dst = idx[:, 1:].ravel()
     chords = g.points[dst] - g.points[src]
-    radial = np.sum(chords * g.points[src], axis=1)
+    radial = ltr_sum(chords * g.points[src])
     vecs = chords - radial[:, None] * g.points[src]
     costs = rowsum_edge_costs(g.spec, g.points[src], vecs)
     return (csr_matrix((costs, (src, dst)), shape=g.matrix.shape),
-            float(np.median(costs)), float(np.median(np.linalg.norm(vecs, axis=1))))
+            float(np.median(costs)), float(np.median(np.sqrt(ltr_sum(vecs * vecs)))))
 
 
 def mixed_scale_rows(count, width, gen):
@@ -341,19 +342,19 @@ def mixed_scale_rows(count, width, gen):
     return rows
 
 
-@pytest.mark.parametrize("width", list(range(1, 17)) + [130, 300])
+@pytest.mark.parametrize("width", list(range(2, 17)) + [130, 300])
 def test_row_sum_matches_numpy_row_order(width):
+    # the kernels add left to right at every width, in any memory layout;
+    # numpy's row reduction adds in that order below 8 terms only
     rows = mixed_scale_rows(400, width, RngStream(50).gen)
-    expected = np.sum(rows, axis=1)
+    expected = ltr_sum(rows)
     for layout in (rows, np.asfortranarray(rows)):
-        got = _row_sum(layout.T)
-        assert got.tobytes() == expected.tobytes()
-    # (a column-major array's own np.sum adds left to right from 8 terms
-    # on; the contract is the row order, whatever the memory order)
+        assert _row_sum(layout.T).tobytes() == expected.tobytes()
     assert _row_sum(list(rows.T)).tobytes() == expected.tobytes()
-    if width >= 8:          # the data tells the orders apart
-        left_to_right = functools.reduce(np.add, rows.T[1:], rows.T[0] + 0.0)
-        assert left_to_right.tobytes() != expected.tobytes()
+    if width < 8:
+        assert np.sum(rows, axis=1).tobytes() == expected.tobytes()
+    else:           # the data tells the orders apart
+        assert np.sum(rows, axis=1).tobytes() != expected.tobytes()
 
 
 def special_arcs(starts):
@@ -389,8 +390,8 @@ def test_arc_and_edge_costs_are_bit_identical_to_row_sums(monkeypatch, spec, dim
 @pytest.mark.parametrize("spec,dim", [case for case in ARC_SPEC_LIST
                                       if case[0].family == "sp_sphere"])
 def test_sp_edge_costs_do_not_depend_on_the_call_size(spec, dim):
-    # numpy computes `x * y` in the memory of a temporary y of 256 KiB or
-    # more, as `y * x`; the sp pairing must round alike on either side
+    # the sp pairing works element by element on real columns, so a weight
+    # does not depend on how many edges are priced with it
     starts, ends = random_arcs(dim, 20000, RngStream(54).gen)
     vecs = geodesy._tangent_chords(starts, ends)
     whole = _edge_costs(spec, starts, vecs)
@@ -398,6 +399,30 @@ def test_sp_edge_costs_do_not_depend_on_the_call_size(spec, dim):
         parts = [_edge_costs(spec, starts[lo:lo + size], vecs[lo:lo + size])
                  for lo in range(0, len(starts), size)]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def complex_sp_m0(pts, vecs):
+    """sp m0 of (E, d) rows by the complex pairing: with p = (p1, p2) and
+    v = (v1, v2) in C^(n+1) x C^(n+1), the i part of sum(conj(p_a) v_a) is
+    Im sum(conj(p1) v1 + conj(v2) p2), and its j and k parts are the real
+    and imaginary parts of sum(conj(p1) v2 - conj(v1) p2)."""
+    p1, p2, v1, v2 = (z[:, :z.shape[1] // 2] + 1j * z[:, z.shape[1] // 2:]
+                      for z in np.split(np.hstack([pts, vecs]), 4, axis=1))
+    first = np.sum(np.conj(p1) * v1 + np.conj(v2) * p2, axis=1)
+    second = np.sum(np.conj(p1) * v2 - np.conj(v1) * p2, axis=1)
+    return np.stack([first.imag, second.real, second.imag], axis=1)
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16])
+def test_sp_pairing_matches_the_complex_pairing(dim):
+    gen = RngStream(56).gen
+    pts = gen.standard_normal((5000, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    vecs = gen.standard_normal((5000, dim))
+    m0, _ = geodesy._tangent_parts("sp_sphere", pts.T, vecs.T)
+    # relative to |p| |v|, the scale of every pairing term
+    scale = np.linalg.norm(vecs, axis=1)[:, None]
+    assert np.max(np.abs(m0 - complex_sp_m0(pts, vecs)) / scale) <= 1e-15
 
 
 @pytest.mark.parametrize("spec,n_points,k,seed", [

@@ -41,6 +41,11 @@ traced call made on another thread would mis-nest or duplicate spans.  So
 imports `threading` or `multiprocessing`, and the one callable handed to a
 pool is a KD-tree's `query`: a scipy method the tracer does not wrap, which
 releases the GIL and writes only its own outputs.
+The geodesy kernels that price edges and arcs sum over coordinates only
+through `_row_sum`, which adds left to right: a numpy reduction, a dot
+product or a matrix product would add in its own order and move a weight
+by an ulp.  The sp pairing there works on real coordinate columns and
+builds no complex value.
 """
 
 import ast
@@ -541,3 +546,76 @@ def test_thread_scan_flags_a_second_pool_and_what_it_runs():
                     ("flows.py", 3, "concurrent.futures.ProcessPoolExecutor")],
         "handed": [("flows.py", 6, "lambda x: x"), ("geodesy.py", 7, "_edge_costs"),
                    ("geodesy.py", 8, "graph.query")]}
+
+
+# The kernels whose coordinate sums fix the graph weights and arc costs
+SUM_KERNELS = ("_tangent_parts", "_tangent_chords", "_edge_costs", "_arc_costs",
+               "build_graph")
+SUM_CALLS = {"sum", "einsum", "dot", "vdot", "inner", "matmul", "tensordot", "norm",
+             "reduce"}
+COMPLEX_NAMES = {"complex", "complex64", "complex128", "conj", "conjugate", "real",
+                 "imag"}
+
+
+def kernel_sum_violations(text):
+    """(function, line, source) of each coordinate sum in the `SUM_KERNELS`
+    of the geodesy source `text` made other than by `_row_sum`: a call of a
+    function or method named in `SUM_CALLS` (`np.sum`, `x.sum()`,
+    `np.linalg.norm`, `np.add.reduce`, ...) or a matrix product `@`; each
+    complex literal or name of `COMPLEX_NAMES` in `_tangent_parts`; and each
+    kernel `text` does not define, with line 0."""
+    functions = {node.name: node for node in ast.parse(text).body
+                 if isinstance(node, ast.FunctionDef)}
+    out = []
+    for name in SUM_KERNELS:
+        if name not in functions:
+            out.append((name, 0, "missing"))
+            continue
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) \
+                    else getattr(node.func, "id", None)
+                found = called in SUM_CALLS
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                found = isinstance(node.op, ast.MatMult)
+            elif name == "_tangent_parts":
+                found = (isinstance(node, ast.Constant) and isinstance(node.value, complex)
+                         or getattr(node, "attr", getattr(node, "id", None)) in COMPLEX_NAMES)
+            else:
+                found = False
+            if found:
+                out.append((name, node.lineno, ast.get_source_segment(text, node)))
+    return sorted(out)
+
+
+def test_geodesy_kernels_sum_coordinates_through_row_sum():
+    assert kernel_sum_violations((SRC / "geodesy.py").read_text()) == []
+
+
+def test_kernel_sum_scan_flags_planted_sums():
+    text = ("import numpy as np\n"
+            "def _row_sum(cols):\n"
+            "    return np.sum(cols, axis=0)\n"
+            "def _tangent_parts(family, pts, vecs):\n"
+            "    z = pts[0] + 1j * pts[1]\n"
+            "    return np.conj(z).imag, _row_sum(vecs * vecs)\n"
+            "def _tangent_chords(pts, targets):\n"
+            "    return targets - np.einsum('ij,ij->j', pts, targets) * pts\n"
+            "def _edge_costs(spec, pts, vecs):\n"
+            "    return (pts * vecs).sum(axis=1) + pts @ vecs.T + np.dot(pts, vecs)\n"
+            "def _arc_costs(spec, starts, ends):\n"
+            "    def norm(x):\n"
+            "        return np.sqrt(np.add.reduce(x * x))\n"
+            "    return np.linalg.norm(ends - starts, axis=1), norm(ends), np.real(ends)\n")
+    assert kernel_sum_violations(text) == [
+        ("_arc_costs", 13, "np.add.reduce(x * x)"),
+        ("_arc_costs", 14, "norm(ends)"),
+        ("_arc_costs", 14, "np.linalg.norm(ends - starts, axis=1)"),
+        ("_edge_costs", 10, "(pts * vecs).sum(axis=1)"),
+        ("_edge_costs", 10, "np.dot(pts, vecs)"),
+        ("_edge_costs", 10, "pts @ vecs.T"),
+        ("_tangent_chords", 8, "np.einsum('ij,ij->j', pts, targets)"),
+        ("_tangent_parts", 5, "1j"),
+        ("_tangent_parts", 6, "np.conj"),
+        ("_tangent_parts", 6, "np.conj(z).imag"),
+        ("build_graph", 0, "missing")]
