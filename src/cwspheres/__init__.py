@@ -8,16 +8,17 @@ the induced isometry flows with a brute-force geodesic-distance oracle.
 Modules
 -------
 matrixcore
-    Skew-Hermitian exponentials, eigenvalue phases, stacked Haar U(n)/Sp(n)
-    draws through one QR kernel from a `StreamBlock` of seeded RNG streams
-    (one seeding function for blocks and lone streams), quaternion pairs.
+    Skew-Hermitian exponentials, eigenvalue phases, stacked Haar U(n) and
+    Ginibre draws from a `StreamBlock` of seeded RNG streams (one seeding
+    function for blocks and lone streams), quaternion pairs.
 randers
     Metric parameter containers for the u_sphere and sp_sphere families
     (S^3 = SU(2) is u_sphere n = 1), the vectorised norm on (m0, usq)
     arrays, JSON.
 cosets
     Coset presentations: projection of one matrix or a stack to (m0, usq)
-    arrays, orbit sampling, Weyl helpers for the symplectic witness.
+    arrays, the Killing field at a stack of sphere points, orbit sampling
+    at uniform sphere points, Weyl helpers for the symplectic witness.
 killing
     Closed-form metric solver and constant-length identities, orbit
     length reports, witness constructions.

@@ -14,6 +14,7 @@ progress logging on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -172,7 +173,11 @@ def _add_orbit_args(p):
     p.add_argument("--L", type=float, default=1.0)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: parsing reads it and leaves it as it was, and each parse
+    fills a fresh namespace from the defaults."""
     parser = argparse.ArgumentParser(
         prog="cwspheres",
         description="Constant-displacement isometry verification on "
@@ -181,11 +186,9 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="validate a metric spec JSON")
     p_val.add_argument("--config", required=True)
-    p_val.set_defaults(func=cmd_validate)
 
     p_solve = sub.add_parser("solve", help="solve the metric for orbit parameters")
     _add_orbit_args(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_ver = sub.add_parser("verify", help="run a verification pipeline")
     p_ver.add_argument("check", choices=sorted(_CHECKS))
@@ -205,16 +208,16 @@ def build_parser():
                        help="displacement sample points")
     p_ver.add_argument("--n-points", dest="n_points", type=int, default=20000)
     p_ver.add_argument("--k", type=int, default=12)
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, so a wrapped or patched command is the one run
+    command = {"validate": cmd_validate, "solve": cmd_solve, "verify": cmd_verify}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

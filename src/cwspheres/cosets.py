@@ -10,6 +10,12 @@ reads off the m0/m1 coordinates:
   (X, x); the circle factor acts by right scalar multiplication, so the
   last coordinate picks up an extra x*i.
 
+An adjoint-orbit point g X g* projects through its column
+g X g* e_last = g(X w), w = g* e_last, and g is an isometry, so the
+projection depends on w alone: it is the Killing field of X at the sphere
+point w, moved to the base point (`project_at`).  For Haar g the point w
+is uniform on the sphere, so orbit sampling draws w, not g.
+
 S^3 = SU(2) needs no presentation of its own: SU(2)-left times
 circle-right is U(2) acting on C^2, the u_sphere presentation with n = 1.
 """
@@ -21,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .matrixcore import (QuaternionMatrix, RngStream, as_quaternion_skew,
-                         as_skew_hermitian, conjugate, haar_symplectic,
-                         haar_unitary, qabs, trial_blocks)
+from .matrixcore import (QuaternionMatrix, RngStream, _ginibre, as_quaternion_skew,
+                         as_skew_hermitian, qabs, qmul, trial_blocks)
 from .randers import SP_SPHERE, U_SPHERE, RandersSpec, m1_norm_sq
 
 UNIT_TOL = 1e-9
@@ -73,17 +78,39 @@ def project_to_m(family, x, scalar):
     return m0, m1_norm_sq(family, u)
 
 
+def project_at(family, x, scalar, w):
+    """(m0, usq) of the projection to m of g x g*, with circle summand
+    `scalar`, for every isometry g with g* e_last = w, given a (T, n+1)
+    stack of unit vectors `w` of C^(n+1) or, for sp_sphere, a pair (w1, w2)
+    of them, w1 + w2 j in H^(n+1): the column g x g* e_last = g v, v = x w,
+    has last coordinate c = w* v, and since g is an isometry its other
+    coordinates have the norm of v - w c (c acting on the right)."""
+    if family == U_SPHERE:
+        v = (x @ w[..., None])[..., 0]
+        c = np.sum(np.conj(w) * v, axis=-1)
+        return c.imag[:, None], m1_norm_sq(family, v - w * c[:, None])
+    w1, w2 = w
+    v = x @ QuaternionMatrix(w1[..., None], w2[..., None])
+    v1, v2 = v.q1[..., 0], v.q2[..., 0]
+    c1, c2 = (np.sum(p, axis=-1) for p in qmul((np.conj(w1), -w2), (v1, v2)))
+    wc1, wc2 = qmul(w, (c1[:, None], c2[:, None]))
+    m0 = np.stack([c1.imag + scalar, c2.real, c2.imag], axis=-1)
+    return m0, m1_norm_sq(family, (v1 - wc1, v2 - wc2))
+
+
 def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
                             trials: int, rng: RngStream):
     """(m0, usq) arrays of the projections to m of `trials` random
     adjoint-orbit points of `e`, draw k from `rng.split(k)`, on the sphere
     of the valid metric spec `spec`.
 
-    The scalar summand is invariant under the adjoint action and passes
-    through unchanged; only the matrix part is conjugated by Haar draws of
-    U(n+1) or Sp(n+1), a block of trials at a time, each block's streams
-    seeded together.  `e` must belong to the spec's family and be
-    (n+1) x (n+1).
+    A Haar conjugate g x g* projects as `project_at` of w = g* e_last, a
+    uniform point of the unit sphere, so trial k draws that point alone: a
+    normalised complex Gaussian vector of C^(n+1) for u_sphere, a pair of
+    them for sp_sphere, a block of trials at a time, each block's streams
+    seeded together.  The scalar summand is invariant under the adjoint
+    action and passes through unchanged.  `e` must belong to the spec's
+    family and be (n+1) x (n+1).
     """
     if e.family != spec.family:
         raise InvalidInput(f"algebra family {e.family!r} != spec family {spec.family!r}")
@@ -92,9 +119,13 @@ def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
         raise InvalidInput("matrix size does not match the coset rank")
     if int(trials) < 1:
         raise InvalidInput("need at least one orbit draw")
-    haar = haar_unitary if spec.family == U_SPHERE else haar_symplectic
-    parts = [project_to_m(spec.family, conjugate(haar(dim, block), e.x), e.scalar)
-             for _, block in trial_blocks(rng, trials, dim * dim)]
+    count = 1 if spec.family == U_SPHERE else 2
+    parts = []
+    for _, block in trial_blocks(rng, trials, count * dim):
+        w = _ginibre(block, 1, dim, count)[:, :, 0]
+        w /= np.sqrt(np.sum(np.abs(w) ** 2, axis=(1, 2)))[:, None, None]
+        parts.append(project_at(spec.family, e.x, e.scalar,
+                                w[:, 0] if count == 1 else (w[:, 0], w[:, 1])))
     return (np.concatenate([m0 for m0, _ in parts]),
             np.concatenate([usq for _, usq in parts]))
 

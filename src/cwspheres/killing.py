@@ -184,8 +184,10 @@ class ConstantLengthReport:
 
 def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
                         trials=1000) -> ConstantLengthReport:
-    """Sample adjoint-orbit projections of `e` and report the spread of
-    their metric values.
+    """Sample adjoint-orbit projections of `e`, one uniform sphere point
+    per trial (`orbit_projection_sample`), and report the spread of their
+    metric values: F of the Killing field is constant on the sphere exactly
+    when it is constant on the orbit.
 
     Verdict is "constant" iff max - min <= CONSTANT_TOL_FACTOR * L, with L
     defaulting to the sample mean when not prescribed.  All samples go

@@ -3,16 +3,16 @@
 Covers the group-theoretic kernels used everywhere else: skew-Hermitian
 matrix exponentials through eigendecomposition (so results are exactly
 unitary), eigenvalue phase extraction on the principal branch, Haar
-sampling on U(n) and Sp(n), and adjoint conjugation.  Quaternion matrices
-are stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; `to_complex`,
+sampling on U(n) and complex Ginibre draws.  Quaternion matrices are
+stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; `to_complex`,
 their 2n x 2n complex embedding, is an independent oracle for products.
 
-The Monte-Carlo kernels work on stacks: the phases and the conjugation
-take a leading trial axis, and the Haar samplers take a `StreamBlock` and
-return the stack of one draw per stream.  `trial_blocks` cuts a run into
-blocks of trial ids; a block's streams are a `StreamBlock`, the streams
-`rng.split(k)` of its ids k and their children along one key suffix, with
-no RngStream per trial.  All seeding goes through `_generators`: the
+The Monte-Carlo kernels work on stacks: the phases take a leading trial
+axis, and the samplers take a `StreamBlock` and return the stack of one
+draw per stream.  `trial_blocks` cuts a run into blocks of trial ids; a
+block's streams are a `StreamBlock`, the streams `rng.split(k)` of its
+ids k and their children along one key suffix, with no RngStream per
+trial.  All seeding goes through `_generators`: the
 SeedSequence entropy words of every stream of a block are one uint32
 array, hashed in one vectorised pass, and each PCG64 generator is built
 from its row, the bits numpy's own SeedSequence gives; a lone RngStream is
@@ -32,7 +32,6 @@ from .errors import InvalidInput
 
 SKEW_TOL = 1e-12
 UNITARY_TOL = 1e-10
-SYMPLECTIC_TOL = 1e-10
 TRIAL_BLOCK = 256           # trials whose matrices are stacked at once
 BLOCK_ENTRIES = 2 ** 18     # most matrix entries one trial block may stack
 
@@ -482,26 +481,6 @@ class QuaternionMatrix:
         return f"QuaternionMatrix(shape={self.shape})"
 
 
-def symplectic_defect(q):
-    """Max-entry defect of the two Sp(n) membership conditions
-    Q1*Q2 - Q2^T conj(Q1) = 0  and  Q1*Q1 + Q2^T conj(Q2) = I, over every
-    matrix of a stack."""
-    n = q.shape[-1]
-    gram = q.conj_t() @ q
-    return max(np.max(np.abs(gram.q1 - np.eye(n))), np.max(np.abs(gram.q2)))
-
-
-def as_symplectic(q):
-    """Validate Sp(n) membership of a QuaternionMatrix (or a stack of them)
-    and return it."""
-    if q.shape[-2] != q.shape[-1]:
-        raise InvalidInput(f"expected square quaternion matrix, got {q.shape}")
-    defect = symplectic_defect(q)
-    if defect > SYMPLECTIC_TOL:
-        raise InvalidInput(f"matrix is not symplectic (defect {defect:.3e})")
-    return q
-
-
 def quaternion_skew_defect(x):
     """Max-entry defect of X* = -X for a QuaternionMatrix."""
     return (x + x.conj_t()).max_abs()
@@ -512,42 +491,3 @@ def as_quaternion_skew(x):
     if quaternion_skew_defect(x) > SKEW_TOL:
         raise InvalidInput("quaternion matrix is not skew-Hermitian")
     return x
-
-
-def haar_symplectic(n, rngs):
-    """Stacked QuaternionMatrix of Haar-distributed Sp(n) draws, one per
-    stream of the StreamBlock `rngs`: the QR of the complex embedding of a
-    quaternion Ginibre matrix G1 + G2*j with each column's j-partner next
-    to it, [G1; -conj G2] in column 2a and [G2; conj G1] in column 2a + 1.
-    Orthonormalised in that order, each column pair spans a right-H line,
-    so Q embeds an Sp(n) matrix: Q1, Q2 are its top half's even, odd columns.
-    """
-    if n < 1:
-        raise InvalidInput("dimension must be >= 1")
-    g = _ginibre(rngs, n, n, count=2)
-    g1, g2 = g[:, 0], g[:, 1]
-    m = np.empty((len(g), 2 * n, 2 * n), dtype=complex)
-    m[:, :n, 0::2], m[:, n:, 0::2] = g1, -np.conj(g2)
-    m[:, :n, 1::2], m[:, n:, 1::2] = g2, np.conj(g1)
-    q = _haar_qr(m)
-    return as_symplectic(QuaternionMatrix(q[:, :n, 0::2], q[:, :n, 1::2]))
-
-
-# --------------------------------------------------------------------------
-# adjoint action
-# --------------------------------------------------------------------------
-
-def conjugate(g, x):
-    """Adjoint action g x g* for unitary g on ndarray x, or symplectic g on
-    QuaternionMatrix x; a stack of g gives the stack of conjugates of x.
-    Skewness of x is preserved to machine precision."""
-    if isinstance(g, QuaternionMatrix):
-        if not isinstance(x, QuaternionMatrix) or g.shape[-2:] != x.shape \
-                or x.shape[0] != x.shape[1]:
-            raise InvalidInput("conjugation operands have incompatible shapes")
-        return g @ x @ g.conj_t()
-    g = np.asarray(g, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if g.ndim not in (2, 3) or g.shape[-2:] != x.shape or x.shape[0] != x.shape[1]:
-        raise InvalidInput("conjugation operands have incompatible shapes")
-    return g @ x @ conj_t(g)

@@ -1,12 +1,13 @@
 """The batched Monte-Carlo checkers against per-trial reference loops.
 
 The references below are the per-trial code the batched checkers
-replaced: one Ginibre QR, one eigvals call, one conjugation and one
-projection per draw, and a phase-interval verdict from a zero-cost
-perfect matching found by `linear_sum_assignment`.  Run on the same
-streams, the batched checks must give the same report bit for bit.  The
-quaternion Gram-Schmidt that the Sp(n) QR sampler replaced stays as an
-independent reference, which the sampler must match up to rounding.
+replaced: one Ginibre QR and one eigvals call per draw, one unit vector
+and one matrix-vector product per orbit point, and a phase-interval
+verdict from a zero-cost perfect matching found by
+`linear_sum_assignment`.  Run on the same streams, the batched checks must
+give the same report bit for bit.  The Sp(n) QR sampler that the tests
+keep as the orbit sampler's reference (`haar_reference`) must match its
+per-draw QR bit for bit, and the quaternion Gram-Schmidt up to rounding.
 """
 
 import hashlib
@@ -23,6 +24,8 @@ from cwspheres.flows import (EIG1_TOL, MIN_T_SEP, PHASE_EPS, SHARED_VECTOR_TOL,
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import TRIAL_BLOCK, RngStream
 from cwspheres.randers import SP_SPHERE, U_SPHERE
+
+import haar_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,28 +106,43 @@ def ref_phase_bound_verdicts(p, q, raw_branch=False):
     return out
 
 
-def ref_conjugate(g, x):
-    if isinstance(g, tuple):          # quaternion pairs (Q1, Q2)
-        def mul(a, b):
-            return (a[0] @ b[0] - a[1] @ np.conj(b[1]), a[0] @ b[1] + a[1] @ np.conj(b[0]))
-        return mul(mul(g, (x.q1, x.q2)), (g[0].conj().T, -g[1].T))
-    return g @ x @ g.conj().T
+def ref_unit_vector(gen, count, dim):
+    """One trial's orbit point: `count` complex Gaussian vectors of length
+    `dim`, each one's real parts then its imaginary ones, normalised
+    together, as (1, dim) rows."""
+    z = gen.standard_normal((count, 2, dim))
+    w = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    w = w / np.sqrt(np.sum(np.abs(w) ** 2))
+    return [wj[None] for wj in w]
 
 
 def ref_orbit_sample(space, e, trials, rng):
-    """One Haar draw, conjugation and projection per orbit point."""
+    """One unit vector, one matrix-vector product and one projection per
+    orbit point: m0 from c = w* x w, usq = |x w - w c|^2."""
     m0, usq = [], []
     for k in range(trials):
+        gen = rng.split(k).gen
         if space.family == U_SPHERE:
-            col = ref_conjugate(ref_haar_unitary(space.n + 1, rng.split(k)), e.x)[:, -1]
-            m0.append([col[-1].imag])
-            usq.append(float(np.sum(np.abs(col[:-1]) ** 2)))
+            (w,) = ref_unit_vector(gen, 1, space.n + 1)
+            v = (e.x @ w[..., None])[..., 0]
+            c = np.sum(np.conj(w) * v, axis=-1)
+            m0.append([c[0].imag])
+            usq.append(float(np.sum(np.abs(v - w * c[:, None]) ** 2)))
         else:
             assert space.family == SP_SPHERE
-            q1, q2 = ref_conjugate(ref_haar_symplectic(space.n + 1, rng.split(k)), e.x)
-            col1, col2 = q1[:, -1], q2[:, -1]
-            m0.append([col1[-1].imag + e.scalar, col2[-1].real, col2[-1].imag])
-            usq.append(float(np.sum(np.abs(col1[:-1]) ** 2 + np.abs(col2[:-1]) ** 2)))
+            w1, w2 = ref_unit_vector(gen, 2, space.n + 1)
+            x1, x2 = e.x.q1, e.x.q2
+            cw1, cw2 = np.conj(w1), np.conj(w2)
+            v1 = (x1 @ w1[..., None] - x2 @ cw2[..., None])[..., 0]
+            v2 = (x1 @ w2[..., None] + x2 @ cw1[..., None])[..., 0]
+            cv1, cv2 = np.conj(v1), np.conj(v2)
+            c1 = np.sum(cw1 * v1 + w2 * cv2, axis=-1)[:, None]
+            c2 = np.sum(cw1 * v2 - w2 * cv1, axis=-1)[:, None]
+            cc1, cc2 = np.conj(c1), np.conj(c2)
+            u1 = v1 - (w1 * c1 - w2 * cc2)
+            u2 = v2 - (w1 * c2 + w2 * cc1)
+            m0.append([c1[0, 0].imag + e.scalar, c2[0, 0].real, c2[0, 0].imag])
+            usq.append(float(np.sum(np.abs(u1) ** 2 + np.abs(u2) ** 2)))
     return np.array(m0), np.array(usq)
 
 
@@ -234,7 +252,7 @@ def test_symplectic_sampler_agrees_with_quaternion_gram_schmidt(n):
     # the QR of the interleaved embedding is the quaternionic QR factor, so
     # on the same streams it equals the Gram-Schmidt draw up to rounding
     rng = RngStream(31)
-    q = matrixcore.haar_symplectic(n, matrixcore.StreamBlock(rng, range(40)))
+    q = haar_reference.haar_symplectic(n, matrixcore.StreamBlock(rng, range(40)))
     for k in range(40):
         q1, q2 = gram_schmidt_symplectic(n, rng.split(k))
         assert np.max(np.abs(q.q1[k] - q1)) <= 1e-13
@@ -244,7 +262,7 @@ def test_symplectic_sampler_agrees_with_quaternion_gram_schmidt(n):
 def test_symplectic_sampler_matches_its_per_draw_qr():
     rng = RngStream(32)
     for n in (1, 2, 5):
-        q = matrixcore.haar_symplectic(n, matrixcore.StreamBlock(rng, range(300)))
+        q = haar_reference.haar_symplectic(n, matrixcore.StreamBlock(rng, range(300)))
         for k in range(300):
             q1, q2 = ref_haar_symplectic(n, rng.split(k))
             assert np.array_equal(q.q1[k], q1) and np.array_equal(q.q2[k], q2)
@@ -293,7 +311,8 @@ def test_block_size_does_not_change_reports(monkeypatch):
         return [checks.eigenlemma(3, 40, RngStream(4)), checks.commutator(2, 2, 9, RngStream(4)),
                 checks.commutator(4, 4, 17, RngStream(4)),
                 checks.nonintersection(0.5, 1, 1, 40, RngStream(4)),
-                checks.orbit(solve_metric(S3), S3, 100, RngStream(4))]
+                checks.orbit(solve_metric(S3), S3, 100, RngStream(4)),
+                checks.sp_central(_SP_DEFAULT, 100, RngStream(4))]
     full = reports()
     monkeypatch.setattr(matrixcore, "TRIAL_BLOCK", 7)
     assert repr(reports()) == repr(full)

@@ -188,6 +188,26 @@ def test_verify_orbit_deterministic_csv(tmp_path, capsys):
     assert row.endswith("constant")
 
 
+def test_back_to_back_calls_share_the_parser_and_leak_nothing(tmp_path, capsys,
+                                                              monkeypatch):
+    # one parser serves every call: a flag of one call must not reach the
+    # next, and another subcommand still parses after a verify
+    seen = []
+
+    def orbit(spec, params, trials, rng):
+        seen.append(trials)
+        return checks.CheckReport(("check",), (), True)
+    monkeypatch.setattr(checks, "orbit", orbit)
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "verify", "orbit", "--trials", "200")[0] == 0
+    assert run(capsys, "verify", "orbit")[0] == 0
+    assert seen == [200, 1000]
+    good = tmp_path / "good.json"
+    good.write_text('{"family": "u_sphere", "n": 1, "a": 1.0, "b": 1.0, "c": 0.0}')
+    code, out, _ = run(capsys, "validate", "--config", str(good))
+    assert code == 0 and out.strip() == "ok"
+
+
 def test_verify_orbit_with_mismatched_config_fails(tmp_path, capsys):
     cfg = tmp_path / "round.json"
     cfg.write_text('{"family": "u_sphere", "n": 1, "a": 1.0, "b": 1.0, "c": 0.0}')

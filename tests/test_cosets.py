@@ -1,16 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from cwspheres.cosets import (AlgebraElement, align_imaginary_to_i,
                               orbit_projection_sample, permutation_matrix,
-                              project_to_m, sp_algebra, sp_permutation,
+                              project_at, project_to_m, sp_algebra, sp_permutation,
                               sp_unit_diag, u_algebra)
 from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import orbit_length_report
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
-                                  conjugate, haar_symplectic, qabs, qmul,
-                                  symplectic_defect)
+                                  haar_unitary, qabs, qmul)
 from cwspheres.randers import RandersSpec, round_spec
+from haar_reference import conjugate, haar_symplectic, read_point, symplectic_defect
 
 
 def sp_spec(n):
@@ -125,7 +127,12 @@ def test_orbit_sample_scalar_passes_through():
 def test_orbit_geometry_weyl_extremes_and_sampling():
     # two-eigenvalue generator: orbit sphere has center (l-m)x2/2 + x1 and
     # radius (l+m)|x2|/2; Weyl permutations realize the extreme q values
-    # exactly, Haar samples approach them from inside
+    # exactly, uniform samples approach them from inside.  q = sum_j
+    # lambda_j |w_j|^2 with (|w_j|^2) uniform on the simplex, so q comes
+    # within 5% of an eigenvalue of multiplicity r in n + 1 = l + m with
+    # probability P(Beta(r, l + m - r) >= 0.95); the rarest pole, r = 1 in
+    # l + m = 3, has p = 0.05^2 = 2.5e-3, and 6000 draws all miss it with
+    # probability (1 - p)^6000 = 3.0e-7
     rng = RngStream(36)
     for case, (l, m, x1, x2) in enumerate([(1, 1, 0.5, 1.0), (2, 1, 0.0, 1.0),
                                            (1, 2, 0.3, -0.8)]):
@@ -145,8 +152,8 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
             qs_weyl.append(project_to_m("u_sphere", conjugate(g, e.x), 0.0)[0][0])
         assert abs(min(qs_weyl) - lo) <= 1e-12
         assert abs(max(qs_weyl) - hi) <= 1e-12
-        # sphere containment + interior coverage for Haar samples
-        m0, usq = orbit_projection_sample(spec, e, 2000, rng.split(case))
+        # sphere containment + interior coverage for uniform samples
+        m0, usq = orbit_projection_sample(spec, e, 6000, rng.split(case))
         qs = m0[:, 0]
         devs = np.abs(np.sqrt((qs - center) ** 2 + usq) - radius)
         assert devs.max() <= 1e-9
@@ -181,14 +188,76 @@ def test_sp_projection_j_corner():
 
 def test_sp_projection_sweeps_the_orbit_sphere():
     # the orbit of (x' i I, x) projects onto the round sphere of radius |x'|
-    # centred at x i in the reference inner product, and reaches both poles
+    # centred at x i in the reference inner product, and reaches both poles.
+    # Its i coordinate is x + x' t, t = 2A - 1 with A = |w1|^2 ~ Beta(3, 3)
+    # on S^11, so t >= 0.9 (and likewise t <= -0.9) has probability
+    # p = P(Beta(3, 3) <= 0.05) = 1.158e-3, and 12000 draws miss a pole with
+    # probability (1 - p)^12000 = 9.1e-7
     xp, xs = 0.9, -0.2
     spec = sp_spec(2)
     e = sp_algebra(sp_scaled_identity(xp, 3), scalar=xs)
-    m0, usq = orbit_projection_sample(spec, e, 2000, RngStream(39))
+    m0, usq = orbit_projection_sample(spec, e, 12000, RngStream(39))
     radius = np.sqrt(np.sum((m0 - [xs, 0.0, 0.0]) ** 2, axis=1) + usq)
     assert np.max(np.abs(radius - xp)) <= 1e-12
     assert m0[:, 0].min() <= xs - 0.9 * xp and m0[:, 0].max() >= xs + 0.9 * xp
+
+
+def test_project_at_matches_haar_conjugation_on_same_draws():
+    # the sampler reads g x g* at w = g* e_last alone: on the same Haar
+    # draws, project_at(w) equals project_to_m(g x g*) to rounding (largest
+    # difference seen: 3.6e-15, on Sp(3))
+    rng = RngStream(42)
+    worst = 0.0
+    for n1 in (2, 8):
+        g = haar_unitary(n1, StreamBlock(rng.split(n1), range(50)))
+        z = _ginibre(StreamBlock(rng, [100 + n1]), n1, n1)[0, 0]
+        x = (z - z.conj().T) / 2 + 0.3j * np.eye(n1)
+        got = project_at("u_sphere", x, 0.0, read_point(g))
+        want = project_to_m("u_sphere", conjugate(g, x), 0.0)
+        worst = max(worst, *(np.max(np.abs(a - b)) for a, b in zip(got, want)))
+    for n1 in (2, 3, 5):
+        g = haar_symplectic(n1, StreamBlock(rng.split(10 + n1), range(50)))
+        x = random_sp_skew(n1, rng.split(200 + n1))
+        for scalar in (0.0, 0.37):
+            got = project_at("sp_sphere", x, scalar, read_point(g))
+            want = project_to_m("sp_sphere", conjugate(g, x), scalar)
+            worst = max(worst, *(np.max(np.abs(a - b)) for a, b in zip(got, want)))
+    assert worst <= 1e-12
+
+
+def draw_moments(values):
+    """Sample mean and variance of `values`, each with its standard error;
+    the variance's from the sample fourth central moment."""
+    d = values - values.mean()
+    var = float(np.mean(d ** 2))
+    return (float(values.mean()), math.sqrt(var / len(values)),
+            var, math.sqrt((float(np.mean(d ** 4)) - var * var) / len(values)))
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_u_orbit_draws_follow_the_uniform_law(dim):
+    # for w uniform on S^(2N-1), (|w_j|^2) is uniform on the simplex, so
+    # q = sum_j lambda_j |w_j|^2 has mean mean(lambda) and variance
+    # (mean(lambda^2) - mean(lambda)^2)/(N + 1); 10^4 draws, 5 sigma
+    lam = np.linspace(-1.0, 2.0, dim) ** 3
+    m0, _ = orbit_projection_sample(round_spec(dim - 1), u_algebra(1j * np.diag(lam)),
+                                    10 ** 4, RngStream(43))
+    mean, mean_se, var, var_se = draw_moments(m0[:, 0])
+    assert abs(mean - lam.mean()) <= 5 * mean_se
+    assert abs(var - (np.mean(lam ** 2) - lam.mean() ** 2) / (dim + 1)) <= 5 * var_se
+
+
+def test_sp_orbit_draws_follow_the_uniform_law():
+    # for w uniform on S^(4N-1), the i part of w* (i w) is 2A - 1 with
+    # A ~ Beta(N, N): mean 0 and variance 1/(2N + 1); N = 3, 10^4 draws,
+    # 5 sigma
+    dim = 3
+    m0, _ = orbit_projection_sample(sp_spec(dim - 1),
+                                    sp_algebra(sp_scaled_identity(1.0, dim)),
+                                    10 ** 4, RngStream(44))
+    mean, mean_se, var, var_se = draw_moments(m0[:, 0])
+    assert abs(mean) <= 5 * mean_se
+    assert abs(var - 1.0 / (2 * dim + 1)) <= 5 * var_se
 
 
 def test_sp_projection_agrees_with_generic_path():

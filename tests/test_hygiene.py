@@ -13,7 +13,12 @@ imported name, or a string that spells it (`getattr(checks, name)`,
 `monkeypatch.setattr(mod, "name", ...)`, the tracer's dotted span names).
 References from the unit tests do not count: library surface that only
 they exercise is dead weight, and a unit test that needs such a helper
-keeps its own copy.  A `RandersSpec` checks itself when it is built, so
+keeps its own copy.  A stricter scan follows references inside the
+package alone: every module-level function and class must be reached by a
+chain of references from a definition in `cli` or `checks`, or from
+module-level code, so surface that only a test or a traced span name
+keeps alive is dead; the few definitions that wait for a pipeline are
+listed by name with the reason.  A `RandersSpec` checks itself when it is built, so
 only `randers` names the validity check, and only `__post_init__` calls
 it.  Only `geodesy` builds graphs, so only it may import
 scipy, and `checks` imports it inside the two graph checks alone: an
@@ -28,7 +33,7 @@ build a `np.random.Generator` or `np.random.PCG64`, and no module builds a
 `default_rng`, `SeedSequence` or `RandomState`.  Those cross-checks cover
 the two ways a stream is seeded, a lone `RngStream.gen` and a
 `StreamBlock.generators()`, so only those two call `_generators`.  Every
-Haar draw, U(n) and Sp(n) alike, is the Q factor of one stacked QR with
+Haar draw of U(n) is the Q factor of one stacked QR with
 the phase fix on R's diagonal, so only `matrixcore._haar_qr` calls a `qr`.
 The oracle's scipy kernels stay where they are: `dijkstra` in the raw
 searches and the corridor groups, `csr_matrix` in the build and the
@@ -99,8 +104,13 @@ def defined_names(text):
 
 def referenced_names(text):
     """Every identifier that `text` refers to (see the module docstring)."""
+    return names_in(ast.parse(text))
+
+
+def names_in(tree):
+    """Every identifier that the syntax tree `tree` refers to."""
     names = set()
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -165,6 +175,82 @@ def test_orphan_scan_ignores_unit_test_references(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert package_orphans(tmp_path) == ["for_unit_test"]
+
+
+# Defined in the package, reached by no pipeline yet: the closed-form CW
+# translation check of ROADMAP item 2 gives each of them its caller.
+AWAITING_A_PIPELINE = {
+    "central_kvf_phases": "the phases phi+- of a two-eigenvalue CW translation (item 2)",
+    "eq_root_pair": "the closed-form root pair that item 2 checks the phases against",
+    "NotKvfAdmissible": "raised by central_kvf_phases on a kappa != 1 spec (item 2)",
+}
+
+
+def unreachable(texts, roots=("cli.py", "checks.py")):
+    """Functions and classes defined at module level in `texts` (file name ->
+    package module source) that no chain of references reaches from the
+    pipelines: every definition of the `roots` modules, and every name
+    that module-level code outside imports and definitions refers to.  A
+    reached definition reaches each name its body and signature refer to
+    (`referenced_names`), and a name reaches every definition so named,
+    in any module.  Import statements reach nothing."""
+    defs, reached, todo = {}, set(), []
+
+    def refer(nodes):
+        for node in nodes:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo.extend(names_in(node))
+    for name, text in texts.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if name in roots:
+                    todo.append(node.name)
+            else:
+                refer([node])
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            refer(defs[name])
+    return sorted(set(defs) - reached)
+
+
+def test_every_definition_is_reached_from_a_pipeline():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreachable(texts) == sorted(AWAITING_A_PIPELINE)
+
+
+def test_reachability_scan_flags_planted_dead_surface():
+    texts = {"cli.py": ("from .checks import run\n"
+                        "def main():\n"
+                        "    return run()\n"),
+             "checks.py": ("from . import core\n"
+                           "from .core import used, imported_only\n"
+                           "def run():\n"
+                           "    return used() + getattr(core, 'by_name')()\n"),
+             "core.py": ("from .checks import run\n"
+                         "TABLE = {'x': at_import}\n"
+                         "def used():\n"
+                         "    return chain()\n"
+                         "def chain():\n"
+                         "    return Base\n"
+                         "class Base:\n"
+                         "    pass\n"
+                         "def at_import():\n"
+                         "    pass\n"
+                         "def by_name():\n"
+                         "    pass\n"
+                         "def imported_only():\n"
+                         "    pass\n"
+                         "def dead():\n"
+                         "    return dead_too()\n"
+                         "def dead_too():\n"
+                         "    pass\n"
+                         "class Dead:\n"
+                         "    def method(self):\n"
+                         "        return used()\n")}
+    assert unreachable(texts) == ["Dead", "dead", "dead_too", "imported_only"]
 
 
 VALIDITY_NAMES = {"_validate_spec", "validate_spec", "require_valid"}

@@ -8,11 +8,11 @@ from cwspheres import checks, matrixcore
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import block_angle_unitary
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
-                                  as_skew_hermitian, as_unitary, conjugate,
-                                  expm_skew, haar_symplectic, haar_unitary, qabs,
-                                  qmul, symplectic_defect,
-                                  trial_blocks, unitary_phases)
+                                  as_skew_hermitian, as_unitary, expm_skew,
+                                  haar_unitary, qabs, qmul, trial_blocks,
+                                  unitary_phases)
 from cwspheres.randers import RandersSpec
+from haar_reference import conjugate, haar_symplectic, symplectic_defect
 
 
 def random_skew(n, rng, k):

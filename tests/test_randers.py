@@ -7,12 +7,11 @@ import pytest
 
 from cwspheres import killing, randers
 from cwspheres.cli import main
-from cwspheres.cosets import project_to_m, sp_algebra
+from cwspheres.cosets import project_at, sp_algebra
 from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import (OrbitParams, orbit_generator, orbit_length_report,
                                solve_metric)
-from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, conjugate,
-                                  haar_symplectic, haar_unitary)
+from cwspheres.matrixcore import QuaternionMatrix, RngStream, StreamBlock, _ginibre
 from cwspheres.randers import (RandersSpec, m1_norm_sq, randers_norm_array,
                                round_spec, spec_from_json, spec_to_json)
 
@@ -297,12 +296,15 @@ def orbit_cases():
 
 
 def per_draw_orbit(spec, e, trials, rng):
-    """Reference: per orbit point, one Haar draw from `rng.split(k)`, one
-    conjugation and one projection of a stack of one, as (m0, usq) rows."""
-    haar = {"u_sphere": haar_unitary, "sp_sphere": haar_symplectic}[spec.family]
-    return [project_to_m(spec.family,
-                         conjugate(haar(spec.n + 1, StreamBlock(rng, [k])), e.x), e.scalar)
-            for k in range(trials)]
+    """Reference: per orbit point, one unit vector drawn from `rng.split(k)`
+    and one projection of a stack of one, as (m0, usq) rows."""
+    count = 1 if spec.family == "u_sphere" else 2
+    rows = []
+    for k in range(trials):
+        w = _ginibre(StreamBlock(rng, [k]), 1, spec.n + 1, count)[0, :, 0]
+        w = w / np.sqrt(np.sum(np.abs(w) ** 2))
+        rows.append(project_at(spec.family, e.x, e.scalar, w if count == 1 else (w[:1], w[1:])))
+    return rows
 
 
 @pytest.mark.parametrize("case", sorted(orbit_cases()))
