@@ -16,9 +16,9 @@ randers
     (S^3 = SU(2) is u_sphere n = 1), the vectorised norm on (m0, usq)
     arrays, JSON.
 cosets
-    Coset presentations: projection of one matrix or a stack to (m0, usq)
-    arrays, the Killing field at a stack of sphere points, orbit sampling
-    at uniform sphere points, Weyl helpers for the symplectic witness.
+    Coset presentations: the Killing field at a stack of sphere points as
+    (m0, usq) arrays, orbit sampling at uniform sphere points, the
+    imaginary-axis alignment of the symplectic witness.
 killing
     Closed-form metric solver and constant-length identities, orbit
     length reports, witness constructions.

@@ -1,8 +1,7 @@
-"""Coset presentations of spheres and the isometry-algebra projection to m.
+"""Coset presentations of spheres and Killing fields read in the tangent model m.
 
-The base point is the last standard basis vector of the ambient column
-space.  Projection of an algebra element applies it to the base point and
-reads off the m0/m1 coordinates:
+The base point is the last standard basis vector e_last of the ambient
+column space.  A tangent vector there has m0/m1 coordinates:
 
 * u_sphere:  S^(2n+1) = U(n+1)/U(n); q is the imaginary part of the last
   coordinate, u the first n coordinates.
@@ -10,11 +9,13 @@ reads off the m0/m1 coordinates:
   (X, x); the circle factor acts by right scalar multiplication, so the
   last coordinate picks up an extra x*i.
 
-An adjoint-orbit point g X g* projects through its column
-g X g* e_last = g(X w), w = g* e_last, and g is an isometry, so the
-projection depends on w alone: it is the Killing field of X at the sphere
-point w, moved to the base point (`project_at`).  For Haar g the point w
-is uniform on the sphere, so orbit sampling draws w, not g.
+The Killing field of X at a sphere point w is X w.  Any isometry g with
+g* e_last = w moves it to the base point as the column g X g* e_last of
+the adjoint-orbit point g X g*, so its m coordinates depend on w alone:
+`project_at` reads them, and is the one place the package reads a Killing
+field.  At w = e_last this is the projection of X itself.  For Haar g the
+point w is uniform on the sphere, so orbit sampling draws w, not g; the
+symplectic witness reads the field at two chosen points.
 
 S^3 = SU(2) needs no presentation of its own: SU(2)-left times
 circle-right is U(2) acting on C^2, the u_sphere presentation with n = 1.
@@ -30,8 +31,6 @@ from .errors import InvalidInput
 from .matrixcore import (QuaternionMatrix, RngStream, _ginibre, as_quaternion_skew,
                          as_skew_hermitian, qabs, qmul, trial_blocks)
 from .randers import SP_SPHERE, U_SPHERE, RandersSpec, m1_norm_sq
-
-UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,26 +56,8 @@ def sp_algebra(x: QuaternionMatrix, scalar=0.0) -> AlgebraElement:
 
 
 # --------------------------------------------------------------------------
-# projection to m
+# the Killing field at sphere points
 # --------------------------------------------------------------------------
-
-def project_to_m(family, x, scalar):
-    """(m0, usq) of the projection to m of the matrix part `x`, or of each
-    matrix of a (T, n+1, n+1) stack, with circle summand `scalar`: the
-    column x e_last read off in the coordinates of `family`, as m0
-    coordinates on the last axis and squared m1 norms, the inputs of
-    `randers_norm_array`."""
-    if family == U_SPHERE:
-        col = x[..., :, -1]
-        m0, u = col[..., -1:].imag, col[..., :-1]
-    else:
-        col1 = x.q1[..., :, -1]
-        col2 = x.q2[..., :, -1]
-        m0 = np.stack([col1[..., -1].imag + scalar, col2[..., -1].real,
-                       col2[..., -1].imag], axis=-1)
-        u = (col1[..., :-1], col2[..., :-1])
-    return m0, m1_norm_sq(family, u)
-
 
 def project_at(family, x, scalar, w):
     """(m0, usq) of the projection to m of g x g*, with circle summand
@@ -131,37 +112,8 @@ def orbit_projection_sample(spec: RandersSpec, e: AlgebraElement,
 
 
 # --------------------------------------------------------------------------
-# Weyl-group normalizations and imaginary-axis alignment
+# imaginary-axis alignment
 # --------------------------------------------------------------------------
-
-def permutation_matrix(perm):
-    """Real permutation matrix P with P e_k = e_perm[k]."""
-    perm = list(perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise InvalidInput("not a permutation")
-    p = np.zeros((n, n))
-    for k, target in enumerate(perm):
-        p[target, k] = 1.0
-    return p
-
-
-def sp_permutation(perm) -> QuaternionMatrix:
-    p = permutation_matrix(perm)
-    return QuaternionMatrix(p.astype(complex), np.zeros_like(p, dtype=complex))
-
-
-def sp_unit_diag(n, idx, s) -> QuaternionMatrix:
-    """Diagonal Sp(n) element with unit quaternion `s` (a scalar pair) at
-    position idx and ones elsewhere."""
-    if abs(float(qabs((np.complex128(s[0]), np.complex128(s[1])))) - 1.0) > UNIT_TOL:
-        raise InvalidInput("diagonal entry must be a unit quaternion")
-    q1 = np.eye(n, dtype=complex)
-    q2 = np.zeros((n, n), dtype=complex)
-    q1[idx, idx] = s[0]
-    q2[idx, idx] = s[1]
-    return QuaternionMatrix(q1, q2)
-
 
 def align_imaginary_to_i(d):
     """Unit quaternion s with conj(s) * d * s = |d| * i, for imaginary d.

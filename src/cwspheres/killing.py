@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosets import (AlgebraElement, align_imaginary_to_i, orbit_projection_sample,
-                     project_to_m, sp_permutation, sp_unit_diag, u_algebra)
+                     project_at, u_algebra)
 from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissible
 from .matrixcore import QuaternionMatrix, qmul
 from .randers import SP_SPHERE, U_SPHERE, RandersSpec, randers_norm_array
@@ -154,7 +154,7 @@ def central_kvf_phases(s: RandersSpec, L):
     """
     if s.family != U_SPHERE:
         raise InvalidInput("central_kvf_phases expects a u_sphere spec")
-    if abs(s.a - (s.b + s.c ** 2)) > 1e-10:
+    if abs(s.a - (s.b + s.c ** 2)) > 1e-10 * s.a:
         raise NotKvfAdmissible(
             f"a = b + c^2 fails: a={s.a!r}, b + c^2={s.b + s.c ** 2!r}")
     L = float(L)
@@ -222,13 +222,16 @@ def _diagonal_entries(x: QuaternionMatrix):
 
 
 def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
-    """Two conjugation images of a nonzero diagonal skew generator whose
-    projections to m are opposite multiples of the metric axis.
+    """Two sphere points where a nonzero diagonal skew generator's Killing
+    field projects to opposite multiples of the metric axis.
 
-    The chosen diagonal entry d is the first of modulus above 1e-14.
-    Returns (m0 of y1, m0 of y2, F(y1), F(y2), 2|c| |d|): the metric values
-    differ by exactly the last entry, which rules out nonzero generators in
-    the matrix algebra alone whenever c != 0.
+    The chosen diagonal entry d is the first of modulus above 1e-14, at
+    index idx.  With s rotating d to |d| i (`align_imaginary_to_i`), the
+    points are e_idx s and e_idx (s j), where the field reads +|d| i and
+    -|d| i.  Returns (m0 at the first, m0 at the second, F there, F there,
+    2|c| |d|): the metric values differ by exactly the last entry, which
+    rules out nonzero generators in the matrix algebra alone whenever
+    c != 0.
     """
     if s.family != SP_SPHERE:
         raise InvalidInput("sp_witness_pair expects an sp_sphere spec")
@@ -242,18 +245,10 @@ def sp_witness_pair(x: QuaternionMatrix, s: RandersSpec):
     if np.max(mods) < 1e-14:
         raise InvalidInput("generator must be non-zero")
     idx = int(np.argmax(mods > 1e-14))
-    d = (d1[idx], d2[idx])
-    n1 = x.shape[0]
-    perm = list(range(n1))
-    perm[idx], perm[n1 - 1] = perm[n1 - 1], perm[idx]
-    pmat = sp_permutation(perm)
-    parts = []
-    align = align_imaginary_to_i(d)
-    for sign_flip in (False, True):
-        rot = qmul(align, (np.complex128(0), np.complex128(1))) if sign_flip else align
-        t = sp_unit_diag(n1, n1 - 1, rot)
-        h = t.conj_t() @ pmat.conj_t()
-        parts.append(project_to_m(SP_SPHERE, h @ x @ h.conj_t(), 0.0))
-    m0, usq = zip(*parts)
-    f1, f2 = randers_norm_array(s, np.stack(m0), np.array(usq)).tolist()
+    align = align_imaginary_to_i((d1[idx], d2[idx]))
+    w1 = np.zeros((2, s.n + 1), dtype=complex)
+    w2 = np.zeros_like(w1)
+    w1[:, idx], w2[:, idx] = zip(align, qmul(align, (np.complex128(0), np.complex128(1))))
+    m0, usq = project_at(SP_SPHERE, x, 0.0, (w1, w2))
+    f1, f2 = randers_norm_array(s, m0, usq).tolist()
     return m0[0], m0[1], f1, f2, 2.0 * abs(s.c) * mods[idx]

@@ -184,7 +184,7 @@ def spec_from_json(text: str) -> RandersSpec:
     finite number."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # ValueError covers JSONDecodeError
         raise InvalidInput(f"malformed spec JSON: {exc}") from exc
     if not isinstance(doc, dict) or "family" not in doc:
         raise InvalidInput("spec JSON must be an object with a 'family' key")

@@ -1,17 +1,21 @@
-"""The Haar-plus-conjugation route to orbit projections, kept for the tests.
+"""The conjugation route to Killing fields, kept for the tests.
 
-`cosets.orbit_projection_sample` draws the unit vector w = g* e_last that
-a Haar conjugate g x g* is read at, not g itself.  This module keeps the
-route it replaced: Haar draws of Sp(n) by one QR of the complex embedding,
-the adjoint action g x g*, and the Sp(n) membership defect.  The tests
-use it as the slow reference that the sampler is cross-checked against on
-the same draws.
+`cosets.project_at` reads the Killing field of x at a sphere point w, the
+projection of every conjugate g x g* with g* e_last = w.  This module
+keeps the routes it replaced: Haar draws of Sp(n) by one QR of the
+complex embedding, the adjoint action g x g*, the Sp(n) membership defect,
+the read-off `project_to_m` of a conjugate's last column, and the
+symplectic witness built from explicit conjugators.  The tests use them as
+the slow references that `project_at`, the orbit sampler and
+`killing.sp_witness_pair` are cross-checked against on the same inputs.
 """
 
 import numpy as np
 
+from cwspheres.cosets import align_imaginary_to_i
 from cwspheres.errors import InvalidInput
-from cwspheres.matrixcore import QuaternionMatrix, _ginibre, _haar_qr, conj_t
+from cwspheres.matrixcore import QuaternionMatrix, _ginibre, _haar_qr, conj_t, qmul
+from cwspheres.randers import SP_SPHERE, U_SPHERE, m1_norm_sq, randers_norm_array
 
 
 def symplectic_defect(q):
@@ -62,3 +66,47 @@ def read_point(g):
         gs = g.conj_t()
         return gs.q1[:, :, -1], gs.q2[:, :, -1]
     return conj_t(g)[:, :, -1]
+
+
+def project_to_m(family, x, scalar):
+    """(m0, usq) of the projection to m of the matrix part `x`, or of each
+    matrix of a (T, n+1, n+1) stack, with circle summand `scalar`: the
+    column x e_last read off in the coordinates of `family`, as m0
+    coordinates on the last axis and squared m1 norms, the inputs of
+    `randers_norm_array`."""
+    if family == U_SPHERE:
+        col = x[..., :, -1]
+        m0, u = col[..., -1:].imag, col[..., :-1]
+    else:
+        col1 = x.q1[..., :, -1]
+        col2 = x.q2[..., :, -1]
+        m0 = np.stack([col1[..., -1].imag + scalar, col2[..., -1].real,
+                       col2[..., -1].imag], axis=-1)
+        u = (col1[..., :-1], col2[..., :-1])
+    return m0, m1_norm_sq(family, u)
+
+
+def witness_by_conjugation(x, spec):
+    """The sp witness pair (m0_1, m0_2, F_1, F_2) of the diagonal generator
+    `x` by explicit conjugation.  With idx its first non-zero diagonal
+    entry, P the permutation swapping idx and the last slot,
+    s = `align_imaginary_to_i(x_idx)` and t the diagonal Sp(n+1) element
+    with s (then s j) in the last slot and ones elsewhere, read
+    `project_to_m` of h x h*, h = t* P*."""
+    n1 = x.shape[0]
+    idx = int(np.flatnonzero(np.hypot(np.abs(np.diagonal(x.q1)),
+                                      np.abs(np.diagonal(x.q2))) > 1e-14)[0])
+    perm = np.arange(n1)
+    perm[[idx, n1 - 1]] = perm[[n1 - 1, idx]]
+    p = np.eye(n1, dtype=complex)[:, perm]          # P e_k = e_perm[k]
+    pmat = QuaternionMatrix(p, np.zeros_like(p))
+    s = align_imaginary_to_i((x.q1[idx, idx], x.q2[idx, idx]))
+    parts = []
+    for rot in (s, qmul(s, (np.complex128(0), np.complex128(1)))):
+        q1, q2 = np.eye(n1, dtype=complex), np.zeros((n1, n1), dtype=complex)
+        q1[-1, -1], q2[-1, -1] = rot
+        h = QuaternionMatrix(q1, q2).conj_t() @ pmat.conj_t()
+        parts.append(project_to_m(SP_SPHERE, h @ x @ h.conj_t(), 0.0))
+    m0, usq = zip(*parts)
+    f1, f2 = randers_norm_array(spec, np.stack(m0), np.array(usq)).tolist()
+    return m0[0], m0[1], f1, f2

@@ -352,6 +352,19 @@ def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys, no_graph,
     assert err.startswith("error:") and "config" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200000,                                           # too deep to parse
+    '{"family": "u_sphere", "n": 1' + "0" * 5000 + "}",     # over 4300 digits
+], ids=["deep-nesting", "long-integer"])
+@pytest.mark.parametrize("argv", [("validate",), ("verify", "orbit")])
+def test_unparsable_config_is_usage_error(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed spec JSON") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("validate",), ("verify", "orbit"), ("verify", "sp-central"),
     ("verify", "sp-witness"), ("verify", "displacement"),

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from cwspheres.cosets import (AlgebraElement, align_imaginary_to_i,
-                              orbit_projection_sample, permutation_matrix,
-                              project_at, project_to_m, sp_algebra, sp_permutation,
-                              sp_unit_diag, u_algebra)
+                              orbit_projection_sample, project_at, sp_algebra, u_algebra)
 from cwspheres.errors import InvalidInput, InvalidSpec
 from cwspheres.killing import orbit_length_report
 from cwspheres.matrixcore import (QuaternionMatrix, RngStream, StreamBlock, _ginibre,
                                   haar_unitary, qabs, qmul)
 from cwspheres.randers import RandersSpec, round_spec
-from haar_reference import conjugate, haar_symplectic, read_point, symplectic_defect
+from haar_reference import conjugate, haar_symplectic, project_to_m, read_point
 
 
 def sp_spec(n):
@@ -26,42 +24,54 @@ def qconj(x):
     return (np.conj(x[0]), -x[1])
 
 
+def base_point(n1, count=1):
+    """`count` copies of e_last in C^n1, as a stack `project_at` takes."""
+    w = np.zeros((count, n1), dtype=complex)
+    w[:, -1] = 1.0
+    return w
+
+
 def random_sp_skew(n, rng):
     z1, z2 = _ginibre(StreamBlock(rng, [0]), n, n, count=2)[0]
     return QuaternionMatrix((z1 - z1.conj().T) / 2, (z2 + z2.T) / 2)
 
 
-# ---------------------------------------------------------------- project_to_m
+# ------------------------------------------------------------------ project_at
 
 def test_project_diagonal_readoff():
+    # at the base point the field of x is its last column
     mus = np.array([0.1, 0.2, 0.3, 0.7])
-    m0, usq = project_to_m("u_sphere", u_algebra(1j * np.diag(mus)).x, 0.0)
-    assert m0.tolist() == [0.7]
-    assert usq <= 1e-30
+    m0, usq = project_at("u_sphere", u_algebra(1j * np.diag(mus)).x, 0.0, base_point(4))
+    assert m0.tolist() == [[0.7]]
+    assert usq[0] <= 1e-30
 
 
 def test_project_two_eigenvalue_example():
-    m0, _ = project_to_m("u_sphere", u_algebra(1j * np.diag([-0.5, 1.5])).x, 0.0)
-    assert m0.tolist() == [1.5]
+    m0, _ = project_at("u_sphere", u_algebra(1j * np.diag([-0.5, 1.5])).x, 0.0,
+                       base_point(2))
+    assert m0.tolist() == [[1.5]]
 
 
 def test_project_sp_includes_circle_term():
     x = QuaternionMatrix(np.diag([0.2j, 0.5j]), np.diag([0.0, 0.3 + 0.4j]))
     e = sp_algebra(x, scalar=0.25)
-    m0, usq = project_to_m("sp_sphere", e.x, e.scalar)
-    np.testing.assert_allclose(m0, [0.75, 0.3, 0.4], atol=1e-15)
-    assert usq == 0.0
+    m0, usq = project_at("sp_sphere", e.x, e.scalar,
+                         (base_point(2), np.zeros((1, 2), dtype=complex)))
+    np.testing.assert_allclose(m0, [[0.75, 0.3, 0.4]], atol=1e-15)
+    assert usq[0] == 0.0
 
 
 def test_project_linearity():
-    # m0 is linear in the matrix; the m1 part u is too, so |u|^2 obeys the
-    # parallelogram law
+    # at a fixed point w, m0 is linear in the matrix; the m1 part u is too,
+    # so |u|^2 obeys the parallelogram law
     rng = RngStream(30)
     for k in range(20):
         z1, z2 = _ginibre(StreamBlock(rng, [2 * k, 2 * k + 1]), 3, 3)[:, 0]
         x1, x2 = (z1 - z1.conj().T) / 2, (z2 - z2.conj().T) / 2
-        m0, usq = project_to_m("u_sphere", np.stack([x1, x2, x1 + x2, x1 - x2]), 0.0)
-        q = m0[:, 0]
+        w = z1[0] / np.linalg.norm(z1[0])
+        m0, usq = zip(*(project_at("u_sphere", x, 0.0, w[None])
+                        for x in (x1, x2, x1 + x2, x1 - x2)))
+        q, usq = np.concatenate(m0)[:, 0], np.concatenate(usq)
         assert abs(q[2] - (q[0] + q[1])) <= 1e-12
         assert abs(q[3] - (q[0] - q[1])) <= 1e-12
         assert abs((usq[2] + usq[3]) - 2.0 * (usq[0] + usq[1])) <= 1e-12
@@ -126,8 +136,9 @@ def test_orbit_sample_scalar_passes_through():
 
 def test_orbit_geometry_weyl_extremes_and_sampling():
     # two-eigenvalue generator: orbit sphere has center (l-m)x2/2 + x1 and
-    # radius (l+m)|x2|/2; Weyl permutations realize the extreme q values
-    # exactly, uniform samples approach them from inside.  q = sum_j
+    # radius (l+m)|x2|/2; the basis points e_0..e_n (where a permutation
+    # conjugate is read) realize the extreme q values exactly, uniform
+    # samples approach them from inside.  q = sum_j
     # lambda_j |w_j|^2 with (|w_j|^2) uniform on the simplex, so q comes
     # within 5% of an eigenvalue of multiplicity r in n + 1 = l + m with
     # probability P(Beta(r, l + m - r) >= 0.95); the rarest pole, r = 1 in
@@ -143,15 +154,10 @@ def test_orbit_geometry_weyl_extremes_and_sampling():
         lo, hi = sorted((x1 - m * x2, x1 + l * x2))
         center = 0.5 * (l - m) * x2 + x1
         radius = 0.5 * n1 * abs(x2)
-        # exact extremes through permutation conjugation
-        qs_weyl = []
-        for target in range(n1):
-            perm = list(range(n1))
-            perm[target], perm[n1 - 1] = perm[n1 - 1], perm[target]
-            g = permutation_matrix(perm).astype(complex)
-            qs_weyl.append(project_to_m("u_sphere", conjugate(g, e.x), 0.0)[0][0])
-        assert abs(min(qs_weyl) - lo) <= 1e-12
-        assert abs(max(qs_weyl) - hi) <= 1e-12
+        # exact extremes at the basis points
+        qs_basis = project_at("u_sphere", e.x, 0.0, np.eye(n1, dtype=complex))[0][:, 0]
+        assert abs(min(qs_basis) - lo) <= 1e-12
+        assert abs(max(qs_basis) - hi) <= 1e-12
         # sphere containment + interior coverage for uniform samples
         m0, usq = orbit_projection_sample(spec, e, 6000, rng.split(case))
         qs = m0[:, 0]
@@ -170,20 +176,19 @@ def sp_scaled_identity(xp, n1):
 
 
 def test_sp_projection_fixed_base_corner():
-    # the identity conjugator leaves (x' i I, x) at m0 = (x' + x) i
-    m0, usq = project_to_m("sp_sphere", sp_scaled_identity(0.8, 2), 0.3)
-    np.testing.assert_allclose(m0, [1.1, 0.0, 0.0], atol=1e-15)
-    assert usq == 0.0
+    # at w = e_last the field of (x' i I, x) reads m0 = (x' + x) i
+    m0, usq = project_at("sp_sphere", sp_scaled_identity(0.8, 2), 0.3,
+                         (base_point(2), np.zeros((1, 2), dtype=complex)))
+    np.testing.assert_allclose(m0, [[1.1, 0.0, 0.0]], atol=1e-15)
+    assert usq[0] == 0.0
 
 
 def test_sp_projection_j_corner():
-    # conjugating by j in the last slot turns x' i into -x' i
-    j = (np.complex128(0.0), np.complex128(1.0))
-    h = sp_unit_diag(2, 1, j)
-    moved = conjugate(h, sp_scaled_identity(0.8, 2))
-    m0, usq = project_to_m("sp_sphere", moved, 0.3)
-    np.testing.assert_allclose(m0, [0.3 - 0.8, 0.0, 0.0], atol=1e-15)
-    assert usq <= 1e-30
+    # at w = j e_last, conj(j) x' i j = -x' i: the matrix part flips sign
+    m0, usq = project_at("sp_sphere", sp_scaled_identity(0.8, 2), 0.3,
+                         (np.zeros((1, 2), dtype=complex), base_point(2)))
+    np.testing.assert_allclose(m0, [[0.3 - 0.8, 0.0, 0.0]], atol=1e-15)
+    assert usq[0] <= 1e-30
 
 
 def test_sp_projection_sweeps_the_orbit_sphere():
@@ -261,16 +266,16 @@ def test_sp_orbit_draws_follow_the_uniform_law():
 
 
 def test_sp_projection_agrees_with_generic_path():
-    # the stacked projection of Haar conjugates of (x' i I, x) against the
-    # column (g x' i g*) e_last written out entry by entry in quaternion
-    # arithmetic: x' sum_b g_ab i conj(g_last,b)
+    # the field of (x' i I, x) at the points w = g* e_last of Haar draws g
+    # against the column (g x' i g*) e_last written out entry by entry in
+    # quaternion arithmetic: x' sum_b g_ab i conj(g_last,b)
     rng = RngStream(38)
     unit_i = (np.complex128(1j), np.complex128(0.0))
     xp, xs = 0.8, 0.5
     for n in (1, 2, 3):
         g = haar_symplectic(n + 1, StreamBlock(rng.split(n), range(20)))
-        m0, usq = project_to_m("sp_sphere",
-                               conjugate(g, sp_scaled_identity(xp, n + 1)), xs)
+        m0, usq = project_at("sp_sphere", sp_scaled_identity(xp, n + 1), xs,
+                             read_point(g))
 
         def entry(a):
             terms = [qmul(qmul((g.q1[:, a, b], g.q2[:, a, b]), unit_i),
@@ -292,25 +297,7 @@ def test_sp_projection_rejects_bad_inputs():
         sp_algebra(QuaternionMatrix(np.eye(2, dtype=complex), np.zeros((2, 2), complex)))
 
 
-# ----------------------------------------------------------------- Weyl helpers
-
-def test_permutation_matrix_and_sp_variant():
-    p = permutation_matrix([1, 0, 2])
-    np.testing.assert_array_equal(p @ np.array([1.0, 0.0, 0.0]),
-                                  np.array([0.0, 1.0, 0.0]))
-    q = sp_permutation([1, 0])
-    assert symplectic_defect(q) <= 1e-12
-    with pytest.raises(InvalidInput):
-        permutation_matrix([0, 0])
-
-
-def test_sp_unit_diag_conjugation_flips_i():
-    j = (np.complex128(0.0), np.complex128(1.0))
-    t = sp_unit_diag(2, 1, j)
-    x = QuaternionMatrix(np.diag([0.0, 0.4j]), np.zeros((2, 2), dtype=complex))
-    y = t.conj_t() @ x @ t
-    assert abs(y.q1[1, 1] + 0.4j) <= 1e-14
-
+# ------------------------------------------------------------ axis alignment
 
 def test_align_imaginary_to_i():
     rng = RngStream(40)

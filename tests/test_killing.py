@@ -14,6 +14,7 @@ from cwspheres.killing import (OrbitParams,
                                sp_witness_pair)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream
 from cwspheres.randers import RandersSpec, round_spec
+from haar_reference import witness_by_conjugation
 
 P_REF = OrbitParams(1, 1, 0.5, 1.0, 1.0)
 
@@ -176,6 +177,18 @@ def test_central_phases_reject_inadmissible():
         central_kvf_phases(RandersSpec("u_sphere", n=1, a=2.0, b=1.0, c=0.5), 1.0)
 
 
+@pytest.mark.parametrize("k", [1e-6, 1.0, 1e6])
+def test_central_phases_admissibility_is_scale_free(k):
+    # a = b + c^2 is tested relative to a, so scaling the metric by k
+    # (a, b by k^2, c by k) never changes the answer
+    with pytest.raises(NotKvfAdmissible):
+        central_kvf_phases(RandersSpec("u_sphere", n=1, a=2.0 * k * k, b=k * k,
+                                       c=0.5 * k), 1.0)
+    spec = solve_metric(OrbitParams(1, 1, 0.5, 1.0, k))
+    np.testing.assert_allclose(central_kvf_phases(spec, k), eq_root_pair(spec, k),
+                               rtol=1e-12)
+
+
 def test_central_phases_equal_roots_when_admissible():
     rng = RngStream(53)
     for k in range(100):
@@ -291,6 +304,30 @@ def test_witness_gap_quaternionic_entry():
     _, _, f1, f2, expected = sp_witness_pair(x, SP_SPEC)
     assert abs(expected - 2.0 * 0.3 * 0.5) <= 1e-15
     assert abs(abs(f1 - f2) - expected) <= 1e-13
+
+
+def test_witness_points_match_the_conjugation_route():
+    # the witness reads the field at e_idx s and e_idx (s j); the route it
+    # replaced conjugates by h = t* P* and reads the last column, and
+    # h* e_last is that same point, so the two agree to rounding.  (s is
+    # imaginary, so conj(s) = -s names the same line and the same field.)
+    rng = RngStream(63)
+    cases = [sp_diag([0.0, -0.7]),                          # d = -i branch
+             sp_diag([0.0, 0.3, -1.1], [0.0, 0.4 - 0.2j, 0.6j])]
+    for k in range(30):
+        n1 = 2 + k % 3
+        entries = rng.split(k).gen.standard_normal((n1, 3))
+        entries[: k % n1] = 0.0             # the first non-zero entry moves along
+        entries[np.abs(entries) < 0.2] = 0.0
+        entries[-1, 0] += 1.0
+        cases.append(sp_diag(entries[:, 0], entries[:, 1] + 1j * entries[:, 2]))
+    for x in cases:
+        spec = RandersSpec("sp_sphere", n=x.shape[0] - 1, a1=1.0, a2=1.3, b=1.0, c=0.3)
+        m0_1, m0_2, f1, f2, _ = sp_witness_pair(x, spec)
+        ref_1, ref_2, ref_f1, ref_f2 = witness_by_conjugation(x, spec)
+        np.testing.assert_allclose(np.stack([m0_1, m0_2]), np.stack([ref_1, ref_2]),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose([f1, f2], [ref_f1, ref_f2], rtol=0, atol=1e-14)
 
 
 def test_witness_rejects_zero_and_reversible():

@@ -378,6 +378,12 @@ def test_json_malformed_raises():
         spec_from_json("{\"family\": \"su2\", \"a\": 1.0, \"b\": 1.0, \"c\": 0.0}")
     with pytest.raises(InvalidInput):
         spec_from_json("{\"family\": \"u_sphere\", \"n\": 1}")  # missing a, b
+    # nesting too deep for the parser, and an integer literal past Python's
+    # 4300-digit conversion limit, are malformed JSON too
+    with pytest.raises(InvalidInput, match="malformed spec JSON"):
+        spec_from_json("[" * 200000)
+    with pytest.raises(InvalidInput, match="malformed spec JSON"):
+        spec_from_json("{\"family\": \"u_sphere\", \"n\": 1" + "0" * 5000 + "}")
 
 
 @pytest.mark.parametrize("n", ["true", "1.7", "2.0", "\"1\""])
