@@ -29,6 +29,8 @@ log = logging.getLogger("cwspheres")
 
 ENDPOINT_SPREAD_TOL = 1e-10
 ENDPOINT_IDENTITY_TOL = 1e-12
+# sp-witness passes when |f1 - f2| is within this bound, relative to
+# max(|f1|, |f2|), of the expected gap: the scale at which f1 - f2 rounds
 WITNESS_GAP_TOL = 1e-12
 ANTIPODE_REL_TOL = 0.05
 SYMMETRY_REL_TOL = 0.01
@@ -233,7 +235,7 @@ def sp_witness(spec, rng) -> CheckReport:
         gap = abs(f1 - f2)
         residual = abs(gap - expected)
         rows.append((f"n{n}", gap, expected, residual,
-                     bool(residual <= WITNESS_GAP_TOL)))
+                     bool(residual <= WITNESS_GAP_TOL * max(abs(f1), abs(f2)))))
     return CheckReport(("case", "gap", "expected", "residual", "verdict"),
                        tuple(rows), all(row[4] for row in rows))
 

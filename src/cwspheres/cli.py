@@ -3,7 +3,8 @@
 Subcommand style: ``validate`` checks a metric-spec JSON, ``solve``
 produces the closed-form metric for orbit parameters, ``verify`` runs one
 of the Monte-Carlo / spectral / displacement verification pipelines and
-emits a CSV report.
+emits a CSV report.  Each ``verify`` check takes ``--seed``, ``--out`` and
+only the flags it reads (``_CHECKS``); any other flag is a usage error.
 
 Exit codes: 0 = pass, 1 = property failure or infeasible input,
 2 = usage/parse error.  All randomness derives from --seed, so identical
@@ -25,7 +26,7 @@ from .errors import CwError, InfeasibleParams, InvalidInput, InvalidSpec
 # checks that the tracer rebinds this alias of the flows function.
 from .flows import phase_bound_check  # noqa: F401
 from .killing import (IDENTITY_RESIDUAL_TOL, OrbitParams, constant_length_identity,
-                      solve_metric)
+                      identity_scale, solve_metric)
 from .matrixcore import RngStream
 from .randers import SP_SPHERE, RandersSpec, spec_from_json, spec_to_json
 
@@ -103,7 +104,8 @@ def cmd_solve(args):
     residuals = constant_length_identity(spec, params)
     print(spec_to_json(spec))
     print("residuals: " + " ".join(f"{r:.17g}" for r in residuals))
-    return 0 if max(abs(r) for r in residuals) <= IDENTITY_RESIDUAL_TOL else 1
+    bound = IDENTITY_RESIDUAL_TOL * identity_scale(spec, params)
+    return 0 if max(abs(r) for r in residuals) <= bound else 1
 
 
 # --------------------------------------------------------------------------
@@ -120,20 +122,48 @@ def _sp_spec(args):
     return _load_spec(args.config) if args.config else _SP_DEFAULT
 
 
+# Each option flag of `solve` and `verify` once: its type, default and help.
+_FLAGS = {
+    "config": dict(default=None, help="metric spec JSON (default: the check's own)"),
+    "trials": dict(type=int, default=1000, help="trials or samples"),
+    "n": dict(type=int, default=4, help="matrix size"),
+    "l": dict(type=int, default=1, help="multiplicity of the first eigenvalue"),
+    "m": dict(type=int, default=1, help="multiplicity of the second eigenvalue"),
+    "x1": dict(type=float, default=0.5, help="central part of the generator"),
+    "x2": dict(type=float, default=1.0, help="block part of the generator"),
+    "L": dict(type=float, default=1.0, help="constant length of the generator"),
+    "x": dict(type=float, default=0.5, help="central offset"),
+    "vnorm": dict(type=float, default=0.5, help="|V| of the isotropy vector"),
+    "t": dict(type=float, default=0.3, help="flow time"),
+    "points": dict(type=int, default=50, help="sample points"),
+    "n-points": dict(type=int, default=20000, help="graph vertices"),
+    "k": dict(type=int, default=12, help="graph out-degree"),
+}
+_ORBIT = ("l", "m", "x1", "x2", "L")
+
+# check -> (the _FLAGS it reads, its run on the parsed args and the seed's stream)
 _CHECKS = {
-    "orbit": lambda a, rng: checks.orbit(*_orbit_inputs(a), a.trials, rng),
-    "eigenlemma": lambda a, rng: checks.eigenlemma(a.n, a.trials, rng),
-    "commutator": lambda a, rng: checks.commutator(a.l, a.m, a.trials, rng),
-    "endpoints": lambda a, rng: checks.endpoints(a.vnorm, a.trials, rng),
-    "nonintersection": lambda a, rng: checks.nonintersection(a.x, a.l, a.m,
-                                                             a.trials, rng),
-    "sp-central": lambda a, rng: checks.sp_central(_sp_spec(a), a.trials, rng),
-    "sp-witness": lambda a, rng: checks.sp_witness(_sp_spec(a), rng),
-    "displacement": lambda a, rng: checks.displacement(
-        *_orbit_inputs(a), a.t, a.points, a.n_points, a.k,
-        rng.split(0), rng.split(1)),
-    "oracle": lambda a, rng: checks.oracle(
-        a.n_points, a.k, *(rng.split(k) for k in range(3))),
+    "orbit": (("config", *_ORBIT, "trials"),
+              lambda a, rng: checks.orbit(*_orbit_inputs(a), a.trials, rng)),
+    "eigenlemma": (("n", "trials"),
+                   lambda a, rng: checks.eigenlemma(a.n, a.trials, rng)),
+    "commutator": (("l", "m", "trials"),
+                   lambda a, rng: checks.commutator(a.l, a.m, a.trials, rng)),
+    "endpoints": (("vnorm", "trials"),
+                  lambda a, rng: checks.endpoints(a.vnorm, a.trials, rng)),
+    "nonintersection": (("x", "l", "m", "trials"),
+                        lambda a, rng: checks.nonintersection(a.x, a.l, a.m,
+                                                              a.trials, rng)),
+    "sp-central": (("config", "trials"),
+                   lambda a, rng: checks.sp_central(_sp_spec(a), a.trials, rng)),
+    "sp-witness": (("config",), lambda a, rng: checks.sp_witness(_sp_spec(a), rng)),
+    "displacement": (("config", *_ORBIT, "t", "points", "n-points", "k"),
+                     lambda a, rng: checks.displacement(
+                         *_orbit_inputs(a), a.t, a.points, a.n_points, a.k,
+                         rng.split(0), rng.split(1))),
+    "oracle": (("n-points", "k"),
+               lambda a, rng: checks.oracle(a.n_points, a.k,
+                                            *(rng.split(k) for k in range(3)))),
 }
 
 
@@ -156,7 +186,8 @@ def _csv_lines(report):
 def cmd_verify(args):
     if args.out:
         _require_writable(args.out)
-    report = _CHECKS[args.check](args, RngStream(args.seed))
+    _, run = _CHECKS[args.check]
+    report = run(args, RngStream(args.seed))
     _emit(_csv_lines(report), args.out)
     return 0 if report.ok else 1
 
@@ -165,49 +196,43 @@ def cmd_verify(args):
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _add_orbit_args(p):
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--x1", type=float, default=0.5)
-    p.add_argument("--x2", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=1.0)
+def _add_flags(parser, names):
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared by every
     later one: parsing reads it and leaves it as it was, and each parse
-    fills a fresh namespace from the defaults."""
+    fills a fresh namespace from the defaults.  Each `verify` check has its
+    own parser with `--seed`, `--out` and the flags it reads, so a flag the
+    check would ignore is a usage error; no parser takes a flag's prefix
+    for the flag."""
     parser = argparse.ArgumentParser(
-        prog="cwspheres",
+        prog="cwspheres", allow_abbrev=False,
         description="Constant-displacement isometry verification on "
                     "homogeneous Randers spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_val = sub.add_parser("validate", help="validate a metric spec JSON")
+    p_val = sub.add_parser("validate", help="validate a metric spec JSON",
+                           allow_abbrev=False)
     p_val.add_argument("--config", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve the metric for orbit parameters")
-    _add_orbit_args(p_solve)
+    p_solve = sub.add_parser("solve", help="solve the metric for orbit parameters",
+                             allow_abbrev=False)
+    _add_flags(p_solve, _ORBIT)
 
-    p_ver = sub.add_parser("verify", help="run a verification pipeline")
-    p_ver.add_argument("check", choices=sorted(_CHECKS))
-    p_ver.add_argument("--config", default=None,
-                       help="metric spec JSON (defaults per check)")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--trials", type=int, default=1000)
-    p_ver.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p_ver.add_argument("--n", type=int, default=4, help="matrix size (eigenlemma)")
-    _add_orbit_args(p_ver)
-    p_ver.add_argument("--x", type=float, default=0.5,
-                       help="central offset (nonintersection)")
-    p_ver.add_argument("--vnorm", type=float, default=0.5,
-                       help="|V| for the endpoint check")
-    p_ver.add_argument("--t", type=float, default=0.3, help="flow time")
-    p_ver.add_argument("--points", type=int, default=50,
-                       help="displacement sample points")
-    p_ver.add_argument("--n-points", dest="n_points", type=int, default=20000)
-    p_ver.add_argument("--k", type=int, default=12)
+    p_ver = sub.add_parser("verify", help="run a verification pipeline",
+                           allow_abbrev=False)
+    by_check = p_ver.add_subparsers(dest="check", required=True)
+    for check, (flags, _) in sorted(_CHECKS.items()):
+        p_check = by_check.add_parser(check, allow_abbrev=False)
+        p_check.add_argument("--seed", type=int, default=0,
+                             help="root seed of every random stream")
+        p_check.add_argument("--out", default=None,
+                             help="CSV output path (default stdout)")
+        _add_flags(p_check, flags)
     return parser
 
 

@@ -20,7 +20,8 @@ from .matrixcore import QuaternionMatrix, qmul
 from .randers import SP_SPHERE, U_SPHERE, RandersSpec, randers_norm_array
 
 CONSTANT_TOL_FACTOR = 1e-8
-# `solve` passes when every identity residual is within this bound.
+# `solve` passes when every identity residual is within this bound times
+# `identity_scale`, the largest coefficient of either side.
 IDENTITY_RESIDUAL_TOL = 1e-10
 
 
@@ -120,17 +121,30 @@ def f_poly(s: RandersSpec, p: OrbitParams):
     return (k2, k1, k0)
 
 
+def _identity_sides(s: RandersSpec, p: OrbitParams):
+    """Coefficients of f(t) (`f_poly`) and of (-c (x2 t + x1) + L)^2."""
+    r2 = s.c ** 2 * p.x2 ** 2
+    r1 = 2.0 * s.c * p.x2 * (s.c * p.x1 - p.L)
+    r0 = (p.L - s.c * p.x1) ** 2
+    return f_poly(s, p), (r2, r1, r0)
+
+
 def constant_length_identity(s: RandersSpec, p: OrbitParams):
     """Coefficient-wise residuals of f(t) = (-c (x2 t + x1) + L)^2.
 
     All three residuals vanish exactly when the generator of `p` has
     constant length L for the metric `s`.
     """
-    k2, k1, k0 = f_poly(s, p)
-    r2 = s.c ** 2 * p.x2 ** 2
-    r1 = 2.0 * s.c * p.x2 * (s.c * p.x1 - p.L)
-    r0 = (p.L - s.c * p.x1) ** 2
-    return (k2 - r2, k1 - r1, k0 - r0)
+    lhs, rhs = _identity_sides(s, p)
+    return tuple(k - r for k, r in zip(lhs, rhs))
+
+
+def identity_scale(s: RandersSpec, p: OrbitParams):
+    """The largest coefficient magnitude of either side of the identity,
+    the scale at which its residuals round: on a solved metric it grows
+    as L^2, so a bound on the residuals is relative to it."""
+    lhs, rhs = _identity_sides(s, p)
+    return max(abs(v) for v in (*lhs, *rhs))
 
 
 def eq_root_pair(s: RandersSpec, L):

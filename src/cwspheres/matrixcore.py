@@ -146,20 +146,14 @@ def _seed_states(entropy):
 
     The hash constants depend only on L, so one run of array operations
     over the (words, G) transpose hashes all G rows: mix_entropy, then
-    generate_state.  Leading words that every row shares (a block's seed
-    and parent key) leave every row the same pool, so they are hashed on
-    the first row alone, and the pool broadcasts over the rows from the
-    first word that differs.
+    generate_state.
     """
     rows, width = entropy.shape
     words = np.zeros((max(width, _POOL), rows), dtype=np.uint32)
     words[:width] = entropy.T
-    alike = np.logical_and.accumulate((words == words[:, :1]).all(axis=1))
-    first = words[:, :1]
     a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(width, _POOL))
     # the first POOL words (zero where the entropy is shorter) fill the pool
-    pool = _hashmix((first if alike[_POOL - 1] else words)[:_POOL], a[:_POOL],
-                    a[1:_POOL + 1])
+    pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
     # every pool word is hashed and mixed into each other pool word
     for src, (xor, mul) in enumerate(_POOL_MIXING):
         mixed = _mix(pool, _hashmix(pool[src], xor, mul))
@@ -168,9 +162,8 @@ def _seed_states(entropy):
     # every further entropy word is hashed and mixed into each pool word
     for src in range(_POOL, width):
         call = _POOL * src
-        pool = _mix(pool, _hashmix((first if alike[src] else words)[src],
-                                   a[call:call + _POOL], a[call + 1:call + _POOL + 1]))
-    pool = np.broadcast_to(pool, (_POOL, rows))
+        pool = _mix(pool, _hashmix(words[src], a[call:call + _POOL],
+                                   a[call + 1:call + _POOL + 1]))
     b = _hash_consts(_INIT_B, _MULT_B, len(_STATE_CYCLE))
     state = _hashmix(pool[_STATE_CYCLE], b[:-1], b[1:])
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)

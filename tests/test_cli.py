@@ -58,6 +58,13 @@ def test_solve_scale_law(capsys):
     np.testing.assert_allclose(s2.a, s2.b + s2.c ** 2, rtol=1e-14)
 
 
+@pytest.mark.parametrize("L", ["1e-6", "1", "1e4", "1e6"])
+@pytest.mark.parametrize("x1,x2", [("0.5", "1"), ("0.3", "0.7")])
+def test_solve_passes_the_exact_metric_at_every_scale(capsys, L, x1, x2):
+    code, out, _ = run(capsys, "solve", "--L", L, "--x1", x1, "--x2", x2)
+    assert code == 0 and out.splitlines()[1].startswith("residuals:")
+
+
 # -------------------------------------------------------------------- validate
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -166,6 +173,43 @@ def test_tolerance_flag_is_rejected(argv):
     assert exc.value.code == 2
 
 
+UNDECLARED = [(check, flag) for check, (flags, _) in sorted(cli._CHECKS.items())
+              for flag in cli._FLAGS if flag not in flags]
+
+
+def test_checks_declare_thirty_three_flags():
+    # seed and out aside, each check takes the flags its run reads
+    assert {check: len(flags) for check, (flags, _) in cli._CHECKS.items()} == {
+        "orbit": 7, "displacement": 10, "nonintersection": 4, "commutator": 3,
+        "eigenlemma": 2, "endpoints": 2, "sp-central": 2, "oracle": 2, "sp-witness": 1}
+
+
+@pytest.mark.parametrize("check", sorted(cli._CHECKS))
+def test_each_check_parses_its_declared_flags(check):
+    flags = cli._CHECKS[check][0]
+    argv = ["verify", check, "--seed=1", "--out=r.csv", *(f"--{f}=1" for f in flags)]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.check, args.seed, args.out) == (check, 1, "r.csv")
+    assert all(str(getattr(args, f.replace("-", "_"))) in ("1", "1.0") for f in flags)
+
+
+@pytest.mark.parametrize("argv", [
+    *(("verify", check, f"--{flag}", "1") for check, flag in UNDECLARED),
+    # a prefix names no flag: not --n-points, nor --trials
+    ("verify", "oracle", "--n", "600"),
+    ("verify", "orbit", "--tri", "100"),
+    ("verify", "displacement", "--n-p=600"),
+], ids=" ".join)
+def test_a_flag_the_check_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    # a flag that would change nothing is refused, not ignored, and no
+    # report is written
+    report = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(report)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err and not report.exists()
+
+
 # ---------------------------------------------------------------------- verify
 
 def test_verify_unknown_check_exits_2(capsys):
@@ -262,6 +306,42 @@ def test_verify_sp_central_and_witness(capsys):
     assert all(line.endswith("true") for line in out.strip().split("\n")[1:])
 
 
+def scaled_sp_config(tmp_path, k, **changes):
+    """The default sp_sphere metric scaled to F -> k F, as a config path."""
+    doc = {**json.loads(spec_to_json(cli._SP_DEFAULT)), **changes}
+    doc.update({key: doc[key] * k * k for key in ("a1", "a2", "b")}, c=doc["c"] * k)
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("k,c", [(1e-3, 0.3), (1.0, 0.3), (1e3, 0.3), (1e6, 0.3),
+                                 (1.0, 1e-8)])
+def test_verify_sp_witness_verdict_does_not_depend_on_scale(tmp_path, capsys, k, c):
+    # the gap is judged at the rounding scale of f1 - f2, max(|f1|, |f2|):
+    # F -> 1000 F rounds the n = 1 gap to 1.4e-12, and c = 1e-8 leaves a
+    # gap of 8e-8 whose rounding is still that of f1 and f2
+    code, out, _ = run(capsys, "verify", "sp-witness", "--seed", "0",
+                       "--config", scaled_sp_config(tmp_path, k, c=c))
+    assert code == 0
+    assert all(line.endswith(",true") for line in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize("k", [1e-3, 1.0, 1e3, 1e6])
+def test_verify_sp_witness_fails_a_gap_off_by_one_part_in_1e9(tmp_path, capsys,
+                                                               monkeypatch, k):
+    real = checks.sp_witness_pair
+
+    def moved_f2(*args):
+        m1, m2, f1, f2, expected = real(*args)
+        return m1, m2, f1, f2 * (1 + 1e-9), expected
+    monkeypatch.setattr(checks, "sp_witness_pair", moved_f2)
+    code, out, _ = run(capsys, "verify", "sp-witness", "--seed", "0",
+                       "--config", scaled_sp_config(tmp_path, k))
+    assert code == 1
+    assert all(line.endswith(",false") for line in out.splitlines()[1:])
+
+
 def test_verify_displacement_tiny_graph(capsys):
     code, out, _ = run(capsys, "verify", "displacement", "--n-points", "1500",
                        "--k", "12", "--points", "6", "--t", "0.3",
@@ -346,8 +426,8 @@ def test_verify_wrong_family_config_is_usage_error(tmp_path, capsys, no_graph,
                                                    check, family):
     cfg = tmp_path / "spec.json"
     cfg.write_text(WRONG_FAMILY_SPECS[family])
-    code, out, err = run(capsys, "verify", check, "--config", str(cfg),
-                         "--trials", "100")
+    trials = ("--trials", "100") if "trials" in cli._CHECKS[check][0] else ()
+    code, out, err = run(capsys, "verify", check, "--config", str(cfg), *trials)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "config" in err
 
@@ -646,7 +726,8 @@ ORBIT_VALUES = {"l": st.integers(-1, 4), "m": st.integers(-1, 4),
 @st.composite
 def cli_runs(draw):
     """(argv, config bytes or None) for `validate`, `solve` and the nine
-    `verify` checks at small sizes."""
+    `verify` checks at small sizes, each check given only the flags it
+    declares in `cli._CHECKS`."""
     command = draw(st.sampled_from(["validate", "solve", *VERIFY_SIZES]))
     if command == "validate":
         return ["validate"], draw(CONFIGS)
@@ -655,11 +736,14 @@ def cli_runs(draw):
         argv = [f"--l={draw(sizes)}", f"--m={draw(sizes)}"]
         argv += [f"--{name}={draw(REALS)!r}" for name in ("x1", "x2", "L")]
         return ["solve", *argv], None
+    flags = cli._CHECKS[command][0]
     argv = [f"--seed={draw(st.integers(-2, 3))}", *draw(VERIFY_SIZES[command])]
     for name, values in ORBIT_VALUES.items():
-        value = draw(st.none() | values)        # None keeps the default
-        if value is not None:
+        value = draw(st.none() | values) if name in flags else None
+        if value is not None:                   # None keeps the default
             argv.append(f"--{name}={value!r}")
+    if "config" not in flags:
+        return ["verify", command, *argv], None
     configs = SMALL_N_CONFIGS if command == "sp-central" else CONFIGS
     return ["verify", command, *argv], draw(st.none() | configs)
 

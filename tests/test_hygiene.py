@@ -51,12 +51,20 @@ through `_row_sum`, which adds left to right: a numpy reduction, a dot
 product or a matrix product would add in its own order and move a weight
 by an ulp.  The sp pairing there works on real coordinate columns and
 builds no complex value.
+The `verify` flag table tells the truth: each check's run, given parsed
+arguments that log what is read from them and a stub for every check
+function, reads exactly the flags `cli._CHECKS` declares for it, so a
+declared flag that changes nothing and a read of an undeclared one (which
+would fail, as its parser lacks it) both fail here.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from cwspheres import cli
+from cwspheres.matrixcore import RngStream
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cwspheres"
@@ -705,3 +713,44 @@ def test_kernel_sum_scan_flags_planted_sums():
         ("_tangent_parts", 6, "np.conj"),
         ("_tangent_parts", 6, "np.conj(z).imag"),
         ("build_graph", 0, "missing")]
+
+
+class _StubChecks:
+    """Stands in for `cli.checks`: every check function returns None."""
+
+    def __getattr__(self, name):
+        return lambda *args: None
+
+
+def flag_table_mismatches(table, monkeypatch):
+    """(check, declared flags never read, flags read but not declared) for
+    each entry of a `cli._CHECKS`-shaped table whose run, on every flag's
+    default with the check functions stubbed, reads other flags than it
+    declares; a flag `--n-points` is read as `n_points`."""
+    defaults = {name.replace("-", "_"): spec["default"] for name, spec in cli._FLAGS.items()}
+    monkeypatch.setattr(cli, "checks", _StubChecks())
+    out = []
+    for check, (flags, run) in sorted(table.items()):
+        reads = set()
+
+        class Args:
+            def __getattr__(self, name):
+                reads.add(name)
+                return defaults.get(name)
+        run(Args(), RngStream(0))
+        declared = {flag.replace("-", "_") for flag in flags}
+        if reads != declared:
+            out.append((check, sorted(declared - reads), sorted(reads - declared)))
+    return out
+
+
+def test_every_check_reads_exactly_its_declared_flags(monkeypatch):
+    assert flag_table_mismatches(cli._CHECKS, monkeypatch) == []
+
+
+def test_flag_table_scan_flags_unread_and_undeclared_flags(monkeypatch):
+    table = {"unread": (("trials", "n-points"), lambda a, rng: a.trials),
+             "undeclared": (("k",), lambda a, rng: (a.k, a.n_points, a.t)),
+             "exact": (("config", "n-points"), lambda a, rng: (a.config, a.n_points))}
+    assert flag_table_mismatches(table, monkeypatch) == [
+        ("undeclared", [], ["n_points", "t"]), ("unread", ["n_points"], [])]

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from cwspheres import checks
 from cwspheres.errors import (InfeasibleParams, InvalidInput, InvalidSpec,
                               NotApplicable, NotKvfAdmissible)
-from cwspheres.killing import (OrbitParams,
+from cwspheres.killing import (IDENTITY_RESIDUAL_TOL, OrbitParams,
                                central_kvf_phases, constant_length_identity,
-                               eq_root_pair, f_poly, orbit_generator,
+                               eq_root_pair, f_poly, identity_scale, orbit_generator,
                                orbit_length_report, solve_metric,
                                sp_witness_pair)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream
@@ -125,6 +126,26 @@ def test_identity_roundtrip_random_params():
         p = random_feasible_params(rng.split(k))
         residuals = constant_length_identity(solve_metric(p), p)
         assert max(abs(r) for r in residuals) <= 1e-10 * max(1.0, p.L ** 2)
+
+
+def identity_holds(spec, p):
+    """`solve`'s verdict: the residuals within the tolerance relative to
+    the largest coefficient of either side."""
+    worst = max(abs(r) for r in constant_length_identity(spec, p))
+    return worst <= IDENTITY_RESIDUAL_TOL * identity_scale(spec, p)
+
+
+@pytest.mark.parametrize("L", [1e-6, 1.0, 1e4, 1e6])
+@pytest.mark.parametrize("x1,x2", [(0.5, 1.0), (0.3, 0.7)])
+def test_scaled_identity_check_holds_at_every_scale(L, x1, x2):
+    # an absolute bound fails the exact metric at L = 1e4 and passes
+    # anything at L = 1e-6; relative to the coefficients it does neither
+    p, unit = OrbitParams(1, 1, x1, x2, L), OrbitParams(1, 1, x1, x2, 1.0)
+    spec = solve_metric(p)
+    assert identity_holds(spec, p)
+    assert identity_scale(spec, p) == pytest.approx(
+        identity_scale(solve_metric(unit), unit) * L * L, rel=1e-12)
+    assert not identity_holds(replace(spec, b=spec.b * (1 + 1e-6)), p)
 
 
 # ------------------------------------------------------------------ the roots
