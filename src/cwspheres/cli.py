@@ -196,6 +196,19 @@ def cmd_verify(args):
 # argument parsing
 # --------------------------------------------------------------------------
 
+class _CheckParser(argparse.ArgumentParser):
+    """The parser of one `verify` check.  It refuses an argument it does not
+    declare with its own usage line, where argparse would hand it back to
+    the top-level parser, whose usage names neither the check nor its
+    flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_flags(parser, names):
     for name in names:
         parser.add_argument(f"--{name}", **_FLAGS[name])
@@ -225,7 +238,7 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run a verification pipeline",
                            allow_abbrev=False)
-    by_check = p_ver.add_subparsers(dest="check", required=True)
+    by_check = p_ver.add_subparsers(dest="check", required=True, parser_class=_CheckParser)
     for check, (flags, _) in sorted(_CHECKS.items()):
         p_check = by_check.add_parser(check, allow_abbrev=False)
         p_check.add_argument("--seed", type=int, default=0,

@@ -178,22 +178,20 @@ def _on_branch_cut(phases):
     return np.any(np.abs(phases) >= math.pi - BRANCH_CUT_TOL, axis=-1)
 
 
-def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundStack:
+def phase_bound_check(p, q) -> PhaseBoundStack:
     """Check, for each pair of the (T, n, n) stacks P and Q, that each phase
     of PQ, sorted and lifted to the reals, lies in [a_i + min(b), a_i +
     max(b)] where a, b are the sorted phases of P, Q.
 
     Interval i is widened by PHASE_EPS.  A phase of PQ fits it when some
     lift by 0 or +-2pi lies inside, matching the continuity of the phase
-    paths of P exp(tB); with raw_branch=True only the principal branch
-    (lift 0) is used, which is expected to produce counterexamples.
-    Every lift that can land in an interval is among these, so fitting is
-    membership in an arc of the circle.  The arcs share one width and
-    start in the order of a, so a perfect matching of arcs to the sorted
-    phases of PQ exists exactly when some cyclic rotation r matches phase
-    (i + r) mod n to arc i for every i; the first such r gives the lifts.
-    A pair with a P or Q phase on the branch cut is undefined: `defined`
-    and `verdict` are False.
+    paths of P exp(tB).  Every lift that can land in an interval is among
+    these, so fitting is membership in an arc of the circle.  The arcs
+    share one width and start in the order of a, so a perfect matching of
+    arcs to the sorted phases of PQ exists exactly when some cyclic
+    rotation r matches phase (i + r) mod n to arc i for every i; the
+    first such r gives the lifts.  A pair with a P or Q phase on the
+    branch cut is undefined: `defined` and `verdict` are False.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -204,7 +202,7 @@ def phase_bound_check(p, q, raw_branch=False) -> PhaseBoundStack:
     lo = a + b.min(axis=-1, keepdims=True) - PHASE_EPS
     hi = a + b.max(axis=-1, keepdims=True) + PHASE_EPS
     theta = unitary_phases(p @ q)
-    shifts = np.array((0.0,) if raw_branch else (0.0, TWO_PI, -TWO_PI))
+    shifts = np.array((0.0, TWO_PI, -TWO_PI))
     # lifts[s, t, :, j] = theta[t, j] + shifts[s], against interval i on axis 2
     lifts = theta[None, :, None, :] + shifts[:, None, None, None]
     fits = (lo[None, :, :, None] <= lifts) & (lifts <= hi[None, :, :, None])

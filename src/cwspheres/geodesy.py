@@ -39,17 +39,17 @@ the margin is far above the rounding of the costs and of arccos near 0
 
 Queries come in batches: `distances` and `distances_to_coords` take many
 queries at once (`verify oracle` sends three batches, `verify
-displacement` one per point).  One arc-cost call prices every query's
-search bound, one prices every query's D, and one KD-tree query with one
-edge-cost call snaps and prices every off-sample target.  Each query
-keeps its own bounded raw Dijkstra, since each has its own bound: the
-cheaper of a multiple of the great-circle cost and the total of a greedy
-walk through the graph to the target (`_walk_limits`), a real path the
-search must beat.  No bound calls a scipy kernel.  The corridors are then
-refined a group at a time: a group holds corridors of at most
-`GROUP_PAIRS` = 2^15 point pairs n(n - 1)/2 in all, and becomes one
-block-diagonal matrix priced by one arc-cost call and answered by one
-multi-source Dijkstra.
+displacement` one per point).  One arc-cost call prices every query's D,
+and one KD-tree query with one edge-cost call snaps and prices every
+off-sample target.  Each query keeps its own raw Dijkstra, run once and
+bounded by the total of a greedy walk through the graph to its target
+(`_walk_limits`), a real path the search must beat; where the walk
+stalls (41 of 1452 README-size `verify oracle` and `verify displacement`
+queries on CLI seeds 0 to 11) the search runs unbounded.  No bound calls
+a scipy kernel.  The corridors are then refined a group at a time: a
+group holds corridors of at most `GROUP_PAIRS` = 2^15 point pairs
+n(n - 1)/2 in all, and becomes one block-diagonal matrix priced by one
+arc-cost call and answered by one multi-source Dijkstra.
 The budget bounds the memory of a group, whatever the batch size.  No
 answer moves by a bit.  Every cost kernel works element by element,
 so a cost does not depend on which batch it is computed in.  The blocks
@@ -128,10 +128,8 @@ class SphereGraph:
     points: np.ndarray          # (N, d) real coordinates, unit rows
     matrix: csr_matrix
     k: int
-    median_edge: float          # median edge cost
     tree: cKDTree               # KD-tree over `points`
-    median_chord: float         # median Euclidean length of the tangent-projected
-                                # chords (equals median_edge on the round metric)
+    median_chord: float         # median Euclidean length of the tangent-projected chords
 
     @property
     def n_points(self):
@@ -261,7 +259,6 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
     finally:
         pool.shutdown(cancel_futures=True)
     median_chord = float(np.median(chords, overwrite_input=True))
-    del chords                  # np.median(costs) copies: one O(E) temporary at a time
     mat = csr_matrix((costs, indices, np.arange(0, n_edges + 1, k, dtype=np.int32)),
                      shape=(n_points, n_points))
     n_comp, _ = connected_components(mat, directed=True, connection="strong")
@@ -269,8 +266,7 @@ def build_graph(spec: RandersSpec, n_points, k, rng) -> SphereGraph:
         raise ResolutionTooCoarse(
             f"graph is not strongly connected ({n_comp} components); "
             "increase the point count or the degree")
-    return SphereGraph(spec=spec, points=pts, matrix=mat, k=k,
-                       median_edge=float(np.median(costs)), tree=tree,
+    return SphereGraph(spec=spec, points=pts, matrix=mat, k=k, tree=tree,
                        median_chord=median_chord)
 
 
@@ -333,28 +329,9 @@ def _walk_predecessors(pred, source, target):
 
 CHUNK_ARC = 0.5
 CORRIDOR_TUBE_FACTOR = 2.5
-# The raw Dijkstra stops at this multiple of the great-circle cost to the
-# target plus this many median edges; a miss reruns it unbounded.  Over
-# 1584 queries of `verify oracle` and `verify displacement` (L = 1 and 2)
-# on 12 graphs, no raw distance exceeded 1.25 arc costs plus 1.8 edges.
-RAW_LIMIT_FACTOR = 1.25
-RAW_LIMIT_EDGES = 3.0
 # Corridors are refined in groups whose corridors hold at most this many
 # point pairs n(n - 1)/2 in all; a larger corridor makes a group of its own.
 GROUP_PAIRS = 2 ** 15
-
-
-def _raw_limits(graph: SphereGraph, sources, coords):
-    """First search bound of the raw Dijkstra from each source towards its
-    target point `coords` row: a multiple of the great-circle cost plus a
-    few median edges, which `_raw_paths` lowers to a greedy walk's total
-    where one reaches the target.  An antipodal pair has no unique great
-    circle and `_arc_costs` prices it 0, so its search runs unbounded."""
-    starts = graph.points[sources]
-    arcs = _arc_costs(graph.spec, starts, coords)[0]
-    limits = RAW_LIMIT_FACTOR * arcs + RAW_LIMIT_EDGES * graph.median_edge
-    limits[(arcs == 0.0) & (np.sum(starts * coords, axis=1) < 0.0)] = math.inf
-    return limits
 
 
 def _walk_limits(graph: SphereGraph, sources, coords, cand, leg_costs):
@@ -398,27 +375,19 @@ def _raw_paths(graph: SphereGraph, sources, coords, cand, leg_costs):
     `cand[q]` over legs costing `leg_costs[q]`; the path ends at the vertex
     the best total comes from.
 
-    A search stops at its `_raw_limits` bound, lowered where it is finite to
-    the total of a real path, the greedy walk of `_walk_limits`; below the
-    bound the search's distances are exact.  A vertex beyond the bound
-    totals more than the bound, so it cannot beat a total within it: if
-    the best total found is within the bound the answer is settled,
-    otherwise the search reruns unbounded.  A walk that reaches a candidate
-    bounds that candidate's total from above, so its query never reruns.
+    Each search stops at the total of a real path, the greedy walk of
+    `_walk_limits`, and runs unbounded where the walk stalls.  Below its
+    bound a search's distances are exact, and the walk's candidate totals
+    at most the bound; a vertex beyond the bound totals more than the
+    bound, so it cannot beat that candidate.  Every query therefore runs
+    exactly one search and gets the unbounded search's answer.
     """
-    limits = _raw_limits(graph, sources, coords)
-    finite = np.isfinite(limits)
-    limits[finite] = np.minimum(limits[finite], _walk_limits(
-        graph, sources[finite], coords[finite], cand[finite], leg_costs[finite]))
+    limits = _walk_limits(graph, sources, coords, cand, leg_costs)
     raw, paths = np.empty(len(sources)), []
     for q, (source, limit) in enumerate(zip(sources, limits)):
         dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
                               return_predecessors=True, limit=limit)
         totals = dist[cand[q]] + leg_costs[q]
-        if np.min(totals) > limit:
-            dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                                  return_predecessors=True)
-            totals = dist[cand[q]] + leg_costs[q]
         if not np.any(np.isfinite(totals)):
             raise ResolutionTooCoarse("target unreachable at this resolution")
         best = np.argmin(totals)

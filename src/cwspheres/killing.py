@@ -147,24 +147,12 @@ def identity_scale(s: RandersSpec, p: OrbitParams):
     return max(abs(v) for v in (*lhs, *rhs))
 
 
-def eq_root_pair(s: RandersSpec, L):
-    """The two solutions of sqrt(a)|x| + c x = L, as (positive, negative).
-
-    Since |c| < sqrt(a) both branch denominators are positive.
-    """
-    if s.family == SP_SPHERE:
-        raise InvalidInput("eq_root_pair expects a u_sphere spec")
-    L = float(L)
-    sq = math.sqrt(s.a)
-    return (L / (sq + s.c), -L / (sq - s.c))
-
-
 def central_kvf_phases(s: RandersSpec, L):
     """The two eigenvalue phases of generators commuting with the central
     circle action: -Lc/b +- sqrt(L^2/b + L^2 c^2 / b^2).
 
     Requires the admissibility relation a = b + c^2 (round off-center
-    indicatrix); then the pair coincides with eq_root_pair.
+    indicatrix); then the pair is the two solutions of sqrt(a)|x| + c x = L.
     """
     if s.family != U_SPHERE:
         raise InvalidInput("central_kvf_phases expects a u_sphere spec")

@@ -18,11 +18,12 @@ from cwspheres.flows import (apply_flow, block_angle_unitary,
                              commutator_eig1_persistence,
                              geodesic_nonintersection_probe, u_flow)
 from cwspheres.killing import (OrbitParams, central_kvf_phases,
-                               constant_length_identity, eq_root_pair,
+                               constant_length_identity,
                                orbit_generator, orbit_length_report,
                                solve_metric, sp_witness_pair)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream, StreamBlock
 from cwspheres.randers import RandersSpec
+from root_reference import eq_root_pair
 
 
 def _report(num, ok, detail):

@@ -331,22 +331,18 @@ def haar_pairs(n, count, seed):
     return u[0], u[1]
 
 
-def stack_verdicts(p, q, raw_branch=False):
-    res = phase_bound_check(p, q, raw_branch)
+def stack_verdicts(p, q):
+    res = phase_bound_check(p, q)
     return [bool(v) if ok else "undefined" for ok, v in zip(res.defined, res.verdict)]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cyclic_window_agrees_with_matching_on_haar_pairs(n):
     p, q = haar_pairs(n, 10 ** 4, 500 + n)
-    for raw_branch in (False, True):
-        got = stack_verdicts(p, q, raw_branch)
-        want = ref_phase_bound_verdicts(p, q, raw_branch)
-        assert got == want
-    # the lifted check never fails on a Haar pair; the raw branch does, so
-    # both verdicts are exercised
-    assert all(v is True for v in stack_verdicts(p, q))
-    assert want.count(False) > 0
+    got = stack_verdicts(p, q)
+    assert got == ref_phase_bound_verdicts(p, q)
+    # the lifted check never fails on a Haar pair
+    assert all(v is True for v in got)
 
 
 def _diag(phases):
@@ -383,12 +379,11 @@ def near_edge_pairs():
     return pairs
 
 
-@pytest.mark.parametrize("raw_branch", [False, True])
-def test_cyclic_window_agrees_with_matching_near_edges(raw_branch):
+def test_cyclic_window_agrees_with_matching_near_edges():
+    verdicts = []
     for p, q in near_edge_pairs():
-        (want,) = ref_phase_bound_verdicts(p[None], q[None], raw_branch)
-        (got,) = stack_verdicts(p[None], q[None], raw_branch)
+        (want,) = ref_phase_bound_verdicts(p[None], q[None])
+        (got,) = stack_verdicts(p[None], q[None])
         assert got == want, (p, q)
-    verdicts = [ref_phase_bound_verdicts(p[None], q[None], raw_branch)[0]
-                for p, q in near_edge_pairs()]
-    assert (False in verdicts) == raw_branch
+        verdicts.append(want)
+    assert False not in verdicts

@@ -202,12 +202,17 @@ def test_each_check_parses_its_declared_flags(check):
 ], ids=" ".join)
 def test_a_flag_the_check_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
     # a flag that would change nothing is refused, not ignored, and no
-    # report is written
+    # report is written; the check's own parser refuses it, so the message
+    # names the check and the flags it does take
     report = tmp_path / "report.csv"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(report)])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err and not report.exists()
+    assert exc.value.code == 2 and not report.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: cwspheres verify {argv[1]} ")
+    assert all(f"--{flag} " in err for flag in cli._CHECKS[argv[1]][0])
+    assert err.splitlines()[-1] == (f"cwspheres verify {argv[1]}: error: "
+                                    f"unrecognized arguments: {' '.join(argv[2:])}")
 
 
 # ---------------------------------------------------------------------- verify

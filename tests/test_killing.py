@@ -10,12 +10,13 @@ from cwspheres.errors import (InfeasibleParams, InvalidInput, InvalidSpec,
                               NotApplicable, NotKvfAdmissible)
 from cwspheres.killing import (IDENTITY_RESIDUAL_TOL, OrbitParams,
                                central_kvf_phases, constant_length_identity,
-                               eq_root_pair, f_poly, identity_scale, orbit_generator,
+                               f_poly, identity_scale, orbit_generator,
                                orbit_length_report, solve_metric,
                                sp_witness_pair)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream
 from cwspheres.randers import RandersSpec, round_spec
 from haar_reference import witness_by_conjugation
+from root_reference import eq_root_pair
 
 P_REF = OrbitParams(1, 1, 0.5, 1.0, 1.0)
 
