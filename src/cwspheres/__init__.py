@@ -21,18 +21,20 @@ cosets
     imaginary-axis alignment of the symplectic witness.
 killing
     Closed-form metric solver and constant-length identities, orbit
-    length reports, witness constructions.
+    length samples, witness constructions.
 flows
     Isometry flows (unitary ones on S^(2n+1)), endpoint focusing on S^3
     in C^2, spectral phase-interval and commutator checkers on stacks
     of matrices, geodesic non-intersection probe.
 geodesy
     Sampled sphere graphs and the shortest-path distance oracle (refined
-    and raw distances); the one module that imports scipy.
+    and raw distances), displacement profiles; the one module that
+    imports scipy.
 checks
-    The nine `verify` checks, each returning a typed report; only
-    `displacement` and `oracle` import geodesy, when they are called, so
-    the other seven never load scipy.
+    The nine `verify` checks, each returning a typed report, and the one
+    owner of every pass/fail threshold: the modules above measure, checks
+    judge.  Only `displacement` and `oracle` import geodesy, when they are
+    called, so the other seven never load scipy.
 cli
     Command-line front end that formats the reports.
 """

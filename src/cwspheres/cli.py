@@ -25,8 +25,7 @@ from .errors import CwError, InfeasibleParams, InvalidInput, InvalidSpec
 # `cli.phase_bound_check` stays importable: perfbench/test_perfbench.py
 # checks that the tracer rebinds this alias of the flows function.
 from .flows import phase_bound_check  # noqa: F401
-from .killing import (IDENTITY_RESIDUAL_TOL, OrbitParams, constant_length_identity,
-                      identity_scale, solve_metric)
+from .killing import OrbitParams, constant_length_identity, identity_scale, solve_metric
 from .matrixcore import RngStream
 from .randers import SP_SPHERE, RandersSpec, spec_from_json, spec_to_json
 
@@ -104,7 +103,7 @@ def cmd_solve(args):
     residuals = constant_length_identity(spec, params)
     print(spec_to_json(spec))
     print("residuals: " + " ".join(f"{r:.17g}" for r in residuals))
-    bound = IDENTITY_RESIDUAL_TOL * identity_scale(spec, params)
+    bound = checks.IDENTITY_RESIDUAL_TOL * identity_scale(spec, params)
     return 0 if max(abs(r) for r in residuals) <= bound else 1
 
 

@@ -30,9 +30,7 @@ ENDPOINT_BASE_POINTS = 3
 PHASE_EPS = 1e-9                # slack of each phase interval
 EIG1_TOL = 1e-9                 # |lambda - 1| that counts as eigenvalue 1
 EIG1_RECOMPUTE_SLACK = 1e-12    # distances this near a minimum are eigensolved
-SHARED_VECTOR_TOL = 1e-8        # residual of a shared eigenvector
 MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
-NONINTERSECTION_MIN_DIST = 1e-9
 BRANCH_CUT_TOL = 1e-12          # a phase this close to +-pi is on the cut
 # t-grid of the commutator check: 32 uniform points strictly inside (0, pi),
 # symmetric about pi/2 (point G-1-k is pi - point k), so its first half
@@ -230,8 +228,7 @@ class CommutatorEig1Result:
 
     has_eig1: np.ndarray            # (T, G) bool, per grid point
     spectral_dists: np.ndarray      # (T, G) min |lambda - 1| per grid point
-    shared_eigenvector: np.ndarray  # (T,) bool
-    worst_residual: np.ndarray      # (T,)
+    worst_residual: np.ndarray      # (T,) best shared eigenvector's, inf if none
 
 
 def _twist_diag(l, m, t):
@@ -276,8 +273,8 @@ def _near_minimum(dists, axis=None):
 
 def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     """Presence of eigenvalue 1 for exp(tX) U exp(-tX) U* across T_GRID,
-    X = i diag(-I_l, I_m), plus a shared-eigenvector check, for each
-    matrix of a (T, n, n) stack.
+    X = i diag(-I_l, I_m), plus the residual of the best shared eigenvector,
+    for each matrix of a (T, n, n) stack.
 
     The expected behaviour is all-or-nothing: eigenvalue 1 occurs for some
     interior t exactly when an off-diagonal block of U is singular, and
@@ -292,9 +289,10 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     where eigenvalue 1 does not persist at every t, the entries within
     EIG1_RECOMPUTE_SLACK of the row's least distance hold the eigvals
     distance of the commutator instead, so the row's minimum is the
-    eigvals minimum to the bit.  Where eigenvalue 1 persists, the shared
-    eigenvectors are taken from an eigensolve at the first t, and their
-    residuals at every t are computed as one stack.
+    eigvals minimum to the bit.  Where eigenvalue 1 persists, the candidate
+    shared eigenvectors are taken from an eigensolve at the first t, their
+    residuals at every t are computed as one stack, and `worst_residual`
+    is the least candidate's largest residual over the grid.
     """
     us = as_unitary(u)
     if us.ndim != 3 or us.shape[-1] != l + m or l < 1 or m < 1:
@@ -319,9 +317,7 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
         r -= v[:, None, :]
         res = _row_norms(r.reshape(-1, l + m)).reshape(r.shape[:2]).max(axis=-1)
         np.minimum.at(worst, persists[pk], res)
-    shared = has.all(axis=-1) & (worst <= SHARED_VECTOR_TOL)
-    return CommutatorEig1Result(has_eig1=has, spectral_dists=dists,
-                                shared_eigenvector=shared, worst_residual=worst)
+    return CommutatorEig1Result(has_eig1=has, spectral_dists=dists, worst_residual=worst)
 
 
 def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
@@ -367,12 +363,6 @@ def block_angle_unitary(l, m, angles, rngs) -> np.ndarray:
 # geodesic non-intersection probe
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonIntersectionResult:
-    verdict: bool
-    min_spectral_distance: float
-
-
 def _separated_times(gens):
     """(T,) arrays of times t1 > t2 in (0, pi) at least MIN_T_SEP apart, a
     pair from each Generator of `gens`: the pairs are sorted as one stack,
@@ -387,12 +377,12 @@ def _separated_times(gens):
     return times[:, 0], times[:, 1]
 
 
-def geodesic_nonintersection_probe(x, l, m, trials, rng):
+def geodesic_nonintersection_probe(x, l, m, trials, rng) -> float:
     """For random conjugates X1, X2 of X = i(x I + diag(-I_l, I_m)) and
-    random times t1 > t2 in (0, pi), check that exp(t1 X1) exp(-t2 X2)
-    never has eigenvalue 1.  Trial k draws X1's and X2's conjugators from
-    `rng.split(k).split(0)` and `.split(1)`, its times from `rng.split(k)`;
-    trials are stacked a block at a time.
+    random times t1 > t2 in (0, pi), the least distance min|lambda - 1|
+    of an eigenvalue of exp(t1 X1) exp(-t2 X2) from 1.  Trial k draws X1's
+    and X2's conjugators from `rng.split(k).split(0)` and `.split(1)`, its
+    times from `rng.split(k)`; trials are stacked a block at a time.
 
     Distinct flow curves of the orbit's generators could only intersect at
     interior times if such a product had a fixed vector; the phase windows
@@ -417,5 +407,4 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng):
         # distances are eigensolved, which keeps the least eigvals distance
         near = np.flatnonzero(_near_minimum(_eig1_distances(e1.copy(), conj_t(e2))))
         worst = min(worst, float(_eigvals_distances(e1[near] @ e2[near]).min()))
-    return NonIntersectionResult(verdict=bool(worst >= NONINTERSECTION_MIN_DIST),
-                                 min_spectral_distance=worst)
+    return worst

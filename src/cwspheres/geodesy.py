@@ -98,7 +98,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -657,39 +657,23 @@ def distances_to_coords(graph: SphereGraph, sources, coords) -> DistanceReport:
 # displacement profiles
 # --------------------------------------------------------------------------
 
-DISPLACEMENT_REL_TOL = 0.07
-
-
-@dataclass(frozen=True)
-class DisplacementProfile:
-    min: float
-    max: float
-    mean: float
-    displacements: np.ndarray
-    snap_max: float             # largest chord distance target-to-vertex
-    rel_spread: float           # (max - min) / mean
-    verdict: str                # "constant" | "non-constant"
-    tolerance: float
-
-
 def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
-                         sample_points, rng, batch=None) -> DisplacementProfile:
-    """Graph estimate of d(x, flow(x)) over randomly sampled vertices.
+                         sample_points, rng, batch=None) -> DistanceReport:
+    """Graph estimates of d(x, flow(x)) at `sample_points` distinct random
+    vertices x, one row per vertex.
 
     The flowed point joins the graph as a virtual vertex near its nearest
     sampled neighbours, which folds the snap error into an ordinary
-    discretization error; the raw snap distance is still reported as
-    `snap_max`.  The constancy verdict compares the relative spread
-    (max - min)/mean against `DISPLACEMENT_REL_TOL`, which is dominated by
-    the discretization scale.  A spread needs 2 to `graph.n_points` points.
-    The points are flowed and queried in batches of `batch` (all at once by
-    default); every batch size gives the same bits.
+    discretization error; the raw snap distance is still reported.  The
+    count must lie in 1..`graph.n_points`.  The points are flowed and
+    queried in batches of `batch` (all at once by default); every batch
+    size gives the same bits.
     """
     if graph.spec.family != U_SPHERE:
         raise InvalidInput("displacement profiles take a u_sphere graph")
     count = int(sample_points)
-    if not 2 <= count <= graph.n_points:
-        raise InvalidInput(f"need 2 to {graph.n_points} sample points, not {count}")
+    if not 1 <= count <= graph.n_points:
+        raise InvalidInput(f"need 1 to {graph.n_points} sample points, not {count}")
     size = count if batch is None else int(batch)
     if size < 1:
         raise InvalidInput(f"need a batch of at least one point, not {size}")
@@ -702,12 +686,5 @@ def displacement_profile(graph: SphereGraph, flow: FlowIsometry,
         moved = apply_flow(flow, points[:, :half] + 1j * points[:, half:])
         reps.append(distances_to_coords(graph, block,
                                         np.concatenate([moved.real, moved.imag], axis=1)))
-    disp = np.concatenate([rep.distance for rep in reps])
-    snap = np.concatenate([rep.snap for rep in reps])
-    mean = float(disp.mean())
-    rel = float(disp.max() - disp.min()) / mean if mean > 0 else math.inf
-    return DisplacementProfile(
-        min=float(disp.min()), max=float(disp.max()), mean=mean,
-        displacements=disp, snap_max=float(snap.max()), rel_spread=rel,
-        verdict="constant" if rel <= DISPLACEMENT_REL_TOL else "non-constant",
-        tolerance=DISPLACEMENT_REL_TOL)
+    return DistanceReport(*(np.concatenate([getattr(rep, field.name) for rep in reps])
+                            for field in fields(DistanceReport)))

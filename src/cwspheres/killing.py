@@ -19,11 +19,6 @@ from .errors import InfeasibleParams, InvalidInput, NotApplicable, NotKvfAdmissi
 from .matrixcore import QuaternionMatrix, qmul
 from .randers import SP_SPHERE, U_SPHERE, RandersSpec, randers_norm_array
 
-CONSTANT_TOL_FACTOR = 1e-8
-# `solve` passes when every identity residual is within this bound times
-# `identity_scale`, the largest coefficient of either side.
-IDENTITY_RESIDUAL_TOL = 1e-10
-
 
 # --------------------------------------------------------------------------
 # two-eigenvalue orbit parameters
@@ -70,11 +65,6 @@ class OrbitParams:
     def radius(self):
         """Radius of the projected orbit sphere in <.,.>_eq."""
         return 0.5 * (self.l + self.m) * abs(self.x2)
-
-    @property
-    def phases(self):
-        """The two eigenvalue phases (low-block, high-block)."""
-        return (self.x1 - self.m * self.x2, self.x1 + self.l * self.x2)
 
 
 def orbit_generator(p: OrbitParams) -> AlgebraElement:
@@ -165,50 +155,18 @@ def central_kvf_phases(s: RandersSpec, L):
 
 
 # --------------------------------------------------------------------------
-# Monte-Carlo orbit certification
+# Monte-Carlo orbit sampling
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantLengthReport:
-    """Statistics of metric values over sampled orbit projections."""
-
-    min: float
-    max: float
-    mean: float
-    stddev: float
-    verdict: str            # "constant" | "non-constant"
-    tolerance: float
-
-    @property
-    def spread(self):
-        return self.max - self.min
-
-
-def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, L=None,
-                        trials=1000) -> ConstantLengthReport:
-    """Sample adjoint-orbit projections of `e`, one uniform sphere point
-    per trial (`orbit_projection_sample`), and report the spread of their
-    metric values: F of the Killing field is constant on the sphere exactly
-    when it is constant on the orbit.
-
-    Verdict is "constant" iff max - min <= CONSTANT_TOL_FACTOR * L, with L
-    defaulting to the sample mean when not prescribed.  All samples go
-    through one norm evaluation.
+def orbit_length_report(s: RandersSpec, e: AlgebraElement, rng, trials) -> np.ndarray:
+    """Metric values of `e`'s Killing field at `trials` adjoint-orbit
+    projections, one uniform sphere point per trial
+    (`orbit_projection_sample`), through one norm evaluation: F of the
+    Killing field is constant on the sphere exactly when it is constant on
+    the orbit.
     """
-    trials = int(trials)
-    if trials < 100:
-        raise InvalidInput("at least 100 trials are required for a verdict")
     m0, usq = orbit_projection_sample(s, e, trials, rng)
-    values = randers_norm_array(s, m0, usq)
-    mean = float(values.mean())
-    scale = float(L) if L is not None else abs(mean)
-    tolerance = CONSTANT_TOL_FACTOR * scale
-    spread = float(values.max() - values.min())
-    return ConstantLengthReport(
-        min=float(values.min()), max=float(values.max()), mean=mean,
-        stddev=float(values.std()),
-        verdict="constant" if spread <= tolerance else "non-constant",
-        tolerance=tolerance)
+    return randers_norm_array(s, m0, usq)
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Covers the group-theoretic kernels used everywhere else: skew-Hermitian
 matrix exponentials through eigendecomposition (so results are exactly
 unitary), eigenvalue phase extraction on the principal branch, Haar
 sampling on U(n) and complex Ginibre draws.  Quaternion matrices are
-stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j; `to_complex`,
-their 2n x 2n complex embedding, is an independent oracle for products.
+stored as complex pairs (Q1, Q2) meaning Q = Q1 + Q2*j.
 
 The Monte-Carlo kernels work on stacks: the phases take a leading trial
 axis, and the samplers take a `StreamBlock` and return the stack of one
@@ -456,16 +455,6 @@ class QuaternionMatrix:
     def conj_t(self):
         """Quaternionic conjugate transpose: (Q1 + Q2 j)* = Q1* - Q2^T j."""
         return QuaternionMatrix(conj_t(self.q1), -np.swapaxes(self.q2, -1, -2))
-
-    def to_complex(self):
-        """2n x 2n complex embedding [[Q1, Q2], [-conj(Q2), conj(Q1)]].
-
-        Kept as an independent oracle: quaternion products map to ordinary
-        complex products under this embedding.
-        """
-        top = np.hstack([self.q1, self.q2])
-        bot = np.hstack([-np.conj(self.q2), np.conj(self.q1)])
-        return np.vstack([top, bot])
 
     def max_abs(self):
         return max(np.max(np.abs(self.q1)), np.max(np.abs(self.q2)))

@@ -8,6 +8,8 @@ the read-off `project_to_m` of a conjugate's last column, and the
 symplectic witness built from explicit conjugators.  The tests use them as
 the slow references that `project_at`, the orbit sampler and
 `killing.sp_witness_pair` are cross-checked against on the same inputs.
+`to_complex`, the 2n x 2n complex embedding of a quaternion matrix, is the
+independent oracle for `QuaternionMatrix` products.
 """
 
 import numpy as np
@@ -42,6 +44,15 @@ def haar_symplectic(n, rngs):
     m[:, :n, 1::2], m[:, n:, 1::2] = g2, np.conj(g1)
     q = _haar_qr(m)
     return QuaternionMatrix(q[:, :n, 0::2], q[:, :n, 1::2])
+
+
+def to_complex(q):
+    """2n x 2n complex embedding [[Q1, Q2], [-conj(Q2), conj(Q1)]] of the
+    QuaternionMatrix `q`: quaternion products map to ordinary complex
+    products under it."""
+    top = np.hstack([q.q1, q.q2])
+    bot = np.hstack([-np.conj(q.q2), np.conj(q.q1)])
+    return np.vstack([top, bot])
 
 
 def conjugate(g, x):

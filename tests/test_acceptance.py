@@ -15,12 +15,10 @@ from scipy.spatial.distance import pdist
 from cwspheres import checks
 from cwspheres.errors import NotKvfAdmissible
 from cwspheres.flows import (apply_flow, block_angle_unitary,
-                             commutator_eig1_persistence,
-                             geodesic_nonintersection_probe, u_flow)
+                             commutator_eig1_persistence, u_flow)
 from cwspheres.killing import (OrbitParams, central_kvf_phases,
-                               constant_length_identity,
-                               orbit_generator, orbit_length_report,
-                               solve_metric, sp_witness_pair)
+                               constant_length_identity, solve_metric,
+                               sp_witness_pair)
 from cwspheres.matrixcore import QuaternionMatrix, RngStream, StreamBlock
 from cwspheres.randers import RandersSpec
 from root_reference import eq_root_pair
@@ -60,12 +58,12 @@ def test_criterion_02_orbit_sampling_certifies_indicatrix():
     p = OrbitParams(1, 1, 0.5, 1.0, 1.0)
     spec = solve_metric(p)
     assert (spec.a, spec.b, spec.c) == (16.0 / 9.0, 4.0 / 3.0, -2.0 / 3.0)
-    rep = orbit_length_report(spec, orbit_generator(p), L=1.0, trials=1000,
-                              rng=RngStream(102))
+    report = checks.orbit(spec, p, 1000, RngStream(102))
+    _, lo, hi, mean, _, _ = report.rows[0]
     elapsed = time.time() - start
-    ok = rep.spread <= 1e-8 and elapsed < 5.0
-    assert _report(2, ok, f"1000 conjugations: spread {rep.spread:.2e} <= 1e-8, "
-                          f"mean {rep.mean:.12f} ({elapsed:.2f}s)")
+    ok = report.ok and hi - lo <= 1e-8 and elapsed < 5.0
+    assert _report(2, ok, f"1000 conjugations: spread {hi - lo:.2e} <= 1e-8, "
+                          f"mean {mean:.12f} ({elapsed:.2f}s)")
 
 
 def test_criterion_03_central_phase_consistency():
@@ -98,10 +96,10 @@ def test_criterion_03_central_phase_consistency():
         hi, lo = eq_root_pair(spec, big)
         x2 = (hi - lo) / 2.0
         p = OrbitParams(1, 1, lo + x2, x2, big)
-        rep = orbit_length_report(bumped, orbit_generator(p), L=big,
-                                  trials=1000, rng=rng.split(2000 + k))
-        gap_ok = gap_ok and rep.verdict == "non-constant" \
-            and rep.spread >= 1e-4 * big
+        report = checks.orbit(bumped, p, 1000, rng.split(2000 + k))
+        _, fmin, fmax, _, _, verdict = report.rows[0]
+        gap_ok = gap_ok and not report.ok and verdict == "non-constant" \
+            and fmax - fmin >= 1e-4 * big
     ok = worst_eq <= 1e-10 and rejected == 100 and gap_ok
     assert _report(3, ok, f"phase pairs agree to {worst_eq:.2e}; "
                           f"{rejected}/100 perturbed specs rejected; "
@@ -155,7 +153,7 @@ def test_criterion_06_commutator_eigenvalue_persistence():
         angles[k % r] = 0.0
         u = block_angle_unitary(l, m, angles[None], StreamBlock(sub, [1]))
         res = commutator_eig1_persistence(u, l, m)
-        if res.has_eig1.all() and res.shared_eigenvector.all() \
+        if res.has_eig1.all() and (res.worst_residual <= checks.SHARED_VECTOR_TOL).all() \
                 and res.worst_residual.max() <= 1e-8:
             singular_ok += 1
     invertible_ok = 0
@@ -174,10 +172,10 @@ def test_criterion_06_commutator_eigenvalue_persistence():
 
 
 def test_criterion_07_nonintersection_probe():
-    res = geodesic_nonintersection_probe(0.5, 1, 1, 1000, RngStream(107))
-    ok = res.verdict
-    assert _report(7, ok, f"1000 trials, min spectral distance from 1: "
-                          f"{res.min_spectral_distance:.2e}")
+    report = checks.nonintersection(0.5, 1, 1, 1000, RngStream(107))
+    worst = report.rows[0][1]
+    ok = report.ok and worst >= 1e-9
+    assert _report(7, ok, f"1000 trials, min spectral distance from 1: {worst:.2e}")
 
 
 def test_criterion_08_symplectic_family_harness():

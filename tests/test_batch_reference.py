@@ -19,8 +19,9 @@ from scipy.optimize import linear_sum_assignment
 
 from cwspheres import checks, killing, matrixcore
 from cwspheres.cli import _SP_DEFAULT
-from cwspheres.flows import (EIG1_TOL, MIN_T_SEP, PHASE_EPS, SHARED_VECTOR_TOL,
-                             BRANCH_CUT_TOL, T_GRID, phase_bound_check)
+from cwspheres.checks import SHARED_VECTOR_TOL
+from cwspheres.flows import (EIG1_TOL, MIN_T_SEP, PHASE_EPS, BRANCH_CUT_TOL, T_GRID,
+                             phase_bound_check)
 from cwspheres.killing import OrbitParams, solve_metric
 from cwspheres.matrixcore import TRIAL_BLOCK, RngStream
 from cwspheres.randers import SP_SPHERE, U_SPHERE

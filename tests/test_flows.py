@@ -6,8 +6,7 @@ from scipy.spatial.distance import pdist
 
 from cwspheres import checks, flows, matrixcore
 from cwspheres.errors import InvalidInput
-from cwspheres.flows import (ENDPOINT_BASE_POINTS, NonIntersectionResult,
-                             apply_flow, block_angle_unitary,
+from cwspheres.flows import (ENDPOINT_BASE_POINTS, apply_flow, block_angle_unitary,
                              commutator_eig1_persistence, endpoint_focus_check,
                              geodesic_nonintersection_probe, phase_bound_check,
                              u_flow)
@@ -329,7 +328,7 @@ def test_commutator_block_diagonal_trivial():
     u[2:, 2:] = haar_unitary(2, StreamBlock(RngStream(84), [1]))[0]
     res = commutator_eig1_persistence(u[None], 2, 2)
     assert res.has_eig1.all()
-    assert res.shared_eigenvector.all()
+    assert (res.worst_residual <= checks.SHARED_VECTOR_TOL).all()
     assert res.worst_residual.max() <= 1e-12
 
 
@@ -350,7 +349,7 @@ def test_commutator_rank_deficient_block_persists():
         u = block_angle_unitary(2, 2, angles[None], StreamBlock(rng, [100 + k]))
         res = commutator_eig1_persistence(u, 2, 2)
         assert res.has_eig1.all()
-        assert res.shared_eigenvector.all()
+        assert (res.worst_residual <= checks.SHARED_VECTOR_TOL).all()
         assert res.worst_residual.max() <= 1e-8
 
 
@@ -372,7 +371,7 @@ def test_commutator_unbalanced_blocks_always_have_kernel():
     u = haar_unitary(5, StreamBlock(RngStream(87), [0]))
     res = commutator_eig1_persistence(u, 2, 3)
     assert res.has_eig1.all()
-    assert res.shared_eigenvector.all()
+    assert (res.worst_residual <= checks.SHARED_VECTOR_TOL).all()
 
 
 # ------------------------------- eigenvalue-1 distances from singular values
@@ -469,7 +468,8 @@ def test_twists_at_t_and_pi_minus_t_give_the_same_singular_values(l, m):
 
 def full_grid_persistence(u, l, m):
     """The commutator result with the singular-value screen run on every
-    point of T_GRID: the same recompute and shared-eigenvector steps."""
+    point of T_GRID: the same recompute and shared-eigenvector steps; the
+    residual of the best shared eigenvector is inf where none persists."""
     d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
     dists = flows._eig1_distances(flows._twisted(d, u[:, None]), u[:, None])
     open_rows = ~(dists <= flows.EIG1_TOL).all(axis=-1)
@@ -484,8 +484,7 @@ def full_grid_persistence(u, l, m):
             v = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
             res = max(np.linalg.norm(flows._commutator(dt, u[j]) @ v - v) for dt in d)
             worst[j] = min(worst[j], res)
-    shared = has.all(axis=-1) & (worst <= flows.SHARED_VECTOR_TOL)
-    return has, dists.min(axis=-1), shared, worst
+    return has, dists.min(axis=-1), worst
 
 
 @pytest.mark.parametrize("l, m, trials", [(2, 2, 30), (4, 4, 16), (1, 3, 10), (3, 3, 16)])
@@ -504,7 +503,7 @@ def test_half_grid_screen_matches_the_full_grid_on_the_checks_draws(monkeypatch,
     assert checks.commutator(l, m, trials, RngStream(6)).ok
     assert sum(len(u) for u, _ in calls) == trials and len(calls) > 1
     for u, res in calls:
-        has, row_min, shared, worst = full_grid_persistence(u, l, m)
+        has, row_min, worst = full_grid_persistence(u, l, m)
         assert np.array_equal(res.has_eig1, has)
         # a row where eigenvalue 1 does not persist prints its minimum, an
         # eigensolve's; where it persists, the minimum is singular-value
@@ -513,7 +512,6 @@ def test_half_grid_screen_matches_the_full_grid_on_the_checks_draws(monkeypatch,
         got_min = res.spectral_dists.min(axis=-1)
         assert np.array_equal(got_min[open_rows], row_min[open_rows])
         np.testing.assert_allclose(got_min, row_min, rtol=0, atol=1e-15)
-        assert np.array_equal(res.shared_eigenvector, shared)
         assert np.array_equal(res.worst_residual, worst)
     persists = {bool(row.all()) for _, res in calls for row in res.has_eig1}
     assert persists == ({True, False} if l == m else {True})
@@ -522,10 +520,12 @@ def test_half_grid_screen_matches_the_full_grid_on_the_checks_draws(monkeypatch,
 # --------------------------------------------------------- non-intersection
 
 def test_probe_balanced_case_clean():
-    res = geodesic_nonintersection_probe(0.5, 1, 1, 300, RngStream(89))
-    assert isinstance(res, NonIntersectionResult)
-    assert res.verdict
-    assert res.min_spectral_distance >= 1e-9
+    worst = geodesic_nonintersection_probe(0.5, 1, 1, 300, RngStream(89))
+    assert isinstance(worst, float)
+    assert worst >= checks.NONINTERSECTION_MIN_DIST
+    assert worst >= 1e-9
+    assert checks.nonintersection(0.5, 1, 1, 300, RngStream(89)).rows[0][1:] \
+        == (worst, 300, True)
 
 
 def per_trial_separated_times(gen):

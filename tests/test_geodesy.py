@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from cwspheres import geodesy
+from cwspheres import checks, geodesy
 from cwspheres.errors import InvalidInput
 from cwspheres.flows import apply_flow, u_flow
 from cwspheres.geodesy import (_arc_costs, _edge_costs, _row_sum, build_graph,
@@ -1101,27 +1101,30 @@ def test_walk_limits_bound_the_raw_searches(readme_graph, monkeypatch):
 
 def test_displacement_identity_flow_small():
     g = small_graph(n_points=900, seed=19)
-    prof = displacement_profile(g, u_flow(np.zeros((2, 2)), 0.0), 10,
-                                RngStream(20))
-    assert prof.max <= median_edge(g)
+    rep = displacement_profile(g, u_flow(np.zeros((2, 2)), 0.0), 10,
+                               RngStream(20))
+    assert rep.distance.max() <= median_edge(g)
 
 
 def test_displacement_hopf_rotation_constant():
+    # the profile measures; `checks._profile` judges it, as the checks do
     g = small_graph(n_points=4000, seed=21)
-    prof = displacement_profile(g, u_flow(1j * np.eye(2), 0.5), 25,
-                                RngStream(22))
-    assert prof.verdict == "constant"
-    assert abs(prof.mean - 0.5) <= 0.05
+    rep = displacement_profile(g, u_flow(1j * np.eye(2), 0.5), 25,
+                               RngStream(22))
+    summary = checks._profile(rep)
+    assert summary["verdict"] == "constant"
+    assert abs(summary["mean"] - 0.5) <= 0.05
 
 
 def test_displacement_batch_size_keeps_the_bits():
     # 7 points in batches of 1, 3 (a short last batch) and all at once
     g = small_graph(n_points=900, seed=19)
     flow = u_flow(1j * np.eye(2), 0.5)
-    profs = [displacement_profile(g, flow, 7, RngStream(24), batch=b) for b in (1, 3, None)]
-    for prof in profs[:2]:
-        assert prof.displacements.tobytes() == profs[2].displacements.tobytes()
-        assert (prof.snap_max, prof.rel_spread) == (profs[2].snap_max, profs[2].rel_spread)
+    reps = [displacement_profile(g, flow, 7, RngStream(24), batch=b) for b in (1, 3, None)]
+    for rep in reps:
+        for name in ("distance", "raw", "hops", "snap"):
+            assert getattr(rep, name).shape == (7,)
+            assert getattr(rep, name).tobytes() == getattr(reps[2], name).tobytes()
     with pytest.raises(InvalidInput, match="batch"):
         displacement_profile(g, flow, 7, RngStream(24), batch=0)
 
@@ -1129,9 +1132,11 @@ def test_displacement_batch_size_keeps_the_bits():
 def test_displacement_points_beyond_vertex_count_is_usage_error():
     g = small_graph(n_points=600)
     flow = u_flow(1j * np.eye(2), 0.5)
-    with pytest.raises(InvalidInput):
-        displacement_profile(g, flow, 601, RngStream(23))
-    assert len(displacement_profile(g, flow, 600, RngStream(23)).displacements) == 600
+    for count in (0, 601):
+        with pytest.raises(InvalidInput, match="need 1 to 600 sample points"):
+            displacement_profile(g, flow, count, RngStream(23))
+    assert len(displacement_profile(g, flow, 600, RngStream(23)).distance) == 600
+    assert len(displacement_profile(g, flow, 1, RngStream(23)).distance) == 1
 
 
 def test_displacement_family_mismatch():

@@ -51,6 +51,11 @@ through `_row_sum`, which adds left to right: a numpy reduction, a dot
 product or a matrix product would add in its own order and move a weight
 by an ulp.  The sp pairing there works on real coordinate columns and
 builds no complex value.
+`checks` owns every pass/fail threshold of the README's "passes when"
+table and forms every verdict: outside it no module of the package
+defines, imports or names one of those thresholds, except to read it as
+`checks.NAME`, or writes the verdict literals "constant" and
+"non-constant".  The kernels return measurements.
 The `verify` flag table tells the truth: each check's run, given parsed
 arguments that log what is read from them and a stub for every check
 function, reads exactly the flags `cli._CHECKS` declares for it, so a
@@ -712,6 +717,65 @@ def test_kernel_sum_scan_flags_planted_sums():
         ("_tangent_parts", 6, "np.conj"),
         ("_tangent_parts", 6, "np.conj(z).imag"),
         ("build_graph", 0, "missing")]
+
+
+# The thresholds of the README's "passes when" table, each defined once in
+# checks.py, and the verdicts the length and displacement checks print.
+THRESHOLDS = {"IDENTITY_RESIDUAL_TOL", "CONSTANT_TOL_FACTOR", "SHARED_VECTOR_TOL",
+              "NONINTERSECTION_MIN_DIST", "ENDPOINT_SPREAD_TOL", "ENDPOINT_IDENTITY_TOL",
+              "WITNESS_GAP_TOL", "ANTIPODE_REL_TOL", "SYMMETRY_REL_TOL",
+              "DISPLACEMENT_REL_TOL"}
+VERDICT_LITERALS = {"constant", "non-constant"}
+
+
+def threshold_owner_violations(texts):
+    """(file, line, what) of each verdict literal of `VERDICT_LITERALS` and
+    each name of `THRESHOLDS` in `texts` (file name -> package source)
+    outside checks.py, as a name, an imported name or an attribute, other
+    than a read `checks.NAME`; and of each threshold that checks.py does not
+    assign once at module level, with line 0."""
+    out = []
+    for name, text in sorted(texts.items()):
+        tree = ast.parse(text)
+        if name == "checks.py":
+            assigned = [target.id for node in tree.body if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)]
+            out += [(name, 0, t) for t in sorted(THRESHOLDS) if assigned.count(t) != 1]
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in VERDICT_LITERALS:
+                out.append((name, node.lineno, node.value))
+            elif isinstance(node, ast.Name) and node.id in THRESHOLDS:
+                out.append((name, node.lineno, node.id))
+            elif isinstance(node, ast.alias) and node.name in THRESHOLDS:
+                out.append((name, node.lineno, node.name))
+            elif isinstance(node, ast.Attribute) and node.attr in THRESHOLDS \
+                    and getattr(node.value, "id", None) != "checks":
+                out.append((name, node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_checks_alone_owns_thresholds_and_verdicts():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert threshold_owner_violations(texts) == []
+
+
+def test_threshold_owner_scan_flags_planted_thresholds_and_verdicts():
+    defined = "".join(f"{name} = 1.0\n" for name in sorted(THRESHOLDS - {"SHARED_VECTOR_TOL"}))
+    texts = {"checks.py": defined + "SYMMETRY_REL_TOL = 0.02\n",
+             "cli.py": ("from . import checks, flows\n"
+                        "from .flows import SHARED_VECTOR_TOL as tol\n"
+                        "ok = x <= checks.IDENTITY_RESIDUAL_TOL\n"
+                        "bad = x <= flows.CONSTANT_TOL_FACTOR\n"),
+             "geodesy.py": ("DISPLACEMENT_REL_TOL = 0.07\n"
+                            "def profile(rel):\n"
+                            "    \"\"\"The verdict is constant or non-constant.\"\"\"\n"
+                            "    return 'constant' if rel else \"non-constant\"\n")}
+    assert threshold_owner_violations(texts) == [
+        ("checks.py", 0, "SHARED_VECTOR_TOL"), ("checks.py", 0, "SYMMETRY_REL_TOL"),
+        ("cli.py", 2, "SHARED_VECTOR_TOL"), ("cli.py", 4, "CONSTANT_TOL_FACTOR"),
+        ("geodesy.py", 1, "DISPLACEMENT_REL_TOL"), ("geodesy.py", 4, "constant"),
+        ("geodesy.py", 4, "non-constant")]
 
 
 class _StubChecks:

@@ -8,8 +8,7 @@ import pytest
 from cwspheres import checks
 from cwspheres.errors import (InfeasibleParams, InvalidInput, InvalidSpec,
                               NotApplicable, NotKvfAdmissible)
-from cwspheres.killing import (IDENTITY_RESIDUAL_TOL, OrbitParams,
-                               central_kvf_phases, constant_length_identity,
+from cwspheres.killing import (OrbitParams, central_kvf_phases, constant_length_identity,
                                f_poly, identity_scale, orbit_generator,
                                orbit_length_report, solve_metric,
                                sp_witness_pair)
@@ -19,6 +18,12 @@ from haar_reference import witness_by_conjugation
 from root_reference import eq_root_pair
 
 P_REF = OrbitParams(1, 1, 0.5, 1.0, 1.0)
+
+
+def phases(p):
+    """The generator's two eigenvalue phases (low block, high block)."""
+    x = orbit_generator(p).x
+    return (x[0, 0].imag, x[-1, -1].imag)
 
 
 def random_feasible_params(rng, max_total=8):
@@ -51,7 +56,7 @@ def test_params_validation():
 
 
 def test_params_geometry_accessors():
-    assert P_REF.phases == (-0.5, 1.5)
+    assert phases(P_REF) == (-0.5, 1.5)
     assert P_REF.center == 0.5
     assert P_REF.radius == 1.0
     assert P_REF.n == 1
@@ -133,7 +138,7 @@ def identity_holds(spec, p):
     """`solve`'s verdict: the residuals within the tolerance relative to
     the largest coefficient of either side."""
     worst = max(abs(r) for r in constant_length_identity(spec, p))
-    return worst <= IDENTITY_RESIDUAL_TOL * identity_scale(spec, p)
+    return worst <= checks.IDENTITY_RESIDUAL_TOL * identity_scale(spec, p)
 
 
 @pytest.mark.parametrize("L", [1e-6, 1.0, 1e4, 1e6])
@@ -179,8 +184,8 @@ def test_roots_match_generator_phases():
     for k in range(100):
         p = random_feasible_params(rng.split(k))
         roots = eq_root_pair(solve_metric(p), p.L)
-        assert abs(max(roots) - max(p.phases)) <= 1e-10 * max(1.0, abs(max(p.phases)))
-        assert abs(min(roots) - min(p.phases)) <= 1e-10 * max(1.0, abs(min(p.phases)))
+        assert abs(max(roots) - max(phases(p))) <= 1e-10 * max(1.0, abs(max(phases(p))))
+        assert abs(min(roots) - min(phases(p))) <= 1e-10 * max(1.0, abs(min(phases(p))))
 
 
 def test_central_phases_reference_values():
@@ -233,35 +238,42 @@ def test_scale_covariance():
 
 
 # ------------------------------------------------------- orbit length reports
+# `orbit_length_report` samples the metric values; `checks._length_row`
+# judges them, as the `orbit` and `sp-central` checks do.
 
 def test_report_constant_for_solved_instance():
-    rep = orbit_length_report(solve_metric(P_REF), orbit_generator(P_REF),
-                              L=1.0, trials=1000, rng=RngStream(54))
-    assert rep.verdict == "constant"
-    assert abs(rep.mean - 1.0) <= 1e-12
-    assert rep.min <= rep.mean <= rep.max
+    values = orbit_length_report(solve_metric(P_REF), orbit_generator(P_REF),
+                                 RngStream(54), 1000)
+    _, lo, hi, mean, _, verdict = checks._length_row("orbit", values, L=1.0)
+    assert verdict == "constant"
+    assert abs(mean - 1.0) <= 1e-12
+    assert lo <= mean <= hi
+    assert values.shape == (1000,)
 
 
 def test_report_round_spec_balanced_generator_constant():
     e = orbit_generator(OrbitParams(1, 1, 0.0, 1.0, 1.0))
-    rep = orbit_length_report(round_spec(), e, L=1.0, trials=300,
-                              rng=RngStream(55))
-    assert rep.verdict == "constant"
+    values = orbit_length_report(round_spec(), e, RngStream(55), 300)
+    assert checks._length_row("orbit", values, L=1.0)[5] == "constant"
 
 
 def test_report_non_constant_for_mismatched_pair():
     # equal-modulus phases but c != 0: the one-form breaks constancy
     spec = solve_metric(P_REF)
     e = orbit_generator(OrbitParams(1, 1, 0.0, 1.0, 1.0))
-    rep = orbit_length_report(spec, e, L=1.0, trials=300, rng=RngStream(56))
-    assert rep.verdict == "non-constant"
-    assert rep.spread > 1e-2
+    values = orbit_length_report(spec, e, RngStream(56), 300)
+    assert checks._length_row("orbit", values, L=1.0)[5] == "non-constant"
+    assert np.ptp(values) > 1e-2
 
 
 def test_report_requires_enough_trials():
-    with pytest.raises(InvalidInput):
-        orbit_length_report(round_spec(), orbit_generator(P_REF), trials=10,
-                            rng=RngStream(57))
+    # the floor belongs to the checks that form a verdict, not the sampler
+    with pytest.raises(InvalidInput, match="at least 100 trials"):
+        checks.orbit(round_spec(), P_REF, 10, RngStream(57))
+    with pytest.raises(InvalidInput, match="at least 100 trials"):
+        checks.sp_central(SP_SPEC, 99, RngStream(57))
+    assert checks.orbit(solve_metric(P_REF), P_REF, 100, RngStream(57)).ok
+    assert checks.sp_central(SP_SPEC, 100, RngStream(57)).ok
 
 
 @pytest.mark.parametrize("spec,e", [
@@ -288,9 +300,7 @@ def test_monte_carlo_agrees_with_closed_form():
                                c=spec.c)
         residuals = constant_length_identity(spec, p)
         closed_constant = max(abs(r) for r in residuals) <= 1e-10
-        rep = orbit_length_report(spec, orbit_generator(p), L=p.L, trials=200,
-                                  rng=rng.split(9000 + k))
-        assert (rep.verdict == "constant") == closed_constant
+        assert checks.orbit(spec, p, 200, rng.split(9000 + k)).ok == closed_constant
 
 
 # --------------------------------------------------------- sp witness & scan

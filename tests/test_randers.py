@@ -310,11 +310,11 @@ def per_draw_orbit(spec, e, trials, rng):
 @pytest.mark.parametrize("case", sorted(orbit_cases()))
 def test_orbit_report_matches_reference_on_same_draws(case):
     spec, e = orbit_cases()[case]
-    rep = orbit_length_report(spec, e, L=1.0, trials=300, rng=RngStream(21))
+    values = orbit_length_report(spec, e, RngStream(21), 300)
     draws = per_draw_orbit(spec, e, 300, RngStream(21))
     reference = np.array([reference_norm(spec, m0[0], usq[0]) for m0, usq in draws])
-    for got, want in ((rep.min, reference.min()), (rep.max, reference.max()),
-                      (rep.mean, reference.mean())):
+    for got, want in ((values.min(), reference.min()), (values.max(), reference.max()),
+                      (values.mean(), reference.mean())):
         assert abs(got - want) <= np.spacing(abs(want))
 
 
@@ -338,8 +338,7 @@ def test_orbit_report_validates_and_evaluates_once(monkeypatch):
                         lambda *args: evaluations.append(args) or norm(*args))
     params = OrbitParams(1, 1, 0.5, 1.0, 1.0)
     spec = solve_metric(params)
-    orbit_length_report(spec, orbit_generator(params), L=1.0, trials=500,
-                        rng=RngStream(22))
+    orbit_length_report(spec, orbit_generator(params), RngStream(22), 500)
     # the spec is checked when it is built, and all 500 draws go through
     # one norm evaluation
     assert (validations, len(evaluations)) == ([spec], 1)
