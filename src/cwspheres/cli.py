@@ -33,11 +33,13 @@ _SP_DEFAULT = RandersSpec(SP_SPHERE, n=2, a1=1.2, a2=1.5, b=1.0, c=0.3)  # on S^
 
 
 def _setup_logging():
-    """Log level from RANDERS_LOG; a value that names no level is WARNING."""
+    """Level of the package's log from RANDERS_LOG, read on every call; a
+    value that names no level is WARNING.  The stderr handler goes on the
+    root logger only if it has none, so a host's handlers stay."""
     level = logging.getLevelName(os.environ.get("RANDERS_LOG", "warning").upper())
-    logging.basicConfig(stream=sys.stderr,
-                        level=level if isinstance(level, int) else logging.WARNING,
-                        format="%(levelname)s %(message)s")
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    logging.getLogger("cwspheres").setLevel(level if isinstance(level, int)
+                                            else logging.WARNING)
 
 
 def _load_spec(path):

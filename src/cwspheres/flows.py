@@ -8,8 +8,9 @@ phase-interval bound for products of unitary matrices, and persistence of
 eigenvalue 1 for twisted commutators with singular off-diagonal blocks.
 
 The Monte-Carlo probes draw from a `StreamBlock` a block of trials at a
-time.  The commutator check screens eigenvalue 1 with singular values on
-half its t-grid: the twists at t and pi - t give the same singular
+time.  Both eigenvalue-1 probes measure min |lambda - 1| in one way, as
+the least singular value of a stacked SVD.  The commutator check takes it
+on half its t-grid: the twists at t and pi - t give the same singular
 values, so the second half is the first mirrored.
 """
 
@@ -29,7 +30,6 @@ TWO_PI = 2.0 * math.pi
 ENDPOINT_BASE_POINTS = 3
 PHASE_EPS = 1e-9                # slack of each phase interval
 EIG1_TOL = 1e-9                 # |lambda - 1| that counts as eigenvalue 1
-EIG1_RECOMPUTE_SLACK = 1e-12    # distances this near a minimum are eigensolved
 MIN_T_SEP = 1e-6                # least t1 - t2 of a non-intersection trial
 BRANCH_CUT_TOL = 1e-12          # a phase this close to +-pi is on the cut
 # t-grid of the commutator check: 32 uniform points strictly inside (0, pi),
@@ -160,36 +160,25 @@ def endpoint_focus_check(vnorm, rng, samples=100):
 # phase-interval bound for products of unitaries
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseBoundStack:
-    """The phase-interval bound for a stack of pairs, one row per pair."""
-
-    pq_phases: np.ndarray      # (T, n) sorted principal phases of PQ
-    lo: np.ndarray             # (T, n) interval i is [lo_i, hi_i]
-    hi: np.ndarray
-    lifted: np.ndarray         # (T, n) lift matched to interval i, NaN on failure
-    defined: np.ndarray        # (T,) no P or Q phase on the branch cut
-    verdict: np.ndarray        # (T,) bool, False where undefined
-
-
 def _on_branch_cut(phases):
     return np.any(np.abs(phases) >= math.pi - BRANCH_CUT_TOL, axis=-1)
 
 
-def phase_bound_check(p, q) -> PhaseBoundStack:
-    """Check, for each pair of the (T, n, n) stacks P and Q, that each phase
-    of PQ, sorted and lifted to the reals, lies in [a_i + min(b), a_i +
-    max(b)] where a, b are the sorted phases of P, Q.
+def phase_bound_check(p, q):
+    """Check, for each pair of the (T, n, n) stacks P and Q, that the
+    sorted phases of PQ, each shifted by 0 or +-2pi, fit one to one into
+    the intervals [a_i + min(b), a_i + max(b)], where a, b are the sorted
+    phases of P, Q.  Returns the (T,) bool arrays `(defined, verdict)`.
 
-    Interval i is widened by PHASE_EPS.  A phase of PQ fits it when some
-    lift by 0 or +-2pi lies inside, matching the continuity of the phase
-    paths of P exp(tB).  Every lift that can land in an interval is among
+    Interval i is widened by PHASE_EPS.  A phase of PQ fits it when one of
+    its three shifts lies inside, matching the continuity of the phase
+    paths of P exp(tB).  Every shift that can land in an interval is among
     these, so fitting is membership in an arc of the circle.  The arcs
     share one width and start in the order of a, so a perfect matching of
     arcs to the sorted phases of PQ exists exactly when some cyclic
-    rotation r matches phase (i + r) mod n to arc i for every i; the
-    first such r gives the lifts.  A pair with a P or Q phase on the
-    branch cut is undefined: `defined` and `verdict` are False.
+    rotation r matches phase (i + r) mod n to arc i for every i.  A pair
+    with a P or Q phase on the branch cut is undefined: `defined` and
+    `verdict` are False.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -203,19 +192,12 @@ def phase_bound_check(p, q) -> PhaseBoundStack:
     shifts = np.array((0.0, TWO_PI, -TWO_PI))
     # lifts[s, t, :, j] = theta[t, j] + shifts[s], against interval i on axis 2
     lifts = theta[None, :, None, :] + shifts[:, None, None, None]
-    fits = (lo[None, :, :, None] <= lifts) & (lifts <= hi[None, :, :, None])
-    first = np.argmax(fits, axis=0)[None]
-    pick = np.take_along_axis(np.broadcast_to(lifts, fits.shape), first, axis=0)[0]
+    fits = ((lo[None, :, :, None] <= lifts) & (lifts <= hi[None, :, :, None])).any(axis=0)
     rows = np.arange(a.shape[-1])
     cyc = (rows[None, :] + rows[:, None]) % len(rows)     # cyc[r, i] = (i + r) mod n
-    rotation_ok = fits.any(axis=0)[:, rows, cyc].all(axis=-1)
+    some_rotation = fits[:, rows, cyc].all(axis=-1).any(axis=-1)
     defined = ~(_on_branch_cut(a) | _on_branch_cut(b))
-    verdict = rotation_ok.any(axis=-1) & defined
-    best = np.argmax(rotation_ok, axis=-1)
-    lifted = pick[np.arange(len(a))[:, None], rows, cyc[best]]
-    lifted[~verdict] = np.nan
-    return PhaseBoundStack(pq_phases=theta, lo=lo, hi=hi, lifted=lifted,
-                           defined=defined, verdict=verdict)
+    return defined, some_rotation & defined
 
 
 # --------------------------------------------------------------------------
@@ -251,24 +233,12 @@ def _eig1_distances(a, b):
     """min |lambda - 1| over the eigenvalues of a b*, for each pair of the
     unitary stacks `a` and `b`, as the smallest singular value of a - b:
     a b* - I = (a - b) b* with b unitary, and a b* is normal, so the
-    singular values of a b* - I are its |lambda - 1|.  This agrees with
-    an eigensolve of a b* to about 1e-15, not to the bit.  `a` is
-    overwritten with a - b."""
+    singular values of a b* - I are its |lambda - 1|.  This is the one
+    way the package measures the distance; it agrees with an eigensolve
+    of a b* to about 1e-15, not to the bit.  `a` is overwritten with
+    a - b."""
     a -= b
     return np.linalg.svd(a, compute_uv=False)[..., -1]
-
-
-def _eigvals_distances(mats):
-    """min |lambda - 1| over the eigenvalues of each matrix, by eigensolve."""
-    return np.min(np.abs(np.linalg.eigvals(mats) - 1.0), axis=-1)
-
-
-def _near_minimum(dists, axis=None):
-    """Mask of the distances within EIG1_RECOMPUTE_SLACK of their minimum
-    along `axis`.  Singular-value and eigensolve distances differ by far
-    less than half the slack, so the entry of least eigensolve distance is
-    always in the mask."""
-    return dists <= dists.min(axis=axis, keepdims=True) + EIG1_RECOMPUTE_SLACK
 
 
 def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
@@ -285,14 +255,11 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     the first half of T_GRID and mirrored onto the second: with D = exp(tX),
     the twist at pi - t is -D* (X's eigenvalues are +-i), so
     a_(pi-t) - U = D*UD - U = D*(UD - DU) while a_t - U = (DU - UD)D*, and
-    both have the singular values of UD - DU.  In a row
-    where eigenvalue 1 does not persist at every t, the entries within
-    EIG1_RECOMPUTE_SLACK of the row's least distance hold the eigvals
-    distance of the commutator instead, so the row's minimum is the
-    eigvals minimum to the bit.  Where eigenvalue 1 persists, the candidate
-    shared eigenvectors are taken from an eigensolve at the first t, their
-    residuals at every t are computed as one stack, and `worst_residual`
-    is the least candidate's largest residual over the grid.
+    both have the singular values of UD - DU.  Where eigenvalue 1
+    persists, the candidate shared eigenvectors are taken from an
+    eigensolve at the first t, their residuals at every t are computed as
+    one stack, and `worst_residual` is the least candidate's largest
+    residual over the grid.
     """
     us = as_unitary(u)
     if us.ndim != 3 or us.shape[-1] != l + m or l < 1 or m < 1:
@@ -300,10 +267,6 @@ def commutator_eig1_persistence(u, l, m) -> CommutatorEig1Result:
     d = np.array([_twist_diag(l, m, t) for t in T_GRID])          # (G, n)
     half = _eig1_distances(_twisted(d[:_HALF_GRID], us[:, None]), us[:, None])
     dists = np.concatenate([half, half[:, ::-1]], axis=1)
-    open_rows = ~(dists <= EIG1_TOL).all(axis=-1)
-    ti, gi = np.nonzero(open_rows[:, None] & _near_minimum(dists, axis=-1))
-    if ti.size:
-        dists[ti, gi] = _eigvals_distances(_commutator(d[gi], us[ti]))
     has = dists <= EIG1_TOL
     worst = np.full(len(us), np.inf)
     persists = np.flatnonzero(has.all(axis=-1))
@@ -403,8 +366,6 @@ def geodesic_nonintersection_probe(x, l, m, trials, rng) -> float:
         t1, t2 = _separated_times(block.generators())
         e1 = (g1 * np.exp(t1[:, None] * diag)[:, None, :]) @ conj_t(g1)
         e2 = (g2 * np.exp(-t2[:, None] * diag)[:, None, :]) @ conj_t(g2)
-        # a = e1, b = e2*: a b* = e1 e2; only the block's least singular-value
-        # distances are eigensolved, which keeps the least eigvals distance
-        near = np.flatnonzero(_near_minimum(_eig1_distances(e1.copy(), conj_t(e2))))
-        worst = min(worst, float(_eigvals_distances(e1[near] @ e2[near]).min()))
+        # a = e1, b = e2*: a b* = e1 e2
+        worst = min(worst, float(_eig1_distances(e1, conj_t(e2)).min()))
     return worst

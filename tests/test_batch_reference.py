@@ -1,13 +1,14 @@
 """The batched Monte-Carlo checkers against per-trial reference loops.
 
 The references below are the per-trial code the batched checkers
-replaced: one Ginibre QR and one eigvals call per draw, one unit vector
-and one matrix-vector product per orbit point, and a phase-interval
-verdict from a zero-cost perfect matching found by
-`linear_sum_assignment`.  Run on the same streams, the batched checks must
-give the same report bit for bit.  The Sp(n) QR sampler that the tests
-keep as the orbit sampler's reference (`haar_reference`) must match its
-per-draw QR bit for bit, and the quaternion Gram-Schmidt up to rounding.
+replaced: one Ginibre QR and one eigvals call per draw, one SVD per
+eigenvalue-1 distance, one unit vector and one matrix-vector product per
+orbit point, and a phase-interval verdict from a zero-cost perfect
+matching found by `linear_sum_assignment`.  Run on the same streams, the
+batched checks must give the same report bit for bit.  The Sp(n) QR
+sampler that the tests keep as the orbit sampler's reference
+(`haar_reference`) must match its per-draw QR bit for bit, and the
+quaternion Gram-Schmidt up to rounding.
 """
 
 import hashlib
@@ -192,9 +193,10 @@ def ref_commutator_eig1(u, l, m):
     dists = []
     for t in T_GRID:
         d = np.concatenate([np.full(l, np.exp(-1j * t)), np.full(m, np.exp(1j * t))])
-        mat = (d[:, None] * u * np.conj(d)[None, :]) @ u.conj().T
-        mats.append(mat)
-        dists.append(np.min(np.abs(np.linalg.eigvals(mat) - 1.0)))
+        twisted = d[:, None] * u * np.conj(d)[None, :]
+        mats.append(twisted @ u.conj().T)
+        # min |lambda - 1| over the eigenvalues of twisted u*
+        dists.append(np.linalg.svd(twisted - u, compute_uv=False)[-1])
     dists = np.array(dists)
     has = dists <= EIG1_TOL
     worst = np.inf
@@ -240,7 +242,8 @@ def ref_nonintersection(x, l, m, trials, rng):
                 break
         e1 = (g1 * np.exp(t1 * diag)[None, :]) @ g1.conj().T
         e2 = (g2 * np.exp(-t2 * diag)[None, :]) @ g2.conj().T
-        worst = min(worst, float(np.min(np.abs(np.linalg.eigvals(e1 @ e2) - 1.0))))
+        # min |lambda - 1| over the eigenvalues of e1 e2
+        worst = min(worst, float(np.linalg.svd(e1 - e2.conj().T, compute_uv=False)[-1]))
     ok = bool(worst >= 1e-9)
     return checks.CheckReport(("check", "min_spectral_distance", "trials", "verdict"),
                               (("nonintersection", worst, trials, ok),), ok)
@@ -306,8 +309,8 @@ def test_batched_check_matches_per_trial_reference(monkeypatch, case):
 
 
 def test_block_size_does_not_change_reports(monkeypatch):
-    # the eigensolved entries of commutator and nonintersection are chosen
-    # per row and per block: the reports must not see where blocks end
+    # every stacked draw, eigensolve and SVD is sized by the block: the
+    # reports must not see where blocks end
     def reports():
         return [checks.eigenlemma(3, 40, RngStream(4)), checks.commutator(2, 2, 9, RngStream(4)),
                 checks.commutator(4, 4, 17, RngStream(4)),
@@ -333,8 +336,8 @@ def haar_pairs(n, count, seed):
 
 
 def stack_verdicts(p, q):
-    res = phase_bound_check(p, q)
-    return [bool(v) if ok else "undefined" for ok, v in zip(res.defined, res.verdict)]
+    defined, verdict = phase_bound_check(p, q)
+    return [bool(v) if ok else "undefined" for ok, v in zip(defined, verdict)]
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -96,11 +96,36 @@ def test_validate_missing_file_is_usage_error(capsys):
 def test_randers_log_accepts_level_names_only(monkeypatch, value, level):
     # upper-cased, `basic_format` and `_styles` are attributes of `logging`
     # that name no level; like any other such value they mean WARNING
-    seen = {}
+    package = logging.getLogger("cwspheres")
+    before = package.level
     monkeypatch.setenv("RANDERS_LOG", value)
-    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
-    cli._setup_logging()
-    assert seen["level"] == level
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: None)
+    try:
+        cli._setup_logging()
+        assert package.level == level
+    finally:
+        package.setLevel(before)
+
+
+# two verify runs in one interpreter, as an embedding host makes them
+TWO_LOGGED_RUNS = """import os, sys
+from cwspheres.cli import main
+for level in sys.argv[1:]:
+    os.environ["RANDERS_LOG"] = level
+    print(f"run at {level}", file=sys.stderr, flush=True)
+    main(["verify", "eigenlemma", "--n", "2", "--trials", "3", "--out", os.devnull])
+"""
+
+
+def test_randers_log_is_read_on_every_call():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_LOGGED_RUNS, "warning", "info", "warning"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == ["run at warning", "run at info",
+                                        "INFO eigenlemma trial 0/3", "run at warning"]
 
 
 @pytest.mark.parametrize("n", ["true", "1.7"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist
 
 from cwspheres import checks, flows, matrixcore
@@ -12,7 +13,7 @@ from cwspheres.flows import (ENDPOINT_BASE_POINTS, apply_flow, block_angle_unita
                              u_flow)
 from cwspheres.matrixcore import (RngStream, StreamBlock, _ginibre, conj_t, expm_skew,
                                   haar_unitary, unitary_phases)
-from test_batch_reference import ref_phase_bound_verdicts
+from test_batch_reference import ref_phase_bound_verdicts, ref_phases
 
 
 def random_unit_vec3(rng):
@@ -274,22 +275,40 @@ def test_endpoint_focus_rejects_long_vector():
 
 # ------------------------------------------------------------ phase intervals
 
+def ref_phase_bound(p, q):
+    """Reference for one pair: the sorted phases of PQ, the interval ends
+    lo and hi, and each interval's PQ phase shifted by 0 or +-2pi into it,
+    by a zero-cost assignment (None where there is none)."""
+    a, b, theta = ref_phases(np.stack([p, q, p @ q]))
+    lo = a + b.min() - flows.PHASE_EPS
+    hi = a + b.max() + flows.PHASE_EPS
+    lifts = theta[None, :] + np.array([0.0, 2 * math.pi, -2 * math.pi])[:, None]
+    # fits[s, i, j]: phase j shifted by shift s lies in interval i
+    fits = (lo[None, :, None] <= lifts[:, None, :]) & (lifts[:, None, :] <= hi[None, :, None])
+    cost = np.where(fits.any(axis=0), 0.0, 1.0)
+    rows, cols = linear_sum_assignment(cost)
+    if cost[rows, cols].sum():
+        return theta, lo, hi, None
+    return theta, lo, hi, lifts[np.argmax(fits[:, rows, cols], axis=0), cols]
+
+
 def test_phase_bound_identity_factor():
     p = haar_unitary(4, StreamBlock(RngStream(79), [0]))
-    res = phase_bound_check(p, np.eye(4)[None])
-    assert res.verdict.all()
-    np.testing.assert_allclose(np.sort(res.lifted), unitary_phases(p), atol=1e-9)
-    assert np.all(res.hi - res.lo <= 2 * 1e-9 + 1e-15)
+    defined, verdict = phase_bound_check(p, np.eye(4)[None])
+    assert defined.all() and verdict.all()
+    _, lo, hi, lifted = ref_phase_bound(p[0], np.eye(4))
+    np.testing.assert_allclose(np.sort(lifted), unitary_phases(p)[0], atol=1e-9)
+    assert np.all(hi - lo <= 2 * 1e-9 + 1e-15)
 
 
 def test_phase_bound_diagonal_example():
     p = np.diag(np.exp(1j * np.array([0.4, -0.2])))
     q = np.diag(np.exp(1j * np.array([0.1, 0.3])))
-    res = phase_bound_check(p[None], q[None])
-    assert res.verdict.all()
-    np.testing.assert_allclose(res.pq_phases, [[0.1, 0.5]], atol=1e-12)
-    np.testing.assert_allclose(res.lo, [[-0.2 + 0.1 - 1e-9, 0.4 + 0.1 - 1e-9]],
-                               atol=1e-12)
+    assert all(v.all() for v in phase_bound_check(p[None], q[None]))
+    pq_phases, lo, _, lifted = ref_phase_bound(p, q)
+    np.testing.assert_allclose(pq_phases, [0.1, 0.5], atol=1e-12)
+    np.testing.assert_allclose(lo, [-0.2 + 0.1 - 1e-9, 0.4 + 0.1 - 1e-9], atol=1e-12)
+    np.testing.assert_allclose(lifted, [0.1, 0.5], atol=1e-12)
 
 
 def test_phase_bound_monte_carlo_small():
@@ -297,9 +316,9 @@ def test_phase_bound_monte_carlo_small():
     for k in range(500):
         n = 2 + k % 5
         sub = rng.split(k)
-        res = phase_bound_check(haar_unitary(n, StreamBlock(sub, [0])),
-                                haar_unitary(n, StreamBlock(sub, [1])))
-        assert res.verdict.all()
+        defined, verdict = phase_bound_check(haar_unitary(n, StreamBlock(sub, [0])),
+                                             haar_unitary(n, StreamBlock(sub, [1])))
+        assert defined.all() and verdict.all()
 
 
 def test_phase_bound_needs_unwrap_beyond_principal_branch():
@@ -309,15 +328,15 @@ def test_phase_bound_needs_unwrap_beyond_principal_branch():
     p = np.diag(np.exp(1j * np.array([2.5, 2.6])))
     q = np.diag(np.exp(1j * np.array([2.0, 2.1])))
     assert ref_phase_bound_verdicts(p[None], q[None], raw_branch=True) == [False]
-    assert phase_bound_check(p[None], q[None]).verdict.all()
+    assert phase_bound_check(p[None], q[None])[1].all()
 
 
 def test_phase_bound_branch_cut_rejected():
     # a P or Q eigenvalue -1 sits on the phase branch cut: undefined, no pass
     for p, q in ((-np.eye(2), np.eye(2)), (np.eye(2), -np.eye(2))):
-        res = phase_bound_check(p[None], q[None])
-        assert not res.defined.any()
-        assert not res.verdict.any()
+        defined, verdict = phase_bound_check(p[None], q[None])
+        assert not defined.any()
+        assert not verdict.any()
 
 
 # ------------------------------------------------------- commutator eigenvalue
@@ -434,17 +453,17 @@ def eigvals_spy(monkeypatch):
     return seen
 
 
-def test_commutator_eigensolves_only_the_entries_a_report_prints(monkeypatch):
+def test_eigenvalue_1_checks_call_no_eigvals(monkeypatch):
+    # both take min |lambda - 1| from singular values alone; the shared
+    # eigenvector of a persisting commutator comes from `eig`
     seen = eigvals_spy(monkeypatch)
-    report = checks.commutator(4, 4, 50, RngStream(0))
-    assert report.ok
-    # each invertible (odd) trial prints its least distance, which is
-    # eigensolved at one or two t: the grid's mirror pair t, pi - t gives
-    # conjugate spectra; singular trials and the shared eigenvector need none
-    assert 25 <= sum(seen) <= 2 * 25
-    seen.clear()
+    assert checks.commutator(4, 4, 50, RngStream(0)).ok
     assert checks.commutator(1, 3, 20, RngStream(0)).ok
+    assert checks.nonintersection(0.5, 1, 1, 250, RngStream(0)).ok
     assert seen == []
+    # the spy does see the phase bound's eigensolves
+    assert checks.eigenlemma(3, 10, RngStream(0)).ok
+    assert sum(seen) == 3 * 10
 
 
 def test_t_grid_is_symmetric_about_half_pi():
@@ -468,14 +487,11 @@ def test_twists_at_t_and_pi_minus_t_give_the_same_singular_values(l, m):
 
 def full_grid_persistence(u, l, m):
     """The commutator result with the singular-value screen run on every
-    point of T_GRID: the same recompute and shared-eigenvector steps; the
-    residual of the best shared eigenvector is inf where none persists."""
+    point of T_GRID, and the same shared-eigenvector step: (has eigenvalue
+    1, distances, residual of the best shared eigenvector, inf where none
+    persists)."""
     d = np.array([flows._twist_diag(l, m, t) for t in flows.T_GRID])
     dists = flows._eig1_distances(flows._twisted(d, u[:, None]), u[:, None])
-    open_rows = ~(dists <= flows.EIG1_TOL).all(axis=-1)
-    ti, gi = np.nonzero(open_rows[:, None] & flows._near_minimum(dists, axis=-1))
-    if ti.size:
-        dists[ti, gi] = flows._eigvals_distances(flows._commutator(d[gi], u[ti]))
     has = dists <= flows.EIG1_TOL
     worst = np.full(len(u), np.inf)
     for j in np.flatnonzero(has.all(axis=-1)):
@@ -484,7 +500,7 @@ def full_grid_persistence(u, l, m):
             v = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
             res = max(np.linalg.norm(flows._commutator(dt, u[j]) @ v - v) for dt in d)
             worst[j] = min(worst[j], res)
-    return has, dists.min(axis=-1), worst
+    return has, dists, worst
 
 
 @pytest.mark.parametrize("l, m, trials", [(2, 2, 30), (4, 4, 16), (1, 3, 10), (3, 3, 16)])
@@ -502,16 +518,15 @@ def test_half_grid_screen_matches_the_full_grid_on_the_checks_draws(monkeypatch,
     monkeypatch.setattr(checks, "commutator_eig1_persistence", recording)
     assert checks.commutator(l, m, trials, RngStream(6)).ok
     assert sum(len(u) for u, _ in calls) == trials and len(calls) > 1
+    half = flows.T_GRID.size // 2
     for u, res in calls:
-        has, row_min, worst = full_grid_persistence(u, l, m)
+        has, dists, worst = full_grid_persistence(u, l, m)
         assert np.array_equal(res.has_eig1, has)
-        # a row where eigenvalue 1 does not persist prints its minimum, an
-        # eigensolve's; where it persists, the minimum is singular-value
-        # rounding at about 1e-17, which the mirror need not keep
-        open_rows = ~has.all(axis=-1)
-        got_min = res.spectral_dists.min(axis=-1)
-        assert np.array_equal(got_min[open_rows], row_min[open_rows])
-        np.testing.assert_allclose(got_min, row_min, rtol=0, atol=1e-15)
+        # the screened half keeps the full grid's bits, so a row's printed
+        # minimum is the full grid's over that half; the mirrored half, and
+        # so each row's minimum, is the full grid's up to rounding
+        assert np.array_equal(res.spectral_dists[:, :half], dists[:, :half])
+        np.testing.assert_allclose(res.spectral_dists, dists, rtol=0, atol=1e-15)
         assert np.array_equal(res.worst_residual, worst)
     persists = {bool(row.all()) for _, res in calls for row in res.has_eig1}
     assert persists == ({True, False} if l == m else {True})

@@ -35,6 +35,10 @@ the two ways a stream is seeded, a lone `RngStream.gen` and a
 `StreamBlock.generators()`, so only those two call `_generators`.  Every
 Haar draw of U(n) is the Q factor of one stacked QR with
 the phase fix on R's diagonal, so only `matrixcore._haar_qr` calls a `qr`.
+Each spectral quantity is computed one way: only
+`matrixcore.unitary_phases` calls `eigvals`, only `flows._eig1_distances`
+calls `svd` (the distance min |lambda - 1|), and only the shared-eigenvector
+step of `flows.commutator_eig1_persistence` calls `eig`.
 The oracle's scipy kernels stay where they are: `dijkstra` in the raw
 searches and the corridor groups, `csr_matrix` in the build and the
 groups, `cKDTree` in the build and the corridors, so that no search bound
@@ -533,6 +537,57 @@ def test_qr_caller_scan_flags_a_second_caller():
     assert call_sites(texts, "qr") == [("flows.py", "Probe.draw"),
                                        ("matrixcore.py", "_haar_qr"),
                                        ("matrixcore.py", "haar_symplectic")]
+
+
+# Each spectral quantity has one kernel: phases of unitaries come from
+# `eigvals` in `matrixcore.unitary_phases`, the distance min |lambda - 1|
+# from the least singular value in `flows._eig1_distances`, and the one
+# eigenvector solve is the commutator check's shared-eigenvector step.
+SPECTRAL_SITES = {"eigvals": [("matrixcore.py", "unitary_phases")],
+                  "eig": [("flows.py", "commutator_eig1_persistence")],
+                  "svd": [("flows.py", "_eig1_distances")]}
+
+
+def spectral_site_changes(texts):
+    """Per solver of `SPECTRAL_SITES` whose call sites in `texts` differ
+    from the listed ones: its call sites."""
+    out = {}
+    for target, where in SPECTRAL_SITES.items():
+        sites = call_sites(texts, target)
+        if sites != where:
+            out[target] = sites
+    return out
+
+
+def test_each_spectral_quantity_has_one_solver_call_site():
+    texts = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert spectral_site_changes(texts) == {}
+
+
+def test_spectral_site_scan_flags_planted_callers():
+    texts = {"matrixcore.py": ("import numpy as np\n"
+                               "def unitary_phases(u):\n"
+                               "    return np.angle(np.linalg.eigvals(u))\n"),
+             "flows.py": ("import numpy as np\n"
+                          "from numpy.linalg import eigvals as spectrum\n"
+                          "def _eig1_distances(a, b):\n"
+                          "    return np.linalg.svd(a - b, compute_uv=False)[..., -1]\n"
+                          "def commutator_eig1_persistence(u, l, m):\n"
+                          "    return np.linalg.eig(u)\n"
+                          "def geodesic_nonintersection_probe(m):\n"
+                          "    return np.abs(spectrum(m) - 1.0).min()\n")}
+    assert spectral_site_changes(texts) == {
+        "eigvals": [("flows.py", "geodesic_nonintersection_probe"),
+                    ("matrixcore.py", "unitary_phases")]}
+    texts["checks.py"] = ("import numpy\n"
+                          "class Probe:\n"
+                          "    def vector(self, m):\n"
+                          "        return numpy.linalg.eig(m)[1]\n")
+    assert spectral_site_changes(texts)["eig"] == [
+        ("checks.py", "Probe.vector"), ("flows.py", "commutator_eig1_persistence")]
+    del texts["matrixcore.py"]
+    assert spectral_site_changes(texts)["eigvals"] == [
+        ("flows.py", "geodesic_nonintersection_probe")]
 
 
 # Where geodesy calls the scipy graph kernels: the traced benchmark reads
