@@ -9,7 +9,8 @@ Modules
 -------
 matrixcore
     Skew-Hermitian exponentials, eigenvalue phases, stacked Haar U(n) and
-    Ginibre draws from a `StreamBlock` of seeded RNG streams (one seeding
+    Ginibre draws from a `StreamBlock` of seeded RNG streams (the uint32
+    array of their SeedSequence entropy words, ids below 2**32; one seeding
     function for blocks and lone streams), quaternion pairs.
 randers
     Metric parameter containers for the u_sphere and sp_sphere families

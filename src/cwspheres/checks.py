@@ -116,6 +116,12 @@ def _length_row(name, values, L=None):
     return (name, lo, hi, mean, float(values.std()), verdict)
 
 
+def _log_done(check, count, what, start):
+    """The check's one done line at INFO: its name, how many trials,
+    samples or queries it ran and the seconds since `start`."""
+    log.info("%s: %d %s in %.2f s", check, count, what, time.perf_counter() - start)
+
+
 def _require_sp(spec, check):
     if spec.family != SP_SPHERE:
         raise InvalidInput(f"{check} needs an {SP_SPHERE} config, not {spec.family}")
@@ -138,7 +144,9 @@ def orbit(spec, params, trials, rng) -> CheckReport:
     """Orbit-length spread of the two-eigenvalue generator of `params`."""
     _require_matrix_size(params.l + params.m, "orbit")
     _require_generator_config(spec, params, "orbit")
+    start = time.perf_counter()
     values = orbit_length_report(spec, orbit_generator(params), rng, _length_trials(trials))
+    _log_done("orbit", len(values), "trials", start)
     row = _length_row("orbit", values, params.L)
     return CheckReport(_LENGTH_HEADER, (row,), row[5] == "constant")
 
@@ -154,7 +162,7 @@ def eigenlemma(n, trials, rng) -> CheckReport:
     if trials < 1:
         raise InvalidInput("need at least one trial")
     _require_matrix_size(n, "eigenlemma")
-    rows = []
+    start, rows = time.perf_counter(), []
     for ks, block in trial_blocks(rng, trials, n * n):
         log.info("eigenlemma trial %d/%d", ks.start, trials)
         p = haar_unitary(n, block.split(0))
@@ -165,6 +173,7 @@ def eigenlemma(n, trials, rng) -> CheckReport:
             verdict = bool(ok) if defined else "undefined"
             rows.append((k, _digest(pqk), verdict,
                          0.0 if verdict is True else math.nan))
+    _log_done("eigenlemma", len(rows), "trials", start)
     defined = [row[2] for row in rows if row[2] != "undefined"]
     return CheckReport(_TRIAL_HEADER, tuple(rows), bool(defined) and all(defined))
 
@@ -178,7 +187,7 @@ def commutator(l, m, trials, rng) -> CheckReport:
     if r < 1 or trials < 1:
         raise InvalidInput("need l, m and trials of at least 1")
     _require_matrix_size(l + m, "commutator")
-    rows = []
+    start, rows = time.perf_counter(), []
     for ks, block in trial_blocks(rng, trials, T_GRID.size * (l + m) ** 2):
         invertible = [(k % 2 == 1) and l == m for k in ks]
         angles = np.array([gen.uniform(0.15, math.pi / 2 - 0.15, size=r)
@@ -197,6 +206,7 @@ def commutator(l, m, trials, rng) -> CheckReport:
                                and res.worst_residual[j] <= SHARED_VECTOR_TOL)
                 residual = float(res.worst_residual[j])
             rows.append((k, _digest(u[j]), verdict, residual))
+    _log_done("commutator", len(rows), "trials", start)
     return CheckReport(_TRIAL_HEADER, tuple(rows), all(row[2] for row in rows))
 
 
@@ -208,7 +218,9 @@ def endpoints(vnorm, samples, rng) -> CheckReport:
     if int(samples) > ENDPOINT_MAX_SAMPLES:
         raise InvalidInput(f"endpoints needs at most {ENDPOINT_MAX_SAMPLES} samples, "
                            f"not {int(samples)}")
+    start = time.perf_counter()
     spread, identity = endpoint_focus_check(vnorm, samples=samples, rng=rng.split(0))
+    _log_done("endpoints", int(samples), "samples per start point", start)
     return _threshold_report([("endpoint_spread", spread, ENDPOINT_SPREAD_TOL),
                               ("endpoint_identity", identity, ENDPOINT_IDENTITY_TOL)])
 
@@ -216,7 +228,9 @@ def endpoints(vnorm, samples, rng) -> CheckReport:
 def nonintersection(x, l, m, trials, rng) -> CheckReport:
     """Geodesic non-intersection probe for X = i(x I + diag(-I_l, I_m))."""
     _require_matrix_size(l + m, "nonintersection")
+    start = time.perf_counter()
     worst = geodesic_nonintersection_probe(x, l, m, trials, rng)
+    _log_done("nonintersection", int(trials), "trials", start)
     ok = bool(worst >= NONINTERSECTION_MIN_DIST)
     return CheckReport(("check", "min_spectral_distance", "trials", "verdict"),
                        (("nonintersection", worst, trials, ok),), ok)
@@ -242,9 +256,10 @@ def sp_central(spec, trials, rng) -> CheckReport:
     if spec.n > SP_CENTRAL_MAX_N:
         raise InvalidInput(f"sp-central needs a config n of at most {SP_CENTRAL_MAX_N}, "
                            f"not {spec.n}")
-    trials = _length_trials(trials)
+    trials, start = _length_trials(trials), time.perf_counter()
     rows = [_length_row(f"cand{k}", orbit_length_report(spec, e, rng.split(k), trials))
             for k, e in enumerate(_sp_candidates(spec.n))]
+    _log_done("sp-central", trials, "trials per candidate", start)
     return CheckReport(_LENGTH_HEADER, tuple(rows),
                        all((row[5] == "constant") == (k == 0) for k, row in enumerate(rows)))
 
@@ -252,7 +267,7 @@ def sp_central(spec, trials, rng) -> CheckReport:
 def sp_witness(spec, rng) -> CheckReport:
     """Witness gaps of random diagonal generators for n = 1..3 (`rng.split(n)`)."""
     _require_sp(spec, "sp-witness")
-    rows = []
+    start, rows = time.perf_counter(), []
     for n, gen in enumerate(StreamBlock(rng, range(1, 4)).generators(), start=1):
         dim = n + 1
         entries = gen.standard_normal((dim, 3))
@@ -266,6 +281,7 @@ def sp_witness(spec, rng) -> CheckReport:
         residual = abs(gap - expected)
         rows.append((f"n{n}", gap, expected, residual,
                      bool(residual <= WITNESS_GAP_TOL * max(abs(f1), abs(f2)))))
+    _log_done("sp-witness", len(rows), "cases", start)
     return CheckReport(("case", "gap", "expected", "residual", "verdict"),
                        tuple(rows), all(row[4] for row in rows))
 
@@ -281,11 +297,6 @@ def _profile(rep):
     return {"min": float(disp.min()), "max": float(disp.max()), "mean": mean,
             "rel_spread": rel, "snap": float(rep.snap.max()),
             "verdict": "constant" if rel <= DISPLACEMENT_REL_TOL else "non-constant"}
-
-
-def _log_queries(check, count, start):
-    log.info("%s: %d distance queries in %.2f s", check, count,
-             time.perf_counter() - start)
 
 
 def displacement(spec, params, t, points, n_points, k, graph_rng,
@@ -310,7 +321,7 @@ def displacement(spec, params, t, points, n_points, k, graph_rng,
     # flows.apply_flow_calls) count calls, and on this check they keep
     # counting queries, so the L = 2 per-query cost stays comparable.
     rep = geodesy.displacement_profile(graph, flow, points, profile_rng, batch=1)
-    _log_queries("displacement", points, start)
+    _log_done("displacement", points, "distance queries", start)
     summary = _profile(rep)
     return CheckReport(("point", "displacement"),
                        (*enumerate(rep.distance), ("summary", *summary.items())),
@@ -343,7 +354,8 @@ def oracle(n_points, k, graph_rng, pair_rng, profile_rng) -> CheckReport:
         sym_dev = max(sym_dev, abs(dij - dji) / max(dij, dji))
     hopf = _profile(geodesy.displacement_profile(
         graph, u_flow(1j * np.eye(2), 0.5), ORACLE_HOPF_POINTS, profile_rng))
-    _log_queries("oracle", 1 + 2 * ORACLE_PAIRS + ORACLE_HOPF_POINTS, start)
+    _log_done("oracle", 1 + 2 * ORACLE_PAIRS + ORACLE_HOPF_POINTS, "distance queries",
+              start)
     return _threshold_report([
         ("antipodal_rel_error", anti_err, ANTIPODE_REL_TOL),
         ("symmetry_rel_dev", sym_dev, SYMMETRY_REL_TOL),

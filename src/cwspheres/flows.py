@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .matrixcore import (BLOCK_ENTRIES, StreamBlock, as_skew_hermitian, as_unitary,
-                         conj_t, expm_skew, haar_unitary, trial_blocks,
+from .matrixcore import (BLOCK_ENTRIES, TRIAL_BLOCK, StreamBlock, as_skew_hermitian,
+                         as_unitary, conj_t, expm_skew, haar_unitary, trial_blocks,
                          unitary_phases)
 
 TWO_PI = 2.0 * math.pi
@@ -126,7 +126,7 @@ def endpoint_focus_check(vnorm, rng, samples=100):
     point, over a few random start points each probed with `samples`
     random unit X (start point b from `rng.split(b)`, its X number k from
     `rng.split(b).split(k)`, k = 1..samples; the start points are seeded as
-    one block, each one's samples as another), and the largest
+    one block, each one's samples TRIAL_BLOCK at a time), and the largest
     |end + exp(-i pi vnorm) z| over the same endpoints; a spread needs at
     least two samples.  A start point's
     generators are exponentiated as one stack and its endpoints
@@ -145,8 +145,12 @@ def endpoint_focus_check(vnorm, rng, samples=100):
         p = start.standard_normal(4)
         p /= np.linalg.norm(p)
         z = np.array([p[0] + 1j * p[1], -p[2] + 1j * p[3]])      # g e_1
-        x_gens = StreamBlock(rng.split(bp), range(1, int(samples) + 1)).generators()
-        x3 = np.array([gen.standard_normal(3) for gen in x_gens])
+        parent = rng.split(bp)
+        x3 = np.empty((int(samples), 3))
+        for first in range(0, len(x3), TRIAL_BLOCK):
+            ids = range(first + 1, min(first + TRIAL_BLOCK, len(x3)) + 1)
+            for gen, row in zip(StreamBlock(parent, ids).generators(), x3[first:]):
+                gen.standard_normal(out=row)
         a, b, c = (x3 / _row_norms(x3)[:, None]).T
         x = np.moveaxis(np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]]), -1, 0)
         ends = expm_skew(x + shift, math.pi) @ z

@@ -10,13 +10,13 @@ The Monte-Carlo kernels work on stacks: the phases take a leading trial
 axis, and the samplers take a `StreamBlock` and return the stack of one
 draw per stream.  `trial_blocks` cuts a run into blocks of trial ids; a
 block's streams are a `StreamBlock`, the streams `rng.split(k)` of its
-ids k and their children along one key suffix, with no RngStream per
-trial.  All seeding goes through `_generators`: the
-SeedSequence entropy words of every stream of a block are one uint32
-array, hashed in one vectorised pass, and each PCG64 generator is built
-from its row, the bits numpy's own SeedSequence gives; a lone RngStream is
-seeded the same way, as a block of one.  numpy's stacked QR, eigvals and
-matmul give the same bits as one call per matrix, so draw k of a stack
+ids k (each below 2**32) or their children along further keys, with no
+RngStream per trial.  A block is the (T, L) uint32 array of its streams'
+SeedSequence entropy words, one row per stream, and a lone RngStream is a
+block of one row.  All seeding goes through `_generators`: the rows are
+hashed in one vectorised pass and each PCG64 generator is built from its
+row, the bits numpy's own SeedSequence gives.  numpy's stacked QR, eigvals
+and matmul give the same bits as one call per matrix, so draw k of a stack
 equals the draw of its stream alone.
 """
 
@@ -75,8 +75,16 @@ class RngStream:
     def gen(self):
         """The stream's numpy Generator, built when first drawn from."""
         if self._gen is None:
-            self._gen = _generators(self.seed, self._key, 1)[0]
+            self._gen = _generators(np.array([self._entropy()], np.uint32))[0]
         return self._gen
+
+    def _entropy(self):
+        """The stream's SeedSequence entropy words: the seed's, zero-filled
+        to the pool size (SeedSequence reads a shorter entropy zero-filled
+        anyway), then each key's."""
+        words = _uint32_words(self.seed)
+        return words + [0] * (_POOL - len(words)) + [w for k in self._key
+                                                     for w in _uint32_words(k)]
 
     def split(self, k):
         """Return an independent child stream keyed by integer `k`."""
@@ -141,17 +149,16 @@ _POOL_MIXING = _pool_mixing_consts()
 
 def _seed_states(entropy):
     """SeedSequence(entropy).generate_state(4, uint64) for each row of a
-    (G, L) uint32 array of assembled entropy words, as a (G, 4) array.
+    (G, L) uint32 array of assembled entropy words, L at least the pool
+    size, as a (G, 4) array.
 
     The hash constants depend only on L, so one run of array operations
     over the (words, G) transpose hashes all G rows: mix_entropy, then
     generate_state.
     """
-    rows, width = entropy.shape
-    words = np.zeros((max(width, _POOL), rows), dtype=np.uint32)
-    words[:width] = entropy.T
-    a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(width, _POOL))
-    # the first POOL words (zero where the entropy is shorter) fill the pool
+    words = entropy.T
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words))
+    # the first POOL words fill the pool
     pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
     # every pool word is hashed and mixed into each other pool word
     for src, (xor, mul) in enumerate(_POOL_MIXING):
@@ -159,7 +166,7 @@ def _seed_states(entropy):
         mixed[src] = pool[src]
         pool = mixed
     # every further entropy word is hashed and mixed into each pool word
-    for src in range(_POOL, width):
+    for src in range(_POOL, len(words)):
         call = _POOL * src
         pool = _mix(pool, _hashmix(words[src], a[call:call + _POOL],
                                    a[call + 1:call + _POOL + 1]))
@@ -177,28 +184,10 @@ def _uint32_words(n):
     return words
 
 
-def _column_words(column):
-    """Entropy words of a key column of one int per stream: a (T, w) uint32
-    array, row k the words of the k-th int zero-filled to the widest, and
-    each row's word count.  A range below 2**32 is one arange."""
-    if isinstance(column, range) and max(column[0], column[-1]) <= _MASK32:
-        words = np.arange(column.start, column.stop, column.step, dtype=np.int64)
-        return words.astype(np.uint32)[:, None], np.ones(len(column), dtype=np.int64)
-    rest = np.array(column, dtype=object)
-    words, width = [], np.ones(len(rest), dtype=np.int64)
-    while True:
-        words.append((rest & _MASK32).astype(np.uint32))
-        rest = rest >> 32
-        more = rest > 0
-        if not more.any():
-            return np.stack(words, axis=1), width
-        width += more
-
-
 class _SeedStates(np.random.bit_generator.ISeedSequence):
     """Precomputed SeedSequence outputs, rows of a (G, 4) uint64 array,
     handed in turn to G PCG64 generators as their seed: PCG64 reads its
-    four state words once, when it is built.  One object per group, not
+    four state words once, when it is built.  One object per block, not
     one per stream, keeps the per-generator cost to numpy's own."""
 
     __slots__ = ("_rows",)
@@ -212,67 +201,54 @@ class _SeedStates(np.random.bit_generator.ISeedSequence):
         return next(self._rows)
 
 
-def _generators(seed, columns, count):
-    """numpy Generators of `count` streams of root `seed` whose key element
-    j is columns[j]: an int shared by every stream or, for at most one j (a
-    block's ids), a sequence of one int per stream.  The one place a
-    Generator is built.
-
-    A stream's SeedSequence entropy is the seed's words, zero-filled to the
-    pool size (SeedSequence reads a shorter entropy zero-filled anyway),
-    then each key element's words.  Streams are grouped by the word count
-    of their id (ids of 2**32 or more take several); each group's entropy
-    is assembled as one uint32 array and hashed in one `_seed_states` pass.
-    Each Generator is bit-identical to
-    `default_rng(SeedSequence(seed, spawn_key=key))`.
+def _generators(entropy):
+    """numpy Generators of the streams whose SeedSequence entropy words are
+    the rows of the (T, L) uint32 array `entropy`: every row hashed in one
+    `_seed_states` pass, then one PCG64 Generator per row.  The one place a
+    Generator is built; each is bit-identical to
+    `default_rng(SeedSequence(seed, spawn_key=key))` of its stream.
     """
-    if not count:
-        return []
-    at = next((j for j, c in enumerate(columns) if not isinstance(c, int)), len(columns))
-    head = _uint32_words(seed)
-    head += [0] * (_POOL - len(head)) + [w for k in columns[:at] for w in _uint32_words(k)]
-    head = np.array(head, dtype=np.uint32)
-    tail = np.array([w for k in columns[at + 1:] for w in _uint32_words(k)], dtype=np.uint32)
-    ids, width = _column_words(columns[at]) if at < len(columns) else \
-        (np.empty((count, 0), dtype=np.uint32), np.zeros(count, dtype=np.int64))
-    gens = [None] * count
-    for w in sorted(set(width.tolist())):
-        rows = np.flatnonzero(width == w)
-        entropy = np.concatenate([np.broadcast_to(head, (rows.size, head.size)), ids[rows, :w],
-                                  np.broadcast_to(tail, (rows.size, tail.size))], axis=1)
-        seeds = _SeedStates(_seed_states(entropy))
-        for row in rows.tolist():
-            gens[row] = np.random.Generator(np.random.PCG64(seeds))
-    return gens
+    seeds = _SeedStates(_seed_states(entropy))
+    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(len(entropy))]
 
 
 class StreamBlock:
     """The streams `rng.split(k)` for the keys k of `ids` (a range or a
-    sequence of ints), or their descendants along one key suffix, as one
-    sequence whose Generators are built together: `generators()` seeds
-    every stream in one `_generators` pass, and `split(j)` is the block of
-    their children j.  No RngStream is made per stream."""
+    sequence of ints below 2**32), or their descendants along further keys,
+    held as what they are hashed from: a (T, L) uint32 array `entropy` of
+    SeedSequence entropy words, row k the words of stream k.  `split(j)`
+    appends j's words to every row, and `generators()` seeds every stream
+    in one `_generators` pass.  No RngStream is made per stream."""
 
-    __slots__ = ("rng", "ids", "suffix")
+    __slots__ = ("entropy",)
 
-    def __init__(self, rng, ids, _suffix=()):
-        self.rng = rng
-        if not (isinstance(ids, range) and (not ids or min(ids[0], ids[-1]) >= 0)):
-            ids = tuple(_stream_int(k, "stream key") for k in ids)
-        self.ids = ids
-        self.suffix = tuple(_suffix)
+    def __init__(self, rng, ids):
+        if isinstance(ids, range):
+            low, high = sorted((ids[0], ids[-1])) if ids else (0, 0)
+        else:
+            ids = [_stream_int(k, "stream key") for k in ids]
+            low, high = min(ids, default=0), max(ids, default=0)
+        if not 0 <= low <= high <= _MASK32:
+            raise InvalidInput(f"a block's stream keys must lie in [0, 2**32), not {low}..{high}")
+        head = rng._entropy()
+        self.entropy = np.empty((len(ids), len(head) + 1), dtype=np.uint32)
+        self.entropy[:, :-1] = head
+        self.entropy[:, -1] = ids
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.entropy)
 
     def split(self, k):
         """The block of every stream's child keyed by integer `k`."""
-        return StreamBlock(self.rng, self.ids, self.suffix + (_stream_int(k, "stream key"),))
+        words = np.array(_uint32_words(_stream_int(k, "stream key")), dtype=np.uint32)
+        child = object.__new__(StreamBlock)
+        child.entropy = np.concatenate(
+            [self.entropy, np.broadcast_to(words, (len(self.entropy), words.size))], axis=1)
+        return child
 
     def generators(self):
         """The numpy Generator of each stream, fresh on every call."""
-        return _generators(self.rng.seed, (*self.rng._key, self.ids, *self.suffix),
-                           len(self.ids))
+        return _generators(self.entropy)
 
 
 def trial_blocks(rng, trials, entries):
@@ -282,11 +258,16 @@ def trial_blocks(rng, trials, entries):
 
     A block holds TRIAL_BLOCK trials, or fewer when one trial stacks
     `entries` matrix entries and the block would pass BLOCK_ENTRIES; the
-    stacks a checker builds stay bounded whatever the trial count.
+    stacks a checker builds stay bounded whatever the trial count.  A
+    block's ids are one entropy word each, so more than 2**32 trials are
+    refused before the first block.
     """
+    trials = int(trials)
+    if trials > _MASK32 + 1:
+        raise InvalidInput(f"at most 2**32 trials can be drawn, not {trials}")
     size = max(1, min(TRIAL_BLOCK, BLOCK_ENTRIES // max(int(entries), 1)))
-    for start in range(0, int(trials), size):
-        ks = range(start, min(start + size, int(trials)))
+    for start in range(0, trials, size):
+        ks = range(start, min(start + size, trials))
         yield ks, StreamBlock(rng, ks)
 
 
@@ -438,10 +419,8 @@ class QuaternionMatrix:
         return self.q1.shape
 
     @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols), dtype=complex),
-                   np.zeros((rows, cols), dtype=complex))
+    def zeros(cls, n):
+        return cls(np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex))
 
     def __matmul__(self, other):
         a1, a2 = self.q1, self.q2

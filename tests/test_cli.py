@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwspheres import checks, cli, geodesy
+from cwspheres import checks, cli, geodesy, matrixcore
 from cwspheres.cli import main
 from cwspheres.errors import InvalidInput
 from cwspheres.killing import OrbitParams, solve_metric
@@ -124,8 +125,51 @@ def test_randers_log_is_read_on_every_call():
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
-    assert proc.stderr.splitlines() == ["run at warning", "run at info",
-                                        "INFO eigenlemma trial 0/3", "run at warning"]
+    lines = proc.stderr.splitlines()
+    assert lines[:3] == ["run at warning", "run at info", "INFO eigenlemma trial 0/3"]
+    assert re.fullmatch(r"INFO eigenlemma: 3 trials in \d+\.\d\d s", lines[3])
+    assert lines[4:] == ["run at warning"]
+
+
+# each numpy-only check at a small size, at two log levels, in one interpreter
+LOGGED_CHECKS = """import json, os, sys
+from cwspheres.cli import main
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for check, argv in runs.items():
+    for level in ("warning", "info"):
+        os.environ["RANDERS_LOG"] = level
+        print(f"@@ {check} at {level}", file=sys.stderr, flush=True)
+        code = main(["verify", check, *argv, "--out", os.path.join(out, f"{check}-{level}")])
+        print(f"exit {code}", file=sys.stderr, flush=True)
+"""
+NUMPY_CHECK_ARGS = {
+    "orbit": ["--trials", "100"], "eigenlemma": ["--trials", "20"],
+    "commutator": ["--trials", "20"], "endpoints": ["--trials", "20"],
+    "nonintersection": ["--trials", "20"], "sp-central": ["--trials", "100"],
+    "sp-witness": [],
+}
+
+
+def test_every_numpy_check_logs_when_done_and_keeps_its_report(tmp_path):
+    assert set(NUMPY_CHECK_ARGS) == set(cli._CHECKS) - {"displacement", "oracle"}
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LOGGED_CHECKS, str(tmp_path), json.dumps(NUMPY_CHECK_ARGS)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    runs = proc.stderr.split("@@ ")[1:]
+    assert len(runs) == 2 * len(NUMPY_CHECK_ARGS)
+    for check in NUMPY_CHECK_ARGS:
+        quiet, logged = (next(r for r in runs if r.startswith(f"{check} at {level}\n"))
+                         for level in ("warning", "info"))
+        assert quiet.splitlines()[1:] == ["exit 0"]
+        assert logged.splitlines()[-1] == "exit 0"
+        info = logged.splitlines()[1:-1]
+        assert info and all(line.startswith("INFO ") for line in info)
+        assert re.fullmatch(rf"INFO {check}: \d+ [a-z ]+ in \d+\.\d\d s", info[-1])
+        assert (tmp_path / f"{check}-info").read_bytes() == \
+            (tmp_path / f"{check}-warning").read_bytes()
 
 
 @pytest.mark.parametrize("n", ["true", "1.7"])
@@ -423,6 +467,20 @@ def test_verify_too_few_trials_is_usage_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, "verify", *argv, "--out", str(report))
     assert code == 2 and err.startswith("error:")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("check", ["eigenlemma", "commutator", "nonintersection",
+                                   "orbit", "sp-central"])
+def test_more_than_two_to_the_32_trials_is_refused_before_any_draw(capsys, monkeypatch,
+                                                                   check):
+    # a trial id is one SeedSequence entropy word of its stream
+    def seed_states(entropy):
+        raise AssertionError("a stream was seeded before the trial-count check")
+    monkeypatch.setattr(matrixcore, "_seed_states", seed_states)
+    code, out, err = run(capsys, "verify", check, "--trials", str(2 ** 32 + 1))
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and "2**32" in line
 
 
 WRONG_FAMILY_SPECS = {

@@ -971,6 +971,23 @@ def test_distance_round_symmetry():
     assert np.all(np.abs(dij - dji) / np.maximum(dij, dji) <= 0.02)
 
 
+def test_round_distances_against_the_exact_arccos():
+    # On the round S^3 the exact distance is arccos <x, y>, so the graph's
+    # own error is measured, not a proxy.  Survey at this size (N = 8000,
+    # k = 12, graphs RngStream(s) for s = 0..15, 50 pairs of distinct
+    # vertices each from RngStream(s).split(1)): the refined distance was
+    # never below exact by more than 5.6e-17, its median error was +0.68%
+    # to +0.93% and its max +1.7% to +4.7%; the raw graph's median +12-15%.
+    g = build_graph(ROUND3, 8000, 12, RngStream(0))
+    i, j = RngStream(0).split(1).gen.choice(8000, (2, 50))
+    i, j = i[i != j], j[i != j]
+    exact = np.arccos(np.clip(np.sum(g.points[i] * g.points[j], axis=1), -1.0, 1.0))
+    refined = distances(g, i, j).distance
+    assert len(i) >= 45 and np.all(refined >= exact - 1e-12)
+    rel = (refined - exact) / exact
+    assert np.median(rel) <= 0.012 and rel.max() <= 0.06
+
+
 def test_distance_refinement_never_longer_than_raw():
     g = small_graph(n_points=1500, seed=12)
     pairs = RngStream(13).gen.integers(0, 1500, (10, 2))

@@ -30,9 +30,11 @@ package binds such a conjugate to a name first, which numpy never reuses.
 Every random stream is seeded through one function, `matrixcore._generators`,
 which the cross-checks against numpy's SeedSequence cover: it alone may
 build a `np.random.Generator` or `np.random.PCG64`, and no module builds a
-`default_rng`, `SeedSequence` or `RandomState`.  Those cross-checks cover
-the two ways a stream is seeded, a lone `RngStream.gen` and a
-`StreamBlock.generators()`, so only those two call `_generators`.  Every
+`default_rng`, `SeedSequence` or `RandomState`.  It takes one uint32 array
+of SeedSequence entropy words, a row per stream: a `StreamBlock` is such an
+array (its ids below 2**32, one word each) and a lone `RngStream.gen` one
+row of it.  The cross-checks cover those two ways a stream is seeded, so
+only those two call `_generators`.  Every
 Haar draw of U(n) is the Q factor of one stacked QR with
 the phase fix on R's diagonal, so only `matrixcore._haar_qr` calls a `qr`.
 Each spectral quantity is computed one way: only

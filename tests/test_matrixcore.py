@@ -242,16 +242,18 @@ def test_lone_stream_matches_numpy_on_random_paths(seed, keys):
                                       numpy_normals(seed, tuple(key)))
 
 
-ONE_OR_TWO_WORDS = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 64 - 1)
+# a block's ids are one entropy word each, so below 2**32; both edges are
+# drawn on purpose
+ONE_WORD = st.sampled_from((0, 2 ** 32 - 1)) | st.integers(0, 2 ** 32 - 1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(seed=st.integers(0, 2 ** 33) | st.integers(0, 2 ** 130),
        parent=st.lists(st.integers(0, 2 ** 33) | st.integers(0, 2 ** 70), max_size=3),
-       ids=st.lists(ONE_OR_TWO_WORDS, min_size=1, max_size=8),
+       ids=st.lists(ONE_WORD, min_size=1, max_size=8),
        suffix=st.lists(st.integers(0, 2 ** 33), max_size=2))
 def test_stream_block_matches_numpy_on_random_blocks(seed, parent, ids, suffix):
-    # ids of one and two words in one block are seeded in one group each
+    # seeds and keys above and below the block ids may take several words
     block = StreamBlock(stream(seed, parent), ids)
     for k in suffix:
         block = block.split(k)
@@ -261,15 +263,15 @@ def test_stream_block_matches_numpy_on_random_blocks(seed, parent, ids, suffix):
 
 
 PARENT_KEYS = ((), (3,), (2 ** 32, 7), (1, 2 ** 64 + 5, 0))
-BLOCK_IDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1)
+BLOCK_IDS = (0, 1, 2 ** 32 - 2, 2 ** 32 - 1)
 SUFFIXES = ((), (1,), (1, 3))
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 @pytest.mark.parametrize("parent", PARENT_KEYS, ids=len)
 def test_stream_block_matches_numpy_seed_sequence(seed, parent):
-    # trial ids of one and two words in one block, key depths 0-3 above
-    # them and suffixes of 0-2 keys below: every Generator draws what
+    # trial ids at both edges of one word, key depths 0-3 above them and
+    # suffixes of 0-2 keys below: every Generator draws what
     # numpy's own SeedSequence of its full key draws
     for suffix in SUFFIXES:
         block = StreamBlock(stream(seed, parent), BLOCK_IDS)
@@ -293,6 +295,15 @@ def test_trial_blocks_cover_every_trial_with_its_own_stream(monkeypatch):
             np.testing.assert_array_equal(gen.standard_normal(6), numpy_normals(5, (2, k, 4)))
 
 
+def test_trial_blocks_refuse_more_than_two_to_the_32_trials():
+    # trial ids are one entropy word each: 2**32 trials are the most, and
+    # more are refused before the first block
+    first, block = next(trial_blocks(RngStream(0), 2 ** 32, 4))
+    assert first == range(matrixcore.TRIAL_BLOCK) and len(block) == matrixcore.TRIAL_BLOCK
+    with pytest.raises(InvalidInput, match="2\\*\\*32"):
+        next(trial_blocks(RngStream(0), 2 ** 32 + 1, 4))
+
+
 def test_stream_block_refuses_a_bad_key():
     for bad in (-1, True, 1.5):
         with pytest.raises(InvalidInput):
@@ -301,6 +312,11 @@ def test_stream_block_refuses_a_bad_key():
             StreamBlock(RngStream(0), range(3)).split(bad)
     with pytest.raises(InvalidInput):
         StreamBlock(RngStream(0), range(-1, 2))
+    # a block id is one entropy word; a split key may be any size
+    with pytest.raises(InvalidInput, match="2\\*\\*32"):
+        StreamBlock(RngStream(0), [0, 2 ** 32])
+    with pytest.raises(InvalidInput, match="2\\*\\*32"):
+        StreamBlock(RngStream(0), range(2 ** 32 - 1, 2 ** 32 + 1))
 
 
 def test_monte_carlo_checks_seed_a_block_per_suffix(monkeypatch):
@@ -337,6 +353,12 @@ def test_monte_carlo_checks_seed_a_block_per_suffix(monkeypatch):
     # only splits are the check's own stream and one parent per start
     # point, none per sample
     assert (splits, hashes) == ([0, 0, 1, 2], [3, 40, 40, 40])
+    splits.clear()
+    hashes.clear()
+    assert checks.endpoints(0.5, 600, RngStream(0)).ok
+    # more samples than TRIAL_BLOCK are seeded a block at a time
+    assert (splits, hashes) == ([0, 0, 1, 2], [3] + [256, 256, 88] * 3)
+    assert max(hashes) <= matrixcore.TRIAL_BLOCK
 
 
 @pytest.mark.parametrize("key", (-1, True, np.True_, 1.5, 2.0, "3", None))
